@@ -87,6 +87,9 @@
 //!   [`FailureSpec`], [`MembershipSpec`], [`ProtocolSpec`],
 //!   [`LatencySpec`]), the object-safe [`Backend`] trait, the exact
 //!   [`AnalyticBackend`], and the parallel [`SweepGrid`] runner.
+//! * [`reduce`] — the one reduction from per-replication outcomes to a
+//!   [`Report`]: the take-off threshold, the conditioned / census /
+//!   per-message stream estimators every Monte-Carlo backend shares.
 //! * [`distribution`] — the [`FanoutDistribution`] trait (pmf, generating
 //!   functions `G0`/`G1`, sampling) and eight implementations: Poisson,
 //!   fixed, binomial, geometric, discrete-uniform, truncated power-law,
@@ -118,6 +121,7 @@ pub mod loss;
 pub mod model;
 pub mod percolation;
 pub mod poisson_case;
+pub mod reduce;
 pub mod scenario;
 pub mod series;
 pub mod solver;

@@ -1,0 +1,520 @@
+//! The one place where Monte-Carlo replications become a [`Report`].
+//!
+//! Every executing backend — graph, protocol, netsim, runtime — does
+//! three things: refuse what it cannot model, run one replication per
+//! seed `SplitMix64::derive(scenario.seed, rep)`, and hand the
+//! per-execution digests to this module *in replication order*. What the
+//! estimate means is decided here, once:
+//!
+//! * [`conditioned`] — the paper's §5 estimator: reliability averaged
+//!   over the executions that *take off*, split from the fizzles at
+//!   [`takeoff_threshold`]; cost metrics average over every execution,
+//!   timing metrics over the take-offs only.
+//! * [`census`] — the unconditioned mode of the graph backend's default
+//!   path: a static percolation census has no source, hence no fizzle
+//!   mode — every replication counts and `reliability_raw` equals
+//!   `reliability`.
+//! * [`stream`] — the per-message mode for [`TrafficSpec`] workloads:
+//!   every message of every execution is one conditioned sample, and
+//!   the [`TrafficReport`] is filled from the merged latency histogram
+//!   and the copy ledger.
+//!
+//! Digests are pushed into the running statistics in the order given,
+//! so a `Report` is a pure function of the digest sequence — backends
+//! that parallelize replications collect first and reduce here.
+//!
+//! [`TrafficSpec`]: gossip_traffic::TrafficSpec
+
+use gossip_faults::GilbertElliott;
+use gossip_stats::descriptive::OnlineStats;
+use gossip_traffic::{percentile, TrafficReport};
+
+use crate::distribution::FanoutDistribution;
+use crate::error::ModelError;
+use crate::loss::LossyGossip;
+use crate::percolation::SitePercolation;
+use crate::scenario::{ProtocolSpec, Report, Scenario};
+use crate::success;
+
+/// The reliability above which an execution counts as a take-off: half
+/// the complete-graph analytic prediction (the convention of the figure
+/// harness), so layers that cannot be priced analytically — overlays,
+/// adversaries — still condition comparably. Falls back to 0.5 when the
+/// model cannot price the scenario at all (e.g. crash schedules).
+pub fn takeoff_threshold(scenario: &Scenario, dist: &dyn FanoutDistribution) -> f64 {
+    let q = scenario.q().unwrap_or(1.0);
+    // Bursty loss folds in at its stationary mean: the prediction is an
+    // upper bound (burstiness only hurts more), which is all a take-off
+    // split needs.
+    let mut loss = scenario.loss;
+    if let Some(bursty) = &scenario.faults.bursty_loss {
+        let mean = GilbertElliott::new(bursty).mean_loss();
+        loss = 1.0 - (1.0 - loss) * (1.0 - mean);
+    }
+    let prediction = match scenario.protocol {
+        ProtocolSpec::Push => LossyGossip::new(dist, q, loss)
+            .and_then(|m| m.reliability())
+            .unwrap_or(1.0),
+        // Flood / push-pull complete whenever anything spreads.
+        ProtocolSpec::Flood | ProtocolSpec::PushPull => 1.0,
+    };
+    if prediction < 0.05 {
+        // Subcritical: a single mode only; count everything as take-off.
+        0.0
+    } else {
+        0.5 * prediction
+    }
+}
+
+/// One execution's digest. `None` marks a metric the producing layer
+/// does not measure; the matching `Report` field is then `None` too.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Execution {
+    /// Fraction of nonfailed members reached.
+    pub reliability: f64,
+    /// Relay depth at quiescence (averaged over take-offs).
+    pub rounds: Option<f64>,
+    /// Messages sent per nonfailed member (averaged over every run).
+    pub messages_per_member: Option<f64>,
+    /// Simulated seconds to quiescence (averaged over take-offs).
+    pub quiescence_secs: Option<f64>,
+    /// Messages that died in transit (averaged over every run).
+    pub messages_lost: Option<f64>,
+}
+
+/// One stream execution's digest.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StreamExecution {
+    /// Per message: nonfailed members holding it at quiescence.
+    pub reached: Vec<u32>,
+    /// Nonfailed members — the reliability and cost denominator.
+    pub nonfailed: usize,
+    /// Rounds to stream quiescence.
+    pub rounds: u64,
+    /// Message copies put on the wire.
+    pub copies_sent: u64,
+    /// Copies dropped at full send queues.
+    pub copies_dropped: u64,
+    /// Copies lost in transit.
+    pub copies_lost: u64,
+}
+
+/// The accumulator behind every mode: reliability samples split at the
+/// threshold, plus the per-execution metrics a `Report` averages.
+struct Tally {
+    /// `None` in census mode: every sample conditions.
+    threshold: Option<f64>,
+    conditional: OnlineStats,
+    raw: OnlineStats,
+    rounds: OnlineStats,
+    messages: OnlineStats,
+    quiescence: OnlineStats,
+    lost: OnlineStats,
+}
+
+fn mean_if_any(stats: &OnlineStats) -> Option<f64> {
+    (stats.count() > 0).then(|| stats.mean())
+}
+
+impl Tally {
+    fn new(threshold: Option<f64>) -> Self {
+        Tally {
+            threshold,
+            conditional: OnlineStats::new(),
+            raw: OnlineStats::new(),
+            rounds: OnlineStats::new(),
+            messages: OnlineStats::new(),
+            quiescence: OnlineStats::new(),
+            lost: OnlineStats::new(),
+        }
+    }
+
+    /// Records one reliability sample; true when it took off.
+    fn sample(&mut self, reliability: f64) -> bool {
+        self.raw.push(reliability);
+        let took_off = self.threshold.is_none_or(|t| reliability > t);
+        if took_off {
+            self.conditional.push(reliability);
+        }
+        took_off
+    }
+
+    /// The only non-analytic `Report` literal in the workspace.
+    fn report(
+        &self,
+        backend: &str,
+        transport: Option<&str>,
+        scenario: &Scenario,
+        dist: &dyn FanoutDistribution,
+        replications: usize,
+        traffic: Option<TrafficReport>,
+    ) -> Result<Report, ModelError> {
+        // 0 when nothing took off (an empty accumulator's mean).
+        let reliability = self.conditional.mean();
+        let ci = self.conditional.ci95();
+        Ok(Report {
+            backend: backend.to_string(),
+            scenario: scenario.label(),
+            replications,
+            reliability,
+            reliability_std_error: self.conditional.sem(),
+            reliability_ci95: (ci.lo, ci.hi),
+            reliability_raw: Some(self.raw.mean()),
+            // Always the complete-graph Eq. 3 prediction: an overlay
+            // shifts the *measured* q_c away from it, which is the
+            // point of the topology ablation.
+            critical_q: SitePercolation::new(dist, 1.0)?.critical_q(),
+            takeoff_rate: self
+                .threshold
+                .map(|_| self.conditional.count() as f64 / self.raw.count().max(1) as f64),
+            rounds: mean_if_any(&self.rounds),
+            messages_per_member: mean_if_any(&self.messages),
+            quiescence_secs: mean_if_any(&self.quiescence),
+            transport: transport.map(str::to_string),
+            topology: scenario.topology_label(),
+            faults: scenario.faults_label(),
+            messages_lost: mean_if_any(&self.lost),
+            success_within_t: success::success_probability(reliability, scenario.executions),
+            traffic,
+        })
+    }
+}
+
+fn single(
+    threshold: Option<f64>,
+    backend: &str,
+    transport: Option<&str>,
+    scenario: &Scenario,
+    dist: &dyn FanoutDistribution,
+    executions: impl IntoIterator<Item = Execution>,
+) -> Result<Report, ModelError> {
+    let mut tally = Tally::new(threshold);
+    let mut replications = 0;
+    for e in executions {
+        replications += 1;
+        tally.messages.extend(e.messages_per_member);
+        tally.lost.extend(e.messages_lost);
+        if tally.sample(e.reliability) {
+            tally.rounds.extend(e.rounds);
+            tally.quiescence.extend(e.quiescence_secs);
+        }
+    }
+    tally.report(backend, transport, scenario, dist, replications, None)
+}
+
+/// Reduces single-message executions with take-off conditioning.
+/// `transport` names the wire of a live run (`None` for model layers).
+pub fn conditioned(
+    backend: &str,
+    transport: Option<&str>,
+    scenario: &Scenario,
+    dist: &dyn FanoutDistribution,
+    executions: impl IntoIterator<Item = Execution>,
+) -> Result<Report, ModelError> {
+    let threshold = Some(takeoff_threshold(scenario, dist));
+    single(threshold, backend, transport, scenario, dist, executions)
+}
+
+/// Reduces the reliabilities of a source-less census: no take-off split,
+/// no rounds, no message cost.
+pub fn census(
+    backend: &str,
+    scenario: &Scenario,
+    dist: &dyn FanoutDistribution,
+    reliabilities: impl IntoIterator<Item = f64>,
+) -> Result<Report, ModelError> {
+    let executions = reliabilities.into_iter().map(|reliability| Execution {
+        reliability,
+        ..Execution::default()
+    });
+    single(None, backend, None, scenario, dist, executions)
+}
+
+/// Reduces stream executions: each message of each execution is one
+/// sample, conditioned at the single-message threshold (under an
+/// uncontended cap every message is an independent execution of the
+/// paper's protocol). `hist` is the delivery-delay histogram in rounds,
+/// merged over all executions; `hop_millis` prices rounds into seconds
+/// on timed layers.
+///
+/// A live run (`transport` set) follows the runtime's conventions: its
+/// clock is virtual, so throughput is reported but `quiescence_secs` is
+/// not, and `messages_lost` is filled from the copy ledger.
+///
+/// # Panics
+///
+/// When the scenario carries no traffic spec — backends dispatch here
+/// only for streams.
+pub fn stream(
+    backend: &str,
+    transport: Option<&str>,
+    scenario: &Scenario,
+    dist: &dyn FanoutDistribution,
+    hop_millis: Option<u64>,
+    executions: &[StreamExecution],
+    hist: &[u64],
+) -> Result<Report, ModelError> {
+    let spec = scenario
+        .traffic
+        .expect("stream reduction is only dispatched when traffic is present");
+    let k = spec.messages;
+    let live = transport.is_some();
+    let mut tally = Tally::new(Some(takeoff_threshold(scenario, dist)));
+    let mut per_message = vec![OnlineStats::new(); k];
+    let mut sent = OnlineStats::new();
+    let mut dropped = OnlineStats::new();
+    let mut lost = OnlineStats::new();
+    let mut throughput = OnlineStats::new();
+    for e in executions {
+        let members = e.nonfailed.max(1) as f64;
+        let mut any_takeoff = false;
+        for (message, &count) in e.reached.iter().enumerate() {
+            let r = count as f64 / members;
+            if tally.sample(r) {
+                any_takeoff = true;
+                per_message[message].push(r);
+            }
+        }
+        if any_takeoff {
+            tally.rounds.push(e.rounds as f64);
+            if let Some(ms) = hop_millis {
+                let secs = e.rounds as f64 * ms as f64 / 1000.0;
+                if !live {
+                    tally.quiescence.push(secs);
+                }
+                if secs > 0.0 {
+                    throughput.push(k as f64 / secs);
+                }
+            }
+        }
+        tally.messages.push(e.copies_sent as f64 / members);
+        sent.push(e.copies_sent as f64);
+        dropped.push(e.copies_dropped as f64);
+        lost.push(e.copies_lost as f64);
+    }
+    if live {
+        tally.lost = lost;
+    }
+    // A message that never took off contributes a 0 mean.
+    let means: Vec<f64> = per_message.iter().map(OnlineStats::mean).collect();
+    let traffic = TrafficReport {
+        messages: k,
+        reliability_mean: means.iter().sum::<f64>() / k as f64,
+        reliability_min: means.iter().copied().fold(f64::INFINITY, f64::min),
+        messages_per_sec: mean_if_any(&throughput),
+        latency_rounds_p50: percentile(hist, 0.50),
+        latency_rounds_p90: percentile(hist, 0.90),
+        latency_rounds_p99: percentile(hist, 0.99),
+        copies_sent: Some(sent.mean()),
+        copies_dropped: Some(dropped.mean()),
+        copies_lost: Some(lost.mean()),
+        batched: spec.batched(),
+    };
+    tally.report(
+        backend,
+        transport,
+        scenario,
+        dist,
+        executions.len(),
+        Some(traffic),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distribution::PoissonFanout;
+    use crate::scenario::FanoutSpec;
+    use gossip_faults::{BurstySpec, FaultSpec};
+    use gossip_traffic::TrafficSpec;
+
+    /// Po(4), q = 0.9: prediction ≈ 0.97, threshold ≈ 0.485.
+    fn headline() -> (Scenario, PoissonFanout) {
+        let scenario = Scenario::new(1000, FanoutSpec::poisson(4.0)).with_failure_ratio(0.9);
+        (scenario, PoissonFanout::new(4.0))
+    }
+
+    fn run(reliability: f64, rounds: f64, secs: f64) -> Execution {
+        Execution {
+            reliability,
+            rounds: Some(rounds),
+            messages_per_member: Some(2.0 * reliability),
+            quiescence_secs: Some(secs),
+            messages_lost: None,
+        }
+    }
+
+    #[test]
+    fn conditioning_splits_takeoffs_from_fizzles() {
+        let (scenario, dist) = headline();
+        let runs = [
+            run(0.96, 7.0, 0.07),
+            run(0.01, 1.0, 0.01),
+            run(0.98, 9.0, 0.09),
+        ];
+        let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
+        assert_eq!(report.replications, 3);
+        assert!((report.reliability - 0.97).abs() < 1e-12);
+        assert!((report.reliability_raw.unwrap() - 0.65).abs() < 1e-12);
+        assert_eq!(report.takeoff_rate, Some(2.0 / 3.0));
+        // Timing averages the take-offs, cost averages every run.
+        assert_eq!(report.rounds, Some(8.0));
+        assert!((report.quiescence_secs.unwrap() - 0.08).abs() < 1e-12);
+        assert!((report.messages_per_member.unwrap() - 1.3).abs() < 1e-12);
+        assert_eq!(report.messages_lost, None);
+        assert_eq!(report.transport, None);
+        assert!((report.critical_q.unwrap() - 0.25).abs() < 1e-12);
+        assert_eq!(report.success_within_t, report.reliability);
+    }
+
+    #[test]
+    fn zero_takeoffs_report_zero_and_no_timing() {
+        let (scenario, dist) = headline();
+        let runs = [run(0.002, 1.0, 0.01), run(0.004, 2.0, 0.02)];
+        let report = conditioned("netsim", None, &scenario, &dist, runs).unwrap();
+        assert_eq!(report.reliability, 0.0);
+        assert_eq!(report.reliability_std_error, 0.0);
+        assert_eq!(report.reliability_ci95, (0.0, 0.0));
+        assert_eq!(report.takeoff_rate, Some(0.0));
+        assert_eq!(report.rounds, None);
+        assert_eq!(report.quiescence_secs, None);
+        assert_eq!(report.success_within_t, 0.0);
+        // The raw estimator and the cost still see every run.
+        assert!((report.reliability_raw.unwrap() - 0.003).abs() < 1e-12);
+        assert!(report.messages_per_member.is_some());
+    }
+
+    #[test]
+    fn subcritical_prediction_conditions_every_run() {
+        // q = 0.15 < q_c = 0.25: prediction 0 < 0.05, threshold 0.
+        let (scenario, dist) = headline();
+        let scenario = scenario.with_failure_ratio(0.15);
+        assert_eq!(takeoff_threshold(&scenario, &dist), 0.0);
+        let runs = [run(0.01, 1.0, 0.01), run(0.03, 2.0, 0.02)];
+        let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
+        assert_eq!(report.takeoff_rate, Some(1.0));
+        assert!((report.reliability - 0.02).abs() < 1e-12);
+        assert_eq!(report.reliability_raw, Some(report.reliability));
+        assert_eq!(report.rounds, Some(1.5));
+    }
+
+    #[test]
+    fn census_has_no_takeoff_split() {
+        let (scenario, dist) = headline();
+        // 0.0 would fizzle under any conditioning; a census keeps it.
+        let report = census("graph", &scenario, &dist, [0.9, 0.0, 0.6]).unwrap();
+        assert_eq!(report.replications, 3);
+        assert!((report.reliability - 0.5).abs() < 1e-12);
+        assert_eq!(report.reliability_raw, Some(report.reliability));
+        assert_eq!(report.takeoff_rate, None);
+        assert_eq!(report.rounds, None);
+        assert_eq!(report.messages_per_member, None);
+        assert_eq!(report.quiescence_secs, None);
+        assert_eq!(report.traffic, None);
+    }
+
+    #[test]
+    fn a_live_run_reports_its_transport_and_losses() {
+        let (scenario, dist) = headline();
+        let runs = [0.97, 0.95].map(|reliability| Execution {
+            reliability,
+            messages_lost: Some(10.0),
+            ..Execution::default()
+        });
+        let report = conditioned("runtime", Some("channel"), &scenario, &dist, runs).unwrap();
+        assert_eq!(report.transport.as_deref(), Some("channel"));
+        assert_eq!(report.messages_lost, Some(10.0));
+        assert_eq!(report.rounds, None);
+    }
+
+    fn stream_run(reached: [u32; 2]) -> StreamExecution {
+        StreamExecution {
+            reached: reached.to_vec(),
+            nonfailed: 100,
+            rounds: 8,
+            copies_sent: 700,
+            copies_dropped: 30,
+            copies_lost: 50,
+        }
+    }
+
+    #[test]
+    fn a_stream_message_that_never_takes_off_floors_the_minimum() {
+        let (scenario, dist) = headline();
+        let scenario = scenario.with_traffic(TrafficSpec::stream(2));
+        // Message 1 fizzles in both executions.
+        let runs = [stream_run([96, 1]), stream_run([98, 2])];
+        let hist = [2, 10, 80, 5];
+        let report = stream("netsim", None, &scenario, &dist, Some(5), &runs, &hist).unwrap();
+        let traffic = report.traffic.as_ref().unwrap();
+        assert_eq!(traffic.messages, 2);
+        assert_eq!(traffic.reliability_min, 0.0);
+        assert!((traffic.reliability_mean - 0.485).abs() < 1e-12);
+        // The report-level estimator pools the per-message samples.
+        assert_eq!(report.replications, 2);
+        assert!((report.reliability - 0.97).abs() < 1e-12);
+        assert_eq!(report.takeoff_rate, Some(0.5));
+        assert_eq!(report.rounds, Some(8.0));
+        // 8 rounds × 5 ms = 0.04 s; k / secs = 50 messages/s.
+        assert!((report.quiescence_secs.unwrap() - 0.04).abs() < 1e-12);
+        assert!((traffic.messages_per_sec.unwrap() - 50.0).abs() < 1e-9);
+        assert_eq!(traffic.latency_rounds_p50, Some(2.0));
+        assert_eq!(traffic.copies_sent, Some(700.0));
+        assert_eq!(traffic.copies_dropped, Some(30.0));
+        assert_eq!(traffic.copies_lost, Some(50.0));
+        assert_eq!(report.messages_per_member, Some(7.0));
+        assert_eq!(report.messages_lost, None);
+
+        // The same digests from a live run: virtual-clock throughput
+        // stays, quiescence does not, losses come from the copy ledger.
+        let live = stream(
+            "runtime",
+            Some("tcp"),
+            &scenario,
+            &dist,
+            Some(5),
+            &runs,
+            &hist,
+        )
+        .unwrap();
+        assert_eq!(live.quiescence_secs, None);
+        assert_eq!(live.messages_lost, Some(50.0));
+        assert_eq!(live.transport.as_deref(), Some("tcp"));
+        assert_eq!(
+            live.traffic.unwrap().messages_per_sec,
+            traffic.messages_per_sec
+        );
+
+        // Untimed (the protocol backend): no seconds at all.
+        let untimed = stream("protocol", None, &scenario, &dist, None, &runs, &hist).unwrap();
+        assert_eq!(untimed.quiescence_secs, None);
+        assert_eq!(untimed.traffic.unwrap().messages_per_sec, None);
+    }
+
+    #[test]
+    fn bursty_loss_folds_into_the_threshold_at_its_stationary_mean() {
+        // π_bad = 0.1 / (0.1 + 0.3) = 0.25, mean loss 0.25 · 0.8 = 0.2.
+        let bursty = BurstySpec {
+            p_gb: 0.1,
+            p_bg: 0.3,
+            loss_good: 0.0,
+            loss_bad: 0.8,
+        };
+        let scenario = Scenario::new(1000, FanoutSpec::poisson(5.0))
+            .with_failure_ratio(0.9)
+            .with_faults(FaultSpec::none().with_bursty_loss(bursty));
+        let dist = PoissonFanout::new(5.0);
+        let threshold = takeoff_threshold(&scenario, &dist);
+        let folded = LossyGossip::new(&dist, 0.9, 0.2)
+            .unwrap()
+            .reliability()
+            .unwrap();
+        assert!((threshold - 0.5 * folded).abs() < 1e-12);
+        // The value `ProtocolBackend` conditioned this scenario at
+        // before the policy moved here.
+        assert_eq!(threshold, 0.484_752_936_012_088_9);
+        // Flood and push-pull complete whenever anything spreads.
+        let flood = scenario.with_protocol(ProtocolSpec::Flood);
+        assert_eq!(takeoff_threshold(&flood, &dist), 0.5);
+    }
+}

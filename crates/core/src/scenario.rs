@@ -60,6 +60,22 @@
 //!   never hears the broadcast and drags reliability down, which is
 //!   exactly the churn cost the static model cannot price.
 //!
+//! And one every Monte-Carlo backend shares, decided in one module
+//! ([`crate::reduce`]):
+//!
+//! * **[`Report::reliability`] is conditioned on take-off.** The paper's
+//!   §5 averages over the executions that escape the source's
+//!   neighbourhood; an execution takes off when its reliability exceeds
+//!   *half the complete-graph analytic prediction* for the scenario
+//!   (bursty loss folded in at its stationary mean; flood and push-pull
+//!   predicted at 1, so 0.5), and when that prediction is below 0.05 —
+//!   subcritical, a single mode — every execution counts.
+//!   [`Report::reliability_raw`] averages all executions,
+//!   [`Report::takeoff_rate`] is the split; rounds and quiescence time
+//!   average the take-offs, message cost every execution. Streams
+//!   condition per message. The graph backend's source-less default
+//!   census has no fizzle mode and is not conditioned.
+//!
 //! ```
 //! use gossip_model::scenario::{AnalyticBackend, Backend, FanoutSpec, Scenario};
 //!

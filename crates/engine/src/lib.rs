@@ -42,14 +42,11 @@ pub use bitset::BitSet;
 pub use relay::{RelayOutcome, RelayScratch, RelaySetup};
 pub use sampler::FanoutSampler;
 
-/// Seed-stream tag for the flat engine's single per-replication RNG.
-/// Distinct from every classic stream (0x6A, 0x9C, 0x70, 0xD1, …), so
-/// flat and classic runs of the same scenario are independent samples.
-pub const FLAT_STREAM: u64 = 0xF1A7;
-
-/// Seed-stream tag for the overlay CSR a flat evaluation builds once
-/// and shares across all replications.
-pub const FLAT_TOPOLOGY_STREAM: u64 = 0xF170;
+/// The flat engine's seed-stream tags, declared in the workspace
+/// registry ([`gossip_stats::rng::streams`]): the single
+/// per-replication RNG, and the overlay CSR a flat evaluation builds
+/// once and shares across all replications.
+pub use gossip_stats::rng::streams::{FLAT as FLAT_STREAM, FLAT_TOPOLOGY as FLAT_TOPOLOGY_STREAM};
 
 /// Splits `reps` replications into at most 64 contiguous chunks so each
 /// worker sweeps many replications through ONE scratch arena (allocate

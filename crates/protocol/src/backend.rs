@@ -12,24 +12,22 @@
 //!   latency models, independent per-message loss, and scheduled
 //!   mid-run crash injection, plus timing metrics (`quiescence_secs`).
 //!
-//! Both condition reliability on *take-off* (executions that escape the
-//! source's neighbourhood), the estimator of the giant-component size
-//! that the analytic curves plot — see
-//! `gossip_protocol::experiment::reliability_conditional` for why.
+//! Both run one execution per seed `derive(scenario.seed, rep)` and hand
+//! the per-execution digests to [`gossip_model::reduce`], which owns the
+//! estimator: reliability conditioned on *take-off* (executions that
+//! escape the source's neighbourhood), the giant-component size the
+//! analytic curves plot.
 
 use std::sync::Arc;
 
 use gossip_engine::{FanoutSampler, RelayScratch, RelaySetup, FLAT_STREAM, FLAT_TOPOLOGY_STREAM};
-use gossip_faults::GilbertElliott;
 use gossip_model::distribution::FanoutDistribution;
-use gossip_model::loss::LossyGossip;
-use gossip_model::percolation::SitePercolation;
+use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{
     Backend, EngineSpec, FailureSpec, LatencySpec, MembershipSpec, ProtocolSpec, Report, Scenario,
 };
-use gossip_model::{success, ModelError};
+use gossip_model::ModelError;
 use gossip_netsim::{FailurePlan, LatencyModel, NetworkConfig, SimDuration};
-use gossip_stats::descriptive::OnlineStats;
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 
@@ -171,39 +169,10 @@ fn run_variant(
     }
 }
 
-/// The analytic reliability prediction used only to split executions
-/// into take-off vs fizzle (threshold = half the prediction, the
-/// convention of the figure harness). Falls back to 0.5 when the model
-/// cannot price the scenario (e.g. crash schedules).
-pub(crate) fn takeoff_threshold(scenario: &Scenario, dist: &dyn FanoutDistribution) -> f64 {
-    let q = scenario.q().unwrap_or(1.0);
-    // Bursty loss folds in at its stationary mean: the prediction is an
-    // upper bound (burstiness only hurts more), which is all a take-off
-    // split needs.
-    let mut loss = scenario.loss;
-    if let Some(bursty) = &scenario.faults.bursty_loss {
-        let mean = GilbertElliott::new(bursty).mean_loss();
-        loss = 1.0 - (1.0 - loss) * (1.0 - mean);
-    }
-    let prediction = match scenario.protocol {
-        ProtocolSpec::Push => LossyGossip::new(dist, q, loss)
-            .and_then(|m| m.reliability())
-            .unwrap_or(1.0),
-        // Flood / push-pull complete whenever anything spreads.
-        ProtocolSpec::Flood | ProtocolSpec::PushPull => 1.0,
-    };
-    if prediction < 0.05 {
-        // Subcritical: a single mode only; count everything as take-off.
-        0.0
-    } else {
-        0.5 * prediction
-    }
-}
-
-/// Shared Monte-Carlo evaluation: `replications` independent executions
-/// with seeds derived from `(scenario.seed, rep)`, reduced to a
-/// [`Report`].
-fn evaluate_monte_carlo(
+/// The classic Monte-Carlo run: `replications` independent executions
+/// on the discrete-event simulator, seeds derived from
+/// `(scenario.seed, rep)`; `timed` layers also digest quiescence time.
+fn evaluate_classic(
     backend_name: &'static str,
     scenario: &Scenario,
     cfg: &ExecutionConfig,
@@ -211,66 +180,20 @@ fn evaluate_monte_carlo(
 ) -> Result<Report, ModelError> {
     let dist: Arc<dyn FanoutDistribution> = Arc::from(scenario.fanout.build()?);
     let plan = failure_plan(scenario, cfg.source);
-    let outcomes: Vec<ExecutionOutcome> = parallel_map(scenario.replications, |rep| {
+    let executions: Vec<Execution> = parallel_map(scenario.replications, |rep| {
         let seed = SplitMix64::derive(scenario.seed, rep as u64);
-        run_variant(cfg, scenario.protocol, &dist, &plan, seed)
+        let outcome = run_variant(cfg, scenario.protocol, &dist, &plan, seed)?;
+        Ok(Execution {
+            reliability: outcome.reliability(),
+            rounds: Some(outcome.max_hop as f64),
+            messages_per_member: Some(outcome.messages_per_member()),
+            quiescence_secs: timed.then(|| outcome.quiescence.as_secs_f64()),
+            messages_lost: None,
+        })
     })
     .into_iter()
-    .collect::<Result<_, _>>()?;
-
-    let threshold = takeoff_threshold(scenario, &*dist);
-    let mut conditional = OnlineStats::new();
-    let mut raw = OnlineStats::new();
-    let mut rounds = OnlineStats::new();
-    let mut quiescence = OnlineStats::new();
-    let mut messages = OnlineStats::new();
-    let mut takeoffs = 0usize;
-    for outcome in &outcomes {
-        messages.push(outcome.messages_per_member());
-        let r = outcome.reliability();
-        raw.push(r);
-        if r > threshold {
-            takeoffs += 1;
-            conditional.push(r);
-            rounds.push(outcome.max_hop as f64);
-            quiescence.push(outcome.quiescence.as_secs_f64());
-        }
-    }
-    let reliability = if conditional.count() == 0 {
-        0.0
-    } else {
-        conditional.mean()
-    };
-    let ci = conditional.ci95();
-    let critical_q = SitePercolation::new(&*dist, 1.0)?.critical_q();
-    Ok(Report {
-        backend: backend_name.to_string(),
-        scenario: scenario.label(),
-        replications: outcomes.len(),
-        reliability,
-        reliability_std_error: conditional.sem(),
-        reliability_ci95: (ci.lo, ci.hi),
-        reliability_raw: Some(raw.mean()),
-        critical_q,
-        takeoff_rate: Some(takeoffs as f64 / outcomes.len() as f64),
-        rounds: if takeoffs == 0 {
-            None
-        } else {
-            Some(rounds.mean())
-        },
-        messages_per_member: Some(messages.mean()),
-        quiescence_secs: if timed && takeoffs > 0 {
-            Some(quiescence.mean())
-        } else {
-            None
-        },
-        transport: None,
-        topology: scenario.topology_label(),
-        faults: scenario.faults_label(),
-        messages_lost: None,
-        success_within_t: success::success_probability(reliability, scenario.executions),
-        traffic: None,
-    })
+    .collect::<Result<_, ModelError>>()?;
+    reduce::conditioned(backend_name, None, scenario, &*dist, executions)
 }
 
 /// Why the flat engine cannot run this scenario, if it can't. The flat
@@ -293,11 +216,10 @@ fn flat_unsupported(scenario: &Scenario, membership: &MembershipKind) -> Option<
 }
 
 /// The flat §5 push experiment: the `gossip-engine` bitset-frontier
-/// relay kernel instead of the discrete-event simulator. Same estimator
-/// as [`evaluate_monte_carlo`] — take-off-conditioned reliability,
-/// rounds = relay depth — but no clock, so `quiescence_secs` stays
-/// `None` exactly like the classic untimed run.
-fn evaluate_flat_push(
+/// relay kernel instead of the discrete-event simulator. Same digest as
+/// [`evaluate_classic`] — rounds = relay depth — but no clock, so
+/// `quiescence_secs` stays `None` exactly like the classic untimed run.
+fn evaluate_flat(
     scenario: &Scenario,
     q: f64,
     membership: &MembershipKind,
@@ -315,78 +237,39 @@ fn evaluate_flat_push(
     };
     let selection = scenario.topology.selection;
     let sampler = FanoutSampler::new(dist);
-    let reps = scenario.replications;
-    let (chunks, bounds) = gossip_engine::chunk_bounds(reps);
-    let per_chunk: Vec<Vec<(f64, f64, u32)>> = parallel_map(chunks, |chunk| {
+    let (chunks, bounds) = gossip_engine::chunk_bounds(scenario.replications);
+    let per_chunk: Vec<Vec<Execution>> = parallel_map(chunks, |chunk| {
+        let reps = bounds(chunk);
+        // The digests outlive this worker, the scratch does not: allocate
+        // them first so the freed arena is not pinned beneath them.
+        let mut executions = Vec::with_capacity(reps.len());
         let mut scratch = RelayScratch::new(n);
-        bounds(chunk)
-            .map(|rep| {
-                let seed = SplitMix64::derive(scenario.seed, rep as u64);
-                let setup = RelaySetup {
-                    n,
-                    source: 0,
-                    q,
-                    loss: 0.0,
-                    dist,
-                    sampler: &sampler,
-                    overlay: overlay.as_ref().map(|topo| (topo, selection)),
-                    blocked: None,
-                    prefailed: &[],
-                };
-                let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, FLAT_STREAM));
-                let out = setup.run(&mut scratch, &mut rng);
-                let messages = out.messages_sent as f64 / out.nonfailed.max(1) as f64;
-                (out.reliability(), messages, out.max_hop)
-            })
-            .collect()
-    });
-
-    let threshold = takeoff_threshold(scenario, dist);
-    let mut conditional = OnlineStats::new();
-    let mut raw = OnlineStats::new();
-    let mut rounds = OnlineStats::new();
-    let mut messages = OnlineStats::new();
-    let mut takeoffs = 0usize;
-    for &(r, m, max_hop) in per_chunk.iter().flatten() {
-        messages.push(m);
-        raw.push(r);
-        if r > threshold {
-            takeoffs += 1;
-            conditional.push(r);
-            rounds.push(max_hop as f64);
+        for rep in reps {
+            let seed = SplitMix64::derive(scenario.seed, rep as u64);
+            let setup = RelaySetup {
+                n,
+                source: 0,
+                q,
+                loss: 0.0,
+                dist,
+                sampler: &sampler,
+                overlay: overlay.as_ref().map(|topo| (topo, selection)),
+                blocked: None,
+                prefailed: &[],
+            };
+            let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, FLAT_STREAM));
+            let out = setup.run(&mut scratch, &mut rng);
+            executions.push(Execution {
+                reliability: out.reliability(),
+                rounds: Some(out.max_hop as f64),
+                messages_per_member: Some(out.messages_sent as f64 / out.nonfailed.max(1) as f64),
+                ..Execution::default()
+            });
         }
-    }
-    let reliability = if conditional.count() == 0 {
-        0.0
-    } else {
-        conditional.mean()
-    };
-    let ci = conditional.ci95();
-    let critical_q = SitePercolation::new(dist, 1.0)?.critical_q();
-    Ok(Report {
-        backend: "protocol".to_string(),
-        scenario: scenario.label(),
-        replications: reps,
-        reliability,
-        reliability_std_error: conditional.sem(),
-        reliability_ci95: (ci.lo, ci.hi),
-        reliability_raw: Some(raw.mean()),
-        critical_q,
-        takeoff_rate: Some(takeoffs as f64 / reps as f64),
-        rounds: if takeoffs == 0 {
-            None
-        } else {
-            Some(rounds.mean())
-        },
-        messages_per_member: Some(messages.mean()),
-        quiescence_secs: None,
-        transport: None,
-        topology: scenario.topology_label(),
-        faults: scenario.faults_label(),
-        messages_lost: None,
-        success_within_t: success::success_probability(reliability, scenario.executions),
-        traffic: None,
-    })
+        executions
+    });
+    let executions = per_chunk.into_iter().flatten();
+    reduce::conditioned("protocol", None, scenario, dist, executions)
 }
 
 /// The paper's §5 Monte-Carlo experiment: the executable protocol on an
@@ -425,13 +308,13 @@ impl Backend for ProtocolBackend {
         if scenario.traffic.is_some() {
             // Streams run on the round-based stream engine: untimed
             // here (the §5 idealization), timed on the netsim backend.
-            return crate::traffic_eval::evaluate_stream(self.name(), scenario, None);
+            return crate::traffic_eval::evaluate_traffic(self.name(), scenario, None);
         }
         check_churn_support(self.name(), scenario)?;
         let membership = membership_kind(self.name(), scenario)?;
         if scenario.engine.flat_for(scenario.n) {
             match flat_unsupported(scenario, &membership) {
-                None => return evaluate_flat_push(scenario, q, &membership),
+                None => return evaluate_flat(scenario, q, &membership),
                 Some(what) if scenario.engine == EngineSpec::Flat => {
                     return Err(ModelError::Unsupported {
                         backend: "protocol",
@@ -446,7 +329,7 @@ impl Backend for ProtocolBackend {
         let cfg = ExecutionConfig::new(scenario.n, q)
             .with_membership(membership)
             .with_faults(scenario.faults.clone());
-        evaluate_monte_carlo(self.name(), scenario, &cfg, false)
+        evaluate_classic(self.name(), scenario, &cfg, false)
     }
 }
 
@@ -473,7 +356,7 @@ impl Backend for NetSimBackend {
             // applied per frame; the constant hop latency prices
             // rounds into seconds and sustained messages/sec.
             let ms = crate::traffic_eval::stream_hop_millis(scenario)?;
-            return crate::traffic_eval::evaluate_stream(self.name(), scenario, Some(ms));
+            return crate::traffic_eval::evaluate_traffic(self.name(), scenario, Some(ms));
         }
         // q feeds ExecutionConfig validation only; scheduled-crash
         // scenarios run with the explicit plan and q = 1 here.
@@ -487,7 +370,7 @@ impl Backend for NetSimBackend {
             .with_membership(membership_kind(self.name(), scenario)?)
             .with_network(network)
             .with_faults(scenario.faults.clone());
-        evaluate_monte_carlo(self.name(), scenario, &cfg, true)
+        evaluate_classic(self.name(), scenario, &cfg, true)
     }
 }
 

@@ -15,7 +15,7 @@ use gossip_netsim::membership::{DynamicView, FullView, Membership, OverlayView, 
 use gossip_netsim::{
     FailurePlan, LinkFaults, NetworkConfig, NodeBehavior, NodeId, SimTime, Simulator,
 };
-use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
+use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
 use gossip_topology::{OverlaySpec, TopologySpec};
 use serde::{Deserialize, Serialize};
 
@@ -217,8 +217,8 @@ where
     F: FnMut(NodeId) -> P,
     I: FnOnce(&mut Simulator<M, P>, NodeId),
 {
-    let membership_seed = SplitMix64::derive(seed, 0x5CA0);
-    let sim_seed = SplitMix64::derive(seed, 0x51E0);
+    let membership_seed = SplitMix64::derive(seed, streams::MEMBERSHIP);
+    let sim_seed = SplitMix64::derive(seed, streams::SIMULATOR);
 
     // Churn sizes the simulator for the *final* population: joiners get
     // real node slots (ids n..n+K) that stay dormant until their join
@@ -237,7 +237,7 @@ where
                 churn,
                 cfg.n,
                 cfg.source,
-                SplitMix64::derive(seed, 0xC4A2),
+                SplitMix64::derive(seed, streams::CHURN),
             ))
         }
         None => None,
@@ -309,11 +309,11 @@ where
                 total,
                 cfg.source,
                 adversary,
-                SplitMix64::derive(seed, 0xAD7E),
+                SplitMix64::derive(seed, streams::ADVERSARY),
             )
         });
         let ge = cfg.faults.bursty_loss.as_ref().map(GilbertElliott::new);
-        let mut chain_rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, 0x6E11));
+        let mut chain_rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::GE_CHAIN));
         sim.set_link_faults(LinkFaults::new(total, blocked, ge, &mut chain_rng));
     }
     sim.start_all();
@@ -345,8 +345,7 @@ where
 
     // Observer member: uniform among nonfailed non-source members,
     // chosen by rejection with a seed-derived RNG (deterministic).
-    let mut observer_rng =
-        gossip_stats::rng::Xoshiro256StarStar::new(SplitMix64::derive(seed, 0x0B5E));
+    let mut observer_rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::OBSERVER));
     let observer_reached = loop {
         let candidate = observer_rng.next_below(cfg.n as u64) as NodeId;
         if candidate != cfg.source && !sim.is_crashed(candidate) {
@@ -520,7 +519,7 @@ mod tests {
         let out = run_push(&cfg, &PoissonFanout::new(6.0), seed).unwrap();
         // With q = 1 the only crashes are churn leaves, so the
         // denominator is exactly the plan's final population.
-        let plan = ChurnPlan::sample(&spec, 300, 0, SplitMix64::derive(seed, 0xC4A2));
+        let plan = ChurnPlan::sample(&spec, 300, 0, SplitMix64::derive(seed, streams::CHURN));
         assert!(
             !plan.joins.is_empty() && !plan.leaves.is_empty(),
             "plan too quiet"

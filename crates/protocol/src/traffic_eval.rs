@@ -24,41 +24,24 @@
 //! else (partial views, overlays, dynamic faults, crash schedules,
 //! flood/push-pull) is a typed [`ModelError::Unsupported`] refusal.
 //!
-//! Reliability stays per message: each message's delivery fraction is
-//! conditioned on take-off exactly like the single-message estimator
-//! (threshold = half the analytic prediction), so the uncontended
-//! stream reproduces the single-message curves message by message.
+//! Reliability stays per message: [`gossip_model::reduce::stream`]
+//! conditions each message's delivery fraction on take-off exactly like
+//! the single-message estimator, so the uncontended stream reproduces
+//! the single-message curves message by message.
 
 use gossip_engine::FanoutSampler;
 use gossip_model::distribution::FanoutDistribution;
-use gossip_model::percolation::SitePercolation;
+use gossip_model::reduce::{self, StreamExecution};
 use gossip_model::scenario::{
     FailureSpec, LatencySpec, MembershipSpec, ProtocolSpec, Report, Scenario,
 };
-use gossip_model::{success, ModelError};
-use gossip_stats::descriptive::OnlineStats;
+use gossip_model::ModelError;
 use gossip_stats::parallel::parallel_map;
+use gossip_stats::rng::streams::STREAM_EXEC;
 use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 use gossip_traffic::{
-    injection_rounds, percentile, run_stream, StreamCounters, StreamParams, StreamScratch,
-    TrafficReport, TRAFFIC_PLAN_STREAM,
+    injection_rounds, merge_histogram, run_stream, StreamParams, StreamScratch, TRAFFIC_PLAN_STREAM,
 };
-
-use crate::backend::takeoff_threshold;
-
-/// Seed-stream tag for the per-replication stream execution RNG (alive
-/// draw + engine), disjoint from the workspace's other tagged streams
-/// (`0x7AFF1C` injection plans, `0xFA11` failure draws, ...).
-const STREAM_EXEC: u64 = 0x7AFF2C;
-
-/// One replication's digest: per-message delivery fractions among alive
-/// members, rounds to quiescence, and the exact copy accounting.
-struct RepOutcome {
-    per_message: Vec<f64>,
-    rounds: u64,
-    counters: StreamCounters,
-    alive: usize,
-}
 
 /// Why this scenario's stream cannot run, if it can't. Both stream
 /// backends model exactly the paper's base system — complete view, push
@@ -88,7 +71,7 @@ fn check_stream_support(backend: &'static str, scenario: &Scenario) -> Result<()
 /// engine. `hop_millis` is `Some(ms)` for the timed netsim run (rounds
 /// are priced at the constant hop latency) and `None` for the untimed
 /// protocol run.
-pub(crate) fn evaluate_stream(
+pub(crate) fn evaluate_traffic(
     backend_name: &'static str,
     scenario: &Scenario,
     hop_millis: Option<u64>,
@@ -96,7 +79,7 @@ pub(crate) fn evaluate_stream(
     check_stream_support(backend_name, scenario)?;
     let spec = scenario
         .traffic
-        .expect("evaluate_stream is only dispatched when traffic is present");
+        .expect("evaluate_traffic is only dispatched when traffic is present");
     let q = scenario
         .q()
         .expect("crash schedules were refused by check_stream_support");
@@ -104,16 +87,14 @@ pub(crate) fn evaluate_stream(
     let dist: &dyn FanoutDistribution = &*boxed;
     let sampler = FanoutSampler::new(dist);
     let n = scenario.n;
-    let k = spec.messages;
     let injections = injection_rounds(
         &spec.arrival,
-        k,
+        spec.messages,
         SplitMix64::derive(scenario.seed, TRAFFIC_PLAN_STREAM),
     );
 
-    let reps = scenario.replications;
-    let (chunks, bounds) = gossip_engine::chunk_bounds(reps);
-    let per_chunk: Vec<(Vec<RepOutcome>, Vec<u64>)> = parallel_map(chunks, |chunk| {
+    let (chunks, bounds) = gossip_engine::chunk_bounds(scenario.replications);
+    let per_chunk: Vec<(Vec<StreamExecution>, Vec<u64>)> = parallel_map(chunks, |chunk| {
         let mut scratch = StreamScratch::new();
         let mut hist: Vec<u64> = Vec::new();
         let mut alive = vec![true; n];
@@ -145,15 +126,13 @@ pub(crate) fn evaluate_stream(
                     &mut |r| sampler.sample(dist, r),
                     &mut hist,
                 );
-                RepOutcome {
-                    per_message: out
-                        .reached
-                        .iter()
-                        .map(|&r| r as f64 / alive_count.max(1) as f64)
-                        .collect(),
+                StreamExecution {
+                    reached: out.reached,
+                    nonfailed: alive_count,
                     rounds: out.rounds,
-                    counters: out.counters,
-                    alive: alive_count,
+                    copies_sent: out.counters.copies_sent,
+                    copies_dropped: out.counters.copies_dropped,
+                    copies_lost: out.counters.copies_lost,
                 }
             })
             .collect();
@@ -163,117 +142,20 @@ pub(crate) fn evaluate_stream(
     // Merge the per-chunk latency histograms (delivery delay in rounds
     // since each message's injection).
     let mut hist: Vec<u64> = Vec::new();
-    for (_, chunk_hist) in &per_chunk {
-        if hist.len() < chunk_hist.len() {
-            hist.resize(chunk_hist.len(), 0);
-        }
-        for (total, &count) in hist.iter_mut().zip(chunk_hist) {
-            *total += count;
-        }
+    let mut executions = Vec::with_capacity(scenario.replications);
+    for (chunk_executions, chunk_hist) in per_chunk {
+        merge_histogram(&mut hist, &chunk_hist);
+        executions.extend(chunk_executions);
     }
-
-    // Per-message take-off conditioning with the single-message
-    // threshold: under an uncontended cap every message is an
-    // independent execution of the paper's protocol.
-    let threshold = takeoff_threshold(scenario, dist);
-    let mut per_message: Vec<OnlineStats> = (0..k).map(|_| OnlineStats::new()).collect();
-    let mut conditional = OnlineStats::new();
-    let mut raw = OnlineStats::new();
-    let mut rounds = OnlineStats::new();
-    let mut per_member = OnlineStats::new();
-    let mut sent = OnlineStats::new();
-    let mut dropped = OnlineStats::new();
-    let mut lost = OnlineStats::new();
-    let mut quiescence = OnlineStats::new();
-    let mut throughput = OnlineStats::new();
-    let mut takeoffs = 0usize;
-    let mut samples = 0usize;
-    for outcome in per_chunk.iter().flat_map(|(outcomes, _)| outcomes) {
-        let mut any_takeoff = false;
-        for (message, &r) in outcome.per_message.iter().enumerate() {
-            samples += 1;
-            raw.push(r);
-            if r > threshold {
-                takeoffs += 1;
-                any_takeoff = true;
-                conditional.push(r);
-                per_message[message].push(r);
-            }
-        }
-        if any_takeoff {
-            rounds.push(outcome.rounds as f64);
-            if let Some(ms) = hop_millis {
-                let secs = outcome.rounds as f64 * ms as f64 / 1000.0;
-                quiescence.push(secs);
-                if secs > 0.0 {
-                    throughput.push(k as f64 / secs);
-                }
-            }
-        }
-        let c = &outcome.counters;
-        per_member.push(c.copies_sent as f64 / outcome.alive.max(1) as f64);
-        sent.push(c.copies_sent as f64);
-        dropped.push(c.copies_dropped as f64);
-        lost.push(c.copies_lost as f64);
-    }
-
-    let means: Vec<f64> = per_message
-        .iter()
-        .map(|s| if s.count() == 0 { 0.0 } else { s.mean() })
-        .collect();
-    let reliability_mean = means.iter().sum::<f64>() / k as f64;
-    let reliability_min = means.iter().copied().fold(f64::INFINITY, f64::min);
-    let reliability = if conditional.count() == 0 {
-        0.0
-    } else {
-        conditional.mean()
-    };
-    let ci = conditional.ci95();
-    let critical_q = SitePercolation::new(dist, 1.0)?.critical_q();
-    Ok(Report {
-        backend: backend_name.to_string(),
-        scenario: scenario.label(),
-        replications: reps,
-        reliability,
-        reliability_std_error: conditional.sem(),
-        reliability_ci95: (ci.lo, ci.hi),
-        reliability_raw: Some(raw.mean()),
-        critical_q,
-        takeoff_rate: Some(takeoffs as f64 / samples.max(1) as f64),
-        rounds: if rounds.count() == 0 {
-            None
-        } else {
-            Some(rounds.mean())
-        },
-        messages_per_member: Some(per_member.mean()),
-        quiescence_secs: if quiescence.count() == 0 {
-            None
-        } else {
-            Some(quiescence.mean())
-        },
-        transport: None,
-        topology: scenario.topology_label(),
-        faults: scenario.faults_label(),
-        messages_lost: None,
-        success_within_t: success::success_probability(reliability, scenario.executions),
-        traffic: Some(TrafficReport {
-            messages: k,
-            reliability_mean,
-            reliability_min,
-            messages_per_sec: if throughput.count() == 0 {
-                None
-            } else {
-                Some(throughput.mean())
-            },
-            latency_rounds_p50: percentile(&hist, 0.50),
-            latency_rounds_p90: percentile(&hist, 0.90),
-            latency_rounds_p99: percentile(&hist, 0.99),
-            copies_sent: Some(sent.mean()),
-            copies_dropped: Some(dropped.mean()),
-            copies_lost: Some(lost.mean()),
-            batched: spec.batched(),
-        }),
-    })
+    reduce::stream(
+        backend_name,
+        None,
+        scenario,
+        dist,
+        hop_millis,
+        &executions,
+        &hist,
+    )
 }
 
 /// The netsim stream refuses non-constant latency: the stream engine's

@@ -21,13 +21,11 @@
 use gossip_engine::{FanoutSampler, RelayScratch, RelaySetup, FLAT_STREAM, FLAT_TOPOLOGY_STREAM};
 use gossip_faults::{zone_members, BlockedLinks};
 use gossip_model::distribution::FanoutDistribution;
-use gossip_model::loss::LossyGossip;
-use gossip_model::percolation::SitePercolation;
+use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{Backend, MembershipSpec, ProtocolSpec, Report, Scenario};
-use gossip_model::{success, ModelError};
-use gossip_stats::descriptive::OnlineStats;
+use gossip_model::ModelError;
 use gossip_stats::parallel::parallel_map;
-use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
+use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
 use gossip_topology::select_targets;
 
 use crate::configuration::ConfigurationModel;
@@ -36,14 +34,6 @@ use crate::flat::{FlatPercolation, PercolationScratch};
 use crate::graph::Graph;
 use crate::percolation_sim::percolate;
 use crate::reach::reach_from;
-
-/// Seed-stream tags for the structured-overlay path (the default path
-/// keeps its historical 0x6A/0x9C streams untouched).
-const TOPOLOGY_STREAM: u64 = 0x70;
-const RELAY_STREAM: u64 = 0xD1;
-/// Same tag the protocol engine derives its blocked-link set from, so
-/// both layers face the same per-replication adversary.
-const ADVERSARY_STREAM: u64 = 0xAD7E;
 
 /// Keeps each edge independently with probability `1 − loss` — bond
 /// percolation, the graph-level model of message loss.
@@ -111,9 +101,11 @@ impl Backend for GraphBackend {
 
         let reliabilities: Vec<f64> = parallel_map(scenario.replications, |rep| {
             let seed = SplitMix64::derive(scenario.seed, rep as u64);
-            let mut graph_rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, 0x6A));
+            let mut graph_rng =
+                Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::GRAPH_CONFIGURATION));
             let graph = ConfigurationModel::new(&dist, scenario.n).generate(&mut graph_rng);
-            let mut perc_rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, 0x9C));
+            let mut perc_rng =
+                Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::GRAPH_PERCOLATION));
             let graph = if scenario.loss > 0.0 {
                 thin_edges(&graph, scenario.loss, &mut perc_rng)
             } else {
@@ -121,35 +113,9 @@ impl Backend for GraphBackend {
             };
             percolate(&graph, q, &[], &mut perc_rng).reliability()
         });
-
-        let mut stats = OnlineStats::new();
-        stats.extend(reliabilities.iter().copied());
-        let reliability = stats.mean();
-        let ci = stats.ci95();
-        let critical_q = SitePercolation::new(&dist, 1.0)?.critical_q();
-        Ok(Report {
-            backend: self.name().to_string(),
-            scenario: scenario.label(),
-            replications: scenario.replications,
-            reliability,
-            reliability_std_error: stats.sem(),
-            reliability_ci95: (ci.lo, ci.hi),
-            // The static census has no fizzle mode: raw = conditional.
-            reliability_raw: Some(reliability),
-            critical_q,
-            // The undirected census has no source dynamics, hence no
-            // take-off/fizzle split and no rounds or message cost.
-            takeoff_rate: None,
-            rounds: None,
-            messages_per_member: None,
-            quiescence_secs: None,
-            transport: None,
-            topology: None,
-            faults: scenario.faults_label(),
-            messages_lost: None,
-            success_within_t: success::success_probability(reliability, scenario.executions),
-            traffic: None,
-        })
+        // The undirected census has no source dynamics, hence no
+        // take-off/fizzle split and no rounds or message cost.
+        reduce::census(self.name(), scenario, &*dist, reliabilities)
     }
 }
 
@@ -162,8 +128,7 @@ fn evaluate_flat_default(
     dist: &dyn FanoutDistribution,
 ) -> Result<Report, ModelError> {
     let sampler = FanoutSampler::new(dist);
-    let reps = scenario.replications;
-    let (chunks, bounds) = gossip_engine::chunk_bounds(reps);
+    let (chunks, bounds) = gossip_engine::chunk_bounds(scenario.replications);
     let per_chunk: Vec<Vec<f64>> = parallel_map(chunks, |chunk| {
         let flat = FlatPercolation {
             n: scenario.n,
@@ -181,31 +146,7 @@ fn evaluate_flat_default(
             })
             .collect()
     });
-    let mut stats = OnlineStats::new();
-    stats.extend(per_chunk.iter().flatten().copied());
-    let reliability = stats.mean();
-    let ci = stats.ci95();
-    let critical_q = SitePercolation::new(dist, 1.0)?.critical_q();
-    Ok(Report {
-        backend: "graph".to_string(),
-        scenario: scenario.label(),
-        replications: reps,
-        reliability,
-        reliability_std_error: stats.sem(),
-        reliability_ci95: (ci.lo, ci.hi),
-        reliability_raw: Some(reliability),
-        critical_q,
-        takeoff_rate: None,
-        rounds: None,
-        messages_per_member: None,
-        quiescence_secs: None,
-        transport: None,
-        topology: None,
-        faults: scenario.faults_label(),
-        messages_lost: None,
-        success_within_t: success::success_probability(reliability, scenario.executions),
-        traffic: None,
-    })
+    reduce::census("graph", scenario, dist, per_chunk.into_iter().flatten())
 }
 
 /// The flat structured path: the `gossip-engine` lazy relay kernel.
@@ -251,17 +192,16 @@ fn evaluate_structured_flat(
         })
         .unwrap_or_default();
     let sampler = FanoutSampler::new(dist);
-    let reps = scenario.replications;
-    let (chunks, bounds) = gossip_engine::chunk_bounds(reps);
-    let per_chunk: Vec<Vec<(f64, f64)>> = parallel_map(chunks, |chunk| {
+    let (chunks, bounds) = gossip_engine::chunk_bounds(scenario.replications);
+    let per_chunk: Vec<Vec<Execution>> = parallel_map(chunks, |chunk| {
         let mut scratch = RelayScratch::new(n);
         bounds(chunk)
             .map(|rep| {
                 let seed = SplitMix64::derive(scenario.seed, rep as u64);
                 // Per replication so a `Random` adversary re-rolls its
-                // blocked set each run, like the classic 0xAD7E draw.
+                // blocked set each run, like the classic path's draw.
                 let blocked = scenario.faults.adversary.as_ref().map(|adv| {
-                    BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, ADVERSARY_STREAM))
+                    BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, streams::ADVERSARY))
                 });
                 let setup = RelaySetup {
                     n,
@@ -276,13 +216,18 @@ fn evaluate_structured_flat(
                 };
                 let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, FLAT_STREAM));
                 let out = setup.run(&mut scratch, &mut rng);
-                let messages = out.messages_sent as f64 / out.nonfailed.max(1) as f64;
-                (out.reliability(), messages)
+                Execution {
+                    reliability: out.reliability(),
+                    messages_per_member: Some(
+                        out.messages_sent as f64 / out.nonfailed.max(1) as f64,
+                    ),
+                    ..Execution::default()
+                }
             })
             .collect()
     });
-    let outcomes: Vec<(f64, f64)> = per_chunk.into_iter().flatten().collect();
-    structured_report(scenario, q, dist, outcomes)
+    let executions = per_chunk.into_iter().flatten();
+    reduce::conditioned("graph", None, scenario, dist, executions)
 }
 
 /// The structured-overlay path: the Fig. 1 relay digraph is realized on
@@ -291,9 +236,10 @@ fn evaluate_structured_flat(
 /// peer-selection policy — then bond percolation (loss), site
 /// percolation (crashes, source immune), and directed reach run as
 /// usual. Unlike the undirected census of the default path, this has a
-/// source and therefore a take-off/fizzle split; conditioning uses the
-/// same complete-graph analytic threshold as the protocol backends so
-/// reliabilities stay comparable across layers.
+/// source and therefore a take-off/fizzle split;
+/// [`gossip_model::reduce`] conditions it at the same complete-graph
+/// analytic threshold as every other layer, so reliabilities stay
+/// comparable (still no rounds: reach is a static closure).
 fn evaluate_structured(
     scenario: &Scenario,
     q: f64,
@@ -321,16 +267,16 @@ fn evaluate_structured(
                 .collect()
         })
         .unwrap_or_default();
-    let outcomes: Vec<(f64, f64)> = parallel_map(scenario.replications, |rep| {
+    let executions: Vec<Execution> = parallel_map(scenario.replications, |rep| {
         let seed = SplitMix64::derive(scenario.seed, rep as u64);
-        let overlay = spec.build(n, SplitMix64::derive(seed, TOPOLOGY_STREAM));
+        let overlay = spec.build(n, SplitMix64::derive(seed, streams::GRAPH_TOPOLOGY));
         // Per replication so a `Random` adversary re-rolls its blocked
-        // set each run, exactly like the protocol engine's 0xAD7E draw.
-        let blocked =
-            scenario.faults.adversary.as_ref().map(|adv| {
-                BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, ADVERSARY_STREAM))
-            });
-        let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, RELAY_STREAM));
+        // set each run, from the tag the protocol engine shares — both
+        // layers face the same per-replication adversary.
+        let blocked = scenario.faults.adversary.as_ref().map(|adv| {
+            BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, streams::ADVERSARY))
+        });
+        let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::GRAPH_RELAY));
         let mut arcs: Vec<(u32, u32)> = Vec::new();
         let mut targets = Vec::new();
         for v in 0..n as u32 {
@@ -357,72 +303,13 @@ fn evaluate_structured(
             *slot = *slot || crashed;
         }
         let out = reach_from(&digraph, &failed, 0);
-        let messages = out.messages_sent as f64 / out.nonfailed_total.max(1) as f64;
-        (out.reliability(), messages)
-    });
-    structured_report(scenario, q, dist, outcomes)
-}
-
-/// Reduces per-replication `(reliability, messages_per_member)` pairs
-/// from either structured engine into the graph backend's [`Report`].
-fn structured_report(
-    scenario: &Scenario,
-    q: f64,
-    dist: &dyn FanoutDistribution,
-    outcomes: Vec<(f64, f64)>,
-) -> Result<Report, ModelError> {
-    // Take-off threshold: half the complete-graph analytic prediction
-    // (0 when subcritical) — the protocol/netsim/runtime convention.
-    let prediction = LossyGossip::new(dist, q, scenario.loss)
-        .and_then(|m| m.reliability())
-        .unwrap_or(1.0);
-    let threshold = if prediction < 0.05 {
-        0.0
-    } else {
-        0.5 * prediction
-    };
-    let mut conditional = OnlineStats::new();
-    let mut raw = OnlineStats::new();
-    let mut messages = OnlineStats::new();
-    let mut takeoffs = 0usize;
-    for &(r, m) in &outcomes {
-        raw.push(r);
-        messages.push(m);
-        if r > threshold {
-            takeoffs += 1;
-            conditional.push(r);
+        Execution {
+            reliability: out.reliability(),
+            messages_per_member: Some(out.messages_sent as f64 / out.nonfailed_total.max(1) as f64),
+            ..Execution::default()
         }
-    }
-    let reliability = if conditional.count() == 0 {
-        0.0
-    } else {
-        conditional.mean()
-    };
-    let ci = conditional.ci95();
-    let critical_q = SitePercolation::new(dist, 1.0)?.critical_q();
-    Ok(Report {
-        backend: "graph".to_string(),
-        scenario: scenario.label(),
-        replications: outcomes.len(),
-        reliability,
-        reliability_std_error: conditional.sem(),
-        reliability_ci95: (ci.lo, ci.hi),
-        reliability_raw: Some(raw.mean()),
-        // Still the complete-graph Eq. 3 prediction: the overlay shifts
-        // the *measured* q_c away from it, which is the point of the
-        // topology ablation.
-        critical_q,
-        takeoff_rate: Some(takeoffs as f64 / outcomes.len() as f64),
-        rounds: None,
-        messages_per_member: Some(messages.mean()),
-        quiescence_secs: None,
-        transport: None,
-        topology: scenario.topology_label(),
-        faults: scenario.faults_label(),
-        messages_lost: None,
-        success_within_t: success::success_probability(reliability, scenario.executions),
-        traffic: None,
-    })
+    });
+    reduce::conditioned("graph", None, scenario, dist, executions)
 }
 
 #[cfg(test)]

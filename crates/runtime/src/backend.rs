@@ -4,25 +4,21 @@
 //! Where the protocol and netsim backends *simulate* concurrency inside
 //! one event loop, this backend actually runs it: node actors on real
 //! OS threads, messages through a pluggable [`Transport`]. The same
-//! Monte-Carlo reduction as the model layers (take-off conditioning,
-//! seed-derived replications) sits on top, so a runtime [`Report`] is
-//! directly comparable with the other four backends — that agreement is
-//! the end-to-end check that the *implemented* protocol, not just its
-//! models, matches the paper's predictions.
+//! Monte-Carlo reduction as the model layers ([`gossip_model::reduce`]:
+//! take-off conditioning over seed-derived replications) sits on top,
+//! so a runtime [`Report`] is directly comparable with the other four
+//! backends — that agreement is the end-to-end check that the
+//! *implemented* protocol, not just its models, matches the paper's
+//! predictions.
 
-use std::time::Duration;
-
-use gossip_faults::GilbertElliott;
-use gossip_model::loss::LossyGossip;
-use gossip_model::percolation::SitePercolation;
+use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{Backend, EngineSpec, MembershipSpec, ProtocolSpec, Report, Scenario};
-use gossip_model::{success, ModelError};
-use gossip_stats::descriptive::OnlineStats;
-use gossip_stats::parallel::in_parallel_worker;
+use gossip_model::ModelError;
 use gossip_stats::rng::SplitMix64;
 
 use crate::channel::ChannelTransport;
-use crate::exec::{run_execution, ExecOutcome, ExecParams};
+use crate::exec::{run_execution, ExecParams};
+use crate::harness::Harness;
 use crate::tcp::TcpTransport;
 use crate::transport::Transport;
 
@@ -127,18 +123,16 @@ fn reject_unsupported(scenario: &Scenario, n_cap: Option<usize>) -> Result<(), M
 }
 
 /// Runs the scenario's replications sequentially over `transport` and
-/// reduces them exactly like the protocol backend's Monte-Carlo runner.
+/// hands their digests to [`gossip_model::reduce`].
 fn evaluate_over<T: Transport>(
     transport: &T,
     scenario: &Scenario,
-    backend_name: String,
+    backend_name: &str,
 ) -> Result<Report, ModelError> {
+    if scenario.traffic.is_some() {
+        return crate::stream::evaluate_stream_over(transport, scenario, backend_name);
+    }
     let dist = scenario.fanout.build()?;
-    let shards = shard_count(
-        scenario.n,
-        scenario.runtime.max_threads,
-        in_parallel_worker(),
-    );
     let params = ExecParams {
         n: scenario.n,
         source: SOURCE,
@@ -153,103 +147,29 @@ fn evaluate_over<T: Transport>(
             Some(&scenario.topology)
         },
         flood: scenario.protocol == ProtocolSpec::Flood,
-        shards,
-        pacing_micros_per_milli: scenario.runtime.pacing_micros_per_milli,
-        // The watchdog knob: far beyond any healthy quiescence time,
-        // tight enough that a wedged transport fails the run instead of
-        // hanging the caller. 0 = the 30 s default.
-        deadline: Duration::from_secs(scenario.runtime.watchdog_or_default()),
+        harness: Harness::for_scenario(scenario),
     };
 
     // Replications run sequentially: each one already fans out over the
     // shard threads (and, over TCP, the kernel), so stacking replication
     // parallelism on top would oversubscribe without adding fidelity.
-    let mut outcomes: Vec<ExecOutcome> = Vec::with_capacity(scenario.replications);
+    let mut executions: Vec<Execution> = Vec::with_capacity(scenario.replications);
     for rep in 0..scenario.replications {
         let seed = SplitMix64::derive(scenario.seed, rep as u64);
-        let outcome = run_execution(transport, &params, seed)?;
-        if outcome.timed_out {
-            return Err(ModelError::NoConvergence {
+        let execution =
+            run_execution(transport, &params, seed)?.ok_or(ModelError::NoConvergence {
                 what: "runtime quiescence (a live execution hit its watchdog deadline)",
                 iterations: rep,
-            });
-        }
-        outcomes.push(outcome);
+            })?;
+        executions.push(execution);
     }
-
-    // Take-off conditioning, mirroring the protocol backend: threshold
-    // at half the analytic prediction (0 when subcritical).
-    let threshold = match scenario.protocol {
-        ProtocolSpec::Push => {
-            let q = scenario.q().unwrap_or(1.0);
-            // Fold bursty loss in at its stationary mean — an upper
-            // bound on delivery (burstiness only hurts more), which is
-            // all a take-off threshold needs.
-            let mut loss = scenario.loss;
-            if let Some(bursty) = &scenario.faults.bursty_loss {
-                loss = 1.0 - (1.0 - loss) * (1.0 - GilbertElliott::new(bursty).mean_loss());
-            }
-            let prediction = LossyGossip::new(&*dist, q, loss)
-                .and_then(|m| m.reliability())
-                .unwrap_or(1.0);
-            if prediction < 0.05 {
-                0.0
-            } else {
-                0.5 * prediction
-            }
-        }
-        ProtocolSpec::Flood | ProtocolSpec::PushPull => 0.5,
-    };
-    let mut conditional = OnlineStats::new();
-    let mut raw = OnlineStats::new();
-    let mut rounds = OnlineStats::new();
-    let mut messages = OnlineStats::new();
-    let mut lost = OnlineStats::new();
-    let mut takeoffs = 0usize;
-    for outcome in &outcomes {
-        messages.push(outcome.messages_per_member());
-        lost.push(outcome.messages_lost as f64);
-        let r = outcome.reliability();
-        raw.push(r);
-        if r > threshold {
-            takeoffs += 1;
-            conditional.push(r);
-            rounds.push(outcome.depth as f64);
-        }
-    }
-    let reliability = if conditional.count() == 0 {
-        0.0
-    } else {
-        conditional.mean()
-    };
-    let ci = conditional.ci95();
-    let critical_q = SitePercolation::new(&*dist, 1.0)?.critical_q();
-    Ok(Report {
-        backend: backend_name,
-        scenario: scenario.label(),
-        replications: outcomes.len(),
-        reliability,
-        reliability_std_error: conditional.sem(),
-        reliability_ci95: (ci.lo, ci.hi),
-        reliability_raw: Some(raw.mean()),
-        critical_q,
-        takeoff_rate: Some(takeoffs as f64 / outcomes.len().max(1) as f64),
-        rounds: if takeoffs == 0 {
-            None
-        } else {
-            Some(rounds.mean())
-        },
-        messages_per_member: Some(messages.mean()),
-        // Wall-clock is scheduling noise, not protocol behaviour: keep
-        // it out of the Report so runtime reports replay byte-for-byte.
-        quiescence_secs: None,
-        transport: Some(transport.name().to_string()),
-        topology: scenario.topology_label(),
-        faults: scenario.faults_label(),
-        messages_lost: Some(lost.mean()),
-        success_within_t: success::success_probability(reliability, scenario.executions),
-        traffic: None,
-    })
+    reduce::conditioned(
+        backend_name,
+        Some(transport.name()),
+        scenario,
+        &*dist,
+        executions,
+    )
 }
 
 impl Backend for RuntimeBackend {
@@ -265,25 +185,11 @@ impl Backend for RuntimeBackend {
         match self.transport {
             TransportKind::Channel => {
                 reject_unsupported(scenario, None)?;
-                if scenario.traffic.is_some() {
-                    return crate::stream::evaluate_stream_over(
-                        &ChannelTransport,
-                        scenario,
-                        self.name().into(),
-                    );
-                }
-                evaluate_over(&ChannelTransport, scenario, self.name().into())
+                evaluate_over(&ChannelTransport, scenario, self.name())
             }
             TransportKind::Tcp => {
                 reject_unsupported(scenario, Some(TCP_MAX_GROUP))?;
-                if scenario.traffic.is_some() {
-                    return crate::stream::evaluate_stream_over(
-                        &TcpTransport,
-                        scenario,
-                        self.name().into(),
-                    );
-                }
-                evaluate_over(&TcpTransport, scenario, self.name().into())
+                evaluate_over(&TcpTransport, scenario, self.name())
             }
         }
     }
@@ -293,6 +199,7 @@ impl Backend for RuntimeBackend {
 mod tests {
     use super::*;
     use gossip_model::scenario::{AnalyticBackend, FanoutSpec, LatencySpec, RuntimeSpec};
+    use std::time::Duration;
 
     fn headline(n: usize, reps: usize) -> Scenario {
         Scenario::new(n, FanoutSpec::poisson(6.0))

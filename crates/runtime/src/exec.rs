@@ -31,32 +31,21 @@
 //! ## Quiescence
 //!
 //! The push protocol relays once per node, so a broadcast is over when
-//! no message is in flight; the shared [`Fabric`] counter detects that
-//! exactly (see its docs), and a deadline watchdog aborts a wedged run
-//! rather than hanging the caller.
-
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+//! no message is in flight; the shared [`Fabric`](crate::Fabric) counter
+//! detects that exactly (see its docs), and the [`Harness`] watchdog
+//! aborts a wedged run rather than hanging the caller.
 
 use gossip_faults::{zone_members, BlockedLinks, ChurnPlan, FaultSpec, GeChain, GilbertElliott};
 use gossip_model::distribution::FanoutDistribution;
+use gossip_model::reduce::Execution;
 use gossip_model::scenario::{FailureSpec, LatencySpec};
 use gossip_model::ModelError;
-use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
+use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
 use gossip_topology::{select_targets, OverlaySpec, PeerSelection, Topology, TopologySpec};
 
-use crate::transport::{Endpoint, Fabric, Transport};
+use crate::harness::Harness;
+use crate::transport::{Endpoint, Transport};
 use crate::wire::WireMessage;
-
-/// Seed-stream tags (mixed into `SplitMix64::derive`) so the failure
-/// pattern, the overlay wiring, and per-node draws are decorrelated.
-const FAILURE_STREAM: u64 = 0xFA11;
-const NODE_STREAM: u64 = 0x0A_C708; // "ACTOR"
-const TOPOLOGY_STREAM: u64 = 0x7090; // "TOPO"
-/// Same tags the protocol engine uses for its churn plan and blocked
-/// links, so fault draws are comparable across the two layers.
-const CHURN_STREAM: u64 = 0xC4A2;
-const ADVERSARY_STREAM: u64 = 0xAD7E;
 
 /// A structured overlay instantiated for one execution: actors gossip
 /// only along its edges, targets picked by the configured policy.
@@ -99,49 +88,8 @@ pub(crate) struct ExecParams<'a> {
     /// Flood instead of push: relay to every other member (on an
     /// overlay: to the whole neighbour list).
     pub flood: bool,
-    /// Shard threads to multiplex node actors over.
-    pub shards: usize,
-    /// Real-time pacing (µs of wall-clock per ms of virtual latency).
-    pub pacing_micros_per_milli: u64,
-    /// Watchdog deadline for one execution.
-    pub deadline: Duration,
-}
-
-/// Measured results of one live execution.
-pub(crate) struct ExecOutcome {
-    /// Members in the reliability denominator (alive, never scheduled
-    /// to crash).
-    pub nonfailed: usize,
-    /// Denominator members that received the message.
-    pub nonfailed_reached: usize,
-    /// Messages handed to the transport, injection included.
-    pub messages_sent: u64,
-    /// Messages that died in transit (injected loss + dead peers).
-    pub messages_lost: u64,
-    /// BFS relay depth of the delivered set (the paper's "rounds").
-    pub depth: u32,
-    /// True when the watchdog aborted the run instead of quiescence.
-    pub timed_out: bool,
-}
-
-impl ExecOutcome {
-    /// Reliability `n_rece / n_nonfailed` (paper §4.2).
-    pub fn reliability(&self) -> f64 {
-        if self.nonfailed == 0 {
-            0.0
-        } else {
-            self.nonfailed_reached as f64 / self.nonfailed as f64
-        }
-    }
-
-    /// Messages per nonfailed member — the protocol's unit cost.
-    pub fn messages_per_member(&self) -> f64 {
-        if self.nonfailed == 0 {
-            0.0
-        } else {
-            self.messages_sent as f64 / self.nonfailed as f64
-        }
-    }
+    /// Shard threads, real-time pacing, watchdog deadline.
+    pub harness: Harness,
 }
 
 /// One recorded relay attempt.
@@ -184,7 +132,8 @@ impl Actor {
         join_at_ns: Option<u64>,
         ge: Option<&GilbertElliott>,
     ) -> Self {
-        let node_seed = SplitMix64::derive(SplitMix64::derive(exec_seed, NODE_STREAM), id as u64);
+        let node_seed =
+            SplitMix64::derive(SplitMix64::derive(exec_seed, streams::ACTOR), id as u64);
         let mut rng = Xoshiro256StarStar::new(node_seed);
         // The chain starts from a stationary draw so short executions
         // see the long-run loss mix (drawn only when bursty loss is on,
@@ -283,6 +232,23 @@ impl Actor {
         relays
     }
 
+    /// Processes one frame: run the protocol and put the surviving
+    /// relays on the wire.
+    fn process<E: Endpoint>(
+        &mut self,
+        ep: &mut E,
+        msg: &WireMessage,
+        p: &ExecParams<'_>,
+        ctx: &ExecCtx,
+    ) {
+        for relay in self.handle(msg, p, ctx) {
+            if !ep.send(relay.to, &relay.msg) {
+                // Peer unreachable: the relay died in transit.
+                self.edges[relay.edge_idx].lost = true;
+            }
+        }
+    }
+
     /// `f` distinct uniform members other than self (all of them when
     /// `f` exceeds the view).
     fn pick_targets(&mut self, f: usize) -> Vec<u32> {
@@ -346,14 +312,14 @@ fn draw_latency_ns(rng: &mut Xoshiro256StarStar, spec: LatencySpec) -> u64 {
 /// crashes when, who joins when, and who counts in the reliability
 /// denominator. Vectors are sized `n` plus this execution's churn
 /// joiners (ids `n..`).
-struct FailureLayout {
-    alive: Vec<bool>,
-    crash_at_ns: Vec<Option<u64>>,
-    join_at_ns: Vec<Option<u64>>,
-    counted: Vec<bool>,
+pub(crate) struct FailureLayout {
+    pub alive: Vec<bool>,
+    pub crash_at_ns: Vec<Option<u64>>,
+    pub join_at_ns: Vec<Option<u64>>,
+    pub counted: Vec<bool>,
 }
 
-fn failure_layout(
+pub(crate) fn failure_layout(
     n: usize,
     source: u32,
     failure: &FailureSpec,
@@ -369,7 +335,7 @@ fn failure_layout(
         FailureSpec::Random { q } => {
             // The paper's model: each non-source member is up with
             // probability q, independently; the source is immortal.
-            let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(exec_seed, FAILURE_STREAM));
+            let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(exec_seed, streams::FAILURE));
             for i in 0..n {
                 if i as u32 != source && rng.next_f64() >= *q {
                     alive[i] = false;
@@ -429,7 +395,7 @@ fn failure_layout(
             churn,
             n,
             source,
-            SplitMix64::derive(exec_seed, CHURN_STREAM),
+            SplitMix64::derive(exec_seed, streams::CHURN),
         );
         for &(at_ns, id) in &plan.joins {
             debug_assert_eq!(id as usize, alive.len(), "joiner ids are dense above n");
@@ -450,80 +416,6 @@ fn failure_layout(
         join_at_ns,
         counted,
     }
-}
-
-/// Processes one frame on an actor: run the protocol, put surviving
-/// relays on the wire, settle the frame.
-fn process<E: Endpoint>(
-    actor: &mut Actor,
-    ep: &mut E,
-    msg: &WireMessage,
-    p: &ExecParams<'_>,
-    ctx: &ExecCtx,
-    fabric: &Fabric,
-) {
-    let relays = actor.handle(msg, p, ctx);
-    for relay in relays {
-        if !ep.send(relay.to, &relay.msg) {
-            // Peer unreachable: the relay died in transit.
-            actor.edges[relay.edge_idx].lost = true;
-        }
-    }
-    fabric.message_settled();
-}
-
-/// The loop a shard thread runs: round-robin over its actors' inboxes
-/// until the fabric reports quiescence (or the deadline trips).
-fn shard_loop<E: Endpoint>(
-    mut group: Vec<(Actor, E)>,
-    p: &ExecParams<'_>,
-    ctx: &ExecCtx,
-    fabric: &Fabric,
-    epoch: Instant,
-) -> Vec<Actor> {
-    // Frames held back by real-time pacing until their scaled virtual
-    // arrival time: (actor index, due, frame).
-    let mut held: Vec<(usize, Instant, WireMessage)> = Vec::new();
-    loop {
-        let mut progressed = false;
-        for (idx, (actor, ep)) in group.iter_mut().enumerate() {
-            while let Some(msg) = ep.poll() {
-                if p.pacing_micros_per_milli > 0 {
-                    let wall_us = msg.arrival_virtual_ns / 1_000_000 * p.pacing_micros_per_milli;
-                    let due = epoch + Duration::from_micros(wall_us);
-                    if Instant::now() < due {
-                        held.push((idx, due, msg));
-                        continue;
-                    }
-                }
-                process(actor, ep, &msg, p, ctx, fabric);
-                progressed = true;
-            }
-        }
-        let now = Instant::now();
-        let mut i = 0;
-        while i < held.len() {
-            if held[i].1 <= now {
-                let (idx, _, msg) = held.swap_remove(i);
-                let (actor, ep) = &mut group[idx];
-                process(actor, ep, &msg, p, ctx, fabric);
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if fabric.is_done() {
-            break;
-        }
-        if !progressed {
-            if epoch.elapsed() > p.deadline {
-                fabric.abort();
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    }
-    group.into_iter().map(|(actor, _)| actor).collect()
 }
 
 /// BFS depth of the delivered set over the recorded successful relays —
@@ -549,33 +441,46 @@ fn bfs_depth(n: usize, source: u32, delivered: &[bool], adjacency: &[Vec<u32>]) 
     max_depth
 }
 
-/// Runs one live broadcast over `transport`.
+/// Runs one live broadcast over `transport` and digests it for
+/// [`gossip_model::reduce`]; `None` when the watchdog aborted the run
+/// instead of quiescence.
 pub(crate) fn run_execution<T: Transport>(
     transport: &T,
     p: &ExecParams<'_>,
     exec_seed: u64,
-) -> Result<ExecOutcome, ModelError>
-where
-    T::Endpoint: 'static,
-{
+) -> Result<Option<Execution>, ModelError> {
     let overlay = p.topology.map(|spec| Overlay {
-        topology: spec.build(p.n, SplitMix64::derive(exec_seed, TOPOLOGY_STREAM)),
+        topology: spec.build(
+            p.n,
+            SplitMix64::derive(exec_seed, streams::RUNTIME_TOPOLOGY),
+        ),
         selection: spec.selection,
     });
     let layout = failure_layout(p.n, p.source, p.failure, p.faults, p.topology, exec_seed);
     // Churn joiners extend the group beyond `p.n` for this execution.
     let total = layout.alive.len();
+    // The reliability denominator: alive, never scheduled to crash.
     let nonfailed = layout.counted.iter().filter(|&&c| c).count();
+    let per_nonfailed = |count: u64| {
+        if nonfailed == 0 {
+            0.0
+        } else {
+            count as f64 / nonfailed as f64
+        }
+    };
+    let digest = |reached: u64, sent: u64, lost: u64, depth: u32| Execution {
+        // `n_rece / n_nonfailed` (paper §4.2).
+        reliability: per_nonfailed(reached),
+        rounds: Some(depth as f64),
+        messages_per_member: Some(per_nonfailed(sent)),
+        // Wall-clock is scheduling noise, not protocol behaviour: keep
+        // it out of the Report so runtime reports replay byte-for-byte.
+        quiescence_secs: None,
+        messages_lost: Some(lost as f64),
+    };
     if !layout.alive[p.source as usize] {
         // The source itself is scheduled dead at start: nothing spreads.
-        return Ok(ExecOutcome {
-            nonfailed,
-            nonfailed_reached: 0,
-            messages_sent: 0,
-            messages_lost: 0,
-            depth: 0,
-            timed_out: false,
-        });
+        return Ok(Some(digest(0, 0, 0, 0)));
     }
     let ctx = ExecCtx {
         overlay,
@@ -584,67 +489,38 @@ where
                 total,
                 p.source,
                 adv,
-                SplitMix64::derive(exec_seed, ADVERSARY_STREAM),
+                SplitMix64::derive(exec_seed, streams::ADVERSARY),
             )
         }),
         ge: p.faults.bursty_loss.as_ref().map(GilbertElliott::new),
         join_at: p.faults.churn.is_some().then(|| layout.join_at_ns.clone()),
     };
 
-    let fabric = Fabric::new();
-    let mut endpoints = transport.open(total, &layout.alive, &fabric)?;
+    let Some(actors) = p.harness.run(
+        transport,
+        &layout.alive,
+        p.source,
+        &[WireMessage::injection(exec_seed, p.source)],
+        |id| {
+            Actor::new(
+                id,
+                total,
+                exec_seed,
+                layout.crash_at_ns[id as usize],
+                layout.join_at_ns[id as usize],
+                ctx.ge.as_ref(),
+            )
+        },
+        |actor, ep, msg| actor.process(ep, msg, p, &ctx),
+    )?
+    else {
+        return Ok(None);
+    };
 
-    // Pair every alive member with its actor and inject at the source.
-    let mut pairs: Vec<(Actor, T::Endpoint)> = Vec::with_capacity(total);
-    for (id, slot) in endpoints.iter_mut().enumerate() {
-        if let Some(ep) = slot.take() {
-            pairs.push((
-                Actor::new(
-                    id as u32,
-                    total,
-                    exec_seed,
-                    layout.crash_at_ns[id],
-                    layout.join_at_ns[id],
-                    ctx.ge.as_ref(),
-                ),
-                ep,
-            ));
-        }
-    }
-    {
-        let source_pair = pairs
-            .iter_mut()
-            .find(|(actor, _)| actor.id == p.source)
-            .expect("alive source has an endpoint");
-        let injected = source_pair
-            .1
-            .send(p.source, &WireMessage::injection(exec_seed, p.source));
-        debug_assert!(injected, "sending to the alive source cannot fail");
-    }
-
-    // Multiplex actors over the shard threads, round-robin so node ids
-    // spread evenly, and run to quiescence.
-    let shards = p.shards.clamp(1, pairs.len().max(1));
-    let mut groups: Vec<Vec<(Actor, T::Endpoint)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (i, pair) in pairs.into_iter().enumerate() {
-        groups[i % shards].push(pair);
-    }
-    let epoch = Instant::now();
-    let fabric_ref: &Arc<Fabric> = &fabric;
-    let ctx_ref = &ctx;
-    let actors: Vec<Actor> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .map(|group| scope.spawn(move |_| shard_loop(group, p, ctx_ref, fabric_ref, epoch)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard thread panicked"))
-            .collect()
-    })
-    .expect("runtime scope");
-
-    // Assemble the outcome from the actors' own records.
+    // Assemble the outcome from the actors' own records: messages
+    // handed to the transport (injection included), those that died in
+    // transit (injected loss + dead peers), and the BFS relay depth of
+    // the delivered set (the paper's "rounds").
     let mut delivered = vec![false; total];
     let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); total];
     let mut messages_sent = 1u64; // the injection
@@ -660,15 +536,13 @@ where
             }
         }
     }
-    let nonfailed_reached = (0..total)
+    let reached = (0..total)
         .filter(|&i| layout.counted[i] && delivered[i])
         .count();
-    Ok(ExecOutcome {
-        nonfailed,
-        nonfailed_reached,
+    Ok(Some(digest(
+        reached as u64,
         messages_sent,
         messages_lost,
-        depth: bfs_depth(total, p.source, &delivered, &adjacency),
-        timed_out: fabric.timed_out(),
-    })
+        bfs_depth(total, p.source, &delivered, &adjacency),
+    )))
 }

@@ -23,8 +23,9 @@
 //!   maelstrom-style line-delimited JSON framing; connection refusal to
 //!   crashed members doubles as fault injection.
 //! * [`backend`] — [`RuntimeBackend`], the [`Backend`] impl that runs
-//!   seed-derived replications and reduces them with the same take-off
-//!   conditioning as the protocol backend.
+//!   seed-derived replications and hands them to
+//!   [`gossip_model::reduce`] — the same take-off conditioning as every
+//!   other Monte-Carlo backend.
 //!
 //! Faults come from the scenario, not from chance: per-message loss
 //! (`Scenario::loss`) and latency draws are injected sender-side from
@@ -49,6 +50,7 @@
 pub mod backend;
 pub mod channel;
 mod exec;
+mod harness;
 mod stream;
 pub mod tcp;
 pub mod transport;

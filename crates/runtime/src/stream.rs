@@ -31,31 +31,22 @@
 //! shared across messages and therefore also order-dependent; its
 //! effects are likewise aggregate-level.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
+use gossip_faults::FaultSpec;
 use gossip_model::distribution::FanoutDistribution;
-use gossip_model::loss::LossyGossip;
-use gossip_model::percolation::SitePercolation;
+use gossip_model::reduce::{self, StreamExecution};
 use gossip_model::scenario::{FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario};
-use gossip_model::{success, ModelError};
-use gossip_stats::descriptive::OnlineStats;
-use gossip_stats::parallel::in_parallel_worker;
+use gossip_model::ModelError;
+use gossip_stats::rng::streams::STREAM_NODE;
 use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
-use gossip_traffic::{
-    injection_rounds, percentile, TrafficReport, TrafficSpec, TRAFFIC_PLAN_STREAM,
-};
+use gossip_traffic::{injection_rounds, merge_histogram, TrafficSpec, TRAFFIC_PLAN_STREAM};
 
-use crate::backend::{shard_count, SOURCE};
-use crate::transport::{Endpoint, Fabric, Transport};
+use crate::backend::SOURCE;
+use crate::exec::failure_layout;
+use crate::harness::Harness;
+use crate::transport::{Endpoint, Transport};
 use crate::wire::WireMessage;
 
 const NS_PER_MS: u64 = 1_000_000;
-/// Seed-stream tags: the failure draw matches the single-message
-/// execution (`0xFA11`); relay draws get a stream-specific tag mixed
-/// with `(node, message)` so unbatched relays are order-independent.
-const FAILURE_STREAM: u64 = 0xFA11;
-const STREAM_NODE: u64 = 0x7AFF3C;
 
 /// The virtual-clock token bucket: B frame slots per round of
 /// `round_ns`, deferral in whole rounds, tail-drop past `capacity`
@@ -118,10 +109,8 @@ struct StreamActor {
     /// injection (source receipts land in bin 0).
     hist: Vec<u64>,
     max_round: u64,
-    copies_created: u64,
     copies_dropped: u64,
     copies_sent: u64,
-    frames_sent: u64,
     copies_lost: u64,
 }
 
@@ -133,23 +122,9 @@ pub(crate) struct StreamExecParams<'a> {
     pub hop_ms: u64,
     pub spec: &'a TrafficSpec,
     pub injections: &'a [u64],
-    pub q: f64,
-    pub shards: usize,
-    pub pacing_micros_per_milli: u64,
-    pub deadline: Duration,
-}
-
-/// Measured results of one live stream execution.
-struct StreamExecOutcome {
-    nonfailed: usize,
-    /// Per message: counted members holding it at quiescence.
-    reached: Vec<u32>,
-    hist: Vec<u64>,
-    max_round: u64,
-    copies_dropped: u64,
-    copies_sent: u64,
-    copies_lost: u64,
-    timed_out: bool,
+    /// Static crashes only: `None` or `Random` (schedules are refused).
+    pub failure: &'a FailureSpec,
+    pub harness: Harness,
 }
 
 impl StreamActor {
@@ -166,10 +141,8 @@ impl StreamActor {
             ),
             hist: Vec::new(),
             max_round: 0,
-            copies_created: 0,
             copies_dropped: 0,
             copies_sent: 0,
-            frames_sent: 0,
             copies_lost: 0,
         }
     }
@@ -190,12 +163,14 @@ impl StreamActor {
     /// for the whole group, frames chunked to the frame limit, each
     /// scheduled through the token bucket and loss-drawn. The RNG is
     /// derived from `(seed, node, first id of the group)`, which makes
-    /// unbatched relays (groups of one) order-independent.
+    /// unbatched relays (groups of one) order-independent. `hop` is the
+    /// relay depth stamped on the outgoing frames.
     fn relay_group<E: Endpoint>(
         &mut self,
         ep: &mut E,
         group: &[u32],
         ready_ns: u64,
+        hop: u32,
         p: &StreamExecParams<'_>,
     ) {
         let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(
@@ -220,12 +195,10 @@ impl StreamActor {
         let frame_limit = p.spec.frame_limit();
         for &to in &targets {
             for chunk in group.chunks(frame_limit) {
-                self.copies_created += chunk.len() as u64;
                 let Some(send_ns) = self.bucket.schedule(ready_ns) else {
                     self.copies_dropped += chunk.len() as u64;
                     continue;
                 };
-                self.frames_sent += 1;
                 self.copies_sent += chunk.len() as u64;
                 let lost = p.loss > 0.0 && rng.next_f64() < p.loss;
                 if lost {
@@ -235,7 +208,7 @@ impl StreamActor {
                 let msg = WireMessage {
                     id: self.exec_seed,
                     from: self.id,
-                    hop: 1,
+                    hop,
                     arrival_virtual_ns: send_ns + p.hop_ms * NS_PER_MS,
                     ids: chunk.to_vec(),
                 };
@@ -262,156 +235,65 @@ impl StreamActor {
         if new_ids.is_empty() {
             return;
         }
-        if p.spec.batched() {
-            self.relay_group(ep, &new_ids, msg.arrival_virtual_ns, p);
-        } else {
-            for m in new_ids {
-                self.relay_group(ep, std::slice::from_ref(&m), msg.arrival_virtual_ns, p);
-            }
+        let group_size = if p.spec.batched() { new_ids.len() } else { 1 };
+        for group in new_ids.chunks(group_size) {
+            self.relay_group(ep, group, msg.arrival_virtual_ns, msg.hop + 1, p);
         }
     }
 }
 
-/// The shard loop for streams: round-robin over the shard's actors
-/// until the fabric quiesces, with the same real-time pacing hold-back
-/// as the single-message loop.
-fn shard_loop<E: Endpoint>(
-    mut group: Vec<(StreamActor, E)>,
-    p: &StreamExecParams<'_>,
-    fabric: &Fabric,
-    epoch: Instant,
-) -> Vec<StreamActor> {
-    let mut held: Vec<(usize, Instant, WireMessage)> = Vec::new();
-    loop {
-        let mut progressed = false;
-        for (idx, (actor, ep)) in group.iter_mut().enumerate() {
-            while let Some(msg) = ep.poll() {
-                if p.pacing_micros_per_milli > 0 {
-                    let wall_us = msg.arrival_virtual_ns / 1_000_000 * p.pacing_micros_per_milli;
-                    let due = epoch + Duration::from_micros(wall_us);
-                    if Instant::now() < due {
-                        held.push((idx, due, msg));
-                        continue;
-                    }
-                }
-                actor.handle(&msg, ep, p);
-                fabric.message_settled();
-                progressed = true;
-            }
-        }
-        let now = Instant::now();
-        let mut i = 0;
-        while i < held.len() {
-            if held[i].1 <= now {
-                let (idx, _, msg) = held.swap_remove(i);
-                let (actor, ep) = &mut group[idx];
-                actor.handle(&msg, ep, p);
-                fabric.message_settled();
-                progressed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if fabric.is_done() {
-            break;
-        }
-        if !progressed {
-            if epoch.elapsed() > p.deadline {
-                fabric.abort();
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    }
-    group.into_iter().map(|(actor, _)| actor).collect()
-}
-
-/// Runs one live stream execution over `transport`.
+/// Runs one live stream execution over `transport`: its digest and its
+/// delivery-delay histogram, or `None` when the watchdog aborted it.
 fn run_stream_execution<T: Transport>(
     transport: &T,
     p: &StreamExecParams<'_>,
     exec_seed: u64,
-) -> Result<StreamExecOutcome, ModelError>
-where
-    T::Endpoint: 'static,
-{
+) -> Result<Option<(StreamExecution, Vec<u64>)>, ModelError> {
     let n = p.n;
     let k = p.injections.len();
-    // The paper's failure model, same stream tag as the single-message
+    // The paper's failure model, the same draw as the single-message
     // execution: each non-source member up with probability q.
-    let mut alive = vec![true; n];
-    if p.q < 1.0 {
-        let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(exec_seed, FAILURE_STREAM));
-        for (i, flag) in alive.iter_mut().enumerate() {
-            if i as u32 != SOURCE && rng.next_f64() >= p.q {
-                *flag = false;
-            }
-        }
-    }
-    let nonfailed = alive.iter().filter(|&&a| a).count();
+    let alive = failure_layout(n, SOURCE, p.failure, &FaultSpec::default(), None, exec_seed).alive;
 
-    let fabric = Fabric::new();
-    let mut endpoints = transport.open(n, &alive, &fabric)?;
-    let mut pairs: Vec<(StreamActor, T::Endpoint)> = Vec::with_capacity(nonfailed);
-    for (id, slot) in endpoints.iter_mut().enumerate() {
-        if let Some(ep) = slot.take() {
-            pairs.push((StreamActor::new(id as u32, n, exec_seed, p), ep));
+    // The plan's injection frames: messages sharing an injection round
+    // form one arrival group, so piggybacking applies to bursts.
+    let chunk_size = if p.spec.batched() {
+        p.spec.frame_limit()
+    } else {
+        1
+    };
+    let mut injections: Vec<WireMessage> = Vec::new();
+    let mut start = 0usize;
+    while start < k {
+        let round = p.injections[start];
+        let mut end = start;
+        while end < k && p.injections[end] == round {
+            end += 1;
         }
-    }
-
-    // Inject the plan at the source: messages sharing an injection
-    // round form one arrival group, so piggybacking applies to bursts.
-    {
-        let (_, source_ep) = pairs
-            .iter_mut()
-            .find(|(actor, _)| actor.id == SOURCE)
-            .expect("the source is immortal");
-        let frame_limit = p.spec.frame_limit();
-        let mut start = 0usize;
-        while start < k {
-            let round = p.injections[start];
-            let mut end = start;
-            while end < k && p.injections[end] == round {
-                end += 1;
-            }
-            let group: Vec<u32> = (start as u32..end as u32).collect();
-            let chunk_size = if p.spec.batched() { frame_limit } else { 1 };
-            for chunk in group.chunks(chunk_size) {
-                let injected = source_ep.send(
-                    SOURCE,
-                    &WireMessage {
-                        id: exec_seed,
-                        from: SOURCE,
-                        hop: 0,
-                        arrival_virtual_ns: round * p.hop_ms * NS_PER_MS,
-                        ids: chunk.to_vec(),
-                    },
-                );
-                debug_assert!(injected, "sending to the alive source cannot fail");
-            }
-            start = end;
+        let group: Vec<u32> = (start as u32..end as u32).collect();
+        for chunk in group.chunks(chunk_size) {
+            injections.push(WireMessage {
+                id: exec_seed,
+                from: SOURCE,
+                hop: 0,
+                arrival_virtual_ns: round * p.hop_ms * NS_PER_MS,
+                ids: chunk.to_vec(),
+            });
         }
+        start = end;
     }
 
-    let shards = p.shards.clamp(1, pairs.len().max(1));
-    let mut groups: Vec<Vec<(StreamActor, T::Endpoint)>> =
-        (0..shards).map(|_| Vec::new()).collect();
-    for (i, pair) in pairs.into_iter().enumerate() {
-        groups[i % shards].push(pair);
-    }
-    let epoch = Instant::now();
-    let fabric_ref: &Arc<Fabric> = &fabric;
-    let actors: Vec<StreamActor> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .map(|group| scope.spawn(move |_| shard_loop(group, p, fabric_ref, epoch)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("stream shard thread panicked"))
-            .collect()
-    })
-    .expect("runtime stream scope");
+    let Some(actors) = p.harness.run(
+        transport,
+        &alive,
+        SOURCE,
+        &injections,
+        |id| StreamActor::new(id, n, exec_seed, p),
+        |actor, ep, msg| actor.handle(msg, ep, p),
+    )?
+    else {
+        return Ok(None);
+    };
 
     let mut reached = vec![0u32; k];
     let mut hist: Vec<u64> = Vec::new();
@@ -423,27 +305,21 @@ where
                 reached[m] += 1;
             }
         }
-        if hist.len() < actor.hist.len() {
-            hist.resize(actor.hist.len(), 0);
-        }
-        for (total, &count) in hist.iter_mut().zip(&actor.hist) {
-            *total += count;
-        }
+        merge_histogram(&mut hist, &actor.hist);
         max_round = max_round.max(actor.max_round);
         dropped += actor.copies_dropped;
         sent += actor.copies_sent;
         lost += actor.copies_lost;
     }
-    Ok(StreamExecOutcome {
-        nonfailed,
+    let digest = StreamExecution {
         reached,
-        hist,
-        max_round,
-        copies_dropped: dropped,
+        nonfailed: alive.iter().filter(|&&a| a).count(),
+        rounds: max_round,
         copies_sent: sent,
+        copies_dropped: dropped,
         copies_lost: lost,
-        timed_out: fabric.timed_out(),
-    })
+    };
+    Ok(Some((digest, hist)))
 }
 
 /// Why this scenario's stream cannot run live, if it can't. Live
@@ -473,34 +349,27 @@ fn check_stream_support(backend: &'static str, scenario: &Scenario) -> Result<()
 }
 
 /// Evaluates the scenario's [`TrafficSpec`] live: sequential
-/// replications (each already fans out over shard threads), per-message
-/// take-off conditioning, and the same [`TrafficReport`] shape as the
+/// replications (each already fans out over shard threads), reduced by
+/// [`gossip_model::reduce::stream`] to the same [`Report`] shape as the
 /// simulation backends — with throughput priced on the virtual clock,
 /// so reports stay free of wall-clock scheduling noise.
 pub(crate) fn evaluate_stream_over<T: Transport>(
     transport: &T,
     scenario: &Scenario,
-    backend_name: String,
-) -> Result<Report, ModelError>
-where
-    T::Endpoint: 'static,
-{
+    backend_name: &str,
+) -> Result<Report, ModelError> {
     check_stream_support(transport.name(), scenario)?;
     let spec = scenario
         .traffic
         .expect("stream evaluation is only dispatched when traffic is present");
-    let q = scenario
-        .q()
-        .expect("crash schedules were refused by check_stream_support");
     let hop_ms = match scenario.latency {
         LatencySpec::ConstantMillis { ms } => ms.max(1),
         _ => unreachable!("stochastic latency was refused by check_stream_support"),
     };
     let dist = scenario.fanout.build()?;
-    let k = spec.messages;
     let injections = injection_rounds(
         &spec.arrival,
-        k,
+        spec.messages,
         SplitMix64::derive(scenario.seed, TRAFFIC_PLAN_STREAM),
     );
     let params = StreamExecParams {
@@ -510,138 +379,31 @@ where
         hop_ms,
         spec: &spec,
         injections: &injections,
-        q,
-        shards: shard_count(
-            scenario.n,
-            scenario.runtime.max_threads,
-            in_parallel_worker(),
-        ),
-        pacing_micros_per_milli: scenario.runtime.pacing_micros_per_milli,
-        deadline: Duration::from_secs(scenario.runtime.watchdog_or_default()),
+        failure: &scenario.failure,
+        harness: Harness::for_scenario(scenario),
     };
 
-    let mut outcomes: Vec<StreamExecOutcome> = Vec::with_capacity(scenario.replications);
+    let mut executions: Vec<StreamExecution> = Vec::with_capacity(scenario.replications);
+    let mut hist: Vec<u64> = Vec::new();
     for rep in 0..scenario.replications {
         let seed = SplitMix64::derive(scenario.seed, rep as u64);
-        let outcome = run_stream_execution(transport, &params, seed)?;
-        if outcome.timed_out {
-            return Err(ModelError::NoConvergence {
+        let (digest, rep_hist) =
+            run_stream_execution(transport, &params, seed)?.ok_or(ModelError::NoConvergence {
                 what: "runtime stream quiescence (a live execution hit its watchdog deadline)",
                 iterations: rep,
-            });
-        }
-        outcomes.push(outcome);
+            })?;
+        merge_histogram(&mut hist, &rep_hist);
+        executions.push(digest);
     }
-
-    // Take-off conditioning per message at half the single-message
-    // analytic prediction, mirroring the simulation stream backends.
-    let prediction = LossyGossip::new(&*dist, q, scenario.loss)
-        .and_then(|m| m.reliability())
-        .unwrap_or(1.0);
-    let threshold = if prediction < 0.05 {
-        0.0
-    } else {
-        0.5 * prediction
-    };
-    let mut per_message: Vec<OnlineStats> = (0..k).map(|_| OnlineStats::new()).collect();
-    let mut conditional = OnlineStats::new();
-    let mut raw = OnlineStats::new();
-    let mut rounds = OnlineStats::new();
-    let mut per_member = OnlineStats::new();
-    let mut sent = OnlineStats::new();
-    let mut dropped = OnlineStats::new();
-    let mut lost = OnlineStats::new();
-    let mut throughput = OnlineStats::new();
-    let mut hist: Vec<u64> = Vec::new();
-    let mut takeoffs = 0usize;
-    let mut samples = 0usize;
-    for outcome in &outcomes {
-        let mut any_takeoff = false;
-        for (message, &count) in outcome.reached.iter().enumerate() {
-            let r = count as f64 / outcome.nonfailed.max(1) as f64;
-            samples += 1;
-            raw.push(r);
-            if r > threshold {
-                takeoffs += 1;
-                any_takeoff = true;
-                conditional.push(r);
-                per_message[message].push(r);
-            }
-        }
-        if any_takeoff {
-            rounds.push(outcome.max_round as f64);
-            let secs = outcome.max_round as f64 * hop_ms as f64 / 1000.0;
-            if secs > 0.0 {
-                throughput.push(k as f64 / secs);
-            }
-        }
-        per_member.push(outcome.copies_sent as f64 / outcome.nonfailed.max(1) as f64);
-        sent.push(outcome.copies_sent as f64);
-        dropped.push(outcome.copies_dropped as f64);
-        lost.push(outcome.copies_lost as f64);
-        if hist.len() < outcome.hist.len() {
-            hist.resize(outcome.hist.len(), 0);
-        }
-        for (total, &count) in hist.iter_mut().zip(&outcome.hist) {
-            *total += count;
-        }
-    }
-
-    let means: Vec<f64> = per_message
-        .iter()
-        .map(|s| if s.count() == 0 { 0.0 } else { s.mean() })
-        .collect();
-    let reliability_mean = means.iter().sum::<f64>() / k as f64;
-    let reliability_min = means.iter().copied().fold(f64::INFINITY, f64::min);
-    let reliability = if conditional.count() == 0 {
-        0.0
-    } else {
-        conditional.mean()
-    };
-    let ci = conditional.ci95();
-    let critical_q = SitePercolation::new(&*dist, 1.0)?.critical_q();
-    Ok(Report {
-        backend: backend_name,
-        scenario: scenario.label(),
-        replications: outcomes.len(),
-        reliability,
-        reliability_std_error: conditional.sem(),
-        reliability_ci95: (ci.lo, ci.hi),
-        reliability_raw: Some(raw.mean()),
-        critical_q,
-        takeoff_rate: Some(takeoffs as f64 / samples.max(1) as f64),
-        rounds: if rounds.count() == 0 {
-            None
-        } else {
-            Some(rounds.mean())
-        },
-        messages_per_member: Some(per_member.mean()),
-        // Wall clock stays out of runtime reports; the stream's timing
-        // metrics below are virtual-clock, hence replayable.
-        quiescence_secs: None,
-        transport: Some(transport.name().to_string()),
-        topology: scenario.topology_label(),
-        faults: scenario.faults_label(),
-        messages_lost: Some(lost.mean()),
-        success_within_t: success::success_probability(reliability, scenario.executions),
-        traffic: Some(TrafficReport {
-            messages: k,
-            reliability_mean,
-            reliability_min,
-            messages_per_sec: if throughput.count() == 0 {
-                None
-            } else {
-                Some(throughput.mean())
-            },
-            latency_rounds_p50: percentile(&hist, 0.50),
-            latency_rounds_p90: percentile(&hist, 0.90),
-            latency_rounds_p99: percentile(&hist, 0.99),
-            copies_sent: Some(sent.mean()),
-            copies_dropped: Some(dropped.mean()),
-            copies_lost: Some(lost.mean()),
-            batched: spec.batched(),
-        }),
-    })
+    reduce::stream(
+        backend_name,
+        Some(transport.name()),
+        scenario,
+        &*dist,
+        Some(hop_ms),
+        &executions,
+        &hist,
+    )
 }
 
 #[cfg(test)]
@@ -669,5 +431,62 @@ mod tests {
         assert_eq!(b.schedule(0), None);
         // A frame ready in a later round starts a fresh window.
         assert_eq!(b.schedule(5 * NS_PER_MS), Some(5 * NS_PER_MS));
+    }
+
+    /// A fake endpoint: logs every send, never receives.
+    struct Capture(Vec<WireMessage>);
+
+    impl Endpoint for Capture {
+        fn send(&mut self, _to: u32, msg: &WireMessage) -> bool {
+            self.0.push(msg.clone());
+            true
+        }
+        fn poll(&mut self) -> Option<WireMessage> {
+            None
+        }
+    }
+
+    #[test]
+    fn relayed_frames_carry_the_incoming_hop_plus_one() {
+        let dist = gossip_model::distribution::FixedFanout::new(4);
+        for (spec, frames) in [
+            // Unbatched: 2 new ids × 4 targets, one frame each.
+            (TrafficSpec::stream(2), 8),
+            // Piggybacked: both ids ride one frame per target.
+            (TrafficSpec::stream(2).with_piggyback(4), 4),
+        ] {
+            let p = StreamExecParams {
+                n: 10,
+                dist: &dist,
+                loss: 0.0,
+                hop_ms: 1,
+                spec: &spec,
+                injections: &[0, 0],
+                failure: &FailureSpec::None,
+                harness: Harness {
+                    shards: 1,
+                    pacing_micros_per_milli: 0,
+                    deadline: std::time::Duration::from_secs(1),
+                },
+            };
+            let mut actor = StreamActor::new(5, 10, 42, &p);
+            let mut ep = Capture(Vec::new());
+            let deep = WireMessage {
+                id: 42,
+                from: 2,
+                hop: 3,
+                arrival_virtual_ns: 3 * NS_PER_MS,
+                ids: vec![0, 1],
+            };
+            actor.handle(&deep, &mut ep, &p);
+            assert_eq!(ep.0.len(), frames);
+            assert!(
+                ep.0.iter().all(|relay| relay.hop == 4),
+                "relays of a hop-3 frame must be stamped hop 4"
+            );
+            // A duplicate receipt relays nothing.
+            actor.handle(&deep, &mut ep, &p);
+            assert_eq!(ep.0.len(), frames);
+        }
     }
 }

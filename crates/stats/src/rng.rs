@@ -233,6 +233,68 @@ impl SeedableRng for Xoshiro256StarStar {
     }
 }
 
+/// The registry of seed-stream tags: every constant the workspace mixes
+/// into [`SplitMix64::derive`] to split one execution seed into
+/// decorrelated child streams (crash draws, overlay wiring, relay
+/// coins, ...). One name per stream, declared once — layers that must
+/// face the *same* draw (the churn plan, the adversary's blocked links,
+/// the live failure pattern) share a tag by importing it, and a test
+/// keeps all registered values pairwise distinct.
+pub mod streams {
+    macro_rules! stream_tags {
+        ($($(#[$doc:meta])* $name:ident = $value:expr;)*) => {
+            $($(#[$doc])* pub const $name: u64 = $value;)*
+            /// Every registered tag with its name, in declaration order.
+            pub const ALL: &[(&str, u64)] = &[$((stringify!($name), $name)),*];
+        };
+    }
+
+    stream_tags! {
+        /// Graph backend, classic census: configuration-model wiring.
+        GRAPH_CONFIGURATION = 0x6A;
+        /// Graph backend, classic census: bond thinning + site percolation.
+        GRAPH_PERCOLATION = 0x9C;
+        /// Graph backend, classic structured path: per-replication overlay.
+        GRAPH_TOPOLOGY = 0x70;
+        /// Graph backend, classic structured path: fanouts, targets,
+        /// loss and crash draws of the relay digraph.
+        GRAPH_RELAY = 0xD1;
+        /// Flat engine: the single per-replication RNG (graph and
+        /// protocol), so flat and classic runs are independent samples.
+        FLAT = 0xF1A7;
+        /// Flat engine: the overlay CSR built once per evaluation.
+        FLAT_TOPOLOGY = 0xF170;
+        /// Protocol engine: membership-service construction (SCAMP
+        /// views, overlay neighbour lists).
+        MEMBERSHIP = 0x5CA0;
+        /// Protocol engine: the discrete-event simulator's own RNG.
+        SIMULATOR = 0x51E0;
+        /// Protocol engine: Gilbert-Elliott chain start states.
+        GE_CHAIN = 0x6E11;
+        /// Protocol engine: the observer-member pick.
+        OBSERVER = 0x0B5E;
+        /// Churn plan — shared by the protocol engine and the live
+        /// runtime so both realize the same joins and leaves.
+        CHURN = 0xC4A2;
+        /// Adversary's blocked-link set — shared by the graph backend,
+        /// the protocol engine and the live runtime.
+        ADVERSARY = 0xAD7E;
+        /// Stream injection plan (Poisson arrivals).
+        TRAFFIC_PLAN = 0x7AFF1C;
+        /// Round-engine stream execution (alive draw + relay coins).
+        STREAM_EXEC = 0x7AFF2C;
+        /// Live stream relay draws, mixed with `(node, message)`.
+        STREAM_NODE = 0x7AFF3C;
+        /// Live runtime: the crash pattern, single-message and stream
+        /// executions alike.
+        FAILURE = 0xFA11;
+        /// Live runtime: per-actor RNG, mixed with the node id.
+        ACTOR = 0x0A_C708;
+        /// Live runtime: per-execution overlay wiring.
+        RUNTIME_TOPOLOGY = 0x7090;
+    }
+}
+
 fn fill_bytes_via_u64<R: RngCore + ?Sized>(rng: &mut R, dest: &mut [u8]) {
     let mut chunks = dest.chunks_exact_mut(8);
     for chunk in &mut chunks {
@@ -277,6 +339,16 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, SplitMix64::derive(42, 0));
+    }
+
+    #[test]
+    fn stream_tags_are_pairwise_distinct() {
+        for (i, (name, tag)) in streams::ALL.iter().enumerate() {
+            for (other, other_tag) in &streams::ALL[i + 1..] {
+                assert_ne!(tag, other_tag, "{name} and {other} share a stream tag");
+            }
+        }
+        assert_eq!(streams::ALL.len(), 18);
     }
 
     #[test]

@@ -35,5 +35,5 @@ pub mod spec;
 
 pub use engine::{run_stream, Frame, StreamCounters, StreamOutcome, StreamParams, StreamScratch};
 pub use plan::{injection_rounds, TRAFFIC_PLAN_STREAM};
-pub use report::{percentile, TrafficReport};
+pub use report::{merge_histogram, percentile, TrafficReport};
 pub use spec::{ArrivalSpec, BatchingSpec, TrafficError, TrafficSpec, MAX_FRAME_IDS};

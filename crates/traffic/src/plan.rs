@@ -4,10 +4,10 @@ use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 
 use crate::spec::ArrivalSpec;
 
-/// Seed-stream tag for injection plans, disjoint from every other
-/// stream tag in the workspace so traffic arrivals never correlate
-/// with crash draws or relay coins.
-pub const TRAFFIC_PLAN_STREAM: u64 = 0x7AFF1C;
+/// Seed-stream tag for injection plans, declared in the workspace
+/// registry so traffic arrivals never correlate with crash draws or
+/// relay coins.
+pub use gossip_stats::rng::streams::TRAFFIC_PLAN as TRAFFIC_PLAN_STREAM;
 
 /// The round each of `messages` messages is injected at, nondecreasing,
 /// a pure function of `(seed, arrival)`.

@@ -55,9 +55,29 @@ pub fn percentile(histogram: &[u64], p: f64) -> Option<f64> {
     None
 }
 
+/// Adds `part` into `total` bin by bin, growing `total` as needed —
+/// how per-worker and per-replication latency histograms combine.
+pub fn merge_histogram(total: &mut Vec<u64>, part: &[u64]) {
+    if total.len() < part.len() {
+        total.resize(part.len(), 0);
+    }
+    for (sum, &count) in total.iter_mut().zip(part) {
+        *sum += count;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_histogram_grows_and_adds() {
+        let mut total = vec![1, 2];
+        merge_histogram(&mut total, &[10, 0, 5]);
+        assert_eq!(total, [11, 2, 5]);
+        merge_histogram(&mut total, &[1]);
+        assert_eq!(total, [12, 2, 5]);
+    }
 
     #[test]
     fn percentile_nearest_rank() {

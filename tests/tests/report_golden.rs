@@ -1,0 +1,212 @@
+//! Byte-exact `Report` goldens, one small seeded scenario per place
+//! where replications are reduced to a `Report`.
+//!
+//! Every Monte-Carlo backend funnels its per-replication outcomes
+//! through `gossip_model::reduce`; these goldens pin the exact
+//! `serde::json::to_string(&report)` of each route into it — float for
+//! float, field for field — so a refactor of the reduction (or of a
+//! backend's replication loop, seed derivation, or push order into the
+//! running statistics) cannot drift silently. They were captured at the
+//! commit *before* the reductions were unified and must pass unchanged
+//! across pure refactors.
+//!
+//! Regenerate (only when a change is *meant* to move the numbers — say
+//! so in CHANGES.md) with one command from the workspace root:
+//!
+//! ```sh
+//! GOSSIP_BLESS=1 cargo test -p gossip-integration-tests --test report_golden
+//! ```
+//!
+//! which rewrites `tests/tests/golden/reports.jsonl` (one
+//! `name<TAB>json` line per case).
+//!
+//! Deliberately not pinned: piggybacked *live* streams (which frame
+//! wins a race picks the relayed group — aggregate-stable, not
+//! seed-pure) and anything over TCP.
+
+use std::path::PathBuf;
+
+use gossip::{
+    AdversaryStrategy, Backend, BurstySpec, EngineSpec, FanoutSpec, FaultSpec, GraphBackend,
+    LatencySpec, NetSimBackend, OverlaySpec, ProtocolBackend, ProtocolSpec, RuntimeBackend,
+    RuntimeSpec, Scenario, TopologySpec, TrafficSpec,
+};
+
+fn base(n: usize, mean: f64, q: f64, reps: usize, seed: u64) -> Scenario {
+    Scenario::new(n, FanoutSpec::poisson(mean))
+        .with_failure_ratio(q)
+        .with_replications(reps)
+        .with_seed(seed)
+}
+
+fn small_world() -> TopologySpec {
+    TopologySpec::new(OverlaySpec::WattsStrogatz { k: 10, beta: 0.3 })
+}
+
+/// The pinned cases: `(name, backend, scenario)`.
+fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
+    let capped_piggyback = TrafficSpec::stream(8)
+        .with_bandwidth(3)
+        .with_queue_capacity(16)
+        .with_piggyback(4);
+    vec![
+        (
+            "protocol_push",
+            Box::new(ProtocolBackend),
+            base(300, 4.0, 0.9, 12, 0x601D_0001),
+        ),
+        (
+            // Near q_c = 0.25: some executions fizzle, so the
+            // conditional and raw estimators part ways.
+            "protocol_push_near_critical",
+            Box::new(ProtocolBackend),
+            base(300, 4.0, 0.4, 12, 0x601D_0002),
+        ),
+        (
+            // Below q_c: threshold 0, every run conditions.
+            "protocol_push_subcritical",
+            Box::new(ProtocolBackend),
+            base(300, 4.0, 0.15, 8, 0x601D_0003),
+        ),
+        (
+            "protocol_flood",
+            Box::new(ProtocolBackend),
+            base(120, 4.0, 0.9, 5, 0x601D_0004).with_protocol(ProtocolSpec::Flood),
+        ),
+        (
+            "protocol_flat",
+            Box::new(ProtocolBackend),
+            base(400, 4.0, 0.8, 12, 0x601D_0005).with_engine(EngineSpec::Flat),
+        ),
+        (
+            "protocol_stream_capped_piggyback",
+            Box::new(ProtocolBackend),
+            base(300, 4.0, 0.9, 8, 0x601D_0006).with_traffic(capped_piggyback),
+        ),
+        (
+            "netsim_lossy_exponential",
+            Box::new(NetSimBackend),
+            base(300, 6.0, 0.9, 10, 0x601D_0007)
+                .with_loss(0.2)
+                .with_latency(LatencySpec::ExponentialMillis { mean_ms: 8 }),
+        ),
+        (
+            "netsim_stream",
+            Box::new(NetSimBackend),
+            base(300, 6.0, 0.9, 8, 0x601D_0008)
+                .with_loss(0.2)
+                .with_latency(LatencySpec::ConstantMillis { ms: 3 })
+                .with_traffic(TrafficSpec::stream(4).with_bandwidth(8)),
+        ),
+        (
+            "graph_default",
+            Box::new(GraphBackend),
+            base(1000, 4.0, 0.9, 8, 0x601D_0009).with_loss(0.1),
+        ),
+        (
+            "graph_flat_default",
+            Box::new(GraphBackend),
+            base(1000, 4.0, 0.9, 8, 0x601D_000A)
+                .with_loss(0.1)
+                .with_engine(EngineSpec::Flat),
+        ),
+        (
+            "graph_overlay_classic",
+            Box::new(GraphBackend),
+            base(500, 5.0, 0.6, 10, 0x601D_000B).with_topology(small_world()),
+        ),
+        (
+            "graph_overlay_flat",
+            Box::new(GraphBackend),
+            base(500, 5.0, 0.6, 10, 0x601D_000C)
+                .with_topology(small_world())
+                .with_engine(EngineSpec::Flat),
+        ),
+        (
+            "graph_adversary",
+            Box::new(GraphBackend),
+            base(300, 4.0, 0.9, 8, 0x601D_000D)
+                .with_faults(FaultSpec::none().with_adversary(40, AdversaryStrategy::Random)),
+        ),
+        (
+            // f = n − 1 cuts every uplink of the source: no execution
+            // takes off, the zero-take-off branch of the reduction.
+            "graph_adversary_no_takeoff",
+            Box::new(GraphBackend),
+            base(200, 4.0, 1.0, 4, 0x601D_0010)
+                .with_faults(FaultSpec::none().with_adversary(199, AdversaryStrategy::WorstCase)),
+        ),
+        (
+            "runtime_channel_bursty",
+            Box::new(RuntimeBackend::channel()),
+            base(200, 5.0, 0.9, 6, 0x601D_000E).with_faults(FaultSpec::none().with_bursty_loss(
+                BurstySpec {
+                    p_gb: 0.05,
+                    p_bg: 0.25,
+                    loss_good: 0.0,
+                    loss_bad: 0.9,
+                },
+            )),
+        ),
+        (
+            // Unbatched and uncapped, on one shard thread: the delivered
+            // sets are seed-pure at any width, but the latency histogram
+            // stamps the *physically* first copy, which only a single
+            // shard orders deterministically.
+            "runtime_channel_stream_unbatched",
+            Box::new(RuntimeBackend::channel()),
+            base(150, 5.0, 0.9, 4, 0x601D_000F)
+                .with_loss(0.1)
+                .with_runtime(RuntimeSpec {
+                    max_threads: 1,
+                    pacing_micros_per_milli: 0,
+                    watchdog_secs: 0,
+                })
+                .with_traffic(TrafficSpec::stream(3)),
+        ),
+    ]
+}
+
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/reports.jsonl")
+}
+
+#[test]
+fn reports_match_the_committed_goldens() {
+    let actual: Vec<(&str, String)> = cases()
+        .into_iter()
+        .map(|(name, backend, scenario)| {
+            let report = backend
+                .evaluate(&scenario)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, serde::json::to_string(&report).expect("serializes"))
+        })
+        .collect();
+
+    if std::env::var_os("GOSSIP_BLESS").is_some() {
+        let text: String = actual
+            .iter()
+            .map(|(name, json)| format!("{name}\t{json}\n"))
+            .collect();
+        let path = golden_path();
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
+        std::fs::write(&path, text).expect("write goldens");
+        return;
+    }
+
+    let committed = std::fs::read_to_string(golden_path()).expect(
+        "tests/tests/golden/reports.jsonl is committed (see the file header to regenerate)",
+    );
+    let expected: Vec<(&str, &str)> = committed
+        .lines()
+        .map(|line| line.split_once('\t').expect("name<TAB>json"))
+        .collect();
+    assert_eq!(
+        expected.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
+        actual.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
+        "the golden file and `cases()` list different cases"
+    );
+    for ((name, want), (_, got)) in expected.iter().zip(&actual) {
+        assert_eq!(got, want, "{name}: Report JSON drifted from its golden");
+    }
+}
