@@ -16,13 +16,8 @@
 //! protocol coincide (see EXPERIMENTS.md, finding F3).
 
 use gossip_bench::{base_seed, scaled, Table};
-use gossip_model::distribution::{
-    BinomialFanout, EmpiricalFanout, FanoutDistribution, FixedFanout, GeometricFanout,
-    PoissonFanout, UniformFanout,
-};
-use gossip_model::SitePercolation;
-use gossip_protocol::engine::ExecutionConfig;
-use gossip_protocol::experiment;
+use gossip_model::{Backend, FanoutSpec, Scenario, SitePercolation};
+use gossip_protocol::ProtocolBackend;
 use gossip_rgraph::percolation_sim::percolate_many;
 use gossip_rgraph::ConfigurationModel;
 use gossip_stats::rng::Xoshiro256StarStar;
@@ -34,19 +29,19 @@ fn main() {
     let reps = scaled(40);
     let graph_reps = scaled(10);
 
-    let zoo: Vec<(&str, Box<dyn ZooDist>)> = vec![
-        ("Fixed(4)", Box::new(FixedFanout::new(4))),
-        ("U[2,6]", Box::new(UniformFanout::new(2, 6))),
-        ("Bin(8,0.5)", Box::new(BinomialFanout::new(8, 0.5))),
-        ("Po(4)", Box::new(PoissonFanout::new(4.0))),
+    let zoo: Vec<(&str, FanoutSpec)> = vec![
+        ("Fixed(4)", FanoutSpec::fixed(4)),
+        ("U[2,6]", FanoutSpec::Uniform { lo: 2, hi: 6 }),
+        ("Bin(8,0.5)", FanoutSpec::Binomial { m: 8, p: 0.5 }),
+        ("Po(4)", FanoutSpec::poisson(4.0)),
         (
             "Bimodal{1,8}",
             // mean = 0.5714·1 + 0.4286·8 ≈ 4.0
-            Box::new(EmpiricalFanout::new(&[
-                0.0, 0.5714, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4286,
-            ])),
+            FanoutSpec::Empirical {
+                weights: vec![0.0, 0.5714, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4286],
+            },
         ),
-        ("Geom(mean 4)", Box::new(GeometricFanout::with_mean(4.0))),
+        ("Geom(mean 4)", FanoutSpec::geometric_with_mean(4.0)),
     ];
 
     let mut table = Table::new(
@@ -63,9 +58,9 @@ fn main() {
             "R protocol",
         ],
     );
-    let cfg = ExecutionConfig::new(n, q);
-    for (i, (label, dist)) in zoo.iter().enumerate() {
-        let perc = SitePercolation::new(dist.as_fanout(), q).expect("valid q");
+    for (i, (label, spec)) in zoo.iter().enumerate() {
+        let dist = spec.build().expect("zoo parameters are valid");
+        let perc = SitePercolation::new(&*dist, q).expect("valid q");
         let qc = perc
             .critical_q()
             .map(|v| format!("{v:.3}"))
@@ -75,19 +70,26 @@ fn main() {
         // Graph level: undirected giant component on configuration-model
         // realizations (the object the paper's math describes).
         let seed = base_seed().wrapping_add(1000 + i as u64);
-        let g = ConfigurationModel::new(dist.as_fanout(), 20_000)
-            .generate(&mut Xoshiro256StarStar::new(seed));
+        let g =
+            ConfigurationModel::new(&*dist, 20_000).generate(&mut Xoshiro256StarStar::new(seed));
         let graph_r = percolate_many(&g, q, &[], graph_reps, seed ^ 0xF00D)
             .reliability
             .mean();
 
         // Protocol level: the live directed push protocol, conditioned
         // on take-off.
-        let sim = dist.simulate(&cfg, reps, base_seed().wrapping_add(i as u64), 0.3);
+        let scenario = Scenario::new(n, spec.clone())
+            .with_failure_ratio(q)
+            .with_replications(reps)
+            .with_seed(base_seed().wrapping_add(i as u64));
+        let sim = ProtocolBackend
+            .evaluate(&scenario)
+            .expect("the §5 push experiment runs every family")
+            .reliability;
 
         table.push(vec![
             label.to_string(),
-            format!("{:.3}", dist.as_fanout().mean()),
+            format!("{:.3}", dist.mean()),
             qc,
             format!("{analytic:.4}"),
             format!("{graph_r:.4}"),
@@ -105,20 +107,4 @@ fn main() {
          receipt washes out fanout shape (finding F3).",
         gossip_model::poisson_case::reliability(4.0, q).expect("supercritical")
     );
-}
-
-/// Object-safe shim: the zoo mixes concrete distribution types, but
-/// `experiment::reliability_conditional` needs `Clone + 'static`.
-trait ZooDist {
-    fn as_fanout(&self) -> &dyn FanoutDistribution;
-    fn simulate(&self, cfg: &ExecutionConfig, reps: usize, seed: u64, threshold: f64) -> f64;
-}
-
-impl<D: FanoutDistribution + Clone + Sync + 'static> ZooDist for D {
-    fn as_fanout(&self) -> &dyn FanoutDistribution {
-        self
-    }
-    fn simulate(&self, cfg: &ExecutionConfig, reps: usize, seed: u64, threshold: f64) -> f64 {
-        experiment::reliability_conditional(cfg, self, reps, seed, threshold).mean()
-    }
 }

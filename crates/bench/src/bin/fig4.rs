@@ -7,9 +7,10 @@
 //! point respects q > 1/f; "the results of simulations tally with the
 //! analytical results except very few points".
 
-use gossip_bench::figures::{max_supercritical_gap, reliability_table, reliability_vs_fanout};
+use gossip_bench::figures::{
+    max_supercritical_gap, paper_fanout_grid, reliability_table, reliability_vs_fanout,
+};
 use gossip_bench::{ascii_plot, base_seed, scaled};
-use gossip_model::sweep::paper_fanout_grid;
 
 fn main() {
     run(1000, "fig4");

@@ -5,9 +5,10 @@
 //! that our modeling works better in larger scale systems". The
 //! `finite_size` binary quantifies that scaling claim directly.
 
-use gossip_bench::figures::{max_supercritical_gap, reliability_table, reliability_vs_fanout};
+use gossip_bench::figures::{
+    max_supercritical_gap, paper_fanout_grid, reliability_table, reliability_vs_fanout,
+};
 use gossip_bench::{ascii_plot, base_seed, scaled};
-use gossip_model::sweep::paper_fanout_grid;
 
 fn main() {
     let n = 5000;

@@ -7,7 +7,6 @@
 //! the binaries carry no per-layer glue of their own.
 
 use gossip_model::scenario::{AnalyticBackend, Backend, FanoutSpec, Scenario, SweepGrid};
-use gossip_model::sweep::paper_fanout_grid;
 use gossip_protocol::backend::ProtocolBackend;
 use gossip_protocol::experiment;
 use gossip_stats::binomial::Binomial;
@@ -34,6 +33,17 @@ pub struct ReliabilityPoint {
     pub takeoff_rate: f64,
     /// Analytic reliability: the root of Eq. 11.
     pub analytic: f64,
+}
+
+/// The paper's fanout grid for Figs. 4/5: 1.1 to 6.7 step 0.4.
+pub fn paper_fanout_grid() -> Vec<f64> {
+    let mut grid = Vec::new();
+    let mut f = 1.1;
+    while f <= 6.7 + 1e-9 {
+        grid.push((f * 10.0f64).round() / 10.0);
+        f += 0.4;
+    }
+    grid
 }
 
 /// The Figs. 4/5 scenario grid: Poisson fanout over the paper's grid,
@@ -240,33 +250,18 @@ pub fn success_count_table(title: &str, fig: &SuccessCountFigure) -> Table {
     table
 }
 
-/// Renders paired analytic/simulated sweep cells (same grid, two
-/// backends) as a comparison table — the generic porting target for
-/// sweep-style binaries.
-pub fn backend_comparison_table(
-    title: &str,
-    x_label: &str,
-    xs: &[f64],
-    cells: &[(String, Vec<gossip_model::scenario::SweepCell>)],
-) -> Table {
-    let mut headers = vec![x_label.to_string()];
-    for (name, _) in cells {
-        headers.push(format!("R {name}"));
-    }
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut table = Table::new(title, &header_refs);
-    for (i, &x) in xs.iter().enumerate() {
-        let mut row = vec![x];
-        for (_, backend_cells) in cells {
-            row.push(
-                backend_cells[i]
-                    .report
-                    .as_ref()
-                    .map(|r| r.reliability)
-                    .unwrap_or(f64::NAN),
-            );
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn paper_grid_matches_caption() {
+        let grid = paper_fanout_grid();
+        assert_eq!(grid.first().copied(), Some(1.1));
+        assert_eq!(grid.last().copied(), Some(6.7));
+        assert_eq!(grid.len(), 15);
+        for w in grid.windows(2) {
+            assert!(((w[1] - w[0]) - 0.4).abs() < 1e-9);
         }
-        table.push_floats(&row, 4);
     }
-    table
 }

@@ -69,6 +69,18 @@ impl fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
+/// Lossless: the faults crate's error is field-compatible with
+/// [`ModelError::InvalidParameter`].
+impl From<gossip_faults::FaultError> for ModelError {
+    fn from(e: gossip_faults::FaultError) -> Self {
+        ModelError::InvalidParameter {
+            name: e.name,
+            value: e.value,
+            requirement: e.requirement,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,4 @@
-//! The Lambert W function (real branches).
+//! The Lambert W function (principal real branch).
 //!
 //! The Poisson reliability fixed point `S = 1 − e^{−aS}` (paper Eq. 11
 //! with `a = z·q`) has the closed-form solution `S = 1 + W0(−a·e^{−a})/a`
@@ -31,26 +31,6 @@ pub fn lambert_w0(x: f64) -> f64 {
         // Large x: W ≈ ln x − ln ln x.
         let l = x.ln();
         l - l.ln().max(0.0)
-    };
-    halley(&mut w, x);
-    w
-}
-
-/// Secondary real branch `W−1(x)` for `x ∈ [−1/e, 0)`: the solution
-/// `w ≤ −1` of `w·e^w = x`.
-pub fn lambert_w_minus1(x: f64) -> f64 {
-    assert!(
-        (-std::f64::consts::E.recip() - 1e-15..0.0).contains(&x),
-        "W-1 requires -1/e <= x < 0, got {x}"
-    );
-    // Initial guess: near branch point use the same series with −p;
-    // toward 0⁻ use the asymptotic ln(−x) − ln(−ln(−x)).
-    let mut w = if x < -0.25 {
-        let p = (2.0 * (std::f64::consts::E * x + 1.0)).max(0.0).sqrt();
-        -1.0 - p - p * p / 3.0 - 11.0 * p * p * p / 72.0
-    } else {
-        let l = (-x).ln();
-        l - (-l).ln()
     };
     halley(&mut w, x);
     w
@@ -111,28 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn w_minus1_satisfies_defining_equation() {
-        for &x in &[-0.367, -0.3, -0.2, -0.05, -1e-4] {
-            let w = lambert_w_minus1(x);
-            assert!(
-                defining_eq(w, x) < 1e-12,
-                "x = {x}: w = {w}, residual {}",
-                defining_eq(w, x)
-            );
-            assert!(w <= -1.0 + 1e-9, "W-1 must stay below -1, got {w}");
-        }
-    }
-
-    #[test]
-    fn branches_differ() {
-        let x = -0.2;
-        let w0 = lambert_w0(x);
-        let wm1 = lambert_w_minus1(x);
-        assert!(w0 > -1.0 && wm1 < -1.0);
-        assert!((w0 - wm1).abs() > 0.5);
-    }
-
-    #[test]
     fn giant_component_via_w0() {
         // S = 1 + W0(−a e^{−a})/a solves S = 1 − e^{−aS}; check at a = 2.
         let a = 2.0f64;
@@ -145,11 +103,5 @@ mod tests {
     #[should_panic(expected = "W0 requires")]
     fn w0_rejects_below_branch_point() {
         lambert_w0(-0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "W-1 requires")]
-    fn w_minus1_rejects_positive() {
-        lambert_w_minus1(0.1);
     }
 }

@@ -103,8 +103,6 @@
 //! * [`poisson_case`] — §4.3 closed forms, including a Lambert-W solution
 //!   of `S = 1 − e^{−zqS}`.
 //! * [`model`] — the [`Gossip`] façade tying everything together.
-//! * [`sweep`] — series generators used by the figure-reproduction
-//!   binaries.
 //! * [`baselines`] — the three related-work models of §2 (pbcast
 //!   recurrence, SI epidemic, Kermarrec–Massoulié–Ganesh criterion),
 //!   implemented so the paper's comparison is executable.
@@ -126,7 +124,6 @@ pub mod scenario;
 pub mod series;
 pub mod solver;
 pub mod success;
-pub mod sweep;
 
 pub use distribution::{
     BinomialFanout, EmpiricalFanout, FanoutDistribution, FixedFanout, GeometricFanout,

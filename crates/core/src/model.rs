@@ -76,24 +76,10 @@ impl<D: FanoutDistribution> Gossip<D> {
         self.percolation()?.reliability()
     }
 
-    /// Expected number of nonfailed members that receive the message in
-    /// one execution, `R(q, P) · ⌊n·q⌋`.
-    pub fn expected_receivers(&self) -> Result<f64, ModelError> {
-        Ok(self.reliability()? * self.nonfailed_count() as f64)
-    }
-
     /// Critical nonfailed ratio `q_c` (Eq. 3); `None` if the distribution
     /// can never percolate.
     pub fn critical_q(&self) -> Option<f64> {
         self.percolation().ok().and_then(|p| p.critical_q())
-    }
-
-    /// Whether the configured `q` is above the critical point — i.e. the
-    /// failure level is tolerable at all.
-    pub fn tolerates_failures(&self) -> bool {
-        self.percolation()
-            .map(|p| p.is_supercritical())
-            .unwrap_or(false)
     }
 
     /// Probability that a given nonfailed member is reached at least once
@@ -128,23 +114,14 @@ mod tests {
             crate::success::required_executions(0.967, 0.999).unwrap() == 3,
             "paper's rounded p_r reproduces its t = 3"
         );
-        assert!(g.tolerates_failures());
+        assert!(g.percolation().unwrap().is_supercritical());
         assert!((g.critical_q().unwrap() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expected_receivers_scales_with_n() {
-        let small = Gossip::new(1000, PoissonFanout::new(4.0), 0.9).unwrap();
-        let large = Gossip::new(5000, PoissonFanout::new(4.0), 0.9).unwrap();
-        let r_small = small.expected_receivers().unwrap();
-        let r_large = large.expected_receivers().unwrap();
-        assert!((r_large / r_small - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn subcritical_model() {
         let g = Gossip::new(1000, PoissonFanout::new(4.0), 0.2).unwrap();
-        assert!(!g.tolerates_failures());
+        assert!(!g.percolation().unwrap().is_supercritical());
         assert_eq!(g.reliability().unwrap(), 0.0);
         assert!(g.required_executions(0.9).is_err());
         assert!((g.success_probability(10).unwrap() - 0.0).abs() < 1e-15);
@@ -161,7 +138,7 @@ mod tests {
     fn never_percolating_distribution() {
         let g = Gossip::new(100, FixedFanout::new(1), 1.0).unwrap();
         assert_eq!(g.critical_q(), None);
-        assert!(!g.tolerates_failures());
+        assert!(!g.percolation().unwrap().is_supercritical());
         assert_eq!(g.reliability().unwrap(), 0.0);
     }
 

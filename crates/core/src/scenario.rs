@@ -96,7 +96,7 @@ use crate::error::ModelError;
 use crate::loss::LossyGossip;
 use crate::percolation::SitePercolation;
 use crate::success;
-use gossip_faults::{FaultError, FaultReduction, FaultSpec};
+use gossip_faults::{FaultReduction, FaultSpec};
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::SplitMix64;
 use gossip_topology::{TopologyError, TopologySpec};
@@ -750,18 +750,7 @@ impl Scenario {
         }
         // Fault parameters are validated by the faults crate; its error
         // type is field-compatible too, so the mapping is lossless.
-        if let Err(FaultError {
-            name,
-            value,
-            requirement,
-        }) = self.faults.validate(self.n, &self.topology)
-        {
-            return Err(ModelError::InvalidParameter {
-                name,
-                value,
-                requirement,
-            });
-        }
+        self.faults.validate(self.n, &self.topology)?;
         // Bursty loss *replaces* the i.i.d. loss channel; letting both
         // run would double-count drops, so the combination is rejected
         // here (the faults crate never sees the scenario's loss knob).

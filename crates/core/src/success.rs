@@ -75,19 +75,6 @@ pub fn success_count_distribution(t: u32, p_r: f64) -> Binomial {
     Binomial::new(t as u64, p_r)
 }
 
-/// Expected number of executions until the first success (geometric
-/// mean), `1 / p_r`. Companion metric to [`required_executions`].
-pub fn expected_executions_to_success(p_r: f64) -> Result<f64, ModelError> {
-    if !(0.0..=1.0).contains(&p_r) || p_r == 0.0 {
-        return Err(ModelError::InvalidParameter {
-            name: "p_r",
-            value: p_r,
-            requirement: "per-execution reliability must lie in (0, 1]",
-        });
-    }
-    Ok(1.0 / p_r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,11 +155,5 @@ mod tests {
         // P(X >= 1) must equal Eq. 5.
         assert!((b.sf(1) - success_probability(0.967, 20)).abs() < 1e-12);
         assert_eq!(b.n(), 20);
-    }
-
-    #[test]
-    fn expected_executions() {
-        assert!((expected_executions_to_success(0.5).unwrap() - 2.0).abs() < 1e-15);
-        assert!(expected_executions_to_success(0.0).is_err());
     }
 }

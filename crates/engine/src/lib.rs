@@ -38,6 +38,9 @@ pub mod bitset;
 pub mod relay;
 pub mod sampler;
 
+use gossip_stats::parallel::parallel_map;
+use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
+
 pub use bitset::BitSet;
 pub use relay::{RelayOutcome, RelayScratch, RelaySetup};
 pub use sampler::FanoutSampler;
@@ -58,4 +61,32 @@ pub fn chunk_bounds(reps: usize) -> (usize, impl Fn(usize) -> std::ops::Range<us
     (chunks, move |chunk| {
         (chunk * reps / chunks)..((chunk + 1) * reps / chunks)
     })
+}
+
+/// Runs the `reps` replications of one flat evaluation and yields their
+/// digests in replication order: chunked over `parallel_map` (see
+/// [`chunk_bounds`]), one `scratch()` arena per chunk, and for each
+/// replication the seed `derive(base_seed, rep)` with its
+/// [`FLAT_STREAM`] RNG handed to `replicate`.
+pub fn run_replications<S, T: Send>(
+    base_seed: u64,
+    reps: usize,
+    scratch: impl Fn() -> S + Sync,
+    replicate: impl Fn(u64, &mut S, &mut Xoshiro256StarStar) -> T + Sync,
+) -> impl Iterator<Item = T> {
+    let (chunks, bounds) = chunk_bounds(reps);
+    let per_chunk: Vec<Vec<T>> = parallel_map(chunks, |chunk| {
+        let reps = bounds(chunk);
+        // The digests outlive this worker, the scratch does not: allocate
+        // them first so the freed arena is not pinned beneath them.
+        let mut digests = Vec::with_capacity(reps.len());
+        let mut scratch = scratch();
+        for rep in reps {
+            let seed = SplitMix64::derive(base_seed, rep as u64);
+            let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, FLAT_STREAM));
+            digests.push(replicate(seed, &mut scratch, &mut rng));
+        }
+        digests
+    });
+    per_chunk.into_iter().flatten()
 }

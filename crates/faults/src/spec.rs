@@ -95,6 +95,42 @@ pub struct ZoneFailureSpec {
     pub at_ms: u64,
 }
 
+/// The zone count a zone failure resolves against: only a `Clustered`
+/// overlay has zones.
+fn zone_count(topology: &TopologySpec, z: &ZoneFailureSpec) -> Result<usize, FaultError> {
+    match topology.overlay {
+        OverlaySpec::Clustered { zones, .. } => Ok(zones),
+        _ => Err(invalid(
+            "zone_failure",
+            z.zones.len() as f64,
+            "correlated zone failures need a Clustered topology",
+        )),
+    }
+}
+
+impl ZoneFailureSpec {
+    /// The members this failure kills in a group of `n` over `topology`:
+    /// every member of the listed zones except `source`, in list order
+    /// then id order. A typed error when `topology` is not `Clustered` —
+    /// reachable only by configurations that bypass
+    /// [`FaultSpec::validate`].
+    pub fn killed_members(
+        &self,
+        n: usize,
+        topology: &TopologySpec,
+        source: u32,
+    ) -> Result<Vec<u32>, FaultError> {
+        let zones = zone_count(topology, self)?;
+        Ok(self
+            .zones
+            .iter()
+            .flat_map(|&zone| zone_members(n, zones, zone))
+            .map(|member| member as u32)
+            .filter(|&member| member != source)
+            .collect())
+    }
+}
+
 /// Gilbert-Elliott bursty loss: a two-state (good/bad) Markov channel
 /// replacing the scenario's i.i.d. loss.
 ///
@@ -233,16 +269,7 @@ impl FaultSpec {
             }
         }
         if let Some(z) = &self.zone_failure {
-            let zones = match topology.overlay {
-                OverlaySpec::Clustered { zones, .. } => zones,
-                _ => {
-                    return Err(invalid(
-                        "zone_failure",
-                        z.zones.len() as f64,
-                        "correlated zone failures need a Clustered topology",
-                    ))
-                }
-            };
+            let zones = zone_count(topology, z)?;
             for &zone in &z.zones {
                 if zone >= zones {
                     return Err(invalid(
@@ -558,6 +585,25 @@ mod tests {
         }
         let total: usize = (0..3).map(|z| zone_members(10, 3, z).len()).sum();
         assert_eq!(total, 10);
+    }
+
+    #[test]
+    fn killed_members_spares_the_source_and_needs_clusters() {
+        let z = ZoneFailureSpec {
+            zones: vec![2, 0],
+            at_ms: 0,
+        };
+        // n = 10, zones = 3: zone 2 = {7, 8, 9}, zone 0 = {0..=3}.
+        assert_eq!(
+            z.killed_members(10, &clustered(3), 0).unwrap(),
+            vec![7, 8, 9, 1, 2, 3]
+        );
+        assert_eq!(
+            z.killed_members(10, &clustered(3), 8).unwrap(),
+            vec![7, 9, 0, 1, 2, 3]
+        );
+        let err = z.killed_members(10, &TopologySpec::default(), 0);
+        assert_eq!(err.unwrap_err().name, "zone_failure");
     }
 
     #[test]

@@ -28,12 +28,6 @@ pub struct SimMetrics {
 }
 
 impl SimMetrics {
-    /// Messages that left a node but never reached a live behaviour
-    /// (lost in the network or absorbed by a crashed target).
-    pub fn messages_wasted(&self) -> u64 {
-        self.messages_lost + self.deliveries_to_crashed
-    }
-
     /// Redundancy ratio: messages sent per message delivered (∞ → `None`
     /// when nothing was delivered).
     pub fn redundancy(&self) -> Option<f64> {
@@ -58,7 +52,6 @@ mod tests {
             deliveries_to_crashed: 5,
             ..Default::default()
         };
-        assert_eq!(m.messages_wasted(), 20);
         assert!((m.redundancy().unwrap() - 1.25).abs() < 1e-12);
     }
 

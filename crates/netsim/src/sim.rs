@@ -248,29 +248,6 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         &self.metrics
     }
 
-    /// Runs until no events remain or `max_events` have been processed;
-    /// returns `true` if the simulation quiesced.
-    pub fn run_bounded(&mut self, max_events: u64) -> bool {
-        let mut processed = 0u64;
-        while processed < max_events {
-            if !self.step() {
-                return true;
-            }
-            processed += 1;
-        }
-        self.queue.is_empty()
-    }
-
-    /// Runs until simulated time exceeds `deadline` or the queue empties.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-    }
-
     // --- dispatch plumbing -------------------------------------------
 
     fn dispatch_message(&mut self, target: NodeId, from: NodeId, msg: M) {
@@ -481,36 +458,6 @@ mod tests {
         assert!(sim.is_crashed(2));
         assert_eq!(sim.metrics().crashes, 1);
         assert_eq!(sim.live_count(), 4);
-    }
-
-    #[test]
-    fn run_bounded_stops_early() {
-        // Two nodes ping-pong forever: 0 and 1 always relay (never set
-        // `seen` — use a custom behaviour).
-        struct PingPong;
-        impl NodeBehavior<u8> for PingPong {
-            fn on_message(&mut self, ctx: &mut NodeCtx<'_, u8>, from: NodeId, msg: u8) {
-                ctx.send(from, msg);
-            }
-        }
-        let mut sim = Simulator::new(
-            vec![PingPong, PingPong],
-            NetworkConfig::new(LatencyModel::constant_millis(1)),
-            Box::new(FullView::new(2)),
-            9,
-        );
-        sim.inject(1, 0, 1);
-        let quiesced = sim.run_bounded(100);
-        assert!(!quiesced, "ping-pong must still be running");
-        assert_eq!(sim.metrics().events_processed, 100);
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = relay_sim(20, 5);
-        sim.inject(0, 0, 1);
-        sim.run_until(SimTime::from_nanos(500_000)); // 0.5 ms < first hop
-        assert!(sim.metrics().last_event_time <= SimTime::from_nanos(500_000));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use gossip_engine::{FanoutSampler, RelayScratch, RelaySetup, FLAT_STREAM, FLAT_TOPOLOGY_STREAM};
+use gossip_engine::{FanoutSampler, RelayScratch, RelaySetup, FLAT_TOPOLOGY_STREAM};
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{
@@ -29,9 +29,11 @@ use gossip_model::scenario::{
 use gossip_model::ModelError;
 use gossip_netsim::{FailurePlan, LatencyModel, NetworkConfig, SimDuration};
 use gossip_stats::parallel::parallel_map;
-use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
+use gossip_stats::rng::SplitMix64;
 
-use crate::engine::{run_execution_with_plan, ExecutionConfig, ExecutionOutcome, MembershipKind};
+use crate::engine::{
+    inject_push, run_execution_with_plan, ExecutionConfig, ExecutionOutcome, MembershipKind,
+};
 use crate::flood::Flooding;
 use crate::message::{GossipMessage, MessageId};
 use crate::push::PushGossip;
@@ -117,17 +119,6 @@ fn run_variant(
     plan: &FailurePlan,
     seed: u64,
 ) -> Result<ExecutionOutcome, ModelError> {
-    fn inject_push<P: gossip_netsim::NodeBehavior<GossipMessage>>(
-        seed: u64,
-    ) -> impl FnOnce(&mut gossip_netsim::Simulator<GossipMessage, P>, u32) {
-        move |sim, source| {
-            sim.inject(
-                source,
-                source,
-                GossipMessage::new(MessageId(seed), &b"payload"[..]),
-            );
-        }
-    }
     match protocol {
         ProtocolSpec::Push => {
             let shared = dist.clone();
@@ -237,15 +228,11 @@ fn evaluate_flat(
     };
     let selection = scenario.topology.selection;
     let sampler = FanoutSampler::new(dist);
-    let (chunks, bounds) = gossip_engine::chunk_bounds(scenario.replications);
-    let per_chunk: Vec<Vec<Execution>> = parallel_map(chunks, |chunk| {
-        let reps = bounds(chunk);
-        // The digests outlive this worker, the scratch does not: allocate
-        // them first so the freed arena is not pinned beneath them.
-        let mut executions = Vec::with_capacity(reps.len());
-        let mut scratch = RelayScratch::new(n);
-        for rep in reps {
-            let seed = SplitMix64::derive(scenario.seed, rep as u64);
+    let executions = gossip_engine::run_replications(
+        scenario.seed,
+        scenario.replications,
+        || RelayScratch::new(n),
+        |_, scratch, rng| {
             let setup = RelaySetup {
                 n,
                 source: 0,
@@ -257,18 +244,15 @@ fn evaluate_flat(
                 blocked: None,
                 prefailed: &[],
             };
-            let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, FLAT_STREAM));
-            let out = setup.run(&mut scratch, &mut rng);
-            executions.push(Execution {
+            let out = setup.run(scratch, rng);
+            Execution {
                 reliability: out.reliability(),
                 rounds: Some(out.max_hop as f64),
                 messages_per_member: Some(out.messages_sent as f64 / out.nonfailed.max(1) as f64),
                 ..Execution::default()
-            });
-        }
-        executions
-    });
-    let executions = per_chunk.into_iter().flatten();
+            }
+        },
+    );
     reduce::conditioned("protocol", None, scenario, dist, executions)
 }
 
@@ -522,6 +506,39 @@ mod tests {
         // Fault-free reports carry no label.
         let plain = ProtocolBackend.evaluate(&headline(5)).unwrap();
         assert_eq!(plain.faults, None);
+    }
+
+    #[test]
+    fn churn_that_empties_the_initial_group_still_reports() {
+        use gossip_faults::ChurnSpec;
+        use gossip_model::FaultSpec;
+        use std::sync::mpsc;
+        use std::time::Duration;
+        // n = 3 at q = 0.01 with heavy churn: both initial non-source
+        // members are dead at the end of most runs while joiners keep
+        // the group populated. The observer pick used to spin forever
+        // here, so the evaluation runs on its own thread and a
+        // regression fails this test instead of wedging the suite.
+        let scenario = Scenario::new(3, FanoutSpec::poisson(4.0))
+            .with_failure_ratio(0.01)
+            .with_replications(4)
+            .with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(200.0, 100)));
+        assert!(scenario.validate().is_ok());
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send((
+                NetSimBackend.evaluate(&scenario),
+                ProtocolBackend.evaluate(&scenario),
+            ));
+        });
+        let (netsim, protocol) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the evaluation must return, not hang");
+        worker.join().expect("the worker has already sent");
+        for report in [netsim.unwrap(), protocol.unwrap()] {
+            assert_eq!(report.replications, 4);
+            assert!((0.0..=1.0).contains(&report.reliability));
+        }
     }
 
     #[test]

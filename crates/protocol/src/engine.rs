@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use gossip_faults::{zone_members, BlockedLinks, ChurnPlan, FaultSpec, GilbertElliott};
+use gossip_faults::{BlockedLinks, ChurnPlan, FaultSpec, GilbertElliott};
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::ModelError;
 use gossip_netsim::membership::{DynamicView, FullView, Membership, OverlayView, ScampViews};
@@ -16,7 +16,7 @@ use gossip_netsim::{
     FailurePlan, LinkFaults, NetworkConfig, NodeBehavior, NodeId, SimTime, Simulator,
 };
 use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
-use gossip_topology::{OverlaySpec, TopologySpec};
+use gossip_topology::TopologySpec;
 use serde::{Deserialize, Serialize};
 
 use crate::message::{GossipMessage, MessageId};
@@ -159,52 +159,16 @@ impl ExecutionOutcome {
     }
 }
 
-/// Runs one execution of an arbitrary protocol built by `make(node_id)`.
+/// Runs one execution of an arbitrary protocol built by `make(node_id)`
+/// under an explicit [`FailurePlan`] (`cfg.q` is ignored — the paper's
+/// i.i.d. crash-at-start model is `FailurePlan::paper_model`); `inject`
+/// hands the source its message.
 ///
-/// The run is a pure function of `(cfg, make, seed)`: the crash pattern,
-/// membership (if SCAMP), network and protocol randomness all derive
-/// from `seed`. Configurations that bypass `Scenario::validate` and
-/// combine incompatible faults and memberships get a typed error, not a
-/// panic.
-pub fn run_execution<P, F>(
-    cfg: &ExecutionConfig,
-    make: F,
-    seed: u64,
-) -> Result<ExecutionOutcome, ModelError>
-where
-    P: GossipProtocol + NodeBehavior<GossipMessage>,
-    F: FnMut(NodeId) -> P,
-{
-    run_execution_with(cfg, make, seed, |sim, source| {
-        sim.inject(
-            source,
-            source,
-            GossipMessage::new(MessageId(seed), &b"payload"[..]),
-        );
-    })
-}
-
-/// As [`run_execution`], but with a custom injection step (used by
-/// protocols whose message type wraps [`GossipMessage`], e.g. push-pull,
-/// via their own engines; exposed for extensibility).
-pub fn run_execution_with<P, M, F, I>(
-    cfg: &ExecutionConfig,
-    make: F,
-    seed: u64,
-    inject: I,
-) -> Result<ExecutionOutcome, ModelError>
-where
-    P: GossipProtocol + NodeBehavior<M>,
-    F: FnMut(NodeId) -> P,
-    I: FnOnce(&mut Simulator<M, P>, NodeId),
-{
-    let plan = FailurePlan::paper_model(cfg.q, cfg.source);
-    run_execution_with_plan(cfg, make, seed, &plan, inject)
-}
-
-/// As [`run_execution_with`], but with an explicit [`FailurePlan`]
-/// instead of the paper's i.i.d. crash-at-start model — the entry point
-/// for scenarios with scheduled mid-run crashes (`cfg.q` is ignored).
+/// The run is a pure function of `(cfg, make, seed, plan)`: the crash
+/// pattern, membership (if SCAMP), network and protocol randomness all
+/// derive from `seed`. Configurations that bypass `Scenario::validate`
+/// and combine incompatible faults and memberships get a typed error,
+/// not a panic.
 pub fn run_execution_with_plan<P, M, F, I>(
     cfg: &ExecutionConfig,
     mut make: F,
@@ -265,22 +229,13 @@ where
         }
     }
     if let Some(zone_failure) = &cfg.faults.zone_failure {
-        let zones = match &cfg.membership {
-            MembershipKind::Overlay {
-                spec:
-                    TopologySpec {
-                        overlay: OverlaySpec::Clustered { zones, .. },
-                        ..
-                    },
-            } => *zones,
-            _ => {
-                return Err(ModelError::InvalidParameter {
-                    name: "zone_failure",
-                    value: zone_failure.zones.len() as f64,
-                    requirement: "correlated zone failures need a Clustered overlay membership",
-                })
-            }
+        // Zones resolve against the overlay the views are pinned to; any
+        // other membership has none (typed error).
+        let topology = match cfg.membership {
+            MembershipKind::Overlay { spec } => spec,
+            _ => TopologySpec::default(),
         };
+        let killed = zone_failure.killed_members(cfg.n, &topology, cfg.source)?;
         // Scheduled before the injection: an `at_ms = 0` kill fires
         // before the source's message lands (events order by time, then
         // insertion sequence).
@@ -295,12 +250,8 @@ where
                               (at_ms <= u64::MAX / 1e6)",
                 })?;
         let at = SimTime::from_nanos(at_ns);
-        for &zone in &zone_failure.zones {
-            for member in zone_members(cfg.n, zones, zone) {
-                if member as NodeId != cfg.source {
-                    sim.schedule_crash(at, member as NodeId);
-                }
-            }
+        for member in killed {
+            sim.schedule_crash(at, member);
         }
     }
     if cfg.faults.bursty_loss.is_some() || cfg.faults.adversary.is_some() {
@@ -343,21 +294,25 @@ where
         }
     }
 
-    // Observer member: uniform among nonfailed non-source members,
-    // chosen by rejection with a seed-derived RNG (deterministic).
-    let mut observer_rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::OBSERVER));
-    let observer_reached = loop {
-        let candidate = observer_rng.next_below(cfg.n as u64) as NodeId;
-        if candidate != cfg.source && !sim.is_crashed(candidate) {
-            break sim.node(candidate).has_received();
+    // Observer member: uniform among the nonfailed non-source members of
+    // the *initial* group, chosen by rejection with a seed-derived RNG
+    // (deterministic). Crashes and churn leaves can take every one of
+    // them while joiners keep the group alive, so whether a candidate
+    // exists is decided before the loop — it would never exit otherwise —
+    // and the source stands in when none does.
+    let source = cfg.source;
+    let observer = if (0..cfg.n as NodeId).any(|v| v != source && !sim.is_crashed(v)) {
+        let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::OBSERVER));
+        loop {
+            let candidate = rng.next_below(cfg.n as u64) as NodeId;
+            if candidate != source && !sim.is_crashed(candidate) {
+                break candidate;
+            }
         }
-        // With q > 0 a nonfailed candidate exists (the loop terminates
-        // with probability 1); n = 2 with the only other node crashed is
-        // the lone degenerate case — fall back to the source then.
-        if sim.live_count() <= 1 {
-            break sim.node(cfg.source).has_received();
-        }
+    } else {
+        source
     };
+    let observer_reached = sim.node(observer).has_received();
 
     Ok(ExecutionOutcome {
         nonfailed,
@@ -382,7 +337,28 @@ where
     D: FanoutDistribution + Clone + 'static,
 {
     let shared: Arc<dyn FanoutDistribution> = Arc::new(dist.clone());
-    run_execution(cfg, |_| PushGossip::new(shared.clone()), seed)
+    let plan = FailurePlan::paper_model(cfg.q, cfg.source);
+    run_execution_with_plan(
+        cfg,
+        |_| PushGossip::new(shared.clone()),
+        seed,
+        &plan,
+        inject_push(seed),
+    )
+}
+
+/// The injection step of every protocol whose wire type is the bare
+/// [`GossipMessage`]: the source hands itself message `seed`.
+pub(crate) fn inject_push<P: NodeBehavior<GossipMessage>>(
+    seed: u64,
+) -> impl FnOnce(&mut Simulator<GossipMessage, P>, NodeId) {
+    move |sim, source| {
+        sim.inject(
+            source,
+            source,
+            GossipMessage::new(MessageId(seed), &b"payload"[..]),
+        );
+    }
 }
 
 #[cfg(test)]

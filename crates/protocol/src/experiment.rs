@@ -1,77 +1,33 @@
-//! Monte-Carlo experiment harness (paper §5).
+//! The Figs. 6/7 / Eq. 5 harness (paper §5.2): the measurements a
+//! `Report` cannot express.
 //!
-//! Reproduces the paper's measurement procedures:
+//! A Monte-Carlo *reliability* (Figs. 4/5) is a `Scenario` evaluated by
+//! [`crate::ProtocolBackend`] or [`crate::NetSimBackend`] and reduced —
+//! take-off conditioning included — by `gossip_model::reduce`; nothing
+//! here estimates one. What remains is per-execution and per-member:
 //!
-//! * **Reliability** (Figs. 4/5): "for each pair `{f, q}`, we run our
-//!   gossiping algorithm 20 times and report the average results" —
-//!   [`reliability`].
 //! * **Success of gossiping** (Figs. 6/7): "we run our gossiping
 //!   algorithm for 20 times in one simulation, and each simulation is
 //!   repeated for 100 times; then we report the distribution of the
 //!   number X of gossiping successes among the 20 executions" —
-//!   [`success_count_distribution`].
+//!   [`member_receipt_distribution`], [`success_count_distribution`].
 //! * **Success vs. t** (Eq. 5 validation): empirical probability that a
 //!   member is reached at least once within `t` executions —
 //!   [`success_within_t`].
+//! * **Dissemination dynamics**: the raw [`executions`] and the mean
+//!   cumulative [`hop_profile`] the related-work baselines are compared
+//!   against.
 //!
 //! All runs derive per-replication seeds from `(base_seed, index)` and
 //! fan out over [`gossip_stats::parallel`], so results are identical on
 //! 1 or 64 threads.
 
 use gossip_model::distribution::FanoutDistribution;
-use gossip_stats::descriptive::OnlineStats;
 use gossip_stats::histogram::IntHistogram;
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::SplitMix64;
 
 use crate::engine::{run_push, ExecutionConfig, ExecutionOutcome};
-
-/// Runs `reps` independent executions and accumulates the reliability of
-/// each (the Figs. 4/5 procedure; the paper uses `reps = 20`).
-pub fn reliability<D>(cfg: &ExecutionConfig, dist: &D, reps: usize, base_seed: u64) -> OnlineStats
-where
-    D: FanoutDistribution + Clone + Sync + 'static,
-{
-    let outcomes = executions(cfg, dist, reps, base_seed);
-    let mut stats = OnlineStats::new();
-    for o in &outcomes {
-        stats.push(o.reliability());
-    }
-    stats
-}
-
-/// Mean reliability conditioned on *take-off*: executions in which the
-/// dissemination escaped the source's neighbourhood (reliability above
-/// `threshold`, conventionally half the analytic prediction).
-///
-/// The branching process dies immediately at the source with probability
-/// `≈ 1 − R` even above the critical point; those executions contribute
-/// reliability ≈ 0 and drag the unconditional mean toward `R²`. The giant
-/// component size of the theory is the *conditional* value — this is the
-/// estimator that converges to Eq. 11's root. (The paper's own Figs. 4/5
-/// average unconditionally over 20 runs, which is why it reports that
-/// simulations "tally with the analytical results except very few
-/// points".)
-pub fn reliability_conditional<D>(
-    cfg: &ExecutionConfig,
-    dist: &D,
-    reps: usize,
-    base_seed: u64,
-    threshold: f64,
-) -> OnlineStats
-where
-    D: FanoutDistribution + Clone + Sync + 'static,
-{
-    let outcomes = executions(cfg, dist, reps, base_seed);
-    let mut stats = OnlineStats::new();
-    for o in &outcomes {
-        let r = o.reliability();
-        if r > threshold {
-            stats.push(r);
-        }
-    }
-    stats
-}
 
 /// Runs `reps` independent executions, returning every outcome (for cost
 /// and latency metrics beyond reliability).
@@ -164,8 +120,9 @@ where
 
 /// Mean cumulative dissemination profile: entry `h` is the expected
 /// fraction of nonfailed members first reached within `h` hops of the
-/// source, averaged over `reps` executions (take-off executions only,
-/// threshold as in [`reliability_conditional`]).
+/// source, averaged over the executions that took off (reliability
+/// above `takeoff_threshold`, conventionally half the analytic
+/// prediction).
 ///
 /// Hop distance is the discrete-time analogue of gossip "rounds", making
 /// this directly comparable to the pbcast recurrence and SI epidemic
@@ -251,27 +208,6 @@ mod tests {
     use gossip_model::poisson_case;
 
     #[test]
-    fn reliability_matches_analysis_small() {
-        // n = 1000, Po(4), q = 0.9 — the paper's headline point.
-        let cfg = ExecutionConfig::new(1000, 0.9);
-        let stats = reliability(&cfg, &PoissonFanout::new(4.0), 20, 7);
-        let analytic = poisson_case::reliability(4.0, 0.9).unwrap();
-        assert!(
-            (stats.mean() - analytic).abs() < 0.03,
-            "sim {} vs analytic {analytic}",
-            stats.mean()
-        );
-        assert_eq!(stats.count(), 20);
-    }
-
-    #[test]
-    fn subcritical_reliability_near_zero() {
-        let cfg = ExecutionConfig::new(1000, 0.2);
-        let stats = reliability(&cfg, &PoissonFanout::new(2.0), 10, 8);
-        assert!(stats.mean() < 0.05, "got {}", stats.mean());
-    }
-
-    #[test]
     fn success_counts_concentrate_at_high_reliability() {
         // Small group, very high fanout: essentially every execution
         // succeeds, X ≈ execs_per_sim.
@@ -309,22 +245,6 @@ mod tests {
         );
         // Hop 0 is just the source.
         assert!(profile[0] < 0.01);
-    }
-
-    #[test]
-    fn conditional_reliability_filters_duds() {
-        let cfg = ExecutionConfig::new(600, 0.9);
-        let dist = PoissonFanout::new(4.0);
-        let analytic = poisson_case::reliability(4.0, 0.9).unwrap();
-        let all = reliability(&cfg, &dist, 40, 13);
-        let cond = reliability_conditional(&cfg, &dist, 40, 13, 0.5 * analytic);
-        assert!(cond.count() <= all.count());
-        assert!(cond.mean() >= all.mean() - 1e-12);
-        assert!(
-            (cond.mean() - analytic).abs() < 0.02,
-            "cond {}",
-            cond.mean()
-        );
     }
 
     #[test]

@@ -10,31 +10,33 @@
 //! duplicates.* Around it:
 //!
 //! * Baselines the gossip literature compares against:
-//!   [`RoundBasedGossip`] (pbcast-style periodic rounds),
-//!   [`PushPullGossip`] (anti-entropy pulls), and [`Flooding`]
+//!   [`PushPullGossip`] (anti-entropy pulls) and [`Flooding`]
 //!   (forward-to-whole-view).
 //! * [`engine`] — one *execution* of a protocol: build the simulator,
 //!   apply the paper's crash model, inject the message at the source, run
 //!   to quiescence, and measure reliability = `n_rece / n_nonfailed`
 //!   (§4.2) plus latency/cost metrics the paper's model abstracts away.
-//! * [`experiment`] — seed-stable parallel Monte-Carlo: reliability
-//!   curves (Figs. 4/5), success-count distributions (Figs. 6/7), and
-//!   success-vs-`t` validation of Eq. 5.
+//! * [`backend`] — the Monte-Carlo reliability of a `Scenario`
+//!   (Figs. 4/5): [`ProtocolBackend`] and [`NetSimBackend`] run the
+//!   replications and `gossip_model::reduce` conditions them on take-off.
+//! * [`experiment`] — what a `Report` cannot express: success-count
+//!   distributions (Figs. 6/7), success-vs-`t` validation of Eq. 5, and
+//!   hop profiles.
 //!
 //! ```
-//! use gossip_model::PoissonFanout;
-//! use gossip_protocol::engine::{ExecutionConfig, MembershipKind};
-//! use gossip_protocol::experiment;
+//! use gossip_model::{Backend, FanoutSpec, Scenario};
+//! use gossip_protocol::ProtocolBackend;
 //!
 //! // One Fig. 4-style point: n = 1000, Po(4) fanout, q = 0.9, 20 runs.
-//! // Conditioning on take-off (see `experiment::reliability_conditional`)
-//! // estimates the giant-component size of the paper's Eq. 11.
-//! let cfg = ExecutionConfig::new(1000, 0.9);
-//! let stats =
-//!     experiment::reliability_conditional(&cfg, &PoissonFanout::new(4.0), 20, 42, 0.5);
+//! // `reliability` is conditioned on take-off and estimates the
+//! // giant-component size of the paper's Eq. 11.
+//! let scenario = Scenario::new(1000, FanoutSpec::poisson(4.0))
+//!     .with_failure_ratio(0.9)
+//!     .with_replications(20)
+//!     .with_seed(42);
+//! let report = ProtocolBackend.evaluate(&scenario).unwrap();
 //! let analytic = 0.9695; // root of S = 1 − e^{−3.6 S}
-//! assert!((stats.mean() - analytic).abs() < 0.02);
-//! # let _ = MembershipKind::Full;
+//! assert!((report.reliability - analytic).abs() < 0.02);
 //! ```
 
 pub mod backend;
@@ -42,10 +44,8 @@ pub mod engine;
 pub mod experiment;
 pub mod flood;
 pub mod message;
-pub mod metrics;
 pub mod push;
 pub mod pushpull;
-pub mod rounds;
 pub(crate) mod traffic_eval;
 
 pub use backend::{NetSimBackend, ProtocolBackend};
@@ -54,7 +54,6 @@ pub use flood::Flooding;
 pub use message::{GossipMessage, MessageId};
 pub use push::PushGossip;
 pub use pushpull::PushPullGossip;
-pub use rounds::RoundBasedGossip;
 
 use gossip_netsim::SimTime;
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the protocol layer.
 
 use gossip_model::distribution::{FixedFanout, PoissonFanout};
+use gossip_model::{Backend, FanoutSpec, Scenario};
 use gossip_protocol::engine::{run_push, ExecutionConfig};
-use gossip_protocol::experiment;
+use gossip_protocol::{experiment, ProtocolBackend};
 use proptest::prelude::*;
 
 proptest! {
@@ -83,12 +84,15 @@ proptest! {
         reps in 1usize..12,
         seed in 0u64..1000,
     ) {
-        let cfg = ExecutionConfig::new(n, q);
-        let stats = experiment::reliability(&cfg, &PoissonFanout::new(3.0), reps, seed);
-        prop_assert_eq!(stats.count(), reps as u64);
-        prop_assert!((0.0..=1.0).contains(&stats.mean()));
-        prop_assert!(stats.min() >= 0.0);
-        prop_assert!(stats.max() <= 1.0);
+        let scenario = Scenario::new(n, FanoutSpec::poisson(3.0))
+            .with_failure_ratio(q)
+            .with_replications(reps)
+            .with_seed(seed);
+        let report = ProtocolBackend.evaluate(&scenario).unwrap();
+        prop_assert_eq!(report.replications, reps);
+        prop_assert!((0.0..=1.0).contains(&report.reliability));
+        prop_assert!((0.0..=1.0).contains(&report.reliability_raw.unwrap()));
+        prop_assert!((0.0..=1.0).contains(&report.takeoff_rate.unwrap()));
     }
 
     /// The member-receipt histogram always totals the simulation count

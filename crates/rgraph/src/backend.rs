@@ -18,8 +18,8 @@
 //! have per-event state no snapshot can express; they are declined
 //! with a typed [`ModelError::Unsupported`].
 
-use gossip_engine::{FanoutSampler, RelayScratch, RelaySetup, FLAT_STREAM, FLAT_TOPOLOGY_STREAM};
-use gossip_faults::{zone_members, BlockedLinks};
+use gossip_engine::{FanoutSampler, RelayScratch, RelaySetup, FLAT_TOPOLOGY_STREAM};
+use gossip_faults::BlockedLinks;
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{Backend, MembershipSpec, ProtocolSpec, Report, Scenario};
@@ -128,25 +128,20 @@ fn evaluate_flat_default(
     dist: &dyn FanoutDistribution,
 ) -> Result<Report, ModelError> {
     let sampler = FanoutSampler::new(dist);
-    let (chunks, bounds) = gossip_engine::chunk_bounds(scenario.replications);
-    let per_chunk: Vec<Vec<f64>> = parallel_map(chunks, |chunk| {
-        let flat = FlatPercolation {
-            n: scenario.n,
-            q,
-            loss: scenario.loss,
-            dist,
-            sampler: &sampler,
-        };
-        let mut scratch = PercolationScratch::new(scenario.n);
-        bounds(chunk)
-            .map(|rep| {
-                let seed = SplitMix64::derive(scenario.seed, rep as u64);
-                let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, FLAT_STREAM));
-                flat.run(&mut scratch, &mut rng)
-            })
-            .collect()
-    });
-    reduce::census("graph", scenario, dist, per_chunk.into_iter().flatten())
+    let flat = FlatPercolation {
+        n: scenario.n,
+        q,
+        loss: scenario.loss,
+        dist,
+        sampler: &sampler,
+    };
+    let reliabilities = gossip_engine::run_replications(
+        scenario.seed,
+        scenario.replications,
+        || PercolationScratch::new(scenario.n),
+        |_, scratch, rng| flat.run(scratch, rng),
+    );
+    reduce::census("graph", scenario, dist, reliabilities)
 }
 
 /// The flat structured path: the `gossip-engine` lazy relay kernel.
@@ -174,59 +169,40 @@ fn evaluate_structured_flat(
     } else {
         Some(spec.build(n, SplitMix64::derive(scenario.seed, FLAT_TOPOLOGY_STREAM)))
     };
-    let prefailed: Vec<u32> = scenario
-        .faults
-        .zone_failure
-        .as_ref()
-        .map(|zf| {
-            let zone_count = match spec.overlay {
-                gossip_topology::OverlaySpec::Clustered { zones, .. } => zones,
-                _ => unreachable!("validate() requires a Clustered overlay for zone failures"),
-            };
-            zf.zones
-                .iter()
-                .flat_map(|&zone| zone_members(n, zone_count, zone))
-                .filter(|&member| member != 0)
-                .map(|member| member as u32)
-                .collect()
-        })
-        .unwrap_or_default();
+    let prefailed = match &scenario.faults.zone_failure {
+        Some(zf) => zf.killed_members(n, &spec, 0)?,
+        None => Vec::new(),
+    };
     let sampler = FanoutSampler::new(dist);
-    let (chunks, bounds) = gossip_engine::chunk_bounds(scenario.replications);
-    let per_chunk: Vec<Vec<Execution>> = parallel_map(chunks, |chunk| {
-        let mut scratch = RelayScratch::new(n);
-        bounds(chunk)
-            .map(|rep| {
-                let seed = SplitMix64::derive(scenario.seed, rep as u64);
-                // Per replication so a `Random` adversary re-rolls its
-                // blocked set each run, like the classic path's draw.
-                let blocked = scenario.faults.adversary.as_ref().map(|adv| {
-                    BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, streams::ADVERSARY))
-                });
-                let setup = RelaySetup {
-                    n,
-                    source: 0,
-                    q,
-                    loss: scenario.loss,
-                    dist,
-                    sampler: &sampler,
-                    overlay: overlay.as_ref().map(|topo| (topo, spec.selection)),
-                    blocked: blocked.as_ref(),
-                    prefailed: &prefailed,
-                };
-                let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, FLAT_STREAM));
-                let out = setup.run(&mut scratch, &mut rng);
-                Execution {
-                    reliability: out.reliability(),
-                    messages_per_member: Some(
-                        out.messages_sent as f64 / out.nonfailed.max(1) as f64,
-                    ),
-                    ..Execution::default()
-                }
-            })
-            .collect()
-    });
-    let executions = per_chunk.into_iter().flatten();
+    let executions = gossip_engine::run_replications(
+        scenario.seed,
+        scenario.replications,
+        || RelayScratch::new(n),
+        |seed, scratch, rng| {
+            // Per replication so a `Random` adversary re-rolls its
+            // blocked set each run, like the classic path's draw.
+            let blocked = scenario.faults.adversary.as_ref().map(|adv| {
+                BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, streams::ADVERSARY))
+            });
+            let setup = RelaySetup {
+                n,
+                source: 0,
+                q,
+                loss: scenario.loss,
+                dist,
+                sampler: &sampler,
+                overlay: overlay.as_ref().map(|topo| (topo, spec.selection)),
+                blocked: blocked.as_ref(),
+                prefailed: &prefailed,
+            };
+            let out = setup.run(scratch, rng);
+            Execution {
+                reliability: out.reliability(),
+                messages_per_member: Some(out.messages_sent as f64 / out.nonfailed.max(1) as f64),
+                ..Execution::default()
+            }
+        },
+    );
     reduce::conditioned("graph", None, scenario, dist, executions)
 }
 
@@ -247,26 +223,12 @@ fn evaluate_structured(
 ) -> Result<Report, ModelError> {
     let spec = scenario.topology;
     let n = scenario.n;
-    // A correlated zone failure resolves against the Clustered overlay's
-    // zone count ([`gossip_faults::FaultSpec::validate`] has already
-    // rejected every other overlay). The static census has no clock, so
-    // the scheduled `at_ms` collapses to an at-start kill.
-    let zone_failed: Vec<usize> = scenario
-        .faults
-        .zone_failure
-        .as_ref()
-        .map(|zf| {
-            let zone_count = match spec.overlay {
-                gossip_topology::OverlaySpec::Clustered { zones, .. } => zones,
-                _ => unreachable!("validate() requires a Clustered overlay for zone failures"),
-            };
-            zf.zones
-                .iter()
-                .flat_map(|&zone| zone_members(n, zone_count, zone))
-                .filter(|&member| member != 0)
-                .collect()
-        })
-        .unwrap_or_default();
+    // The static census has no clock, so a correlated zone failure's
+    // scheduled `at_ms` collapses to an at-start kill.
+    let zone_failed = match &scenario.faults.zone_failure {
+        Some(zf) => zf.killed_members(n, &spec, 0)?,
+        None => Vec::new(),
+    };
     let executions: Vec<Execution> = parallel_map(scenario.replications, |rep| {
         let seed = SplitMix64::derive(scenario.seed, rep as u64);
         let overlay = spec.build(n, SplitMix64::derive(seed, streams::GRAPH_TOPOLOGY));
@@ -294,7 +256,7 @@ fn evaluate_structured(
         let digraph = Digraph::from_edges(n, &arcs);
         let mut failed = vec![false; n];
         for &member in &zone_failed {
-            failed[member] = true;
+            failed[member as usize] = true;
         }
         // Crash draws run for every node — pre-failed or not — so the
         // RNG stream is identical with and without a zone failure.

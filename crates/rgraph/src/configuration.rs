@@ -18,10 +18,6 @@ use crate::graph::Graph;
 pub struct ConfigurationModel<'a, D: FanoutDistribution + ?Sized> {
     dist: &'a D,
     n: usize,
-    /// Erase self-loops and parallel edges after matching (the "erased"
-    /// configuration model). Biases degrees down by O(1/n) but yields
-    /// simple graphs.
-    erase_defects: bool,
 }
 
 impl<'a, D: FanoutDistribution + ?Sized> ConfigurationModel<'a, D> {
@@ -33,17 +29,7 @@ impl<'a, D: FanoutDistribution + ?Sized> ConfigurationModel<'a, D> {
             n <= u32::MAX as usize,
             "configuration model node ids are u32 (n <= 2^32 - 1, got {n})"
         );
-        Self {
-            dist,
-            n,
-            erase_defects: false,
-        }
-    }
-
-    /// Switches to the erased configuration model (simple graphs).
-    pub fn erased(mut self) -> Self {
-        self.erase_defects = true;
-        self
+        Self { dist, n }
     }
 
     /// Samples a degree sequence; if the stub total is odd, one extra
@@ -97,15 +83,7 @@ impl<'a, D: FanoutDistribution + ?Sized> ConfigurationModel<'a, D> {
         let mut edges = Vec::with_capacity(total / 2);
         for pair in stubs.chunks_exact(2) {
             let (a, b) = (pair[0], pair[1]);
-            if self.erase_defects && a == b {
-                continue; // drop self-loop
-            }
             edges.push((a.min(b), a.max(b)));
-        }
-        if self.erase_defects {
-            // Drop parallel edges.
-            edges.sort_unstable();
-            edges.dedup();
         }
         Graph::from_edges(self.n, &edges)
     }
@@ -139,22 +117,6 @@ mod tests {
         // bump one node to 4 when n·3 is odd, but 1000·3 is even.
         for v in 0..1000u32 {
             assert_eq!(g.degree(v), 3, "node {v}");
-        }
-    }
-
-    #[test]
-    fn erased_model_is_simple() {
-        let dist = PoissonFanout::new(6.0);
-        let model = ConfigurationModel::new(&dist, 500).erased();
-        let mut rng = Xoshiro256StarStar::new(13);
-        let g = model.generate(&mut rng);
-        for v in 0..500u32 {
-            let ns = g.neighbors(v);
-            assert!(!ns.contains(&v), "self-loop at {v}");
-            let mut sorted = ns.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), ns.len(), "parallel edge at {v}");
         }
     }
 

@@ -85,15 +85,6 @@ impl Digraph {
         }
         self.targets.len() as f64 / self.node_count() as f64
     }
-
-    /// Collapses direction: the undirected [`crate::Graph`] over the same
-    /// arcs (used to compare directed reach with undirected components).
-    pub fn to_undirected(&self) -> crate::Graph {
-        let edges: Vec<(u32, u32)> = (0..self.node_count() as u32)
-            .flat_map(|a| self.out_neighbors(a).iter().map(move |&b| (a, b)))
-            .collect();
-        crate::Graph::from_edges(self.node_count(), &edges)
-    }
 }
 
 #[cfg(test)]
@@ -123,16 +114,6 @@ mod tests {
         assert_eq!(g.arc_count(), 3);
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.out_neighbors(1), &[0]);
-    }
-
-    #[test]
-    fn to_undirected_symmetrizes() {
-        let g = Digraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let u = g.to_undirected();
-        assert_eq!(u.edge_count(), 2);
-        assert!(u.neighbors(1).contains(&0));
-        assert!(u.neighbors(1).contains(&2));
-        assert!(u.neighbors(0).contains(&1));
     }
 
     #[test]

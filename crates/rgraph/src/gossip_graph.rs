@@ -72,13 +72,6 @@ impl<'a, D: FanoutDistribution + ?Sized> GossipGraphBuilder<'a, D> {
         }
     }
 
-    /// Changes the source member (default 0).
-    pub fn with_source(mut self, source: u32) -> Self {
-        assert!((source as usize) < self.n, "source out of range");
-        self.source = source;
-        self
-    }
-
     /// Realizes one execution.
     ///
     /// Every member (failed or not) draws its fanout and targets — the
@@ -189,16 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_source_is_immune() {
-        let dist = PoissonFanout::new(2.0);
-        let builder = GossipGraphBuilder::new(&dist, 500, 0.1).with_source(42);
-        let mut rng = Xoshiro256StarStar::new(77);
-        let g = builder.build(&mut rng);
-        assert!(!g.failed[42]);
-        assert_eq!(g.source, 42);
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let dist = PoissonFanout::new(3.0);
         let builder = GossipGraphBuilder::new(&dist, 300, 0.8);
@@ -206,12 +189,5 @@ mod tests {
         let b = builder.build(&mut Xoshiro256StarStar::new(123));
         assert_eq!(a.failed, b.failed);
         assert_eq!(a.digraph.arc_count(), b.digraph.arc_count());
-    }
-
-    #[test]
-    #[should_panic(expected = "source out of range")]
-    fn rejects_bad_source() {
-        let dist = PoissonFanout::new(3.0);
-        let _ = GossipGraphBuilder::new(&dist, 10, 0.5).with_source(10);
     }
 }

@@ -35,13 +35,13 @@
 //! detects that exactly (see its docs), and the [`Harness`] watchdog
 //! aborts a wedged run rather than hanging the caller.
 
-use gossip_faults::{zone_members, BlockedLinks, ChurnPlan, FaultSpec, GeChain, GilbertElliott};
+use gossip_faults::{BlockedLinks, ChurnPlan, FaultSpec, GeChain, GilbertElliott};
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::Execution;
 use gossip_model::scenario::{FailureSpec, LatencySpec};
 use gossip_model::ModelError;
 use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
-use gossip_topology::{select_targets, OverlaySpec, PeerSelection, Topology, TopologySpec};
+use gossip_topology::{select_targets, PeerSelection, Topology, TopologySpec};
 
 use crate::harness::Harness;
 use crate::transport::{Endpoint, Transport};
@@ -326,7 +326,7 @@ pub(crate) fn failure_layout(
     faults: &FaultSpec,
     topology: Option<&TopologySpec>,
     exec_seed: u64,
-) -> FailureLayout {
+) -> Result<FailureLayout, ModelError> {
     let mut alive = vec![true; n];
     let mut crash_at_ns: Vec<Option<u64>> = vec![None; n];
     let mut counted = vec![true; n];
@@ -360,28 +360,20 @@ pub(crate) fn failure_layout(
         }
     }
     // A correlated zone failure is a scheduled crash of every member of
-    // the killed zones (source immune), resolved against the Clustered
-    // overlay's zone count. Applied before churn so zones index the
-    // initial membership only.
+    // the killed zones (source immune). Applied before churn so zones
+    // index the initial membership only.
     if let Some(zf) = &faults.zone_failure {
-        let zone_count = match topology.map(|spec| spec.overlay) {
-            Some(OverlaySpec::Clustered { zones, .. }) => zones,
-            _ => unreachable!("validate() requires a Clustered overlay for zone failures"),
-        };
         const NS_PER_MS: u64 = 1_000_000;
-        for &zone in &zf.zones {
-            for member in zone_members(n, zone_count, zone) {
-                if member as u32 == source {
-                    continue;
-                }
-                counted[member] = false;
-                if zf.at_ms == 0 {
-                    alive[member] = false;
-                } else {
-                    let t_ns = zf.at_ms * NS_PER_MS;
-                    crash_at_ns[member] =
-                        Some(crash_at_ns[member].map_or(t_ns, |existing| existing.min(t_ns)));
-                }
+        let topology = topology.copied().unwrap_or_default();
+        for member in zf.killed_members(n, &topology, source)? {
+            let member = member as usize;
+            counted[member] = false;
+            if zf.at_ms == 0 {
+                alive[member] = false;
+            } else {
+                let t_ns = zf.at_ms * NS_PER_MS;
+                crash_at_ns[member] =
+                    Some(crash_at_ns[member].map_or(t_ns, |existing| existing.min(t_ns)));
             }
         }
     }
@@ -410,12 +402,12 @@ pub(crate) fn failure_layout(
             crash_at_ns[i] = Some(crash_at_ns[i].map_or(at_ns, |existing| existing.min(at_ns)));
         }
     }
-    FailureLayout {
+    Ok(FailureLayout {
         alive,
         crash_at_ns,
         join_at_ns,
         counted,
-    }
+    })
 }
 
 /// BFS depth of the delivered set over the recorded successful relays —
@@ -456,7 +448,7 @@ pub(crate) fn run_execution<T: Transport>(
         ),
         selection: spec.selection,
     });
-    let layout = failure_layout(p.n, p.source, p.failure, p.faults, p.topology, exec_seed);
+    let layout = failure_layout(p.n, p.source, p.failure, p.faults, p.topology, exec_seed)?;
     // Churn joiners extend the group beyond `p.n` for this execution.
     let total = layout.alive.len();
     // The reliability denominator: alive, never scheduled to crash.

@@ -253,7 +253,7 @@ fn run_stream_execution<T: Transport>(
     let k = p.injections.len();
     // The paper's failure model, the same draw as the single-message
     // execution: each non-source member up with probability q.
-    let alive = failure_layout(n, SOURCE, p.failure, &FaultSpec::default(), None, exec_seed).alive;
+    let alive = failure_layout(n, SOURCE, p.failure, &FaultSpec::default(), None, exec_seed)?.alive;
 
     // The plan's injection frames: messages sharing an injection round
     // form one arrival group, so piggybacking applies to bursts.

@@ -27,7 +27,7 @@
 //!   distributions.
 //! * [`gof`] — chi-square goodness-of-fit and total-variation distance,
 //!   used by the integration tests to check `X ~ B(20, R)`.
-//! * [`parallel`] — seed-stable parallel map/reduce built on
+//! * [`parallel`] — seed-stable parallel map built on
 //!   `crossbeam::scope`.
 
 pub mod alias;
@@ -47,7 +47,7 @@ pub use gof::{
     chi_square_pvalue, chi_square_statistic, total_variation_distance, ChiSquareOutcome,
 };
 pub use histogram::IntHistogram;
-pub use parallel::{parallel_map, parallel_map_reduce};
+pub use parallel::parallel_map;
 pub use poisson::Poisson;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 

@@ -1,4 +1,4 @@
-//! Seed-stable parallel map/reduce on OS threads.
+//! Seed-stable parallel map on OS threads.
 //!
 //! The Monte-Carlo experiments (paper §5: 20 runs per parameter point for
 //! Figs. 4/5, 100 × 20 executions for Figs. 6/7) are embarrassingly
@@ -127,22 +127,6 @@ impl<T> Copy for SendPtr<T> {}
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Parallel map followed by a sequential fold over results **in index
-/// order**, so floating-point reductions are deterministic.
-pub fn parallel_map_reduce<T, A, F, R>(jobs: usize, f: F, init: A, mut reduce: R) -> A
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    R: FnMut(A, T) -> A,
-{
-    let mapped = parallel_map(jobs, f);
-    let mut acc = init;
-    for item in mapped {
-        acc = reduce(acc, item);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,27 +160,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b, "same base seed must give identical results");
-    }
-
-    #[test]
-    fn reduce_in_index_order() {
-        // Build a string so out-of-order reduction would be visible.
-        let s = parallel_map_reduce(
-            10,
-            |i| i.to_string(),
-            String::new(),
-            |mut acc, x| {
-                acc.push_str(&x);
-                acc
-            },
-        );
-        assert_eq!(s, "0123456789");
-    }
-
-    #[test]
-    fn reduce_numeric_sum() {
-        let total = parallel_map_reduce(1000, |i| i as u64, 0u64, |a, b| a + b);
-        assert_eq!(total, 999 * 1000 / 2);
     }
 
     #[test]

@@ -172,30 +172,6 @@ impl Xoshiro256StarStar {
     pub fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Long-jump equivalent to 2^192 `next()` calls; yields a
-    /// non-overlapping stream for a parallel worker.
-    pub fn long_jump(&mut self) {
-        const LONG_JUMP: [u64; 4] = [
-            0x7674_3211_5b6a_a5dd,
-            0xe49c_5aba_0f43_c9b1,
-            0xa9582618e03fc9aa,
-            0x39abdc4529b1661c,
-        ];
-        let mut s = [0u64; 4];
-        for jump in LONG_JUMP {
-            for bit in 0..64 {
-                if (jump >> bit) & 1 != 0 {
-                    s[0] ^= self.s[0];
-                    s[1] ^= self.s[1];
-                    s[2] ^= self.s[2];
-                    s[3] ^= self.s[3];
-                }
-                self.next();
-            }
-        }
-        self.s = s;
-    }
 }
 
 impl RngCore for Xoshiro256StarStar {
@@ -386,14 +362,6 @@ mod tests {
                 "bucket count {c} out of range"
             );
         }
-    }
-
-    #[test]
-    fn long_jump_changes_stream() {
-        let mut g = Xoshiro256StarStar::new(5);
-        let mut h = g.clone();
-        h.long_jump();
-        assert_ne!(g.next(), h.next());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! graphs and through the protocol match `q_c = 1/G1'(1)`.
 
 use gossip_model::distribution::{FixedFanout, PoissonFanout};
-use gossip_model::SitePercolation;
-use gossip_protocol::engine::ExecutionConfig;
-use gossip_protocol::experiment;
+use gossip_model::{Backend, FanoutSpec, Scenario, SitePercolation};
+use gossip_protocol::ProtocolBackend;
 use gossip_rgraph::phase::scan_configuration_model;
 
 #[test]
@@ -34,12 +33,26 @@ fn fixed_fanout_phase_scan() {
 
 #[test]
 fn protocol_reliability_collapses_below_critical() {
-    // Straddle q_c = 0.25 for Po(4) with the live protocol.
-    let dist = PoissonFanout::new(4.0);
-    let below = experiment::reliability(&ExecutionConfig::new(1500, 0.18), &dist, 10, 3);
-    let above = experiment::reliability(&ExecutionConfig::new(1500, 0.40), &dist, 10, 4);
-    assert!(below.mean() < 0.05, "below q_c: {}", below.mean());
-    assert!(above.mean() > 0.25, "above q_c: {}", above.mean());
+    // Straddle q_c = 0.25 for Po(4) with the live protocol: n = 1500,
+    // 10 replications a side. Below, every run is a fizzle (a single
+    // mode, so nothing is conditioned away) and the mean stays under
+    // 0.05; above, even the unconditioned mean — fizzles averaged in —
+    // clears 0.25 (Eq. 11 gives 0.58 at q = 0.40).
+    let run = |q: f64, seed: u64| {
+        let scenario = Scenario::new(1500, FanoutSpec::poisson(4.0))
+            .with_failure_ratio(q)
+            .with_replications(10)
+            .with_seed(seed);
+        ProtocolBackend.evaluate(&scenario).unwrap()
+    };
+    let below = run(0.18, 3);
+    assert!(below.reliability < 0.05, "below q_c: {}", below.reliability);
+    assert_eq!(below.takeoff_rate, Some(1.0), "subcritical: one mode only");
+    assert_eq!(below.reliability_raw, Some(below.reliability));
+    let above = run(0.40, 4);
+    let raw = above.reliability_raw.unwrap();
+    assert!(raw > 0.25, "above q_c: {raw}");
+    assert!(above.reliability >= raw, "conditioning drops the fizzles");
 }
 
 #[test]

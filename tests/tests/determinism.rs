@@ -3,8 +3,9 @@
 //! scheduling in the parallel Monte-Carlo.
 
 use gossip_model::distribution::PoissonFanout;
+use gossip_model::{Backend, FanoutSpec, Scenario};
 use gossip_protocol::engine::{run_push, ExecutionConfig, MembershipKind};
-use gossip_protocol::experiment;
+use gossip_protocol::{experiment, ProtocolBackend};
 use gossip_rgraph::reach::reach;
 use gossip_rgraph::{ConfigurationModel, GossipGraphBuilder};
 use gossip_stats::rng::Xoshiro256StarStar;
@@ -20,15 +21,16 @@ fn executions_bitwise_reproducible() {
 
 #[test]
 fn experiment_reproducible_across_parallel_runs() {
-    // parallel_map distributes replications over threads; the aggregate
-    // must not depend on scheduling.
-    let cfg = ExecutionConfig::new(500, 0.9);
-    let dist = PoissonFanout::new(3.0);
-    let a = experiment::reliability(&cfg, &dist, 16, 7);
-    let b = experiment::reliability(&cfg, &dist, 16, 7);
-    assert_eq!(a.mean(), b.mean());
-    assert_eq!(a.variance(), b.variance());
-    assert_eq!(a.count(), b.count());
+    // parallel_map distributes the 16 replications over threads; no
+    // field of the Report may depend on scheduling (exact equality).
+    let scenario = Scenario::new(500, FanoutSpec::poisson(3.0))
+        .with_failure_ratio(0.9)
+        .with_replications(16)
+        .with_seed(7);
+    let a = ProtocolBackend.evaluate(&scenario).unwrap();
+    let b = ProtocolBackend.evaluate(&scenario).unwrap();
+    assert_eq!(a, b);
+    assert_eq!(a.replications, 16);
 }
 
 #[test]

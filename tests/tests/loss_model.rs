@@ -5,24 +5,27 @@
 use gossip_integration_tests::assert_close;
 use gossip_model::distribution::PoissonFanout;
 use gossip_model::loss::{poisson_reliability_with_loss, LossyGossip};
-use gossip_netsim::{LatencyModel, NetworkConfig};
-use gossip_protocol::engine::ExecutionConfig;
-use gossip_protocol::experiment;
+use gossip_model::{Backend, FanoutSpec, Report, Scenario};
+use gossip_protocol::NetSimBackend;
 
-fn lossy_cfg(n: usize, q: f64, loss: f64) -> ExecutionConfig {
-    ExecutionConfig::new(n, q)
-        .with_network(NetworkConfig::new(LatencyModel::constant_millis(1)).with_loss(loss))
+/// Po(f) push gossip among 1500 members on the lossy simulated network
+/// (the default constant 1 ms latency).
+fn lossy(f: f64, q: f64, loss: f64, reps: usize, seed: u64) -> Report {
+    let scenario = Scenario::new(1500, FanoutSpec::poisson(f))
+        .with_failure_ratio(q)
+        .with_loss(loss)
+        .with_replications(reps)
+        .with_seed(seed);
+    NetSimBackend.evaluate(&scenario).unwrap()
 }
 
 #[test]
 fn protocol_under_loss_matches_bond_percolation() {
+    // 15 replications, conditioned on take-off; tolerance 0.02.
     let (f, q, loss) = (5.0, 0.9, 0.2);
     let analytic = poisson_reliability_with_loss(f, q, loss).unwrap();
-    let cfg = lossy_cfg(1500, q, loss);
-    let stats =
-        experiment::reliability_conditional(&cfg, &PoissonFanout::new(f), 15, 77, 0.5 * analytic);
     assert_close(
-        stats.mean(),
+        lossy(f, q, loss, 15, 77).reliability,
         analytic,
         0.02,
         "lossy protocol vs bond-percolation model",
@@ -31,26 +34,14 @@ fn protocol_under_loss_matches_bond_percolation() {
 
 #[test]
 fn loss_equivalent_to_thinned_fanout() {
-    // Poisson: losing 25% of messages ≡ gossiping with 75% of the fanout.
+    // Poisson: losing 25% of messages ≡ gossiping with 75% of the
+    // fanout. 15 conditioned replications a side; tolerance 0.025.
     let q = 0.9;
-    let analytic = poisson_reliability_with_loss(6.0, q, 0.25).unwrap();
-    let lossy = experiment::reliability_conditional(
-        &lossy_cfg(1500, q, 0.25),
-        &PoissonFanout::new(6.0),
-        15,
-        5,
-        0.5 * analytic,
-    );
-    let thinned = experiment::reliability_conditional(
-        &ExecutionConfig::new(1500, q),
-        &PoissonFanout::new(4.5),
-        15,
-        6,
-        0.5 * analytic,
-    );
+    let lossy_run = lossy(6.0, q, 0.25, 15, 5);
+    let thinned = lossy(4.5, q, 0.0, 15, 6);
     assert_close(
-        lossy.mean(),
-        thinned.mean(),
+        lossy_run.reliability,
+        thinned.reliability,
         0.025,
         "loss ≡ fanout thinning",
     );
@@ -64,8 +55,12 @@ fn heavy_loss_kills_gossip_at_the_predicted_point() {
     let loss_crit = m.critical_loss().unwrap();
     assert_close(loss_crit, 1.0 - 1.0 / 3.6, 1e-12, "critical loss");
 
-    let below = experiment::reliability(&lossy_cfg(1500, 0.9, loss_crit + 0.1), &d, 8, 9);
-    assert!(below.mean() < 0.05, "past critical loss: {}", below.mean());
-    let above = experiment::reliability(&lossy_cfg(1500, 0.9, loss_crit - 0.25), &d, 8, 10);
-    assert!(above.mean() > 0.2, "below critical loss: {}", above.mean());
+    // 8 replications a side, unconditioned means: under 0.05 past the
+    // critical loss, over 0.2 (fizzles averaged in) well short of it.
+    let below = lossy(4.0, 0.9, loss_crit + 0.1, 8, 9);
+    let raw = below.reliability_raw.unwrap();
+    assert!(raw < 0.05, "past critical loss: {raw}");
+    let above = lossy(4.0, 0.9, loss_crit - 0.25, 8, 10);
+    let raw = above.reliability_raw.unwrap();
+    assert!(raw > 0.2, "below critical loss: {raw}");
 }

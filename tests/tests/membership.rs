@@ -2,12 +2,21 @@
 //! views behaves like gossip over uniform views once views reach the
 //! `(c+1)·ln n` size SCAMP provides.
 
-use gossip_model::distribution::PoissonFanout;
-use gossip_model::poisson_case;
+use gossip_integration_tests::assert_close;
+use gossip_model::{poisson_case, Backend, FanoutSpec, MembershipSpec, Report, Scenario};
 use gossip_netsim::membership::{Membership, ScampViews};
-use gossip_protocol::engine::{ExecutionConfig, MembershipKind};
-use gossip_protocol::experiment;
+use gossip_protocol::ProtocolBackend;
 use gossip_stats::rng::Xoshiro256StarStar;
+
+/// The §5 push experiment over SCAMP partial views, n = 1200.
+fn over_scamp(f: f64, q: f64, c: usize, reps: usize, seed: u64) -> Report {
+    let scenario = Scenario::new(1200, FanoutSpec::poisson(f))
+        .with_failure_ratio(q)
+        .with_membership(MembershipSpec::Scamp { c })
+        .with_replications(reps)
+        .with_seed(seed);
+    ProtocolBackend.evaluate(&scenario).unwrap()
+}
 
 #[test]
 fn scamp_view_sizes_scale_with_log_n() {
@@ -24,17 +33,15 @@ fn scamp_view_sizes_scale_with_log_n() {
 
 #[test]
 fn gossip_over_scamp_approaches_uniform_analysis() {
-    let n = 1200;
+    // 12 replications, conditioned on take-off; tolerance 0.05.
     let (f, q) = (5.0, 0.9);
     let analytic = poisson_case::reliability(f, q).unwrap();
-    let cfg = ExecutionConfig::new(n, q).with_membership(MembershipKind::Scamp { c: 2 });
-    let stats =
-        experiment::reliability_conditional(&cfg, &PoissonFanout::new(f), 12, 5, 0.5 * analytic);
-    let gap = (stats.mean() - analytic).abs();
-    assert!(
-        gap < 0.05,
-        "partial-view gossip off by {gap:.3} from uniform analysis ({} vs {analytic})",
-        stats.mean()
+    let report = over_scamp(f, q, 2, 12, 5);
+    assert_close(
+        report.reliability,
+        analytic,
+        0.05,
+        "partial-view gossip vs uniform analysis",
     );
 }
 
@@ -42,20 +49,17 @@ fn gossip_over_scamp_approaches_uniform_analysis() {
 fn view_richness_tracks_uniform_analysis() {
     // Once views clear the SCAMP size, reliability (conditioned on
     // take-off, to remove source-extinction noise) sits near the uniform
-    // analysis for every redundancy level.
-    let n = 1200;
+    // analysis for every redundancy level. 16 replications per level;
+    // tolerance 0.06.
     let (f, q) = (4.0, 0.9);
     let analytic = poisson_case::reliability(f, q).unwrap();
-    let dist = PoissonFanout::new(f);
     for c in [0usize, 2, 4] {
-        let cfg = ExecutionConfig::new(n, q).with_membership(MembershipKind::Scamp { c });
-        let stats =
-            experiment::reliability_conditional(&cfg, &dist, 16, 9 + c as u64, 0.5 * analytic);
-        let gap = (stats.mean() - analytic).abs();
-        assert!(
-            gap < 0.06,
-            "SCAMP c={c}: conditional reliability {} vs analytic {analytic} (gap {gap:.3})",
-            stats.mean()
+        let report = over_scamp(f, q, c, 16, 9 + c as u64);
+        assert_close(
+            report.reliability,
+            analytic,
+            0.06,
+            &format!("SCAMP c={c}: conditional reliability vs uniform analysis"),
         );
     }
 }
