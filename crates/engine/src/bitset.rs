@@ -1,11 +1,12 @@
 //! Fixed-width bitsets over u64 words.
 //!
-//! The flat kernels track membership sets (failed, reached) for up to
-//! 10⁷ nodes per replication; a `Vec<bool>` spends a byte per member
-//! and a fresh allocation per replication, while a word bitset packs
-//! 512 members per cache line, clears with one `memset`, and reduces
-//! with hardware popcounts. No dynamic growth: the length is fixed at
-//! construction (the arena owns one per evaluation).
+//! The flat kernels track membership sets (reached, pre-failed,
+//! occupied) for up to 10⁷ nodes per replication; a `Vec<bool>` spends
+//! a byte per member and a fresh allocation per replication, while a
+//! word bitset packs 512 members per cache line, clears with one
+//! `memset`, and reduces with hardware popcounts. No dynamic growth:
+//! the length is fixed at construction (the arena owns one per
+//! evaluation).
 
 /// A fixed-length set of `usize` indices packed into u64 words.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,18 +82,6 @@ impl BitSet {
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// `|self \ other|` — e.g. reached-and-nonfailed as
-    /// `reached.difference_count(&failed)` without materializing the
-    /// intersection.
-    pub fn difference_count(&self, other: &BitSet) -> usize {
-        debug_assert_eq!(self.len, other.len);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & !b).count_ones() as usize)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -121,20 +110,6 @@ mod tests {
             assert_eq!(s.count_ones(), len, "len = {len}");
             assert!(s.get(len - 1));
         }
-    }
-
-    #[test]
-    fn difference_count_matches_scalar() {
-        let mut a = BitSet::new(200);
-        let mut b = BitSet::new(200);
-        for i in (0..200).step_by(3) {
-            a.set(i);
-        }
-        for i in (0..200).step_by(5) {
-            b.set(i);
-        }
-        let expected = (0..200).filter(|&i| i % 3 == 0 && i % 5 != 0).count();
-        assert_eq!(a.difference_count(&b), expected);
     }
 
     #[test]

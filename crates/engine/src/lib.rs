@@ -20,11 +20,13 @@
 //!   per-draw inverse-CDF loops.
 //! * [`relay`] — the push-relay kernel. Instead of materializing the
 //!   Fig. 1 relay digraph and BFS-ing it (two CSR builds per
-//!   replication on the classic structured path), the kernel draws
-//!   each member's fanout and targets *lazily at first receipt*:
+//!   replication on the classic structured path), the kernel defers
+//!   each member's crash coin, fanout and targets *to first receipt*:
 //!   distributionally identical (draws are independent and each member
-//!   is expanded at most once), and the only adjacency ever touched is
-//!   the `gossip-topology` overlay CSR, built once per evaluation and
+//!   is expanded at most once), a replication costs O(reached) rather
+//!   than O(n) — the unreached members are one binomial draw for the
+//!   denominator — and the only adjacency ever touched is the
+//!   `gossip-topology` overlay CSR, built once per evaluation and
 //!   threaded through every replication read-only. All per-replication
 //!   state lives in a [`relay::RelayScratch`] arena that is reset —
 //!   never reallocated — between replications, extending the

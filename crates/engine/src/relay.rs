@@ -5,21 +5,27 @@
 //! its own `F` members, crashed members absorb without forwarding, and
 //! lossy links drop each copy independently. The classic structured
 //! path materializes this as a per-replication relay digraph (a CSR
-//! build) and then BFS-es it; this kernel instead draws each member's
-//! fanout and targets *lazily at first expansion*. The two are
-//! distributionally identical — every member is expanded at most once
-//! and all draws are independent — but the lazy form never touches
-//! members the epidemic misses and never builds per-replication
-//! adjacency at all.
+//! build) and then BFS-es it; this kernel instead defers every random
+//! decision about a member — its crash coin, its fanout, its targets —
+//! to the moment the rumor reaches it. The two are distributionally
+//! identical — every member is expanded at most once and all draws are
+//! independent of the relay process — but the deferred form never
+//! touches members the epidemic misses and never builds
+//! per-replication adjacency at all: a replication costs O(reached),
+//! not O(n). The members the rumor never met only matter through how
+//! many of them survived (the reliability denominator), and that is one
+//! `Binomial(unreached, q)` draw.
 //!
-//! All state is struct-of-arrays in a [`RelayScratch`] arena: two
-//! bitsets (failed, reached) plus three `u32` vectors (current
-//! frontier, next frontier, target buffer). `RelayScratch::reset`
-//! clears without freeing, so an evaluation allocates once and sweeps
-//! thousands of replications through the same buffers.
+//! All state is struct-of-arrays in a [`RelayScratch`] arena: the
+//! reached bitset, a pre-failed bitset when the setup has zone
+//! failures, and three `u32` vectors (current frontier, next frontier,
+//! target buffer). `RelayScratch::reset` clears without freeing, so an
+//! evaluation allocates once and sweeps thousands of replications
+//! through the same buffers.
 
 use gossip_faults::adversary::BlockedLinks;
 use gossip_model::distribution::FanoutDistribution;
+use gossip_stats::binomial::Binomial;
 use gossip_stats::rng::Xoshiro256StarStar;
 use gossip_topology::{PeerSelection, Topology};
 
@@ -28,10 +34,12 @@ use crate::sampler::FanoutSampler;
 
 /// Arena of per-replication state, reset — never reallocated — between
 /// replications (the `UnionFind::reset` pattern applied to the whole
-/// hot loop).
+/// hot loop). The `failed` bitset holds the `prefailed` members only —
+/// crashes are coins tossed on arrival, never stored — and is allocated
+/// by the first replication that has any.
 #[derive(Debug)]
 pub struct RelayScratch {
-    failed: BitSet,
+    failed: Option<BitSet>,
     reached: BitSet,
     frontier: Vec<u32>,
     next: Vec<u32>,
@@ -42,7 +50,7 @@ impl RelayScratch {
     /// Buffers for a group of `n` members.
     pub fn new(n: usize) -> Self {
         RelayScratch {
-            failed: BitSet::new(n),
+            failed: None,
             reached: BitSet::new(n),
             frontier: Vec::new(),
             next: Vec::new(),
@@ -52,12 +60,14 @@ impl RelayScratch {
 
     /// Universe size the buffers were sized for.
     pub fn capacity(&self) -> usize {
-        self.failed.len()
+        self.reached.len()
     }
 
     /// Clears every buffer in place.
     pub fn reset(&mut self) {
-        self.failed.clear();
+        if let Some(failed) = &mut self.failed {
+            failed.clear();
+        }
         self.reached.clear();
         self.frontier.clear();
         self.next.clear();
@@ -68,7 +78,9 @@ impl RelayScratch {
 /// Tallies from one replication.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RelayOutcome {
-    /// Members that neither crashed nor were pre-failed.
+    /// Members that neither crashed nor were pre-failed: the reached
+    /// ones counted as their crash coins were tossed, the unreached
+    /// rest settled by one `Binomial(unreached, q)` draw.
     pub nonfailed: usize,
     /// Nonfailed members the rumor reached (source included).
     pub nonfailed_reached: usize,
@@ -100,7 +112,8 @@ pub struct RelaySetup<'a> {
     pub n: usize,
     /// Rumor origin (never crashes).
     pub source: u32,
-    /// Per-member survival probability (crash draws skipped when ≥ 1).
+    /// Per-member survival probability in [0, 1] (no crash coin is
+    /// tossed at 1).
     pub q: f64,
     /// Per-copy independent loss probability.
     pub loss: f64,
@@ -124,15 +137,13 @@ impl<'a> RelaySetup<'a> {
         debug_assert_eq!(scratch.capacity(), self.n);
         scratch.reset();
 
-        for &node in self.prefailed {
-            if node != self.source {
-                scratch.failed.set(node as usize);
-            }
-        }
-        if self.q < 1.0 {
-            for node in 0..self.n {
-                if node as u32 != self.source && !rng.next_bool(self.q) {
-                    scratch.failed.set(node);
+        // Distinct pre-failed members the rumor has not met (yet).
+        let mut prefailed_unreached = 0usize;
+        if !self.prefailed.is_empty() {
+            let failed = scratch.failed.get_or_insert_with(|| BitSet::new(self.n));
+            for &node in self.prefailed {
+                if node != self.source && failed.insert(node as usize) {
+                    prefailed_unreached += 1;
                 }
             }
         }
@@ -140,6 +151,8 @@ impl<'a> RelaySetup<'a> {
         scratch.reached.set(self.source as usize);
         scratch.frontier.push(self.source);
 
+        let mut reached = 1usize;
+        let mut nonfailed_reached = 0usize;
         let mut messages_sent = 0u64;
         let mut max_hop = 0u32;
         let mut hop = 0u32;
@@ -149,9 +162,19 @@ impl<'a> RelaySetup<'a> {
             // are filled, so take it out of the arena for the level.
             let mut frontier = std::mem::take(&mut scratch.frontier);
             for &v in &frontier {
-                if scratch.failed.get(v as usize) {
-                    continue; // crashed members absorb, never forward
+                // Failed members absorb, never forward.
+                if scratch.failed.as_ref().is_some_and(|f| f.get(v as usize)) {
+                    prefailed_unreached -= 1;
+                    continue;
                 }
+                // The crash coin, tossed now that the rumor has arrived:
+                // crashes are i.i.d. and independent of the relay, so
+                // the run is distributed as if every coin had been
+                // tossed up front.
+                if self.q < 1.0 && v != self.source && !rng.next_bool(self.q) {
+                    continue;
+                }
+                nonfailed_reached += 1;
                 let fanout = self.sampler.sample(self.dist, rng);
                 match self.overlay {
                     None => {
@@ -190,6 +213,7 @@ impl<'a> RelaySetup<'a> {
                     messages_sent += 1;
                     if scratch.reached.insert(t as usize) {
                         scratch.next.push(t);
+                        reached += 1;
                         max_hop = hop;
                     }
                 }
@@ -199,8 +223,10 @@ impl<'a> RelaySetup<'a> {
             std::mem::swap(&mut scratch.frontier, &mut scratch.next);
         }
 
-        let nonfailed = self.n - scratch.failed.count_ones();
-        let nonfailed_reached = scratch.reached.difference_count(&scratch.failed);
+        // Members the rumor never met tossed no coin: how many of them
+        // survived is all the denominator needs.
+        let undecided = (self.n - reached - prefailed_unreached) as u64;
+        let nonfailed = nonfailed_reached + Binomial::new(undecided, self.q).sample(rng) as usize;
         RelayOutcome {
             nonfailed,
             nonfailed_reached,

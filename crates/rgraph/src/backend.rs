@@ -152,9 +152,9 @@ fn evaluate_flat_default(
 ///   [`FLAT_TOPOLOGY_STREAM`]) and shared read-only across
 ///   replications — a quenched-overlay approximation of the classic
 ///   per-replication resample;
-/// * the relay digraph is never materialized — fanouts and targets are
-///   drawn lazily at first receipt, which is distributionally the same
-///   process.
+/// * the relay digraph is never materialized — crash coins, fanouts and
+///   targets are drawn lazily at first receipt, which is
+///   distributionally the same process.
 fn evaluate_structured_flat(
     scenario: &Scenario,
     q: f64,

@@ -142,8 +142,9 @@ impl Binomial {
         k
     }
 
-    /// Draws one sample by inversion (sequential search from 0), which is
-    /// exact and fast for the small `n` (≤ a few hundred) used here.
+    /// Draws one sample: `n ≤ 64` runs the Bernoulli trials, larger `n`
+    /// inverts one uniform outward from the mode, which is exact at any
+    /// `n·p` in O(√(np(1−p))) expected steps.
     pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> u64 {
         if self.p == 0.0 {
             return 0;
@@ -161,25 +162,55 @@ impl Binomial {
             }
             return count;
         }
-        // Inversion with the multiplicative recurrence
+        // Inversion outward from the mode m = ⌊(n+1)p⌋: the masses are
+        // laid out in the order m, m+1, m−1, m+2, … and the value whose
+        // interval holds u is returned. A search from 0 would start at
+        // (1−p)^n, which underflows once n·|ln(1−p)| ≳ 745; from the
+        // mode every term is representable. Both sides follow
         // P(k+1) = P(k) · (n−k)/(k+1) · p/(1−p).
         let u = rng.next_f64();
-        let ratio = self.p / (1.0 - self.p);
-        let mut k = 0u64;
-        let mut pmf = (1.0 - self.p).powi(self.n as i32);
-        let mut cdf = pmf;
-        while cdf < u && k < self.n {
-            pmf *= (self.n - k) as f64 / (k + 1) as f64 * ratio;
-            cdf += pmf;
-            k += 1;
+        let odds = self.p / (1.0 - self.p);
+        let mode = (((self.n as f64 + 1.0) * self.p) as u64).min(self.n);
+        let at_mode = self.pmf(mode);
+        let mut cdf = at_mode;
+        if u < cdf {
+            return mode;
         }
-        k
+        let (mut hi, mut above) = (mode, at_mode);
+        let (mut lo, mut below) = (mode, at_mode);
+        loop {
+            // A side is spent at the end of the support, or once its
+            // mass has underflowed to zero far out in the tail.
+            let right = hi < self.n && above > 0.0;
+            let left = lo > 0 && below > 0.0;
+            if !right && !left {
+                // Rounding left the total mass a hair below u.
+                return mode;
+            }
+            if right {
+                above *= (self.n - hi) as f64 / (hi + 1) as f64 * odds;
+                hi += 1;
+                cdf += above;
+                if u < cdf {
+                    return hi;
+                }
+            }
+            if left {
+                below *= lo as f64 / (self.n - lo + 1) as f64 / odds;
+                lo -= 1;
+                cdf += below;
+                if u < cdf {
+                    return lo;
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptive::OnlineStats;
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol
@@ -287,17 +318,67 @@ mod tests {
 
     #[test]
     fn sampling_large_n_inversion_path() {
-        let b = Binomial::new(500, 0.1);
-        let mut rng = Xoshiro256StarStar::new(777);
-        let n = 20_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = b.sample(&mut rng);
-            assert!(x <= 500);
-            sum += x as f64;
+        // Mean and variance within 5 SE of np and np(1−p) (false failure
+        // below 1e-5 over the eight checks). A search from 0 underflows at
+        // the first two and returns n on every draw.
+        let draws = 2_000;
+        for &(n, p) in &[
+            (1_000_000u64, 0.1f64),
+            (5_000, 0.2),
+            (500, 0.1),
+            (1_000_000, 0.999),
+        ] {
+            let b = Binomial::new(n, p);
+            let mut rng = Xoshiro256StarStar::new(777);
+            let mut stats = OnlineStats::new();
+            for _ in 0..draws {
+                let x = b.sample(&mut rng);
+                assert!(x <= n);
+                assert!(p > 0.5 || x < n, "B({n}, {p}) drew n");
+                stats.push(x as f64);
+            }
+            let var = b.variance();
+            let mean_se = (var / draws as f64).sqrt();
+            // Var(s²) = σ⁴ (2/(N−1) + excess kurtosis / N).
+            let excess = (1.0 - 6.0 * p * (1.0 - p)) / var;
+            let var_se = var * (2.0 / (draws - 1) as f64 + excess / draws as f64).sqrt();
+            assert!(
+                (stats.mean() - b.mean()).abs() < 5.0 * mean_se,
+                "B({n}, {p}): mean {} vs {}",
+                stats.mean(),
+                b.mean()
+            );
+            assert!(
+                (stats.variance() - var).abs() < 5.0 * var_se,
+                "B({n}, {p}): variance {} vs {var}",
+                stats.variance()
+            );
         }
-        let mean = sum / n as f64;
-        assert!((mean - 50.0).abs() < 0.5, "mean {mean}");
+    }
+
+    #[test]
+    fn large_n_sampler_follows_the_cdf() {
+        // One-sample Kolmogorov–Smirnov against `cdf` (the incomplete
+        // beta function, which shares no code with the sampler's pmf
+        // recurrence): √N·D < 1.95 fails a correct sampler less than once
+        // in 1 000 seeds, less still on a discrete law.
+        let b = Binomial::new(500, 0.1);
+        let mut rng = Xoshiro256StarStar::new(4242);
+        let draws = 2_000;
+        let mut counts = vec![0u64; 501];
+        for _ in 0..draws {
+            counts[b.sample(&mut rng) as usize] += 1;
+        }
+        let mut seen = 0u64;
+        let mut d = 0.0f64;
+        for (k, &c) in counts.iter().enumerate() {
+            seen += c;
+            d = d.max((seen as f64 / draws as f64 - b.cdf(k as u64)).abs());
+        }
+        assert!(
+            d * (draws as f64).sqrt() < 1.95,
+            "KS distance {d} over {draws} draws"
+        );
     }
 
     #[test]
