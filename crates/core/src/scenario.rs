@@ -444,25 +444,28 @@ impl RuntimeSpec {
     }
 }
 
-/// Group size at which [`EngineSpec::Auto`] switches the Monte-Carlo
-/// backends onto the flat struct-of-arrays engine. Below it the classic
-/// per-node paths run (byte-identical Reports with prior releases);
-/// at or above it the per-replication allocation cost of the classic
-/// paths dominates wall-clock and the flat engine takes over.
-pub const FLAT_ENGINE_AUTO_THRESHOLD: usize = 65_536;
-
 /// Which Monte-Carlo evaluation engine the simulation backends use.
 ///
 /// The flat engine keeps all per-replication state in struct-of-arrays
 /// form — u64-word bitset frontiers, one shared overlay CSR, alias-table
-/// fanout draws, arena-reused scratch — and is the only way to evaluate
-/// Fig. 4 curves at n = 10⁶⁺ in seconds. It draws from its own seed
-/// streams, so its Reports agree with the classic engines statistically
-/// (within Monte-Carlo tolerance) rather than bit-for-bit.
+/// fanout draws, arena-reused scratch — and samples the same process as
+/// the classic per-node engines by the principle of deferred decisions:
+/// a member's crash coin, fanout and targets are drawn when the rumor
+/// reaches it. It is the default wherever it is exact, at every group
+/// size, and the only way to evaluate Fig. 4 curves at n = 10⁶⁺ in
+/// seconds. It draws from its own seed streams, so its Reports agree
+/// with the classic engines statistically (within Monte-Carlo
+/// tolerance) rather than bit-for-bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineSpec {
-    /// Classic below [`FLAT_ENGINE_AUTO_THRESHOLD`] members, flat at or
-    /// above it (the default).
+    /// The flat engine wherever the backend has a flat kernel for the
+    /// scenario — byte-identical to [`EngineSpec::Flat`] there — and the
+    /// classic engine, silently, everywhere else (the default).
+    /// `GraphBackend` has one for everything it accepts;
+    /// `ProtocolBackend` for the §5 push relay over the full view or a
+    /// pinned overlay, but not for flood, push-pull, SCAMP views or
+    /// fault injection; the event-driven simulator and the live runtime
+    /// have none.
     #[default]
     Auto,
     /// Always the classic per-node engines, at any size.
@@ -474,13 +477,10 @@ pub enum EngineSpec {
 }
 
 impl EngineSpec {
-    /// Whether a group of `n` members should run on the flat engine.
-    pub fn flat_for(self, n: usize) -> bool {
-        match self {
-            EngineSpec::Auto => n >= FLAT_ENGINE_AUTO_THRESHOLD,
-            EngineSpec::Classic => false,
-            EngineSpec::Flat => true,
-        }
+    /// Whether a backend should try its flat kernel first, at any group
+    /// size: everything but an explicit [`EngineSpec::Classic`].
+    pub fn flat_for(self) -> bool {
+        self != EngineSpec::Classic
     }
 }
 
@@ -522,9 +522,10 @@ pub struct Scenario {
     pub protocol: ProtocolSpec,
     /// Live-runtime execution knobs (thread cap, latency pacing).
     pub runtime: RuntimeSpec,
-    /// Monte-Carlo engine choice (default: [`EngineSpec::Auto`] —
-    /// classic per-node paths at small `n`, flat struct-of-arrays above
-    /// [`FLAT_ENGINE_AUTO_THRESHOLD`]).
+    /// Monte-Carlo engine choice (default: [`EngineSpec::Auto`] — the
+    /// flat struct-of-arrays kernel wherever the backend has one for
+    /// this scenario, at every `n`; the classic per-node engine
+    /// otherwise).
     pub engine: EngineSpec,
     /// Monte-Carlo replications for simulation backends (paper: 20).
     pub replications: usize,

@@ -1,14 +1,16 @@
 //! # gossip-engine
 //!
-//! Flat struct-of-arrays Monte-Carlo kernels for the million-node
-//! regime (ROADMAP: "Million-node epidemic engine").
+//! Flat struct-of-arrays Monte-Carlo kernels: built for the
+//! million-node regime, the default at every group size.
 //!
 //! The classic evaluation layers carry per-node structs, per-round
 //! `Vec` allocations, and (for the protocol engine) a full event queue;
 //! all of that is O(n) allocator traffic *per replication*, which is
-//! what keeps the Fig. 4 curve stuck at n ≈ 10³–10⁴. This crate holds
-//! the shared machinery the backends swap in above a size threshold
-//! (or when a scenario sets `EngineSpec::Flat`):
+//! what keeps the Fig. 4 curve stuck at n ≈ 10³–10⁴ — and costs an
+//! order of magnitude per message at the paper's own n = 10³. This
+//! crate holds the shared machinery the backends run on under
+//! `EngineSpec::Auto` wherever it samples the same process (and always
+//! under `EngineSpec::Flat`):
 //!
 //! * [`bitset`] — u64-word bitsets for the infected/failed/reached
 //!   sets. One cache line covers 512 members; membership tests are a

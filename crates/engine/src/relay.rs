@@ -26,7 +26,7 @@
 use gossip_faults::adversary::BlockedLinks;
 use gossip_model::distribution::FanoutDistribution;
 use gossip_stats::binomial::Binomial;
-use gossip_stats::rng::Xoshiro256StarStar;
+use gossip_stats::rng::{sample_distinct_excluding, Xoshiro256StarStar};
 use gossip_topology::{PeerSelection, Topology};
 
 use crate::bitset::BitSet;
@@ -86,7 +86,8 @@ pub struct RelayOutcome {
     pub nonfailed_reached: usize,
     /// Copies delivered (post-blocking, post-loss).
     pub messages_sent: u64,
-    /// Hop count of the deepest first-time receipt.
+    /// Hop count of the deepest first-time receipt by a nonfailed
+    /// member (crashed and pre-failed receivers absorb uncounted).
     pub max_hop: u32,
 }
 
@@ -175,20 +176,16 @@ impl<'a> RelaySetup<'a> {
                     continue;
                 }
                 nonfailed_reached += 1;
+                // `v` got its copy one level up (the source at hop 0);
+                // levels only deepen, so the last store is the maximum.
+                max_hop = hop - 1;
                 let fanout = self.sampler.sample(self.dist, rng);
                 match self.overlay {
                     None => {
-                        // Complete overlay: uniform distinct members by
-                        // rejection — the K(n−1) neighbour lists are
-                        // never built.
-                        let fanout = fanout.min(self.n - 1);
+                        // Complete overlay: uniform distinct members —
+                        // the K(n−1) neighbour lists are never built.
                         scratch.targets.clear();
-                        while scratch.targets.len() < fanout {
-                            let t = rng.next_below(self.n as u64) as u32;
-                            if t != v && !scratch.targets.contains(&t) {
-                                scratch.targets.push(t);
-                            }
-                        }
+                        sample_distinct_excluding(self.n, v, fanout, rng, &mut scratch.targets);
                     }
                     Some((topo, policy)) => {
                         gossip_topology::select_targets(
@@ -214,7 +211,6 @@ impl<'a> RelaySetup<'a> {
                     if scratch.reached.insert(t as usize) {
                         scratch.next.push(t);
                         reached += 1;
-                        max_hop = hop;
                     }
                 }
             }

@@ -3,9 +3,9 @@
 //! Matches the paper's analytical assumption (targets uniform over the
 //! whole group) and is O(1) memory — no per-node view storage at all.
 
-use gossip_stats::rng::Xoshiro256StarStar;
+use gossip_stats::rng::{sample_distinct_excluding, Xoshiro256StarStar};
 
-use super::{sample_distinct_excluding, Membership};
+use super::Membership;
 use crate::event::NodeId;
 
 /// Complete membership knowledge for a group of `n` members.

@@ -56,42 +56,10 @@ pub trait Membership: Send + Sync {
     fn activate(&mut self, _node: NodeId) {}
 }
 
-/// Rejection-samples `k` distinct values from `0..n` excluding `me`,
-/// appending to `out`. Shared by the view implementations; efficient when
-/// `k ≪ n` (the gossip regime — fanouts are O(log n)).
-pub(crate) fn sample_distinct_excluding(
-    n: usize,
-    me: NodeId,
-    k: usize,
-    rng: &mut Xoshiro256StarStar,
-    out: &mut Vec<NodeId>,
-) {
-    let available = n.saturating_sub(1);
-    let k = k.min(available);
-    let start = out.len();
-    // For k close to n, rejection degrades; fall back to a partial
-    // Fisher–Yates over the full id range.
-    if k * 3 >= available && available > 0 {
-        let mut pool: Vec<NodeId> = (0..n as NodeId).filter(|&v| v != me).collect();
-        for i in 0..k {
-            let j = i + rng.next_below((pool.len() - i) as u64) as usize;
-            pool.swap(i, j);
-            out.push(pool[i]);
-        }
-        return;
-    }
-    while out.len() - start < k {
-        let t = rng.next_below(n as u64) as NodeId;
-        if t == me || out[start..].contains(&t) {
-            continue;
-        }
-        out.push(t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gossip_stats::rng::sample_distinct_excluding;
 
     #[test]
     fn sample_distinct_basic() {

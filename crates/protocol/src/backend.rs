@@ -7,7 +7,11 @@
 //!   protocol runs on an *idealized* network (lossless, constant
 //!   latency). Scenarios that ask for loss, non-default latency, or
 //!   crash schedules are rejected as [`ModelError::Unsupported`] — use
-//!   the netsim backend for those.
+//!   the netsim backend for those. An untimed push relay has no use for
+//!   an event calendar, so by default (`EngineSpec::Auto`) it runs on
+//!   the flat relay kernel of `gossip-engine` at every group size; the
+//!   event-driven runner keeps what that kernel declines
+//!   (`flat_unsupported`) and whatever pins `EngineSpec::Classic`.
 //! * [`NetSimBackend`] — the full discrete-event network simulation:
 //!   latency models, independent per-message loss, and scheduled
 //!   mid-run crash injection, plus timing metrics (`quiescence_secs`).
@@ -296,7 +300,7 @@ impl Backend for ProtocolBackend {
         }
         check_churn_support(self.name(), scenario)?;
         let membership = membership_kind(self.name(), scenario)?;
-        if scenario.engine.flat_for(scenario.n) {
+        if scenario.engine.flat_for() {
             match flat_unsupported(scenario, &membership) {
                 None => return evaluate_flat(scenario, q, &membership),
                 Some(what) if scenario.engine == EngineSpec::Flat => {
@@ -305,8 +309,8 @@ impl Backend for ProtocolBackend {
                         what,
                     });
                 }
-                // `Auto` above the threshold but unsupported: the
-                // classic engine quietly keeps the scenario.
+                // `Auto` where the flat kernel declines: the classic
+                // engine quietly keeps the scenario.
                 Some(_) => {}
             }
         }
@@ -765,14 +769,44 @@ mod tests {
     }
 
     #[test]
-    fn auto_engine_below_threshold_matches_classic_byte_for_byte() {
-        // n = 1000 is far below FLAT_ENGINE_AUTO_THRESHOLD, so `Auto`
-        // must take the classic path and the entire Report — every
-        // float, every label — must match.
-        let auto = ProtocolBackend.evaluate(&headline(8)).unwrap();
-        let classic = ProtocolBackend
-            .evaluate(&headline(8).with_engine(EngineSpec::Classic))
-            .unwrap();
-        assert_eq!(auto, classic);
+    fn auto_engine_is_flat_where_exact_and_classic_elsewhere() {
+        use gossip_model::{BurstySpec, FaultSpec};
+        use gossip_topology::{OverlaySpec, TopologySpec};
+        // `Auto` is a routing rule, not a third engine: the entire
+        // Report — every float, every label — matches `Flat` wherever
+        // the flat kernel accepts the scenario...
+        let overlay = TopologySpec::new(OverlaySpec::WattsStrogatz { k: 12, beta: 0.5 });
+        for accepted in [headline(8), headline(8).with_topology(overlay)] {
+            assert_eq!(
+                ProtocolBackend.evaluate(&accepted).unwrap(),
+                ProtocolBackend
+                    .evaluate(&accepted.clone().with_engine(EngineSpec::Flat))
+                    .unwrap(),
+                "{}",
+                accepted.label()
+            );
+        }
+        // ...and `Classic` wherever it declines.
+        let bursty = FaultSpec::none().with_bursty_loss(BurstySpec {
+            p_gb: 0.1,
+            p_bg: 0.4,
+            loss_good: 0.0,
+            loss_bad: 0.8,
+        });
+        for declined in [
+            headline(5).with_protocol(ProtocolSpec::Flood),
+            headline(5).with_protocol(ProtocolSpec::PushPull),
+            headline(5).with_membership(MembershipSpec::Scamp { c: 2 }),
+            headline(5).with_faults(bursty),
+        ] {
+            assert_eq!(
+                ProtocolBackend.evaluate(&declined).unwrap(),
+                ProtocolBackend
+                    .evaluate(&declined.clone().with_engine(EngineSpec::Classic))
+                    .unwrap(),
+                "{}",
+                declined.label()
+            );
+        }
     }
 }

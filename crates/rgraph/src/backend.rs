@@ -84,7 +84,7 @@ impl Backend for GraphBackend {
             });
         }
         let dist = scenario.fanout.build()?;
-        let flat = scenario.engine.flat_for(scenario.n);
+        let flat = scenario.engine.flat_for();
         // Static faults (zone kills, adversarial blocking) need a source
         // and directed reach, so they ride the structured path even on
         // the default complete overlay.
@@ -487,10 +487,16 @@ mod tests {
             "raw r = {}",
             blocked.reliability_raw.unwrap()
         );
-        // A random adversary wasting the same budget barely dents it.
+        // A random adversary wasting the same budget barely dents it:
+        // 399 of n(n − 1) links block nothing that matters, so a run
+        // either saturates (≈ 0.98 of the group, Eq. 11 at Po(4)) or
+        // dies at the source with the Po(4) extinction probability
+        // s = e^{−4(1 − s)} ≈ 0.020. Over 120 replications the raw mean
+        // 0.98·(1 − F/120) stays above 0.9 unless F ≥ 10 of them fizzle,
+        // and P(Bin(120, 0.020) ≥ 10) < 3e-4.
         let random = GraphBackend
             .evaluate(
-                &headline(400, 6)
+                &headline(400, 120)
                     .with_failure_ratio(1.0)
                     .with_faults(FaultSpec::none().with_adversary(399, AdversaryStrategy::Random)),
             )
@@ -550,13 +556,31 @@ mod tests {
     }
 
     #[test]
-    fn auto_engine_below_threshold_matches_classic_byte_for_byte() {
+    fn auto_engine_is_flat_where_exact_and_classic_elsewhere() {
         use gossip_model::scenario::EngineSpec;
-        let auto = GraphBackend.evaluate(&headline(2000, 5)).unwrap();
-        let classic = GraphBackend
-            .evaluate(&headline(2000, 5).with_engine(EngineSpec::Classic))
-            .unwrap();
-        assert_eq!(auto, classic);
+        use gossip_model::{AdversaryStrategy, FaultSpec};
+        use gossip_topology::{OverlaySpec, TopologySpec};
+        // This backend has a flat kernel for everything it accepts —
+        // the undirected census, structured overlays, static faults —
+        // so `Auto` is `Flat`, to the byte, on all three routes and
+        // never lands on the classic paths.
+        let overlay = TopologySpec::new(OverlaySpec::WattsStrogatz { k: 10, beta: 0.3 });
+        let adversary = FaultSpec::none().with_adversary(40, AdversaryStrategy::Random);
+        for accepted in [
+            headline(2000, 5).with_loss(0.1),
+            headline(500, 5).with_topology(overlay),
+            headline(300, 5).with_faults(adversary),
+        ] {
+            let auto = GraphBackend.evaluate(&accepted).unwrap();
+            let flat = GraphBackend
+                .evaluate(&accepted.clone().with_engine(EngineSpec::Flat))
+                .unwrap();
+            assert_eq!(auto, flat, "{}", accepted.label());
+            let classic = GraphBackend
+                .evaluate(&accepted.clone().with_engine(EngineSpec::Classic))
+                .unwrap();
+            assert_ne!(auto, classic, "{}", accepted.label());
+        }
     }
 
     #[test]

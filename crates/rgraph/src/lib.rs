@@ -36,9 +36,8 @@
 //!   frontiers on the relay side (`gossip-engine`) are `u32` arrays
 //!   swapped level-by-level over the same bitset visited test. All
 //!   scratch lives in arenas reset — never reallocated — between
-//!   replications. [`backend::GraphBackend`] switches onto these
-//!   kernels above `EngineSpec`'s size threshold (or when a scenario
-//!   pins `EngineSpec::Flat`).
+//!   replications. [`backend::GraphBackend`] runs on these kernels at
+//!   every group size unless a scenario pins `EngineSpec::Classic`.
 
 pub mod backend;
 pub mod components;

@@ -209,6 +209,43 @@ impl SeedableRng for Xoshiro256StarStar {
     }
 }
 
+/// Appends `min(k, n − 1)` distinct uniform members of `0..n`, never
+/// `me`, to `out` — one sender's gossip targets on the complete overlay.
+/// Only the appended range is kept distinct; what `out` already holds is
+/// left alone.
+///
+/// Rejection sampling while `k ≪ n` (the gossip regime — fanouts are
+/// O(log n)): one `next_below(n)` per attempt, so seeds reproduce across
+/// every caller. From `3k ≥ n − 1` on, where rejection turns quadratic,
+/// a partial Fisher–Yates over the candidates, staged in `out` itself.
+#[inline]
+pub fn sample_distinct_excluding(
+    n: usize,
+    me: u32,
+    k: usize,
+    rng: &mut Xoshiro256StarStar,
+    out: &mut Vec<u32>,
+) {
+    let available = n.saturating_sub(1);
+    let k = k.min(available);
+    let start = out.len();
+    if k * 3 >= available {
+        out.extend((0..n as u32).filter(|&v| v != me));
+        for i in 0..k {
+            let j = i + rng.next_below((available - i) as u64) as usize;
+            out.swap(start + i, start + j);
+        }
+        out.truncate(start + k);
+        return;
+    }
+    while out.len() - start < k {
+        let t = rng.next_below(n as u64) as u32;
+        if t != me && !out[start..].contains(&t) {
+            out.push(t);
+        }
+    }
+}
+
 /// The registry of seed-stream tags: every constant the workspace mixes
 /// into [`SplitMix64::derive`] to split one execution seed into
 /// decorrelated child streams (crash draws, overlay wiring, relay

@@ -33,23 +33,26 @@ fn fixed_fanout_phase_scan() {
 
 #[test]
 fn protocol_reliability_collapses_below_critical() {
-    // Straddle q_c = 0.25 for Po(4) with the live protocol: n = 1500,
-    // 10 replications a side. Below, every run is a fizzle (a single
-    // mode, so nothing is conditioned away) and the mean stays under
-    // 0.05; above, even the unconditioned mean — fizzles averaged in —
-    // clears 0.25 (Eq. 11 gives 0.58 at q = 0.40).
-    let run = |q: f64, seed: u64| {
+    // Straddle q_c = 0.25 for Po(4) with the live protocol at n = 1500.
+    // Below, every run is a fizzle (a single mode, so nothing is
+    // conditioned away) and the mean stays under 0.05. Above, at
+    // q = 0.40, a run takes off with probability S ≈ 0.64 (the source's
+    // surviving offspring are Po(1.6): S = 1 − e^{−1.6·S}) and then
+    // reaches ≈ 0.64 of the survivors (Eq. 11), so the unconditioned
+    // mean over 60 replications is ≈ 0.64·T/60 with T ~ Bin(60, 0.64):
+    // it falls to 0.25 only if T ≤ 23, probability < 1e-4.
+    let run = |q: f64, replications: usize, seed: u64| {
         let scenario = Scenario::new(1500, FanoutSpec::poisson(4.0))
             .with_failure_ratio(q)
-            .with_replications(10)
+            .with_replications(replications)
             .with_seed(seed);
         ProtocolBackend.evaluate(&scenario).unwrap()
     };
-    let below = run(0.18, 3);
+    let below = run(0.18, 10, 3);
     assert!(below.reliability < 0.05, "below q_c: {}", below.reliability);
     assert_eq!(below.takeoff_rate, Some(1.0), "subcritical: one mode only");
     assert_eq!(below.reliability_raw, Some(below.reliability));
-    let above = run(0.40, 4);
+    let above = run(0.40, 60, 4);
     let raw = above.reliability_raw.unwrap();
     assert!(raw > 0.25, "above q_c: {raw}");
     assert!(above.reliability >= raw, "conditioning drops the fizzles");

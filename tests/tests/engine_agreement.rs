@@ -1,0 +1,134 @@
+//! `EngineSpec::Auto` routes onto the flat kernels at every group size,
+//! so the flat kernels must sample the *same distribution* as the
+//! classic engines they stand in for — on every number a `Report`
+//! carries, not only on reliability. `Classic` and `Auto` draw from
+//! unrelated RNG streams, so the comparison is two-sample: each side
+//! runs `BATCHES` evaluations on seeds of its own, every `Report` field
+//! under test gives one batch mean per evaluation, and the two sets of
+//! batch means must agree within `Z` standard errors of their
+//! difference (Welch: the batch means' own spread, so nothing is
+//! assumed about the per-execution law — bimodal near q_c — and the
+//! overlay a flat evaluation builds once and a classic one resamples
+//! per execution is priced in).
+//!
+//! False-failure probability: each comparison is a Welch t statistic
+//! with at least `BATCHES − 1 = 31` degrees of freedom, and
+//! P(|t₃₁| > 6) < 1.3e-6; the file makes 16 × 5 + 2 = 82 comparisons, so
+//! the family-wise probability that a correct build fails is < 1.1e-4.
+//! What it catches is not marginal: counting a crashed receiver's hop
+//! into `rounds` (the flat kernel's behaviour before it was fixed) is
+//! 0.59 rounds at n = 20, q = 0.4 — 30 of these standard errors.
+
+use gossip::{
+    Backend, EngineSpec, FanoutSpec, GraphBackend, OverlaySpec, ProtocolBackend, Report, Scenario,
+    TopologySpec,
+};
+use gossip_stats::descriptive::OnlineStats;
+use gossip_stats::rng::SplitMix64;
+
+const BATCHES: u64 = 32;
+const Z: f64 = 6.0;
+
+type Metric = (&'static str, fn(&Report) -> f64);
+
+const RELIABILITY: Metric = ("reliability", |r| r.reliability);
+
+/// Everything a conditioned single-message `Report` measures.
+const PUSH_METRICS: [Metric; 5] = [
+    RELIABILITY,
+    ("reliability_raw", |r| measured(r.reliability_raw)),
+    ("takeoff_rate", |r| measured(r.takeoff_rate)),
+    ("rounds", |r| measured(r.rounds)),
+    ("messages_per_member", |r| measured(r.messages_per_member)),
+];
+
+fn measured(metric: Option<f64>) -> f64 {
+    metric.expect("a push Report fills every metric once a run of the batch took off")
+}
+
+/// One `OnlineStats` of batch means per metric: `BATCHES` evaluations of
+/// `scenario` on `engine`, seeds derived from `(scenario.seed, stream)`.
+fn batch_means(
+    backend: &dyn Backend,
+    scenario: &Scenario,
+    engine: EngineSpec,
+    stream: u64,
+    metrics: &[Metric],
+) -> Vec<OnlineStats> {
+    let mut stats = vec![OnlineStats::new(); metrics.len()];
+    for batch in 0..BATCHES {
+        let seed = SplitMix64::derive(scenario.seed, stream * BATCHES + batch);
+        let report = backend
+            .evaluate(&scenario.clone().with_seed(seed).with_engine(engine))
+            .expect("both engines accept the scenario");
+        for (stat, (_, read)) in stats.iter_mut().zip(metrics) {
+            stat.push(read(&report));
+        }
+    }
+    stats
+}
+
+fn assert_engines_agree(backend: &dyn Backend, scenario: &Scenario, metrics: &[Metric]) {
+    let classic = batch_means(backend, scenario, EngineSpec::Classic, 0, metrics);
+    let auto = batch_means(backend, scenario, EngineSpec::Auto, 1, metrics);
+    for ((name, _), (c, a)) in metrics.iter().zip(classic.iter().zip(&auto)) {
+        let se = (c.sem().powi(2) + a.sem().powi(2)).sqrt();
+        // The slack only matters where both sides are deterministic.
+        assert!(
+            (c.mean() - a.mean()).abs() <= Z * se + 1e-12,
+            "{} on {}: {name} classic {} vs auto {} ({Z} SE = {})",
+            backend.name(),
+            scenario.label(),
+            c.mean(),
+            a.mean(),
+            Z * se
+        );
+    }
+}
+
+#[test]
+fn protocol_auto_matches_classic_on_every_report_metric() {
+    for (i, n) in [2usize, 5, 20, 100, 1000].into_iter().enumerate() {
+        for (j, q) in [0.4, 0.8, 1.0].into_iter().enumerate() {
+            // About the same work per cell: 300 executions a batch for
+            // the small groups, 30 at n = 1000.
+            let scenario = Scenario::new(n, FanoutSpec::poisson(4.0))
+                .with_failure_ratio(q)
+                .with_replications((30_000 / n).clamp(30, 300))
+                .with_seed(0xA6EE_0000 + (i * 3 + j) as u64);
+            assert_engines_agree(&ProtocolBackend, &scenario, &PUSH_METRICS);
+        }
+    }
+}
+
+#[test]
+fn protocol_auto_matches_classic_when_everyone_is_a_target() {
+    // Fixed(n − 1): every sender targets the whole group, which is the
+    // distinct-target sampler's partial Fisher–Yates branch.
+    let scenario = Scenario::new(50, FanoutSpec::fixed(49))
+        .with_failure_ratio(0.8)
+        .with_replications(20)
+        .with_seed(0xA6EE_0100);
+    assert_engines_agree(&ProtocolBackend, &scenario, &PUSH_METRICS);
+}
+
+#[test]
+fn graph_auto_matches_classic_on_the_census_and_on_an_overlay() {
+    let census = Scenario::new(1000, FanoutSpec::poisson(4.0))
+        .with_failure_ratio(0.7)
+        .with_loss(0.1)
+        .with_replications(10)
+        .with_seed(0xA6EE_0200);
+    assert_engines_agree(&GraphBackend, &census, &[RELIABILITY]);
+    // Quenched under `Auto` (one overlay per evaluation), resampled per
+    // execution under `Classic`: the batch means price that in.
+    let overlay = Scenario::new(400, FanoutSpec::poisson(5.0))
+        .with_failure_ratio(0.8)
+        .with_topology(TopologySpec::new(OverlaySpec::WattsStrogatz {
+            k: 10,
+            beta: 0.3,
+        }))
+        .with_replications(10)
+        .with_seed(0xA6EE_0201);
+    assert_engines_agree(&GraphBackend, &overlay, &[RELIABILITY]);
+}

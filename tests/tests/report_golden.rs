@@ -8,7 +8,10 @@
 //! backend's replication loop, seed derivation, or push order into the
 //! running statistics) cannot drift silently. They were captured at the
 //! commit *before* the reductions were unified and must pass unchanged
-//! across pure refactors.
+//! across pure refactors. The classic engines are pinned through an
+//! explicit `EngineSpec::Classic`, the flat ones through
+//! `EngineSpec::Flat`; the two `*_auto` cases pin where the default
+//! `EngineSpec::Auto` routes.
 //!
 //! Regenerate (only when a change is *meant* to move the numbers — say
 //! so in CHANGES.md) with one command from the workspace root:
@@ -53,20 +56,20 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
         (
             "protocol_push",
             Box::new(ProtocolBackend),
-            base(300, 4.0, 0.9, 12, 0x601D_0001),
+            base(300, 4.0, 0.9, 12, 0x601D_0001).with_engine(EngineSpec::Classic),
         ),
         (
             // Near q_c = 0.25: some executions fizzle, so the
             // conditional and raw estimators part ways.
             "protocol_push_near_critical",
             Box::new(ProtocolBackend),
-            base(300, 4.0, 0.4, 12, 0x601D_0002),
+            base(300, 4.0, 0.4, 12, 0x601D_0002).with_engine(EngineSpec::Classic),
         ),
         (
             // Below q_c: threshold 0, every run conditions.
             "protocol_push_subcritical",
             Box::new(ProtocolBackend),
-            base(300, 4.0, 0.15, 8, 0x601D_0003),
+            base(300, 4.0, 0.15, 8, 0x601D_0003).with_engine(EngineSpec::Classic),
         ),
         (
             "protocol_flood",
@@ -101,7 +104,9 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
         (
             "graph_default",
             Box::new(GraphBackend),
-            base(1000, 4.0, 0.9, 8, 0x601D_0009).with_loss(0.1),
+            base(1000, 4.0, 0.9, 8, 0x601D_0009)
+                .with_loss(0.1)
+                .with_engine(EngineSpec::Classic),
         ),
         (
             "graph_flat_default",
@@ -113,7 +118,9 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
         (
             "graph_overlay_classic",
             Box::new(GraphBackend),
-            base(500, 5.0, 0.6, 10, 0x601D_000B).with_topology(small_world()),
+            base(500, 5.0, 0.6, 10, 0x601D_000B)
+                .with_topology(small_world())
+                .with_engine(EngineSpec::Classic),
         ),
         (
             "graph_overlay_flat",
@@ -126,7 +133,8 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             "graph_adversary",
             Box::new(GraphBackend),
             base(300, 4.0, 0.9, 8, 0x601D_000D)
-                .with_faults(FaultSpec::none().with_adversary(40, AdversaryStrategy::Random)),
+                .with_faults(FaultSpec::none().with_adversary(40, AdversaryStrategy::Random))
+                .with_engine(EngineSpec::Classic),
         ),
         (
             // f = n − 1 cuts every uplink of the source: no execution
@@ -134,7 +142,8 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             "graph_adversary_no_takeoff",
             Box::new(GraphBackend),
             base(200, 4.0, 1.0, 4, 0x601D_0010)
-                .with_faults(FaultSpec::none().with_adversary(199, AdversaryStrategy::WorstCase)),
+                .with_faults(FaultSpec::none().with_adversary(199, AdversaryStrategy::WorstCase))
+                .with_engine(EngineSpec::Classic),
         ),
         (
             "runtime_channel_bursty",
@@ -163,6 +172,18 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
                     watchdog_secs: 0,
                 })
                 .with_traffic(TrafficSpec::stream(3)),
+        ),
+        (
+            // The default route: `Auto` lands on the flat relay kernel.
+            "protocol_push_auto",
+            Box::new(ProtocolBackend),
+            base(300, 4.0, 0.9, 12, 0x601D_0011),
+        ),
+        (
+            // The default route: `Auto` lands on the flat census.
+            "graph_default_auto",
+            Box::new(GraphBackend),
+            base(1000, 4.0, 0.9, 8, 0x601D_0012).with_loss(0.1),
         ),
     ]
 }

@@ -249,7 +249,10 @@ fn flat_engine_straddles_the_critical_point() {
 
 #[test]
 fn flat_engine_refusals_and_auto_fallback() {
-    use gossip::{EngineSpec, GraphBackend, NetSimBackend, ProtocolBackend, RuntimeBackend};
+    use gossip::{
+        BurstySpec, EngineSpec, FaultSpec, GraphBackend, NetSimBackend, ProtocolBackend,
+        RuntimeBackend,
+    };
     // Event-driven backends have no flat path: pinning `EngineSpec::Flat`
     // must be a typed refusal that names the backend, never a panic or a
     // silent classic run.
@@ -269,17 +272,38 @@ fn flat_engine_refusals_and_auto_fallback() {
             other => panic!("{expect} must refuse the flat engine, got {other:?}"),
         }
     }
-    // `Auto` below the size threshold is the classic engine, to the byte.
+    // `Auto` is the flat kernel, to the byte, wherever it accepts the
+    // scenario — at any group size...
     let auto = scenario.clone().with_engine(EngineSpec::Auto);
-    let classic = scenario.with_engine(EngineSpec::Classic);
     assert_eq!(
         GraphBackend.evaluate(&auto).unwrap(),
-        GraphBackend.evaluate(&classic).unwrap()
+        GraphBackend.evaluate(&scenario).unwrap()
     );
     assert_eq!(
         ProtocolBackend.evaluate(&auto).unwrap(),
-        ProtocolBackend.evaluate(&classic).unwrap()
+        ProtocolBackend.evaluate(&scenario).unwrap()
     );
+    // ...and the classic engine, to the byte, wherever it declines.
+    let bursty = FaultSpec::none().with_bursty_loss(BurstySpec {
+        p_gb: 0.1,
+        p_bg: 0.4,
+        loss_good: 0.0,
+        loss_bad: 0.8,
+    });
+    for declined in [
+        auto.clone().with_protocol(ProtocolSpec::Flood),
+        auto.clone().with_protocol(ProtocolSpec::PushPull),
+        auto.clone().with_membership(MembershipSpec::Scamp { c: 2 }),
+        auto.with_faults(bursty),
+    ] {
+        let classic = declined.clone().with_engine(EngineSpec::Classic);
+        assert_eq!(
+            ProtocolBackend.evaluate(&declined).unwrap(),
+            ProtocolBackend.evaluate(&classic).unwrap(),
+            "{}",
+            declined.label()
+        );
+    }
 }
 
 #[test]
