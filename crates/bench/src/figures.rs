@@ -1,19 +1,138 @@
-//! Shared experiment drivers for the figure binaries, built on the
-//! unified `Scenario` → `Backend` → `Report` API.
+//! The paper's own evaluation, Figs. 2–7, on the unified
+//! `Scenario` → `Backend` → `Report` API.
 //!
 //! The Figs. 4/5 sweep is one [`SweepGrid`] evaluated twice — once by
 //! [`AnalyticBackend`] (the Eq. 11 curves) and once by
-//! [`ProtocolBackend`] (the paper's 20-runs-per-point procedure) — so
-//! the binaries carry no per-layer glue of their own.
+//! [`ProtocolBackend`] (the paper's 20-runs-per-point procedure); the
+//! Figs. 6/7 histogram stays on `gossip_protocol::experiment` because
+//! the §4.2 variable `X` is not a per-scenario scalar.
 
 use gossip_model::scenario::{AnalyticBackend, Backend, FanoutSpec, Scenario, SweepGrid};
+use gossip_model::{poisson_case, success};
 use gossip_protocol::backend::ProtocolBackend;
 use gossip_protocol::experiment;
 use gossip_stats::binomial::Binomial;
 use gossip_stats::gof::{chi_square_pvalue, total_variation_distance};
-use gossip_stats::histogram::IntHistogram;
 
-use crate::Table;
+use crate::{analytic_r, ascii_plot, Outcome, Table, SEED};
+
+/// Fig. 2 — mean fanout `z` vs reliability `S` for q ∈ {0.2, …, 1.0}
+/// (analytic, paper Eq. 12: `z = −ln(1 − S)/(qS)`).
+///
+/// Each designed `z` is round-tripped through an [`AnalyticBackend`]
+/// scenario: the forward model must reproduce the reliability the
+/// inverse design promised. Paper reference points: the curves span
+/// S ∈ [0.1111, 0.9999] with z rising to ≈46 at (q = 0.2, S = 0.9999)
+/// and staying below ≈10 at q = 1.0.
+pub fn fig2(out: &mut Outcome) {
+    let qs = [0.2, 0.4, 0.6, 0.8, 1.0];
+    let steps = 60;
+    let (s_min, s_max) = (0.1111, 0.9999);
+
+    let mut headers = vec!["S".to_string()];
+    headers.extend(qs.iter().map(|q| format!("z(q={q})")));
+    headers.push("max |roundtrip err|".into());
+    let mut table = Table::new(
+        "Fig. 2 — mean fanout required for reliability S (Poisson, Eq. 12)",
+        &headers,
+    );
+
+    let mut series: Vec<(String, Vec<(f64, f64)>)> =
+        qs.iter().map(|q| (format!("q={q}"), Vec::new())).collect();
+    let mut worst_roundtrip = 0.0f64;
+    for i in 0..steps {
+        let s = s_min + (s_max - s_min) * i as f64 / (steps - 1) as f64;
+        let mut row = vec![s];
+        let mut row_err = 0.0f64;
+        for (qi, &q) in qs.iter().enumerate() {
+            // Inverse design (Eq. 12), then forward verification through
+            // the scenario API.
+            let z = poisson_case::mean_fanout_for(s, q).expect("Eq. 12 well-defined");
+            let scenario = Scenario::new(1000, FanoutSpec::poisson(z)).with_failure_ratio(q);
+            row_err = row_err.max((analytic_r(&scenario) - s).abs());
+            row.push(z);
+            series[qi].1.push((s, z));
+        }
+        worst_roundtrip = worst_roundtrip.max(row_err);
+        row.push(row_err);
+        table.push_floats(&row, 4);
+    }
+    out.table("fig2_fanout_vs_reliability.csv", table);
+    out.note(ascii_plot(&series, 70, 22));
+
+    let z_max = series[0].1.last().expect("non-empty").1;
+    out.finding(
+        (z_max - 46.0).abs() < 0.5,
+        format!("z(q=0.2, S=0.9999) = {z_max:.2} (paper plot: ≈46, held to ±0.5)"),
+    );
+    out.finding(
+        worst_roundtrip < 1e-6,
+        format!("Eq. 12 round-trips through Eq. 11: worst |R(designed z) − S| = {worst_roundtrip:.2e} < 1e-6"),
+    );
+}
+
+/// Fig. 3 — minimum number of executions `t` for success probability
+/// p_s = 0.999, as a function of per-execution reliability `S`
+/// (analytic, paper Eq. 6: `t ≥ lg(1 − p_s)/lg(1 − S)`).
+///
+/// `t_min` is found by stepping the scenario's `executions` until the
+/// [`AnalyticBackend`] report's `success_within_t` (Eq. 5) crosses
+/// `p_s`; the closed form (Eq. 6) must agree at every point. Paper
+/// reference: t ≈ 20 near S = 0.3, dropping below 5 around S ≈ 0.75 and
+/// to ~1–2 as S → 1.
+pub fn fig3(out: &mut Outcome) {
+    let ps = 0.999;
+    let steps = 60;
+    let (s_min, s_max) = (0.20, 0.995);
+
+    let mut table = Table::new(
+        "Fig. 3 — minimum executions t for Pr(success) ≥ 0.999 (Eq. 6)",
+        &["S", "t_min"],
+    );
+    let mut points = Vec::with_capacity(steps);
+    let mut worst_step_gap = 0;
+    for i in 0..steps {
+        let s = s_min + (s_max - s_min) * i as f64 / (steps - 1) as f64;
+        // A scenario whose one-execution reliability is S (invert
+        // Eq. 11 for the fanout at q = 1), then step t upward until the
+        // reported Eq. 5 success probability clears p_s.
+        let z = poisson_case::mean_fanout_for(s, 1.0).expect("Eq. 12 well-defined");
+        let scenario = Scenario::new(1000, FanoutSpec::poisson(z));
+        let t_min = (1..=64u32)
+            .find(|&t| {
+                let report = AnalyticBackend
+                    .evaluate(&scenario.clone().with_executions(t))
+                    .expect("valid scenario");
+                report.success_within_t >= ps
+            })
+            .unwrap_or_else(|| panic!("t_min must exist for S = {s}"));
+        // The scenario's reliability differs from S only by solver
+        // epsilon, so the closed form may sit one boundary step away.
+        let closed = success::required_executions(s, ps).expect("supercritical S");
+        worst_step_gap = worst_step_gap.max((t_min as i64 - closed as i64).abs());
+        table.push(vec![format!("{s:.4}"), format!("{t_min}")]);
+        points.push((s, t_min as f64));
+    }
+    out.table("fig3_required_executions.csv", table);
+    out.note(ascii_plot(
+        &[("t_min(S), ps=0.999", points.clone())],
+        70,
+        18,
+    ));
+
+    out.finding(
+        worst_step_gap <= 1,
+        format!("stepped Eq. 5 search vs Eq. 6 closed form: worst |Δt| = {worst_step_gap} ≤ 1 over {steps} points"),
+    );
+    let (first, last) = (points[0], points[steps - 1]);
+    out.finding(
+        first.1 >= 20.0 && last.1 <= 2.0,
+        format!(
+            "t_min({:.2}) = {} ≥ 20, t_min({:.3}) = {} ≤ 2 (paper: ~20 at small S, 1–2 near 1)",
+            first.0, first.1, last.0, last.1
+        ),
+    );
+}
 
 /// One `{f, q}` measurement of the Figs. 4/5 procedure.
 #[derive(Clone, Copy, Debug)]
@@ -29,8 +148,6 @@ pub struct ReliabilityPoint {
     /// toward `R²` at moderate reliability — reported in the CSVs for
     /// transparency.
     pub simulated_raw: f64,
-    /// Fraction of replications that took off.
-    pub takeoff_rate: f64,
     /// Analytic reliability: the root of Eq. 11.
     pub analytic: f64,
 }
@@ -46,34 +163,26 @@ pub fn paper_fanout_grid() -> Vec<f64> {
     grid
 }
 
-/// The Figs. 4/5 scenario grid: Poisson fanout over the paper's grid,
-/// one failure-ratio row per `q`, `reps` protocol runs per point.
-pub fn fig45_grid(n: usize, qs: &[f64], reps: usize, base_seed: u64) -> SweepGrid {
-    let base = Scenario::new(n, FanoutSpec::poisson(4.0))
-        .with_replications(reps)
-        .with_seed(base_seed);
-    SweepGrid::new(base)
-        .over_failure_ratios(qs)
-        .over_poisson_means(&paper_fanout_grid())
-}
-
 /// Runs the Figs. 4/5 sweep: reliability vs mean fanout for each `q`,
 /// on groups of `n` members; `reps` runs per point (paper: 20).
 ///
-/// Points are ordered `q`-major (all fanouts of `qs[0]` first), the
-/// layout [`reliability_table`] expects.
+/// Points come in the grid's order, fanout-major: all `qs` of the
+/// first fanout, then all of the second.
 pub fn reliability_vs_fanout(
     n: usize,
     qs: &[f64],
     reps: usize,
-    base_seed: u64,
+    seed: u64,
 ) -> Vec<ReliabilityPoint> {
-    let grid = fig45_grid(n, qs, reps, base_seed);
+    let base = Scenario::new(n, FanoutSpec::poisson(4.0))
+        .with_replications(reps)
+        .with_seed(seed);
+    let grid = SweepGrid::new(base)
+        .over_failure_ratios(qs)
+        .over_poisson_means(&paper_fanout_grid());
     let analytic = grid.run(&AnalyticBackend);
     let simulated = grid.run(&ProtocolBackend);
-    // Cell order is fanout-major (the grid's outer axis); the table
-    // layout wants q-major.
-    let cells: Vec<ReliabilityPoint> = analytic
+    analytic
         .iter()
         .zip(&simulated)
         .map(|(ana, sim)| {
@@ -89,146 +198,144 @@ pub fn reliability_vs_fanout(
                 q: scenario.q().expect("grid rows are failure ratios"),
                 simulated: sim.reliability,
                 simulated_raw: sim.reliability_raw.expect("protocol reports raw mean"),
-                takeoff_rate: sim.takeoff_rate.expect("protocol reports take-off"),
                 analytic: ana.reliability,
             }
         })
-        .collect();
-    let (nf, nq) = (paper_fanout_grid().len(), qs.len());
-    (0..nq)
-        .flat_map(|qi| (0..nf).map(move |fi| (fi, qi)))
-        .map(|(fi, qi)| cells[fi * nq + qi])
         .collect()
 }
 
-/// Formats a [`reliability_vs_fanout`] sweep as a table with one
-/// sim/analysis column pair per `q`.
-pub fn reliability_table(title: &str, qs: &[f64], points: &[ReliabilityPoint]) -> Table {
-    let grid = paper_fanout_grid();
-    let mut headers = vec!["f".to_string()];
-    for q in qs {
-        headers.push(format!("sim q={q}"));
-        headers.push(format!("ana q={q}"));
-        headers.push(format!("raw q={q}"));
-    }
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut table = Table::new(title, &header_refs);
-    for (fi, &f) in grid.iter().enumerate() {
-        let mut row = vec![f];
-        for (qi, _) in qs.iter().enumerate() {
-            let p = &points[qi * grid.len() + fi];
-            row.push(p.simulated);
-            row.push(p.analytic);
-            row.push(p.simulated_raw);
-        }
-        table.push_floats(&row, 4);
-    }
-    table
-}
-
-/// Largest |sim − analysis| across supercritical points (f·q > 1.2 —
-/// clear of the transition, where finite-size rounding dominates).
-pub fn max_supercritical_gap(points: &[ReliabilityPoint]) -> f64 {
+/// Absolute |sim − analysis| over the points with `f·q` above `floor`
+/// (clear of the transition, where finite-size rounding dominates).
+pub fn supercritical_gaps(points: &[ReliabilityPoint], floor: f64) -> Vec<f64> {
     points
         .iter()
-        .filter(|p| p.f * p.q > 1.2)
+        .filter(|p| p.f * p.q > floor)
         .map(|p| (p.simulated - p.analytic).abs())
-        .fold(0.0, f64::max)
+        .collect()
 }
 
-/// The Figs. 6/7 procedure: distribution of the paper's §4.2 variable
-/// `X` — executions (out of `execs`) in which a nonfailed member
-/// received the message — over `sims` simulations, vs the analytic
-/// `B(execs, R)` with `R` from Eq. 11.
-pub struct SuccessCountFigure {
-    /// Simulated histogram of `X` (per-member receipt count).
-    pub histogram: IntHistogram,
-    /// The analytic distribution the paper plots: `B(execs, R)`.
-    pub analytic: Binomial,
-    /// The paper's rounded reliability for these parameters (0.967).
-    pub paper_r: f64,
-    /// Total-variation distance between simulated pmf and analytic pmf.
-    pub tv_distance: f64,
-    /// Chi-square p-value of the fit.
-    pub chi2_pvalue: f64,
-    /// The *directed* refinement the paper's model misses: a member
-    /// receives iff the source's dissemination takes off (prob. S) AND
-    /// the member sits in the reachable giant component (prob. S) —
-    /// `B(execs, S²)`. The measured histogram fits this line tighter.
-    pub analytic_directed: Binomial,
-    /// TV distance to the `B(execs, S²)` refinement.
-    pub tv_directed: f64,
-    /// For contrast: the strict group-wide success count (every
-    /// nonfailed member reached) over an equal number of executions —
-    /// essentially 0 at n in the thousands, which is how we know the
-    /// paper's Figs. 6/7 plot the per-member variable (EXPERIMENTS.md).
-    pub strict_success_mean: f64,
+/// Shared driver for Figs. 4 and 5: both panels at group size `n`, one
+/// sim / analysis / raw column triple per `q`. Returns the largest
+/// supercritical (f·q > 1.2) |sim − analysis| of each panel.
+fn reliability_figure(out: &mut Outcome, fig: u32, n: usize) -> [f64; 2] {
+    let reps = 20; // paper: 20 runs per point
+    let panels: [(&str, [f64; 4]); 2] = [("a", [0.1, 0.3, 0.5, 1.0]), ("b", [0.4, 0.6, 0.8, 1.0])];
+    panels.map(|(panel, qs)| {
+        let points = reliability_vs_fanout(n, &qs, reps, SEED);
+        let mut headers = vec!["f".to_string()];
+        for q in qs {
+            headers.extend([
+                format!("sim q={q}"),
+                format!("ana q={q}"),
+                format!("raw q={q}"),
+            ]);
+        }
+        let mut table = Table::new(
+            format!("Fig. {fig}{panel} — reliability vs mean fanout, n = {n}, {reps} runs/point"),
+            &headers,
+        );
+        for row in points.chunks(qs.len()) {
+            let mut cells = vec![row[0].f];
+            cells.extend(
+                row.iter()
+                    .flat_map(|p| [p.simulated, p.analytic, p.simulated_raw]),
+            );
+            table.push_floats(&cells, 4);
+        }
+        out.table(format!("fig{fig}{panel}_reliability_n{n}.csv"), table);
+
+        // Simulated series only (analytic curves are smooth; the plot is
+        // for eyeballing agreement).
+        let series: Vec<(String, Vec<(f64, f64)>)> = qs
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| {
+                let column = points.iter().skip(qi).step_by(qs.len());
+                let curve = column.map(|p| (p.f, p.simulated)).collect();
+                (format!("sim q={q}"), curve)
+            })
+            .collect();
+        out.note(ascii_plot(&series, 70, 20));
+        supercritical_gaps(&points, 1.2)
+            .into_iter()
+            .fold(0.0, f64::max)
+    })
 }
 
-/// Runs the success-count experiment for `{f, q}` at group size `n`.
-/// The per-execution histogram machinery stays on the experiment
-/// harness (the §4.2 variable `X` is not a per-scenario scalar); the
-/// analytic reference line comes from the scenario API.
-pub fn success_count_figure(
-    n: usize,
-    f: f64,
-    q: f64,
-    execs: usize,
-    sims: usize,
-    base_seed: u64,
-) -> SuccessCountFigure {
-    let scenario = Scenario::new(n, FanoutSpec::poisson(f))
-        .with_failure_ratio(q)
-        .with_seed(base_seed);
-    // The per-member histogram needs a `Clone` distribution, so the
-    // experiment harness gets a concrete PoissonFanout — but both it and
-    // the ExecutionConfig are derived from the scenario's own fields so
-    // the analytic overlay and the simulation cannot diverge.
-    let dist = match scenario.fanout {
-        FanoutSpec::Poisson { mean } => gossip_model::PoissonFanout::new(mean),
-        _ => unreachable!("success-count figures are Poisson"),
-    };
-    let cfg = gossip_protocol::engine::ExecutionConfig::new(
-        scenario.n,
-        scenario.q().expect("ratio failure model"),
+/// Figs. 4a/4b — reliability vs mean fanout in a **1000-node** group:
+/// simulation (20 runs per `{f, q}` point) against the analytic giant
+/// component (Eq. 11).
+///
+/// Paper procedure (§5.1): q ∈ {0.1, 0.3, 0.5, 1.0} (4a) and
+/// {0.4, 0.6, 0.8, 1.0} (4b); f from 1.1 to 6.7 step 0.4; every critical
+/// point respects q > 1/f; "the results of simulations tally with the
+/// analytical results except very few points".
+pub fn fig4(out: &mut Outcome) {
+    let [a, b] = reliability_figure(out, 4, 1000);
+    // Measured 0.0199 / 0.0998: panel b's worst point is the one
+    // near-critical cell f·q ≈ 1.2, not a trend.
+    out.finding(
+        a <= 0.04 && b <= 0.2,
+        format!("max supercritical |sim − ana| at n = 1000: panel a {a:.4} ≤ 0.04, panel b {b:.4} ≤ 0.2"),
     );
-    let histogram =
-        experiment::member_receipt_distribution(&cfg, &dist, execs, sims, scenario.seed);
-    let strict = experiment::success_count_distribution(
-        &cfg,
-        &dist,
-        execs,
-        (sims / 10).max(1),
-        scenario.seed ^ 0xDEAD,
-    );
+}
 
-    let analytic_r = AnalyticBackend
-        .evaluate(&scenario)
-        .expect("parameters validated upstream")
-        .reliability;
-    let analytic = Binomial::new(execs as u64, analytic_r);
-    let analytic_directed = Binomial::new(execs as u64, analytic_r * analytic_r);
+/// Figs. 5a/5b — reliability vs mean fanout in a **5000-node** group.
+///
+/// Same procedure as Fig. 4; the paper observes the simulation "tallies
+/// with the analytical results better than in Fig. 4, which indicates
+/// that our modeling works better in larger scale systems". That holds
+/// for the worst point over both panels, not panel by panel (at this
+/// seed panel a reads 0.0343 against Fig. 4a's 0.0199);
+/// [`finite_size`](crate::extensions::finite_size) measures the trend.
+pub fn fig5(out: &mut Outcome) {
+    let [a, b] = reliability_figure(out, 5, 5000);
+    // Measured 0.0343 / 0.0290.
+    out.finding(
+        a <= 0.07 && b <= 0.06,
+        format!("max supercritical |sim − ana| at n = 5000: panel a {a:.4} ≤ 0.07, panel b {b:.4} ≤ 0.06"),
+    );
+    let small = reliability_figure(&mut Outcome::default(), 4, 1000);
+    let (worst_5000, worst_1000) = (a.max(b), small[0].max(small[1]));
+    out.finding(
+        worst_5000 < worst_1000,
+        format!("worst supercritical gap over both panels shrinks with n: {worst_5000:.4} at n = 5000 < {worst_1000:.4} at n = 1000"),
+    );
+}
+
+/// Shared driver for Figs. 6 and 7: the distribution of the paper's
+/// §4.2 variable `X` — executions (out of 20) in which a nonfailed
+/// member received the message — over 100 simulations at n = 2000,
+/// against the paper's analysis line `B(20, R)` (R from Eq. 11) and
+/// against the *directed* refinement `B(20, R²)`: a member receives iff
+/// the source's dissemination takes off (prob. R) AND the member sits in
+/// the reachable giant component (prob. R).
+fn success_count_figure(out: &mut Outcome, fig: u32, f: f64, q: f64) {
+    let (n, execs, sims) = (2000, 20, 100);
+    // The experiment harness takes a concrete distribution and config
+    // where the analytic overlay takes a scenario: same `n`, `f`, `q`.
+    let dist = gossip_model::PoissonFanout::new(f);
+    let cfg = gossip_protocol::engine::ExecutionConfig::new(n, q);
+    let histogram = experiment::member_receipt_distribution(&cfg, &dist, execs, sims, SEED);
+    // For contrast: the strict group-wide success count (every nonfailed
+    // member reached) — essentially 0 at n in the thousands, which is
+    // how we know Figs. 6/7 plot the per-member variable.
+    let strict =
+        experiment::success_count_distribution(&cfg, &dist, execs, sims / 10, SEED ^ 0xDEAD);
+
+    let r = analytic_r(&Scenario::new(n, FanoutSpec::poisson(f)).with_failure_ratio(q));
+    let paper = Binomial::new(execs as u64, r);
+    let directed = Binomial::new(execs as u64, r * r);
     let sim_pmf = histogram.pmf_vector();
-    let ana_pmf = analytic.pmf_vector();
-    let tv = total_variation_distance(&sim_pmf, &ana_pmf);
-    let tv_directed = total_variation_distance(&sim_pmf, &analytic_directed.pmf_vector());
-    let chi = chi_square_pvalue(histogram.counts(), &ana_pmf, 5.0);
-    SuccessCountFigure {
-        histogram,
-        analytic,
-        paper_r: 0.967,
-        tv_distance: tv,
-        chi2_pvalue: chi.p_value,
-        analytic_directed,
-        tv_directed,
-        strict_success_mean: strict.mean(),
-    }
-}
+    let tv_paper = total_variation_distance(&sim_pmf, &paper.pmf_vector());
+    let tv_directed = total_variation_distance(&sim_pmf, &directed.pmf_vector());
+    let chi = chi_square_pvalue(histogram.counts(), &paper.pmf_vector(), 5.0);
 
-/// Formats a [`SuccessCountFigure`] as a table of `Pr(X = k)`.
-pub fn success_count_table(title: &str, fig: &SuccessCountFigure) -> Table {
     let mut table = Table::new(
-        title,
+        format!(
+            "Fig. {fig} — Pr(X = k) for X = #successes among {execs} executions, \
+             n = {n}, f = {f}, q = {q}, {sims} sims"
+        ),
         &[
             "k",
             "Pr(X=k) sim",
@@ -236,18 +343,62 @@ pub fn success_count_table(title: &str, fig: &SuccessCountFigure) -> Table {
             "Pr(X=k) B(t,R^2) [directed]",
         ],
     );
-    for k in 0..fig.histogram.buckets() {
-        table.push_floats(
-            &[
-                k as f64,
-                fig.histogram.pmf(k),
-                fig.analytic.pmf(k as u64),
-                fig.analytic_directed.pmf(k as u64),
-            ],
-            4,
-        );
+    for k in 0..histogram.buckets() {
+        let row = [
+            k as f64,
+            histogram.pmf(k),
+            paper.pmf(k as u64),
+            directed.pmf(k as u64),
+        ];
+        table.push_floats(&row, 4);
     }
-    table
+    out.table(
+        format!("fig{fig}_success_distribution_f{f}_q{q}.csv"),
+        table,
+    );
+    out.note(format!(
+        "analysis line B({execs}, R) with exact R = {r:.4} (paper rounds to 0.967); simulated \
+         mean X = {:.2}, mode = {}, chi2 p against it = {:.3}; the strict group-wide success \
+         count averages {:.2}/{execs} at this n, so X is the per-member receipt count",
+        histogram.mean(),
+        histogram.mode(),
+        chi.p_value,
+        strict.mean()
+    ));
+    // Measured: TV 0.1985 / 0.2209 to the paper's line, 0.0692 / 0.0407
+    // to the directed one (Fig. 6 / Fig. 7).
+    out.finding(
+        tv_directed < tv_paper,
+        format!(
+            "the histogram sits closer to the directed B({execs}, R²) than to the paper's \
+             B({execs}, R): TV {tv_directed:.4} < {tv_paper:.4} — the source-extinction \
+             factor the undirected model folds away"
+        ),
+    );
+}
+
+/// Fig. 6 — distribution of the gossip-success count `X` among 20
+/// executions, n = 2000, **f = 4.0, q = 0.9**, 100 simulations, against
+/// the analysis line `B(20, 0.967)`.
+///
+/// Paper procedure (§5.2): "for each pair of parameters, we run our
+/// gossiping algorithm for 20 times in one simulation, and each
+/// simulation is repeated for 100 times; then we report the distribution
+/// of the number X".
+pub fn fig6(out: &mut Outcome) {
+    success_count_figure(out, 6, 4.0, 0.9);
+}
+
+/// Fig. 7 — the same distribution at **f = 6.0, q = 0.6**.
+///
+/// The paper's point: `{4.0, 0.9}` (Fig. 6) and `{6.0, 0.6}` (here) have
+/// the same product f·q = 3.6 and hence the same one-execution
+/// reliability (Eq. 6 then requires t ≥ 3 at p_s = 0.999), yet "their
+/// corresponding distributions of gossiping success are not exactly
+/// identical" — fanout and failure ratio carry different weight for
+/// whole-group success.
+pub fn fig7(out: &mut Outcome) {
+    success_count_figure(out, 7, 6.0, 0.6);
 }
 
 #[cfg(test)]

@@ -1,46 +1,45 @@
-//! Shared harness for the figure-reproduction binaries.
+//! The reproduction ledger: every experiment of the paper's evaluation
+//! (Figs. 2–7) and of this repo's extensions (E7–E18) is one entry of
+//! [`REGISTRY`] — the experiment index — run by the one `repro` binary
+//! (`repro <name>`, `repro all`, no argument lists the index).
 //!
-//! Each binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index): it prints an
-//! aligned table of the same series the paper plots and writes a CSV
-//! into `results/`. This module holds the table/CSV/plot plumbing and
-//! the experiment defaults so the binaries stay declarative.
+//! An experiment is a function that builds its `Scenario`s, fills a
+//! [`Table`] of the same series the paper plots, and states its
+//! [`Finding`]s — each a claim checked against a bound, so a regressed
+//! number fails the run instead of scrolling past. The runner prints
+//! the tables, writes them as CSV into the git-ignored `results/`, and
+//! for the four committed experiments writes the [`Experiment::ledger_json`]
+//! to `BENCH_<name>.json` at the workspace root. There are no knobs:
+//! the seed and every replication count are constants, so a run is
+//! deterministic and the committed ledgers are goldens
+//! (`tests/ledger.rs`).
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Standard base seed for all figure reproductions (override with the
-/// `GOSSIP_SEED` environment variable).
-pub fn base_seed() -> u64 {
-    std::env::var("GOSSIP_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x1CC_2008) // "ICPP 2008"
+use gossip_model::scenario::{AnalyticBackend, Backend, Scenario};
+use serde::{json, Serialize, Value};
+
+pub mod ablations;
+pub mod extensions;
+pub mod figures;
+
+/// Base seed of every experiment ("ICPP 2008").
+pub const SEED: u64 = 0x1CC_2008;
+
+/// The workspace root: where the committed `BENCH_*.json` ledgers live
+/// and where `results/` is created.
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Scale factor for replication counts (override with `GOSSIP_REPS_SCALE`,
-/// e.g. `GOSSIP_REPS_SCALE=0.1` for a quick smoke run).
-pub fn reps_scale() -> f64 {
-    std::env::var("GOSSIP_REPS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
-}
-
-/// Applies [`reps_scale`] to a nominal replication count (min 1).
-pub fn scaled(reps: usize) -> usize {
-    ((reps as f64 * reps_scale()).round() as usize).max(1)
-}
-
-/// The output directory for CSVs (`results/` at the workspace root, or
-/// `GOSSIP_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("GOSSIP_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"));
-    fs::create_dir_all(&dir).expect("create results dir");
-    dir
+/// Eq. 11 (with loss, Eq. 11's bond+site extension) for a scenario.
+pub(crate) fn analytic_r(scenario: &Scenario) -> f64 {
+    AnalyticBackend
+        .evaluate(scenario)
+        .expect("the analytic backend prices every experiment scenario")
+        .reliability
 }
 
 /// A printable, CSV-writable table.
@@ -53,10 +52,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub fn new(title: impl Into<String>, headers: &[impl AsRef<str>]) -> Self {
         Self {
             title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -70,16 +69,6 @@ impl Table {
     /// Convenience: appends a row of floats with the given precision.
     pub fn push_floats(&mut self, values: &[f64], precision: usize) {
         self.push(values.iter().map(|v| format!("{v:.precision$}")).collect());
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table with aligned columns.
@@ -116,11 +105,6 @@ impl Table {
         out
     }
 
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// Writes the table as CSV.
     pub fn write_csv(&self, path: &Path) {
         let mut out = String::new();
@@ -131,16 +115,15 @@ impl Table {
         fs::write(path, out).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         println!("wrote {}", path.display());
     }
-
-    /// Convenience: write into [`results_dir`] under the given file name.
-    pub fn save(&self, file_name: &str) {
-        self.write_csv(&results_dir().join(file_name));
-    }
 }
 
 /// Renders labelled `(x, y)` series as a crude ASCII scatter plot —
 /// enough to eyeball curve shapes (the actual comparison is numeric).
-pub fn ascii_plot(series: &[(&str, Vec<(f64, f64)>)], width: usize, height: usize) -> String {
+pub fn ascii_plot<S: AsRef<str>>(
+    series: &[(S, Vec<(f64, f64)>)],
+    width: usize,
+    height: usize,
+) -> String {
     let mut xs: Vec<f64> = Vec::new();
     let mut ys: Vec<f64> = Vec::new();
     for (_, pts) in series {
@@ -174,7 +157,7 @@ pub fn ascii_plot(series: &[(&str, Vec<(f64, f64)>)], width: usize, height: usiz
     let _ = writeln!(out, "+{}", "-".repeat(width));
     let _ = writeln!(out, " x ∈ [{xmin:.3}, {xmax:.3}]");
     for (si, (label, _)) in series.iter().enumerate() {
-        let _ = writeln!(out, "  {} {}", marks[si % marks.len()], label);
+        let _ = writeln!(out, "  {} {}", marks[si % marks.len()], label.as_ref());
     }
     out
 }
@@ -199,6 +182,179 @@ fn scale_to(v: f64, lo: f64, hi: f64, max_idx: usize) -> usize {
         .clamp(0.0, max_idx as f64) as usize
 }
 
+/// One claim an experiment makes about its numbers, checked against a
+/// bound stated in the claim itself.
+#[derive(Clone, Debug, Serialize)]
+pub struct Finding {
+    /// The claim, with the measured values and the bound it was held to.
+    pub claim: String,
+    /// Whether the claim held on this run.
+    pub holds: bool,
+}
+
+/// What one experiment produced: its tables (each with the CSV file
+/// name it is saved under), free-form notes (plots, context) and its
+/// checked findings.
+#[derive(Default)]
+pub struct Outcome {
+    /// `(csv file name, table)`, in print order.
+    pub tables: Vec<(String, Table)>,
+    /// Plots and remarks printed after the tables.
+    pub notes: Vec<String>,
+    /// The checked claims; any with `holds == false` fails the run.
+    pub findings: Vec<Finding>,
+}
+
+impl Outcome {
+    /// Adds a table, saved as `results/<csv>`.
+    pub fn table(&mut self, csv: impl Into<String>, table: Table) {
+        self.tables.push((csv.into(), table));
+    }
+
+    /// Adds a plot or remark.
+    pub fn note(&mut self, text: impl Into<String>) {
+        self.notes.push(text.into());
+    }
+
+    /// Records a checked claim.
+    pub fn finding(&mut self, holds: bool, claim: impl Into<String>) {
+        self.findings.push(Finding {
+            claim: claim.into(),
+            holds,
+        });
+    }
+}
+
+/// One entry of the experiment index.
+pub struct Experiment {
+    /// The name `repro <name>` runs it by.
+    pub name: &'static str,
+    /// Its unique label in the index (`Fig. 4`, `E16`, …).
+    pub label: &'static str,
+    /// One line on what it measures.
+    pub about: &'static str,
+    /// Whether its ledger is committed as `BENCH_<name>.json`.
+    pub ledger: bool,
+    body: fn(&mut Outcome),
+}
+
+/// The experiment index: the paper's Figs. 2–7, the model-validation
+/// extensions E7–E14 and the four ablations E15–E18 whose ledgers are
+/// committed. An entry's name is its function's name.
+pub static REGISTRY: [Experiment; 18] = {
+    macro_rules! index {
+        ($($label:literal $module:ident::$name:ident ledger=$ledger:literal $about:literal;)*) => {
+            [$(Experiment {
+                name: stringify!($name),
+                label: $label,
+                about: $about,
+                ledger: $ledger,
+                body: $module::$name,
+            }),*]
+        };
+    }
+    index! {
+        "Fig. 2" figures::fig2 ledger=false "mean fanout z needed for reliability S (Eq. 12)";
+        "Fig. 3" figures::fig3 ledger=false "minimum executions t for success 0.999 (Eq. 6)";
+        "Fig. 4" figures::fig4 ledger=false "reliability vs mean fanout, n = 1000, sim vs Eq. 11";
+        "Fig. 5" figures::fig5 ledger=false "reliability vs mean fanout, n = 5000, sim vs Eq. 11";
+        "Fig. 6" figures::fig6 ledger=false "success count among 20 executions, f = 4.0, q = 0.9";
+        "Fig. 7" figures::fig7 ledger=false "success count among 20 executions, f = 6.0, q = 0.6";
+        "E7" extensions::critical_point ledger=false "empirical vs analytic q_c = 1/G1'(1)";
+        "E8" extensions::distribution_zoo ledger=false "six fanout families at equal mean";
+        "E9" extensions::success_vs_t ledger=false "Eq. 5: member reached within t executions";
+        "E10" extensions::membership_ablation ledger=false "full view vs SCAMP partial views";
+        "E11" extensions::finite_size ledger=false "model error vs group size, n = 250 … 16 000";
+        "E12" extensions::baselines_rounds ledger=false "round-by-round spread vs pbcast and SI";
+        "E13" extensions::baselines_success ledger=false "whole-group success vs the KMG law";
+        "E14" extensions::loss_sweep ledger=false "message loss as bond percolation";
+        "E15" ablations::topology_ablation ledger=true "empirical q_c on six overlay families";
+        "E16" ablations::fault_ablation ledger=true "four fault families vs the i.i.d. prediction";
+        "E17" ablations::stream_sweep ledger=true "k-message streams under a bandwidth cap";
+        "E18" ablations::scaling ledger=true "the Fig. 4 curve at n = 10⁶, one point at 10⁷";
+    }
+};
+
+/// The experiments `repro <arg>` runs: the whole registry for `all`,
+/// the entry of that name otherwise, `None` for an unknown name.
+pub fn select(arg: &str) -> Option<Vec<&'static Experiment>> {
+    if arg == "all" {
+        return Some(REGISTRY.iter().collect());
+    }
+    REGISTRY.iter().find(|e| e.name == arg).map(|e| vec![e])
+}
+
+/// The one ledger schema, derived from the table the experiment builds.
+#[derive(Serialize)]
+struct Ledger {
+    experiment: String,
+    seed: u64,
+    title: String,
+    columns: Vec<String>,
+    rows: Vec<Vec<Value>>,
+    findings: Vec<Finding>,
+}
+
+impl Experiment {
+    /// Runs the experiment (no I/O beyond what the backends do).
+    pub fn run(&self) -> Outcome {
+        let mut outcome = Outcome::default();
+        (self.body)(&mut outcome);
+        outcome
+    }
+
+    /// Where this experiment's ledger is committed.
+    pub fn ledger_path(&self) -> PathBuf {
+        workspace_root().join(format!("BENCH_{}.json", self.name))
+    }
+
+    /// Serialises the outcome's (single) table and findings in the
+    /// ledger schema: one field per line, one row or finding per line,
+    /// numeric cells as JSON numbers at their printed precision.
+    pub fn ledger_json(&self, outcome: &Outcome) -> String {
+        let [(_, table)] = outcome.tables.as_slice() else {
+            panic!("{}: a ledger holds exactly one table", self.name);
+        };
+        let cell = |text: &String| match (text.parse::<u64>(), text.parse::<f64>()) {
+            (Ok(int), _) => Value::U64(int),
+            (_, Ok(float)) if float.is_finite() => Value::F64(float),
+            _ => Value::Str(text.clone()),
+        };
+        let ledger = Ledger {
+            experiment: self.name.to_string(),
+            seed: SEED,
+            title: table.title.clone(),
+            columns: table.headers.clone(),
+            rows: table
+                .rows
+                .iter()
+                .map(|row| row.iter().map(cell).collect())
+                .collect(),
+            findings: outcome.findings.clone(),
+        };
+        let Value::Map(fields) = ledger.serialize_value() else {
+            unreachable!("a struct serialises as a map");
+        };
+        let compact = |value: &Value| json::to_string(value).expect("ledger cells are finite");
+        let fields: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| match value {
+                Value::Seq(items)
+                    if matches!(items.first(), Some(Value::Seq(_) | Value::Map(_))) =>
+                {
+                    let lines: Vec<String> = items
+                        .iter()
+                        .map(|v| format!("    {}", compact(v)))
+                        .collect();
+                    format!("  \"{key}\": [\n{}\n  ]", lines.join(",\n"))
+                }
+                other => format!("  \"{key}\": {}", compact(other)),
+            })
+            .collect();
+        format!("{{\n{}\n}}\n", fields.join(",\n"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,7 +367,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("## demo"));
         assert!(s.contains("0.25"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(s.lines().count(), 5, "title, header, rule, two rows");
     }
 
     #[test]
@@ -249,13 +405,31 @@ mod tests {
     }
 
     #[test]
-    fn empty_plot() {
-        assert_eq!(ascii_plot(&[], 10, 5), "(no data)\n");
+    fn registry_is_a_unique_index() {
+        let all = select("all").expect("`all` is always runnable");
+        assert_eq!(all.len(), REGISTRY.len());
+        for (i, experiment) in REGISTRY.iter().enumerate() {
+            assert!(
+                std::ptr::eq(all[i], experiment),
+                "`all` runs the registry in order"
+            );
+            let found = select(experiment.name).expect("every name resolves");
+            assert!(
+                matches!(found[..], [one] if std::ptr::eq(one, experiment)),
+                "{} resolves to its own entry",
+                experiment.name
+            );
+            for other in &REGISTRY[..i] {
+                assert_ne!(other.name, experiment.name, "duplicate name");
+                assert_ne!(other.label, experiment.label, "duplicate label");
+            }
+        }
+        assert!(select("no_such_experiment").is_none());
+        assert_eq!(REGISTRY.iter().filter(|e| e.ledger).count(), 4);
     }
 
     #[test]
-    fn scaled_respects_min() {
-        assert!(scaled(20) >= 1);
+    fn empty_plot() {
+        assert_eq!(ascii_plot::<&str>(&[], 10, 5), "(no data)\n");
     }
 }
-pub mod figures;

@@ -10,7 +10,8 @@
 //! * `F0(x) = q·G0(x)`, `F1(x) = q·G1(x)`;
 //! * the self-consistency condition is `u = 1 − q + q·G1(u)` — `u` is the
 //!   probability that an edge leads to a node *not* in the giant
-//!   component (see DESIGN.md for the sign typo in the paper's Eq. 4);
+//!   component (Callaway et al.'s form; the paper's Eq. 4 as printed
+//!   carries a sign typo);
 //! * the giant component occupies a fraction `q·(1 − G0(u))` of **all**
 //!   nodes ([`SitePercolation::giant_fraction`]) and a fraction
 //!   `1 − G0(u)` of **nonfailed** nodes — the paper's reliability

@@ -89,8 +89,8 @@ where
 /// an execution with per-member reliability `R < 1` leaves `≈ (1−R)·nq`
 /// stragglers — which is precisely why the paper's own Figs. 6/7 must be
 /// read as plotting the per-member receipt count
-/// ([`member_receipt_distribution`]). Kept for the metric-definition
-/// analysis in EXPERIMENTS.md.
+/// ([`member_receipt_distribution`]). Kept for that metric-definition
+/// contrast, which `repro fig6` / `repro fig7` (gossip-bench) print.
 pub fn success_count_distribution<D>(
     cfg: &ExecutionConfig,
     dist: &D,

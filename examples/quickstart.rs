@@ -53,5 +53,5 @@ fn main() {
     let gap = (sim.reliability - model.reliability).abs();
     println!("model-vs-sim gap      : {gap:.4}");
     assert!(gap < 0.02, "model and simulation disagree: {gap}");
-    println!("\nmodel and simulation agree — see DESIGN.md for the theory.");
+    println!("\nmodel and simulation agree — the theory is in crates/core/src/lib.rs.");
 }

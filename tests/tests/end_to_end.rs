@@ -66,7 +66,8 @@ fn general_design_matches_protocol_for_geometric() {
     // Geometric fanout-0 members are modeled as unreachable (undirected
     // model) but the directed protocol can still reach them — the
     // protocol beats the model here; assert the model is a lower bound
-    // within tolerance (see DESIGN.md "directed vs undirected").
+    // within tolerance (directed vs undirected: `repro distribution_zoo`,
+    // gossip-bench's registry entry E8, measures the gap per family).
     assert!(
         sim.reliability > target - 0.03,
         "protocol below designed target: {} < {target}",

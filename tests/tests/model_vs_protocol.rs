@@ -95,7 +95,8 @@ fn subcritical_protocol_execution_dies() {
 
 #[test]
 fn fixed_fanout_exposes_directed_vs_undirected_gap() {
-    // A reproduction finding (documented in EXPERIMENTS.md): the paper's
+    // A reproduction finding (measured by `repro distribution_zoo`,
+    // gossip-bench's registry entry E8): the paper's
     // *undirected* random-graph model distinguishes fanout shapes —
     // Fixed(4) at q = 0.9 predicts R ≈ 0.9999 — but the *directed*
     // message-passing protocol does not: a member receives iff some
