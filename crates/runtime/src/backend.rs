@@ -11,14 +11,15 @@
 //! *implemented* protocol, not just its models, matches the paper's
 //! predictions.
 
-use gossip_model::reduce::{self, Execution};
-use gossip_model::scenario::{Backend, EngineSpec, MembershipSpec, ProtocolSpec, Report, Scenario};
+use gossip_model::reduce::{self, Execution, StreamExecution};
+use gossip_model::scenario::{
+    Backend, EngineSpec, FailureSpec, LatencySpec, MembershipSpec, ProtocolSpec, Report, Scenario,
+};
 use gossip_model::ModelError;
 use gossip_stats::rng::SplitMix64;
 
 use crate::channel::ChannelTransport;
-use crate::exec::{run_execution, ExecParams};
-use crate::harness::Harness;
+use crate::exec::{run_execution, ExecParams, NS_PER_MS};
 use crate::tcp::TcpTransport;
 use crate::transport::Transport;
 
@@ -32,7 +33,7 @@ const TCP_MAX_GROUP: usize = 1024;
 /// Which wire the runtime puts messages on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process mailboxes: fast and byte-deterministic in the seed.
+    /// In-process mailboxes: the fast transport.
     #[default]
     Channel,
     /// Real loopback TCP sockets with line-delimited JSON framing.
@@ -122,53 +123,74 @@ fn reject_unsupported(scenario: &Scenario, n_cap: Option<usize>) -> Result<(), M
     Ok(())
 }
 
+/// Why this scenario's stream cannot run live, if it can't. Live
+/// streams model the paper's base system only: complete view, push
+/// relay, static crashes, constant hop latency (the token bucket's
+/// round is the hop).
+fn check_stream_support(backend: &'static str, scenario: &Scenario) -> Result<(), ModelError> {
+    let what = if scenario.protocol != ProtocolSpec::Push {
+        "multi-message traffic for flood variants (live streams use the push relay)"
+    } else if !scenario.topology.is_default() {
+        "multi-message traffic over structured overlays (live streams run on the complete view)"
+    } else if !scenario.faults.is_default() {
+        "multi-message traffic under dynamic fault injection (live streams model static crashes only)"
+    } else if matches!(scenario.failure, FailureSpec::Schedule { .. }) {
+        "crash schedules under multi-message traffic (live streams draw static crashes from q)"
+    } else if !matches!(scenario.latency, LatencySpec::ConstantMillis { .. }) {
+        "multi-message traffic under stochastic latency (the token bucket's round is the constant hop; use ConstantMillis)"
+    } else {
+        return Ok(());
+    };
+    Err(ModelError::Unsupported { backend, what })
+}
+
 /// Runs the scenario's replications sequentially over `transport` and
-/// hands their digests to [`gossip_model::reduce`].
+/// hands their digests to [`gossip_model::reduce`]: one sample per
+/// execution for a single broadcast, one per message for a stream —
+/// with throughput priced on the virtual clock, so reports stay free of
+/// wall-clock scheduling noise.
 fn evaluate_over<T: Transport>(
     transport: &T,
     scenario: &Scenario,
     backend_name: &str,
 ) -> Result<Report, ModelError> {
     if scenario.traffic.is_some() {
-        return crate::stream::evaluate_stream_over(transport, scenario, backend_name);
+        check_stream_support(transport.name(), scenario)?;
     }
     let dist = scenario.fanout.build()?;
-    let params = ExecParams {
-        n: scenario.n,
-        source: SOURCE,
-        dist: &*dist,
-        loss: scenario.loss,
-        latency: scenario.latency,
-        failure: &scenario.failure,
-        faults: &scenario.faults,
-        topology: if scenario.topology.is_default() {
-            None
-        } else {
-            Some(&scenario.topology)
-        },
-        flood: scenario.protocol == ProtocolSpec::Flood,
-        harness: Harness::for_scenario(scenario),
-    };
+    let params = ExecParams::new(scenario, &*dist);
 
     // Replications run sequentially: each one already fans out over the
     // shard threads (and, over TCP, the kernel), so stacking replication
     // parallelism on top would oversubscribe without adding fidelity.
-    let mut executions: Vec<Execution> = Vec::with_capacity(scenario.replications);
+    let mut broadcasts: Vec<Execution> = Vec::new();
+    let mut streams: Vec<StreamExecution> = Vec::new();
+    let mut hist: Vec<u64> = Vec::new();
     for rep in 0..scenario.replications {
         let seed = SplitMix64::derive(scenario.seed, rep as u64);
-        let execution =
-            run_execution(transport, &params, seed)?.ok_or(ModelError::NoConvergence {
-                what: "runtime quiescence (a live execution hit its watchdog deadline)",
-                iterations: rep,
-            })?;
-        executions.push(execution);
+        let record = run_execution(transport, &params, seed)?.ok_or(ModelError::NoConvergence {
+            what: "runtime quiescence (a live execution hit its watchdog deadline)",
+            iterations: rep,
+        })?;
+        if scenario.traffic.is_some() {
+            streams.push(record.stream(&params.injections, &mut hist));
+        } else {
+            broadcasts.push(record.broadcast());
+        }
     }
-    reduce::conditioned(
+    let transport_name = Some(transport.name());
+    if scenario.traffic.is_none() {
+        return reduce::conditioned(backend_name, transport_name, scenario, &*dist, broadcasts);
+    }
+    let hop_ms = Some(params.round_ns / NS_PER_MS);
+    reduce::stream(
         backend_name,
-        Some(transport.name()),
+        transport_name,
         scenario,
         &*dist,
-        executions,
+        hop_ms,
+        &streams,
+        &hist,
     )
 }
 

@@ -1,12 +1,10 @@
 //! The in-process channel transport: one mutex-guarded mailbox per
 //! member, shared by every endpoint.
 //!
-//! This is the deterministic-replay transport: delivery never fails for
-//! an alive peer, loss and latency are injected by the *sender* from
-//! seed-derived draws (see [`crate::exec`]), and the set of messages
-//! that ever exists is therefore a pure function of the scenario seed —
-//! independent of thread interleaving. It is also the fast transport:
-//! a send is one lock + one `VecDeque` push.
+//! Delivery never fails for an alive peer: loss and latency are
+//! injected by the *sender* from seed-derived draws (see
+//! [`crate::exec`], which also states what replays byte for byte). It
+//! is the fast transport: a send is one lock + one `VecDeque` push.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -93,7 +91,13 @@ mod tests {
         let fabric = Fabric::new();
         let alive = [true, true, false];
         let mut eps = ChannelTransport.open(3, &alive, &fabric).unwrap();
-        let msg = WireMessage::injection(9, 0);
+        let msg = WireMessage {
+            id: 9,
+            from: 0,
+            hop: 0,
+            arrival_virtual_ns: 0,
+            ids: vec![0],
+        };
         // Alive peer: delivered and counted in flight.
         let mut a = eps[0].take().unwrap();
         let mut b = eps[1].take().unwrap();

@@ -1,13 +1,12 @@
-//! The live-actor harness shared by the single-message and the stream
-//! execution: open one endpoint per alive member, pair each with its
-//! actor, inject at the source, multiplex the pairs over shard threads,
-//! and run them to quiescence — or to the watchdog deadline, so a wedged
-//! transport fails the run instead of hanging the caller.
+//! The live-actor harness around every execution: open one endpoint per
+//! alive member, pair each with its actor, inject at the source,
+//! multiplex the pairs over shard threads, and run them to quiescence —
+//! or to the watchdog deadline, so a wedged transport fails the run
+//! instead of hanging the caller.
 //!
-//! The two actor kinds stay separate types; the harness knows neither.
-//! It is generic over the actor state and a frame handler, and owns
-//! everything that is *not* protocol: threads, the [`Fabric`] in-flight
-//! count, real-time pacing, the deadline.
+//! The harness knows no protocol: it is generic over the actor state
+//! and a frame handler, and owns everything else — threads, the
+//! [`Fabric`] in-flight count, real-time pacing, the deadline.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -5,8 +5,8 @@
 //!
 //! The other four backends *model* the protocol — generating functions,
 //! percolation, a Monte-Carlo engine, a discrete-event simulator. This
-//! crate *executes* it: every member is an actor with its own RNG and
-//! inbox, relays race each other through a real wire (in-process
+//! crate *executes* it: every member is an actor with its own
+//! seed-derived draws and inbox, relays race each other through a real wire (in-process
 //! mailboxes or loopback TCP sockets), and reliability is measured from
 //! what actually arrived. Agreement between this layer and the models
 //! is the repo's end-to-end fidelity check.
@@ -14,14 +14,20 @@
 //! ## Layout
 //!
 //! * [`wire`] — the typed [`WireMessage`] frame (serde, one JSON line
-//!   over TCP) carrying the virtual-clock arrival stamp.
+//!   over TCP) carrying the virtual-clock arrival stamp and the message
+//!   ids it relays.
 //! * [`transport`] — the [`Transport`]/[`Endpoint`] traits and the
 //!   [`Fabric`] in-flight counter that detects quiescence.
 //! * [`channel`] — [`ChannelTransport`]: mutex-guarded in-process
-//!   mailboxes; deterministic replay (byte-identical reports per seed).
+//!   mailboxes, the fast transport.
 //! * [`tcp`] — [`TcpTransport`]: real `std::net` loopback sockets with
 //!   maelstrom-style line-delimited JSON framing; connection refusal to
 //!   crashed members doubles as fault injection.
+//! * `exec` — the one node actor and one execution: a single broadcast
+//!   is the k = 1 stream, and every metric is read off the recorded
+//!   relay graph. Its module docs state, once for the crate, what
+//!   replays byte for byte and what is aggregate-stable only.
+//! * `harness` — threads, shards, pacing and the watchdog around it.
 //! * [`backend`] — [`RuntimeBackend`], the [`Backend`] impl that runs
 //!   seed-derived replications and hands them to
 //!   [`gossip_model::reduce`] — the same take-off conditioning as every
@@ -51,7 +57,6 @@ pub mod backend;
 pub mod channel;
 mod exec;
 mod harness;
-mod stream;
 pub mod tcp;
 pub mod transport;
 pub mod wire;

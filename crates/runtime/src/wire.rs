@@ -27,25 +27,14 @@ pub struct WireMessage {
     /// Virtual arrival time at the destination, in nanoseconds since
     /// injection.
     pub arrival_virtual_ns: u64,
-    /// Piggybacked stream-message indices riding on this frame. Empty
-    /// for the classic single-message broadcast; a multi-message stream
-    /// ([`TrafficSpec`](gossip_model::TrafficSpec)) packs up to
-    /// `frame_limit` indices per frame, amortizing one fanout draw and
-    /// one frame-budget slot over all of them.
+    /// The stream-message indices this frame relays: one per frame, or
+    /// up to `frame_limit` when piggybacking
+    /// ([`TrafficSpec`](gossip_model::TrafficSpec)), amortizing one
+    /// fanout draw and one frame-budget slot over all of them. A
+    /// one-message plan — the single broadcast is the k = 1 stream —
+    /// leaves it empty: every frame relays message 0. What replays byte
+    /// for byte is stated once, in the execution module's docs.
     pub ids: Vec<u32>,
-}
-
-impl WireMessage {
-    /// The injection frame a broadcast starts from.
-    pub fn injection(id: u64, source: u32) -> Self {
-        WireMessage {
-            id,
-            from: source,
-            hop: 0,
-            arrival_virtual_ns: 0,
-            ids: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]

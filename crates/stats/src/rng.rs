@@ -296,12 +296,12 @@ pub mod streams {
         TRAFFIC_PLAN = 0x7AFF1C;
         /// Round-engine stream execution (alive draw + relay coins).
         STREAM_EXEC = 0x7AFF2C;
-        /// Live stream relay draws, mixed with `(node, message)`.
-        STREAM_NODE = 0x7AFF3C;
         /// Live runtime: the crash pattern, single-message and stream
         /// executions alike.
         FAILURE = 0xFA11;
-        /// Live runtime: per-actor RNG, mixed with the node id.
+        /// Live runtime: per-actor draws, mixed with the node id — the
+        /// Gilbert-Elliott chain start — and then with the first message
+        /// id of an arrival group — that group's relay draws.
         ACTOR = 0x0A_C708;
         /// Live runtime: per-execution overlay wiring.
         RUNTIME_TOPOLOGY = 0x7090;
@@ -361,7 +361,7 @@ mod tests {
                 assert_ne!(tag, other_tag, "{name} and {other} share a stream tag");
             }
         }
-        assert_eq!(streams::ALL.len(), 18);
+        assert_eq!(streams::ALL.len(), 17);
     }
 
     #[test]

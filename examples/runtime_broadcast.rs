@@ -12,21 +12,17 @@
 //!
 //! ```sh
 //! cargo run --release --example runtime_broadcast
-//! GOSSIP_RUNTIME_N=256 cargo run --release --example runtime_broadcast
 //! ```
 
 use gossip::{AnalyticBackend, Backend, FanoutSpec, RuntimeBackend, Scenario};
 
-fn main() {
-    // Group size from the environment so CI can pin it small.
-    let n: usize = std::env::var("GOSSIP_RUNTIME_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+/// Group size: small enough for the TCP run to stay quick.
+const N: usize = 64;
 
+fn main() {
     // A harsh operating point: 10% of members crashed (q = 0.9) AND
     // 20% of messages lost in transit, Poisson(6) fanout.
-    let scenario = Scenario::new(n, FanoutSpec::poisson(6.0))
+    let scenario = Scenario::new(N, FanoutSpec::poisson(6.0))
         .with_failure_ratio(0.9)
         .with_loss(0.2)
         .with_replications(6);

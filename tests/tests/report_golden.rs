@@ -32,7 +32,7 @@ use std::path::PathBuf;
 use gossip::{
     AdversaryStrategy, Backend, BurstySpec, EngineSpec, FanoutSpec, FaultSpec, GraphBackend,
     LatencySpec, NetSimBackend, OverlaySpec, ProtocolBackend, ProtocolSpec, RuntimeBackend,
-    RuntimeSpec, Scenario, TopologySpec, TrafficSpec,
+    Scenario, TopologySpec, TrafficSpec,
 };
 
 fn base(n: usize, mean: f64, q: f64, reps: usize, seed: u64) -> Scenario {
@@ -158,19 +158,10 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             )),
         ),
         (
-            // Unbatched and uncapped, on one shard thread: the delivered
-            // sets are seed-pure at any width, but the latency histogram
-            // stamps the *physically* first copy, which only a single
-            // shard orders deterministically.
             "runtime_channel_stream_unbatched",
             Box::new(RuntimeBackend::channel()),
             base(150, 5.0, 0.9, 4, 0x601D_000F)
                 .with_loss(0.1)
-                .with_runtime(RuntimeSpec {
-                    max_threads: 1,
-                    pacing_micros_per_milli: 0,
-                    watchdog_secs: 0,
-                })
                 .with_traffic(TrafficSpec::stream(3)),
         ),
         (

@@ -1,17 +1,17 @@
 //! Determinism and serialization guarantees of the live runtime layer.
 //!
-//! The channel-transport runtime is *byte-deterministic* in the
-//! scenario seed even though executions race across real OS threads:
-//! every draw (fanout, targets, loss, latency, crash pattern) comes
-//! from seed-derived per-node streams, and the report's metrics are
-//! computed from the recorded relay graph rather than from arrival
+//! The single broadcast and unbatched, uncapped streams are
+//! *byte-deterministic* in the scenario seed even though executions race
+//! across real OS threads: every draw (fanout, targets, loss, latency,
+//! crash pattern) comes from seed-derived per-node streams, and every
+//! metric is read off the recorded relay graph rather than arrival
 //! order. These tests pin that guarantee — same seed, byte-identical
-//! Report JSON — along with the sweep-nesting behaviour and the new
-//! runtime-specific Report fields' round-trip.
+//! Report JSON, at any shard width — along with the sweep-nesting
+//! behaviour and the runtime-specific Report fields' round-trip.
 
 use gossip::{
     Backend, FanoutSpec, LatencySpec, ModelError, Report, RuntimeBackend, RuntimeSpec, Scenario,
-    SweepGrid,
+    SweepGrid, TrafficSpec,
 };
 
 /// A scenario leaning on every seed-driven runtime feature at once:
@@ -25,16 +25,44 @@ fn replay_scenario() -> Scenario {
         .with_seed(0x5EED)
 }
 
+/// An unbatched, uncapped stream: its latency percentiles and `rounds`
+/// come from the relay graph too, not from which copy landed first.
+fn stream_scenario() -> Scenario {
+    Scenario::new(300, FanoutSpec::poisson(5.0))
+        .with_failure_ratio(0.9)
+        .with_loss(0.1)
+        .with_replications(10)
+        .with_seed(0x5EED)
+        .with_traffic(TrafficSpec::stream(4))
+}
+
+fn on_threads(scenario: Scenario, max_threads: usize) -> Scenario {
+    scenario.with_runtime(RuntimeSpec {
+        max_threads,
+        pacing_micros_per_milli: 0,
+        watchdog_secs: 0,
+    })
+}
+
+fn report_json(scenario: &Scenario) -> String {
+    let report = RuntimeBackend::channel().evaluate(scenario).unwrap();
+    serde::json::to_string(&report).unwrap()
+}
+
 #[test]
 fn same_seed_replays_to_byte_identical_report_json() {
-    let scenario = replay_scenario();
-    let first = RuntimeBackend::channel().evaluate(&scenario).unwrap();
-    let second = RuntimeBackend::channel().evaluate(&scenario).unwrap();
-    let a = serde::json::to_string(&first).unwrap();
-    let b = serde::json::to_string(&second).unwrap();
-    assert_eq!(a, b, "live runs with one seed must replay byte-for-byte");
+    for scenario in [replay_scenario(), on_threads(stream_scenario(), 32)] {
+        assert_eq!(
+            report_json(&scenario),
+            report_json(&scenario),
+            "live runs with one seed must replay byte-for-byte: {}",
+            scenario.label()
+        );
+    }
 
     // And the seed genuinely steers the execution.
+    let scenario = replay_scenario();
+    let first = RuntimeBackend::channel().evaluate(&scenario).unwrap();
     let other = RuntimeBackend::channel()
         .evaluate(&scenario.clone().with_seed(0xFEED))
         .unwrap();
@@ -48,25 +76,14 @@ fn same_seed_replays_to_byte_identical_report_json() {
 fn shard_width_does_not_change_results() {
     // 1 shard vs many shards: different interleavings, same bytes —
     // the determinism is architectural, not accidental.
-    let narrow = RuntimeBackend::channel()
-        .evaluate(&replay_scenario().with_runtime(RuntimeSpec {
-            max_threads: 1,
-            pacing_micros_per_milli: 0,
-            watchdog_secs: 0,
-        }))
-        .unwrap();
-    let wide = RuntimeBackend::channel()
-        .evaluate(&replay_scenario().with_runtime(RuntimeSpec {
-            max_threads: 32,
-            pacing_micros_per_milli: 0,
-            watchdog_secs: 0,
-        }))
-        .unwrap();
-    assert_eq!(
-        serde::json::to_string(&narrow).unwrap(),
-        serde::json::to_string(&wide).unwrap(),
-        "shard width is a performance knob, not a semantic one"
-    );
+    for scenario in [replay_scenario(), stream_scenario()] {
+        assert_eq!(
+            report_json(&on_threads(scenario.clone(), 1)),
+            report_json(&on_threads(scenario.clone(), 32)),
+            "shard width is a performance knob, not a semantic one: {}",
+            scenario.label()
+        );
+    }
 }
 
 #[test]
