@@ -4,17 +4,16 @@
 //! The Figs. 4/5 sweep is one [`SweepGrid`] evaluated twice — once by
 //! [`AnalyticBackend`] (the Eq. 11 curves) and once by
 //! [`ProtocolBackend`] (the paper's 20-runs-per-point procedure); the
-//! Figs. 6/7 histogram stays on `gossip_protocol::experiment` because
-//! the §4.2 variable `X` is not a per-scenario scalar.
+//! Figs. 6/7 histogram is a seeded `B(20, p)` sample at the member
+//! receipt probability p a [`ProtocolBackend`] report measures.
 
 use gossip_model::scenario::{AnalyticBackend, Backend, FanoutSpec, Scenario, SweepGrid};
 use gossip_model::{poisson_case, success};
 use gossip_protocol::backend::ProtocolBackend;
-use gossip_protocol::experiment;
 use gossip_stats::binomial::Binomial;
 use gossip_stats::gof::{chi_square_pvalue, total_variation_distance};
 
-use crate::{analytic_r, ascii_plot, Outcome, Table, SEED};
+use crate::{analytic_r, ascii_plot, push, Outcome, Table, SEED};
 
 /// Fig. 2 — mean fanout `z` vs reliability `S` for q ∈ {0.2, …, 1.0}
 /// (analytic, paper Eq. 12: `z = −ln(1 − S)/(qS)`).
@@ -310,20 +309,24 @@ pub fn fig5(out: &mut Outcome) {
 /// against the *directed* refinement `B(20, R²)`: a member receives iff
 /// the source's dissemination takes off (prob. R) AND the member sits in
 /// the reachable giant component (prob. R).
+///
+/// Executions are fresh and i.i.d., so `X ~ B(20, p)` exactly, with p
+/// the member receipt probability: one [`ProtocolBackend`] report over
+/// the paper's 20 × 100 executions measures it as `reliability_raw`
+/// (see `gossip_model::reduce`), and the histogram is a seeded sample
+/// of that law.
 fn success_count_figure(out: &mut Outcome, fig: u32, f: f64, q: f64) {
     let (n, execs, sims) = (2000, 20, 100);
-    // The experiment harness takes a concrete distribution and config
-    // where the analytic overlay takes a scenario: same `n`, `f`, `q`.
-    let dist = gossip_model::PoissonFanout::new(f);
-    let cfg = gossip_protocol::engine::ExecutionConfig::new(n, q);
-    let histogram = experiment::member_receipt_distribution(&cfg, &dist, execs, sims, SEED);
-    // For contrast: the strict group-wide success count (every nonfailed
+    let scenario = Scenario::new(n, FanoutSpec::poisson(f)).with_failure_ratio(q);
+    let report = push(&scenario, execs * sims, SEED);
+    let p = report.reliability_raw.expect("push measures p");
+    let histogram = success::receipt_counts(p, execs as u32, sims, SEED);
+    // For contrast: the strict group-wide success rate (every nonfailed
     // member reached) — essentially 0 at n in the thousands, which is
     // how we know Figs. 6/7 plot the per-member variable.
-    let strict =
-        experiment::success_count_distribution(&cfg, &dist, execs, sims / 10, SEED ^ 0xDEAD);
+    let strict = report.complete_rate.expect("push measures strict success");
 
-    let r = analytic_r(&Scenario::new(n, FanoutSpec::poisson(f)).with_failure_ratio(q));
+    let r = analytic_r(&scenario);
     let paper = Binomial::new(execs as u64, r);
     let directed = Binomial::new(execs as u64, r * r);
     let sim_pmf = histogram.pmf_vector();
@@ -357,15 +360,17 @@ fn success_count_figure(out: &mut Outcome, fig: u32, f: f64, q: f64) {
         table,
     );
     out.note(format!(
-        "analysis line B({execs}, R) with exact R = {r:.4} (paper rounds to 0.967); simulated \
-         mean X = {:.2}, mode = {}, chi2 p against it = {:.3}; the strict group-wide success \
-         count averages {:.2}/{execs} at this n, so X is the per-member receipt count",
+        "analysis line B({execs}, R) with exact R = {r:.4} (paper rounds to 0.967); measured \
+         member receipt probability p = {p:.4} (R² = {:.4}); simulated mean X = {:.2}, \
+         mode = {}, chi2 p against it = {:.3}; the strict group-wide success count averages \
+         {:.2}/{execs} at this n, so X is the per-member receipt count",
+        r * r,
         histogram.mean(),
         histogram.mode(),
         chi.p_value,
-        strict.mean()
+        strict * execs as f64
     ));
-    // Measured: TV 0.1985 / 0.2209 to the paper's line, 0.0692 / 0.0407
+    // Measured: TV 0.2272 / 0.2272 to the paper's line, 0.0669 / 0.0607
     // to the directed one (Fig. 6 / Fig. 7).
     out.finding(
         tv_directed < tv_paper,

@@ -18,7 +18,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gossip_model::scenario::{AnalyticBackend, Backend, Scenario};
+use gossip_model::scenario::{AnalyticBackend, Backend, Report, Scenario};
+use gossip_protocol::ProtocolBackend;
 use serde::{json, Serialize, Value};
 
 pub mod ablations;
@@ -40,6 +41,15 @@ pub(crate) fn analytic_r(scenario: &Scenario) -> f64 {
         .evaluate(scenario)
         .expect("the analytic backend prices every experiment scenario")
         .reliability
+}
+
+/// The §5 push experiment on [`ProtocolBackend`]: `reps` executions of
+/// `scenario` from `seed`.
+pub(crate) fn push(scenario: &Scenario, reps: usize, seed: u64) -> Report {
+    let scenario = scenario.clone().with_replications(reps).with_seed(seed);
+    ProtocolBackend
+        .evaluate(&scenario)
+        .expect("the push experiment runs")
 }
 
 /// A printable, CSV-writable table.

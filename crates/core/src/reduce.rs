@@ -23,6 +23,28 @@
 //! so a `Report` is a pure function of the digest sequence — backends
 //! that parallelize replications collect first and reduce here.
 //!
+//! A kernel with a source hands over its first receipts per hop
+//! ([`Execution::hops`]) and nothing derived from them; three `Report`
+//! fields are read off them here and nowhere else:
+//!
+//! * `rounds` — the last non-empty hop, averaged over take-offs;
+//! * `reach_by_round` — entry h is the fraction of nonfailed members
+//!   first reached within h hops, averaged over take-offs (a run that
+//!   ended sooner stays at its final value), so the last entry is the
+//!   conditioned `reliability`;
+//! * `complete_rate` — the share of all executions that reached every
+//!   nonfailed member (the strict success event of §4.2).
+//!
+//! Executions are fresh and i.i.d., so a fixed nonfailed member hears
+//! the message in `X ~ B(t, p)` of `t` executions (Figs. 6/7, Eq. 5),
+//! where p is the per-execution probability that a uniformly chosen
+//! nonfailed non-source member is reached: `E[(reached − 1) /
+//! (nonfailed − 1)]`. `reliability_raw` is `E[reached / nonfailed]`,
+//! which counts the source as reached; the two differ by
+//! `(nonfailed − reached) / (nonfailed·(nonfailed − 1)) < 1/nonfailed`
+//! per execution, so `reliability_raw` is p up to the source's own
+//! count.
+//!
 //! [`TrafficSpec`]: gossip_traffic::TrafficSpec
 
 use gossip_faults::GilbertElliott;
@@ -68,12 +90,15 @@ pub fn takeoff_threshold(scenario: &Scenario, dist: &dyn FanoutDistribution) -> 
 
 /// One execution's digest. `None` marks a metric the producing layer
 /// does not measure; the matching `Report` field is then `None` too.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Execution {
     /// Fraction of nonfailed members reached.
     pub reliability: f64,
-    /// Relay depth at quiescence (averaged over take-offs).
-    pub rounds: Option<f64>,
+    /// `hops[h]`: members in the reliability denominator that first
+    /// received at hop h; hop 0 is the source. Empty where the layer has
+    /// no source, which leaves `rounds`, `reach_by_round` and
+    /// `complete_rate` `None`.
+    pub hops: Vec<u32>,
     /// Messages sent per nonfailed member (averaged over every run).
     pub messages_per_member: Option<f64>,
     /// Simulated seconds to quiescence (averaged over take-offs).
@@ -110,6 +135,15 @@ struct Tally {
     messages: OnlineStats,
     quiescence: OnlineStats,
     lost: OnlineStats,
+    /// Per hop: the summed cumulative reach of the take-offs with hops.
+    reach: Vec<f64>,
+    /// Their summed final reach: a longer curve extends the earlier,
+    /// saturated ones by it.
+    reach_final: f64,
+    /// Executions with hops, and those among them that reached every
+    /// nonfailed member.
+    sourced: usize,
+    complete: usize,
 }
 
 fn mean_if_any(stats: &OnlineStats) -> Option<f64> {
@@ -126,7 +160,38 @@ impl Tally {
             messages: OnlineStats::new(),
             quiescence: OnlineStats::new(),
             lost: OnlineStats::new(),
+            reach: Vec::new(),
+            reach_final: 0.0,
+            sourced: 0,
+            complete: 0,
         }
+    }
+
+    /// Folds one execution's first receipts per hop into `rounds`, the
+    /// reach curve (take-offs only) and the strict-success count.
+    fn hops(&mut self, e: &Execution, took_off: bool) {
+        let Some(last) = e.hops.iter().rposition(|&count| count > 0) else {
+            return;
+        };
+        self.sourced += 1;
+        self.complete += usize::from(e.reliability >= 1.0);
+        if !took_off {
+            return;
+        }
+        self.rounds.push(last as f64);
+        if self.reach.len() <= last {
+            self.reach.resize(last + 1, self.reach_final);
+        }
+        // Reached within h hops over nonfailed is reliability × the
+        // cumulative share of the receipts, so the final entry is the
+        // run's reliability exactly.
+        let total: u64 = e.hops.iter().map(|&count| u64::from(count)).sum();
+        let mut cumulative = 0;
+        for (h, slot) in self.reach.iter_mut().enumerate() {
+            cumulative += u64::from(e.hops.get(h).copied().unwrap_or(0));
+            *slot += e.reliability * cumulative as f64 / total as f64;
+        }
+        self.reach_final += e.reliability;
     }
 
     /// Records one reliability sample; true when it took off.
@@ -175,6 +240,13 @@ impl Tally {
             faults: scenario.faults_label(),
             messages_lost: mean_if_any(&self.lost),
             success_within_t: success::success_probability(reliability, scenario.executions),
+            // Only take-offs with hops push both `rounds` and a curve.
+            reach_by_round: (!self.reach.is_empty()).then(|| {
+                let curves = self.rounds.count() as f64;
+                self.reach.iter().map(|sum| sum / curves).collect()
+            }),
+            complete_rate: (self.sourced > 0)
+                .then(|| self.complete as f64 / self.raw.count() as f64),
             traffic,
         })
     }
@@ -194,10 +266,11 @@ fn single(
         replications += 1;
         tally.messages.extend(e.messages_per_member);
         tally.lost.extend(e.messages_lost);
-        if tally.sample(e.reliability) {
-            tally.rounds.extend(e.rounds);
+        let took_off = tally.sample(e.reliability);
+        if took_off {
             tally.quiescence.extend(e.quiescence_secs);
         }
+        tally.hops(&e, took_off);
     }
     tally.report(backend, transport, scenario, dist, replications, None)
 }
@@ -334,10 +407,11 @@ mod tests {
         (scenario, PoissonFanout::new(4.0))
     }
 
-    fn run(reliability: f64, rounds: f64, secs: f64) -> Execution {
+    /// A run whose last first receipt was at hop `rounds`, one per hop.
+    fn run(reliability: f64, rounds: usize, secs: f64) -> Execution {
         Execution {
             reliability,
-            rounds: Some(rounds),
+            hops: vec![1; rounds + 1],
             messages_per_member: Some(2.0 * reliability),
             quiescence_secs: Some(secs),
             messages_lost: None,
@@ -347,11 +421,7 @@ mod tests {
     #[test]
     fn conditioning_splits_takeoffs_from_fizzles() {
         let (scenario, dist) = headline();
-        let runs = [
-            run(0.96, 7.0, 0.07),
-            run(0.01, 1.0, 0.01),
-            run(0.98, 9.0, 0.09),
-        ];
+        let runs = [run(0.96, 7, 0.07), run(0.01, 1, 0.01), run(0.98, 9, 0.09)];
         let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
         assert_eq!(report.replications, 3);
         assert!((report.reliability - 0.97).abs() < 1e-12);
@@ -365,18 +435,52 @@ mod tests {
         assert_eq!(report.transport, None);
         assert!((report.critical_q.unwrap() - 0.25).abs() < 1e-12);
         assert_eq!(report.success_within_t, report.reliability);
+        assert_eq!(report.complete_rate, Some(0.0));
+    }
+
+    #[test]
+    fn hops_yield_rounds_the_reach_curve_and_strict_success() {
+        let (scenario, dist) = headline();
+        let execution = |reliability, hops: &[u32]| Execution {
+            reliability,
+            hops: hops.to_vec(),
+            ..Execution::default()
+        };
+        let runs = [
+            // All 4 nonfailed members reached by hop 1.
+            execution(1.0, &[1, 3]),
+            // 4 of 5: a hole at hop 2, a trailing empty hop 4.
+            execution(0.8, &[1, 1, 0, 2, 0]),
+            // A fizzle: counts for strict success only.
+            execution(0.01, &[1]),
+        ];
+        let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
+        // Last non-empty hops 1 and 3.
+        assert_eq!(report.rounds, Some(2.0));
+        // [0.25, 1, 1, 1] and [0.2, 0.4, 0.4, 0.8]: the shorter run
+        // saturates, and the last entry is the conditioned reliability.
+        let reach = report.reach_by_round.unwrap();
+        for (got, want) in reach.iter().zip([0.225, 0.7, 0.7, 0.9]) {
+            assert!((got - want).abs() < 1e-12, "{reach:?}");
+        }
+        assert_eq!(reach.len(), 4);
+        assert!((reach[3] - report.reliability).abs() < 1e-12);
+        // One complete execution of all three.
+        assert_eq!(report.complete_rate, Some(1.0 / 3.0));
     }
 
     #[test]
     fn zero_takeoffs_report_zero_and_no_timing() {
         let (scenario, dist) = headline();
-        let runs = [run(0.002, 1.0, 0.01), run(0.004, 2.0, 0.02)];
+        let runs = [run(0.002, 1, 0.01), run(0.004, 2, 0.02)];
         let report = conditioned("netsim", None, &scenario, &dist, runs).unwrap();
         assert_eq!(report.reliability, 0.0);
         assert_eq!(report.reliability_std_error, 0.0);
         assert_eq!(report.reliability_ci95, (0.0, 0.0));
         assert_eq!(report.takeoff_rate, Some(0.0));
         assert_eq!(report.rounds, None);
+        assert_eq!(report.reach_by_round, None);
+        assert_eq!(report.complete_rate, Some(0.0));
         assert_eq!(report.quiescence_secs, None);
         assert_eq!(report.success_within_t, 0.0);
         // The raw estimator and the cost still see every run.
@@ -390,7 +494,7 @@ mod tests {
         let (scenario, dist) = headline();
         let scenario = scenario.with_failure_ratio(0.15);
         assert_eq!(takeoff_threshold(&scenario, &dist), 0.0);
-        let runs = [run(0.01, 1.0, 0.01), run(0.03, 2.0, 0.02)];
+        let runs = [run(0.01, 1, 0.01), run(0.03, 2, 0.02)];
         let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
         assert_eq!(report.takeoff_rate, Some(1.0));
         assert!((report.reliability - 0.02).abs() < 1e-12);
@@ -411,6 +515,7 @@ mod tests {
         assert_eq!(report.messages_per_member, None);
         assert_eq!(report.quiescence_secs, None);
         assert_eq!(report.traffic, None);
+        assert_eq!((report.reach_by_round, report.complete_rate), (None, None));
     }
 
     #[test]
@@ -464,6 +569,9 @@ mod tests {
         assert_eq!(traffic.copies_lost, Some(50.0));
         assert_eq!(report.messages_per_member, Some(7.0));
         assert_eq!(report.messages_lost, None);
+        // Stream digests carry no per-hop receipts.
+        assert_eq!(report.reach_by_round, None);
+        assert_eq!(report.complete_rate, None);
 
         // The same digests from a live run: virtual-clock throughput
         // stays, quiescence does not, losses come from the copy ledger.

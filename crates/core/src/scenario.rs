@@ -884,8 +884,11 @@ pub struct Report {
     /// Fraction of executions that took off (escaped the source's
     /// neighbourhood); `None` for the analytic backend.
     pub takeoff_rate: Option<f64>,
-    /// Mean rounds (relay hops) to quiescence among take-off
-    /// executions; `None` where the layer is untimed.
+    /// Mean over take-off executions of the last hop at which a member
+    /// in the reliability denominator first received (the source is
+    /// hop 0); for a stream, of the round its last first receipt landed
+    /// in. `None` where the layer reports no per-hop receipts: the
+    /// analytic layer and the graph backend.
     pub rounds: Option<f64>,
     /// Mean messages sent per nonfailed member per execution.
     pub messages_per_member: Option<f64>,
@@ -908,6 +911,15 @@ pub struct Report {
     /// The §4.2 success calculus applied to this backend's reliability:
     /// `1 − (1 − R)^t` for the scenario's `t = executions` (Eq. 5).
     pub success_within_t: f64,
+    /// Entry h: the fraction of nonfailed members first reached within
+    /// h hops, averaged over take-off executions (a run that ended
+    /// sooner stays at its final value), so the last entry is
+    /// `reliability`. `None` where `rounds` is, and for streams.
+    pub reach_by_round: Option<Vec<f64>>,
+    /// Share of all executions that reached every nonfailed member —
+    /// the strict §4.2 success event. `None` where `rounds` is, and for
+    /// streams.
+    pub complete_rate: Option<f64>,
     /// Stream results when the scenario carries a [`TrafficSpec`]:
     /// per-message reliability min/mean, sustained messages/sec, and
     /// delivery-latency percentiles in rounds. `None` (serialized as
@@ -1079,6 +1091,8 @@ impl Backend for AnalyticBackend {
             faults: scenario.faults_label(),
             messages_lost: None,
             success_within_t: success::success_probability(reliability, scenario.executions),
+            reach_by_round: None,
+            complete_rate: None,
             traffic,
         })
     }

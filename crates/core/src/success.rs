@@ -14,6 +14,8 @@
 //! simulation of 20 executions succeeds `X` times with `X ~ B(20, p_r)`.
 
 use gossip_stats::binomial::Binomial;
+use gossip_stats::histogram::IntHistogram;
+use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 
 use crate::error::ModelError;
 
@@ -73,6 +75,19 @@ pub fn required_executions(p_r: f64, p_s: f64) -> Result<u32, ModelError> {
 /// `X ~ B(t, p_r)` — the analysis curve drawn in Figs. 6 and 7.
 pub fn success_count_distribution(t: u32, p_r: f64) -> Binomial {
     Binomial::new(t as u64, p_r)
+}
+
+/// A seeded sample of the Figs. 6/7 histogram: `sims` simulations of
+/// `t` executions each, recording `X ~ B(t, p)`. Executions are fresh
+/// and i.i.d., so with `p` a member's per-execution receipt probability
+/// (a `Report`'s `reliability_raw`, see [`crate::reduce`]) this is the
+/// measured histogram in law. Simulation i draws from `derive(seed, i)`
+/// and, for `t ≤ 64`, runs its executions as Bernoulli draws in order:
+/// a shorter `t` observes a prefix of a longer one.
+pub fn receipt_counts(p: f64, t: u32, sims: usize, seed: u64) -> IntHistogram {
+    let law = success_count_distribution(t, p);
+    let draw = |sim| law.sample(&mut Xoshiro256StarStar::new(SplitMix64::derive(seed, sim)));
+    IntHistogram::from_samples(t as usize, (0..sims as u64).map(draw))
 }
 
 #[cfg(test)]

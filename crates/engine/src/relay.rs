@@ -18,10 +18,11 @@
 //!
 //! All state is struct-of-arrays in a [`RelayScratch`] arena: the
 //! reached bitset, a pre-failed bitset when the setup has zone
-//! failures, and three `u32` vectors (current frontier, next frontier,
-//! target buffer). `RelayScratch::reset` clears without freeing, so an
-//! evaluation allocates once and sweeps thousands of replications
-//! through the same buffers.
+//! failures, three `u32` vectors (current frontier, next frontier,
+//! target buffer) and the survivors per level ([`RelayScratch::hops`]).
+//! `RelayScratch::reset` clears without freeing, so an evaluation
+//! allocates once and sweeps thousands of replications through the
+//! same buffers.
 
 use gossip_faults::adversary::BlockedLinks;
 use gossip_model::distribution::FanoutDistribution;
@@ -44,6 +45,7 @@ pub struct RelayScratch {
     frontier: Vec<u32>,
     next: Vec<u32>,
     targets: Vec<u32>,
+    hops: Vec<u32>,
 }
 
 impl RelayScratch {
@@ -55,6 +57,7 @@ impl RelayScratch {
             frontier: Vec::new(),
             next: Vec::new(),
             targets: Vec::new(),
+            hops: Vec::new(),
         }
     }
 
@@ -72,6 +75,15 @@ impl RelayScratch {
         self.frontier.clear();
         self.next.clear();
         self.targets.clear();
+        self.hops.clear();
+    }
+
+    /// The last replication's first receipts by nonfailed members per
+    /// level: `hops()[h]` survived their crash coin h hops from the
+    /// source (the source alone at 0). Crashed and pre-failed receivers
+    /// absorb uncounted, so the counts sum to `nonfailed_reached`.
+    pub fn hops(&self) -> &[u32] {
+        &self.hops
     }
 }
 
@@ -86,9 +98,6 @@ pub struct RelayOutcome {
     pub nonfailed_reached: usize,
     /// Copies delivered (post-blocking, post-loss).
     pub messages_sent: u64,
-    /// Hop count of the deepest first-time receipt by a nonfailed
-    /// member (crashed and pre-failed receivers absorb uncounted).
-    pub max_hop: u32,
 }
 
 impl RelayOutcome {
@@ -155,10 +164,8 @@ impl<'a> RelaySetup<'a> {
         let mut reached = 1usize;
         let mut nonfailed_reached = 0usize;
         let mut messages_sent = 0u64;
-        let mut max_hop = 0u32;
-        let mut hop = 0u32;
         while !scratch.frontier.is_empty() {
-            hop += 1;
+            let mut survivors = 0u32;
             // Split borrows: the frontier is drained while targets/next
             // are filled, so take it out of the arena for the level.
             let mut frontier = std::mem::take(&mut scratch.frontier);
@@ -175,10 +182,7 @@ impl<'a> RelaySetup<'a> {
                 if self.q < 1.0 && v != self.source && !rng.next_bool(self.q) {
                     continue;
                 }
-                nonfailed_reached += 1;
-                // `v` got its copy one level up (the source at hop 0);
-                // levels only deepen, so the last store is the maximum.
-                max_hop = hop - 1;
+                survivors += 1;
                 let fanout = self.sampler.sample(self.dist, rng);
                 match self.overlay {
                     None => {
@@ -217,6 +221,8 @@ impl<'a> RelaySetup<'a> {
             frontier.clear();
             scratch.frontier = frontier;
             std::mem::swap(&mut scratch.frontier, &mut scratch.next);
+            scratch.hops.push(survivors);
+            nonfailed_reached += survivors as usize;
         }
 
         // Members the rumor never met tossed no coin: how many of them
@@ -227,7 +233,6 @@ impl<'a> RelaySetup<'a> {
             nonfailed,
             nonfailed_reached,
             messages_sent,
-            max_hop,
         }
     }
 }
@@ -245,7 +250,13 @@ mod tests {
         (0..reps)
             .map(|rep| {
                 let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, rep));
-                setup.run(&mut scratch, &mut rng)
+                let outcome = setup.run(&mut scratch, &mut rng);
+                // The hops count each nonfailed receipt once, the source
+                // alone at hop 0.
+                let hops = scratch.hops();
+                assert_eq!(hops[0], 1);
+                assert_eq!(hops.iter().sum::<u32>() as usize, outcome.nonfailed_reached);
+                outcome
             })
             .collect()
     }
@@ -369,9 +380,11 @@ mod tests {
             blocked: None,
             prefailed: &[],
         };
-        let outcome = run_reps(&setup, 1, 5)[0];
-        // Ring(k=4) with fanout 4 floods the whole ring.
+        let mut scratch = RelayScratch::new(256);
+        let outcome = setup.run(&mut scratch, &mut Xoshiro256StarStar::new(5));
+        // Ring(k=4) with fanout 4 floods the whole ring, at least half
+        // its circumference deep.
         assert_eq!(outcome.nonfailed_reached, 256);
-        assert!(outcome.max_hop >= (256 / 4) as u32 / 2);
+        assert!(scratch.hops().len() > 256 / 4 / 2);
     }
 }

@@ -229,8 +229,9 @@ fn certain_crash_leaves_the_source_alone() {
     let out = setup(200, 0.0, &dist, &sampler, &[]).run(&mut scratch, &mut rng(4, 0));
     assert_eq!((out.nonfailed, out.nonfailed_reached), (1, 1));
     // Three copies land, all on members that turn out crashed: none of
-    // them is a receipt the depth counts.
-    assert_eq!((out.messages_sent, out.max_hop), (3, 0));
+    // them is a receipt the hops count.
+    assert_eq!(out.messages_sent, 3);
+    assert_eq!(scratch.hops(), [1, 0]);
     assert_eq!(out.reliability(), 1.0);
 }
 

@@ -16,12 +16,12 @@
 //!   apply the paper's crash model, inject the message at the source, run
 //!   to quiescence, and measure reliability = `n_rece / n_nonfailed`
 //!   (§4.2) plus latency/cost metrics the paper's model abstracts away.
-//! * [`backend`] — the Monte-Carlo reliability of a `Scenario`
-//!   (Figs. 4/5): [`ProtocolBackend`] and [`NetSimBackend`] run the
-//!   replications and `gossip_model::reduce` conditions them on take-off.
-//! * [`experiment`] — what a `Report` cannot express: success-count
-//!   distributions (Figs. 6/7), success-vs-`t` validation of Eq. 5, and
-//!   hop profiles.
+//! * [`backend`] — every Monte-Carlo measurement of a `Scenario`:
+//!   [`ProtocolBackend`] and [`NetSimBackend`] run the replications and
+//!   `gossip_model::reduce` conditions them on take-off and reads the
+//!   per-hop receipts into `rounds`, the per-round reach curve (E12)
+//!   and strict success (E13); the member receipt probability behind
+//!   Figs. 6/7 and Eq. 5 is the report's `reliability_raw`.
 //!
 //! ```
 //! use gossip_model::{Backend, FanoutSpec, Scenario};
@@ -41,7 +41,6 @@
 
 pub mod backend;
 pub mod engine;
-pub mod experiment;
 pub mod flood;
 pub mod message;
 pub mod push;

@@ -284,8 +284,6 @@ pub mod streams {
         SIMULATOR = 0x51E0;
         /// Protocol engine: Gilbert-Elliott chain start states.
         GE_CHAIN = 0x6E11;
-        /// Protocol engine: the observer-member pick.
-        OBSERVER = 0x0B5E;
         /// Churn plan — shared by the protocol engine and the live
         /// runtime so both realize the same joins and leaves.
         CHURN = 0xC4A2;
@@ -361,7 +359,7 @@ mod tests {
                 assert_ne!(tag, other_tag, "{name} and {other} share a stream tag");
             }
         }
-        assert_eq!(streams::ALL.len(), 17);
+        assert_eq!(streams::ALL.len(), 16);
     }
 
     #[test]

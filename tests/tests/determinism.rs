@@ -3,9 +3,9 @@
 //! scheduling in the parallel Monte-Carlo.
 
 use gossip_model::distribution::PoissonFanout;
-use gossip_model::{Backend, FanoutSpec, Scenario};
+use gossip_model::{success, Backend, FanoutSpec, Scenario};
 use gossip_protocol::engine::{run_push, ExecutionConfig, MembershipKind};
-use gossip_protocol::{experiment, ProtocolBackend};
+use gossip_protocol::ProtocolBackend;
 use gossip_rgraph::reach::reach;
 use gossip_rgraph::{ConfigurationModel, GossipGraphBuilder};
 use gossip_stats::rng::Xoshiro256StarStar;
@@ -35,11 +35,17 @@ fn experiment_reproducible_across_parallel_runs() {
 
 #[test]
 fn histogram_experiment_reproducible() {
-    let cfg = ExecutionConfig::new(400, 0.9);
-    let dist = PoissonFanout::new(4.0);
-    let a = experiment::member_receipt_distribution(&cfg, &dist, 5, 12, 3);
-    let b = experiment::member_receipt_distribution(&cfg, &dist, 5, 12, 3);
-    assert_eq!(a.counts(), b.counts());
+    // The Figs. 6/7 pipeline: a report's member receipt probability,
+    // then a seeded B(t, p) sample of the histogram.
+    let scenario = Scenario::new(400, FanoutSpec::poisson(4.0))
+        .with_failure_ratio(0.9)
+        .with_replications(60)
+        .with_seed(3);
+    let histogram = || {
+        let p = ProtocolBackend.evaluate(&scenario).unwrap().reliability_raw;
+        success::receipt_counts(p.unwrap(), 5, 12, 3)
+    };
+    assert_eq!(histogram().counts(), histogram().counts());
 }
 
 #[test]

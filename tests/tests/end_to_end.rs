@@ -6,8 +6,6 @@ use gossip::{AnalyticBackend, Backend, FanoutSpec, ProtocolBackend, Scenario};
 use gossip_integration_tests::assert_close;
 use gossip_model::distribution::{GeometricFanout, PoissonFanout};
 use gossip_model::{design, poisson_case, success, Gossip, SitePercolation};
-use gossip_protocol::engine::ExecutionConfig;
-use gossip_protocol::experiment;
 
 #[test]
 fn design_then_verify_poisson_plan() {
@@ -78,15 +76,18 @@ fn general_design_matches_protocol_for_geometric() {
 #[test]
 fn executions_plan_for_whole_group() {
     // Plan message repetitions so a member is near-certain to hear; then
-    // measure across the protocol that the plan holds. (The empirical
-    // observer measurement stays on the experiment harness — it is a
-    // per-member Bernoulli process, not a per-scenario scalar.)
+    // measure across the protocol that the plan holds. Executions are
+    // i.i.d., so a member's receipts over t of them are B(t, p), with p
+    // the protocol report's member receipt probability.
     let plan = Scenario::new(600, FanoutSpec::poisson(5.0)).with_failure_ratio(0.85);
     let r = AnalyticBackend.evaluate(&plan).unwrap().reliability;
     let t = success::required_executions(r * r, 0.999).unwrap(); // directed p ≈ R²
-    let cfg = ExecutionConfig::new(600, 0.85);
-    let measured =
-        experiment::success_within_t(&cfg, &PoissonFanout::new(5.0), t as usize, 300, 31);
+    let simulated = plan.clone().with_replications(300).with_seed(31);
+    let p = ProtocolBackend
+        .evaluate(&simulated)
+        .unwrap()
+        .reliability_raw;
+    let measured = 1.0 - success::receipt_counts(p.unwrap(), t, 300, 31).pmf(0);
     assert!(
         measured >= 0.985,
         "planned t = {t} delivered only {measured}"

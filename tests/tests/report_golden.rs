@@ -21,12 +21,17 @@
 //! ```
 //!
 //! which rewrites `tests/tests/golden/reports.jsonl` (one
-//! `name<TAB>json` line per case).
+//! `name<TAB>json` line per case). On a mismatch the test names every
+//! drifted top-level key of every case as `key: want → got`, so a bless
+//! can be checked against the keys it was meant to move. Every Report
+//! with a reach curve must also climb monotonically to its conditioned
+//! `reliability`.
 //!
 //! Deliberately not pinned: piggybacked *live* streams (which frame
 //! wins a race picks the relayed group — aggregate-stable, not
 //! seed-pure) and anything over TCP.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use gossip::{
@@ -183,6 +188,28 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/reports.jsonl")
 }
 
+/// The top-level keys whose JSON differs, as `key: want → got`.
+fn drift(want: &str, got: &str) -> Vec<String> {
+    let fields = |text: &str| -> BTreeMap<String, String> {
+        let value: serde::Value = serde::json::from_str(text).expect("a golden is JSON");
+        let fields = value.as_map().expect("a Report is a JSON object");
+        let json = |v| serde::json::to_string(v).expect("serializes");
+        fields.iter().map(|(k, v)| (k.clone(), json(v))).collect()
+    };
+    let (want, got) = (fields(want), fields(got));
+    let keys: BTreeSet<&String> = want.keys().chain(got.keys()).collect();
+    let show = |fields: &BTreeMap<String, String>, key| {
+        fields
+            .get(key)
+            .map_or("(absent)", String::as_str)
+            .to_string()
+    };
+    keys.into_iter()
+        .filter(|key| want.get(*key) != got.get(*key))
+        .map(|key| format!("{key}: {} → {}", show(&want, key), show(&got, key)))
+        .collect()
+}
+
 #[test]
 fn reports_match_the_committed_goldens() {
     let actual: Vec<(&str, String)> = cases()
@@ -191,6 +218,15 @@ fn reports_match_the_committed_goldens() {
             let report = backend
                 .evaluate(&scenario)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
+            // The reach curve only climbs, to the conditioned reliability.
+            if let Some(reach) = &report.reach_by_round {
+                assert!(reach.windows(2).all(|w| w[0] <= w[1]), "{name}: {reach:?}");
+                let end = reach[reach.len() - 1];
+                assert!(
+                    (end - report.reliability).abs() <= 1e-12,
+                    "{name}: ends at {end}"
+                );
+            }
             (name, serde::json::to_string(&report).expect("serializes"))
         })
         .collect();
@@ -218,7 +254,15 @@ fn reports_match_the_committed_goldens() {
         actual.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
         "the golden file and `cases()` list different cases"
     );
-    for ((name, want), (_, got)) in expected.iter().zip(&actual) {
-        assert_eq!(got, want, "{name}: Report JSON drifted from its golden");
-    }
+    let drifted: Vec<String> = expected
+        .iter()
+        .zip(&actual)
+        .filter(|((_, want), (_, got))| got != want)
+        .map(|((name, want), (_, got))| format!("{name}: {}", drift(want, got).join("; ")))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "Report JSON drifted from its goldens:\n{}",
+        drifted.join("\n")
+    );
 }

@@ -11,7 +11,8 @@
 
 use gossip::{
     all_backends, AnalyticBackend, Backend, FailureSpec, FanoutSpec, LatencySpec, MembershipSpec,
-    OverlaySpec, ProtocolSpec, Report, Scenario, SweepGrid, TopologySpec,
+    NetSimBackend, OverlaySpec, ProtocolBackend, ProtocolSpec, Report, RuntimeBackend, Scenario,
+    SweepGrid, TopologySpec,
 };
 use gossip_integration_tests::assert_close;
 
@@ -461,11 +462,20 @@ fn scenario_serde_roundtrip() {
     assert!(text.contains("\"topology\":"));
     let back: Report = serde::json::from_str(&text).expect("structured report deserializes");
     assert_eq!(back, report, "topology label must survive the round-trip");
+
+    // A push report's per-hop fields survive the wire too.
+    let push = ProtocolBackend
+        .evaluate(&simple.with_replications(5))
+        .unwrap();
+    assert!(push.reach_by_round.is_some() && push.complete_rate.is_some());
+    let text = serde::json::to_string(&push).expect("push report serializes");
+    let back: Report = serde::json::from_str(&text).expect("push report deserializes");
+    assert_eq!(back, push, "per-hop fields must survive the round-trip");
 }
 
 #[test]
 fn churn_agrees_across_the_dynamic_backends() {
-    use gossip::{ChurnSpec, FaultSpec, NetSimBackend, ProtocolBackend, RuntimeBackend};
+    use gossip::{ChurnSpec, FaultSpec};
     // Symmetric churn at 30 members/s over a 200 ms horizon: ~6 joins
     // and ~6 leaves against n = 600. Every backend with an event clock
     // — protocol, netsim, runtime — must price the same penalty
@@ -521,7 +531,7 @@ fn churn_agrees_across_the_dynamic_backends() {
 
 #[test]
 fn correlated_zone_failure_agrees_across_supporting_backends() {
-    use gossip::{FaultSpec, NetSimBackend, ProtocolBackend, RuntimeBackend};
+    use gossip::FaultSpec;
     // Kill zone 3 of a 6-zone clustered overlay at t = 0: a sixth of
     // the group is gone before the first relay, every backend that can
     // run the overlay (graph percolates it at-start; protocol, netsim
@@ -593,27 +603,46 @@ fn unsupported_combinations_error_cleanly() {
 }
 
 #[test]
+fn rounds_count_only_members_in_the_denominator() {
+    // Every non-source member crashes by schedule at 10 s, long after
+    // the broadcast: only the source is counted, so its receipt at hop 0
+    // is the only one, however deep the crashed members relayed.
+    let crashes = (1..50).map(|member| (10_000_000_000, member)).collect();
+    let scenario = Scenario::new(50, FanoutSpec::poisson(4.0))
+        .with_failure(FailureSpec::Schedule { crashes })
+        .with_replications(8)
+        .with_seed(7);
+    for backend in [&NetSimBackend as &dyn Backend, &RuntimeBackend::channel()] {
+        let report = backend
+            .evaluate(&scenario)
+            .expect("timed layers run schedules");
+        assert_eq!(report.reliability, 1.0, "{}", report.backend);
+        assert_eq!(report.rounds, Some(0.0), "{}", report.backend);
+        assert_eq!(report.reach_by_round, Some(vec![1.0]), "{}", report.backend);
+    }
+}
+
+#[test]
 fn eq5_measurement_agrees_with_the_report() {
-    // `gossip_protocol::experiment` keeps the per-member measurements a
-    // `Report` cannot express; its Eq. 5 one must still land on the
-    // Report's `success_within_t`. Po(5), q = 0.5, t = 3: Eq. 5 gives
-    // 1 − (1 − R)³ = 0.9988 with R = 0.893. 400 trials; tolerance 0.02 =
-    // the 0.007 by which the directed protocol sits below Eq. 5 (the
-    // observer hears with probability ≈ R² per execution, not R) plus
-    // three standard errors (0.0046 each).
+    // Executions are i.i.d., so a member hears within t executions with
+    // probability 1 − (1 − p)^t, p the protocol report's member receipt
+    // probability (`reliability_raw`, see `gossip_model::reduce`); it
+    // must land on the analytic Report's `success_within_t`. Po(5),
+    // q = 0.5, t = 3: Eq. 5 gives 1 − (1 − R)³ = 0.9988 with R = 0.893.
+    // Tolerance 0.02 = the 0.007 by which the directed protocol sits
+    // below Eq. 5 (p ≈ R², not R) plus 7 standard errors: p's SE at 400
+    // runs is ≈ 0.014, scaled by 3(1 − p)² ≈ 0.12.
     let scenario = Scenario::new(1000, FanoutSpec::poisson(5.0))
         .with_failure_ratio(0.5)
         .with_executions(3);
     let report = AnalyticBackend.evaluate(&scenario).unwrap();
-    let measured = gossip_protocol::experiment::success_within_t(
-        &gossip_protocol::ExecutionConfig::new(1000, 0.5),
-        &gossip_model::PoissonFanout::new(5.0),
-        3,
-        400,
-        0xE95,
-    );
+    let simulated = scenario.with_replications(400).with_seed(0xE95);
+    let p = ProtocolBackend
+        .evaluate(&simulated)
+        .unwrap()
+        .reliability_raw;
     assert_close(
-        measured,
+        gossip_model::success::success_probability(p.unwrap(), 3),
         report.success_within_t,
         0.02,
         "measured Eq. 5 vs Report.success_within_t",
