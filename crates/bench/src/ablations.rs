@@ -3,7 +3,7 @@
 //! system (structured overlays, structured faults, contending streams)
 //! and where it keeps describing it (n = 10⁶ and 10⁷).
 
-use gossip_model::scenario::{AnalyticBackend, Backend, EngineSpec, FanoutSpec, Scenario};
+use gossip_model::scenario::{AnalyticBackend, Backend, FanoutSpec, Scenario};
 use gossip_model::{
     AdversaryStrategy, BurstySpec, ChurnSpec, FaultSpec, OverlaySpec, TopologySpec, TrafficReport,
     TrafficSpec,
@@ -571,8 +571,7 @@ pub fn scaling(out: &mut Outcome) {
         let scenario = Scenario::new(n, FanoutSpec::poisson(f))
             .with_failure_ratio(q)
             .with_replications(reps)
-            .with_seed(SEED)
-            .with_engine(EngineSpec::Flat);
+            .with_seed(SEED);
         let analytic = analytic_r(&scenario);
         let graph = GraphBackend
             .evaluate(&scenario)

@@ -448,19 +448,19 @@ impl RuntimeSpec {
 ///
 /// The flat engine keeps all per-replication state in struct-of-arrays
 /// form — u64-word bitset frontiers, one shared overlay CSR, alias-table
-/// fanout draws, arena-reused scratch — and samples the same process as
-/// the classic per-node engines by the principle of deferred decisions:
-/// a member's crash coin, fanout and targets are drawn when the rumor
-/// reaches it. It is the default wherever it is exact, at every group
-/// size, and the only way to evaluate Fig. 4 curves at n = 10⁶⁺ in
-/// seconds. It draws from its own seed streams, so its Reports agree
-/// with the classic engines statistically (within Monte-Carlo
+/// fanout draws, arena-reused scratch — and samples the Fig. 1 relay by
+/// the principle of deferred decisions: a member's crash coin, fanout
+/// and targets are drawn when the rumor reaches it. `GraphBackend` runs
+/// nothing else; `ProtocolBackend` runs it wherever it is exact, at
+/// every group size, and hands the rest to the event calendar that
+/// `NetSimBackend` runs. It draws from its own seed streams, so its
+/// Reports agree with the calendar statistically (within Monte-Carlo
 /// tolerance) rather than bit-for-bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineSpec {
     /// The flat engine wherever the backend has a flat kernel for the
     /// scenario — byte-identical to [`EngineSpec::Flat`] there — and the
-    /// classic engine, silently, everywhere else (the default).
+    /// event calendar, silently, everywhere else (the default).
     /// `GraphBackend` has one for everything it accepts;
     /// `ProtocolBackend` for the §5 push relay over the full view or a
     /// pinned overlay, but not for flood, push-pull, SCAMP views or
@@ -468,20 +468,10 @@ pub enum EngineSpec {
     /// have none.
     #[default]
     Auto,
-    /// Always the classic per-node engines, at any size.
-    Classic,
     /// Always the flat engine; backends that cannot honor it (the
     /// event-driven simulator, the live runtime) refuse with a typed
     /// `Unsupported` error instead of silently falling back.
     Flat,
-}
-
-impl EngineSpec {
-    /// Whether a backend should try its flat kernel first, at any group
-    /// size: everything but an explicit [`EngineSpec::Classic`].
-    pub fn flat_for(self) -> bool {
-        self != EngineSpec::Classic
-    }
 }
 
 /// A declarative description of one evaluation: *what* to gossip-model,
@@ -524,8 +514,7 @@ pub struct Scenario {
     pub runtime: RuntimeSpec,
     /// Monte-Carlo engine choice (default: [`EngineSpec::Auto`] — the
     /// flat struct-of-arrays kernel wherever the backend has one for
-    /// this scenario, at every `n`; the classic per-node engine
-    /// otherwise).
+    /// this scenario, at every `n`; the event calendar otherwise).
     pub engine: EngineSpec,
     /// Monte-Carlo replications for simulation backends (paper: 20).
     pub replications: usize,
@@ -786,7 +775,7 @@ impl Scenario {
                 return Err(ModelError::InvalidParameter {
                     name: "engine",
                     value: traffic.messages as f64,
-                    requirement: "traffic streams have no flat-engine kernel; use Auto or Classic",
+                    requirement: "traffic streams have no flat-engine kernel; use Auto",
                 });
             }
         }

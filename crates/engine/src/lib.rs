@@ -3,14 +3,13 @@
 //! Flat struct-of-arrays Monte-Carlo kernels: built for the
 //! million-node regime, the default at every group size.
 //!
-//! The classic evaluation layers carry per-node structs, per-round
-//! `Vec` allocations, and (for the protocol engine) a full event queue;
-//! all of that is O(n) allocator traffic *per replication*, which is
-//! what keeps the Fig. 4 curve stuck at n ≈ 10³–10⁴ — and costs an
-//! order of magnitude per message at the paper's own n = 10³. This
-//! crate holds the shared machinery the backends run on under
-//! `EngineSpec::Auto` wherever it samples the same process (and always
-//! under `EngineSpec::Flat`):
+//! The event calendar (`gossip-netsim`) carries per-node structs and a
+//! full event queue; that is O(n) allocator traffic *per replication*,
+//! which would keep the Fig. 4 curve stuck at n ≈ 10³–10⁴ — and costs
+//! an order of magnitude per message at the paper's own n = 10³. This
+//! crate holds the shared machinery the graph and protocol backends run
+//! on under `EngineSpec::Auto` wherever it samples the same process
+//! (and always under `EngineSpec::Flat`):
 //!
 //! * [`bitset`] — u64-word bitsets for the infected/failed/reached
 //!   sets. One cache line covers 512 members; membership tests are a
@@ -22,14 +21,14 @@
 //!   per-draw inverse-CDF loops.
 //! * [`relay`] — the push-relay kernel. Instead of materializing the
 //!   Fig. 1 relay digraph and BFS-ing it (two CSR builds per
-//!   replication on the classic structured path), the kernel defers
-//!   each member's crash coin, fanout and targets *to first receipt*:
-//!   distributionally identical (draws are independent and each member
-//!   is expanded at most once), a replication costs O(reached) rather
-//!   than O(n) — the unreached members are one binomial draw for the
-//!   denominator — and the only adjacency ever touched is the
-//!   `gossip-topology` overlay CSR, built once per evaluation and
-//!   threaded through every replication read-only. All per-replication
+//!   replication), the kernel defers each member's crash coin, fanout
+//!   and targets *to first receipt*: distributionally identical (draws
+//!   are independent and each member is expanded at most once), a
+//!   replication costs O(reached) rather than O(n) — the unreached
+//!   members are one binomial draw for the denominator — and the only
+//!   adjacency ever touched is the `gossip-topology` overlay CSR, built
+//!   once per evaluation and threaded through every replication
+//!   read-only. All per-replication
 //!   state lives in a [`relay::RelayScratch`] arena that is reset —
 //!   never reallocated — between replications, extending the
 //!   `UnionFind::reset` pattern to the whole hot loop.

@@ -3,12 +3,12 @@
 //! One replication of the paper's Fig. 1 relay process: the source
 //! pushes to `F ~ dist` members, every first-time receiver pushes to
 //! its own `F` members, crashed members absorb without forwarding, and
-//! lossy links drop each copy independently. The classic structured
-//! path materializes this as a per-replication relay digraph (a CSR
-//! build) and then BFS-es it; this kernel instead defers every random
-//! decision about a member — its crash coin, its fanout, its targets —
-//! to the moment the rumor reaches it. The two are distributionally
-//! identical — every member is expanded at most once and all draws are
+//! lossy links drop each copy independently. Materializing that as a
+//! per-replication relay digraph (a CSR build) and BFS-ing it is the
+//! textbook form; this kernel instead defers every random decision
+//! about a member — its crash coin, its fanout, its targets — to the
+//! moment the rumor reaches it. The two are distributionally identical
+//! — every member is expanded at most once and all draws are
 //! independent of the relay process — but the deferred form never
 //! touches members the epidemic misses and never builds
 //! per-replication adjacency at all: a replication costs O(reached),
@@ -23,6 +23,13 @@
 //! `RelayScratch::reset` clears without freeing, so an evaluation
 //! allocates once and sweeps thousands of replications through the
 //! same buffers.
+//!
+//! No other code in the workspace samples the gossip digraph as a
+//! graph: `GraphBackend` runs this kernel for directed reach on
+//! overlays and under static faults (`blocked`, `prefailed`),
+//! `ProtocolBackend` for the §5 push relay. Its reference is the event calendar
+//! (`NetSimBackend`), which `tests/tests/engine_agreement.rs` holds it
+//! to on every `Report` metric.
 
 use gossip_faults::adversary::BlockedLinks;
 use gossip_model::distribution::FanoutDistribution;

@@ -8,10 +8,13 @@
 //!   latency). Scenarios that ask for loss, non-default latency, or
 //!   crash schedules are rejected as [`ModelError::Unsupported`] — use
 //!   the netsim backend for those. An untimed push relay has no use for
-//!   an event calendar, so by default (`EngineSpec::Auto`) it runs on
-//!   the flat relay kernel of `gossip-engine` at every group size; the
-//!   event-driven runner keeps what that kernel declines
-//!   (`flat_unsupported`) and whatever pins `EngineSpec::Classic`.
+//!   an event calendar, so it runs on the flat relay kernel of
+//!   `gossip-engine` at every group size; the event calendar keeps what
+//!   that kernel declines (`flat_unsupported`: flood, push-pull, SCAMP
+//!   views, fault injection) unless the scenario pins
+//!   `EngineSpec::Flat`, which refuses them typed instead. That calendar
+//!   run is `NetSimBackend`'s at its default network (1 ms, lossless),
+//!   `backend` and `quiescence_secs` aside.
 //! * [`NetSimBackend`] — the full discrete-event network simulation:
 //!   latency models, independent per-message loss, and scheduled
 //!   mid-run crash injection, plus timing metrics (`quiescence_secs`).
@@ -164,10 +167,10 @@ fn run_variant(
     }
 }
 
-/// The classic Monte-Carlo run: `replications` independent executions
-/// on the discrete-event simulator, seeds derived from
+/// The event-calendar Monte-Carlo run: `replications` independent
+/// executions on the discrete-event simulator, seeds derived from
 /// `(scenario.seed, rep)`; `timed` layers also digest quiescence time.
-fn evaluate_classic(
+fn evaluate_calendar(
     backend_name: &'static str,
     scenario: &Scenario,
     cfg: &ExecutionConfig,
@@ -212,8 +215,8 @@ fn flat_unsupported(scenario: &Scenario, membership: &MembershipKind) -> Option<
 
 /// The flat §5 push experiment: the `gossip-engine` bitset-frontier
 /// relay kernel instead of the discrete-event simulator. Same digest as
-/// [`evaluate_classic`] — first receipts per relay level — but no clock,
-/// so `quiescence_secs` stays `None` exactly like the classic untimed
+/// [`evaluate_calendar`] — first receipts per relay level — but no clock,
+/// so `quiescence_secs` stays `None` exactly like the untimed calendar
 /// run.
 fn evaluate_flat(
     scenario: &Scenario,
@@ -301,24 +304,22 @@ impl Backend for ProtocolBackend {
         }
         check_churn_support(self.name(), scenario)?;
         let membership = membership_kind(self.name(), scenario)?;
-        if scenario.engine.flat_for() {
-            match flat_unsupported(scenario, &membership) {
-                None => return evaluate_flat(scenario, q, &membership),
-                Some(what) if scenario.engine == EngineSpec::Flat => {
-                    return Err(ModelError::Unsupported {
-                        backend: "protocol",
-                        what,
-                    });
-                }
-                // `Auto` where the flat kernel declines: the classic
-                // engine quietly keeps the scenario.
-                Some(_) => {}
+        match flat_unsupported(scenario, &membership) {
+            None => evaluate_flat(scenario, q, &membership),
+            Some(what) if scenario.engine == EngineSpec::Flat => Err(ModelError::Unsupported {
+                backend: "protocol",
+                what,
+            }),
+            // `Auto` where the flat kernel declines: the event calendar
+            // quietly keeps the scenario — `NetSimBackend`'s run at its
+            // default network, minus the clock readout.
+            Some(_) => {
+                let cfg = ExecutionConfig::new(scenario.n, q)
+                    .with_membership(membership)
+                    .with_faults(scenario.faults.clone());
+                evaluate_calendar(self.name(), scenario, &cfg, false)
             }
         }
-        let cfg = ExecutionConfig::new(scenario.n, q)
-            .with_membership(membership)
-            .with_faults(scenario.faults.clone());
-        evaluate_classic(self.name(), scenario, &cfg, false)
     }
 }
 
@@ -359,7 +360,7 @@ impl Backend for NetSimBackend {
             .with_membership(membership_kind(self.name(), scenario)?)
             .with_network(network)
             .with_faults(scenario.faults.clone());
-        evaluate_classic(self.name(), scenario, &cfg, true)
+        evaluate_calendar(self.name(), scenario, &cfg, true)
     }
 }
 
@@ -470,11 +471,12 @@ mod tests {
 
     #[test]
     fn executions_deterministic() {
-        // Every field, per-hop curve included, on both push paths.
-        for engine in [EngineSpec::Auto, EngineSpec::Classic] {
-            let scenario = headline(8).with_engine(engine);
-            let a = ProtocolBackend.evaluate(&scenario).unwrap();
-            assert_eq!(a, ProtocolBackend.evaluate(&scenario).unwrap());
+        // Every field, per-hop curve included, on both push paths: the
+        // flat kernel and the event calendar.
+        let backends: [&dyn Backend; 2] = [&ProtocolBackend, &NetSimBackend];
+        for backend in backends {
+            let a = backend.evaluate(&headline(8)).unwrap();
+            assert_eq!(a, backend.evaluate(&headline(8)).unwrap());
             assert!(a.reach_by_round.is_some() && a.complete_rate.is_some());
         }
     }
@@ -624,24 +626,23 @@ mod tests {
 
     #[test]
     fn flat_engine_agrees_with_the_classic_protocol() {
-        let classic = ProtocolBackend
-            .evaluate(&headline(20).with_engine(EngineSpec::Classic))
-            .unwrap();
+        // The event calendar runs the same push protocol.
+        let calendar = NetSimBackend.evaluate(&headline(20)).unwrap();
         let flat = ProtocolBackend
             .evaluate(&headline(20).with_engine(EngineSpec::Flat))
             .unwrap();
         assert!(
-            (flat.reliability - classic.reliability).abs() < 0.03,
-            "flat {} vs classic {}",
+            (flat.reliability - calendar.reliability).abs() < 0.03,
+            "flat {} vs calendar {}",
             flat.reliability,
-            classic.reliability
+            calendar.reliability
         );
         assert!(flat.takeoff_rate.unwrap() > 0.5);
         assert!(flat.rounds.unwrap() > 1.0);
         assert!(flat.messages_per_member.unwrap() > 1.0);
         assert!(flat.quiescence_secs.is_none(), "the flat run is untimed");
         // Engine choice never leaks into the scenario label.
-        assert_eq!(flat.scenario, classic.scenario);
+        assert_eq!(flat.scenario, calendar.scenario);
     }
 
     #[test]
@@ -654,20 +655,18 @@ mod tests {
                 k: 16,
                 beta: 0.5,
             }));
-        let classic = ProtocolBackend
-            .evaluate(&scenario.clone().with_engine(EngineSpec::Classic))
-            .unwrap();
+        let calendar = NetSimBackend.evaluate(&scenario).unwrap();
         let flat = ProtocolBackend
             .evaluate(&scenario.with_engine(EngineSpec::Flat))
             .unwrap();
         // Wider tolerance: the flat path quenches the overlay (one CSR
-        // per evaluation) where the classic path resamples it per
+        // per evaluation) where the calendar resamples it per
         // replication.
         assert!(
-            (flat.reliability - classic.reliability).abs() < 0.08,
-            "flat {} vs classic {}",
+            (flat.reliability - calendar.reliability).abs() < 0.08,
+            "flat {} vs calendar {}",
             flat.reliability,
-            classic.reliability
+            calendar.reliability
         );
         assert_eq!(flat.topology.as_deref(), Some("ws(k=16,beta=0.5)/neigh"));
     }
@@ -697,7 +696,8 @@ mod tests {
             NetSimBackend.evaluate(&headline(5).with_engine(EngineSpec::Flat)),
             Err(ModelError::Unsupported { .. })
         ));
-        // `Auto` with an unsupported combination quietly keeps classic.
+        // `Auto` with an unsupported combination quietly keeps the
+        // event calendar.
         let auto = ProtocolBackend
             .evaluate(&headline(5).with_protocol(ProtocolSpec::Flood))
             .unwrap();
@@ -721,7 +721,7 @@ mod tests {
         assert!(traffic.reliability_min <= traffic.reliability_mean);
         assert!(traffic.latency_rounds_p50.unwrap() >= 1.0);
         assert!(traffic.latency_rounds_p99.unwrap() >= traffic.latency_rounds_p50.unwrap());
-        // The protocol stream is untimed, exactly like the classic run.
+        // The protocol stream is untimed, exactly like the calendar run.
         assert!(report.quiescence_secs.is_none());
         assert!(traffic.messages_per_sec.is_none());
         let again = ProtocolBackend.evaluate(&scenario).unwrap();
@@ -799,10 +799,9 @@ mod tests {
             .with_replications(15)
             .with_seed(11);
         let analytic = AnalyticBackend.evaluate(&scenario).unwrap().reliability;
-        for engine in [EngineSpec::Auto, EngineSpec::Classic] {
-            let report = ProtocolBackend
-                .evaluate(&scenario.clone().with_engine(engine))
-                .unwrap();
+        let backends: [&dyn Backend; 2] = [&ProtocolBackend, &NetSimBackend];
+        for backend in backends {
+            let report = backend.evaluate(&scenario).unwrap();
             let reach = report.reach_by_round.unwrap();
             assert!(reach.windows(2).all(|w| w[1] >= w[0]), "{reach:?}");
             // Hop 0 is the source alone; the rounds are the curve's depth.
@@ -865,7 +864,9 @@ mod tests {
                 accepted.label()
             );
         }
-        // ...and `Classic` wherever it declines.
+        // ...and the event calendar wherever it declines: the very run
+        // `NetSimBackend` makes at its default network, which alone
+        // reads the clock.
         let bursty = FaultSpec::none().with_bursty_loss(BurstySpec {
             p_gb: 0.1,
             p_bg: 0.4,
@@ -878,11 +879,14 @@ mod tests {
             headline(5).with_membership(MembershipSpec::Scamp { c: 2 }),
             headline(5).with_faults(bursty),
         ] {
+            let calendar = Report {
+                backend: "protocol".into(),
+                quiescence_secs: None,
+                ..NetSimBackend.evaluate(&declined).unwrap()
+            };
             assert_eq!(
                 ProtocolBackend.evaluate(&declined).unwrap(),
-                ProtocolBackend
-                    .evaluate(&declined.clone().with_engine(EngineSpec::Classic))
-                    .unwrap(),
+                calendar,
                 "{}",
                 declined.label()
             );

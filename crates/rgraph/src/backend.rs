@@ -10,13 +10,16 @@
 //! graph — the paper's reliability `R(q, P)` (Eq. 4/11) without any
 //! protocol dynamics.
 //!
-//! Static fault families percolate too: a correlated zone failure adds
-//! the killed zones to the crash set (the scheduled `at_ms` collapses
-//! to an at-start kill — a static census has no clock, so this is the
-//! conservative approximation) and an adversary removes its blocked
-//! arcs from the relay digraph. Dynamic families (churn, bursty loss)
-//! have per-event state no snapshot can express; they are declined
-//! with a typed [`ModelError::Unsupported`].
+//! It has exactly two routes, both on the flat kernels: the undirected
+//! census ([`crate::flat`]) on the paper's own setting, and the
+//! `gossip-engine` relay kernel — a source, directed reach — on a
+//! structured overlay or under static faults. A correlated zone failure
+//! adds the killed zones to the crash set (the scheduled `at_ms`
+//! collapses to an at-start kill — a static census has no clock, so
+//! this is the conservative approximation) and an adversary's blocked
+//! arcs never carry a copy. Dynamic families (churn, bursty loss) have
+//! per-event state no snapshot can express; they are declined with a
+//! typed [`ModelError::Unsupported`].
 
 use gossip_engine::{FanoutSampler, RelayScratch, RelaySetup, FLAT_TOPOLOGY_STREAM};
 use gossip_faults::BlockedLinks;
@@ -24,23 +27,9 @@ use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{Backend, MembershipSpec, ProtocolSpec, Report, Scenario};
 use gossip_model::ModelError;
-use gossip_stats::parallel::parallel_map;
-use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
-use gossip_topology::select_targets;
+use gossip_stats::rng::{streams, SplitMix64};
 
-use crate::configuration::ConfigurationModel;
-use crate::digraph::Digraph;
 use crate::flat::{FlatPercolation, PercolationScratch};
-use crate::graph::Graph;
-use crate::percolation_sim::percolate;
-use crate::reach::reach_from;
-
-/// Keeps each edge independently with probability `1 − loss` — bond
-/// percolation, the graph-level model of message loss.
-fn thin_edges(g: &Graph, loss: f64, rng: &mut Xoshiro256StarStar) -> Graph {
-    let kept: Vec<(u32, u32)> = g.edges().filter(|_| !rng.next_bool(loss)).collect();
-    Graph::from_edges(g.node_count(), &kept)
-}
 
 /// The random-graph percolation layer: giant components of percolated
 /// configuration-model graphs.
@@ -84,45 +73,22 @@ impl Backend for GraphBackend {
             });
         }
         let dist = scenario.fanout.build()?;
-        let flat = scenario.engine.flat_for();
         // Static faults (zone kills, adversarial blocking) need a source
-        // and directed reach, so they ride the structured path even on
-        // the default complete overlay.
+        // and directed reach, so they ride the relay even on the default
+        // complete overlay.
         if !scenario.topology.is_default() || !scenario.faults.is_default() {
-            return if flat {
-                evaluate_structured_flat(scenario, q, &*dist)
-            } else {
-                evaluate_structured(scenario, q, &*dist)
-            };
+            evaluate_relay(scenario, q, &*dist)
+        } else {
+            evaluate_census(scenario, q, &*dist)
         }
-        if flat {
-            return evaluate_flat_default(scenario, q, &*dist);
-        }
-
-        let reliabilities: Vec<f64> = parallel_map(scenario.replications, |rep| {
-            let seed = SplitMix64::derive(scenario.seed, rep as u64);
-            let mut graph_rng =
-                Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::GRAPH_CONFIGURATION));
-            let graph = ConfigurationModel::new(&dist, scenario.n).generate(&mut graph_rng);
-            let mut perc_rng =
-                Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::GRAPH_PERCOLATION));
-            let graph = if scenario.loss > 0.0 {
-                thin_edges(&graph, scenario.loss, &mut perc_rng)
-            } else {
-                graph
-            };
-            percolate(&graph, q, &[], &mut perc_rng).reliability()
-        });
-        // The undirected census has no source dynamics, hence no
-        // take-off/fizzle split and no rounds or message cost.
-        reduce::census(self.name(), scenario, &*dist, reliabilities)
     }
 }
 
-/// The flat default path: fused configuration-model + site/bond
-/// percolation over arena-reused scratch (see [`crate::flat`]). Same
-/// census as the classic default path, different RNG stream.
-fn evaluate_flat_default(
+/// The undirected census: fused configuration-model + site/bond
+/// percolation over arena-reused scratch (see [`crate::flat`]). It has
+/// no source dynamics, hence no take-off/fizzle split and no rounds or
+/// message cost.
+fn evaluate_census(
     scenario: &Scenario,
     q: f64,
     dist: &dyn FanoutDistribution,
@@ -144,18 +110,21 @@ fn evaluate_flat_default(
     reduce::census("graph", scenario, dist, reliabilities)
 }
 
-/// The flat structured path: the `gossip-engine` lazy relay kernel.
+/// The directed relay: the `gossip-engine` lazy relay kernel on the
+/// overlay's neighbour lists (the whole group on the default complete
+/// overlay) — each member draws `F ~ P` and picks that
+/// many targets with the scenario's peer-selection policy, crash coins
+/// and loss included, all at first receipt. Unlike the undirected
+/// census this has a source and therefore a take-off/fizzle split;
+/// [`gossip_model::reduce`] conditions it at the same complete-graph
+/// analytic threshold as every other layer, so reliabilities stay
+/// comparable.
 ///
-/// Two deliberate deviations from the classic structured path, both
-/// covered by the cross-engine agreement tests:
-/// * the overlay CSR is built ONCE per evaluation (stream
-///   [`FLAT_TOPOLOGY_STREAM`]) and shared read-only across
-///   replications — a quenched-overlay approximation of the classic
-///   per-replication resample;
-/// * the relay digraph is never materialized — crash coins, fanouts and
-///   targets are drawn lazily at first receipt, which is
-///   distributionally the same process.
-fn evaluate_structured_flat(
+/// The overlay CSR is built ONCE per evaluation (stream
+/// [`FLAT_TOPOLOGY_STREAM`]) and shared read-only across replications
+/// — quenched, where the event calendar resamples it per execution;
+/// `tests/tests/engine_agreement.rs` holds the two to the same means.
+fn evaluate_relay(
     scenario: &Scenario,
     q: f64,
     dist: &dyn FanoutDistribution,
@@ -180,7 +149,9 @@ fn evaluate_structured_flat(
         || RelayScratch::new(n),
         |seed, scratch, rng| {
             // Per replication so a `Random` adversary re-rolls its
-            // blocked set each run, like the classic path's draw.
+            // blocked set each run, from the tag the protocol engine
+            // shares — both layers face the same per-replication
+            // adversary.
             let blocked = scenario.faults.adversary.as_ref().map(|adv| {
                 BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, streams::ADVERSARY))
             });
@@ -203,74 +174,6 @@ fn evaluate_structured_flat(
             }
         },
     );
-    reduce::conditioned("graph", None, scenario, dist, executions)
-}
-
-/// The structured-overlay path: the Fig. 1 relay digraph is realized on
-/// the overlay's neighbour lists instead of the complete graph — each
-/// member draws `F ~ P` and picks that many targets with the scenario's
-/// peer-selection policy — then bond percolation (loss), site
-/// percolation (crashes, source immune), and directed reach run as
-/// usual. Unlike the undirected census of the default path, this has a
-/// source and therefore a take-off/fizzle split;
-/// [`gossip_model::reduce`] conditions it at the same complete-graph
-/// analytic threshold as every other layer, so reliabilities stay
-/// comparable (still no rounds: reach is a static closure).
-fn evaluate_structured(
-    scenario: &Scenario,
-    q: f64,
-    dist: &dyn FanoutDistribution,
-) -> Result<Report, ModelError> {
-    let spec = scenario.topology;
-    let n = scenario.n;
-    // The static census has no clock, so a correlated zone failure's
-    // scheduled `at_ms` collapses to an at-start kill.
-    let zone_failed = match &scenario.faults.zone_failure {
-        Some(zf) => zf.killed_members(n, &spec, 0)?,
-        None => Vec::new(),
-    };
-    let executions: Vec<Execution> = parallel_map(scenario.replications, |rep| {
-        let seed = SplitMix64::derive(scenario.seed, rep as u64);
-        let overlay = spec.build(n, SplitMix64::derive(seed, streams::GRAPH_TOPOLOGY));
-        // Per replication so a `Random` adversary re-rolls its blocked
-        // set each run, from the tag the protocol engine shares — both
-        // layers face the same per-replication adversary.
-        let blocked = scenario.faults.adversary.as_ref().map(|adv| {
-            BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, streams::ADVERSARY))
-        });
-        let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::GRAPH_RELAY));
-        let mut arcs: Vec<(u32, u32)> = Vec::new();
-        let mut targets = Vec::new();
-        for v in 0..n as u32 {
-            let fanout = dist.sample(&mut rng);
-            select_targets(&overlay, spec.selection, v, fanout, &mut rng, &mut targets);
-            for &t in &targets {
-                if blocked.as_ref().is_some_and(|b| b.blocks(v, t)) {
-                    continue;
-                }
-                if scenario.loss == 0.0 || !rng.next_bool(scenario.loss) {
-                    arcs.push((v, t));
-                }
-            }
-        }
-        let digraph = Digraph::from_edges(n, &arcs);
-        let mut failed = vec![false; n];
-        for &member in &zone_failed {
-            failed[member as usize] = true;
-        }
-        // Crash draws run for every node — pre-failed or not — so the
-        // RNG stream is identical with and without a zone failure.
-        for slot in failed.iter_mut().skip(1) {
-            let crashed = !rng.next_bool(q);
-            *slot = *slot || crashed;
-        }
-        let out = reach_from(&digraph, &failed, 0);
-        Execution {
-            reliability: out.reliability(),
-            messages_per_member: Some(out.messages_sent as f64 / out.nonfailed_total.max(1) as f64),
-            ..Execution::default()
-        }
-    });
     reduce::conditioned("graph", None, scenario, dist, executions)
 }
 
@@ -506,81 +409,6 @@ mod tests {
             "random raw r = {}",
             random.reliability_raw.unwrap()
         );
-    }
-
-    #[test]
-    fn flat_engine_agrees_on_the_default_path() {
-        use gossip_model::scenario::EngineSpec;
-        let base = headline(5000, 10);
-        let classic = GraphBackend
-            .evaluate(&base.clone().with_engine(EngineSpec::Classic))
-            .unwrap();
-        let flat = GraphBackend
-            .evaluate(&base.with_engine(EngineSpec::Flat))
-            .unwrap();
-        assert!(
-            (flat.reliability - classic.reliability).abs() < 0.03,
-            "flat {} vs classic {}",
-            flat.reliability,
-            classic.reliability
-        );
-        assert_eq!(flat.scenario, classic.scenario, "labels must not diverge");
-    }
-
-    #[test]
-    fn flat_engine_agrees_on_a_structured_overlay() {
-        use gossip_model::scenario::EngineSpec;
-        use gossip_topology::{OverlaySpec, TopologySpec};
-        let base = Scenario::new(2000, FanoutSpec::poisson(5.0))
-            .with_failure_ratio(0.95)
-            .with_replications(12)
-            .with_topology(TopologySpec::new(OverlaySpec::WattsStrogatz {
-                k: 16,
-                beta: 0.5,
-            }));
-        let classic = GraphBackend
-            .evaluate(&base.clone().with_engine(EngineSpec::Classic))
-            .unwrap();
-        let flat = GraphBackend
-            .evaluate(&base.with_engine(EngineSpec::Flat))
-            .unwrap();
-        // The flat engine quenches the overlay (one build per
-        // evaluation), so tolerance is wider than same-engine noise.
-        assert!(
-            (flat.reliability - classic.reliability).abs() < 0.08,
-            "flat {} vs classic {}",
-            flat.reliability,
-            classic.reliability
-        );
-        assert!(flat.messages_per_member.unwrap() > 0.0);
-    }
-
-    #[test]
-    fn auto_engine_is_flat_where_exact_and_classic_elsewhere() {
-        use gossip_model::scenario::EngineSpec;
-        use gossip_model::{AdversaryStrategy, FaultSpec};
-        use gossip_topology::{OverlaySpec, TopologySpec};
-        // This backend has a flat kernel for everything it accepts —
-        // the undirected census, structured overlays, static faults —
-        // so `Auto` is `Flat`, to the byte, on all three routes and
-        // never lands on the classic paths.
-        let overlay = TopologySpec::new(OverlaySpec::WattsStrogatz { k: 10, beta: 0.3 });
-        let adversary = FaultSpec::none().with_adversary(40, AdversaryStrategy::Random);
-        for accepted in [
-            headline(2000, 5).with_loss(0.1),
-            headline(500, 5).with_topology(overlay),
-            headline(300, 5).with_faults(adversary),
-        ] {
-            let auto = GraphBackend.evaluate(&accepted).unwrap();
-            let flat = GraphBackend
-                .evaluate(&accepted.clone().with_engine(EngineSpec::Flat))
-                .unwrap();
-            assert_eq!(auto, flat, "{}", accepted.label());
-            let classic = GraphBackend
-                .evaluate(&accepted.clone().with_engine(EngineSpec::Classic))
-                .unwrap();
-            assert_ne!(auto, classic, "{}", accepted.label());
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Flat struct-of-arrays percolation for the million-node regime.
 //!
-//! The classic default path builds a [`crate::graph::Graph`] CSR per
-//! replication, optionally rebuilds it thinned for loss, and then runs
-//! a component census over a `Vec<bool>` occupancy — three O(n + m)
-//! allocations per replication. This module fuses all of it into one
-//! pass over a reusable arena: degrees are drawn through the
+//! Building a [`crate::graph::Graph`] CSR per replication, rebuilding
+//! it thinned for loss, and then running a component census over a
+//! `Vec<bool>` occupancy costs three O(n + m) allocations per
+//! replication. This module fuses all of it into one pass over a
+//! reusable arena: degrees are drawn through the
 //! `gossip-engine` alias sampler straight into a stub list, the stub
 //! list is shuffled and paired (the configuration-model matching), and
 //! each pair feeds a [`UnionFind`] union *only if the bond survives
@@ -13,12 +13,13 @@
 //! census — and every buffer is reset, never reallocated, between
 //! replications.
 //!
-//! The measured quantity is identical to the classic path's:
+//! The measured quantity is the one that unfused pipeline gives:
 //! reliability = largest occupied component / occupied count (Eq. 4's
 //! giant-component fraction under site percolation with ratio `q` and
-//! bond percolation with rate `1 − loss`). Only the RNG stream differs
-//! (one flat stream instead of the classic 0x6A/0x9C pair), so flat
-//! and classic agree within Monte-Carlo tolerance, not bit-for-bit.
+//! bond percolation with rate `1 − loss`). `tests/tests/engine_agreement.rs`
+//! keeps the unfused pipeline — [`crate::ConfigurationModel`],
+//! bond-thinned [`crate::Graph::from_edges`], [`crate::percolate`] — as
+//! the reference; the two agree within Monte-Carlo tolerance.
 
 use gossip_engine::{BitSet, FanoutSampler};
 use gossip_model::distribution::FanoutDistribution;

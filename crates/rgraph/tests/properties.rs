@@ -2,8 +2,7 @@
 
 use gossip_model::distribution::PoissonFanout;
 use gossip_rgraph::components::{census, census_occupied};
-use gossip_rgraph::reach::reach_from;
-use gossip_rgraph::{ConfigurationModel, Digraph, GossipGraphBuilder, Graph, UnionFind};
+use gossip_rgraph::{ConfigurationModel, Graph, UnionFind};
 use gossip_stats::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
 
@@ -111,56 +110,6 @@ proptest! {
         let g = model.generate_with_degrees(&degrees, &mut Xoshiro256StarStar::new(seed));
         for (v, &d) in degrees.iter().enumerate() {
             prop_assert_eq!(g.degree(v as u32), d, "node {}", v);
-        }
-    }
-
-    /// Directed reach: source always reached; counts consistent; failed
-    /// nodes never forward (removing a failed node's out-edges changes
-    /// nothing).
-    #[test]
-    fn reach_invariants(
-        n in 3usize..40,
-        seed in 0u64..500,
-        q in 0.3f64..1.0,
-    ) {
-        let dist = PoissonFanout::new(2.0);
-        let builder = GossipGraphBuilder::new(&dist, n, q);
-        let g = builder.build(&mut Xoshiro256StarStar::new(seed));
-        let out = reach_from(&g.digraph, &g.failed, g.source);
-        prop_assert!(out.reached[g.source as usize]);
-        prop_assert!(out.nonfailed_reached <= out.nonfailed_total);
-        prop_assert!(out.nonfailed_reached >= 1, "source counts");
-        prop_assert_eq!(out.is_success(), out.nonfailed_reached == out.nonfailed_total);
-
-        // Censor failed nodes' out-edges: reach must be identical.
-        let censored_edges: Vec<(u32, u32)> = (0..n as u32)
-            .filter(|&v| !g.failed[v as usize])
-            .flat_map(|v| {
-                g.digraph
-                    .out_neighbors(v)
-                    .iter()
-                    .map(move |&w| (v, w))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let censored = Digraph::from_edges(n, &censored_edges);
-        let out2 = reach_from(&censored, &g.failed, g.source);
-        prop_assert_eq!(out.nonfailed_reached, out2.nonfailed_reached);
-        prop_assert_eq!(out.reached, out2.reached);
-    }
-
-    /// Gossip graphs: arcs never point at self, out-degrees are clamped
-    /// to n − 1, and the source never fails.
-    #[test]
-    fn gossip_graph_invariants(n in 2usize..60, seed in 0u64..500, q in 0.1f64..1.0) {
-        let dist = PoissonFanout::new(3.0);
-        let g = GossipGraphBuilder::new(&dist, n, q).build(&mut Xoshiro256StarStar::new(seed));
-        prop_assert!(!g.failed[g.source as usize]);
-        for v in 0..n as u32 {
-            prop_assert!(g.digraph.out_degree(v) < n);
-            for &w in g.digraph.out_neighbors(v) {
-                prop_assert_ne!(w, v, "self-arc at {}", v);
-            }
         }
     }
 }

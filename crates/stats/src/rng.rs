@@ -263,17 +263,9 @@ pub mod streams {
     }
 
     stream_tags! {
-        /// Graph backend, classic census: configuration-model wiring.
-        GRAPH_CONFIGURATION = 0x6A;
-        /// Graph backend, classic census: bond thinning + site percolation.
-        GRAPH_PERCOLATION = 0x9C;
-        /// Graph backend, classic structured path: per-replication overlay.
-        GRAPH_TOPOLOGY = 0x70;
-        /// Graph backend, classic structured path: fanouts, targets,
-        /// loss and crash draws of the relay digraph.
-        GRAPH_RELAY = 0xD1;
         /// Flat engine: the single per-replication RNG (graph and
-        /// protocol), so flat and classic runs are independent samples.
+        /// protocol), so flat and event-calendar runs are independent
+        /// samples.
         FLAT = 0xF1A7;
         /// Flat engine: the overlay CSR built once per evaluation.
         FLAT_TOPOLOGY = 0xF170;
@@ -359,7 +351,7 @@ mod tests {
                 assert_ne!(tag, other_tag, "{name} and {other} share a stream tag");
             }
         }
-        assert_eq!(streams::ALL.len(), 16);
+        assert_eq!(streams::ALL.len(), 12);
     }
 
     #[test]

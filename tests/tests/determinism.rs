@@ -6,8 +6,7 @@ use gossip_model::distribution::PoissonFanout;
 use gossip_model::{success, Backend, FanoutSpec, Scenario};
 use gossip_protocol::engine::{run_push, ExecutionConfig, MembershipKind};
 use gossip_protocol::ProtocolBackend;
-use gossip_rgraph::reach::reach;
-use gossip_rgraph::{ConfigurationModel, GossipGraphBuilder};
+use gossip_rgraph::ConfigurationModel;
 use gossip_stats::rng::Xoshiro256StarStar;
 
 #[test]
@@ -66,9 +65,6 @@ fn graphs_reproducible() {
     for v in 0..2000u32 {
         assert_eq!(g1.neighbors(v), g2.neighbors(v));
     }
-    let gg1 = GossipGraphBuilder::new(&dist, 2000, 0.9).build(&mut Xoshiro256StarStar::new(6));
-    let gg2 = GossipGraphBuilder::new(&dist, 2000, 0.9).build(&mut Xoshiro256StarStar::new(6));
-    assert_eq!(reach(&gg1).nonfailed_reached, reach(&gg2).nonfailed_reached);
 }
 
 #[test]

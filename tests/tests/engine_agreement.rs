@@ -1,19 +1,32 @@
 //! `EngineSpec::Auto` routes onto the flat kernels at every group size,
 //! so the flat kernels must sample the *same distribution* as the
-//! classic engines they stand in for — on every number a `Report`
-//! carries, not only on reliability. `Classic` and `Auto` draw from
-//! unrelated RNG streams, so the comparison is two-sample: each side
-//! runs `BATCHES` evaluations on seeds of its own, every `Report` field
-//! under test gives one batch mean per evaluation, and the two sets of
-//! batch means must agree within `Z` standard errors of their
-//! difference (Welch: the batch means' own spread, so nothing is
-//! assumed about the per-execution law — bimodal near q_c — and the
-//! overlay a flat evaluation builds once and a classic one resamples
-//! per execution is priced in).
+//! references they stand in for — on every number a `Report` carries,
+//! not only on reliability. The references:
+//!
+//! * for the protocol relay, `NetSimBackend` — the event calendar at
+//!   its default network (1 ms, lossless), the very run
+//!   `ProtocolBackend` falls back to where the flat kernel declines;
+//! * for the graph census, [`ReferenceCensus`] below — the unfused
+//!   pipeline the flat census fuses: a `ConfigurationModel` graph per
+//!   execution, bond-thinned through `Graph::from_edges`, site-percolated
+//!   by `percolate`;
+//! * for the graph relay on an overlay and under static faults (a t = 0
+//!   zone kill, a `Random` adversary), `NetSimBackend` on the same
+//!   scenario. Both layers build the adversary's `BlockedLinks` from
+//!   `derive(derive(seed, rep), ADVERSARY)`.
+//!
+//! Each pair draws from unrelated RNG streams, so the comparison is
+//! two-sample: each side runs `BATCHES` evaluations on seeds of its own,
+//! every `Report` field under test gives one batch mean per evaluation,
+//! and the two sets of batch means must agree within `Z` standard errors
+//! of their difference (Welch: the batch means' own spread, so nothing
+//! is assumed about the per-execution law — bimodal near q_c — and the
+//! overlay a flat evaluation builds once and the calendar resamples per
+//! execution is priced in).
 //!
 //! False-failure probability: each comparison is a Welch t statistic
 //! with at least `BATCHES − 1 = 31` degrees of freedom, and
-//! P(|t₃₁| > 6) < 1.3e-6; the file makes 16 × 7 + 2 = 114 comparisons,
+//! P(|t₃₁| > 6) < 1.3e-6; the file makes 16 × 7 + 3 = 115 comparisons,
 //! so the family-wise probability that a correct build fails is
 //! < 1.5e-4. A metric that is the same constant on every batch of both
 //! sides (strict success at n = 1000, say) has no spread, and its
@@ -23,11 +36,13 @@
 //! 0.59 rounds at n = 20, q = 0.4 — 30 of these standard errors.
 
 use gossip::{
-    Backend, EngineSpec, FanoutSpec, GraphBackend, OverlaySpec, ProtocolBackend, Report, Scenario,
-    TopologySpec,
+    AdversaryStrategy, Backend, FanoutSpec, FaultSpec, GraphBackend, ModelError, NetSimBackend,
+    OverlaySpec, ProtocolBackend, Report, Scenario, TopologySpec,
 };
+use gossip_model::reduce;
+use gossip_rgraph::{percolate, ConfigurationModel, Graph};
 use gossip_stats::descriptive::OnlineStats;
-use gossip_stats::rng::SplitMix64;
+use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 
 const BATCHES: u64 = 32;
 const Z: f64 = 6.0;
@@ -55,12 +70,42 @@ fn measured(metric: Option<f64>) -> f64 {
     metric.expect("a push Report fills every metric once a run of the batch took off")
 }
 
+/// The undirected census without the flat kernel's fusion: per
+/// execution, one configuration-model graph, each edge kept with
+/// probability `1 − loss` (bond percolation), then site percolation at
+/// `q`, reduced like every census.
+struct ReferenceCensus;
+
+impl Backend for ReferenceCensus {
+    fn name(&self) -> &'static str {
+        "reference census"
+    }
+
+    fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
+        let dist = scenario.fanout.build()?;
+        let q = scenario
+            .q()
+            .expect("the census cell has an i.i.d. crash ratio");
+        let reliabilities = (0..scenario.replications).map(|rep| {
+            let seed = SplitMix64::derive(scenario.seed, rep as u64);
+            let mut rng = Xoshiro256StarStar::new(seed);
+            let graph = ConfigurationModel::new(&*dist, scenario.n).generate(&mut rng);
+            let kept: Vec<(u32, u32)> = graph
+                .edges()
+                .filter(|_| !rng.next_bool(scenario.loss))
+                .collect();
+            let thinned = Graph::from_edges(scenario.n, &kept);
+            percolate(&thinned, q, &[], &mut rng).reliability()
+        });
+        reduce::census(self.name(), scenario, &*dist, reliabilities)
+    }
+}
+
 /// One `OnlineStats` of batch means per metric: `BATCHES` evaluations of
-/// `scenario` on `engine`, seeds derived from `(scenario.seed, stream)`.
+/// `scenario` on `backend`, seeds derived from `(scenario.seed, stream)`.
 fn batch_means(
     backend: &dyn Backend,
     scenario: &Scenario,
-    engine: EngineSpec,
     stream: u64,
     metrics: &[Metric],
 ) -> Vec<OnlineStats> {
@@ -68,8 +113,8 @@ fn batch_means(
     for batch in 0..BATCHES {
         let seed = SplitMix64::derive(scenario.seed, stream * BATCHES + batch);
         let report = backend
-            .evaluate(&scenario.clone().with_seed(seed).with_engine(engine))
-            .expect("both engines accept the scenario");
+            .evaluate(&scenario.clone().with_seed(seed))
+            .expect("both sides accept the scenario");
         for (stat, (_, read)) in stats.iter_mut().zip(metrics) {
             stat.push(read(&report));
         }
@@ -77,18 +122,25 @@ fn batch_means(
     stats
 }
 
-fn assert_engines_agree(backend: &dyn Backend, scenario: &Scenario, metrics: &[Metric]) {
-    let classic = batch_means(backend, scenario, EngineSpec::Classic, 0, metrics);
-    let auto = batch_means(backend, scenario, EngineSpec::Auto, 1, metrics);
-    for ((name, _), (c, a)) in metrics.iter().zip(classic.iter().zip(&auto)) {
-        let se = (c.sem().powi(2) + a.sem().powi(2)).sqrt();
+/// `backend` under `Auto` against `reference`, metric by metric.
+fn assert_agrees(
+    reference: &dyn Backend,
+    backend: &dyn Backend,
+    scenario: &Scenario,
+    metrics: &[Metric],
+) {
+    let want = batch_means(reference, scenario, 0, metrics);
+    let got = batch_means(backend, scenario, 1, metrics);
+    for ((name, _), (w, g)) in metrics.iter().zip(want.iter().zip(&got)) {
+        let se = (w.sem().powi(2) + g.sem().powi(2)).sqrt();
         assert!(
-            (c.mean() - a.mean()).abs() <= Z * se,
-            "{} on {}: {name} classic {} vs auto {} ({Z} SE = {})",
+            (w.mean() - g.mean()).abs() <= Z * se,
+            "{} on {}: {name} {} {} vs {} ({Z} SE = {})",
             backend.name(),
             scenario.label(),
-            c.mean(),
-            a.mean(),
+            reference.name(),
+            w.mean(),
+            g.mean(),
             Z * se
         );
     }
@@ -104,7 +156,7 @@ fn protocol_auto_matches_classic_on_every_report_metric() {
                 .with_failure_ratio(q)
                 .with_replications((30_000 / n).clamp(30, 300))
                 .with_seed(0xA6EE_0000 + (i * 3 + j) as u64);
-            assert_engines_agree(&ProtocolBackend, &scenario, &PUSH_METRICS);
+            assert_agrees(&NetSimBackend, &ProtocolBackend, &scenario, &PUSH_METRICS);
         }
     }
 }
@@ -117,7 +169,7 @@ fn protocol_auto_matches_classic_when_everyone_is_a_target() {
         .with_failure_ratio(0.8)
         .with_replications(20)
         .with_seed(0xA6EE_0100);
-    assert_engines_agree(&ProtocolBackend, &scenario, &PUSH_METRICS);
+    assert_agrees(&NetSimBackend, &ProtocolBackend, &scenario, &PUSH_METRICS);
 }
 
 #[test]
@@ -127,9 +179,9 @@ fn graph_auto_matches_classic_on_the_census_and_on_an_overlay() {
         .with_loss(0.1)
         .with_replications(10)
         .with_seed(0xA6EE_0200);
-    assert_engines_agree(&GraphBackend, &census, &[RELIABILITY]);
+    assert_agrees(&ReferenceCensus, &GraphBackend, &census, &[RELIABILITY]);
     // Quenched under `Auto` (one overlay per evaluation), resampled per
-    // execution under `Classic`: the batch means price that in.
+    // execution by the calendar: the batch means price that in.
     let overlay = Scenario::new(400, FanoutSpec::poisson(5.0))
         .with_failure_ratio(0.8)
         .with_topology(TopologySpec::new(OverlaySpec::WattsStrogatz {
@@ -138,5 +190,29 @@ fn graph_auto_matches_classic_on_the_census_and_on_an_overlay() {
         }))
         .with_replications(10)
         .with_seed(0xA6EE_0201);
-    assert_engines_agree(&GraphBackend, &overlay, &[RELIABILITY]);
+    assert_agrees(&NetSimBackend, &GraphBackend, &overlay, &[RELIABILITY]);
+}
+
+#[test]
+fn graph_relay_matches_netsim_under_a_zone_kill_and_an_adversary() {
+    // The relay kernel's `prefailed` (zone 1 of 4, killed at t = 0) and
+    // `blocked` (a fresh `Random` adversary per execution, 1500 of the
+    // 14 280 links) fields on a clustered overlay, at an operating point
+    // where each fault alone costs about 0.05 of reliability: a kernel
+    // that drops either field misses netsim by 7 standard errors or more.
+    let scenario = Scenario::new(120, FanoutSpec::poisson(4.0))
+        .with_failure_ratio(0.6)
+        .with_topology(TopologySpec::new(OverlaySpec::Clustered {
+            zones: 4,
+            intra: 6,
+            inter: 2,
+        }))
+        .with_faults(
+            FaultSpec::none()
+                .with_zone_failure(vec![1], 0)
+                .with_adversary(1_500, AdversaryStrategy::Random),
+        )
+        .with_replications(40)
+        .with_seed(0xA6EE_0300);
+    assert_agrees(&NetSimBackend, &GraphBackend, &scenario, &[RELIABILITY]);
 }

@@ -1,17 +1,15 @@
 //! Analytic model vs the random-graph substrate, through the unified
 //! scenario API: [`GraphBackend`] (giant components of percolated
 //! configuration-model graphs) must match [`AnalyticBackend`]
-//! (`1 − G0(u)`, paper §4) on the same [`Scenario`] values; the
-//! directed gossip-graph duality checks stay on the rgraph internals
-//! they actually probe.
+//! (`1 − G0(u)`, paper §4) on the same [`Scenario`] values, and the
+//! directed relay of [`ProtocolBackend`] must meet the same number
+//! twice over — as its conditioned reach and as its take-off rate (the
+//! Poisson duality).
 
-use gossip::{AnalyticBackend, Backend, FanoutSpec, GraphBackend, Scenario};
+use gossip::{
+    AnalyticBackend, Backend, FanoutSpec, GraphBackend, ProtocolBackend, Report, Scenario,
+};
 use gossip_integration_tests::assert_close;
-use gossip_model::distribution::PoissonFanout;
-use gossip_model::SitePercolation;
-use gossip_rgraph::reach::reach;
-use gossip_rgraph::GossipGraphBuilder;
-use gossip_stats::rng::Xoshiro256StarStar;
 
 /// Evaluates one scenario by both layers and asserts agreement.
 fn graph_vs_model(fanout: FanoutSpec, q: f64, n: usize, tol: f64) {
@@ -70,53 +68,48 @@ fn subcritical_graphs_have_no_giant() {
     );
 }
 
+/// The Poisson duality's two halves on Po(4), q = 0.9, where the
+/// undirected giant fraction is S = 0.9695: the directed relay
+/// `ProtocolBackend` runs — the paper's Fig. 1 gossip digraph, drawn
+/// lazily — conditioned on take-off.
+fn directed_relay(n: usize, reps: usize, seed: u64) -> (Report, f64) {
+    let scenario = Scenario::new(n, FanoutSpec::poisson(4.0))
+        .with_failure_ratio(0.9)
+        .with_replications(reps)
+        .with_seed(seed);
+    let analytic = AnalyticBackend.evaluate(&scenario).expect("valid scenario");
+    let relay = ProtocolBackend.evaluate(&scenario).expect("valid scenario");
+    (relay, analytic.reliability)
+}
+
 #[test]
 fn directed_reach_matches_undirected_model_for_poisson() {
-    // The Poisson duality: directed reach from the source (conditioned
-    // on take-off) equals the undirected giant-component fraction.
-    let dist = PoissonFanout::new(4.0);
-    let q = 0.9;
-    let analytic = SitePercolation::new(&dist, q)
-        .unwrap()
-        .reliability()
-        .unwrap();
-    let builder = GossipGraphBuilder::new(&dist, 20_000, q);
-    let mut rng = Xoshiro256StarStar::new(5);
-    let mut took_off = Vec::new();
-    for _ in 0..10 {
-        let g = builder.build(&mut rng);
-        let out = reach(&g);
-        let r = out.reliability();
-        if r > 0.5 * analytic {
-            took_off.push(r);
-        }
-    }
-    assert!(took_off.len() >= 7, "most executions should take off");
-    let mean = took_off.iter().sum::<f64>() / took_off.len() as f64;
-    assert_close(mean, analytic, 0.01, "directed reach (conditioned)");
+    // Directed reach from the source, conditioned on take-off, equals
+    // the undirected giant-component fraction. A took-off run's reach
+    // fraction at n = 20 000 has a spread of about 0.0015, so the mean of
+    // the ~10 took-off runs sits within 0.01 with probability 1 − 1e-20
+    // or better; only the all-fizzle case (0.0305¹⁰ < 1e-15) could fail.
+    let (relay, analytic) = directed_relay(20_000, 10, 5);
+    assert_close(
+        relay.reliability,
+        analytic,
+        0.01,
+        "directed reach (conditioned)",
+    );
 }
 
 #[test]
 fn takeoff_probability_matches_reliability_for_poisson() {
-    // Second half of the duality: P(take-off) itself ≈ S.
-    let dist = PoissonFanout::new(4.0);
-    let q = 0.9;
-    let analytic = SitePercolation::new(&dist, q)
-        .unwrap()
-        .reliability()
-        .unwrap();
-    let builder = GossipGraphBuilder::new(&dist, 4_000, q);
-    let mut rng = Xoshiro256StarStar::new(9);
-    let reps = 300;
-    let mut takeoffs = 0;
-    for _ in 0..reps {
-        let g = builder.build(&mut rng);
-        if reach(&g).reliability() > 0.5 * analytic {
-            takeoffs += 1;
-        }
-    }
-    let rate = takeoffs as f64 / reps as f64;
-    assert_close(rate, analytic, 0.04, "take-off probability");
+    // Second half of the duality: P(take-off) itself ≈ S. Over 300 runs
+    // the take-off rate has SE 0.0099; it misses S by more than 0.04
+    // only below 279 take-offs, and P(Bin(300, 0.9695) < 279) < 1.7e-4.
+    let (relay, analytic) = directed_relay(4_000, 300, 9);
+    assert_close(
+        relay.takeoff_rate.expect("a conditioned Report"),
+        analytic,
+        0.04,
+        "take-off probability",
+    );
 }
 
 #[test]

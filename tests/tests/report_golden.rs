@@ -8,9 +8,11 @@
 //! backend's replication loop, seed derivation, or push order into the
 //! running statistics) cannot drift silently. They were captured at the
 //! commit *before* the reductions were unified and must pass unchanged
-//! across pure refactors. The classic engines are pinned through an
-//! explicit `EngineSpec::Classic`, the flat ones through
-//! `EngineSpec::Flat`; the two `*_auto` cases pin where the default
+//! across pure refactors. The event calendar is pinned through
+//! `NetSimBackend` (the `netsim_push*` cases are the very runs
+//! `ProtocolBackend` falls back to off the flat kernel), the flat
+//! kernels through `EngineSpec::Flat` and through `GraphBackend`, which
+//! has no other engine; the two `*_auto` cases pin where the default
 //! `EngineSpec::Auto` routes.
 //!
 //! Regenerate (only when a change is *meant* to move the numbers — say
@@ -59,22 +61,24 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
         .with_piggyback(4);
     vec![
         (
-            "protocol_push",
-            Box::new(ProtocolBackend),
-            base(300, 4.0, 0.9, 12, 0x601D_0001).with_engine(EngineSpec::Classic),
+            // The event-calendar push: what `ProtocolBackend` falls back
+            // to off the flat kernel, at the default network.
+            "netsim_push",
+            Box::new(NetSimBackend),
+            base(300, 4.0, 0.9, 12, 0x601D_0001),
         ),
         (
             // Near q_c = 0.25: some executions fizzle, so the
             // conditional and raw estimators part ways.
-            "protocol_push_near_critical",
-            Box::new(ProtocolBackend),
-            base(300, 4.0, 0.4, 12, 0x601D_0002).with_engine(EngineSpec::Classic),
+            "netsim_push_near_critical",
+            Box::new(NetSimBackend),
+            base(300, 4.0, 0.4, 12, 0x601D_0002),
         ),
         (
             // Below q_c: threshold 0, every run conditions.
-            "protocol_push_subcritical",
-            Box::new(ProtocolBackend),
-            base(300, 4.0, 0.15, 8, 0x601D_0003).with_engine(EngineSpec::Classic),
+            "netsim_push_subcritical",
+            Box::new(NetSimBackend),
+            base(300, 4.0, 0.15, 8, 0x601D_0003),
         ),
         (
             "protocol_flood",
@@ -107,25 +111,11 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
                 .with_traffic(TrafficSpec::stream(4).with_bandwidth(8)),
         ),
         (
-            "graph_default",
-            Box::new(GraphBackend),
-            base(1000, 4.0, 0.9, 8, 0x601D_0009)
-                .with_loss(0.1)
-                .with_engine(EngineSpec::Classic),
-        ),
-        (
             "graph_flat_default",
             Box::new(GraphBackend),
             base(1000, 4.0, 0.9, 8, 0x601D_000A)
                 .with_loss(0.1)
                 .with_engine(EngineSpec::Flat),
-        ),
-        (
-            "graph_overlay_classic",
-            Box::new(GraphBackend),
-            base(500, 5.0, 0.6, 10, 0x601D_000B)
-                .with_topology(small_world())
-                .with_engine(EngineSpec::Classic),
         ),
         (
             "graph_overlay_flat",
@@ -138,8 +128,7 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             "graph_adversary",
             Box::new(GraphBackend),
             base(300, 4.0, 0.9, 8, 0x601D_000D)
-                .with_faults(FaultSpec::none().with_adversary(40, AdversaryStrategy::Random))
-                .with_engine(EngineSpec::Classic),
+                .with_faults(FaultSpec::none().with_adversary(40, AdversaryStrategy::Random)),
         ),
         (
             // f = n − 1 cuts every uplink of the source: no execution
@@ -147,8 +136,7 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             "graph_adversary_no_takeoff",
             Box::new(GraphBackend),
             base(200, 4.0, 1.0, 4, 0x601D_0010)
-                .with_faults(FaultSpec::none().with_adversary(199, AdversaryStrategy::WorstCase))
-                .with_engine(EngineSpec::Classic),
+                .with_faults(FaultSpec::none().with_adversary(199, AdversaryStrategy::WorstCase)),
         ),
         (
             "runtime_channel_bursty",

@@ -174,10 +174,9 @@ fn structured_topologies_agree_across_supporting_backends() {
 #[test]
 fn flat_engine_agrees_on_the_fig4_points() {
     use gossip::{EngineSpec, GraphBackend, ProtocolBackend};
-    // The million-node engine, forced on at Fig. 4 scale: the flat
-    // bitset/percolation kernels must land on the classic engines'
-    // reliabilities at every operating point, on both Monte-Carlo
-    // backends that have a flat path.
+    // The million-node engine, forced on at Fig. 4 scale: the flat relay
+    // must land on the event calendar's reliability, and the flat census
+    // on the generating-function curve, at every operating point.
     for &q in &[0.5, 0.7, 0.9] {
         let scenario = Scenario::new(1000, FanoutSpec::poisson(6.0))
             .with_failure_ratio(q)
@@ -186,25 +185,25 @@ fn flat_engine_agrees_on_the_fig4_points() {
         let flat = scenario.clone().with_engine(EngineSpec::Flat);
         let pairs = [
             (
-                GraphBackend.evaluate(&scenario).expect("classic graph"),
-                GraphBackend.evaluate(&flat).expect("flat graph"),
+                ProtocolBackend.evaluate(&flat).expect("flat protocol"),
+                NetSimBackend.evaluate(&scenario).expect("calendar"),
             ),
             (
-                ProtocolBackend
+                GraphBackend.evaluate(&flat).expect("flat graph"),
+                AnalyticBackend
                     .evaluate(&scenario)
-                    .expect("classic protocol"),
-                ProtocolBackend.evaluate(&flat).expect("flat protocol"),
+                    .expect("analytic prices"),
             ),
         ];
-        for (classic, flat) in &pairs {
+        for (flat, reference) in &pairs {
             assert_close(
                 flat.reliability,
-                classic.reliability,
+                reference.reliability,
                 0.03,
-                &format!("flat vs classic {} at q={q}", classic.backend),
+                &format!("flat {} vs {} at q={q}", flat.backend, reference.backend),
             );
             assert_eq!(
-                flat.scenario, classic.scenario,
+                flat.scenario, reference.scenario,
                 "the engine knob must not leak into the scenario label"
             );
         }
@@ -250,13 +249,10 @@ fn flat_engine_straddles_the_critical_point() {
 
 #[test]
 fn flat_engine_refusals_and_auto_fallback() {
-    use gossip::{
-        BurstySpec, EngineSpec, FaultSpec, GraphBackend, NetSimBackend, ProtocolBackend,
-        RuntimeBackend,
-    };
+    use gossip::{EngineSpec, GraphBackend, NetSimBackend, ProtocolBackend, RuntimeBackend};
     // Event-driven backends have no flat path: pinning `EngineSpec::Flat`
     // must be a typed refusal that names the backend, never a panic or a
-    // silent classic run.
+    // silent calendar run.
     let scenario = Scenario::new(400, FanoutSpec::poisson(6.0))
         .with_failure_ratio(0.9)
         .with_replications(4)
@@ -274,7 +270,8 @@ fn flat_engine_refusals_and_auto_fallback() {
         }
     }
     // `Auto` is the flat kernel, to the byte, wherever it accepts the
-    // scenario — at any group size...
+    // scenario, at any group size (where it declines, `ProtocolBackend`
+    // makes `NetSimBackend`'s calendar run — see its unit tests).
     let auto = scenario.clone().with_engine(EngineSpec::Auto);
     assert_eq!(
         GraphBackend.evaluate(&auto).unwrap(),
@@ -284,27 +281,6 @@ fn flat_engine_refusals_and_auto_fallback() {
         ProtocolBackend.evaluate(&auto).unwrap(),
         ProtocolBackend.evaluate(&scenario).unwrap()
     );
-    // ...and the classic engine, to the byte, wherever it declines.
-    let bursty = FaultSpec::none().with_bursty_loss(BurstySpec {
-        p_gb: 0.1,
-        p_bg: 0.4,
-        loss_good: 0.0,
-        loss_bad: 0.8,
-    });
-    for declined in [
-        auto.clone().with_protocol(ProtocolSpec::Flood),
-        auto.clone().with_protocol(ProtocolSpec::PushPull),
-        auto.clone().with_membership(MembershipSpec::Scamp { c: 2 }),
-        auto.with_faults(bursty),
-    ] {
-        let classic = declined.clone().with_engine(EngineSpec::Classic);
-        assert_eq!(
-            ProtocolBackend.evaluate(&declined).unwrap(),
-            ProtocolBackend.evaluate(&classic).unwrap(),
-            "{}",
-            declined.label()
-        );
-    }
 }
 
 #[test]
