@@ -463,9 +463,10 @@ pub enum EngineSpec {
     /// event calendar, silently, everywhere else (the default).
     /// `GraphBackend` has one for everything it accepts;
     /// `ProtocolBackend` for the §5 push relay over the full view or a
-    /// pinned overlay, but not for flood, push-pull, SCAMP views or
-    /// fault injection; the event-driven simulator and the live runtime
-    /// have none.
+    /// pinned overlay, adversaries and t = 0 zone kills included, but
+    /// not for flood, push-pull, SCAMP views, churn, bursty loss or
+    /// zone kills after t = 0; the event-driven simulator and the live
+    /// runtime have none.
     #[default]
     Auto,
     /// Always the flat engine; backends that cannot honor it (the
@@ -877,9 +878,11 @@ pub struct Report {
     /// in the reliability denominator first received (the source is
     /// hop 0); for a stream, of the round its last first receipt landed
     /// in. `None` where the layer reports no per-hop receipts: the
-    /// analytic layer and the graph backend.
+    /// analytic layer and the graph census.
     pub rounds: Option<f64>,
-    /// Mean messages sent per nonfailed member per execution.
+    /// Mean messages sent per nonfailed member per execution: every
+    /// send a member makes, blocked and lost ones included, but not the
+    /// injection at the source.
     pub messages_per_member: Option<f64>,
     /// Mean simulated seconds to dissemination quiescence (timed
     /// backends only).
@@ -906,8 +909,8 @@ pub struct Report {
     /// `reliability`. `None` where `rounds` is, and for streams.
     pub reach_by_round: Option<Vec<f64>>,
     /// Share of all executions that reached every nonfailed member —
-    /// the strict §4.2 success event. `None` where `rounds` is, and for
-    /// streams.
+    /// the strict §4.2 success event. `None` on the analytic layer, the
+    /// graph census and streams.
     pub complete_rate: Option<f64>,
     /// Stream results when the scenario carries a [`TrafficSpec`]:
     /// per-message reliability min/mean, sustained messages/sec, and

@@ -8,8 +8,7 @@
 //! which would keep the Fig. 4 curve stuck at n ≈ 10³–10⁴ — and costs
 //! an order of magnitude per message at the paper's own n = 10³. This
 //! crate holds the shared machinery the graph and protocol backends run
-//! on under `EngineSpec::Auto` wherever it samples the same process
-//! (and always under `EngineSpec::Flat`):
+//! on:
 //!
 //! * [`bitset`] — u64-word bitsets for the infected/failed/reached
 //!   sets. One cache line covers 512 members; membership tests are a
@@ -33,16 +32,22 @@
 //!   never reallocated — between replications, extending the
 //!   `UnionFind::reset` pattern to the whole hot loop.
 //!
-//! The crate exposes kernels, not backends: `gossip-rgraph` and
-//! `gossip-protocol` wrap them behind the unchanged
-//! `Scenario` → `Backend` → `Report` API.
+//! The relay has one `Scenario` → `Report` front door,
+//! [`evaluate_relay`], with its domain stated once in
+//! [`relay_unsupported`]: `GraphBackend` takes it for directed reach
+//! and `ProtocolBackend` for the §5 push relay, so both backends build
+//! the same kernel inputs from the same seed streams.
 
 pub mod bitset;
 pub mod relay;
 pub mod sampler;
 
+use gossip_faults::BlockedLinks;
+use gossip_model::reduce::{self, Execution};
+use gossip_model::scenario::{MembershipSpec, ProtocolSpec, Report, Scenario};
+use gossip_model::ModelError;
 use gossip_stats::parallel::parallel_map;
-use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
+use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
 
 pub use bitset::BitSet;
 pub use relay::{RelayOutcome, RelayScratch, RelaySetup};
@@ -92,4 +97,94 @@ pub fn run_replications<S, T: Send>(
         digests
     });
     per_chunk.into_iter().flatten()
+}
+
+/// Why the relay kernel cannot run `scenario`, if it can't. The kernel
+/// samples one static push relay: the Fig. 1 push algorithm over the
+/// full view or a pinned overlay, i.i.d. crash coins and loss, and the
+/// static faults — zone kills (taken at start) and blocked links.
+pub fn relay_unsupported(scenario: &Scenario) -> Option<&'static str> {
+    if scenario.q().is_none() {
+        return Some(
+            "crash schedules (the relay kernel tosses i.i.d. crash coins and has no clock)",
+        );
+    }
+    if scenario.protocol != ProtocolSpec::Push {
+        return Some("protocol variants (the relay kernel runs the Fig. 1 push algorithm)");
+    }
+    if scenario.membership != MembershipSpec::Full {
+        return Some("partial-view membership (the relay kernel draws targets from the full view or a pinned overlay)");
+    }
+    if scenario.faults.churn.is_some() {
+        return Some("membership churn (the relay kernel's group is static)");
+    }
+    if scenario.faults.bursty_loss.is_some() {
+        return Some("bursty (Gilbert-Elliott) loss (the relay kernel draws i.i.d. loss per copy)");
+    }
+    if scenario.traffic.is_some() {
+        return Some("multi-message traffic (the relay kernel carries one message, with no queues or bandwidth)");
+    }
+    None
+}
+
+/// Evaluates a validated `scenario` on the relay kernel and reports it
+/// as `backend`, or refuses it with [`relay_unsupported`]'s reason.
+///
+/// Everything shared is built once per evaluation: the overlay CSR
+/// (stream [`FLAT_TOPOLOGY_STREAM`]; complete overlays are never
+/// materialized), a zone kill's members as `prefailed` — whatever its
+/// `at_ms`, the kernel has no clock — and the alias table. Per
+/// replication, an adversary's blocked links come from
+/// `derive(seed, ADVERSARY)`, the tag the event calendar shares, so a
+/// `Random` adversary re-rolls each run on every layer. The per-hop
+/// receipts go to [`reduce::conditioned`].
+///
+/// The overlay is quenched (one per evaluation) where the event
+/// calendar resamples it per execution; `tests/tests/engine_agreement.rs`
+/// holds the two to the same means.
+pub fn evaluate_relay(backend: &'static str, scenario: &Scenario) -> Result<Report, ModelError> {
+    if let Some(what) = relay_unsupported(scenario) {
+        return Err(ModelError::Unsupported { backend, what });
+    }
+    let q = scenario
+        .q()
+        .expect("relay_unsupported refuses crash schedules");
+    let dist = scenario.fanout.build()?;
+    let (n, spec) = (scenario.n, scenario.topology);
+    let overlay = (!spec.is_default())
+        .then(|| spec.build(n, SplitMix64::derive(scenario.seed, FLAT_TOPOLOGY_STREAM)));
+    let prefailed = match &scenario.faults.zone_failure {
+        Some(zf) => zf.killed_members(n, &spec, 0)?,
+        None => Vec::new(),
+    };
+    let sampler = FanoutSampler::new(&*dist);
+    let executions = run_replications(
+        scenario.seed,
+        scenario.replications,
+        || RelayScratch::new(n),
+        |seed, scratch, rng| {
+            let blocked = scenario.faults.adversary.as_ref().map(|adv| {
+                BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, streams::ADVERSARY))
+            });
+            let setup = RelaySetup {
+                n,
+                source: 0,
+                q,
+                loss: scenario.loss,
+                dist: &*dist,
+                sampler: &sampler,
+                overlay: overlay.as_ref().map(|topo| (topo, spec.selection)),
+                blocked: blocked.as_ref(),
+                prefailed: &prefailed,
+            };
+            let out = setup.run(scratch, rng);
+            Execution {
+                reliability: out.reliability(),
+                hops: scratch.hops().to_vec(),
+                messages_per_member: Some(out.messages_sent as f64 / out.nonfailed.max(1) as f64),
+                ..Execution::default()
+            }
+        },
+    );
+    reduce::conditioned(backend, None, scenario, &*dist, executions)
 }

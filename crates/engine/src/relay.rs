@@ -25,11 +25,13 @@
 //! same buffers.
 //!
 //! No other code in the workspace samples the gossip digraph as a
-//! graph: `GraphBackend` runs this kernel for directed reach on
-//! overlays and under static faults (`blocked`, `prefailed`),
-//! `ProtocolBackend` for the §5 push relay. Its reference is the event calendar
-//! (`NetSimBackend`), which `tests/tests/engine_agreement.rs` holds it
-//! to on every `Report` metric.
+//! graph, and one function turns a `Scenario` into a [`RelaySetup`]:
+//! [`crate::evaluate_relay`], which `GraphBackend` runs for directed
+//! reach on overlays and under static faults (`blocked`, `prefailed`)
+//! and `ProtocolBackend` for the §5 push relay, static faults included.
+//! Its reference is the event calendar (`NetSimBackend`), which
+//! `tests/tests/engine_agreement.rs` holds it to on every `Report`
+//! metric.
 
 use gossip_faults::adversary::BlockedLinks;
 use gossip_model::distribution::FanoutDistribution;
@@ -103,7 +105,8 @@ pub struct RelayOutcome {
     pub nonfailed: usize,
     /// Nonfailed members the rumor reached (source included).
     pub nonfailed_reached: usize,
-    /// Copies delivered (post-blocking, post-loss).
+    /// Copies sent, blocked and lost ones included — the count every
+    /// layer reports as `messages_per_member`.
     pub messages_sent: u64,
 }
 
@@ -210,6 +213,8 @@ impl<'a> RelaySetup<'a> {
                     }
                 }
                 for &t in &scratch.targets {
+                    // A send costs a message whether or not it arrives.
+                    messages_sent += 1;
                     if let Some(blocked) = self.blocked {
                         if blocked.blocks(v, t) {
                             continue;
@@ -218,7 +223,6 @@ impl<'a> RelaySetup<'a> {
                     if self.loss > 0.0 && rng.next_bool(self.loss) {
                         continue;
                     }
-                    messages_sent += 1;
                     if scratch.reached.insert(t as usize) {
                         scratch.next.push(t);
                         reached += 1;

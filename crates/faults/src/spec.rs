@@ -325,20 +325,6 @@ impl FaultSpec {
         Ok(())
     }
 
-    /// Whether any family present here changes link-level or membership
-    /// dynamics *during* the run (churn, bursty loss) — the families a
-    /// static percolation layer cannot express. Returns the first
-    /// offender's description for a typed refusal.
-    pub fn first_dynamic_family(&self) -> Option<&'static str> {
-        if self.churn.is_some() {
-            return Some("membership churn (the percolation graph is static; use the protocol, netsim, or runtime backend)");
-        }
-        if self.bursty_loss.is_some() {
-            return Some("bursty (Gilbert-Elliott) loss (per-sender channel state is dynamic; use the protocol, netsim, or runtime backend)");
-        }
-        None
-    }
-
     /// Maps degenerate corners back onto the paper's closed forms so the
     /// analytic layer keeps covering them; everything genuinely novel is
     /// a typed refusal.

@@ -8,13 +8,14 @@
 //!   latency). Scenarios that ask for loss, non-default latency, or
 //!   crash schedules are rejected as [`ModelError::Unsupported`] — use
 //!   the netsim backend for those. An untimed push relay has no use for
-//!   an event calendar, so it runs on the flat relay kernel of
-//!   `gossip-engine` at every group size; the event calendar keeps what
-//!   that kernel declines (`flat_unsupported`: flood, push-pull, SCAMP
-//!   views, fault injection) unless the scenario pins
-//!   `EngineSpec::Flat`, which refuses them typed instead. That calendar
-//!   run is `NetSimBackend`'s at its default network (1 ms, lossless),
-//!   `backend` and `quiescence_secs` aside.
+//!   an event calendar, so it runs on `gossip_engine::evaluate_relay`
+//!   at every group size — the route `GraphBackend` takes for directed
+//!   reach, adversaries and t = 0 zone kills included. The event
+//!   calendar keeps what that kernel declines (flood, push-pull, SCAMP
+//!   views, churn, bursty loss, zone kills after t = 0) unless the
+//!   scenario pins `EngineSpec::Flat`, which refuses them typed
+//!   instead. That calendar run is `NetSimBackend`'s at its default
+//!   network (1 ms, lossless), `backend` and `quiescence_secs` aside.
 //! * [`NetSimBackend`] — the full discrete-event network simulation:
 //!   latency models, independent per-message loss, and scheduled
 //!   mid-run crash injection, plus timing metrics (`quiescence_secs`).
@@ -27,7 +28,6 @@
 
 use std::sync::Arc;
 
-use gossip_engine::{FanoutSampler, RelayScratch, RelaySetup, FLAT_TOPOLOGY_STREAM};
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{
@@ -194,76 +194,6 @@ fn evaluate_calendar(
     reduce::conditioned(backend_name, None, scenario, &*dist, executions)
 }
 
-/// Why the flat engine cannot run this scenario, if it can't. The flat
-/// relay kernel reproduces exactly the §5 push experiment — untimed,
-/// lossless fanout relay over the full view or a pinned overlay;
-/// everything else keeps the event-driven engine.
-fn flat_unsupported(scenario: &Scenario, membership: &MembershipKind) -> Option<&'static str> {
-    if scenario.protocol != ProtocolSpec::Push {
-        return Some("the flat engine for flood/push-pull variants (only the §5 push relay has a flat kernel)");
-    }
-    if !scenario.faults.is_default() {
-        return Some("the flat engine under fault injection (churn, zone failures, bursty loss, and adversaries stay on the event-driven engine)");
-    }
-    if matches!(membership, MembershipKind::Scamp { .. }) {
-        return Some(
-            "the flat engine with SCAMP partial views (view construction is a protocol of its own)",
-        );
-    }
-    None
-}
-
-/// The flat §5 push experiment: the `gossip-engine` bitset-frontier
-/// relay kernel instead of the discrete-event simulator. Same digest as
-/// [`evaluate_calendar`] — first receipts per relay level — but no clock,
-/// so `quiescence_secs` stays `None` exactly like the untimed calendar
-/// run.
-fn evaluate_flat(
-    scenario: &Scenario,
-    q: f64,
-    membership: &MembershipKind,
-) -> Result<Report, ModelError> {
-    let boxed = scenario.fanout.build()?;
-    let dist: &dyn FanoutDistribution = &*boxed;
-    let n = scenario.n;
-    // Overlay CSR built once per evaluation and shared read-only across
-    // replications (quenched approximation — see `gossip_engine::relay`).
-    let overlay = match membership {
-        MembershipKind::Overlay { spec } => {
-            Some(spec.build(n, SplitMix64::derive(scenario.seed, FLAT_TOPOLOGY_STREAM)))
-        }
-        _ => None,
-    };
-    let selection = scenario.topology.selection;
-    let sampler = FanoutSampler::new(dist);
-    let executions = gossip_engine::run_replications(
-        scenario.seed,
-        scenario.replications,
-        || RelayScratch::new(n),
-        |_, scratch, rng| {
-            let setup = RelaySetup {
-                n,
-                source: 0,
-                q,
-                loss: 0.0,
-                dist,
-                sampler: &sampler,
-                overlay: overlay.as_ref().map(|topo| (topo, selection)),
-                blocked: None,
-                prefailed: &[],
-            };
-            let out = setup.run(scratch, rng);
-            Execution {
-                reliability: out.reliability(),
-                hops: scratch.hops().to_vec(),
-                messages_per_member: Some(out.messages_sent as f64 / out.nonfailed.max(1) as f64),
-                ..Execution::default()
-            }
-        },
-    );
-    reduce::conditioned("protocol", None, scenario, dist, executions)
-}
-
 /// The paper's §5 Monte-Carlo experiment: the executable protocol on an
 /// idealized (lossless, constant-latency) network.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -288,15 +218,10 @@ impl Backend for ProtocolBackend {
                 what: "latency models (the §5 experiment is untimed; use the netsim backend)",
             });
         }
-        let q = match scenario.q() {
-            Some(q) => q,
-            None => {
-                return Err(ModelError::Unsupported {
-                    backend: "protocol",
-                    what: "crash schedules (use the netsim backend)",
-                })
-            }
-        };
+        let q = scenario.q().ok_or(ModelError::Unsupported {
+            backend: "protocol",
+            what: "crash schedules (use the netsim backend)",
+        })?;
         if scenario.traffic.is_some() {
             // Streams run on the round-based stream engine: untimed
             // here (the §5 idealization), timed on the netsim backend.
@@ -304,13 +229,17 @@ impl Backend for ProtocolBackend {
         }
         check_churn_support(self.name(), scenario)?;
         let membership = membership_kind(self.name(), scenario)?;
-        match flat_unsupported(scenario, &membership) {
-            None => evaluate_flat(scenario, q, &membership),
+        let timed_zone_kill = matches!(&scenario.faults.zone_failure, Some(z) if z.at_ms > 0);
+        let unsupported = gossip_engine::relay_unsupported(scenario).or(timed_zone_kill.then_some(
+            "zone kills after t = 0 (the relay kernel has no clock to schedule them on)",
+        ));
+        match unsupported {
+            None => gossip_engine::evaluate_relay(self.name(), scenario),
             Some(what) if scenario.engine == EngineSpec::Flat => Err(ModelError::Unsupported {
                 backend: "protocol",
                 what,
             }),
-            // `Auto` where the flat kernel declines: the event calendar
+            // `Auto` where the relay kernel declines: the event calendar
             // quietly keeps the scenario — `NetSimBackend`'s run at its
             // default network, minus the clock readout.
             Some(_) => {
@@ -373,6 +302,15 @@ mod tests {
         Scenario::new(1000, FanoutSpec::poisson(4.0))
             .with_failure_ratio(0.9)
             .with_replications(reps)
+    }
+
+    /// Five zones of 8 intra- and 2 inter-zone links per member.
+    fn clustered() -> gossip_topology::TopologySpec {
+        gossip_topology::TopologySpec::new(gossip_topology::OverlaySpec::Clustered {
+            zones: 5,
+            intra: 8,
+            inter: 2,
+        })
     }
 
     #[test]
@@ -584,12 +522,7 @@ mod tests {
     #[test]
     fn zone_failure_runs_on_clustered_overlays() {
         use gossip_model::FaultSpec;
-        use gossip_topology::{OverlaySpec, TopologySpec};
-        let spec = TopologySpec::new(OverlaySpec::Clustered {
-            zones: 5,
-            intra: 8,
-            inter: 2,
-        });
+        let spec = clustered();
         let clean = Scenario::new(500, FanoutSpec::poisson(6.0))
             .with_topology(spec)
             .with_replications(6);
@@ -673,6 +606,7 @@ mod tests {
 
     #[test]
     fn flat_engine_refusals_are_typed() {
+        use gossip_model::FaultSpec;
         // Flood has no flat kernel.
         assert!(matches!(
             ProtocolBackend.evaluate(
@@ -687,6 +621,16 @@ mod tests {
             ProtocolBackend.evaluate(
                 &headline(5)
                     .with_membership(MembershipSpec::Scamp { c: 2 })
+                    .with_engine(EngineSpec::Flat)
+            ),
+            Err(ModelError::Unsupported { .. })
+        ));
+        // A zone kill after t = 0 needs the calendar's clock.
+        assert!(matches!(
+            ProtocolBackend.evaluate(
+                &headline(5)
+                    .with_topology(clustered())
+                    .with_faults(FaultSpec::none().with_zone_failure(vec![1], 5))
                     .with_engine(EngineSpec::Flat)
             ),
             Err(ModelError::Unsupported { .. })
@@ -848,13 +792,26 @@ mod tests {
 
     #[test]
     fn auto_engine_is_flat_where_exact_and_classic_elsewhere() {
-        use gossip_model::{BurstySpec, FaultSpec};
+        use gossip_faults::ChurnSpec;
+        use gossip_model::{AdversaryStrategy, BurstySpec, FaultSpec};
         use gossip_topology::{OverlaySpec, TopologySpec};
         // `Auto` is a routing rule, not a third engine: the entire
         // Report — every float, every label — matches `Flat` wherever
-        // the flat kernel accepts the scenario...
+        // the relay kernel accepts the scenario, static faults included...
         let overlay = TopologySpec::new(OverlaySpec::WattsStrogatz { k: 12, beta: 0.5 });
-        for accepted in [headline(8), headline(8).with_topology(overlay)] {
+        let zone_kill = |reps, at_ms| {
+            headline(reps)
+                .with_topology(clustered())
+                .with_faults(FaultSpec::none().with_zone_failure(vec![1, 3], at_ms))
+        };
+        let adversary = |strategy| FaultSpec::none().with_adversary(500, strategy);
+        for accepted in [
+            headline(8),
+            headline(8).with_topology(overlay),
+            headline(8).with_faults(adversary(AdversaryStrategy::WorstCase)),
+            headline(8).with_faults(adversary(AdversaryStrategy::Random)),
+            zone_kill(8, 0),
+        ] {
             assert_eq!(
                 ProtocolBackend.evaluate(&accepted).unwrap(),
                 ProtocolBackend
@@ -878,6 +835,8 @@ mod tests {
             headline(5).with_protocol(ProtocolSpec::PushPull),
             headline(5).with_membership(MembershipSpec::Scamp { c: 2 }),
             headline(5).with_faults(bursty),
+            headline(5).with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(20.0, 100))),
+            zone_kill(5, 5),
         ] {
             let calendar = Report {
                 backend: "protocol".into(),

@@ -11,23 +11,21 @@
 //! protocol dynamics.
 //!
 //! It has exactly two routes, both on the flat kernels: the undirected
-//! census ([`crate::flat`]) on the paper's own setting, and the
-//! `gossip-engine` relay kernel — a source, directed reach — on a
+//! census ([`crate::flat`]) on the paper's own setting, and
+//! [`gossip_engine::evaluate_relay`] — a source, directed reach — on a
 //! structured overlay or under static faults. A correlated zone failure
 //! adds the killed zones to the crash set (the scheduled `at_ms`
 //! collapses to an at-start kill — a static census has no clock, so
 //! this is the conservative approximation) and an adversary's blocked
-//! arcs never carry a copy. Dynamic families (churn, bursty loss) have
-//! per-event state no snapshot can express; they are declined with a
-//! typed [`ModelError::Unsupported`].
+//! arcs never carry a copy. Whatever the relay kernel declines
+//! ([`gossip_engine::relay_unsupported`]: crash schedules, protocol
+//! variants, partial views, churn, bursty loss, traffic) the census
+//! declines too, with the same typed [`ModelError::Unsupported`].
 
-use gossip_engine::{FanoutSampler, RelayScratch, RelaySetup, FLAT_TOPOLOGY_STREAM};
-use gossip_faults::BlockedLinks;
-use gossip_model::distribution::FanoutDistribution;
-use gossip_model::reduce::{self, Execution};
-use gossip_model::scenario::{Backend, MembershipSpec, ProtocolSpec, Report, Scenario};
+use gossip_engine::FanoutSampler;
+use gossip_model::reduce;
+use gossip_model::scenario::{Backend, Report, Scenario};
 use gossip_model::ModelError;
-use gossip_stats::rng::{streams, SplitMix64};
 
 use crate::flat::{FlatPercolation, PercolationScratch};
 
@@ -43,44 +41,19 @@ impl Backend for GraphBackend {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
         scenario.validate()?;
-        let q = scenario.q().ok_or(ModelError::Unsupported {
-            backend: "graph",
-            what: "crash schedules (percolation is a static snapshot)",
-        })?;
-        if scenario.membership != MembershipSpec::Full {
-            return Err(ModelError::Unsupported {
-                backend: "graph",
-                what: "partial-view membership (configuration models draw targets uniformly)",
-            });
-        }
-        if scenario.protocol != ProtocolSpec::Push {
-            return Err(ModelError::Unsupported {
-                backend: "graph",
-                what: "protocol variants (the random-graph layer models the Fig. 1 push algorithm)",
-            });
-        }
-        if let Some(what) = scenario.faults.first_dynamic_family() {
+        if let Some(what) = gossip_engine::relay_unsupported(scenario) {
             return Err(ModelError::Unsupported {
                 backend: "graph",
                 what,
             });
         }
-        if scenario.traffic.is_some() {
-            return Err(ModelError::Unsupported {
-                backend: "graph",
-                what: "multi-message traffic (a static percolation census has no rounds, \
-                       queues, or bandwidth)",
-            });
-        }
-        let dist = scenario.fanout.build()?;
         // Static faults (zone kills, adversarial blocking) need a source
         // and directed reach, so they ride the relay even on the default
         // complete overlay.
         if !scenario.topology.is_default() || !scenario.faults.is_default() {
-            evaluate_relay(scenario, q, &*dist)
-        } else {
-            evaluate_census(scenario, q, &*dist)
+            return gossip_engine::evaluate_relay("graph", scenario);
         }
+        evaluate_census(scenario)
     }
 }
 
@@ -88,17 +61,16 @@ impl Backend for GraphBackend {
 /// percolation over arena-reused scratch (see [`crate::flat`]). It has
 /// no source dynamics, hence no take-off/fizzle split and no rounds or
 /// message cost.
-fn evaluate_census(
-    scenario: &Scenario,
-    q: f64,
-    dist: &dyn FanoutDistribution,
-) -> Result<Report, ModelError> {
-    let sampler = FanoutSampler::new(dist);
+fn evaluate_census(scenario: &Scenario) -> Result<Report, ModelError> {
+    let dist = scenario.fanout.build()?;
+    let sampler = FanoutSampler::new(&*dist);
     let flat = FlatPercolation {
         n: scenario.n,
-        q,
+        q: scenario
+            .q()
+            .expect("relay_unsupported refuses crash schedules"),
         loss: scenario.loss,
-        dist,
+        dist: &*dist,
         sampler: &sampler,
     };
     let reliabilities = gossip_engine::run_replications(
@@ -107,80 +79,13 @@ fn evaluate_census(
         || PercolationScratch::new(scenario.n),
         |_, scratch, rng| flat.run(scratch, rng),
     );
-    reduce::census("graph", scenario, dist, reliabilities)
-}
-
-/// The directed relay: the `gossip-engine` lazy relay kernel on the
-/// overlay's neighbour lists (the whole group on the default complete
-/// overlay) — each member draws `F ~ P` and picks that
-/// many targets with the scenario's peer-selection policy, crash coins
-/// and loss included, all at first receipt. Unlike the undirected
-/// census this has a source and therefore a take-off/fizzle split;
-/// [`gossip_model::reduce`] conditions it at the same complete-graph
-/// analytic threshold as every other layer, so reliabilities stay
-/// comparable.
-///
-/// The overlay CSR is built ONCE per evaluation (stream
-/// [`FLAT_TOPOLOGY_STREAM`]) and shared read-only across replications
-/// — quenched, where the event calendar resamples it per execution;
-/// `tests/tests/engine_agreement.rs` holds the two to the same means.
-fn evaluate_relay(
-    scenario: &Scenario,
-    q: f64,
-    dist: &dyn FanoutDistribution,
-) -> Result<Report, ModelError> {
-    let spec = scenario.topology;
-    let n = scenario.n;
-    // Complete overlays are never materialized: K(n−1) neighbour lists
-    // at n = 10⁶ would be the exact allocation wall this engine removes.
-    let overlay = if spec.is_default() {
-        None
-    } else {
-        Some(spec.build(n, SplitMix64::derive(scenario.seed, FLAT_TOPOLOGY_STREAM)))
-    };
-    let prefailed = match &scenario.faults.zone_failure {
-        Some(zf) => zf.killed_members(n, &spec, 0)?,
-        None => Vec::new(),
-    };
-    let sampler = FanoutSampler::new(dist);
-    let executions = gossip_engine::run_replications(
-        scenario.seed,
-        scenario.replications,
-        || RelayScratch::new(n),
-        |seed, scratch, rng| {
-            // Per replication so a `Random` adversary re-rolls its
-            // blocked set each run, from the tag the protocol engine
-            // shares — both layers face the same per-replication
-            // adversary.
-            let blocked = scenario.faults.adversary.as_ref().map(|adv| {
-                BlockedLinks::build(n, 0, adv, SplitMix64::derive(seed, streams::ADVERSARY))
-            });
-            let setup = RelaySetup {
-                n,
-                source: 0,
-                q,
-                loss: scenario.loss,
-                dist,
-                sampler: &sampler,
-                overlay: overlay.as_ref().map(|topo| (topo, spec.selection)),
-                blocked: blocked.as_ref(),
-                prefailed: &prefailed,
-            };
-            let out = setup.run(scratch, rng);
-            Execution {
-                reliability: out.reliability(),
-                messages_per_member: Some(out.messages_sent as f64 / out.nonfailed.max(1) as f64),
-                ..Execution::default()
-            }
-        },
-    );
-    reduce::conditioned("graph", None, scenario, dist, executions)
+    reduce::census("graph", scenario, &*dist, reliabilities)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_model::scenario::{AnalyticBackend, FanoutSpec};
+    use gossip_model::scenario::{AnalyticBackend, FanoutSpec, MembershipSpec, ProtocolSpec};
 
     fn headline(n: usize, reps: usize) -> Scenario {
         Scenario::new(n, FanoutSpec::poisson(4.0))

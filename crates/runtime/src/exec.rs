@@ -593,7 +593,6 @@ pub(crate) struct Record {
     /// By row: alive and never scheduled to crash.
     counted: Vec<bool>,
     dropped: u64,
-    injected: u64,
 }
 
 /// Runs one live execution over `transport` and returns its record, or
@@ -612,7 +611,6 @@ pub(crate) fn run_execution<T: Transport>(
         frame_rows: vec![0],
         counted: Vec::new(),
         dropped: 0,
-        injected: 0,
     };
     if !layout.alive[SOURCE as usize] {
         return Ok(Some(record)); // the source is dead at start: nothing spreads
@@ -642,7 +640,6 @@ pub(crate) fn run_execution<T: Transport>(
         record.counted.push(layout.counted[actor.id as usize]);
         record.dropped += actor.dropped;
     }
-    record.injected = injections.len() as u64;
     Ok(Some(record))
 }
 
@@ -683,7 +680,7 @@ impl Record {
             // `n_rece / n_nonfailed` (paper §4.2).
             reliability: per_nonfailed(self.reached()[0] as u64),
             hops: hops.into_iter().map(|count| count as u32).collect(),
-            messages_per_member: Some(per_nonfailed(self.injected + self.frames.len() as u64)),
+            messages_per_member: Some(per_nonfailed(self.frames.len() as u64)),
             // Wall-clock is scheduling noise, not protocol behaviour: keep
             // it out of the Report so runtime reports replay byte-for-byte.
             quiescence_secs: None,

@@ -3,17 +3,19 @@
 //! references they stand in for — on every number a `Report` carries,
 //! not only on reliability. The references:
 //!
-//! * for the protocol relay, `NetSimBackend` — the event calendar at
-//!   its default network (1 ms, lossless), the very run
-//!   `ProtocolBackend` falls back to where the flat kernel declines;
+//! * for the relay kernel (`gossip_engine::evaluate_relay`, the one
+//!   route `ProtocolBackend` and `GraphBackend` share), `NetSimBackend`
+//!   — the event calendar at its default network (1 ms, lossless), the
+//!   very run `ProtocolBackend` falls back to where the kernel declines.
+//!   It is checked through `ProtocolBackend` on the complete overlay,
+//!   and through `GraphBackend` on an overlay and under static faults (a
+//!   t = 0 zone kill, a `Random` adversary). Both layers build the
+//!   adversary's `BlockedLinks` from `derive(derive(seed, rep),
+//!   ADVERSARY)`;
 //! * for the graph census, [`ReferenceCensus`] below — the unfused
 //!   pipeline the flat census fuses: a `ConfigurationModel` graph per
 //!   execution, bond-thinned through `Graph::from_edges`, site-percolated
-//!   by `percolate`;
-//! * for the graph relay on an overlay and under static faults (a t = 0
-//!   zone kill, a `Random` adversary), `NetSimBackend` on the same
-//!   scenario. Both layers build the adversary's `BlockedLinks` from
-//!   `derive(derive(seed, rep), ADVERSARY)`.
+//!   by `percolate`.
 //!
 //! Each pair draws from unrelated RNG streams, so the comparison is
 //! two-sample: each side runs `BATCHES` evaluations on seeds of its own,
@@ -26,18 +28,19 @@
 //!
 //! False-failure probability: each comparison is a Welch t statistic
 //! with at least `BATCHES − 1 = 31` degrees of freedom, and
-//! P(|t₃₁| > 6) < 1.3e-6; the file makes 16 × 7 + 3 = 115 comparisons,
-//! so the family-wise probability that a correct build fails is
-//! < 1.5e-4. A metric that is the same constant on every batch of both
-//! sides (strict success at n = 1000, say) has no spread, and its
-//! means must be exactly equal.
+//! P(|t₃₁| > 6) < 1.3e-6; the file makes 112 + 1 + 7 + 7 = 127
+//! comparisons (16 protocol cells × 7 metrics, the census, and the
+//! overlay and static-fault cells × 7), so the family-wise probability
+//! that a correct build fails is < 1.7e-4. A metric that is the same
+//! constant on every batch of both sides (strict success at n = 1000,
+//! say) has no spread, and its means must be exactly equal.
 //! What it catches is not marginal: counting a crashed receiver's hop
 //! into `rounds` (the flat kernel's behaviour before it was fixed) is
 //! 0.59 rounds at n = 20, q = 0.4 — 30 of these standard errors.
 
 use gossip::{
-    AdversaryStrategy, Backend, FanoutSpec, FaultSpec, GraphBackend, ModelError, NetSimBackend,
-    OverlaySpec, ProtocolBackend, Report, Scenario, TopologySpec,
+    AdversaryStrategy, Backend, EngineSpec, FanoutSpec, FaultSpec, GraphBackend, ModelError,
+    NetSimBackend, OverlaySpec, ProtocolBackend, Report, Scenario, TopologySpec,
 };
 use gossip_model::reduce;
 use gossip_rgraph::{percolate, ConfigurationModel, Graph};
@@ -190,7 +193,7 @@ fn graph_auto_matches_classic_on_the_census_and_on_an_overlay() {
         }))
         .with_replications(10)
         .with_seed(0xA6EE_0201);
-    assert_agrees(&NetSimBackend, &GraphBackend, &overlay, &[RELIABILITY]);
+    assert_agrees(&NetSimBackend, &GraphBackend, &overlay, &PUSH_METRICS);
 }
 
 #[test]
@@ -200,6 +203,10 @@ fn graph_relay_matches_netsim_under_a_zone_kill_and_an_adversary() {
     // 14 280 links) fields on a clustered overlay, at an operating point
     // where each fault alone costs about 0.05 of reliability: a kernel
     // that drops either field misses netsim by 7 standard errors or more.
+    // A kernel that counts only the copies that get through reads
+    // `messages_per_member` 2.02 against netsim's 2.24, which counts
+    // every send: 9.3 standard errors at 160 executions a batch (4.8 at
+    // 40, which would pass).
     let scenario = Scenario::new(120, FanoutSpec::poisson(4.0))
         .with_failure_ratio(0.6)
         .with_topology(TopologySpec::new(OverlaySpec::Clustered {
@@ -212,7 +219,23 @@ fn graph_relay_matches_netsim_under_a_zone_kill_and_an_adversary() {
                 .with_zone_failure(vec![1], 0)
                 .with_adversary(1_500, AdversaryStrategy::Random),
         )
-        .with_replications(40)
+        .with_replications(160)
         .with_seed(0xA6EE_0300);
-    assert_agrees(&NetSimBackend, &GraphBackend, &scenario, &[RELIABILITY]);
+    assert_agrees(&NetSimBackend, &GraphBackend, &scenario, &PUSH_METRICS);
+    // One route: the protocol backend runs the same kernel on the same
+    // streams, under `Auto` and pinned to `Flat` alike.
+    let graph = GraphBackend.evaluate(&scenario).unwrap();
+    for engine in [EngineSpec::Auto, EngineSpec::Flat] {
+        let protocol = ProtocolBackend
+            .evaluate(&scenario.clone().with_engine(engine))
+            .unwrap();
+        assert_eq!(
+            Report {
+                backend: graph.backend.clone(),
+                ..protocol
+            },
+            graph,
+            "{engine:?}"
+        );
+    }
 }

@@ -13,7 +13,8 @@
 //! `ProtocolBackend` falls back to off the flat kernel), the flat
 //! kernels through `EngineSpec::Flat` and through `GraphBackend`, which
 //! has no other engine; the two `*_auto` cases pin where the default
-//! `EngineSpec::Auto` routes.
+//! `EngineSpec::Auto` routes, and `protocol_static_faults` pins the
+//! relay route both backends share under a zone kill and an adversary.
 //!
 //! Regenerate (only when a change is *meant* to move the numbers — say
 //! so in CHANGES.md) with one command from the workspace root:
@@ -168,6 +169,23 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             "graph_default_auto",
             Box::new(GraphBackend),
             base(1000, 4.0, 0.9, 8, 0x601D_0012).with_loss(0.1),
+        ),
+        (
+            // Static faults on the protocol backend: the relay kernel's
+            // `prefailed` and `blocked`, the route `GraphBackend` takes.
+            "protocol_static_faults",
+            Box::new(ProtocolBackend),
+            base(300, 5.0, 0.8, 10, 0x601D_0013)
+                .with_topology(TopologySpec::new(OverlaySpec::Clustered {
+                    zones: 5,
+                    intra: 6,
+                    inter: 2,
+                }))
+                .with_faults(
+                    FaultSpec::none()
+                        .with_zone_failure(vec![2], 0)
+                        .with_adversary(300, AdversaryStrategy::Random),
+                ),
         ),
     ]
 }

@@ -510,8 +510,9 @@ fn correlated_zone_failure_agrees_across_supporting_backends() {
     use gossip::FaultSpec;
     // Kill zone 3 of a 6-zone clustered overlay at t = 0: a sixth of
     // the group is gone before the first relay, every backend that can
-    // run the overlay (graph percolates it at-start; protocol, netsim
-    // and runtime schedule the crashes) measures the survivors.
+    // run the overlay (graph and protocol on the relay kernel's
+    // `prefailed`; netsim and runtime schedule the crashes) measures the
+    // survivors.
     let scenario = Scenario::new(600, FanoutSpec::poisson(6.0))
         .with_failure_ratio(0.9)
         .with_replications(20)
@@ -526,16 +527,25 @@ fn correlated_zone_failure_agrees_across_supporting_backends() {
     let graph = gossip::GraphBackend
         .evaluate(&scenario)
         .expect("graph percolates zones");
+    // Protocol and graph take one route, `gossip_engine::evaluate_relay`:
+    // the same Report but for its backend name.
     let protocol = ProtocolBackend
         .evaluate(&scenario)
         .expect("protocol runs zones");
+    assert_eq!(
+        Report {
+            backend: graph.backend.clone(),
+            ..protocol
+        },
+        graph
+    );
     let netsim = NetSimBackend
         .evaluate(&scenario)
         .expect("netsim runs zones");
     let runtime = RuntimeBackend::channel()
         .evaluate(&scenario)
         .expect("runtime runs zones");
-    for report in [&graph, &protocol, &netsim, &runtime] {
+    for report in [&graph, &netsim, &runtime] {
         assert_eq!(report.faults.as_deref(), Some("zones([3]@0ms)"));
         assert_close(
             report.reliability,
@@ -552,6 +562,33 @@ fn correlated_zone_failure_agrees_across_supporting_backends() {
         gossip::GraphBackend.evaluate(&wrong),
         Err(gossip::ModelError::InvalidParameter { .. })
     ));
+}
+
+#[test]
+fn messages_per_member_counts_every_send_on_every_layer() {
+    use gossip::{AdversaryStrategy, FaultSpec, GraphBackend};
+    let layers: [&dyn Backend; 4] = [
+        &GraphBackend,
+        &ProtocolBackend,
+        &NetSimBackend,
+        &RuntimeBackend::channel(),
+    ];
+    // n = 2, Fixed(1), q = 1: the source sends one copy to member 1,
+    // which sends one back — 2 sends over 2 nonfailed members. The
+    // injection is no send. (The graph census has no message cost.)
+    let lossless = Scenario::new(2, FanoutSpec::fixed(1)).with_replications(4);
+    for backend in &layers[1..] {
+        let report = backend.evaluate(&lossless).expect("lossless push runs");
+        assert_eq!(report.messages_per_member, Some(1.0), "{}", report.backend);
+    }
+    // The one link the adversary blocks is the source's: its send still
+    // costs a message, and member 1 never sends.
+    let blocked =
+        lossless.with_faults(FaultSpec::none().with_adversary(1, AdversaryStrategy::WorstCase));
+    for backend in layers {
+        let report = backend.evaluate(&blocked).expect("a blocked push runs");
+        assert_eq!(report.messages_per_member, Some(0.5), "{}", report.backend);
+    }
 }
 
 #[test]
