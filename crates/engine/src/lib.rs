@@ -60,10 +60,11 @@ pub use sampler::FanoutSampler;
 pub use gossip_stats::rng::streams::{FLAT as FLAT_STREAM, FLAT_TOPOLOGY as FLAT_TOPOLOGY_STREAM};
 
 /// Splits `reps` replications into at most 64 contiguous chunks so each
-/// worker sweeps many replications through ONE scratch arena (allocate
-/// once, reset per replication) while `parallel_map` still
-/// load-balances. Chunk boundaries never affect results: every
-/// replication's RNG derives from its own global index.
+/// chunk sweeps many replications through ONE scratch arena (allocate
+/// once, reset per replication) while `parallel_map`'s threads — the
+/// caller and the pool's parked workers — still load-balance by claiming
+/// chunks. Chunk boundaries never affect results: every replication's
+/// RNG derives from its own global index.
 pub fn chunk_bounds(reps: usize) -> (usize, impl Fn(usize) -> std::ops::Range<usize>) {
     let chunks = reps.min(64);
     (chunks, move |chunk| {
@@ -75,7 +76,9 @@ pub fn chunk_bounds(reps: usize) -> (usize, impl Fn(usize) -> std::ops::Range<us
 /// digests in replication order: chunked over `parallel_map` (see
 /// [`chunk_bounds`]), one `scratch()` arena per chunk, and for each
 /// replication the seed `derive(base_seed, rep)` with its
-/// [`FLAT_STREAM`] RNG handed to `replicate`.
+/// [`FLAT_STREAM`] RNG handed to `replicate`. Inside another
+/// `parallel_map` job, or while the pool serves another thread, the
+/// chunks run serially on the calling thread with the same digests.
 pub fn run_replications<S, T: Send>(
     base_seed: u64,
     reps: usize,

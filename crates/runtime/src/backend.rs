@@ -16,6 +16,7 @@ use gossip_model::scenario::{
     Backend, EngineSpec, FailureSpec, LatencySpec, MembershipSpec, ProtocolSpec, Report, Scenario,
 };
 use gossip_model::ModelError;
+use gossip_stats::parallel::hardware_threads;
 use gossip_stats::rng::SplitMix64;
 
 use crate::channel::ChannelTransport;
@@ -79,8 +80,7 @@ pub fn shard_count(n: usize, max_threads: usize, nested: bool) -> usize {
         return 1;
     }
     let shards = if max_threads == 0 {
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        (cores * 8).clamp(8, 256)
+        (hardware_threads() * 8).clamp(8, 256)
     } else {
         max_threads
     };

@@ -27,8 +27,8 @@
 //!   distributions.
 //! * [`gof`] — chi-square goodness-of-fit and total-variation distance,
 //!   used by the integration tests to check `X ~ B(20, R)`.
-//! * [`parallel`] — seed-stable parallel map built on
-//!   `crossbeam::scope`.
+//! * [`parallel`] — seed-stable parallel map on a process-wide pool of
+//!   parked worker threads.
 
 pub mod alias;
 pub mod binomial;

@@ -7,6 +7,7 @@ use gossip_model::{success, Backend, FanoutSpec, Scenario};
 use gossip_protocol::engine::{run_push, ExecutionConfig, MembershipKind};
 use gossip_protocol::ProtocolBackend;
 use gossip_rgraph::ConfigurationModel;
+use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::Xoshiro256StarStar;
 
 #[test]
@@ -30,6 +31,28 @@ fn experiment_reproducible_across_parallel_runs() {
     let b = ProtocolBackend.evaluate(&scenario).unwrap();
     assert_eq!(a, b);
     assert_eq!(a.replications, 16);
+}
+
+#[test]
+fn flat_reports_identical_on_the_pool_and_serially() {
+    // Po(4) has q_c = 0.25: q = 0.2 fizzles, q = 0.8 takes off. From the
+    // main thread the replications run on the worker pool; inside a
+    // `parallel_map` job the same evaluation runs serially. The Report
+    // JSON must be byte-identical either way.
+    for q in [0.2, 0.8] {
+        let scenario = Scenario::new(2000, FanoutSpec::poisson(4.0))
+            .with_failure_ratio(q)
+            .with_replications(40)
+            .with_seed(11);
+        let json = || {
+            let report = ProtocolBackend.evaluate(&scenario).unwrap();
+            serde::json::to_string(&report).expect("serializes")
+        };
+        let pooled = json();
+        for nested in parallel_map(2, |_| json()) {
+            assert_eq!(nested, pooled, "q = {q}");
+        }
+    }
 }
 
 #[test]
