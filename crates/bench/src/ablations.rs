@@ -381,7 +381,7 @@ impl StreamRow {
 ///
 /// * **load sweep** — k ∈ {1, 4, 16, 64} × B ∈ {∞, 2, 4, 8} frames per
 ///   round, loss-free, with the send queue bounded at 32 frames. While
-///   offered load (k · E[fanout] copies per relay burst) fits the frame
+///   offered load (k · E\[fanout\] copies per relay burst) fits the frame
 ///   budget, every row tracks the Eq. 11 closed form; past it, the
 ///   bounded queue tail-drops whole fans and per-message reliability
 ///   collapses. Rumor piggybacking (≤ 8 ids/frame) moves the same

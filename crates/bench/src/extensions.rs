@@ -9,10 +9,9 @@ use gossip_model::baselines::si::SiModel;
 use gossip_model::distribution::PoissonFanout;
 use gossip_model::loss::LossyGossip;
 use gossip_model::scenario::{
-    AnalyticBackend, Backend, FanoutSpec, MembershipSpec, Scenario, SweepCell, SweepGrid,
+    AnalyticBackend, Backend, FanoutSpec, Scenario, SweepCell, SweepGrid,
 };
-use gossip_model::{poisson_case, success, SitePercolation};
-use gossip_netsim::membership::ScampViews;
+use gossip_model::{poisson_case, success, OverlaySpec, SitePercolation, TopologySpec};
 use gossip_protocol::{NetSimBackend, ProtocolBackend};
 use gossip_rgraph::percolation_sim::percolate_many;
 use gossip_rgraph::phase::scan_configuration_model;
@@ -232,9 +231,9 @@ pub fn success_vs_t(out: &mut Outcome) {
 /// §3). How much reliability is lost when gossip runs over SCAMP-style
 /// partial views instead?
 ///
-/// The same scenario evaluated with [`MembershipSpec::Full`] and
-/// `Scamp { c }` through [`ProtocolBackend`], against the uniform-target
-/// analysis. The backend conditions on take-off throughout: the
+/// The same scenario evaluated over the full view and over the SCAMP
+/// overlay `OverlaySpec::Scamp { c }` through [`ProtocolBackend`],
+/// against the uniform-target analysis. The backend conditions on take-off throughout: the
 /// comparison is about *where the message spreads*, not about
 /// source-extinction luck.
 pub fn membership_ablation(out: &mut Outcome) {
@@ -265,23 +264,23 @@ pub fn membership_ablation(out: &mut Outcome) {
     ]);
     let mut worst_scamp = 0.0f64;
     for c in [0usize, 1, 2, 4] {
+        let scamp = TopologySpec::new(OverlaySpec::Scamp { c });
         let scenario = base
             .clone()
-            .with_membership(MembershipSpec::Scamp { c })
+            .with_topology(scamp)
             .with_seed(SEED.wrapping_add(c as u64));
         let report = ProtocolBackend.evaluate(&scenario).expect("valid scenario");
         worst_scamp = worst_scamp.max(analytic - report.reliability);
         // Report the view size of a representative construction.
-        let views = ScampViews::build(n, c, SEED);
         table.push(vec![
             format!("SCAMP c={c}"),
-            format!("{:.1}", views.mean_view_size()),
+            format!("{:.1}", scamp.build(n, SEED).mean_degree()),
             format!("{:.4}", report.reliability),
             format!("{analytic:.4}"),
         ]);
     }
     out.table("e10_membership_ablation.csv", table);
-    // Measured: full view 0.0007 off the analysis, SCAMP at most 0.0274
+    // Measured: full view 0.0007 off the analysis, SCAMP at most 0.0291
     // below it (c = 0, mean view 11.1 ≈ 1.5·ln n).
     let full_gap = (full.reliability - analytic).abs();
     out.finding(

@@ -84,7 +84,7 @@
 //!
 //! * [`scenario`] — the unified `Scenario` → `Backend` → `Report` API:
 //!   declarative experiment descriptions ([`FanoutSpec`],
-//!   [`FailureSpec`], [`MembershipSpec`], [`ProtocolSpec`],
+//!   [`FailureSpec`], [`ProtocolSpec`],
 //!   [`LatencySpec`]), the object-safe [`Backend`] trait, the exact
 //!   [`AnalyticBackend`], and the parallel [`SweepGrid`] runner.
 //! * [`reduce`] — the one reduction from per-replication outcomes to a
@@ -138,8 +138,8 @@ pub use gossip_traffic::{ArrivalSpec, BatchingSpec, TrafficReport, TrafficSpec};
 pub use model::Gossip;
 pub use percolation::SitePercolation;
 pub use scenario::{
-    AnalyticBackend, Backend, EngineSpec, FailureSpec, FanoutSpec, LatencySpec, MembershipSpec,
-    ProtocolSpec, Report, Scenario, SweepCell, SweepGrid,
+    AnalyticBackend, Backend, EngineSpec, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec,
+    Report, Scenario, SweepCell, SweepGrid,
 };
 
 /// Default truncation/convergence tolerance used across the crate.

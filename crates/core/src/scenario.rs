@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | `AnalyticBackend` | generating functions (Eqs. 3–12) | fanout, `q`, loss, protocol, executions |
 //! | `GraphBackend` | random-graph percolation census | fanout, `q`, loss, replications |
-//! | `ProtocolBackend` | Monte-Carlo protocol runs (§5) | fanout, `q`, membership, protocol, replications |
+//! | `ProtocolBackend` | Monte-Carlo protocol runs (§5) | fanout, `q`, topology, protocol, replications |
 //! | `NetSimBackend` | discrete-event network simulation | everything above + latency, loss, crash schedules |
 //! | `RuntimeBackend` | live threads exchanging real messages | fanout, `q`, loss, latency (virtual clock), crash schedules, [`RuntimeSpec`] |
 //!
@@ -23,8 +23,8 @@
 //! * [`Scenario`] — a serde-friendly, data-describable experiment
 //!   description: group size, fanout ([`FanoutSpec`], all eight
 //!   distributions plus mixtures), failures ([`FailureSpec`]), message
-//!   loss, latency ([`LatencySpec`]), membership ([`MembershipSpec`]),
-//!   protocol variant ([`ProtocolSpec`]), runtime execution knobs
+//!   loss, latency ([`LatencySpec`]), overlay ([`TopologySpec`], SCAMP's
+//!   partial views among them), protocol variant ([`ProtocolSpec`]), runtime execution knobs
 //!   ([`RuntimeSpec`]), replication count, and seed.
 //! * [`Backend`] — an object-safe evaluator `&Scenario → Report`. The
 //!   analytic backend lives here ([`AnalyticBackend`]); the graph,
@@ -352,20 +352,6 @@ impl FailureSpec {
     }
 }
 
-/// Data description of the membership service gossip targets are drawn
-/// from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MembershipSpec {
-    /// Everyone knows everyone — the paper's analytical assumption.
-    Full,
-    /// SCAMP-style partial views with redundancy parameter `c`
-    /// (expected view size ≈ `(c+1)·ln n`).
-    Scamp {
-        /// SCAMP redundancy parameter.
-        c: usize,
-    },
-}
-
 /// Data description of the protocol variant under evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProtocolSpec {
@@ -411,6 +397,7 @@ impl Default for LatencySpec {
 /// the one layer that spawns real threads and moves real messages, so
 /// it needs resource bounds the model layers do not.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RuntimeSpec {
     /// Upper bound on OS threads one runtime execution may spawn. Node
     /// actors are multiplexed over this many shard threads when `n`
@@ -463,10 +450,10 @@ pub enum EngineSpec {
     /// event calendar, silently, everywhere else (the default).
     /// `GraphBackend` has one for everything it accepts;
     /// `ProtocolBackend` for the §5 push relay over the full view or a
-    /// pinned overlay, adversaries and t = 0 zone kills included, but
-    /// not for flood, push-pull, SCAMP views, churn, bursty loss or
-    /// zone kills after t = 0; the event-driven simulator and the live
-    /// runtime have none.
+    /// pinned overlay (SCAMP views included), adversaries and t = 0
+    /// zone kills included, but not for flood, push-pull, churn, bursty
+    /// loss or zone kills after t = 0; the event-driven simulator and
+    /// the live runtime have none.
     #[default]
     Auto,
     /// Always the flat engine; backends that cannot honor it (the
@@ -481,6 +468,7 @@ pub enum EngineSpec {
 /// Construct with [`Scenario::new`] and the `with_*` builders; evaluate
 /// with any [`Backend`]; fan over grids with [`SweepGrid`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// Group size `n ≥ 2`.
     pub n: usize,
@@ -492,11 +480,11 @@ pub struct Scenario {
     pub loss: f64,
     /// Per-message latency model (timed backends only).
     pub latency: LatencySpec,
-    /// Membership service (default: full view, the paper's assumption).
-    pub membership: MembershipSpec,
-    /// Overlay topology and peer-selection policy (default: complete
-    /// overlay with uniform global selection — the paper's model; every
-    /// backend treats the default as "no structured topology").
+    /// Overlay topology and peer-selection policy: whose views members
+    /// gossip into (default: complete overlay with uniform global
+    /// selection — the paper's full-view model; every backend treats the
+    /// default as "no structured topology"). SCAMP's partial views are
+    /// the overlay `OverlaySpec::Scamp`.
     pub topology: TopologySpec,
     /// Fault families beyond the paper's model (default: none — a
     /// strict passthrough; see [`FaultSpec`]): membership churn,
@@ -537,7 +525,6 @@ impl Scenario {
             failure: FailureSpec::None,
             loss: 0.0,
             latency: LatencySpec::default(),
-            membership: MembershipSpec::Full,
             topology: TopologySpec::default(),
             faults: FaultSpec::default(),
             traffic: None,
@@ -571,12 +558,6 @@ impl Scenario {
     /// Sets the latency model.
     pub fn with_latency(mut self, latency: LatencySpec) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Sets the membership service.
-    pub fn with_membership(mut self, membership: MembershipSpec) -> Self {
-        self.membership = membership;
         self
     }
 
@@ -824,9 +805,6 @@ impl Scenario {
         if self.loss > 0.0 {
             label.push_str(&format!(" loss={}", self.loss));
         }
-        if let MembershipSpec::Scamp { c } = self.membership {
-            label.push_str(&format!(" scamp(c={c})"));
-        }
         if let Some(topology) = self.topology_label() {
             label.push_str(&format!(" {topology}"));
         }
@@ -921,13 +899,6 @@ pub struct Report {
     pub traffic: Option<TrafficReport>,
 }
 
-impl Report {
-    /// Half-width of the 95% confidence interval.
-    pub fn ci_half_width(&self) -> f64 {
-        (self.reliability_ci95.1 - self.reliability_ci95.0) / 2.0
-    }
-}
-
 /// An evaluation layer: anything that can answer a [`Scenario`] with a
 /// [`Report`]. Object-safe — backends are boxed and listed.
 pub trait Backend: Send + Sync {
@@ -973,12 +944,6 @@ impl Backend for AnalyticBackend {
             backend: "analytic",
             what: "crash schedules (the generating-function model is untimed)",
         })?;
-        if scenario.membership != MembershipSpec::Full {
-            return Err(ModelError::Unsupported {
-                backend: "analytic",
-                what: "partial-view membership (the model assumes uniform target selection)",
-            });
-        }
         if !scenario.topology.is_default() {
             return Err(ModelError::Unsupported {
                 backend: "analytic",
@@ -1220,6 +1185,7 @@ impl SweepGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gossip_topology::OverlaySpec;
 
     fn headline() -> Scenario {
         Scenario::new(1000, FanoutSpec::poisson(4.0)).with_failure_ratio(0.9)
@@ -1263,7 +1229,7 @@ mod tests {
 
     #[test]
     fn analytic_rejects_unsupported() {
-        let scamp = headline().with_membership(MembershipSpec::Scamp { c: 2 });
+        let scamp = headline().with_topology(TopologySpec::new(OverlaySpec::Scamp { c: 2 }));
         assert!(matches!(
             AnalyticBackend.evaluate(&scamp),
             Err(ModelError::Unsupported { .. })
@@ -1374,7 +1340,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_malformed_topologies() {
-        use gossip_topology::OverlaySpec;
         // k >= n.
         let fat = Scenario::new(50, FanoutSpec::poisson(4.0))
             .with_topology(TopologySpec::new(OverlaySpec::KRegular { k: 50 }));
@@ -1417,7 +1382,6 @@ mod tests {
 
     #[test]
     fn analytic_rejects_structured_topology() {
-        use gossip_topology::OverlaySpec;
         let structured =
             headline().with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 100 }));
         assert!(matches!(
@@ -1428,7 +1392,6 @@ mod tests {
 
     #[test]
     fn scenario_label_mentions_topology() {
-        use gossip_topology::OverlaySpec;
         assert!(!headline().label().contains("complete"));
         let structured = headline().with_topology(TopologySpec::new(OverlaySpec::WattsStrogatz {
             k: 8,
@@ -1532,7 +1495,7 @@ mod tests {
     fn scenario_label_mentions_knobs() {
         let label = headline()
             .with_loss(0.1)
-            .with_membership(MembershipSpec::Scamp { c: 2 })
+            .with_topology(TopologySpec::new(OverlaySpec::Scamp { c: 2 }))
             .with_protocol(ProtocolSpec::Flood)
             .label();
         assert!(label.contains("n=1000"));

@@ -44,7 +44,7 @@ pub mod sampler;
 
 use gossip_faults::BlockedLinks;
 use gossip_model::reduce::{self, Execution};
-use gossip_model::scenario::{MembershipSpec, ProtocolSpec, Report, Scenario};
+use gossip_model::scenario::{ProtocolSpec, Report, Scenario};
 use gossip_model::ModelError;
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
@@ -104,7 +104,8 @@ pub fn run_replications<S, T: Send>(
 
 /// Why the relay kernel cannot run `scenario`, if it can't. The kernel
 /// samples one static push relay: the Fig. 1 push algorithm over the
-/// full view or a pinned overlay, i.i.d. crash coins and loss, and the
+/// full view or a pinned overlay (SCAMP's partial views included),
+/// i.i.d. crash coins and loss, and the
 /// static faults — zone kills (taken at start) and blocked links.
 pub fn relay_unsupported(scenario: &Scenario) -> Option<&'static str> {
     if scenario.q().is_none() {
@@ -114,9 +115,6 @@ pub fn relay_unsupported(scenario: &Scenario) -> Option<&'static str> {
     }
     if scenario.protocol != ProtocolSpec::Push {
         return Some("protocol variants (the relay kernel runs the Fig. 1 push algorithm)");
-    }
-    if scenario.membership != MembershipSpec::Full {
-        return Some("partial-view membership (the relay kernel draws targets from the full view or a pinned overlay)");
     }
     if scenario.faults.churn.is_some() {
         return Some("membership churn (the relay kernel's group is static)");

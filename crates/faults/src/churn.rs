@@ -1,4 +1,4 @@
-//! Sampling a [`ChurnSpec`](crate::ChurnSpec) into one execution's
+//! Sampling a [`ChurnSpec`] into one execution's
 //! concrete join/leave schedule.
 
 use gossip_stats::poisson::Poisson;

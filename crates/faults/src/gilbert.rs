@@ -72,16 +72,6 @@ impl GeChain {
         }
     }
 
-    /// A chain pinned to a known state (tests and doc examples).
-    pub fn in_state(bad: bool) -> Self {
-        GeChain { bad }
-    }
-
-    /// Whether the chain currently sits in the bad state.
-    pub fn is_bad(&self) -> bool {
-        self.bad
-    }
-
     /// One transmission: draws the loss outcome from the current state,
     /// then advances the chain. Returns `true` when the transmission is
     /// lost.

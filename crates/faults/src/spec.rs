@@ -57,6 +57,7 @@ fn invalid(name: &'static str, value: f64, requirement: &'static str) -> FaultEr
 /// never hears the broadcast, which is exactly the churn cost the
 /// paper's static model cannot price.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ChurnSpec {
     /// Expected joins per second of virtual time (`≥ 0`).
     pub join_per_sec: f64,
@@ -87,6 +88,7 @@ impl ChurnSpec {
 /// immortal source; every other member of a listed zone is crashed by
 /// the end of the run and leaves the reliability denominator.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ZoneFailureSpec {
     /// Indices of the zones to kill (each `< zones` of the overlay).
     pub zones: Vec<usize>,
@@ -141,6 +143,7 @@ impl ZoneFailureSpec {
 /// advances one step per transmission; its stationary loss rate has the
 /// closed form implemented by [`crate::GilbertElliott::mean_loss`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BurstySpec {
     /// Good → bad transition probability per transmission (`∈ [0, 1]`).
     pub p_gb: f64,
@@ -168,6 +171,7 @@ pub enum AdversaryStrategy {
 /// whole execution (chosen before the protocol's coins are flipped, per
 /// Doerr et al.'s model).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AdversarySpec {
     /// Number of directed links blocked (`< n(n−1)`).
     pub f: usize,
@@ -179,6 +183,7 @@ pub struct AdversarySpec {
 /// is a strict no-op: every backend keeps its classic code path bit for
 /// bit.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultSpec {
     /// Poisson join/leave churn during dissemination.
     pub churn: Option<ChurnSpec>,

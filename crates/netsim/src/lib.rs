@@ -8,8 +8,9 @@
 //! "a scalable membership protocol is available, such as \[12\] (SCAMP)".
 //! This crate provides both: an event-driven simulator with configurable
 //! latency/loss, crash injection matching the paper's failure model, and
-//! membership services (full view, and a SCAMP-style partial-view
-//! construction) that protocols draw gossip targets from.
+//! membership services (full view, or the neighbour lists of a
+//! `gossip-topology` overlay — SCAMP's partial views among them) that
+//! protocols draw gossip targets from.
 //!
 //! Design constraints, per the HPC guides and the reproduction's needs:
 //!

@@ -2,28 +2,26 @@
 //!
 //! The paper assumes (§3) "a scalable membership protocol is available,
 //! such as \[12\] (SCAMP), \[13\]" and draws each member's targets uniformly
-//! from its *membership view*. Two providers are implemented:
+//! from its *membership view*. Three providers are implemented:
 //!
 //! * [`FullView`] — every member knows every other member; sampling is
 //!   uniform over the whole group. This matches the paper's analysis
 //!   exactly and is what the §5 simulations use.
-//! * [`scamp::ScampViews`] — partial views built by a SCAMP-style
-//!   subscription walk, with expected view size `(c+1)·ln n`. Used by the
-//!   membership-ablation experiment (E10) to show the analysis survives
-//!   realistic partial views.
 //! * [`overlay::OverlayView`] — views pinned to the neighbour lists of a
-//!   structured overlay (`gossip-topology`), with targets picked by the
-//!   overlay's peer-selection policy.
+//!   `gossip-topology` overlay, with targets picked by the overlay's
+//!   peer-selection policy. SCAMP's partial views (expected size
+//!   `(c+1)·ln n`, the membership-ablation experiment E10) are one such
+//!   overlay.
+//! * [`DynamicView`] — the full view under churn: joiners become
+//!   targets once activated.
 
 pub mod dynamic;
 pub mod full;
 pub mod overlay;
-pub mod scamp;
 
 pub use dynamic::DynamicView;
 pub use full::FullView;
 pub use overlay::OverlayView;
-pub use scamp::ScampViews;
 
 use gossip_stats::rng::Xoshiro256StarStar;
 
@@ -38,8 +36,8 @@ pub trait Membership: Send + Sync {
     fn view_size(&self, node: NodeId) -> usize;
 
     /// Appends up to `k` distinct members of `node`'s view (never `node`
-    /// itself) to `out` — uniformly at random for the full and SCAMP
-    /// views, by the configured peer-selection policy for overlay views.
+    /// itself) to `out` — uniformly at random for the full view, by the
+    /// configured peer-selection policy for overlay views.
     /// Appends fewer than `k` only when the view is smaller than `k` (or
     /// a deterministic policy exhausts its distinct picks).
     fn sample_targets(

@@ -1,9 +1,9 @@
 //! Structured-overlay membership: views are overlay neighbour lists.
 //!
 //! Where [`FullView`](super::FullView) gives every member the whole
-//! group and SCAMP gives random partial views, [`OverlayView`] pins each
-//! member's view to its neighbourhood in a generated overlay graph —
-//! ring, lattice, small world, scale-free, or clustered — and picks
+//! group, [`OverlayView`] pins each member's view to its neighbourhood
+//! in a generated overlay graph — ring, lattice, small world,
+//! scale-free, clustered, or SCAMP's directed partial views — and picks
 //! targets with the overlay's peer-selection policy instead of uniform
 //! sampling.
 
@@ -90,6 +90,37 @@ mod tests {
         view.sample_targets(0, 8, &mut rng, &mut out);
         assert_eq!(out[0], 99, "existing entries preserved");
         assert_eq!(out.len() - 1, 2, "ring degree caps the sample");
+    }
+
+    #[test]
+    fn scamp_sampling_respects_view() {
+        let spec = TopologySpec::new(OverlaySpec::Scamp { c: 2 });
+        let view = OverlayView::build(200, &spec, 5);
+        let mut rng = Xoshiro256StarStar::new(8);
+        for v in [0u32, 17, 199] {
+            let mut out = Vec::new();
+            view.sample_targets(v, 4, &mut rng, &mut out);
+            assert!(out.len() <= 4);
+            for t in &out {
+                assert!(
+                    view.topology().neighbors(v).contains(t),
+                    "{t} not in view of {v}"
+                );
+            }
+            let mut sorted = out.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), out.len());
+        }
+    }
+
+    #[test]
+    fn scamp_membership_trait_dispatch() {
+        let spec = TopologySpec::new(OverlaySpec::Scamp { c: 1 });
+        let view = OverlayView::build(50, &spec, 2);
+        let m: &dyn Membership = &view;
+        assert_eq!(m.group_size(), 50);
+        assert!(m.view_size(0) >= 1);
     }
 
     #[test]

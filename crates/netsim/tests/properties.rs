@@ -1,6 +1,6 @@
 //! Property-based tests for the simulator substrate.
 
-use gossip_netsim::membership::{FullView, Membership, ScampViews};
+use gossip_netsim::membership::FullView;
 use gossip_netsim::queue::EventQueue;
 use gossip_netsim::{
     EventKind, FailurePlan, LatencyModel, NetworkConfig, NodeBehavior, NodeCtx, NodeId,
@@ -122,28 +122,6 @@ proptest! {
             *sim.metrics()
         };
         prop_assert_eq!(run(), run());
-    }
-
-    /// SCAMP views never contain self or duplicates, for any (n, c,
-    /// seed); sampling respects the view.
-    #[test]
-    fn scamp_views_wellformed(n in 2usize..120, c in 0usize..4, seed in 0u64..200) {
-        let views = ScampViews::build(n, c, seed);
-        prop_assert_eq!(views.group_size(), n);
-        for v in 0..n as u32 {
-            let view = views.view(v);
-            prop_assert!(!view.contains(&v));
-            let mut sorted = view.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(sorted.len(), view.len());
-        }
-        let mut rng = Xoshiro256StarStar::new(seed);
-        let mut out = Vec::new();
-        views.sample_targets(0, 3, &mut rng, &mut out);
-        for t in &out {
-            prop_assert!(views.view(0).contains(t));
-        }
     }
 
     /// Crash schedules: after a scheduled crash, the node is crashed and

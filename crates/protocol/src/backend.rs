@@ -10,9 +10,10 @@
 //!   the netsim backend for those. An untimed push relay has no use for
 //!   an event calendar, so it runs on `gossip_engine::evaluate_relay`
 //!   at every group size — the route `GraphBackend` takes for directed
-//!   reach, adversaries and t = 0 zone kills included. The event
-//!   calendar keeps what that kernel declines (flood, push-pull, SCAMP
-//!   views, churn, bursty loss, zone kills after t = 0) unless the
+//!   reach, overlays (SCAMP views among them), adversaries and t = 0
+//!   zone kills included. The event calendar keeps what that kernel
+//!   declines (flood, push-pull, churn, bursty loss, zone kills after
+//!   t = 0) unless the
 //!   scenario pins `EngineSpec::Flat`, which refuses them typed
 //!   instead. That calendar run is `NetSimBackend`'s at its default
 //!   network (1 ms, lossless), `backend` and `quiescence_secs` aside.
@@ -31,16 +32,14 @@ use std::sync::Arc;
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{
-    Backend, EngineSpec, FailureSpec, LatencySpec, MembershipSpec, ProtocolSpec, Report, Scenario,
+    Backend, EngineSpec, FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario,
 };
 use gossip_model::ModelError;
 use gossip_netsim::{FailurePlan, LatencyModel, NetworkConfig, SimDuration};
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::SplitMix64;
 
-use crate::engine::{
-    inject_push, run_execution_with_plan, ExecutionConfig, ExecutionOutcome, MembershipKind,
-};
+use crate::engine::{inject_push, run_execution_with_plan, ExecutionConfig, ExecutionOutcome};
 use crate::flood::Flooding;
 use crate::message::{GossipMessage, MessageId};
 use crate::push::PushGossip;
@@ -65,41 +64,15 @@ fn latency_model(spec: LatencySpec) -> LatencyModel {
     }
 }
 
-/// Resolves the scenario's membership + topology pair into the engine's
-/// [`MembershipKind`]. A structured overlay *is* a membership constraint
-/// (views are neighbour lists), so combining it with SCAMP partial views
-/// is contradictory and rejected.
-fn membership_kind(
-    backend: &'static str,
-    scenario: &Scenario,
-) -> Result<MembershipKind, ModelError> {
-    if scenario.topology.is_default() {
-        return Ok(match scenario.membership {
-            MembershipSpec::Full => MembershipKind::Full,
-            MembershipSpec::Scamp { c } => MembershipKind::Scamp { c },
-        });
-    }
-    if scenario.membership != MembershipSpec::Full {
-        return Err(ModelError::Unsupported {
-            backend,
-            what: "structured overlays combined with partial-view membership (views are already the overlay's neighbour lists)",
-        });
-    }
-    Ok(MembershipKind::Overlay {
-        spec: scenario.topology,
-    })
-}
-
-/// Churn bootstraps joiners into the *full* membership view; partial
-/// views and pinned overlay neighbour lists have no bootstrap path, so
-/// the combination is a typed refusal rather than a silent wrong answer.
+/// Churn bootstraps joiners into the *full* membership view; an
+/// overlay's pinned neighbour lists (SCAMP views included) have no
+/// bootstrap path, so the combination is a typed refusal rather than a
+/// silent wrong answer.
 fn check_churn_support(backend: &'static str, scenario: &Scenario) -> Result<(), ModelError> {
-    if scenario.faults.churn.is_some()
-        && (scenario.membership != MembershipSpec::Full || !scenario.topology.is_default())
-    {
+    if scenario.faults.churn.is_some() && !scenario.topology.is_default() {
         return Err(ModelError::Unsupported {
             backend,
-            what: "membership churn combined with partial views or structured overlays (joiners can only bootstrap into the full view)",
+            what: "membership churn combined with overlays (joiners can only bootstrap into the full view)",
         });
     }
     Ok(())
@@ -228,7 +201,6 @@ impl Backend for ProtocolBackend {
             return crate::traffic_eval::evaluate_traffic(self.name(), scenario, None);
         }
         check_churn_support(self.name(), scenario)?;
-        let membership = membership_kind(self.name(), scenario)?;
         let timed_zone_kill = matches!(&scenario.faults.zone_failure, Some(z) if z.at_ms > 0);
         let unsupported = gossip_engine::relay_unsupported(scenario).or(timed_zone_kill.then_some(
             "zone kills after t = 0 (the relay kernel has no clock to schedule them on)",
@@ -244,7 +216,7 @@ impl Backend for ProtocolBackend {
             // default network, minus the clock readout.
             Some(_) => {
                 let cfg = ExecutionConfig::new(scenario.n, q)
-                    .with_membership(membership)
+                    .with_topology(scenario.topology)
                     .with_faults(scenario.faults.clone());
                 evaluate_calendar(self.name(), scenario, &cfg, false)
             }
@@ -286,7 +258,7 @@ impl Backend for NetSimBackend {
         };
         check_churn_support(self.name(), scenario)?;
         let cfg = ExecutionConfig::new(scenario.n, q)
-            .with_membership(membership_kind(self.name(), scenario)?)
+            .with_topology(scenario.topology)
             .with_network(network)
             .with_faults(scenario.faults.clone());
         evaluate_calendar(self.name(), scenario, &cfg, true)
@@ -302,6 +274,11 @@ mod tests {
         Scenario::new(1000, FanoutSpec::poisson(4.0))
             .with_failure_ratio(0.9)
             .with_replications(reps)
+    }
+
+    /// SCAMP partial views with redundancy `c`.
+    fn scamp(c: usize) -> gossip_topology::TopologySpec {
+        gossip_topology::TopologySpec::new(gossip_topology::OverlaySpec::Scamp { c })
     }
 
     /// Five zones of 8 intra- and 2 inter-zone links per member.
@@ -421,9 +398,10 @@ mod tests {
 
     #[test]
     fn scamp_membership_supported() {
-        let scenario = headline(10).with_membership(MembershipSpec::Scamp { c: 2 });
+        let scenario = headline(10).with_topology(scamp(2));
         let report = ProtocolBackend.evaluate(&scenario).unwrap();
         assert!(report.reliability > 0.5, "scamp r = {}", report.reliability);
+        assert_eq!(report.topology.as_deref(), Some("scamp(c=2)/neigh"));
     }
 
     #[test]
@@ -503,11 +481,11 @@ mod tests {
         use gossip_model::FaultSpec;
         use gossip_topology::{OverlaySpec, TopologySpec};
         let churned = FaultSpec::none().with_churn(ChurnSpec::symmetric(10.0, 100));
-        let scamp = headline(5)
-            .with_membership(MembershipSpec::Scamp { c: 2 })
+        let partial = headline(5)
+            .with_topology(scamp(2))
             .with_faults(churned.clone());
         assert!(matches!(
-            ProtocolBackend.evaluate(&scamp),
+            ProtocolBackend.evaluate(&partial),
             Err(ModelError::Unsupported { .. })
         ));
         let structured = headline(5)
@@ -539,22 +517,6 @@ mod tests {
             killed_report.reliability
         );
         assert!(clean_report.reliability > killed_report.reliability - 0.2);
-    }
-
-    #[test]
-    fn overlay_plus_scamp_is_contradictory() {
-        use gossip_topology::{OverlaySpec, TopologySpec};
-        let scenario = headline(5)
-            .with_membership(MembershipSpec::Scamp { c: 2 })
-            .with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 2000 }));
-        assert!(matches!(
-            ProtocolBackend.evaluate(&scenario),
-            Err(ModelError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            NetSimBackend.evaluate(&scenario),
-            Err(ModelError::Unsupported { .. })
-        ));
     }
 
     #[test]
@@ -612,15 +574,6 @@ mod tests {
             ProtocolBackend.evaluate(
                 &headline(5)
                     .with_protocol(ProtocolSpec::Flood)
-                    .with_engine(EngineSpec::Flat)
-            ),
-            Err(ModelError::Unsupported { .. })
-        ));
-        // SCAMP view construction stays event-driven.
-        assert!(matches!(
-            ProtocolBackend.evaluate(
-                &headline(5)
-                    .with_membership(MembershipSpec::Scamp { c: 2 })
                     .with_engine(EngineSpec::Flat)
             ),
             Err(ModelError::Unsupported { .. })
@@ -701,12 +654,6 @@ mod tests {
         let stream = |s: Scenario| s.with_traffic(TrafficSpec::stream(4));
         assert!(matches!(
             ProtocolBackend.evaluate(&stream(headline(5).with_protocol(ProtocolSpec::Flood))),
-            Err(ModelError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            ProtocolBackend.evaluate(&stream(
-                headline(5).with_membership(MembershipSpec::Scamp { c: 2 })
-            )),
             Err(ModelError::Unsupported { .. })
         ));
         assert!(matches!(
@@ -808,6 +755,7 @@ mod tests {
         for accepted in [
             headline(8),
             headline(8).with_topology(overlay),
+            headline(8).with_topology(scamp(2)),
             headline(8).with_faults(adversary(AdversaryStrategy::WorstCase)),
             headline(8).with_faults(adversary(AdversaryStrategy::Random)),
             zone_kill(8, 0),
@@ -833,7 +781,6 @@ mod tests {
         for declined in [
             headline(5).with_protocol(ProtocolSpec::Flood),
             headline(5).with_protocol(ProtocolSpec::PushPull),
-            headline(5).with_membership(MembershipSpec::Scamp { c: 2 }),
             headline(5).with_faults(bursty),
             headline(5).with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(20.0, 100))),
             zone_kill(5, 5),

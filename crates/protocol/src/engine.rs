@@ -12,7 +12,7 @@ use std::sync::Arc;
 use gossip_faults::{BlockedLinks, ChurnPlan, FaultSpec, GilbertElliott};
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::ModelError;
-use gossip_netsim::membership::{DynamicView, FullView, Membership, OverlayView, ScampViews};
+use gossip_netsim::membership::{DynamicView, FullView, Membership, OverlayView};
 use gossip_netsim::{
     FailurePlan, LinkFaults, NetworkConfig, NodeBehavior, NodeId, SimTime, Simulator,
 };
@@ -23,25 +23,6 @@ use serde::{Deserialize, Serialize};
 use crate::message::{GossipMessage, MessageId};
 use crate::push::PushGossip;
 use crate::GossipProtocol;
-
-/// Which membership service the nodes gossip over.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum MembershipKind {
-    /// Everyone knows everyone — the paper's analytical assumption.
-    Full,
-    /// SCAMP-style partial views with redundancy parameter `c`.
-    Scamp {
-        /// SCAMP redundancy parameter (expected view ≈ (c+1)·ln n).
-        c: usize,
-    },
-    /// Views pinned to a structured overlay's neighbour lists, with the
-    /// overlay's peer-selection policy (rebuilt per execution from the
-    /// membership seed, so overlays resample across replications).
-    Overlay {
-        /// The overlay and peer-selection description.
-        spec: TopologySpec,
-    },
-}
 
 /// Configuration of one execution.
 #[derive(Clone, Debug)]
@@ -54,8 +35,11 @@ pub struct ExecutionConfig {
     pub source: NodeId,
     /// Network latency/loss.
     pub network: NetworkConfig,
-    /// Membership service.
-    pub membership: MembershipKind,
+    /// The overlay whose neighbour lists are the members' views, with
+    /// its peer-selection policy; the default is the full view. Rebuilt
+    /// per execution from the membership seed, so overlays resample
+    /// across replications.
+    pub topology: TopologySpec,
     /// Fault families beyond the paper's model (default: none).
     pub faults: FaultSpec,
 }
@@ -75,14 +59,14 @@ impl ExecutionConfig {
             q,
             source: 0,
             network: NetworkConfig::default(),
-            membership: MembershipKind::Full,
+            topology: TopologySpec::default(),
             faults: FaultSpec::default(),
         }
     }
 
-    /// Replaces the membership service.
-    pub fn with_membership(mut self, membership: MembershipKind) -> Self {
-        self.membership = membership;
+    /// Replaces the overlay the views are pinned to.
+    pub fn with_topology(mut self, topology: TopologySpec) -> Self {
+        self.topology = topology;
         self
     }
 
@@ -99,10 +83,10 @@ impl ExecutionConfig {
     }
 
     fn build_membership(&self, seed: u64) -> Box<dyn Membership> {
-        match self.membership {
-            MembershipKind::Full => Box::new(FullView::new(self.n)),
-            MembershipKind::Scamp { c } => Box::new(ScampViews::build(self.n, c, seed)),
-            MembershipKind::Overlay { spec } => Box::new(OverlayView::build(self.n, &spec, seed)),
+        if self.topology.is_default() {
+            Box::new(FullView::new(self.n))
+        } else {
+            Box::new(OverlayView::build(self.n, &self.topology, seed))
         }
     }
 }
@@ -153,10 +137,10 @@ impl ExecutionOutcome {
 /// hands the source its message.
 ///
 /// The run is a pure function of `(cfg, make, seed, plan)`: the crash
-/// pattern, membership (if SCAMP), network and protocol randomness all
+/// pattern, overlay (if any), network and protocol randomness all
 /// derive from `seed`. Configurations that bypass `Scenario::validate`
-/// and combine incompatible faults and memberships get a typed error,
-/// not a panic.
+/// and combine incompatible faults and overlays get a typed error, not
+/// a panic.
 pub fn run_execution_with_plan<P, M, F, I>(
     cfg: &ExecutionConfig,
     mut make: F,
@@ -178,11 +162,11 @@ where
     // part of the execution's identity.
     let churn_plan = match cfg.faults.churn.as_ref() {
         Some(churn) => {
-            if !matches!(cfg.membership, MembershipKind::Full) {
+            if !cfg.topology.is_default() {
                 return Err(ModelError::Unsupported {
                     backend: "protocol-engine",
-                    what: "membership churn without full-view membership \
-                           (partial views cannot bootstrap joiners)",
+                    what: "membership churn over an overlay \
+                           (joiners can only bootstrap into the full view)",
                 });
             }
             Some(ChurnPlan::sample(
@@ -217,13 +201,9 @@ where
         }
     }
     if let Some(zone_failure) = &cfg.faults.zone_failure {
-        // Zones resolve against the overlay the views are pinned to; any
-        // other membership has none (typed error).
-        let topology = match cfg.membership {
-            MembershipKind::Overlay { spec } => spec,
-            _ => TopologySpec::default(),
-        };
-        let killed = zone_failure.killed_members(cfg.n, &topology, cfg.source)?;
+        // Zones resolve against the overlay the views are pinned to; an
+        // unclustered one has none (typed error).
+        let killed = zone_failure.killed_members(cfg.n, &cfg.topology, cfg.source)?;
         // Scheduled before the injection: an `at_ms = 0` kill fires
         // before the source's message lands (events order by time, then
         // insertion sequence).
@@ -372,7 +352,9 @@ mod tests {
 
     #[test]
     fn scamp_membership_runs() {
-        let cfg = ExecutionConfig::new(400, 0.9).with_membership(MembershipKind::Scamp { c: 2 });
+        let cfg = ExecutionConfig::new(400, 0.9).with_topology(TopologySpec::new(
+            gossip_topology::OverlaySpec::Scamp { c: 2 },
+        ));
         let out = run_push(&cfg, &PoissonFanout::new(5.0), 4).unwrap();
         assert!(
             out.reliability() > 0.5,
@@ -387,7 +369,7 @@ mod tests {
         // A well-connected small world: gossip over neighbour lists
         // still spreads widely at q = 0.9.
         let spec = TopologySpec::new(OverlaySpec::WattsStrogatz { k: 10, beta: 0.3 });
-        let cfg = ExecutionConfig::new(400, 0.9).with_membership(MembershipKind::Overlay { spec });
+        let cfg = ExecutionConfig::new(400, 0.9).with_topology(spec);
         let out = run_push(&cfg, &PoissonFanout::new(5.0), 4).unwrap();
         assert!(
             out.reliability() > 0.5,
@@ -422,7 +404,9 @@ mod tests {
     fn churn_without_full_membership_is_a_typed_error() {
         use gossip_faults::ChurnSpec;
         let cfg = ExecutionConfig::new(100, 1.0)
-            .with_membership(MembershipKind::Scamp { c: 2 })
+            .with_topology(TopologySpec::new(gossip_topology::OverlaySpec::Scamp {
+                c: 2,
+            }))
             .with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(10.0, 100)));
         let err = run_push(&cfg, &PoissonFanout::new(4.0), 1).unwrap_err();
         assert!(matches!(err, ModelError::Unsupported { .. }), "{err:?}");
@@ -438,7 +422,7 @@ mod tests {
             inter: 2,
         });
         let cfg = ExecutionConfig::new(100, 1.0)
-            .with_membership(MembershipKind::Overlay { spec })
+            .with_topology(spec)
             .with_faults(FaultSpec::none().with_zone_failure(vec![1], u64::MAX / 1_000));
         let err = run_push(&cfg, &PoissonFanout::new(4.0), 1).unwrap_err();
         match err {
@@ -475,7 +459,7 @@ mod tests {
             inter: 2,
         });
         let cfg = ExecutionConfig::new(200, 1.0)
-            .with_membership(MembershipKind::Overlay { spec })
+            .with_topology(spec)
             .with_faults(FaultSpec::none().with_zone_failure(vec![0, 2], 0));
         let out = run_push(&cfg, &PoissonFanout::new(6.0), 5).unwrap();
         // Zones 0 and 2 hold 40 members each; the source (id 0, zone 0)

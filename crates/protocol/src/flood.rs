@@ -83,7 +83,7 @@ impl GossipProtocol for Flooding {
 mod tests {
     use super::*;
     use crate::message::MessageId;
-    use gossip_netsim::membership::{FullView, ScampViews};
+    use gossip_netsim::membership::{FullView, OverlayView};
     use gossip_netsim::{LatencyModel, NetworkConfig, Simulator};
 
     #[test]
@@ -105,7 +105,9 @@ mod tests {
     #[test]
     fn flood_over_scamp_views_completes() {
         let n = 300;
-        let views = ScampViews::build(n, 2, 7);
+        let scamp =
+            gossip_topology::TopologySpec::new(gossip_topology::OverlaySpec::Scamp { c: 2 });
+        let views = OverlayView::build(n, &scamp, 7);
         let mut sim: Simulator<GossipMessage, Flooding> = Simulator::new(
             (0..n).map(|_| Flooding::new()).collect(),
             NetworkConfig::new(LatencyModel::constant_millis(1)),

@@ -48,7 +48,7 @@ pub mod pushpull;
 pub(crate) mod traffic_eval;
 
 pub use backend::{NetSimBackend, ProtocolBackend};
-pub use engine::{ExecutionConfig, ExecutionOutcome, MembershipKind};
+pub use engine::{ExecutionConfig, ExecutionOutcome};
 pub use flood::Flooding;
 pub use message::{GossipMessage, MessageId};
 pub use push::PushGossip;

@@ -21,7 +21,7 @@
 //!
 //! Streams run the paper's base model: complete view, push relay,
 //! static crash-or-alive members with an immortal source. Everything
-//! else (partial views, overlays, dynamic faults, crash schedules,
+//! else (overlays, SCAMP views included; dynamic faults; crash schedules;
 //! flood/push-pull) is a typed [`ModelError::Unsupported`] refusal.
 //!
 //! Reliability stays per message: [`gossip_model::reduce::stream`]
@@ -32,9 +32,7 @@
 use gossip_engine::FanoutSampler;
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, StreamExecution};
-use gossip_model::scenario::{
-    FailureSpec, LatencySpec, MembershipSpec, ProtocolSpec, Report, Scenario,
-};
+use gossip_model::scenario::{FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario};
 use gossip_model::ModelError;
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::streams::STREAM_EXEC;
@@ -50,8 +48,6 @@ use gossip_traffic::{
 fn check_stream_support(backend: &'static str, scenario: &Scenario) -> Result<(), ModelError> {
     let what = if scenario.protocol != ProtocolSpec::Push {
         Some("multi-message traffic for flood/push-pull variants (streams use the push relay)")
-    } else if scenario.membership != MembershipSpec::Full {
-        Some("multi-message traffic over partial views (streams run on the complete view)")
     } else if !scenario.topology.is_default() {
         Some("multi-message traffic over structured overlays (streams run on the complete view)")
     } else if !scenario.faults.is_default() {

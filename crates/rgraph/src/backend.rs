@@ -19,8 +19,8 @@
 //! this is the conservative approximation) and an adversary's blocked
 //! arcs never carry a copy. Whatever the relay kernel declines
 //! ([`gossip_engine::relay_unsupported`]: crash schedules, protocol
-//! variants, partial views, churn, bursty loss, traffic) the census
-//! declines too, with the same typed [`ModelError::Unsupported`].
+//! variants, churn, bursty loss, traffic) the census declines too, with
+//! the same typed [`ModelError::Unsupported`].
 
 use gossip_engine::FanoutSampler;
 use gossip_model::reduce;
@@ -85,7 +85,7 @@ fn evaluate_census(scenario: &Scenario) -> Result<Report, ModelError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_model::scenario::{AnalyticBackend, FanoutSpec, MembershipSpec, ProtocolSpec};
+    use gossip_model::scenario::{AnalyticBackend, FanoutSpec, ProtocolSpec};
 
     fn headline(n: usize, reps: usize) -> Scenario {
         Scenario::new(n, FanoutSpec::poisson(4.0))
@@ -141,11 +141,6 @@ mod tests {
 
     #[test]
     fn graph_rejects_unsupported() {
-        let scamp = headline(500, 3).with_membership(MembershipSpec::Scamp { c: 1 });
-        assert!(matches!(
-            GraphBackend.evaluate(&scamp),
-            Err(ModelError::Unsupported { .. })
-        ));
         let flood = headline(500, 3).with_protocol(ProtocolSpec::Flood);
         assert!(matches!(
             GraphBackend.evaluate(&flood),

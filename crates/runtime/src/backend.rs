@@ -13,7 +13,7 @@
 
 use gossip_model::reduce::{self, Execution, StreamExecution};
 use gossip_model::scenario::{
-    Backend, EngineSpec, FailureSpec, LatencySpec, MembershipSpec, ProtocolSpec, Report, Scenario,
+    Backend, EngineSpec, FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario,
 };
 use gossip_model::ModelError;
 use gossip_stats::parallel::hardware_threads;
@@ -94,12 +94,6 @@ fn reject_unsupported(scenario: &Scenario, n_cap: Option<usize>) -> Result<(), M
             what: "the flat engine (live actors cannot be vectorized; use the graph or protocol backend)",
         });
     }
-    if scenario.membership != MembershipSpec::Full {
-        return Err(ModelError::Unsupported {
-            backend: "runtime",
-            what: "partial-view membership (runtime actors hold the full view; use the protocol backend for SCAMP)",
-        });
-    }
     if scenario.protocol == ProtocolSpec::PushPull {
         return Err(ModelError::Unsupported {
             backend: "runtime",
@@ -117,7 +111,7 @@ fn reject_unsupported(scenario: &Scenario, n_cap: Option<usize>) -> Result<(), M
     if scenario.faults.churn.is_some() && !scenario.topology.is_default() {
         return Err(ModelError::Unsupported {
             backend: "runtime",
-            what: "membership churn combined with structured overlays (joiners can only bootstrap into the full view)",
+            what: "membership churn combined with overlays (joiners can only bootstrap into the full view)",
         });
     }
     Ok(())
@@ -288,11 +282,6 @@ mod tests {
     fn rejects_unsupported_combinations() {
         assert!(matches!(
             RuntimeBackend::channel()
-                .evaluate(&headline(100, 2).with_membership(MembershipSpec::Scamp { c: 2 })),
-            Err(ModelError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            RuntimeBackend::channel()
                 .evaluate(&headline(100, 2).with_protocol(ProtocolSpec::PushPull)),
             Err(ModelError::Unsupported { .. })
         ));
@@ -325,6 +314,18 @@ mod tests {
             .evaluate(&headline(200, 2))
             .unwrap();
         assert_eq!(plain.topology, None);
+    }
+
+    #[test]
+    fn scamp_views_gossip_on_channel() {
+        use gossip_topology::{OverlaySpec, TopologySpec};
+        // Live actors gossip into their SCAMP views like into any other
+        // overlay's neighbour lists.
+        let scenario =
+            headline(300, 4).with_topology(TopologySpec::new(OverlaySpec::Scamp { c: 2 }));
+        let live = RuntimeBackend::channel().evaluate(&scenario).unwrap();
+        assert_eq!(live.topology.as_deref(), Some("scamp(c=2)/neigh"));
+        assert!(live.reliability > 0.5, "scamp r = {}", live.reliability);
     }
 
     #[test]

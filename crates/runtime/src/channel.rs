@@ -2,9 +2,9 @@
 //! member, shared by every endpoint.
 //!
 //! Delivery never fails for an alive peer: loss and latency are
-//! injected by the *sender* from seed-derived draws (see
-//! [`crate::exec`], which also states what replays byte for byte). It
-//! is the fast transport: a send is one lock + one `VecDeque` push.
+//! injected by the *sender* from seed-derived draws (see the crate's
+//! `exec` module, which also states what replays byte for byte). It is
+//! the fast transport: a send is one lock + one `VecDeque` push.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

@@ -269,8 +269,8 @@ pub mod streams {
         FLAT = 0xF1A7;
         /// Flat engine: the overlay CSR built once per evaluation.
         FLAT_TOPOLOGY = 0xF170;
-        /// Protocol engine: membership-service construction (SCAMP
-        /// views, overlay neighbour lists).
+        /// Protocol engine: the per-execution overlay the views are
+        /// pinned to (SCAMP views included).
         MEMBERSHIP = 0x5CA0;
         /// Protocol engine: the discrete-event simulator's own RNG.
         SIMULATOR = 0x51E0;

@@ -1,4 +1,4 @@
-//! Compact undirected overlay adjacency in CSR form.
+//! Compact overlay adjacency in CSR form.
 //!
 //! Same layout discipline as the random-graph substrate (two flat
 //! arrays, `u32` node ids), but *canonical*: self-loops dropped,
@@ -6,8 +6,15 @@
 //! Canonical form is what makes the deterministic peer-selection
 //! policies (next-pair, skip-few) well defined — "the first neighbour
 //! after me in cyclic id order" needs an unambiguous order.
+//!
+//! Every generated overlay is symmetric ([`Topology::from_edges`])
+//! except SCAMP's, whose partial views are directed out-lists
+//! ([`Topology::from_out_lists`]): a member gossips to its view, which
+//! need not hold it in return. Gossip only ever reads out-lists, so
+//! both kinds serve every evaluation layer alike.
 
-/// An undirected overlay over nodes `0..n`, canonical CSR form.
+/// An overlay over nodes `0..n`, canonical CSR form: node `v`'s
+/// neighbour list is the members it gossips to.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     offsets: Vec<usize>,
@@ -19,26 +26,37 @@ impl Topology {
     /// self-loops are dropped, parallel edges merged, neighbour lists
     /// sorted.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        assert!(n <= u32::MAX as usize, "node ids limited to u32");
         let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
         for &(a, b) in edges {
             assert!(
                 (a as usize) < n && (b as usize) < n,
                 "edge ({a},{b}) out of range"
             );
-            if a == b {
-                continue; // a member never gossips to itself
-            }
             adjacency[a as usize].push(b);
             adjacency[b as usize].push(a);
         }
+        Self::from_out_lists(adjacency)
+    }
+
+    /// Builds a canonical *directed* topology from per-node out-lists
+    /// (`lists[v]` = the members `v` gossips to): self-arcs are
+    /// dropped, duplicate arcs merged, lists sorted. No reverse arc is
+    /// added.
+    pub fn from_out_lists(mut lists: Vec<Vec<u32>>) -> Self {
+        let n = lists.len();
+        assert!(n <= u32::MAX as usize, "node ids limited to u32");
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
-        let mut neighbors = Vec::new();
-        for list in &mut adjacency {
+        let mut neighbors = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        for (v, list) in lists.iter_mut().enumerate() {
+            assert!(
+                list.iter().all(|&w| (w as usize) < n),
+                "arc out of range at node {v}"
+            );
             list.sort_unstable();
             list.dedup();
-            neighbors.extend_from_slice(list);
+            // A member never gossips to itself.
+            neighbors.extend(list.iter().copied().filter(|&w| w as usize != v));
             offsets.push(neighbors.len());
         }
         Self { offsets, neighbors }
@@ -68,25 +86,28 @@ impl Topology {
         self.offsets.len() - 1
     }
 
-    /// Number of undirected edges.
+    /// Number of undirected edges: half the arc count, which is the
+    /// edge count of a symmetric overlay (every generator but SCAMP's;
+    /// on a directed overlay it is just arcs / 2).
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.neighbors.len() / 2
     }
 
-    /// Degree of node `v`.
+    /// Degree (out-degree on a directed overlay) of node `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
         self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
-    /// Neighbours of `v`, sorted ascending.
+    /// Neighbours of `v` (its out-list), sorted ascending.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
         &self.neighbors[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
-    /// Mean degree `2|E|/n`.
+    /// Mean degree `2|E|/n` — in general arcs / n, so on SCAMP's
+    /// overlay the mean view size.
     pub fn mean_degree(&self) -> f64 {
         if self.node_count() == 0 {
             return 0.0;
@@ -94,7 +115,9 @@ impl Topology {
         self.neighbors.len() as f64 / self.node_count() as f64
     }
 
-    /// Iterator over all edges `(a, b)` with `a < b`, each reported once.
+    /// Iterator over all edges `(a, b)` with `a < b`, each reported once
+    /// on a symmetric overlay. On a directed overlay it yields only the
+    /// arcs that run from a lower to a higher id.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         (0..self.node_count() as u32).flat_map(move |a| {
             self.neighbors(a)
@@ -106,7 +129,8 @@ impl Topology {
     }
 
     /// Whether the overlay is connected (BFS from node 0; the empty
-    /// overlay counts as connected).
+    /// overlay counts as connected). The BFS follows out-lists, so on a
+    /// directed overlay this asks whether node 0 reaches every member.
     pub fn is_connected(&self) -> bool {
         let n = self.node_count();
         if n == 0 {
@@ -181,6 +205,18 @@ mod tests {
         let mut edges: Vec<_> = t.edges().collect();
         edges.sort_unstable();
         assert_eq!(edges, vec![(0, 1), (0, 2), (1, 2)]);
+    }
+
+    #[test]
+    fn out_lists_stay_directed_and_canonical() {
+        // Self-arc dropped, duplicate merged, list sorted, no reverse arc.
+        let t = Topology::from_out_lists(vec![vec![2, 1, 2, 0], vec![], vec![0]]);
+        assert_eq!(t.neighbors(0), &[1, 2]);
+        assert!(t.neighbors(1).is_empty());
+        assert_eq!(t.neighbors(2), &[0]);
+        assert!((t.mean_degree() - 1.0).abs() < 1e-12);
+        // BFS follows out-lists: 0 reaches everyone, though 1 reaches no one.
+        assert!(t.is_connected());
     }
 
     #[test]

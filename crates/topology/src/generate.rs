@@ -29,6 +29,7 @@ pub fn build_overlay(spec: &OverlaySpec, n: usize, seed: u64) -> Topology {
             intra,
             inter,
         } => clustered(n, zones, intra, inter, &mut rng),
+        OverlaySpec::Scamp { c } => crate::scamp::scamp(n, c, &mut rng),
     }
 }
 

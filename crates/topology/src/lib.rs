@@ -9,9 +9,10 @@
 //! machinery to measure that shift:
 //!
 //! - [`Topology`]: compact canonical CSR adjacency (sorted neighbour
-//!   lists, no self-loops or parallel edges).
-//! - [`OverlaySpec`]: six seed-deterministic generators, validated
-//!   before construction.
+//!   lists, no self-loops or parallel edges), symmetric or directed.
+//! - [`OverlaySpec`]: seven seed-deterministic generators, validated
+//!   before construction — six structured families plus the SCAMP
+//!   membership service's directed partial views.
 //! - [`PeerSelection`]: how a node picks gossip targets from its
 //!   neighbourhood, via [`select_targets`].
 //! - [`TopologySpec`]: the serde-friendly pair of overlay + selection
@@ -24,6 +25,7 @@
 
 mod csr;
 mod generate;
+mod scamp;
 mod select;
 mod spec;
 

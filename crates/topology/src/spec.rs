@@ -95,7 +95,22 @@ pub enum OverlaySpec {
         /// Random cross-zone peers drawn per node.
         inter: usize,
     },
+    /// SCAMP partial views (the membership service the paper cites,
+    /// its reference \[12\]): each member's neighbour list is the view
+    /// a subscription walk leaves it, of expected size `(c + 1)·ln n`.
+    /// Views are directed — a member's view need not hold it in return.
+    Scamp {
+        /// Redundancy: extra copies of each subscription
+        /// (`c + 2 < n`, and `c ≤ 64` so a join costs a bounded walk).
+        c: usize,
+    },
 }
+
+/// Largest SCAMP redundancy `c` a spec may ask for. Each join forwards
+/// `|view| + c + 1` subscription copies and views grow as
+/// `(c + 1)·ln n`, so the ceiling bounds both the work per join and
+/// the overlay's size; SCAMP itself runs with a `c` of a few units.
+const SCAMP_MAX_C: usize = 64;
 
 impl OverlaySpec {
     /// Checks every parameter against the group size `n` (which the
@@ -228,6 +243,23 @@ impl OverlaySpec {
                 }
                 Ok(())
             }
+            OverlaySpec::Scamp { c } => {
+                if c > SCAMP_MAX_C {
+                    return Err(invalid(
+                        "c",
+                        c as f64,
+                        "SCAMP redundancy is capped at 64 (bounded work per join)",
+                    ));
+                }
+                if c + 2 >= n {
+                    return Err(invalid(
+                        "c",
+                        c as f64,
+                        "SCAMP needs c + 2 < n (the c + 2 bootstrap members must leave a joiner)",
+                    ));
+                }
+                Ok(())
+            }
         }
     }
 
@@ -246,6 +278,7 @@ impl OverlaySpec {
                 intra,
                 inter,
             } => format!("clustered(z={zones},intra={intra},inter={inter})"),
+            OverlaySpec::Scamp { c } => format!("scamp(c={c})"),
         }
     }
 }
@@ -285,6 +318,7 @@ impl PeerSelection {
 /// The full topology description a scenario carries: overlay wiring
 /// plus peer-selection policy.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TopologySpec {
     /// Overlay family.
     pub overlay: OverlaySpec,
@@ -463,6 +497,17 @@ mod tests {
         assert!(TopologySpec::new(OverlaySpec::Ring { shortcuts: 35 })
             .validate(10)
             .is_ok());
+    }
+
+    #[test]
+    fn scamp_bounds_its_redundancy() {
+        let scamp = |c| TopologySpec::new(OverlaySpec::Scamp { c });
+        for c in [usize::MAX, 1_000_000_000, 65, 198] {
+            assert_eq!(scamp(c).validate(200).unwrap_err().name, "c", "c = {c}");
+        }
+        assert!(scamp(64).validate(200).is_ok());
+        assert!(scamp(0).validate(3).is_ok());
+        assert_eq!(scamp(1).validate(3).unwrap_err().name, "c");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests for the overlay generators: seed determinism,
-//! CSR symmetry, degree bounds, and connectivity guarantees.
+//! CSR symmetry, degree bounds, connectivity guarantees, and SCAMP's
+//! well-formed views.
 
 use gossip_topology::{build_overlay, OverlaySpec, Topology};
 use proptest::prelude::*;
@@ -105,6 +106,8 @@ proptest! {
                 OverlaySpec::PowerLaw { kmax, .. } => prop_assert!(d <= kmax + 1),
                 // Every node draws at least its own `intra` in-zone peers.
                 OverlaySpec::Clustered { intra, .. } => prop_assert!(d >= intra && d < n),
+                // The subscription walk leaves no member with an empty view.
+                OverlaySpec::Scamp { .. } => prop_assert!(d >= 1 && d < n),
             }
         }
     }
@@ -125,6 +128,21 @@ proptest! {
         let kreg = OverlaySpec::KRegular { k };
         prop_assert!(kreg.validate(n).is_ok());
         prop_assert!(build_overlay(&kreg, n, seed).is_connected());
+    }
+
+    /// SCAMP views are never empty and hold neither their owner nor a
+    /// duplicate, for any valid (n, c, seed).
+    #[test]
+    fn scamp_views_wellformed(n in 2usize..120, c in 0usize..4, seed in 0u64..200) {
+        let spec = OverlaySpec::Scamp { c };
+        prop_assume!(spec.validate(n).is_ok());
+        let views = build_overlay(&spec, n, seed);
+        prop_assert_eq!(views.node_count(), n);
+        for v in 0..n as u32 {
+            let view = views.neighbors(v);
+            prop_assert!(!view.is_empty() && !view.contains(&v));
+            prop_assert!(view.windows(2).all(|p| p[0] < p[1]));
+        }
     }
 
     /// Watts–Strogatz rewiring conserves the edge count exactly.

@@ -86,6 +86,7 @@ pub enum BatchingSpec {
 /// pressure. `Scenario.traffic = None` (the default) means the classic
 /// single-message execution, byte for byte.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TrafficSpec {
     /// Number of concurrent messages k (`≥ 1`).
     pub messages: usize,

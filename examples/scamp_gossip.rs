@@ -1,14 +1,15 @@
 //! Gossip over SCAMP partial views: the paper assumes a membership
 //! service exists (§3, citing SCAMP); this example runs the same
-//! [`Scenario`] with full and SCAMP membership through the protocol
-//! backend and compares with the full-view analysis.
+//! [`Scenario`] over the full view and over SCAMP's partial views (the
+//! overlay `OverlaySpec::Scamp`) through the protocol backend and
+//! compares with the full-view analysis.
 //!
 //! ```sh
 //! cargo run --release --example scamp_gossip
 //! ```
 
-use gossip::{AnalyticBackend, Backend, FanoutSpec, MembershipSpec, ProtocolBackend, Scenario};
-use gossip_netsim::membership::ScampViews;
+use gossip::topology::{OverlaySpec, TopologySpec};
+use gossip::{AnalyticBackend, Backend, FanoutSpec, ProtocolBackend, Scenario};
 
 fn main() {
     let n = 2_000;
@@ -39,16 +40,14 @@ fn main() {
     );
 
     for c in [0usize, 1, 2, 4] {
-        let views = ScampViews::build(n, c, 99);
-        let scenario = base
-            .clone()
-            .with_membership(MembershipSpec::Scamp { c })
-            .with_seed(3 + c as u64);
+        let scamp = TopologySpec::new(OverlaySpec::Scamp { c });
+        let views = scamp.build(n, 99);
+        let scenario = base.clone().with_topology(scamp).with_seed(3 + c as u64);
         let report = ProtocolBackend.evaluate(&scenario).expect("valid scenario");
         println!(
             "{:>12} {:>16.1} {:>12.4} {:>8.4}",
             format!("SCAMP c={c}"),
-            views.mean_view_size(),
+            views.mean_degree(),
             report.reliability,
             (report.reliability - analytic).abs()
         );

@@ -48,8 +48,8 @@ pub use gossip_stats as stats;
 pub use gossip_topology as topology;
 
 pub use gossip_model::scenario::{
-    AnalyticBackend, Backend, EngineSpec, FailureSpec, FanoutSpec, LatencySpec, MembershipSpec,
-    ProtocolSpec, Report, RuntimeSpec, Scenario, SweepCell, SweepGrid,
+    AnalyticBackend, Backend, EngineSpec, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec,
+    Report, RuntimeSpec, Scenario, SweepCell, SweepGrid,
 };
 pub use gossip_model::{
     AdversarySpec, AdversaryStrategy, ArrivalSpec, BatchingSpec, BurstySpec, ChurnSpec,

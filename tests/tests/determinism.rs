@@ -4,7 +4,7 @@
 
 use gossip_model::distribution::PoissonFanout;
 use gossip_model::{success, Backend, FanoutSpec, Scenario};
-use gossip_protocol::engine::{run_push, ExecutionConfig, MembershipKind};
+use gossip_protocol::engine::{run_push, ExecutionConfig};
 use gossip_protocol::ProtocolBackend;
 use gossip_rgraph::ConfigurationModel;
 use gossip_stats::parallel::parallel_map;
@@ -92,7 +92,9 @@ fn graphs_reproducible() {
 
 #[test]
 fn scamp_execution_reproducible() {
-    let cfg = ExecutionConfig::new(600, 0.9).with_membership(MembershipKind::Scamp { c: 2 });
+    let cfg = ExecutionConfig::new(600, 0.9).with_topology(gossip_model::TopologySpec::new(
+        gossip_model::OverlaySpec::Scamp { c: 2 },
+    ));
     let dist = PoissonFanout::new(5.0);
     let a = run_push(&cfg, &dist, 44).unwrap();
     let b = run_push(&cfg, &dist, 44).unwrap();

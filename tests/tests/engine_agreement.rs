@@ -7,11 +7,11 @@
 //!   route `ProtocolBackend` and `GraphBackend` share), `NetSimBackend`
 //!   — the event calendar at its default network (1 ms, lossless), the
 //!   very run `ProtocolBackend` falls back to where the kernel declines.
-//!   It is checked through `ProtocolBackend` on the complete overlay,
-//!   and through `GraphBackend` on an overlay and under static faults (a
-//!   t = 0 zone kill, a `Random` adversary). Both layers build the
-//!   adversary's `BlockedLinks` from `derive(derive(seed, rep),
-//!   ADVERSARY)`;
+//!   It is checked through `ProtocolBackend` on the complete overlay and
+//!   on SCAMP's directed partial views, and through `GraphBackend` on an
+//!   overlay and under static faults (a t = 0 zone kill, a `Random`
+//!   adversary). Both layers build the adversary's `BlockedLinks` from
+//!   `derive(derive(seed, rep), ADVERSARY)`;
 //! * for the graph census, [`ReferenceCensus`] below — the unfused
 //!   pipeline the flat census fuses: a `ConfigurationModel` graph per
 //!   execution, bond-thinned through `Graph::from_edges`, site-percolated
@@ -28,10 +28,10 @@
 //!
 //! False-failure probability: each comparison is a Welch t statistic
 //! with at least `BATCHES − 1 = 31` degrees of freedom, and
-//! P(|t₃₁| > 6) < 1.3e-6; the file makes 112 + 1 + 7 + 7 = 127
+//! P(|t₃₁| > 6) < 1.3e-6; the file makes 112 + 1 + 7 + 7 + 7 = 134
 //! comparisons (16 protocol cells × 7 metrics, the census, and the
-//! overlay and static-fault cells × 7), so the family-wise probability
-//! that a correct build fails is < 1.7e-4. A metric that is the same
+//! overlay, static-fault and SCAMP cells × 7), so the family-wise
+//! probability that a correct build fails is < 1.8e-4. A metric that is the same
 //! constant on every batch of both sides (strict success at n = 1000,
 //! say) has no spread, and its means must be exactly equal.
 //! What it catches is not marginal: counting a crashed receiver's hop
@@ -238,4 +238,26 @@ fn graph_relay_matches_netsim_under_a_zone_kill_and_an_adversary() {
             "{engine:?}"
         );
     }
+}
+
+#[test]
+fn protocol_relay_matches_netsim_on_scamp_views() {
+    // SCAMP views are an overlay: the kernel fixes one set of views for
+    // the whole evaluation, the calendar rebuilds them per execution.
+    let scenario = Scenario::new(300, FanoutSpec::poisson(4.0))
+        .with_failure_ratio(0.8)
+        .with_topology(TopologySpec::new(OverlaySpec::Scamp { c: 1 }))
+        .with_replications(20)
+        .with_seed(0xA6EE_0400);
+    assert_agrees(&NetSimBackend, &ProtocolBackend, &scenario, &PUSH_METRICS);
+    // One route: the graph backend runs the same kernel on the same views.
+    let protocol = ProtocolBackend.evaluate(&scenario).unwrap();
+    let graph = GraphBackend.evaluate(&scenario).unwrap();
+    assert_eq!(
+        Report {
+            backend: graph.backend.clone(),
+            ..protocol
+        },
+        graph
+    );
 }

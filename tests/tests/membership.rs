@@ -1,18 +1,25 @@
 //! The membership assumption (paper §3): gossip over SCAMP-style partial
 //! views behaves like gossip over uniform views once views reach the
-//! `(c+1)·ln n` size SCAMP provides.
+//! `(c+1)·ln n` size SCAMP provides. SCAMP views are an overlay
+//! (`OverlaySpec::Scamp`), so they are checked through `Topology`.
 
 use gossip_integration_tests::assert_close;
-use gossip_model::{poisson_case, Backend, FanoutSpec, MembershipSpec, Report, Scenario};
-use gossip_netsim::membership::{Membership, ScampViews};
+use gossip_model::{
+    poisson_case, Backend, FanoutSpec, OverlaySpec, Report, Scenario, TopologySpec,
+};
+use gossip_netsim::membership::{Membership, OverlayView};
 use gossip_protocol::ProtocolBackend;
 use gossip_stats::rng::Xoshiro256StarStar;
+
+fn scamp(c: usize) -> TopologySpec {
+    TopologySpec::new(OverlaySpec::Scamp { c })
+}
 
 /// The §5 push experiment over SCAMP partial views, n = 1200.
 fn over_scamp(f: f64, q: f64, c: usize, reps: usize, seed: u64) -> Report {
     let scenario = Scenario::new(1200, FanoutSpec::poisson(f))
         .with_failure_ratio(q)
-        .with_membership(MembershipSpec::Scamp { c })
+        .with_topology(scamp(c))
         .with_replications(reps)
         .with_seed(seed);
     ProtocolBackend.evaluate(&scenario).unwrap()
@@ -22,9 +29,8 @@ fn over_scamp(f: f64, q: f64, c: usize, reps: usize, seed: u64) -> Report {
 fn scamp_view_sizes_scale_with_log_n() {
     let n = 1500;
     let c = 2;
-    let views = ScampViews::build(n, c, 7);
     let predicted = (c as f64 + 1.0) * (n as f64).ln();
-    let mean = views.mean_view_size();
+    let mean = scamp(c).build(n, 7).mean_degree();
     assert!(
         mean > 0.4 * predicted && mean < 2.5 * predicted,
         "mean view {mean:.1} vs SCAMP prediction {predicted:.1}"
@@ -66,26 +72,30 @@ fn view_richness_tracks_uniform_analysis() {
 
 #[test]
 fn views_have_no_self_or_duplicates_at_scale() {
-    let views = ScampViews::build(2000, 3, 13);
+    let views = scamp(3).build(2000, 13);
     for v in 0..2000u32 {
-        let view = views.view(v);
-        assert!(!view.contains(&v));
-        let mut sorted = view.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), view.len());
+        let view = views.neighbors(v);
+        assert!(!view.contains(&v), "self-arc at {v}");
+        assert!(view.windows(2).all(|w| w[0] < w[1]), "duplicate arc at {v}");
     }
 }
 
 #[test]
 fn sampling_over_trait_object() {
-    let views = ScampViews::build(500, 2, 17);
+    let views = OverlayView::build(500, &scamp(2), 17);
     let m: &dyn Membership = &views;
     let mut rng = Xoshiro256StarStar::new(1);
     let mut out = Vec::new();
     m.sample_targets(10, 4, &mut rng, &mut out);
-    assert!(out.len() <= 4);
+    assert!(!out.is_empty() && out.len() <= 4);
     for t in &out {
-        assert!(views.view(10).contains(t));
+        assert!(
+            views.topology().neighbors(10).contains(t),
+            "{t} not in view"
+        );
     }
+    let mut distinct = out.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), out.len(), "duplicate targets {out:?}");
 }

@@ -10,9 +10,9 @@
 //! 2. `Scenario` round-trips through serde (JSON text).
 
 use gossip::{
-    all_backends, AnalyticBackend, Backend, FailureSpec, FanoutSpec, LatencySpec, MembershipSpec,
-    NetSimBackend, OverlaySpec, ProtocolBackend, ProtocolSpec, Report, RuntimeBackend, Scenario,
-    SweepGrid, TopologySpec,
+    all_backends, AnalyticBackend, Backend, FailureSpec, FanoutSpec, LatencySpec, NetSimBackend,
+    OverlaySpec, ProtocolBackend, ProtocolSpec, Report, RuntimeBackend, Scenario, SweepGrid,
+    TopologySpec,
 };
 use gossip_integration_tests::assert_close;
 
@@ -381,7 +381,7 @@ fn scenario_serde_roundtrip() {
     })
     .with_loss(0.125)
     .with_latency(LatencySpec::ExponentialMillis { mean_ms: 15 })
-    .with_membership(MembershipSpec::Scamp { c: 3 })
+    .with_topology(TopologySpec::new(OverlaySpec::Scamp { c: 3 }))
     .with_protocol(ProtocolSpec::PushPull)
     .with_replications(42)
     .with_executions(7)
@@ -407,6 +407,20 @@ fn scenario_serde_roundtrip() {
     assert!(text.contains("\"loss\":0.125"));
     assert!(text.contains("\"traffic\":{"));
     assert!(text.contains("\"rate_per_round\":0.5"));
+
+    // Scenario keys are closed: a key this build does not know — here
+    // the `membership` key SCAMP views once had, now the overlay
+    // `{"Scamp":{"c":2}}` — is an error naming it, not a silent default.
+    let stale = text.replacen(
+        "\"topology\":",
+        "\"membership\":{\"Scamp\":{\"c\":2}},\"topology\":",
+        1,
+    );
+    let err = serde::json::from_str::<Scenario>(&stale).unwrap_err();
+    assert!(err.to_string().contains("membership"), "{err}");
+    let nested = text.replacen("\"selection\":", "\"view\":3,\"selection\":", 1);
+    let err = serde::json::from_str::<Scenario>(&nested).unwrap_err();
+    assert!(err.to_string().contains("view"), "{err}");
 
     // Reports round-trip too.
     let simple = Scenario::new(1000, FanoutSpec::poisson(4.0)).with_failure_ratio(0.9);
@@ -613,6 +627,26 @@ fn unsupported_combinations_error_cleanly() {
         supported, 2,
         "exactly netsim and runtime support crash schedules"
     );
+}
+
+#[test]
+fn scamp_redundancy_is_bounded_on_every_backend() {
+    // c = usize::MAX would run the subscription walk out of memory, and
+    // c = 10⁹ ≥ n − 2 would put every member in the bootstrap ring, with
+    // no one left to join: both are refused before anything is built.
+    for c in [usize::MAX, 1_000_000_000] {
+        let scenario = Scenario::new(200, FanoutSpec::poisson(4.0))
+            .with_failure_ratio(0.9)
+            .with_topology(TopologySpec::new(OverlaySpec::Scamp { c }));
+        let mut backends = all_backends();
+        backends.push(Box::new(RuntimeBackend::tcp()));
+        for backend in backends {
+            match backend.evaluate(&scenario) {
+                Err(gossip::ModelError::InvalidParameter { name: "c", .. }) => {}
+                other => panic!("{} with c = {c}: {other:?}", backend.name()),
+            }
+        }
+    }
 }
 
 #[test]
