@@ -45,6 +45,18 @@ const CLUSTERED: OverlaySpec = OverlaySpec::Clustered {
     inter: 1,
 };
 
+/// Step of E15's failure-axis grid: q = i · `Q_STEP`, i = 1..=40.
+const Q_STEP: f64 = 0.025;
+
+/// Whether grid point `q` lies within `steps` whole steps of `target`.
+/// Compared as grid indices: `12 * 0.025 - 0.25` is
+/// 0.30000000000000004 − 0.25, which a float bound of `2 * 0.025` would
+/// count as more than two steps.
+fn within_grid_steps(q: f64, target: f64, steps: u64) -> bool {
+    let index = |x: f64| (x / Q_STEP).round() as i64;
+    index(q).abs_diff(index(target)) <= steps
+}
+
 /// E15 — topology ablation: the paper's critical point `q_c = 1/E[f]`
 /// (Eq. 3) is derived on the complete graph, where every member can
 /// gossip to every other. How far does the *measured* critical point
@@ -63,7 +75,7 @@ pub fn topology_ablation(out: &mut Outcome) {
     let n = 1000;
     let f = 4.0;
     let reps = 30;
-    let qs: Vec<f64> = (1..=40).map(|i| i as f64 * 0.025).collect();
+    let qs: Vec<f64> = (1..=40).map(|i| i as f64 * Q_STEP).collect();
 
     let base = Scenario::new(n, FanoutSpec::poisson(f))
         .with_replications(reps)
@@ -144,9 +156,10 @@ pub fn topology_ablation(out: &mut Outcome) {
          strictly complete < clustered < ring+shortcuts < watts-strogatz < power-law < k-regular \
          lattice",
     );
-    // Measured 0.275 and 0.975.
+    // Measured 0.300 and 0.975. The complete row is 0.275 or 0.300 by
+    // draw: at q = 0.275 its mean raw R is 0.207 against the 0.2 floor.
     out.finding(
-        critical[0] - predicted_qc <= 0.05 && critical[5] >= 0.9,
+        within_grid_steps(critical[0], predicted_qc, 2) && critical[5] >= 0.9,
         format!(
             "the complete graph lands within two grid steps of 1/E[f] ({:.3} vs {predicted_qc:.3}); \
              the lattice effectively never percolates (q_c {:.3} ≥ 0.9)",
@@ -537,6 +550,27 @@ pub fn stream_sweep(out: &mut Outcome) {
     );
 }
 
+/// E18's absolute gap floor: below it a point sits on Eq. 11 whatever
+/// its own standard error.
+const SCALING_FLOOR: f64 = 5e-4;
+/// E18's gap bound in units of the point's own standard error: each
+/// Report at q ≥ 0.35 must lie within `max(SCALING_FLOOR, 4 SE)` of
+/// Eq. 11. The per-run spread of the census at n = 10⁶ is 0.0031 at
+/// q = 0.35, 0.0010 at q = 0.5 and 0.0002 at q = 0.9, so the floor alone
+/// is 0.45 SE of an 8-run mean at q = 0.35 and a correct build would
+/// fail it more often than not; from q = 0.7 on (per-run spread
+/// ≤ 0.00035), 4 SE of an 8-run mean is about the floor or below, so
+/// the bound there is still 0.0005.
+///
+/// False-failure probability: simulated per comparison from per-run
+/// spreads and take-off rates measured over 48 runs per point, the 28
+/// comparisons (14 points × graph and protocol) fail a correct build
+/// with probability ≈ 0.23 (union bound). About 0.16 of that is the
+/// protocol at q ≤ 0.4, where 8 runs hold few take-offs: none fails the
+/// point outright, and one or two leave its SE at zero or on one degree
+/// of freedom. Each graph point up to q = 0.6 adds ≈ 0.005 (P(|t₇| > 4)).
+const SCALING_SE: f64 = 4.0;
+
 /// E18 — million-node scaling: the flat struct-of-arrays engine runs
 /// the paper's Fig. 4 reliability curve at n = 10⁶ — three orders of
 /// magnitude past the paper's n = 1000 — and one supercritical point at
@@ -544,9 +578,9 @@ pub fn stream_sweep(out: &mut Outcome) {
 /// decade.
 ///
 /// Two flat paths per grid point: the graph backend (fused
-/// configuration-model + site/bond percolation, stub pairs streamed
-/// into union-find) and the protocol backend (bitset-frontier lazy
-/// relay). The analytic generating-function value rides along as the
+/// configuration-model + site/bond percolation, only occupied stubs
+/// paired, survivors unioned) and the protocol backend (bitset-frontier
+/// lazy relay). The analytic generating-function value rides along as the
 /// reference curve; at n = 10⁶ finite-size effects are negligible, so
 /// the Monte-Carlo points should sit on it. Wall-clock is not recorded
 /// here — `benchmark/`'s `fig4_flat_1m` and `fig4_flat_1m_fizzle`
@@ -566,7 +600,8 @@ pub fn scaling(out: &mut Outcome) {
         ),
         &["n", "q", "analytic R", "graph R", "protocol R"],
     );
-    let mut worst_supercritical = 0.0f64;
+    // The largest gap / bound ratio seen at q ≥ 0.35, as (gap, bound).
+    let mut worst = (0.0f64, SCALING_FLOOR);
     for (n, reps, q) in points {
         let scenario = Scenario::new(n, FanoutSpec::poisson(f))
             .with_failure_ratio(q)
@@ -575,31 +610,54 @@ pub fn scaling(out: &mut Outcome) {
         let analytic = analytic_r(&scenario);
         let graph = GraphBackend
             .evaluate(&scenario)
-            .expect("flat census evaluates")
-            .reliability;
+            .expect("flat census evaluates");
         let protocol = ProtocolBackend
             .evaluate(&scenario)
-            .expect("flat relay evaluates")
-            .reliability;
+            .expect("flat relay evaluates");
         if q >= 0.35 - 1e-9 {
-            worst_supercritical = worst_supercritical
-                .max((graph - analytic).abs())
-                .max((protocol - analytic).abs());
+            for report in [&graph, &protocol] {
+                let gap = (report.reliability - analytic).abs();
+                let bound = SCALING_FLOOR.max(SCALING_SE * report.reliability_std_error);
+                if gap / bound > worst.0 / worst.1 {
+                    worst = (gap, bound);
+                }
+            }
         }
         table.push(vec![
             n.to_string(),
             format!("{q:.2}"),
             format!("{analytic:.4}"),
-            format!("{graph:.4}"),
-            format!("{protocol:.4}"),
+            format!("{:.4}", graph.reliability),
+            format!("{:.4}", protocol.reliability),
         ]);
     }
     out.table("e18_scaling.csv", table);
+    let (gap, bound) = worst;
     out.finding(
-        worst_supercritical <= 5e-4,
+        gap <= bound,
         format!(
             "both flat paths sit on Eq. 11 at every point with q ≥ 0.35, the n = {far_n} one \
-             included: worst gap {worst_supercritical:.5} ≤ 0.0005"
+             included: the closest call is a gap of {gap:.5} against its bound {bound:.5} \
+             (max(0.0005, 4 SE))"
         ),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn two_grid_steps_pass_and_three_fail() {
+        let q = |i: u32| f64::from(i) * Q_STEP;
+        assert!(within_grid_steps(q(12), 0.25, 2), "exactly two steps above");
+        assert!(within_grid_steps(q(8), 0.25, 2), "exactly two steps below");
+        assert!(within_grid_steps(q(10), 0.25, 2));
+        assert!(!within_grid_steps(q(13), 0.25, 2), "three steps above");
+        assert!(!within_grid_steps(q(7), 0.25, 2), "three steps below");
+        assert!(
+            !within_grid_steps(f64::INFINITY, 0.25, 2),
+            "never percolated"
+        );
+    }
 }

@@ -28,6 +28,7 @@ use gossip_model::scenario::{Backend, Report, Scenario};
 use gossip_model::ModelError;
 
 use crate::flat::{FlatPercolation, PercolationScratch};
+use crate::unionfind::UnionFind;
 
 /// The random-graph percolation layer: giant components of percolated
 /// configuration-model graphs.
@@ -62,6 +63,13 @@ impl Backend for GraphBackend {
 /// no source dynamics, hence no take-off/fizzle split and no rounds or
 /// message cost.
 fn evaluate_census(scenario: &Scenario) -> Result<Report, ModelError> {
+    if scenario.n > UnionFind::MAX_LEN {
+        return Err(ModelError::InvalidParameter {
+            name: "n",
+            value: scenario.n as f64,
+            requirement: "the graph census ranks members as i32 (n <= 2^31 - 1)",
+        });
+    }
     let dist = scenario.fanout.build()?;
     let sampler = FanoutSampler::new(&*dist);
     let flat = FlatPercolation {
@@ -76,7 +84,7 @@ fn evaluate_census(scenario: &Scenario) -> Result<Report, ModelError> {
     let reliabilities = gossip_engine::run_replications(
         scenario.seed,
         scenario.replications,
-        || PercolationScratch::new(scenario.n),
+        PercolationScratch::default,
         |_, scratch, rng| flat.run(scratch, rng),
     );
     reduce::census("graph", scenario, &*dist, reliabilities)

@@ -10,8 +10,9 @@
 //!
 //! * [`graph`] — compact CSR adjacency (flat `u32` arrays, per the HPC
 //!   guides: no `Vec<Vec<_>>`, no per-node allocation).
-//! * [`unionfind`] — path-halving + union-by-size disjoint sets for
-//!   component censuses.
+//! * [`unionfind`] — path-halving + union-by-size disjoint sets on one
+//!   `i32` array (roots hold their negated size), with the largest set
+//!   tracked as sets merge, for component censuses.
 //! * [`configuration`] — the configuration model: uniform random graphs
 //!   with a prescribed degree sequence, the graphs the paper's
 //!   generating-function analysis describes exactly.
@@ -21,13 +22,14 @@
 //!   graph, the Monte-Carlo counterpart of `gossip_model::percolation`.
 //! * [`phase`] — critical-point estimation by susceptibility peak, used
 //!   to validate `q_c = 1/G1'(1)` (paper Eq. 3/10).
-//! * [`flat`] — the million-node percolation kernel. It packs every
-//!   per-node set (occupied, failed, reached) into u64-word bitsets —
-//!   512 members per cache line, `memset` clears, hardware popcount
-//!   reductions — and streams configuration-model stub pairs straight
-//!   into a [`UnionFind`] without ever materializing the graph. All
-//!   scratch lives in arenas reset — never reallocated — between
-//!   replications.
+//! * [`flat`] — the million-node percolation kernel. One pass tosses
+//!   each member's crash coin and draws its degree, storing stubs only
+//!   for occupied members (as dense ranks); a uniform perfect matching
+//!   then pairs those stubs with each other or with the counted
+//!   unoccupied ones, and the occupied–occupied pairs that survive loss
+//!   are unioned in a [`UnionFind`] over the occupied ranks. The graph,
+//!   an occupancy mask and unoccupied stubs never materialize, and both
+//!   buffers are reused between replications.
 //!
 //! [`backend::GraphBackend`] runs on [`flat`] for the undirected census
 //! and on the `gossip-engine` relay kernel — which draws the paper's

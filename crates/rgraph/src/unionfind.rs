@@ -1,33 +1,38 @@
 //! Disjoint-set forest (union-find) with path halving and union by size.
 //!
-//! The workhorse behind every component census in this crate. Both
-//! optimizations together give effectively-constant amortized operations;
-//! `u32` parent indices keep the structure cache-friendly for the
-//! million-node graphs in the phase-transition scans.
+//! The workhorse behind every component census in this crate. One `i32`
+//! array holds the whole forest: a non-negative entry is the element's
+//! parent, a negative entry marks a root and stores its set's size,
+//! negated. Path halving plus union by size give effectively-constant
+//! amortized operations, and the single 4-byte word per element keeps a
+//! million-element census inside one 4 MB array. The largest set's size
+//! is tracked as sets merge, so it costs no scan.
 
-/// Disjoint-set forest over elements `0..len`.
-#[derive(Clone, Debug)]
+/// Disjoint-set forest over elements `0..len`, `len ≤ i32::MAX`.
+#[derive(Clone, Debug, Default)]
 pub struct UnionFind {
-    /// Parent pointer per element; roots point at themselves.
-    parent: Vec<u32>,
-    /// Component size, valid only at roots.
-    size: Vec<u32>,
+    /// Parent index per element, or the negated set size at a root.
+    parent: Vec<i32>,
     /// Number of disjoint sets.
     components: usize,
+    /// Size of the largest set.
+    largest: u32,
 }
 
 impl UnionFind {
+    /// The most elements one structure can hold: sizes are stored
+    /// negated in an `i32`.
+    pub const MAX_LEN: usize = i32::MAX as usize;
+
     /// Creates `len` singleton sets.
     pub fn new(len: usize) -> Self {
-        assert!(
-            len <= u32::MAX as usize,
-            "union-find limited to u32 indices"
-        );
-        Self {
-            parent: (0..len as u32).collect(),
-            size: vec![1; len],
-            components: len,
-        }
+        let mut uf = Self {
+            parent: Vec::new(),
+            components: 0,
+            largest: 0,
+        };
+        uf.reset(len);
+        uf
     }
 
     /// Number of elements.
@@ -52,30 +57,39 @@ impl UnionFind {
     #[inline]
     pub fn find(&mut self, mut x: u32) -> u32 {
         debug_assert!((x as usize) < self.parent.len());
-        // Path halving: point every other node at its grandparent.
-        while self.parent[x as usize] != x {
-            let grand = self.parent[self.parent[x as usize] as usize];
+        loop {
+            let p = self.parent[x as usize];
+            if p < 0 {
+                return x;
+            }
+            let grand = self.parent[p as usize];
+            if grand < 0 {
+                return p as u32;
+            }
+            // Path halving: point every other node at its grandparent.
             self.parent[x as usize] = grand;
-            x = grand;
+            x = grand as u32;
         }
-        x
     }
 
     /// Merges the sets of `a` and `b`; returns `true` if they were
     /// previously disjoint.
+    #[inline]
     pub fn union(&mut self, a: u32, b: u32) -> bool {
         let mut ra = self.find(a);
         let mut rb = self.find(b);
         if ra == rb {
             return false;
         }
-        // Union by size: attach the smaller tree under the larger.
-        if self.size[ra as usize] < self.size[rb as usize] {
+        // Union by size: attach the smaller tree under the larger (on a
+        // tie, `b`'s root goes under `a`'s).
+        if self.parent[ra as usize] > self.parent[rb as usize] {
             std::mem::swap(&mut ra, &mut rb);
         }
-        self.parent[rb as usize] = ra;
-        self.size[ra as usize] += self.size[rb as usize];
+        self.parent[ra as usize] += self.parent[rb as usize];
+        self.parent[rb as usize] = ra as i32;
         self.components -= 1;
+        self.largest = self.largest.max(self.parent[ra as usize].unsigned_abs());
         true
     }
 
@@ -87,41 +101,40 @@ impl UnionFind {
     /// Size of the set containing `x`.
     pub fn size_of(&mut self, x: u32) -> u32 {
         let root = self.find(x);
-        self.size[root as usize]
+        self.parent[root as usize].unsigned_abs()
     }
 
-    /// Size of the largest set.
-    pub fn largest(&mut self) -> u32 {
-        let len = self.len();
-        let mut best = 0u32;
-        for x in 0..len as u32 {
-            if self.parent[x as usize] == x {
-                best = best.max(self.size[x as usize]);
-            }
-        }
-        best
+    /// Size of the largest set (0 when empty).
+    #[inline]
+    pub fn largest(&self) -> u32 {
+        self.largest
     }
 
     /// Sizes of all sets, unordered.
-    pub fn component_sizes(&mut self) -> Vec<u32> {
-        let len = self.len();
+    pub fn component_sizes(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.components);
-        for x in 0..len as u32 {
-            if self.parent[x as usize] == x {
-                out.push(self.size[x as usize]);
-            }
-        }
+        out.extend(
+            self.parent
+                .iter()
+                .filter(|&&p| p < 0)
+                .map(|p| p.unsigned_abs()),
+        );
         out
     }
 
-    /// Resets to all-singletons without reallocating — the percolation
-    /// Monte Carlo reuses one structure across replications.
-    pub fn reset(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i as u32;
-        }
-        self.size.fill(1);
-        self.components = self.parent.len();
+    /// Resets to `len` singletons, reusing the allocation — the
+    /// percolation Monte Carlo keeps one structure across replications
+    /// of different occupied counts.
+    pub fn reset(&mut self, len: usize) {
+        assert!(
+            len <= Self::MAX_LEN,
+            "union-find limited to {} elements",
+            Self::MAX_LEN
+        );
+        self.parent.clear();
+        self.parent.resize(len, -1);
+        self.components = len;
+        self.largest = u32::from(len > 0);
     }
 }
 
@@ -133,6 +146,7 @@ mod tests {
     fn singletons_initially() {
         let mut uf = UnionFind::new(5);
         assert_eq!(uf.component_count(), 5);
+        assert_eq!(uf.largest(), 1);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
             assert_eq!(uf.size_of(i), 1);
@@ -148,10 +162,24 @@ mod tests {
         assert_eq!(uf.component_count(), 4);
         assert!(uf.connected(0, 1));
         assert!(!uf.connected(0, 2));
+        assert_eq!(uf.largest(), 2);
         assert!(uf.union(1, 2));
         assert!(uf.connected(0, 3));
         assert_eq!(uf.size_of(3), 4);
         assert_eq!(uf.largest(), 4);
+    }
+
+    #[test]
+    fn ties_keep_the_first_root_and_size_wins_otherwise() {
+        let mut uf = UnionFind::new(5);
+        uf.union(0, 1);
+        assert_eq!(uf.find(1), 0, "equal sizes: b's root goes under a's");
+        uf.union(3, 0);
+        assert_eq!(uf.find(3), 0, "the larger tree keeps its root");
+        uf.union(2, 4);
+        uf.union(4, 3);
+        assert_eq!(uf.find(2), 0);
+        assert_eq!(uf.largest(), 5);
     }
 
     #[test]
@@ -166,6 +194,7 @@ mod tests {
         let mut sorted = sizes.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 1, 1, 1, 1, 2, 3]);
+        assert_eq!(uf.largest(), 3);
     }
 
     #[test]
@@ -177,6 +206,7 @@ mod tests {
         }
         assert_eq!(uf.component_count(), 1);
         assert_eq!(uf.size_of(0), n as u32);
+        assert_eq!(uf.largest(), n as u32);
         // After find, paths should be (mostly) flat — spot-check depth 1.
         let root = uf.find(0);
         assert_eq!(uf.find(n as u32 - 1), root);
@@ -187,15 +217,24 @@ mod tests {
         let mut uf = UnionFind::new(4);
         uf.union(0, 1);
         uf.union(2, 3);
-        uf.reset();
+        uf.reset(4);
         assert_eq!(uf.component_count(), 4);
         assert!(!uf.connected(0, 1));
         assert_eq!(uf.size_of(2), 1);
+        assert_eq!(uf.largest(), 1);
+        uf.union(0, 1);
+        uf.reset(7);
+        assert_eq!(uf.len(), 7);
+        assert_eq!(uf.component_count(), 7);
+        assert_eq!(uf.component_sizes(), vec![1; 7]);
+        uf.reset(2);
+        assert_eq!(uf.len(), 2);
+        assert!(!uf.connected(0, 1));
     }
 
     #[test]
     fn empty_structure() {
-        let mut uf = UnionFind::new(0);
+        let uf = UnionFind::new(0);
         assert!(uf.is_empty());
         assert_eq!(uf.component_count(), 0);
         assert_eq!(uf.largest(), 0);

@@ -201,13 +201,16 @@ impl Pool {
         // `share`. So no worker touches the closure after `map` returns.
         let erased = unsafe { std::mem::transmute::<&Share<'_>, &'static Share<'static>>(&share) };
         let Some(published) = self.publish(erased, participants - 1) else {
+            // Another map owns the pool: run serially, and count as inside
+            // a map so calls nested in `f` stay serial even if the pool
+            // frees up meanwhile.
+            let _participating = Participating::enter();
             return (0..jobs).map(&f).collect();
         };
-        // `share` catches the job's panic, so the flag is reset on that
-        // path too.
-        IN_PARALLEL_WORKER.with(|flag| flag.set(true));
-        share();
-        IN_PARALLEL_WORKER.with(|flag| flag.set(false));
+        {
+            let _participating = Participating::enter();
+            share();
+        }
         drop(published);
 
         if let Some(payload) = panicked
@@ -240,6 +243,23 @@ impl Pool {
             self.wake.notify_one();
         }
         Some(Published(self))
+    }
+}
+
+/// Marks the calling thread as taking part in a map until dropped, on
+/// unwinding too.
+struct Participating;
+
+impl Participating {
+    fn enter() -> Self {
+        IN_PARALLEL_WORKER.with(|flag| flag.set(true));
+        Participating
+    }
+}
+
+impl Drop for Participating {
+    fn drop(&mut self) {
+        IN_PARALLEL_WORKER.with(|flag| flag.set(false));
     }
 }
 
@@ -303,6 +323,31 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b, "same base seed must give identical results");
+    }
+
+    #[test]
+    fn a_map_that_finds_the_pool_busy_counts_as_nested() {
+        // A caller that finds the pool owned by another map runs its own
+        // map serially; its jobs must count as inside a map, or a call
+        // nested in them could publish on the pool once it frees up.
+        let pool = Pool::start(3);
+        let owned = std::sync::Barrier::new(2);
+        let release = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.map(2, |i| {
+                    if i == 0 {
+                        owned.wait();
+                        release.wait();
+                    }
+                })
+            });
+            owned.wait();
+            let nested = pool.map(4, |_| in_parallel_worker());
+            release.wait();
+            assert_eq!(nested, vec![true; 4]);
+        });
+        assert!(!in_parallel_worker(), "the mark ends with the map");
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!
 //! False-failure probability: each comparison is a Welch t statistic
 //! with at least `BATCHES − 1 = 31` degrees of freedom, and
-//! P(|t₃₁| > 6) < 1.3e-6; the file makes 112 + 1 + 7 + 7 + 7 = 134
-//! comparisons (16 protocol cells × 7 metrics, the census, and the
-//! overlay, static-fault and SCAMP cells × 7), so the family-wise
+//! P(|t₃₁| > 6) < 1.3e-6; the file makes 112 + 4 + 7 + 7 + 7 = 137
+//! comparisons (16 protocol cells × 7 metrics, four census cells, and
+//! the overlay, static-fault and SCAMP cells × 7), so the family-wise
 //! probability that a correct build fails is < 1.8e-4. A metric that is the same
 //! constant on every batch of both sides (strict success at n = 1000,
 //! say) has no spread, and its means must be exactly equal.
@@ -194,6 +194,25 @@ fn graph_auto_matches_classic_on_the_census_and_on_an_overlay() {
         .with_replications(10)
         .with_seed(0xA6EE_0201);
     assert_agrees(&NetSimBackend, &GraphBackend, &overlay, &PUSH_METRICS);
+}
+
+#[test]
+fn graph_census_matches_the_reference_without_coins_subcritically_and_at_odd_stub_totals() {
+    let cells = [
+        // q = 1, no loss: the census tosses no crash or loss coin.
+        Scenario::new(1000, FanoutSpec::poisson(4.0)).with_failure_ratio(1.0),
+        // Below q_c = 0.25: many small components, no giant.
+        Scenario::new(1000, FanoutSpec::poisson(4.0))
+            .with_failure_ratio(0.2)
+            .with_loss(0.1),
+        // Fixed(3) at odd n: the stub total is always odd, so every
+        // execution takes the parity fix.
+        Scenario::new(999, FanoutSpec::fixed(3)).with_failure_ratio(0.6),
+    ];
+    for (i, cell) in cells.into_iter().enumerate() {
+        let census = cell.with_replications(10).with_seed(0xA6EE_0210 + i as u64);
+        assert_agrees(&ReferenceCensus, &GraphBackend, &census, &[RELIABILITY]);
+    }
 }
 
 #[test]
