@@ -271,7 +271,7 @@ fn reliability_figure(out: &mut Outcome, fig: u32, n: usize) -> [f64; 2] {
 /// analytical results except very few points".
 pub fn fig4(out: &mut Outcome) {
     let [a, b] = reliability_figure(out, 4, 1000);
-    // Measured 0.0199 / 0.0998: panel b's worst point is the one
+    // Measured 0.0199 / 0.0534: panel b's worst point is the one
     // near-critical cell f·q ≈ 1.2, not a trend.
     out.finding(
         a <= 0.04 && b <= 0.2,

@@ -88,7 +88,7 @@
 //!   [`LatencySpec`]), the object-safe [`Backend`] trait, the exact
 //!   [`AnalyticBackend`], and the parallel [`SweepGrid`] runner.
 //! * [`reduce`] — the one reduction from per-replication outcomes to a
-//!   [`Report`]: the take-off threshold, the conditioned / census /
+//!   [`Report`]: the take-off split, the conditioned / census /
 //!   per-message stream estimators every Monte-Carlo backend shares.
 //! * [`distribution`] — the [`FanoutDistribution`] trait (pmf, generating
 //!   functions `G0`/`G1`, sampling) and eight implementations: Poisson,

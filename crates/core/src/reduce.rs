@@ -7,9 +7,8 @@
 //! estimate means is decided here, once:
 //!
 //! * [`conditioned`] — the paper's §5 estimator: reliability averaged
-//!   over the executions that *take off*, split from the fizzles at
-//!   [`takeoff_threshold`]; cost metrics average over every execution,
-//!   timing metrics over the take-offs only.
+//!   over the executions that *take off*; cost metrics average over
+//!   every execution, timing metrics over the take-offs only.
 //! * [`census`] — the unconditioned mode of the graph backend's default
 //!   path: a static percolation census has no source, hence no fizzle
 //!   mode — every replication counts and `reliability_raw` equals
@@ -18,6 +17,14 @@
 //!   every message of every execution is one conditioned sample, and
 //!   the [`TrafficReport`] is filled from the merged latency histogram
 //!   and the copy ledger.
+//!
+//! The split reads each execution, not a model of it: an execution (or
+//! a stream message) takes off iff it reached at least `nonfailed^{2/3}`
+//! members, the critical-window size of the surviving group. Fizzles
+//! are O(1) and giants Θ(n), on any overlay. Near q_c at small n a
+//! subcritical run crosses it now and then (≈ 1 in 2 500 at n = 5 000,
+//! Po(4), q = 0.2), and a unimodal reach (the k-regular lattice) is cut
+//! inside its one mode: read `reliability_raw` there.
 //!
 //! Digests are pushed into the running statistics in the order given,
 //! so a `Report` is a pure function of the digest sequence — backends
@@ -47,45 +54,18 @@
 //!
 //! [`TrafficSpec`]: gossip_traffic::TrafficSpec
 
-use gossip_faults::GilbertElliott;
 use gossip_stats::descriptive::OnlineStats;
 use gossip_traffic::{percentile, TrafficReport};
 
 use crate::distribution::FanoutDistribution;
 use crate::error::ModelError;
-use crate::loss::LossyGossip;
 use crate::percolation::SitePercolation;
-use crate::scenario::{ProtocolSpec, Report, Scenario};
+use crate::scenario::{Report, Scenario};
 use crate::success;
 
-/// The reliability above which an execution counts as a take-off: half
-/// the complete-graph analytic prediction (the convention of the figure
-/// harness), so layers that cannot be priced analytically — overlays,
-/// adversaries — still condition comparably. Falls back to 0.5 when the
-/// model cannot price the scenario at all (e.g. crash schedules).
-pub fn takeoff_threshold(scenario: &Scenario, dist: &dyn FanoutDistribution) -> f64 {
-    let q = scenario.q().unwrap_or(1.0);
-    // Bursty loss folds in at its stationary mean: the prediction is an
-    // upper bound (burstiness only hurts more), which is all a take-off
-    // split needs.
-    let mut loss = scenario.loss;
-    if let Some(bursty) = &scenario.faults.bursty_loss {
-        let mean = GilbertElliott::new(bursty).mean_loss();
-        loss = 1.0 - (1.0 - loss) * (1.0 - mean);
-    }
-    let prediction = match scenario.protocol {
-        ProtocolSpec::Push => LossyGossip::new(dist, q, loss)
-            .and_then(|m| m.reliability())
-            .unwrap_or(1.0),
-        // Flood / push-pull complete whenever anything spreads.
-        ProtocolSpec::Flood | ProtocolSpec::PushPull => 1.0,
-    };
-    if prediction < 0.05 {
-        // Subcritical: a single mode only; count everything as take-off.
-        0.0
-    } else {
-        0.5 * prediction
-    }
+/// `reached ≥ nonfailed^{2/3}`, on integer counts.
+fn takes_off(reached: u64, nonfailed: u64) -> bool {
+    reached >= 1 && u128::from(reached).pow(3) >= u128::from(nonfailed).pow(2)
 }
 
 /// One execution's digest. `None` marks a metric the producing layer
@@ -94,10 +74,12 @@ pub fn takeoff_threshold(scenario: &Scenario, dist: &dyn FanoutDistribution) -> 
 pub struct Execution {
     /// Fraction of nonfailed members reached.
     pub reliability: f64,
+    /// Nonfailed members: the reliability denominator.
+    pub nonfailed: usize,
     /// `hops[h]`: members in the reliability denominator that first
-    /// received at hop h; hop 0 is the source. Empty where the layer has
-    /// no source, which leaves `rounds`, `reach_by_round` and
-    /// `complete_rate` `None`.
+    /// received at hop h; hop 0 is the source, and the sum is the
+    /// members reached. Empty where the layer has no source, which
+    /// leaves `rounds`, `reach_by_round` and `complete_rate` `None`.
     pub hops: Vec<u32>,
     /// Messages sent per nonfailed member (averaged over every run).
     pub messages_per_member: Option<f64>,
@@ -124,11 +106,11 @@ pub struct StreamExecution {
     pub copies_lost: u64,
 }
 
-/// The accumulator behind every mode: reliability samples split at the
-/// threshold, plus the per-execution metrics a `Report` averages.
+/// The accumulator behind every mode: reliability samples split into
+/// take-offs and fizzles, plus the per-execution metrics to average.
 struct Tally {
-    /// `None` in census mode: every sample conditions.
-    threshold: Option<f64>,
+    /// False in census mode: every sample counts as a take-off.
+    conditioned: bool,
     conditional: OnlineStats,
     raw: OnlineStats,
     rounds: OnlineStats,
@@ -151,9 +133,9 @@ fn mean_if_any(stats: &OnlineStats) -> Option<f64> {
 }
 
 impl Tally {
-    fn new(threshold: Option<f64>) -> Self {
+    fn new(conditioned: bool) -> Self {
         Tally {
-            threshold,
+            conditioned,
             conditional: OnlineStats::new(),
             raw: OnlineStats::new(),
             rounds: OnlineStats::new(),
@@ -167,9 +149,10 @@ impl Tally {
         }
     }
 
-    /// Folds one execution's first receipts per hop into `rounds`, the
-    /// reach curve (take-offs only) and the strict-success count.
-    fn hops(&mut self, e: &Execution, took_off: bool) {
+    /// Folds one execution's first receipts per hop (`reached` in all)
+    /// into `rounds`, the reach curve (take-offs only) and the
+    /// strict-success count.
+    fn hops(&mut self, e: &Execution, reached: u64, took_off: bool) {
         let Some(last) = e.hops.iter().rposition(|&count| count > 0) else {
             return;
         };
@@ -185,19 +168,19 @@ impl Tally {
         // Reached within h hops over nonfailed is reliability × the
         // cumulative share of the receipts, so the final entry is the
         // run's reliability exactly.
-        let total: u64 = e.hops.iter().map(|&count| u64::from(count)).sum();
         let mut cumulative = 0;
         for (h, slot) in self.reach.iter_mut().enumerate() {
             cumulative += u64::from(e.hops.get(h).copied().unwrap_or(0));
-            *slot += e.reliability * cumulative as f64 / total as f64;
+            *slot += e.reliability * cumulative as f64 / reached as f64;
         }
         self.reach_final += e.reliability;
     }
 
-    /// Records one reliability sample; true when it took off.
-    fn sample(&mut self, reliability: f64) -> bool {
+    /// Records one reliability sample of `reached` out of `nonfailed`
+    /// members; true when it took off.
+    fn sample(&mut self, reliability: f64, reached: u64, nonfailed: usize) -> bool {
         self.raw.push(reliability);
-        let took_off = self.threshold.is_none_or(|t| reliability > t);
+        let took_off = !self.conditioned || takes_off(reached, nonfailed as u64);
         if took_off {
             self.conditional.push(reliability);
         }
@@ -230,8 +213,8 @@ impl Tally {
             // point of the topology ablation.
             critical_q: SitePercolation::new(dist, 1.0)?.critical_q(),
             takeoff_rate: self
-                .threshold
-                .map(|_| self.conditional.count() as f64 / self.raw.count().max(1) as f64),
+                .conditioned
+                .then(|| self.conditional.count() as f64 / self.raw.count().max(1) as f64),
             rounds: mean_if_any(&self.rounds),
             messages_per_member: mean_if_any(&self.messages),
             quiescence_secs: mean_if_any(&self.quiescence),
@@ -253,24 +236,25 @@ impl Tally {
 }
 
 fn single(
-    threshold: Option<f64>,
+    conditioned: bool,
     backend: &str,
     transport: Option<&str>,
     scenario: &Scenario,
     dist: &dyn FanoutDistribution,
     executions: impl IntoIterator<Item = Execution>,
 ) -> Result<Report, ModelError> {
-    let mut tally = Tally::new(threshold);
+    let mut tally = Tally::new(conditioned);
     let mut replications = 0;
     for e in executions {
         replications += 1;
         tally.messages.extend(e.messages_per_member);
         tally.lost.extend(e.messages_lost);
-        let took_off = tally.sample(e.reliability);
+        let reached = e.hops.iter().map(|&count| u64::from(count)).sum();
+        let took_off = tally.sample(e.reliability, reached, e.nonfailed);
         if took_off {
             tally.quiescence.extend(e.quiescence_secs);
         }
-        tally.hops(&e, took_off);
+        tally.hops(&e, reached, took_off);
     }
     tally.report(backend, transport, scenario, dist, replications, None)
 }
@@ -284,8 +268,7 @@ pub fn conditioned(
     dist: &dyn FanoutDistribution,
     executions: impl IntoIterator<Item = Execution>,
 ) -> Result<Report, ModelError> {
-    let threshold = Some(takeoff_threshold(scenario, dist));
-    single(threshold, backend, transport, scenario, dist, executions)
+    single(true, backend, transport, scenario, dist, executions)
 }
 
 /// Reduces the reliabilities of a source-less census: no take-off split,
@@ -300,12 +283,12 @@ pub fn census(
         reliability,
         ..Execution::default()
     });
-    single(None, backend, None, scenario, dist, executions)
+    single(false, backend, None, scenario, dist, executions)
 }
 
 /// Reduces stream executions: each message of each execution is one
-/// sample, conditioned at the single-message threshold (under an
-/// uncontended cap every message is an independent execution of the
+/// sample, split on its own reached count like a single message (under
+/// an uncontended cap every message is an independent execution of the
 /// paper's protocol). `hist` is the delivery-delay histogram in rounds,
 /// merged over all executions; `hop_millis` prices rounds into seconds
 /// on timed layers.
@@ -332,7 +315,7 @@ pub fn stream(
         .expect("stream reduction is only dispatched when traffic is present");
     let k = spec.messages;
     let live = transport.is_some();
-    let mut tally = Tally::new(Some(takeoff_threshold(scenario, dist)));
+    let mut tally = Tally::new(true);
     let mut per_message = vec![OnlineStats::new(); k];
     let mut sent = OnlineStats::new();
     let mut dropped = OnlineStats::new();
@@ -343,7 +326,7 @@ pub fn stream(
         let mut any_takeoff = false;
         for (message, &count) in e.reached.iter().enumerate() {
             let r = count as f64 / members;
-            if tally.sample(r) {
+            if tally.sample(r, u64::from(count), e.nonfailed) {
                 any_takeoff = true;
                 per_message[message].push(r);
             }
@@ -398,20 +381,22 @@ mod tests {
     use super::*;
     use crate::distribution::PoissonFanout;
     use crate::scenario::FanoutSpec;
-    use gossip_faults::{BurstySpec, FaultSpec};
     use gossip_traffic::TrafficSpec;
 
-    /// Po(4), q = 0.9: prediction ≈ 0.97, threshold ≈ 0.485.
+    /// Po(4), q = 0.9, n = 1 000.
     fn headline() -> (Scenario, PoissonFanout) {
         let scenario = Scenario::new(1000, FanoutSpec::poisson(4.0)).with_failure_ratio(0.9);
         (scenario, PoissonFanout::new(4.0))
     }
 
-    /// A run whose last first receipt was at hop `rounds`, one per hop.
+    /// A run over 1 000 nonfailed members whose last first receipts
+    /// were at hop `rounds`, one per earlier hop.
     fn run(reliability: f64, rounds: usize, secs: f64) -> Execution {
+        let last = (reliability * 1000.0).round() as u32 - rounds as u32;
         Execution {
             reliability,
-            hops: vec![1; rounds + 1],
+            nonfailed: 1000,
+            hops: [vec![1; rounds], vec![last]].concat(),
             messages_per_member: Some(2.0 * reliability),
             quiescence_secs: Some(secs),
             messages_lost: None,
@@ -441,18 +426,19 @@ mod tests {
     #[test]
     fn hops_yield_rounds_the_reach_curve_and_strict_success() {
         let (scenario, dist) = headline();
-        let execution = |reliability, hops: &[u32]| Execution {
+        let execution = |reliability, nonfailed, hops: &[u32]| Execution {
             reliability,
+            nonfailed,
             hops: hops.to_vec(),
             ..Execution::default()
         };
         let runs = [
             // All 4 nonfailed members reached by hop 1.
-            execution(1.0, &[1, 3]),
+            execution(1.0, 4, &[1, 3]),
             // 4 of 5: a hole at hop 2, a trailing empty hop 4.
-            execution(0.8, &[1, 1, 0, 2, 0]),
+            execution(0.8, 5, &[1, 1, 0, 2, 0]),
             // A fizzle: counts for strict success only.
-            execution(0.01, &[1]),
+            execution(0.01, 100, &[1]),
         ];
         let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
         // Last non-empty hops 1 and 3.
@@ -489,17 +475,39 @@ mod tests {
     }
 
     #[test]
-    fn subcritical_prediction_conditions_every_run() {
-        // q = 0.15 < q_c = 0.25: prediction 0 < 0.05, threshold 0.
+    fn the_split_is_the_critical_window_of_the_survivors() {
+        // 100³ = 1 000²: the boundary itself takes off.
+        assert!(takes_off(100, 1000));
+        assert!(!takes_off(99, 1000));
+        // A lone nonfailed source that holds the message is complete.
+        assert!(takes_off(1, 1));
+        // Nothing to reach, and nothing reached, is no take-off.
+        assert!(!takes_off(0, 0));
+        assert!(!takes_off(0, 1));
+        // No overflow at 10⁷ members, where the window is 46 415.9.
+        assert!(takes_off(46_416, 10_000_000) && !takes_off(46_415, 10_000_000));
+    }
+
+    #[test]
+    fn the_split_reads_the_execution_not_the_scenario() {
+        let reached = |count: u32, nonfailed| Execution {
+            reliability: f64::from(count) / nonfailed as f64,
+            nonfailed,
+            hops: vec![1, count - 1],
+            ..Execution::default()
+        };
         let (scenario, dist) = headline();
-        let scenario = scenario.with_failure_ratio(0.15);
-        assert_eq!(takeoff_threshold(&scenario, &dist), 0.0);
-        let runs = [run(0.01, 1, 0.01), run(0.03, 2, 0.02)];
-        let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
-        assert_eq!(report.takeoff_rate, Some(1.0));
-        assert!((report.reliability - 0.02).abs() < 1e-12);
-        assert_eq!(report.reliability_raw, Some(report.reliability));
-        assert_eq!(report.rounds, Some(1.5));
+        // Subcritical (q = 0.15 < q_c = 0.25) or not, the same digests
+        // split the same way.
+        for q in [0.15, 0.9] {
+            let scenario = scenario.clone().with_failure_ratio(q);
+            let runs = [reached(100, 1000), reached(99, 1000)];
+            let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
+            assert_eq!(report.takeoff_rate, Some(0.5));
+            assert_eq!(report.reliability, 0.1);
+            assert!((report.reliability_raw.unwrap() - 0.0995).abs() < 1e-12);
+            assert_eq!(report.rounds, Some(1.0));
+        }
     }
 
     #[test]
@@ -600,29 +608,19 @@ mod tests {
     }
 
     #[test]
-    fn bursty_loss_folds_into_the_threshold_at_its_stationary_mean() {
-        // π_bad = 0.1 / (0.1 + 0.3) = 0.25, mean loss 0.25 · 0.8 = 0.2.
-        let bursty = BurstySpec {
-            p_gb: 0.1,
-            p_bg: 0.3,
-            loss_good: 0.0,
-            loss_bad: 0.8,
-        };
-        let scenario = Scenario::new(1000, FanoutSpec::poisson(5.0))
-            .with_failure_ratio(0.9)
-            .with_faults(FaultSpec::none().with_bursty_loss(bursty));
-        let dist = PoissonFanout::new(5.0);
-        let threshold = takeoff_threshold(&scenario, &dist);
-        let folded = LossyGossip::new(&dist, 0.9, 0.2)
-            .unwrap()
-            .reliability()
-            .unwrap();
-        assert!((threshold - 0.5 * folded).abs() < 1e-12);
-        // The value `ProtocolBackend` conditioned this scenario at
-        // before the policy moved here.
-        assert_eq!(threshold, 0.484_752_936_012_088_9);
-        // Flood and push-pull complete whenever anything spreads.
-        let flood = scenario.with_protocol(ProtocolSpec::Flood);
-        assert_eq!(takeoff_threshold(&flood, &dist), 0.5);
+    fn a_stream_message_is_split_on_its_own_counts() {
+        let (scenario, dist) = headline();
+        let scenario = scenario.with_traffic(TrafficSpec::stream(2));
+        let runs = [StreamExecution {
+            reached: vec![100, 99],
+            nonfailed: 1000,
+            ..stream_run([0, 0])
+        }];
+        let report = stream("protocol", None, &scenario, &dist, None, &runs, &[1]).unwrap();
+        assert_eq!(report.takeoff_rate, Some(0.5));
+        assert_eq!(report.reliability, 0.1);
+        let traffic = report.traffic.unwrap();
+        assert_eq!(traffic.reliability_mean, 0.05);
+        assert_eq!(traffic.reliability_min, 0.0);
     }
 }

@@ -64,12 +64,11 @@
 //! ([`crate::reduce`]):
 //!
 //! * **[`Report::reliability`] is conditioned on take-off.** The paper's
-//!   §5 averages over the executions that escape the source's
-//!   neighbourhood; an execution takes off when its reliability exceeds
-//!   *half the complete-graph analytic prediction* for the scenario
-//!   (bursty loss folded in at its stationary mean; flood and push-pull
-//!   predicted at 1, so 0.5), and when that prediction is below 0.05 —
-//!   subcritical, a single mode — every execution counts.
+//!   §5 averages over the executions that take off; an execution takes
+//!   off when it reached at least `nonfailed^{2/3}` of its nonfailed
+//!   members, the critical-window size of the surviving group, so the
+//!   split reads each execution and prices nothing. Below q_c every run
+//!   fizzles and `reliability` is 0.
 //!   [`Report::reliability_raw`] averages all executions,
 //!   [`Report::takeoff_rate`] is the split; rounds and quiescence time
 //!   average the take-offs, message cost every execution. Streams
@@ -849,8 +848,9 @@ pub struct Report {
     /// Critical nonfailed ratio `q_c` of the fanout distribution
     /// (Eq. 3); `None` when the distribution never percolates.
     pub critical_q: Option<f64>,
-    /// Fraction of executions that took off (escaped the source's
-    /// neighbourhood); `None` for the analytic backend.
+    /// Fraction of executions that took off (reached at least
+    /// `nonfailed^{2/3}` members); `None` where nothing is split: the
+    /// analytic layer and the graph census.
     pub takeoff_rate: Option<f64>,
     /// Mean over take-off executions of the last hop at which a member
     /// in the reliability denominator first received (the source is

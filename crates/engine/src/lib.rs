@@ -181,6 +181,7 @@ pub fn evaluate_relay(backend: &'static str, scenario: &Scenario) -> Result<Repo
             let out = setup.run(scratch, rng);
             Execution {
                 reliability: out.reliability(),
+                nonfailed: out.nonfailed,
                 hops: scratch.hops().to_vec(),
                 messages_per_member: Some(out.messages_sent as f64 / out.nonfailed.max(1) as f64),
                 ..Execution::default()

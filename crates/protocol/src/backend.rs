@@ -24,8 +24,8 @@
 //! Both run one execution per seed `derive(scenario.seed, rep)` and hand
 //! the per-execution digests to [`gossip_model::reduce`], which owns the
 //! estimator: reliability conditioned on *take-off* (executions that
-//! escape the source's neighbourhood), the giant-component size the
-//! analytic curves plot.
+//! reach the critical window of the surviving group), the
+//! giant-component size the analytic curves plot.
 
 use std::sync::Arc;
 
@@ -156,6 +156,7 @@ fn evaluate_calendar(
         let outcome = run_variant(cfg, scenario.protocol, &dist, &plan, seed)?;
         Ok(Execution {
             reliability: outcome.reliability(),
+            nonfailed: outcome.nonfailed,
             messages_per_member: Some(outcome.messages_per_member()),
             quiescence_secs: timed.then(|| outcome.quiescence.as_secs_f64()),
             messages_lost: None,

@@ -679,6 +679,7 @@ impl Record {
         Execution {
             // `n_rece / n_nonfailed` (paper §4.2).
             reliability: per_nonfailed(self.reached()[0] as u64),
+            nonfailed,
             hops: hops.into_iter().map(|count| count as u32).collect(),
             messages_per_member: Some(per_nonfailed(self.frames.len() as u64)),
             // Wall-clock is scheduling noise, not protocol behaviour: keep

@@ -3,7 +3,9 @@
 //! through the unified scenario API: the same [`Scenario`] evaluated by
 //! [`AnalyticBackend`] and [`ProtocolBackend`].
 
-use gossip::{AnalyticBackend, Backend, FanoutSpec, ProtocolBackend, Scenario};
+use gossip::{
+    AnalyticBackend, Backend, FanoutSpec, OverlaySpec, ProtocolBackend, Scenario, TopologySpec,
+};
 use gossip_integration_tests::assert_close;
 
 fn scenario(n: usize, z: f64, q: f64, reps: usize, seed: u64) -> Scenario {
@@ -80,9 +82,8 @@ fn equal_fq_products_equal_reliability() {
 
 #[test]
 fn subcritical_protocol_execution_dies() {
-    // Below q_c = 1/f nothing spreads (Fig. 4a's q = 0.1 rows). The
-    // subcritical report has no take-off/fizzle split, so the
-    // conditional mean equals the raw mean.
+    // Below q_c = 1/f nothing spreads (Fig. 4a's q = 0.1 rows): every
+    // run fizzles, so the raw mean is the estimator to read.
     let report = ProtocolBackend
         .evaluate(&scenario(2000, 4.0, 0.1, 10, 4))
         .unwrap();
@@ -148,4 +149,70 @@ fn message_cost_equals_fanout_per_infected_member() {
         0.2,
         "messages per nonfailed member",
     );
+}
+
+/// The smallest root in [0, 1] of `x = f(x)`, by iteration from `start`.
+fn fixed_point(f: impl Fn(f64) -> f64, start: f64) -> f64 {
+    (0..10_000).fold(start, |x, _| f(x))
+}
+
+#[test]
+fn fixed_fanout_takeoff_follows_the_directed_branching_law() {
+    // Push with Fixed(3) at q = 0.40 on the complete graph is a directed
+    // branching process (Doerr et al.): a reached member survives with
+    // q and sends 3 copies, so the offspring of a member are
+    // Bin(3, 0.4) = 1.2 in mean. Extinction η solves η = 0.6 + 0.4·η³
+    // (η = 0.823), the source's own three copies always go out, so a
+    // run takes off with 1 − η³ = 0.443; a take-off reaches
+    // S = 1 − e^{−1.2·S} = 0.314 of the survivors. The undirected
+    // Eq. 3 puts q_c at 0.5, above this point, so a split priced on
+    // that law would count every run as a take-off.
+    let eta = fixed_point(|e| 0.6 + 0.4 * e.powi(3), 0.0);
+    let takeoff = 1.0 - eta.powi(3);
+    let size = fixed_point(|s| 1.0 - (-1.2 * s).exp(), 1.0);
+    let reps = 600;
+    let report = ProtocolBackend
+        .evaluate(
+            &Scenario::new(20_000, FanoutSpec::fixed(3))
+                .with_failure_ratio(0.4)
+                .with_replications(reps)
+                .with_seed(11),
+        )
+        .unwrap();
+    // Each check is a 3-SE band: a false failure has probability
+    // 0.0027 for a fair draw, so ≈ 0.005 for the two together.
+    let rate = report.takeoff_rate.unwrap();
+    let rate_se = (takeoff * (1.0 - takeoff) / reps as f64).sqrt();
+    assert!(
+        (rate - takeoff).abs() < 3.0 * rate_se,
+        "take-off rate {rate} vs 1 − η³ = {takeoff} (SE {rate_se})"
+    );
+    let se = report.reliability_std_error;
+    assert!(
+        (report.reliability - size).abs() < 3.0 * se,
+        "conditioned reliability {} vs S = {size} (SE {se})",
+        report.reliability
+    );
+}
+
+#[test]
+fn power_law_overlay_giants_are_counted() {
+    // On the power-law overlay (α = 2.5, degrees 2–30) at q = 0.5 about
+    // 28 % of the runs reach a giant of ≈ 0.18 of the survivors: far
+    // below the complete-graph prediction (≈ 0.80), but far above the
+    // critical window. The split must count them. With 60 runs the
+    // chance that none takes off is 0.72⁶⁰ < 3·10⁻⁹.
+    let report = ProtocolBackend
+        .evaluate(
+            &scenario(4000, 4.0, 0.5, 60, 11).with_topology(TopologySpec::new(
+                OverlaySpec::PowerLaw {
+                    alpha: 2.5,
+                    kmin: 2,
+                    kmax: 30,
+                },
+            )),
+        )
+        .unwrap();
+    assert!(report.takeoff_rate.unwrap() > 0.0, "{report:?}");
+    assert!(report.reliability > 0.0, "{report:?}");
 }

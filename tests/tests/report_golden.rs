@@ -76,7 +76,9 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             base(300, 4.0, 0.4, 12, 0x601D_0002),
         ),
         (
-            // Below q_c: threshold 0, every run conditions.
+            // Below q_c: every run fizzles below the critical window,
+            // so `reliability` is 0 and `reliability_raw` carries the
+            // subcritical reach.
             "netsim_push_subcritical",
             Box::new(NetSimBackend),
             base(300, 4.0, 0.15, 8, 0x601D_0003),
@@ -186,6 +188,39 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
                         .with_zone_failure(vec![2], 0)
                         .with_adversary(300, AdversaryStrategy::Random),
                 ),
+        ),
+        (
+            // A power-law overlay's giant (≈ 0.19 of the survivors) sits
+            // far below the complete-graph prediction (≈ 0.80): the
+            // take-off split counts it from the execution alone.
+            "protocol_powerlaw_q05",
+            Box::new(ProtocolBackend),
+            base(4000, 4.0, 0.5, 200, 11).with_topology(TopologySpec::new(OverlaySpec::PowerLaw {
+                alpha: 2.5,
+                kmin: 2,
+                kmax: 30,
+            })),
+        ),
+        (
+            // Fixed(3) at q = 0.4: supercritical for push (q·E[K] = 1.2)
+            // although Eq. 3 puts q_c at 0.5, so about 0.44 of the runs
+            // take off and reach ≈ 0.31 of the survivors.
+            "protocol_fixed3_q04",
+            Box::new(ProtocolBackend),
+            Scenario::new(2000, FanoutSpec::fixed(3))
+                .with_failure_ratio(0.4)
+                .with_replications(200)
+                .with_seed(11),
+        ),
+        (
+            // The k-regular lattice's reach is unimodal, with no
+            // fizzle/giant gap: the conditioned `reliability` is a cut
+            // of one mode at the critical window. Read
+            // `reliability_raw` here.
+            "protocol_lattice_q09",
+            Box::new(ProtocolBackend),
+            base(1000, 4.0, 0.9, 200, 11)
+                .with_topology(TopologySpec::new(OverlaySpec::KRegular { k: 6 })),
         ),
     ]
 }
