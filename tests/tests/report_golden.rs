@@ -15,6 +15,10 @@
 //! has no other engine; the two `*_auto` cases pin where the default
 //! `EngineSpec::Auto` routes, and `protocol_static_faults` pins the
 //! relay route both backends share under a zone kill and an adversary.
+//! The last four `netsim_*` cases pin the calendar's event order where
+//! it is hardest to keep: time-ordered deliveries over an overlay under
+//! faults, pull timers mixed with exponential deliveries, scheduled
+//! churn, and a timed zone kill queued ahead of the injection.
 //!
 //! Regenerate (only when a change is *meant* to move the numbers — say
 //! so in CHANGES.md) with one command from the workspace root:
@@ -38,9 +42,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use gossip::{
-    AdversaryStrategy, Backend, BurstySpec, EngineSpec, FanoutSpec, FaultSpec, GraphBackend,
-    LatencySpec, NetSimBackend, OverlaySpec, ProtocolBackend, ProtocolSpec, RuntimeBackend,
-    Scenario, TopologySpec, TrafficSpec,
+    AdversaryStrategy, Backend, BurstySpec, ChurnSpec, EngineSpec, FanoutSpec, FaultSpec,
+    GraphBackend, LatencySpec, NetSimBackend, OverlaySpec, PeerSelection, ProtocolBackend,
+    ProtocolSpec, RuntimeBackend, Scenario, TopologySpec, TrafficSpec,
 };
 
 fn base(n: usize, mean: f64, q: f64, reps: usize, seed: u64) -> Scenario {
@@ -221,6 +225,62 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             Box::new(ProtocolBackend),
             base(1000, 4.0, 0.9, 200, 11)
                 .with_topology(TopologySpec::new(OverlaySpec::KRegular { k: 6 })),
+        ),
+        (
+            // The calendar at constant latency over a clustered overlay
+            // with bursty loss and a link-blocking adversary: every
+            // delivery is scheduled in time order.
+            "netsim_overlay_bursty_adversary",
+            Box::new(NetSimBackend),
+            base(500, 5.0, 0.9, 6, 0x601D_0014)
+                .with_topology(
+                    TopologySpec::new(OverlaySpec::Clustered {
+                        zones: 10,
+                        intra: 6,
+                        inter: 1,
+                    })
+                    .with_selection(PeerSelection::RandomNeighbour),
+                )
+                .with_faults(
+                    FaultSpec::none()
+                        .with_bursty_loss(BurstySpec {
+                            p_gb: 0.05,
+                            p_bg: 0.3,
+                            loss_good: 0.01,
+                            loss_bad: 0.8,
+                        })
+                        .with_adversary(50, AdversaryStrategy::Random),
+                ),
+        ),
+        (
+            // 5 ms pull timers interleaved with exponential deliveries:
+            // events arrive both in and out of time order.
+            "netsim_pushpull_exponential",
+            Box::new(NetSimBackend),
+            base(300, 4.0, 0.8, 8, 0x601D_0015)
+                .with_protocol(ProtocolSpec::PushPull)
+                .with_latency(LatencySpec::ExponentialMillis { mean_ms: 4 }),
+        ),
+        (
+            // Joins and leaves scheduled up front across a 100 ms
+            // window, ahead of the injection.
+            "netsim_churn",
+            Box::new(NetSimBackend),
+            base(300, 5.0, 0.9, 8, 0x601D_0016)
+                .with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(40.0, 100))),
+        ),
+        (
+            // A zone kill at 2 ms: its crashes are scheduled before the
+            // t = 0 injection.
+            "netsim_zone_kill_timed",
+            Box::new(NetSimBackend),
+            base(400, 5.0, 0.9, 8, 0x601D_0017)
+                .with_topology(TopologySpec::new(OverlaySpec::Clustered {
+                    zones: 5,
+                    intra: 5,
+                    inter: 2,
+                }))
+                .with_faults(FaultSpec::none().with_zone_failure(vec![1, 3], 2)),
         ),
     ]
 }
