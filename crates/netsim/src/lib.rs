@@ -18,9 +18,14 @@
 //!   tie-breaks are by `(time, sequence)`, all randomness flows through
 //!   one `Xoshiro256**`, and nothing depends on thread scheduling or map
 //!   iteration order.
-//! * **Zero steady-state allocation** — the event queue, BFS-style
-//!   outboxes and per-node state are reused; behaviours write into
-//!   buffers owned by the simulator.
+//! * **Few allocations on the event path** — the event queue, the
+//!   outbox and timer buffers and per-node state are reused across
+//!   events, and behaviours write into buffers owned by the simulator.
+//!   The queue's in-order lane grows on demand. Some allocations
+//!   remain: `PushGossip` allocates a target `Vec` on each first
+//!   receipt, [`membership::OverlayView`] selects into a scratch `Vec`
+//!   per call, and overlay peer selection may copy the neighbour pool.
+//!   Reusing those buffers measured within noise.
 //! * **Protocol-agnostic** — protocols implement [`NodeBehavior`] and
 //!   never touch the queue directly; the simulator owns time.
 //!

@@ -1,5 +1,7 @@
 //! Property-based tests for the simulator substrate.
 
+use std::collections::BTreeMap;
+
 use gossip_netsim::membership::FullView;
 use gossip_netsim::queue::EventQueue;
 use gossip_netsim::{
@@ -55,6 +57,57 @@ proptest! {
             last_time = t;
             last_id_at_time = Some(id);
         }
+    }
+
+    /// Interleaved schedule and pop, the way the simulator drives the
+    /// queue: each step either pops or schedules at `now + d`, with `d`
+    /// the run's constant latency, a random delay, zero, or a far-future
+    /// timer. Pops, `len` and `peek_time` match a `BTreeMap` keyed on
+    /// `(time, seq)` after every step.
+    #[test]
+    fn queue_interleaved_matches_btreemap(
+        constant in 1u64..20,
+        ops in proptest::collection::vec((0u8..6, 0u64..40), 1..400),
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::with_capacity(4);
+        let mut reference: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+        let mut seq = 0u64;
+        for (i, &(op, r)) in ops.iter().enumerate() {
+            let delay = match op {
+                0 | 1 => None,
+                2 => Some(constant),
+                3 => Some(r),
+                4 => Some(0),
+                _ => Some(1_000_000 + r),
+            };
+            match delay {
+                Some(d) => {
+                    let time = now + SimDuration::from_nanos(d);
+                    q.schedule(time, 0, EventKind::Timer { id: i as u64 });
+                    reference.insert((time, seq), i as u64);
+                    seq += 1;
+                }
+                None => {
+                    let want = reference.pop_first();
+                    let got = q.pop().map(|e| match e.kind {
+                        EventKind::Timer { id } => ((e.time, e.seq), id),
+                        _ => unreachable!(),
+                    });
+                    prop_assert_eq!(got, want);
+                    if let Some(((time, _), _)) = want {
+                        now = time;
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.peek_time(), reference.keys().next().map(|k| k.0));
+        }
+        // Drain: the rest comes out in reference order too.
+        let rest: Vec<(SimTime, u64)> =
+            std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.seq)).collect();
+        prop_assert_eq!(rest, reference.into_keys().collect::<Vec<_>>());
+        prop_assert!(q.is_empty());
     }
 
     /// Uniform latency samples stay in bounds; exponential are

@@ -25,40 +25,87 @@ impl Topology {
     /// Builds a canonical topology from an undirected edge list:
     /// self-loops are dropped, parallel edges merged, neighbour lists
     /// sorted.
+    ///
+    /// A counting sort, with no per-node allocation: one pass counts
+    /// each row's length, a prefix sum turns the counts into row starts,
+    /// a second pass writes both arcs of every edge into one flat array,
+    /// and each row is then sorted and compacted in place.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); n];
+        assert!(n <= u32::MAX as usize, "node ids limited to u32");
+        // Row `v`'s length is counted at `offsets[v + 2]`, so after the
+        // prefix sum `offsets[v + 1]` is row `v`'s start; the fill then
+        // advances it to row `v`'s end, the CSR layout.
+        let mut offsets = vec![0usize; n + 1];
         for &(a, b) in edges {
             assert!(
                 (a as usize) < n && (b as usize) < n,
                 "edge ({a},{b}) out of range"
             );
-            adjacency[a as usize].push(b);
-            adjacency[b as usize].push(a);
+            for v in [a, b] {
+                if let Some(count) = offsets.get_mut(v as usize + 2) {
+                    *count += 1;
+                }
+            }
         }
-        Self::from_out_lists(adjacency)
+        for v in 1..=n {
+            offsets[v] += offsets[v - 1];
+        }
+        let mut neighbors = vec![0u32; 2 * edges.len()];
+        for &(a, b) in edges {
+            for (v, w) in [(a, b), (b, a)] {
+                let cursor = &mut offsets[v as usize + 1];
+                neighbors[*cursor] = w;
+                *cursor += 1;
+            }
+        }
+        Self::canonical(offsets, neighbors)
     }
 
     /// Builds a canonical *directed* topology from per-node out-lists
     /// (`lists[v]` = the members `v` gossips to): self-arcs are
     /// dropped, duplicate arcs merged, lists sorted. No reverse arc is
     /// added.
-    pub fn from_out_lists(mut lists: Vec<Vec<u32>>) -> Self {
+    pub fn from_out_lists(lists: Vec<Vec<u32>>) -> Self {
         let n = lists.len();
         assert!(n <= u32::MAX as usize, "node ids limited to u32");
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut neighbors = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-        for (v, list) in lists.iter_mut().enumerate() {
+        for (v, list) in lists.iter().enumerate() {
             assert!(
                 list.iter().all(|&w| (w as usize) < n),
                 "arc out of range at node {v}"
             );
-            list.sort_unstable();
-            list.dedup();
-            // A member never gossips to itself.
-            neighbors.extend(list.iter().copied().filter(|&w| w as usize != v));
+            neighbors.extend_from_slice(list);
             offsets.push(neighbors.len());
         }
+        Self::canonical(offsets, neighbors)
+    }
+
+    /// Canonicalizes raw CSR rows in place: each row is sorted, then
+    /// copied down over the gaps left by earlier rows without its
+    /// duplicates and without `v` itself (a member never gossips to
+    /// itself). A row only ever moves toward the front, so no row is
+    /// overwritten before it is read.
+    fn canonical(mut offsets: Vec<usize>, mut neighbors: Vec<u32>) -> Self {
+        let (mut start, mut write) = (0, 0);
+        for v in 0..offsets.len() - 1 {
+            let end = offsets[v + 1];
+            neighbors[start..end].sort_unstable();
+            let mut previous = None;
+            for read in start..end {
+                let w = neighbors[read];
+                if w as usize != v && previous != Some(w) {
+                    neighbors[write] = w;
+                    write += 1;
+                }
+                previous = Some(w);
+            }
+            offsets[v + 1] = write;
+            // The next row starts where this one ended before compaction.
+            start = end;
+        }
+        neighbors.truncate(write);
         Self { offsets, neighbors }
     }
 

@@ -115,16 +115,8 @@ fn watts_strogatz(n: usize, k: usize, beta: f64, rng: &mut Xoshiro256StarStar) -
             connect(&mut adjacency, v, target);
         }
     }
-    let edges: Vec<(u32, u32)> = adjacency
-        .iter()
-        .enumerate()
-        .flat_map(|(a, list)| {
-            list.iter()
-                .filter(move |&&b| (a as u32) < b)
-                .map(move |&b| (a as u32, b))
-        })
-        .collect();
-    Topology::from_edges(n, &edges)
+    // Symmetric and duplicate-free already: canonical form only sorts.
+    Topology::from_out_lists(adjacency)
 }
 
 /// Erased configuration model over a truncated power-law degree
@@ -176,12 +168,14 @@ fn clustered(
     // Inverse of `zone_of`: zone z covers [⌈zn/zones⌉, ⌈(z+1)n/zones⌉).
     let zone_bounds = |z: usize| ((z * n).div_ceil(zones), ((z + 1) * n).div_ceil(zones));
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n * (intra + inter));
+    let mut chosen: Vec<u32> = Vec::with_capacity(intra);
+    let mut remote: Vec<u32> = Vec::with_capacity(inter);
     for v in 0..n {
         let z = zone_of(v);
         let (lo, hi) = zone_bounds(z);
         let size = hi - lo;
         // Intra-zone peers: distinct, excluding self.
-        let mut chosen: Vec<u32> = Vec::with_capacity(intra);
+        chosen.clear();
         while chosen.len() < intra.min(size - 1) {
             let t = (lo + rng.next_below(size as u64) as usize) as u32;
             if t as usize == v || chosen.contains(&t) {
@@ -192,7 +186,7 @@ fn clustered(
         }
         // Cross-zone peers: distinct, anywhere outside [lo, hi).
         let outside = n - size;
-        let mut remote: Vec<u32> = Vec::with_capacity(inter);
+        remote.clear();
         while remote.len() < inter.min(outside) {
             let mut t = rng.next_below(outside as u64) as usize;
             if t >= lo {

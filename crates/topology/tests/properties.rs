@@ -2,6 +2,8 @@
 //! CSR symmetry, degree bounds, connectivity guarantees, and SCAMP's
 //! well-formed views.
 
+use std::collections::BTreeSet;
+
 use gossip_topology::{build_overlay, OverlaySpec, Topology};
 use proptest::prelude::*;
 
@@ -158,5 +160,50 @@ proptest! {
         prop_assert!(spec.validate(n).is_ok());
         let topo = build_overlay(&spec, n, seed);
         prop_assert_eq!(topo.edge_count(), n * k / 2);
+    }
+
+    /// `from_edges` equals a per-node `BTreeSet` reference on raw edge
+    /// lists full of self-loops, duplicates and reversed pairs.
+    #[test]
+    fn from_edges_matches_a_btreeset_reference(
+        size in 0usize..5,
+        raw in proptest::collection::vec((0u32..1000, 0u32..1000, 0u8..4), 0..600),
+    ) {
+        let n = [1usize, 2, 3, 64, 1000][size];
+        let mut edges = Vec::new();
+        for &(a, b, shape) in &raw {
+            let (a, b) = (a % n as u32, b % n as u32);
+            edges.push((a, b));
+            match shape {
+                0 => {}
+                1 => edges.push((b, a)),
+                2 => edges.push((a, a)),
+                _ => edges.push((a, b)),
+            }
+        }
+        let mut reference = vec![BTreeSet::new(); n];
+        for &(a, b) in &edges {
+            if a != b {
+                reference[a as usize].insert(b);
+                reference[b as usize].insert(a);
+            }
+        }
+        let topo = Topology::from_edges(n, &edges);
+        prop_assert_eq!(topo.node_count(), n);
+        for (v, want) in reference.iter().enumerate() {
+            prop_assert_eq!(topo.neighbors(v as u32), &want.iter().copied().collect::<Vec<_>>()[..]);
+        }
+    }
+
+    /// Every symmetric generator's output is already canonical: listing
+    /// its edges and rebuilding them through `from_edges` changes nothing.
+    #[test]
+    fn generators_round_trip_through_from_edges(
+        (spec, n) in overlay_and_size(),
+        seed in 0u64..100_000,
+    ) {
+        let topo = build_overlay(&spec, n, seed);
+        let edges: Vec<(u32, u32)> = topo.edges().collect();
+        prop_assert_eq!(Topology::from_edges(n, &edges), topo);
     }
 }
