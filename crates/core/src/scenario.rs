@@ -430,34 +430,21 @@ impl RuntimeSpec {
     }
 }
 
-/// Which Monte-Carlo evaluation engine the simulation backends use.
+/// A retired engine switch that no backend reads.
 ///
-/// The flat engine keeps all per-replication state in struct-of-arrays
-/// form — u64-word bitset frontiers, one shared overlay CSR, alias-table
-/// fanout draws, arena-reused scratch — and samples the Fig. 1 relay by
-/// the principle of deferred decisions: a member's crash coin, fanout
-/// and targets are drawn when the rumor reaches it. `GraphBackend` runs
-/// nothing else; `ProtocolBackend` runs it wherever it is exact, at
-/// every group size, and hands the rest to the event calendar that
-/// `NetSimBackend` runs. It draws from its own seed streams, so its
-/// Reports agree with the calendar statistically (within Monte-Carlo
-/// tolerance) rather than bit-for-bit.
+/// Every backend runs one route per kind of workload: `GraphBackend`
+/// and `ProtocolBackend` the flat kernels (streams on the stream
+/// engine), `NetSimBackend` the event calendar, `RuntimeBackend` live
+/// actors. So [`EngineSpec::Auto`] and [`EngineSpec::Flat`] give the
+/// same `Report` on every backend. The type, [`Scenario::engine`] and
+/// [`Scenario::with_engine`] stay only because the benchmark harness
+/// names them; they are deleted together once it stops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineSpec {
-    /// The flat engine wherever the backend has a flat kernel for the
-    /// scenario — byte-identical to [`EngineSpec::Flat`] there — and the
-    /// event calendar, silently, everywhere else (the default).
-    /// `GraphBackend` has one for everything it accepts;
-    /// `ProtocolBackend` for the §5 push relay over the full view or a
-    /// pinned overlay (SCAMP views included), adversaries and t = 0
-    /// zone kills included, but not for flood, push-pull, churn, bursty
-    /// loss or zone kills after t = 0; the event-driven simulator and
-    /// the live runtime have none.
+    /// The default; selects nothing.
     #[default]
     Auto,
-    /// Always the flat engine; backends that cannot honor it (the
-    /// event-driven simulator, the live runtime) refuse with a typed
-    /// `Unsupported` error instead of silently falling back.
+    /// Selects nothing either: the same `Report` as [`EngineSpec::Auto`].
     Flat,
 }
 
@@ -500,9 +487,8 @@ pub struct Scenario {
     pub protocol: ProtocolSpec,
     /// Live-runtime execution knobs (thread cap, latency pacing).
     pub runtime: RuntimeSpec,
-    /// Monte-Carlo engine choice (default: [`EngineSpec::Auto`] — the
-    /// flat struct-of-arrays kernel wherever the backend has one for
-    /// this scenario, at every `n`; the event calendar otherwise).
+    /// Retired engine switch (default: [`EngineSpec::Auto`]); no
+    /// backend reads it, see [`EngineSpec`].
     pub engine: EngineSpec,
     /// Monte-Carlo replications for simulation backends (paper: 20).
     pub replications: usize,
@@ -590,7 +576,8 @@ impl Scenario {
         self
     }
 
-    /// Sets the Monte-Carlo engine choice.
+    /// Sets the retired engine switch, which no backend reads (see
+    /// [`EngineSpec`]).
     pub fn with_engine(mut self, engine: EngineSpec) -> Self {
         self.engine = engine;
         self
@@ -746,17 +733,6 @@ impl Scenario {
                     name,
                     value,
                     requirement,
-                });
-            }
-            // The flat struct-of-arrays engine has no multi-message
-            // kernel: streams run on the round-synchronous stream
-            // engine instead, so an explicit Flat request cannot be
-            // honored and must be refused here, not silently rerouted.
-            if self.engine == EngineSpec::Flat {
-                return Err(ModelError::InvalidParameter {
-                    name: "engine",
-                    value: traffic.messages as f64,
-                    requirement: "traffic streams have no flat-engine kernel; use Auto",
                 });
             }
         }
@@ -1648,16 +1624,7 @@ mod tests {
                 other => panic!("expected InvalidParameter({field}), got {other:?}"),
             }
         }
-        // Streams have no flat-engine kernel: an explicit Flat request
-        // is refused up front.
-        let flat = headline()
-            .with_traffic(TrafficSpec::stream(4))
-            .with_engine(EngineSpec::Flat);
-        assert!(matches!(
-            flat.validate(),
-            Err(ModelError::InvalidParameter { name: "engine", .. })
-        ));
-        // Auto stays fine — streams run on the stream engine at any n.
+        // A well-formed stream validates.
         assert!(headline()
             .with_traffic(TrafficSpec::stream(4))
             .validate()

@@ -35,14 +35,15 @@
 //! The relay has one `Scenario` → `Report` front door,
 //! [`evaluate_relay`], with its domain stated once in
 //! [`relay_unsupported`]: `GraphBackend` takes it for directed reach
-//! and `ProtocolBackend` for the §5 push relay, so both backends build
-//! the same kernel inputs from the same seed streams.
+//! and `ProtocolBackend` for every single message it runs, so both
+//! backends build the same kernel inputs from the same seed streams.
+//! What the relay declines runs on the event calendar, `NetSimBackend`.
 
 pub mod bitset;
 pub mod relay;
 pub mod sampler;
 
-use gossip_faults::BlockedLinks;
+use gossip_faults::{BlockedLinks, GilbertElliott};
 use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{ProtocolSpec, Report, Scenario};
 use gossip_model::ModelError;
@@ -105,22 +106,24 @@ pub fn run_replications<S, T: Send>(
 /// Why the relay kernel cannot run `scenario`, if it can't. The kernel
 /// samples one static push relay: the Fig. 1 push algorithm over the
 /// full view or a pinned overlay (SCAMP's partial views included),
-/// i.i.d. crash coins and loss, and the
-/// static faults — zone kills (taken at start) and blocked links.
+/// i.i.d. crash coins, i.i.d. or bursty loss, and the static faults —
+/// zone kills (taken at start) and blocked links. Each refusal names
+/// the netsim backend, whose event calendar runs the case.
 pub fn relay_unsupported(scenario: &Scenario) -> Option<&'static str> {
     if scenario.q().is_none() {
         return Some(
-            "crash schedules (the relay kernel tosses i.i.d. crash coins and has no clock)",
+            "crash schedules (the relay kernel tosses i.i.d. crash coins and has no clock; use the netsim backend)",
         );
     }
     if scenario.protocol != ProtocolSpec::Push {
-        return Some("protocol variants (the relay kernel runs the Fig. 1 push algorithm)");
+        return Some(
+            "protocol variants (the relay kernel runs the Fig. 1 push algorithm; use the netsim backend)",
+        );
     }
     if scenario.faults.churn.is_some() {
-        return Some("membership churn (the relay kernel's group is static)");
-    }
-    if scenario.faults.bursty_loss.is_some() {
-        return Some("bursty (Gilbert-Elliott) loss (the relay kernel draws i.i.d. loss per copy)");
+        return Some(
+            "membership churn (the relay kernel's group is static; use the netsim backend)",
+        );
     }
     if scenario.traffic.is_some() {
         return Some("multi-message traffic (the relay kernel carries one message, with no queues or bandwidth)");
@@ -134,10 +137,10 @@ pub fn relay_unsupported(scenario: &Scenario) -> Option<&'static str> {
 /// Everything shared is built once per evaluation: the overlay CSR
 /// (stream [`FLAT_TOPOLOGY_STREAM`]; complete overlays are never
 /// materialized), a zone kill's members as `prefailed` — whatever its
-/// `at_ms`, the kernel has no clock — and the alias table. Per
-/// replication, an adversary's blocked links come from
-/// `derive(seed, ADVERSARY)`, the tag the event calendar shares, so a
-/// `Random` adversary re-rolls each run on every layer. The per-hop
+/// `at_ms`, the kernel has no clock — the bursty channel, if any, and
+/// the alias table. Per replication, an adversary's blocked links come
+/// from `derive(seed, ADVERSARY)`, the tag the event calendar shares,
+/// so a `Random` adversary re-rolls each run on every layer. The per-hop
 /// receipts go to [`reduce::conditioned`].
 ///
 /// The overlay is quenched (one per evaluation) where the event
@@ -158,6 +161,11 @@ pub fn evaluate_relay(backend: &'static str, scenario: &Scenario) -> Result<Repo
         Some(zf) => zf.killed_members(n, &spec, 0)?,
         None => Vec::new(),
     };
+    let channel = scenario
+        .faults
+        .bursty_loss
+        .as_ref()
+        .map(GilbertElliott::new);
     let sampler = FanoutSampler::new(&*dist);
     let executions = run_replications(
         scenario.seed,
@@ -178,7 +186,12 @@ pub fn evaluate_relay(backend: &'static str, scenario: &Scenario) -> Result<Repo
                 blocked: blocked.as_ref(),
                 prefailed: &prefailed,
             };
-            let out = setup.run(scratch, rng);
+            // Two instances of the inlined loop: the i.i.d. one stays
+            // free of the chain.
+            let out = match &channel {
+                None => setup.run(scratch, rng),
+                Some(ge) => setup.run_over(Some(ge), scratch, rng),
+            };
             Execution {
                 reliability: out.reliability(),
                 nonfailed: out.nonfailed,

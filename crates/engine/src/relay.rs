@@ -3,10 +3,12 @@
 //! One replication of the paper's Fig. 1 relay process: the source
 //! pushes to `F ~ dist` members, every first-time receiver pushes to
 //! its own `F` members, crashed members absorb without forwarding, and
-//! lossy links drop each copy independently. Materializing that as a
-//! per-replication relay digraph (a CSR build) and BFS-ing it is the
-//! textbook form; this kernel instead defers every random decision
-//! about a member — its crash coin, its fanout, its targets — to the
+//! lossy links drop copies, each independently or, under bursty loss,
+//! through one Gilbert-Elliott chain per sender
+//! ([`RelaySetup::run_over`]). Materializing that as a per-replication
+//! relay digraph (a CSR build) and BFS-ing it is the textbook form;
+//! this kernel instead defers every random decision about a member —
+//! its crash coin, its fanout, its targets, its channel state — to the
 //! moment the rumor reaches it. The two are distributionally identical
 //! — every member is expanded at most once and all draws are
 //! independent of the relay process — but the deferred form never
@@ -28,12 +30,13 @@
 //! graph, and one function turns a `Scenario` into a [`RelaySetup`]:
 //! [`crate::evaluate_relay`], which `GraphBackend` runs for directed
 //! reach on overlays and under static faults (`blocked`, `prefailed`)
-//! and `ProtocolBackend` for the §5 push relay, static faults included.
-//! Its reference is the event calendar (`NetSimBackend`), which
-//! `tests/tests/engine_agreement.rs` holds it to on every `Report`
-//! metric.
+//! or bursty loss, and `ProtocolBackend` for every single-message
+//! evaluation it accepts. Its reference is the event calendar
+//! (`NetSimBackend`), which `tests/tests/engine_agreement.rs` holds it
+//! to on every `Report` metric.
 
 use gossip_faults::adversary::BlockedLinks;
+use gossip_faults::{GeChain, GilbertElliott};
 use gossip_model::distribution::FanoutDistribution;
 use gossip_stats::binomial::Binomial;
 use gossip_stats::rng::{sample_distinct_excluding, Xoshiro256StarStar};
@@ -152,8 +155,26 @@ pub struct RelaySetup<'a> {
 }
 
 impl<'a> RelaySetup<'a> {
-    /// Runs one replication through `scratch` using `rng`.
+    /// Runs one replication through `scratch` using `rng`, with i.i.d.
+    /// loss at `self.loss`.
     pub fn run(&self, scratch: &mut RelayScratch, rng: &mut Xoshiro256StarStar) -> RelayOutcome {
+        self.run_over(None, scratch, rng)
+    }
+
+    /// [`RelaySetup::run`] over an optional bursty `channel`: each
+    /// sender's copies go through one Gilbert-Elliott chain of its own,
+    /// started from stationary when the rumor reaches the sender (a push
+    /// sender sends once, so the chain is local state) and advanced once
+    /// per copy. Blocked links short-circuit before the chain, as on the
+    /// event calendar. Inlined so that `run` keeps the i.i.d. loop free
+    /// of the chain.
+    #[inline(always)]
+    pub fn run_over(
+        &self,
+        channel: Option<&GilbertElliott>,
+        scratch: &mut RelayScratch,
+        rng: &mut Xoshiro256StarStar,
+    ) -> RelayOutcome {
         debug_assert_eq!(scratch.capacity(), self.n);
         scratch.reset();
 
@@ -212,11 +233,17 @@ impl<'a> RelaySetup<'a> {
                         );
                     }
                 }
+                let mut chain = channel.map(|ge| (ge, GeChain::start(ge, rng)));
                 for &t in &scratch.targets {
                     // A send costs a message whether or not it arrives.
                     messages_sent += 1;
                     if let Some(blocked) = self.blocked {
                         if blocked.blocks(v, t) {
+                            continue;
+                        }
+                    }
+                    if let Some((ge, chain)) = &mut chain {
+                        if chain.transmit(ge, rng) {
                             continue;
                         }
                     }
@@ -373,6 +400,41 @@ mod tests {
         let a = mean(&run_reps(&base, 30, 11));
         let b = mean(&run_reps(&thinned, 30, 12));
         assert!((a - b).abs() < 0.05, "lossy {a} vs thinned {b}");
+    }
+
+    #[test]
+    fn an_always_losing_channel_reaches_only_the_source_and_counts_every_send() {
+        use gossip_faults::BurstySpec;
+        let dist = FixedFanout::new(6);
+        let sampler = FanoutSampler::new(&dist);
+        let setup = RelaySetup {
+            n: 200,
+            source: 0,
+            q: 1.0,
+            loss: 0.0,
+            dist: &dist,
+            sampler: &sampler,
+            overlay: None,
+            blocked: None,
+            prefailed: &[],
+        };
+        // Stationary in the bad state, never leaving it, losing every copy.
+        let channel = GilbertElliott::new(&BurstySpec {
+            p_gb: 1.0,
+            p_bg: 0.0,
+            loss_good: 0.0,
+            loss_bad: 1.0,
+        });
+        let mut scratch = RelayScratch::new(200);
+        let outcome = setup.run_over(
+            Some(&channel),
+            &mut scratch,
+            &mut Xoshiro256StarStar::new(3),
+        );
+        assert_eq!(outcome.nonfailed_reached, 1);
+        assert_eq!(outcome.nonfailed, 200);
+        assert_eq!(outcome.messages_sent, 6);
+        assert_eq!(scratch.hops(), &[1]);
     }
 
     #[test]

@@ -1,24 +1,20 @@
 //! The protocol-engine and netsim evaluation layers of the unified
 //! `Scenario` → `Backend` → `Report` API.
 //!
-//! Two backends share one Monte-Carlo runner:
+//! Each backend runs one route per kind of workload:
 //!
-//! * [`ProtocolBackend`] — the paper's §5 experiment, exactly: the
-//!   protocol runs on an *idealized* network (lossless, constant
-//!   latency). Scenarios that ask for loss, non-default latency, or
-//!   crash schedules are rejected as [`ModelError::Unsupported`] — use
-//!   the netsim backend for those. An untimed push relay has no use for
-//!   an event calendar, so it runs on `gossip_engine::evaluate_relay`
-//!   at every group size — the route `GraphBackend` takes for directed
-//!   reach, overlays (SCAMP views among them), adversaries and t = 0
-//!   zone kills included. The event calendar keeps what that kernel
-//!   declines (flood, push-pull, churn, bursty loss, zone kills after
-//!   t = 0) unless the
-//!   scenario pins `EngineSpec::Flat`, which refuses them typed
-//!   instead. That calendar run is `NetSimBackend`'s at its default
-//!   network (1 ms, lossless), `backend` and `quiescence_secs` aside.
-//! * [`NetSimBackend`] — the full discrete-event network simulation:
-//!   latency models, independent per-message loss, and scheduled
+//! * [`ProtocolBackend`] — the paper's §5 experiment: the Fig. 1 push
+//!   algorithm once per execution, untimed. A single message runs on
+//!   `gossip_engine::evaluate_relay` at every group size: the full view
+//!   or a pinned overlay (SCAMP views among them), i.i.d. crash coins,
+//!   i.i.d. or bursty loss, adversaries and t = 0 zone kills — the route
+//!   `GraphBackend` takes for directed reach. A stream runs on the
+//!   untimed stream engine. Latency models, flood, push-pull, churn,
+//!   crash schedules and zone kills after t = 0 are
+//!   [`ModelError::Unsupported`] refusals that name the netsim backend.
+//! * [`NetSimBackend`] — the full discrete-event network simulation
+//!   (the event calendar): latency models, independent per-message
+//!   loss, every protocol variant and fault family, and scheduled
 //!   mid-run crash injection, plus timing metrics (`quiescence_secs`).
 //!
 //! Both run one execution per seed `derive(scenario.seed, rep)` and hand
@@ -31,9 +27,7 @@ use std::sync::Arc;
 
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, Execution};
-use gossip_model::scenario::{
-    Backend, EngineSpec, FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario,
-};
+use gossip_model::scenario::{Backend, FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario};
 use gossip_model::ModelError;
 use gossip_netsim::{FailurePlan, LatencyModel, NetworkConfig, SimDuration};
 use gossip_stats::parallel::parallel_map;
@@ -62,20 +56,6 @@ fn latency_model(spec: LatencySpec) -> LatencyModel {
             mean: SimDuration::from_millis(mean_ms),
         },
     }
-}
-
-/// Churn bootstraps joiners into the *full* membership view; an
-/// overlay's pinned neighbour lists (SCAMP views included) have no
-/// bootstrap path, so the combination is a typed refusal rather than a
-/// silent wrong answer.
-fn check_churn_support(backend: &'static str, scenario: &Scenario) -> Result<(), ModelError> {
-    if scenario.faults.churn.is_some() && !scenario.topology.is_default() {
-        return Err(ModelError::Unsupported {
-            backend,
-            what: "membership churn combined with overlays (joiners can only bootstrap into the full view)",
-        });
-    }
-    Ok(())
 }
 
 fn failure_plan(scenario: &Scenario, source: u32) -> FailurePlan {
@@ -142,12 +122,11 @@ fn run_variant(
 
 /// The event-calendar Monte-Carlo run: `replications` independent
 /// executions on the discrete-event simulator, seeds derived from
-/// `(scenario.seed, rep)`; `timed` layers also digest quiescence time.
+/// `(scenario.seed, rep)`, quiescence time digested too.
 fn evaluate_calendar(
     backend_name: &'static str,
     scenario: &Scenario,
     cfg: &ExecutionConfig,
-    timed: bool,
 ) -> Result<Report, ModelError> {
     let dist: Arc<dyn FanoutDistribution> = Arc::from(scenario.fanout.build()?);
     let plan = failure_plan(scenario, cfg.source);
@@ -158,7 +137,7 @@ fn evaluate_calendar(
             reliability: outcome.reliability(),
             nonfailed: outcome.nonfailed,
             messages_per_member: Some(outcome.messages_per_member()),
-            quiescence_secs: timed.then(|| outcome.quiescence.as_secs_f64()),
+            quiescence_secs: Some(outcome.quiescence.as_secs_f64()),
             messages_lost: None,
             hops: outcome.hop_histogram,
         })
@@ -168,8 +147,8 @@ fn evaluate_calendar(
     reduce::conditioned(backend_name, None, scenario, &*dist, executions)
 }
 
-/// The paper's §5 Monte-Carlo experiment: the executable protocol on an
-/// idealized (lossless, constant-latency) network.
+/// The paper's §5 Monte-Carlo experiment: the push protocol, untimed,
+/// on the relay kernel (single messages) or the stream engine (streams).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProtocolBackend;
 
@@ -180,48 +159,24 @@ impl Backend for ProtocolBackend {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
         scenario.validate()?;
-        if scenario.loss > 0.0 {
-            return Err(ModelError::Unsupported {
-                backend: "protocol",
-                what: "message loss (the §5 experiment is lossless; use the netsim backend)",
-            });
-        }
         if scenario.latency != LatencySpec::default() {
             return Err(ModelError::Unsupported {
                 backend: "protocol",
                 what: "latency models (the §5 experiment is untimed; use the netsim backend)",
             });
         }
-        let q = scenario.q().ok_or(ModelError::Unsupported {
-            backend: "protocol",
-            what: "crash schedules (use the netsim backend)",
-        })?;
         if scenario.traffic.is_some() {
             // Streams run on the round-based stream engine: untimed
             // here (the §5 idealization), timed on the netsim backend.
             return crate::traffic_eval::evaluate_traffic(self.name(), scenario, None);
         }
-        check_churn_support(self.name(), scenario)?;
-        let timed_zone_kill = matches!(&scenario.faults.zone_failure, Some(z) if z.at_ms > 0);
-        let unsupported = gossip_engine::relay_unsupported(scenario).or(timed_zone_kill.then_some(
-            "zone kills after t = 0 (the relay kernel has no clock to schedule them on)",
-        ));
-        match unsupported {
-            None => gossip_engine::evaluate_relay(self.name(), scenario),
-            Some(what) if scenario.engine == EngineSpec::Flat => Err(ModelError::Unsupported {
+        if matches!(&scenario.faults.zone_failure, Some(z) if z.at_ms > 0) {
+            return Err(ModelError::Unsupported {
                 backend: "protocol",
-                what,
-            }),
-            // `Auto` where the relay kernel declines: the event calendar
-            // quietly keeps the scenario — `NetSimBackend`'s run at its
-            // default network, minus the clock readout.
-            Some(_) => {
-                let cfg = ExecutionConfig::new(scenario.n, q)
-                    .with_topology(scenario.topology)
-                    .with_faults(scenario.faults.clone());
-                evaluate_calendar(self.name(), scenario, &cfg, false)
-            }
+                what: "zone kills after t = 0 (the relay kernel has no clock to schedule them on; use the netsim backend)",
+            });
         }
+        gossip_engine::evaluate_relay(self.name(), scenario)
     }
 }
 
@@ -237,12 +192,6 @@ impl Backend for NetSimBackend {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
         scenario.validate()?;
-        if scenario.engine == EngineSpec::Flat {
-            return Err(ModelError::Unsupported {
-                backend: "netsim",
-                what: "the flat engine (timing metrics need the event-driven simulator; use the graph or protocol backend)",
-            });
-        }
         if scenario.traffic.is_some() {
             // Streams run on the round-based stream engine with loss
             // applied per frame; the constant hop latency prices
@@ -257,12 +206,21 @@ impl Backend for NetSimBackend {
             latency: latency_model(scenario.latency),
             loss_probability: scenario.loss,
         };
-        check_churn_support(self.name(), scenario)?;
+        // Churn bootstraps joiners into the *full* membership view; an
+        // overlay's pinned neighbour lists (SCAMP views included) have
+        // no bootstrap path, so the combination is a typed refusal
+        // rather than a silent wrong answer.
+        if scenario.faults.churn.is_some() && !scenario.topology.is_default() {
+            return Err(ModelError::Unsupported {
+                backend: "netsim",
+                what: "membership churn combined with overlays (joiners can only bootstrap into the full view)",
+            });
+        }
         let cfg = ExecutionConfig::new(scenario.n, q)
             .with_topology(scenario.topology)
             .with_network(network)
             .with_faults(scenario.faults.clone());
-        evaluate_calendar(self.name(), scenario, &cfg, true)
+        evaluate_calendar(self.name(), scenario, &cfg)
     }
 }
 
@@ -310,22 +268,31 @@ mod tests {
 
     #[test]
     fn protocol_rejects_netsim_features() {
-        assert!(matches!(
-            ProtocolBackend.evaluate(&headline(5).with_loss(0.2)),
-            Err(ModelError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            ProtocolBackend.evaluate(
-                &headline(5).with_latency(LatencySpec::ExponentialMillis { mean_ms: 10 })
-            ),
-            Err(ModelError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            ProtocolBackend.evaluate(&headline(5).with_failure(FailureSpec::Schedule {
-                crashes: vec![(1, 1)]
-            })),
-            Err(ModelError::Unsupported { .. })
-        ));
+        use gossip_faults::ChurnSpec;
+        use gossip_model::FaultSpec;
+        // Every case the relay kernel declines is a typed refusal that
+        // points at the netsim backend, and the netsim backend runs it.
+        for case in [
+            headline(5).with_protocol(ProtocolSpec::Flood),
+            headline(5).with_protocol(ProtocolSpec::PushPull),
+            headline(5).with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(20.0, 100))),
+            headline(5).with_failure(FailureSpec::Schedule {
+                crashes: vec![(1, 1)],
+            }),
+            headline(5)
+                .with_topology(clustered())
+                .with_faults(FaultSpec::none().with_zone_failure(vec![1], 5)),
+            headline(5).with_latency(LatencySpec::ExponentialMillis { mean_ms: 10 }),
+        ] {
+            match ProtocolBackend.evaluate(&case) {
+                Err(ModelError::Unsupported { backend, what }) => {
+                    assert_eq!(backend, "protocol");
+                    assert!(what.contains("netsim"), "{}: {what}", case.label());
+                }
+                other => panic!("{}: expected a refusal, got {other:?}", case.label()),
+            }
+            assert!(NetSimBackend.evaluate(&case).is_ok(), "{}", case.label());
+        }
     }
 
     #[test]
@@ -360,11 +327,11 @@ mod tests {
 
     #[test]
     fn flood_and_pushpull_variants_complete() {
-        let flood = ProtocolBackend
+        let flood = NetSimBackend
             .evaluate(&headline(5).with_protocol(ProtocolSpec::Flood))
             .unwrap();
         assert!(flood.reliability > 0.999, "flood r = {}", flood.reliability);
-        let pushpull = ProtocolBackend
+        let pushpull = NetSimBackend
             .evaluate(&headline(5).with_protocol(ProtocolSpec::PushPull))
             .unwrap();
         assert!(
@@ -461,19 +428,15 @@ mod tests {
         assert!(scenario.validate().is_ok());
         let (tx, rx) = mpsc::channel();
         let worker = std::thread::spawn(move || {
-            let _ = tx.send((
-                NetSimBackend.evaluate(&scenario),
-                ProtocolBackend.evaluate(&scenario),
-            ));
+            let _ = tx.send(NetSimBackend.evaluate(&scenario));
         });
-        let (netsim, protocol) = rx
+        let report = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("the evaluation must return, not hang");
+            .expect("the evaluation must return, not hang")
+            .unwrap();
         worker.join().expect("the worker has already sent");
-        for report in [netsim.unwrap(), protocol.unwrap()] {
-            assert_eq!(report.replications, 4);
-            assert!((0.0..=1.0).contains(&report.reliability));
-        }
+        assert_eq!(report.replications, 4);
+        assert!((0.0..=1.0).contains(&report.reliability));
     }
 
     #[test]
@@ -524,9 +487,7 @@ mod tests {
     fn flat_engine_agrees_with_the_classic_protocol() {
         // The event calendar runs the same push protocol.
         let calendar = NetSimBackend.evaluate(&headline(20)).unwrap();
-        let flat = ProtocolBackend
-            .evaluate(&headline(20).with_engine(EngineSpec::Flat))
-            .unwrap();
+        let flat = ProtocolBackend.evaluate(&headline(20)).unwrap();
         assert!(
             (flat.reliability - calendar.reliability).abs() < 0.03,
             "flat {} vs calendar {}",
@@ -537,7 +498,7 @@ mod tests {
         assert!(flat.rounds.unwrap() > 1.0);
         assert!(flat.messages_per_member.unwrap() > 1.0);
         assert!(flat.quiescence_secs.is_none(), "the flat run is untimed");
-        // Engine choice never leaks into the scenario label.
+        // The route never leaks into the scenario label.
         assert_eq!(flat.scenario, calendar.scenario);
     }
 
@@ -552,9 +513,7 @@ mod tests {
                 beta: 0.5,
             }));
         let calendar = NetSimBackend.evaluate(&scenario).unwrap();
-        let flat = ProtocolBackend
-            .evaluate(&scenario.with_engine(EngineSpec::Flat))
-            .unwrap();
+        let flat = ProtocolBackend.evaluate(&scenario).unwrap();
         // Wider tolerance: the flat path quenches the overlay (one CSR
         // per evaluation) where the calendar resamples it per
         // replication.
@@ -565,41 +524,6 @@ mod tests {
             calendar.reliability
         );
         assert_eq!(flat.topology.as_deref(), Some("ws(k=16,beta=0.5)/neigh"));
-    }
-
-    #[test]
-    fn flat_engine_refusals_are_typed() {
-        use gossip_model::FaultSpec;
-        // Flood has no flat kernel.
-        assert!(matches!(
-            ProtocolBackend.evaluate(
-                &headline(5)
-                    .with_protocol(ProtocolSpec::Flood)
-                    .with_engine(EngineSpec::Flat)
-            ),
-            Err(ModelError::Unsupported { .. })
-        ));
-        // A zone kill after t = 0 needs the calendar's clock.
-        assert!(matches!(
-            ProtocolBackend.evaluate(
-                &headline(5)
-                    .with_topology(clustered())
-                    .with_faults(FaultSpec::none().with_zone_failure(vec![1], 5))
-                    .with_engine(EngineSpec::Flat)
-            ),
-            Err(ModelError::Unsupported { .. })
-        ));
-        // The netsim backend is event-driven by definition.
-        assert!(matches!(
-            NetSimBackend.evaluate(&headline(5).with_engine(EngineSpec::Flat)),
-            Err(ModelError::Unsupported { .. })
-        ));
-        // `Auto` with an unsupported combination quietly keeps the
-        // event calendar.
-        let auto = ProtocolBackend
-            .evaluate(&headline(5).with_protocol(ProtocolSpec::Flood))
-            .unwrap();
-        assert!(auto.reliability > 0.999);
     }
 
     #[test]
@@ -646,6 +570,12 @@ mod tests {
         assert!(report.quiescence_secs.unwrap() > 0.0);
         assert!(traffic.messages_per_sec.unwrap() > 0.0);
         assert!(traffic.copies_lost.unwrap() > 0.0);
+        // The untimed protocol stream drops the same frames.
+        let untimed = ProtocolBackend.evaluate(&scenario).unwrap();
+        assert_eq!(
+            untimed.traffic.unwrap().reliability_mean,
+            traffic.reliability_mean
+        );
     }
 
     #[test]
@@ -736,67 +666,5 @@ mod tests {
         let within = |t| 1.0 - receipt_counts(p, t, 60, 5).pmf(0);
         assert!(within(3) >= within(1));
         assert!(within(3) > 0.9, "{}", within(3));
-    }
-
-    #[test]
-    fn auto_engine_is_flat_where_exact_and_classic_elsewhere() {
-        use gossip_faults::ChurnSpec;
-        use gossip_model::{AdversaryStrategy, BurstySpec, FaultSpec};
-        use gossip_topology::{OverlaySpec, TopologySpec};
-        // `Auto` is a routing rule, not a third engine: the entire
-        // Report — every float, every label — matches `Flat` wherever
-        // the relay kernel accepts the scenario, static faults included...
-        let overlay = TopologySpec::new(OverlaySpec::WattsStrogatz { k: 12, beta: 0.5 });
-        let zone_kill = |reps, at_ms| {
-            headline(reps)
-                .with_topology(clustered())
-                .with_faults(FaultSpec::none().with_zone_failure(vec![1, 3], at_ms))
-        };
-        let adversary = |strategy| FaultSpec::none().with_adversary(500, strategy);
-        for accepted in [
-            headline(8),
-            headline(8).with_topology(overlay),
-            headline(8).with_topology(scamp(2)),
-            headline(8).with_faults(adversary(AdversaryStrategy::WorstCase)),
-            headline(8).with_faults(adversary(AdversaryStrategy::Random)),
-            zone_kill(8, 0),
-        ] {
-            assert_eq!(
-                ProtocolBackend.evaluate(&accepted).unwrap(),
-                ProtocolBackend
-                    .evaluate(&accepted.clone().with_engine(EngineSpec::Flat))
-                    .unwrap(),
-                "{}",
-                accepted.label()
-            );
-        }
-        // ...and the event calendar wherever it declines: the very run
-        // `NetSimBackend` makes at its default network, which alone
-        // reads the clock.
-        let bursty = FaultSpec::none().with_bursty_loss(BurstySpec {
-            p_gb: 0.1,
-            p_bg: 0.4,
-            loss_good: 0.0,
-            loss_bad: 0.8,
-        });
-        for declined in [
-            headline(5).with_protocol(ProtocolSpec::Flood),
-            headline(5).with_protocol(ProtocolSpec::PushPull),
-            headline(5).with_faults(bursty),
-            headline(5).with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(20.0, 100))),
-            zone_kill(5, 5),
-        ] {
-            let calendar = Report {
-                backend: "protocol".into(),
-                quiescence_secs: None,
-                ..NetSimBackend.evaluate(&declined).unwrap()
-            };
-            assert_eq!(
-                ProtocolBackend.evaluate(&declined).unwrap(),
-                calendar,
-                "{}",
-                declined.label()
-            );
-        }
     }
 }

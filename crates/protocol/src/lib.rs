@@ -17,11 +17,13 @@
 //!   to quiescence, and measure reliability = `n_rece / n_nonfailed`
 //!   (§4.2) plus latency/cost metrics the paper's model abstracts away.
 //! * [`backend`] — every Monte-Carlo measurement of a `Scenario`:
-//!   [`ProtocolBackend`] and [`NetSimBackend`] run the replications and
-//!   `gossip_model::reduce` conditions them on take-off and reads the
-//!   per-hop receipts into `rounds`, the per-round reach curve (E12)
-//!   and strict success (E13); the member receipt probability behind
-//!   Figs. 6/7 and Eq. 5 is the report's `reliability_raw`.
+//!   [`ProtocolBackend`] (push on the `gossip_engine` relay kernel) and
+//!   [`NetSimBackend`] (these protocols on the simulator) run the
+//!   replications, and `gossip_model::reduce` conditions them on
+//!   take-off and reads the per-hop receipts into `rounds`, the
+//!   per-round reach curve (E12) and strict success (E13); the member
+//!   receipt probability behind Figs. 6/7 and Eq. 5 is the report's
+//!   `reliability_raw`.
 //!
 //! ```
 //! use gossip_model::{Backend, FanoutSpec, Scenario};

@@ -8,16 +8,16 @@
 //! n = 10⁴ fast, where k independent event-driven runs would replay the
 //! calendar k times over.
 //!
-//! The two backends differ only in clocking:
+//! Both apply i.i.d. loss per frame; they differ only in clocking:
 //!
-//! * **protocol** — the §5 idealization: untimed and lossless (loss is
-//!   already refused upstream), latency percentiles reported in rounds.
-//! * **netsim** — timed: per-frame loss applies, and the constant hop
-//!   latency converts rounds to seconds, pricing `quiescence_secs` and
-//!   sustained `messages_per_sec`. Only
-//!   [`LatencySpec::ConstantMillis`] is supported — the stream engine's
-//!   calendar is round-synchronous, so a stochastic per-frame latency
-//!   has no faithful mapping and is refused rather than approximated.
+//! * **protocol** — the §5 idealization: untimed, latency percentiles
+//!   reported in rounds.
+//! * **netsim** — timed: the constant hop latency converts rounds to
+//!   seconds, pricing `quiescence_secs` and sustained
+//!   `messages_per_sec`. Only [`LatencySpec::ConstantMillis`] is
+//!   supported — the stream engine's calendar is round-synchronous, so
+//!   a stochastic per-frame latency has no faithful mapping and is
+//!   refused rather than approximated.
 //!
 //! Streams run the paper's base model: complete view, push relay,
 //! static crash-or-alive members with an immortal source. Everything

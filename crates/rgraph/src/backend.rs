@@ -13,14 +13,15 @@
 //! It has exactly two routes, both on the flat kernels: the undirected
 //! census ([`crate::flat`]) on the paper's own setting, and
 //! [`gossip_engine::evaluate_relay`] — a source, directed reach — on a
-//! structured overlay or under static faults. A correlated zone failure
-//! adds the killed zones to the crash set (the scheduled `at_ms`
-//! collapses to an at-start kill — a static census has no clock, so
-//! this is the conservative approximation) and an adversary's blocked
-//! arcs never carry a copy. Whatever the relay kernel declines
-//! ([`gossip_engine::relay_unsupported`]: crash schedules, protocol
-//! variants, churn, bursty loss, traffic) the census declines too, with
-//! the same typed [`ModelError::Unsupported`].
+//! structured overlay, under static faults or under bursty loss. A
+//! correlated zone failure adds the killed zones to the crash set (the
+//! scheduled `at_ms` collapses to an at-start kill — a static census
+//! has no clock, so this is the conservative approximation), an
+//! adversary's blocked arcs never carry a copy, and a bursty channel
+//! runs one Gilbert-Elliott chain per sender. Whatever the relay kernel
+//! declines ([`gossip_engine::relay_unsupported`]: crash schedules,
+//! protocol variants, churn, traffic) the census declines too, with the
+//! same typed [`ModelError::Unsupported`].
 
 use gossip_engine::FanoutSampler;
 use gossip_model::reduce;
@@ -48,9 +49,9 @@ impl Backend for GraphBackend {
                 what,
             });
         }
-        // Static faults (zone kills, adversarial blocking) need a source
-        // and directed reach, so they ride the relay even on the default
-        // complete overlay.
+        // Static faults (zone kills, adversarial blocking) and bursty
+        // loss need a source and directed reach, so they ride the relay
+        // even on the default complete overlay.
         if !scenario.topology.is_default() || !scenario.faults.is_default() {
             return gossip_engine::evaluate_relay("graph", scenario);
         }
@@ -224,16 +225,24 @@ mod tests {
             }
             other => panic!("expected a typed refusal, got {other:?}"),
         }
+        // Bursty loss is not dynamic to the relay: a push sender sends
+        // once, so its chain is local state. Graph runs it on the one
+        // route it shares with the protocol backend.
         let bursty = headline(500, 3).with_faults(FaultSpec::none().with_bursty_loss(BurstySpec {
             p_gb: 0.1,
             p_bg: 0.4,
             loss_good: 0.0,
             loss_bad: 0.8,
         }));
-        assert!(matches!(
-            GraphBackend.evaluate(&bursty),
-            Err(ModelError::Unsupported { .. })
-        ));
+        let graph = GraphBackend.evaluate(&bursty).unwrap();
+        let protocol = gossip_protocol::ProtocolBackend.evaluate(&bursty).unwrap();
+        assert_eq!(
+            Report {
+                backend: graph.backend.clone(),
+                ..protocol
+            },
+            graph
+        );
     }
 
     #[test]

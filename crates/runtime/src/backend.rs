@@ -12,9 +12,7 @@
 //! predictions.
 
 use gossip_model::reduce::{self, Execution, StreamExecution};
-use gossip_model::scenario::{
-    Backend, EngineSpec, FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario,
-};
+use gossip_model::scenario::{Backend, FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario};
 use gossip_model::ModelError;
 use gossip_stats::parallel::hardware_threads;
 use gossip_stats::rng::SplitMix64;
@@ -88,16 +86,10 @@ pub fn shard_count(n: usize, max_threads: usize, nested: bool) -> usize {
 }
 
 fn reject_unsupported(scenario: &Scenario, n_cap: Option<usize>) -> Result<(), ModelError> {
-    if scenario.engine == EngineSpec::Flat {
-        return Err(ModelError::Unsupported {
-            backend: "runtime",
-            what: "the flat engine (live actors cannot be vectorized; use the graph or protocol backend)",
-        });
-    }
     if scenario.protocol == ProtocolSpec::PushPull {
         return Err(ModelError::Unsupported {
             backend: "runtime",
-            what: "push-pull anti-entropy (the runtime implements push and flood; use the protocol backend)",
+            what: "push-pull anti-entropy (the runtime implements push and flood; use the netsim backend)",
         });
     }
     if let Some(cap) = n_cap {

@@ -1,17 +1,18 @@
-//! `EngineSpec::Auto` routes onto the flat kernels at every group size,
-//! so the flat kernels must sample the *same distribution* as the
-//! references they stand in for — on every number a `Report` carries,
-//! not only on reliability. The references:
+//! `GraphBackend` and `ProtocolBackend` run on the flat kernels at every
+//! group size, so the flat kernels must sample the *same distribution*
+//! as the references they stand in for — on every number a `Report`
+//! carries, not only on reliability. The references:
 //!
 //! * for the relay kernel (`gossip_engine::evaluate_relay`, the one
 //!   route `ProtocolBackend` and `GraphBackend` share), `NetSimBackend`
-//!   — the event calendar at its default network (1 ms, lossless), the
-//!   very run `ProtocolBackend` falls back to where the kernel declines.
-//!   It is checked through `ProtocolBackend` on the complete overlay and
-//!   on SCAMP's directed partial views, and through `GraphBackend` on an
-//!   overlay and under static faults (a t = 0 zone kill, a `Random`
-//!   adversary). Both layers build the adversary's `BlockedLinks` from
-//!   `derive(derive(seed, rep), ADVERSARY)`;
+//!   — the event calendar at its default network (1 ms), which runs
+//!   the same push protocol and what the kernel declines. It is checked
+//!   through `ProtocolBackend` on the complete overlay, on SCAMP's
+//!   directed partial views and under i.i.d. and bursty loss, and
+//!   through `GraphBackend` on an overlay and under static faults (a
+//!   t = 0 zone kill, a `Random` adversary). Both layers build the
+//!   adversary's `BlockedLinks` from `derive(derive(seed, rep),
+//!   ADVERSARY)`;
 //! * for the graph census, [`ReferenceCensus`] below — the unfused
 //!   pipeline the flat census fuses: a `ConfigurationModel` graph per
 //!   execution, bond-thinned through `Graph::from_edges`, site-percolated
@@ -28,10 +29,11 @@
 //!
 //! False-failure probability: each comparison is a Welch t statistic
 //! with at least `BATCHES − 1 = 31` degrees of freedom, and
-//! P(|t₃₁| > 6) < 1.3e-6; the file makes 112 + 4 + 7 + 7 + 7 = 137
+//! P(|t₃₁| > 6) < 1.3e-6; the file makes 112 + 4 + 7 + 7 + 7 + 14 = 151
 //! comparisons (16 protocol cells × 7 metrics, four census cells, and
-//! the overlay, static-fault and SCAMP cells × 7), so the family-wise
-//! probability that a correct build fails is < 1.8e-4. A metric that is the same
+//! the overlay, static-fault, SCAMP and two loss cells × 7), so the
+//! family-wise probability that a correct build fails is < 2.0e-4. A
+//! metric that is the same
 //! constant on every batch of both sides (strict success at n = 1000,
 //! say) has no spread, and its means must be exactly equal.
 //! What it catches is not marginal: counting a crashed receiver's hop
@@ -39,7 +41,7 @@
 //! 0.59 rounds at n = 20, q = 0.4 — 30 of these standard errors.
 
 use gossip::{
-    AdversaryStrategy, Backend, EngineSpec, FanoutSpec, FaultSpec, GraphBackend, ModelError,
+    AdversaryStrategy, Backend, BurstySpec, FanoutSpec, FaultSpec, GraphBackend, ModelError,
     NetSimBackend, OverlaySpec, ProtocolBackend, Report, Scenario, TopologySpec,
 };
 use gossip_model::reduce;
@@ -125,7 +127,7 @@ fn batch_means(
     stats
 }
 
-/// `backend` under `Auto` against `reference`, metric by metric.
+/// `backend` against `reference`, metric by metric.
 fn assert_agrees(
     reference: &dyn Backend,
     backend: &dyn Backend,
@@ -183,7 +185,7 @@ fn graph_auto_matches_classic_on_the_census_and_on_an_overlay() {
         .with_replications(10)
         .with_seed(0xA6EE_0200);
     assert_agrees(&ReferenceCensus, &GraphBackend, &census, &[RELIABILITY]);
-    // Quenched under `Auto` (one overlay per evaluation), resampled per
+    // Quenched on the relay (one overlay per evaluation), resampled per
     // execution by the calendar: the batch means price that in.
     let overlay = Scenario::new(400, FanoutSpec::poisson(5.0))
         .with_failure_ratio(0.8)
@@ -242,21 +244,16 @@ fn graph_relay_matches_netsim_under_a_zone_kill_and_an_adversary() {
         .with_seed(0xA6EE_0300);
     assert_agrees(&NetSimBackend, &GraphBackend, &scenario, &PUSH_METRICS);
     // One route: the protocol backend runs the same kernel on the same
-    // streams, under `Auto` and pinned to `Flat` alike.
+    // streams.
     let graph = GraphBackend.evaluate(&scenario).unwrap();
-    for engine in [EngineSpec::Auto, EngineSpec::Flat] {
-        let protocol = ProtocolBackend
-            .evaluate(&scenario.clone().with_engine(engine))
-            .unwrap();
-        assert_eq!(
-            Report {
-                backend: graph.backend.clone(),
-                ..protocol
-            },
-            graph,
-            "{engine:?}"
-        );
-    }
+    let protocol = ProtocolBackend.evaluate(&scenario).unwrap();
+    assert_eq!(
+        Report {
+            backend: graph.backend.clone(),
+            ..protocol
+        },
+        graph
+    );
 }
 
 #[test]
@@ -279,4 +276,33 @@ fn protocol_relay_matches_netsim_on_scamp_views() {
         },
         graph
     );
+}
+
+#[test]
+fn protocol_relay_matches_netsim_under_bursty_and_iid_loss() {
+    // Mean loss 0.3 both ways: E16's bursty channel (bad-state exit
+    // 0.15, bad-state loss 0.8, so a burst lasts ≈ 6.7 copies) and its
+    // i.i.d. stand-in. The kernel starts a sender's chain at first
+    // receipt, the calendar every chain at t = 0; both start it from
+    // stationary and advance it once per copy, and a push sender sends
+    // only once, so the two laws are the same.
+    let pi_bad = 0.3 / 0.8;
+    let bursty = BurstySpec {
+        p_gb: pi_bad * 0.15 / (1.0 - pi_bad),
+        p_bg: 0.15,
+        loss_good: 0.0,
+        loss_bad: 0.8,
+    };
+    let base = Scenario::new(300, FanoutSpec::poisson(4.0))
+        .with_failure_ratio(0.9)
+        .with_replications(40);
+    let cells = [
+        base.clone()
+            .with_faults(FaultSpec::none().with_bursty_loss(bursty))
+            .with_seed(0xA6EE_0500),
+        base.with_loss(0.3).with_seed(0xA6EE_0501),
+    ];
+    for scenario in &cells {
+        assert_agrees(&NetSimBackend, &ProtocolBackend, scenario, &PUSH_METRICS);
+    }
 }

@@ -9,16 +9,17 @@
 //! running statistics) cannot drift silently. They were captured at the
 //! commit *before* the reductions were unified and must pass unchanged
 //! across pure refactors. The event calendar is pinned through
-//! `NetSimBackend` (the `netsim_push*` cases are the very runs
-//! `ProtocolBackend` falls back to off the flat kernel), the flat
-//! kernels through `EngineSpec::Flat` and through `GraphBackend`, which
-//! has no other engine; the two `*_auto` cases pin where the default
-//! `EngineSpec::Auto` routes, and `protocol_static_faults` pins the
-//! relay route both backends share under a zone kill and an adversary.
-//! The last four `netsim_*` cases pin the calendar's event order where
-//! it is hardest to keep: time-ordered deliveries over an overlay under
-//! faults, pull timers mixed with exponential deliveries, scheduled
-//! churn, and a timed zone kill queued ahead of the injection.
+//! `NetSimBackend`, its only backend; the flat kernels through
+//! `ProtocolBackend` and `GraphBackend`, which run nothing else for a
+//! single message. `protocol_static_faults`, `protocol_bursty_adversary`
+//! and `protocol_lossy` pin the relay route both of those share under a
+//! zone kill, an adversary, bursty loss and i.i.d. loss. The
+//! `netsim_overlay_bursty_adversary`, `netsim_pushpull_exponential`,
+//! `netsim_churn` and `netsim_zone_kill_timed` cases pin the calendar's
+//! event order where it is hardest to keep: time-ordered deliveries
+//! over an overlay under faults, pull timers mixed with exponential
+//! deliveries, scheduled churn, and a timed zone kill queued ahead of
+//! the injection.
 //!
 //! Regenerate (only when a change is *meant* to move the numbers — say
 //! so in CHANGES.md) with one command from the workspace root:
@@ -42,9 +43,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use gossip::{
-    AdversaryStrategy, Backend, BurstySpec, ChurnSpec, EngineSpec, FanoutSpec, FaultSpec,
-    GraphBackend, LatencySpec, NetSimBackend, OverlaySpec, PeerSelection, ProtocolBackend,
-    ProtocolSpec, RuntimeBackend, Scenario, TopologySpec, TrafficSpec,
+    AdversaryStrategy, Backend, BurstySpec, ChurnSpec, FanoutSpec, FaultSpec, GraphBackend,
+    LatencySpec, NetSimBackend, OverlaySpec, PeerSelection, ProtocolBackend, ProtocolSpec,
+    RuntimeBackend, Scenario, TopologySpec, TrafficSpec,
 };
 
 fn base(n: usize, mean: f64, q: f64, reps: usize, seed: u64) -> Scenario {
@@ -58,6 +59,30 @@ fn small_world() -> TopologySpec {
     TopologySpec::new(OverlaySpec::WattsStrogatz { k: 10, beta: 0.3 })
 }
 
+/// Ten zones of 6 intra- and 1 inter-zone links per member, neighbours
+/// drawn at random, under bursty loss and a `Random` adversary.
+fn bursty_adversary(seed: u64) -> Scenario {
+    base(500, 5.0, 0.9, 6, seed)
+        .with_topology(
+            TopologySpec::new(OverlaySpec::Clustered {
+                zones: 10,
+                intra: 6,
+                inter: 1,
+            })
+            .with_selection(PeerSelection::RandomNeighbour),
+        )
+        .with_faults(
+            FaultSpec::none()
+                .with_bursty_loss(BurstySpec {
+                    p_gb: 0.05,
+                    p_bg: 0.3,
+                    loss_good: 0.01,
+                    loss_bad: 0.8,
+                })
+                .with_adversary(50, AdversaryStrategy::Random),
+        )
+}
+
 /// The pinned cases: `(name, backend, scenario)`.
 fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
     let capped_piggyback = TrafficSpec::stream(8)
@@ -66,8 +91,7 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
         .with_piggyback(4);
     vec![
         (
-            // The event-calendar push: what `ProtocolBackend` falls back
-            // to off the flat kernel, at the default network.
+            // The event-calendar push at the default network.
             "netsim_push",
             Box::new(NetSimBackend),
             base(300, 4.0, 0.9, 12, 0x601D_0001),
@@ -88,14 +112,14 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             base(300, 4.0, 0.15, 8, 0x601D_0003),
         ),
         (
-            "protocol_flood",
-            Box::new(ProtocolBackend),
+            "netsim_flood",
+            Box::new(NetSimBackend),
             base(120, 4.0, 0.9, 5, 0x601D_0004).with_protocol(ProtocolSpec::Flood),
         ),
         (
             "protocol_flat",
             Box::new(ProtocolBackend),
-            base(400, 4.0, 0.8, 12, 0x601D_0005).with_engine(EngineSpec::Flat),
+            base(400, 4.0, 0.8, 12, 0x601D_0005),
         ),
         (
             "protocol_stream_capped_piggyback",
@@ -120,16 +144,12 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
         (
             "graph_flat_default",
             Box::new(GraphBackend),
-            base(1000, 4.0, 0.9, 8, 0x601D_000A)
-                .with_loss(0.1)
-                .with_engine(EngineSpec::Flat),
+            base(1000, 4.0, 0.9, 8, 0x601D_000A).with_loss(0.1),
         ),
         (
             "graph_overlay_flat",
             Box::new(GraphBackend),
-            base(500, 5.0, 0.6, 10, 0x601D_000C)
-                .with_topology(small_world())
-                .with_engine(EngineSpec::Flat),
+            base(500, 5.0, 0.6, 10, 0x601D_000C).with_topology(small_world()),
         ),
         (
             "graph_adversary",
@@ -165,13 +185,13 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
                 .with_traffic(TrafficSpec::stream(3)),
         ),
         (
-            // The default route: `Auto` lands on the flat relay kernel.
+            // The relay kernel on the complete overlay.
             "protocol_push_auto",
             Box::new(ProtocolBackend),
             base(300, 4.0, 0.9, 12, 0x601D_0011),
         ),
         (
-            // The default route: `Auto` lands on the flat census.
+            // The census on the complete overlay.
             "graph_default_auto",
             Box::new(GraphBackend),
             base(1000, 4.0, 0.9, 8, 0x601D_0012).with_loss(0.1),
@@ -232,25 +252,7 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
             // delivery is scheduled in time order.
             "netsim_overlay_bursty_adversary",
             Box::new(NetSimBackend),
-            base(500, 5.0, 0.9, 6, 0x601D_0014)
-                .with_topology(
-                    TopologySpec::new(OverlaySpec::Clustered {
-                        zones: 10,
-                        intra: 6,
-                        inter: 1,
-                    })
-                    .with_selection(PeerSelection::RandomNeighbour),
-                )
-                .with_faults(
-                    FaultSpec::none()
-                        .with_bursty_loss(BurstySpec {
-                            p_gb: 0.05,
-                            p_bg: 0.3,
-                            loss_good: 0.01,
-                            loss_bad: 0.8,
-                        })
-                        .with_adversary(50, AdversaryStrategy::Random),
-                ),
+            bursty_adversary(0x601D_0014),
         ),
         (
             // 5 ms pull timers interleaved with exponential deliveries:
@@ -281,6 +283,19 @@ fn cases() -> Vec<(&'static str, Box<dyn Backend>, Scenario)> {
                     inter: 2,
                 }))
                 .with_faults(FaultSpec::none().with_zone_failure(vec![1, 3], 2)),
+        ),
+        (
+            // The same cell on the relay kernel: one chain per sender,
+            // started at first receipt, after the blocked-link check.
+            "protocol_bursty_adversary",
+            Box::new(ProtocolBackend),
+            bursty_adversary(0x601D_0014),
+        ),
+        (
+            // Directed push with i.i.d. loss on the complete overlay.
+            "protocol_lossy",
+            Box::new(ProtocolBackend),
+            base(300, 6.0, 0.9, 10, 0x601D_0018).with_loss(0.2),
         ),
     ]
 }

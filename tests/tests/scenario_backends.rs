@@ -178,16 +178,16 @@ fn structured_topologies_agree_across_supporting_backends() {
 
 #[test]
 fn flat_engine_agrees_on_the_fig4_points() {
-    use gossip::{EngineSpec, GraphBackend, ProtocolBackend};
-    // The million-node engine, forced on at Fig. 4 scale: the flat relay
-    // must land on the event calendar's reliability, and the flat census
-    // on the generating-function curve, at every operating point.
+    use gossip::{GraphBackend, ProtocolBackend};
+    // The million-node engine at Fig. 4 scale: the flat relay must land
+    // on the event calendar's reliability, and the flat census on the
+    // generating-function curve, at every operating point.
     for &q in &[0.5, 0.7, 0.9] {
         let scenario = Scenario::new(1000, FanoutSpec::poisson(6.0))
             .with_failure_ratio(q)
             .with_replications(30)
             .with_seed(0xF164);
-        let flat = scenario.clone().with_engine(EngineSpec::Flat);
+        let flat = scenario.clone();
         let pairs = [
             (
                 ProtocolBackend.evaluate(&flat).expect("flat protocol"),
@@ -209,7 +209,7 @@ fn flat_engine_agrees_on_the_fig4_points() {
             );
             assert_eq!(
                 flat.scenario, reference.scenario,
-                "the engine knob must not leak into the scenario label"
+                "the route must not leak into the scenario label"
             );
         }
     }
@@ -217,7 +217,7 @@ fn flat_engine_agrees_on_the_fig4_points() {
 
 #[test]
 fn flat_engine_straddles_the_critical_point() {
-    use gossip::{EngineSpec, GraphBackend, ProtocolBackend};
+    use gossip::{GraphBackend, ProtocolBackend};
     // z = 4 → q_c = 0.25; same grid as the classic straddle test, run
     // through the flat kernels. Subcritical rows collapse, supercritical
     // rows match the generating-function curve.
@@ -225,8 +225,7 @@ fn flat_engine_straddles_the_critical_point() {
         let scenario = Scenario::new(5000, FanoutSpec::poisson(4.0))
             .with_failure_ratio(q)
             .with_replications(25)
-            .with_seed(0xC717)
-            .with_engine(EngineSpec::Flat);
+            .with_seed(0xC717);
         let analytic = AnalyticBackend
             .evaluate(&scenario)
             .expect("analytic prices");
@@ -256,39 +255,23 @@ fn flat_engine_straddles_the_critical_point() {
 }
 
 #[test]
-fn flat_engine_refusals_and_auto_fallback() {
-    use gossip::{EngineSpec, GraphBackend, NetSimBackend, ProtocolBackend, RuntimeBackend};
-    // Event-driven backends have no flat path: pinning `EngineSpec::Flat`
-    // must be a typed refusal that names the backend, never a panic or a
-    // silent calendar run.
-    let scenario = Scenario::new(400, FanoutSpec::poisson(6.0))
+fn auto_and_flat_engines_give_equal_reports_on_every_backend() {
+    use gossip::{EngineSpec, TrafficSpec};
+    // `EngineSpec` selects nothing: on every backend, for a single
+    // message and for an (unbatched, hence seed-pure) stream, `Flat`
+    // gives exactly what `Auto` gives, refusals included.
+    let push = Scenario::new(200, FanoutSpec::poisson(6.0))
         .with_failure_ratio(0.9)
         .with_replications(4)
-        .with_engine(EngineSpec::Flat);
-    for (result, expect) in [
-        (NetSimBackend.evaluate(&scenario), "netsim"),
-        (RuntimeBackend::channel().evaluate(&scenario), "runtime"),
-    ] {
-        match result {
-            Err(gossip::ModelError::Unsupported { backend, what }) => {
-                assert_eq!(backend, expect);
-                assert!(what.contains("flat"), "{expect} must name the flat engine");
-            }
-            other => panic!("{expect} must refuse the flat engine, got {other:?}"),
+        .with_seed(0xE61E);
+    let stream = push.clone().with_traffic(TrafficSpec::stream(3));
+    for scenario in [push, stream] {
+        for backend in all_backends() {
+            let auto = backend.evaluate(&scenario.clone().with_engine(EngineSpec::Auto));
+            let flat = backend.evaluate(&scenario.clone().with_engine(EngineSpec::Flat));
+            assert_eq!(auto, flat, "{} on {}", backend.name(), scenario.label());
         }
     }
-    // `Auto` is the flat kernel, to the byte, wherever it accepts the
-    // scenario, at any group size (where it declines, `ProtocolBackend`
-    // makes `NetSimBackend`'s calendar run — see its unit tests).
-    let auto = scenario.clone().with_engine(EngineSpec::Auto);
-    assert_eq!(
-        GraphBackend.evaluate(&auto).unwrap(),
-        GraphBackend.evaluate(&scenario).unwrap()
-    );
-    assert_eq!(
-        ProtocolBackend.evaluate(&auto).unwrap(),
-        ProtocolBackend.evaluate(&scenario).unwrap()
-    );
 }
 
 #[test]
@@ -476,25 +459,22 @@ fn churn_agrees_across_the_dynamic_backends() {
     use gossip::{ChurnSpec, FaultSpec};
     // Symmetric churn at 30 members/s over a 200 ms horizon: ~6 joins
     // and ~6 leaves against n = 600. Every backend with an event clock
-    // — protocol, netsim, runtime — must price the same penalty
-    // (joiners arriving after quiescence count in the denominator but
-    // go unreached); the static layers must decline with a typed error.
+    // — netsim, runtime — must price the same penalty (joiners arriving
+    // after quiescence count in the denominator but go unreached); the
+    // layers without one must decline with a typed error.
     let scenario = Scenario::new(600, FanoutSpec::poisson(6.0))
         .with_failure_ratio(0.9)
         .with_replications(20)
         .with_seed(0xC4A2)
         .with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(30.0, 200)));
 
-    let protocol = ProtocolBackend
-        .evaluate(&scenario)
-        .expect("protocol runs churn");
     let netsim = NetSimBackend
         .evaluate(&scenario)
         .expect("netsim runs churn");
     let runtime = RuntimeBackend::channel()
         .evaluate(&scenario)
         .expect("runtime runs churn");
-    for report in [&protocol, &netsim, &runtime] {
+    for report in [&netsim, &runtime] {
         assert_eq!(
             report.faults.as_deref(),
             Some("churn(j=30,l=30,h=200ms)"),
@@ -503,23 +483,26 @@ fn churn_agrees_across_the_dynamic_backends() {
         );
         assert_close(
             report.reliability,
-            protocol.reliability,
+            netsim.reliability,
             0.05,
-            &format!("{} vs protocol under churn", report.backend),
+            &format!("{} vs netsim under churn", report.backend),
         );
     }
 
-    // The percolation census and the generating functions have no
-    // clock: both must refuse, each naming itself.
-    match gossip::GraphBackend.evaluate(&scenario) {
-        Err(gossip::ModelError::Unsupported { backend, what }) => {
-            assert_eq!(backend, "graph");
-            assert!(
-                what.contains("churn"),
-                "graph refusal must name churn: {what}"
-            );
+    // The relay kernel (graph and protocol) and the generating functions
+    // have no clock: each must refuse, naming itself.
+    let relay: [&dyn Backend; 2] = [&gossip::GraphBackend, &ProtocolBackend];
+    for layer in relay {
+        match layer.evaluate(&scenario) {
+            Err(gossip::ModelError::Unsupported { backend, what }) => {
+                assert_eq!(backend, layer.name());
+                assert!(
+                    what.contains("churn"),
+                    "{backend} refusal must name churn: {what}"
+                );
+            }
+            other => panic!("{} must refuse churn, got {other:?}", layer.name()),
         }
-        other => panic!("graph must refuse churn, got {other:?}"),
     }
     match AnalyticBackend.evaluate(&scenario) {
         Err(gossip::ModelError::Unsupported { backend, .. }) => assert_eq!(backend, "analytic"),
