@@ -69,17 +69,24 @@ impl fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
-/// Lossless: the faults crate's error is field-compatible with
-/// [`ModelError::InvalidParameter`].
-impl From<gossip_faults::FaultError> for ModelError {
-    fn from(e: gossip_faults::FaultError) -> Self {
-        ModelError::InvalidParameter {
-            name: e.name,
-            value: e.value,
-            requirement: e.requirement,
+// Lossless: the faults, topology and traffic crates' errors are
+// field-compatible with `ModelError::InvalidParameter`.
+macro_rules! from_field_compatible {
+    ($($error:ty),*) => {$(
+        impl From<$error> for ModelError {
+            fn from(e: $error) -> Self {
+                let (name, value, requirement) = (e.name, e.value, e.requirement);
+                ModelError::InvalidParameter { name, value, requirement }
+            }
         }
-    }
+    )*};
 }
+
+from_field_compatible!(
+    gossip_faults::FaultError,
+    gossip_topology::TopologyError,
+    gossip_traffic::TrafficError
+);
 
 #[cfg(test)]
 mod tests {

@@ -98,6 +98,7 @@
 //!   giant-component fraction, mean component size (Eq. 2), critical point
 //!   (Eq. 3).
 //! * [`success`] — the Bernoulli-trials calculus of Eqs. 5–6.
+//! * [`support`] — which backend runs which scenario feature.
 //! * [`design`] — inverse problems (required fanout, maximum tolerable
 //!   failure ratio).
 //! * [`poisson_case`] — §4.3 closed forms, including a Lambert-W solution
@@ -124,6 +125,7 @@ pub mod scenario;
 pub mod series;
 pub mod solver;
 pub mod success;
+pub mod support;
 
 pub use distribution::{
     BinomialFanout, EmpiricalFanout, FanoutDistribution, FixedFanout, GeometricFanout,

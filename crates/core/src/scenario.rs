@@ -47,9 +47,8 @@
 //!   `(time_ns, member)` pair crashes that member at that virtual time:
 //!   messages it already relayed stand, messages arriving afterwards are
 //!   absorbed, and a `time_ns = 0` entry means the member was never up.
-//!   Crashing is idempotent — duplicate entries are harmless. Only the
-//!   timed backends can honour a schedule; the analytic and graph layers
-//!   return [`ModelError::Unsupported`].
+//!   Crashing is idempotent — duplicate entries are harmless.
+//!   [`crate::support`] states which backends honour a schedule.
 //! * **The reliability denominator is "members alive at the end".** A
 //!   member crashed by the end of the run (by a `Random` draw, a
 //!   schedule entry, a churn *leave*, or a correlated zone failure)
@@ -98,8 +97,8 @@ use crate::success;
 use gossip_faults::{FaultReduction, FaultSpec};
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::SplitMix64;
-use gossip_topology::{TopologyError, TopologySpec};
-use gossip_traffic::{TrafficError, TrafficReport, TrafficSpec};
+use gossip_topology::TopologySpec;
+use gossip_traffic::{TrafficReport, TrafficSpec};
 
 /// Data description of a fanout distribution `P` — every family the
 /// model supports, including recursive mixtures, as plain data that can
@@ -330,9 +329,8 @@ pub enum FailureSpec {
         /// Nonfailed member ratio `q ∈ (0, 1]`.
         q: f64,
     },
-    /// Explicit crash schedule: `(time_ns, member)` pairs. Only timed
-    /// backends (netsim) can honor this; the analytic and graph layers
-    /// return [`ModelError::Unsupported`].
+    /// Explicit crash schedule: `(time_ns, member)` pairs, honoured by
+    /// the timed backends only ([`crate::support`]).
     Schedule {
         /// `(simulated time in ns, member id)` crash events.
         crashes: Vec<(u64, u32)>,
@@ -691,23 +689,9 @@ impl Scenario {
                 requirement: "message loss probability must lie in [0, 1)",
             });
         }
-        // Topology parameters are validated by the topology crate; its
-        // error type is field-compatible with `InvalidParameter`, so the
-        // mapping is lossless.
-        if let Err(TopologyError {
-            name,
-            value,
-            requirement,
-        }) = self.topology.validate(self.n)
-        {
-            return Err(ModelError::InvalidParameter {
-                name,
-                value,
-                requirement,
-            });
-        }
-        // Fault parameters are validated by the faults crate; its error
-        // type is field-compatible too, so the mapping is lossless.
+        // Topology, fault and traffic parameters are validated by their
+        // own crates, whose errors map losslessly onto InvalidParameter.
+        self.topology.validate(self.n)?;
         self.faults.validate(self.n, &self.topology)?;
         // Bursty loss *replaces* the i.i.d. loss channel; letting both
         // run would double-count drops, so the combination is rejected
@@ -719,20 +703,16 @@ impl Scenario {
                 requirement: "bursty (Gilbert-Elliott) loss replaces i.i.d. loss; set loss = 0",
             });
         }
-        // Traffic parameters are validated by the traffic crate; its
-        // error type is field-compatible as well, so the mapping is
-        // lossless.
         if let Some(traffic) = &self.traffic {
-            if let Err(TrafficError {
-                name,
-                value,
-                requirement,
-            }) = traffic.validate()
-            {
+            traffic.validate()?;
+            // No backend runs a stream over an overlay or under a crash
+            // schedule.
+            if !self.topology.is_default() || self.q().is_none() {
                 return Err(ModelError::InvalidParameter {
-                    name,
-                    value,
-                    requirement,
+                    name: "traffic",
+                    value: traffic.messages as f64,
+                    requirement:
+                        "streams need the complete view and static crashes (no overlay, no crash schedule)",
                 });
             }
         }
@@ -916,17 +896,10 @@ impl Backend for AnalyticBackend {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
         scenario.validate()?;
-        let q = scenario.q().ok_or(ModelError::Unsupported {
-            backend: "analytic",
-            what: "crash schedules (the generating-function model is untimed)",
-        })?;
-        if !scenario.topology.is_default() {
-            return Err(ModelError::Unsupported {
-                backend: "analytic",
-                what:
-                    "structured overlays (the generating-function model assumes the complete graph)",
-            });
-        }
+        crate::support::check(self.name(), scenario)?;
+        let q = scenario
+            .q()
+            .expect("support::check refuses crash schedules");
         // Fault families either reduce to the closed forms (no-op, or
         // extra i.i.d. loss folding into the bond-percolation channel)
         // or are declined with a typed error.
@@ -976,36 +949,21 @@ impl Backend for AnalyticBackend {
         // Streams: when the offered load k·E[F] fits under the per-node
         // bandwidth cap the k messages never contend, so the stream is
         // k independent copies of the single-message process and every
-        // message sees the same closed-form reliability by symmetry.
-        // Contended streams couple messages through queue overflow —
-        // no closed form exists, decline to a simulation backend.
-        let traffic = match &scenario.traffic {
-            None => None,
-            Some(spec) => {
-                let offered = spec.messages as f64 * dist.mean();
-                if spec.bandwidth.is_some_and(|b| offered > b as f64) {
-                    return Err(ModelError::Unsupported {
-                        backend: "analytic",
-                        what: "contended traffic (offered load k·E[F] exceeds the bandwidth \
-                               cap; queue coupling has no closed form — use a simulation \
-                               backend)",
-                    });
-                }
-                Some(TrafficReport {
-                    messages: spec.messages,
-                    reliability_mean: reliability,
-                    reliability_min: reliability,
-                    messages_per_sec: None,
-                    latency_rounds_p50: None,
-                    latency_rounds_p90: None,
-                    latency_rounds_p99: None,
-                    copies_sent: None,
-                    copies_dropped: None,
-                    copies_lost: None,
-                    batched: spec.batched(),
-                })
-            }
-        };
+        // message sees the same closed-form reliability by symmetry
+        // (support::check declines contended streams).
+        let traffic = scenario.traffic.as_ref().map(|spec| TrafficReport {
+            messages: spec.messages,
+            reliability_mean: reliability,
+            reliability_min: reliability,
+            messages_per_sec: None,
+            latency_rounds_p50: None,
+            latency_rounds_p90: None,
+            latency_rounds_p99: None,
+            copies_sent: None,
+            copies_dropped: None,
+            copies_lost: None,
+            batched: spec.batched(),
+        });
         Ok(Report {
             backend: self.name().to_string(),
             scenario: scenario.label(),
@@ -1179,6 +1137,41 @@ mod tests {
     }
 
     #[test]
+    fn analytic_rejects_unsupported() {
+        let scamp = headline().with_topology(TopologySpec::new(OverlaySpec::Scamp { c: 2 }));
+        assert!(matches!(
+            AnalyticBackend.evaluate(&scamp),
+            Err(ModelError::Unsupported {
+                backend: "analytic",
+                ..
+            })
+        ));
+        let scheduled = headline().with_failure(FailureSpec::Schedule {
+            crashes: vec![(1_000_000, 3)],
+        });
+        assert!(matches!(
+            AnalyticBackend.evaluate(&scheduled),
+            Err(ModelError::Unsupported {
+                backend: "analytic",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn analytic_rejects_structured_topology() {
+        let structured =
+            headline().with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 100 }));
+        assert!(matches!(
+            AnalyticBackend.evaluate(&structured),
+            Err(ModelError::Unsupported {
+                backend: "analytic",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn analytic_success_calculus() {
         let report = AnalyticBackend
             .evaluate(&headline().with_executions(2))
@@ -1201,22 +1194,6 @@ mod tests {
             .evaluate(&Scenario::new(1000, FanoutSpec::poisson(4.5)).with_failure_ratio(0.9))
             .unwrap();
         assert!((lossy.reliability - thinned.reliability).abs() < 1e-9);
-    }
-
-    #[test]
-    fn analytic_rejects_unsupported() {
-        let scamp = headline().with_topology(TopologySpec::new(OverlaySpec::Scamp { c: 2 }));
-        assert!(matches!(
-            AnalyticBackend.evaluate(&scamp),
-            Err(ModelError::Unsupported { .. })
-        ));
-        let scheduled = headline().with_failure(FailureSpec::Schedule {
-            crashes: vec![(1_000_000, 3)],
-        });
-        assert!(matches!(
-            AnalyticBackend.evaluate(&scheduled),
-            Err(ModelError::Unsupported { .. })
-        ));
     }
 
     #[test]
@@ -1354,16 +1331,6 @@ mod tests {
         let fine = Scenario::new(100, FanoutSpec::poisson(4.0))
             .with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 40 }));
         assert!(fine.validate().is_ok());
-    }
-
-    #[test]
-    fn analytic_rejects_structured_topology() {
-        let structured =
-            headline().with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 100 }));
-        assert!(matches!(
-            AnalyticBackend.evaluate(&structured),
-            Err(ModelError::Unsupported { .. })
-        ));
     }
 
     #[test]
@@ -1629,6 +1596,20 @@ mod tests {
             .with_traffic(TrafficSpec::stream(4))
             .validate()
             .is_ok());
+        // No backend runs a stream over an overlay or under a crash
+        // schedule: both are invalid scenarios.
+        let scheduled = FailureSpec::Schedule {
+            crashes: vec![(1, 1)],
+        };
+        for case in [
+            headline().with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 100 })),
+            headline().with_failure(scheduled),
+        ] {
+            match case.with_traffic(TrafficSpec::stream(4)).validate() {
+                Err(ModelError::InvalidParameter { name, .. }) => assert_eq!(name, "traffic"),
+                other => panic!("expected InvalidParameter(traffic), got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -33,11 +33,10 @@
 //!   `UnionFind::reset` pattern to the whole hot loop.
 //!
 //! The relay has one `Scenario` → `Report` front door,
-//! [`evaluate_relay`], with its domain stated once in
-//! [`relay_unsupported`]: `GraphBackend` takes it for directed reach
-//! and `ProtocolBackend` for every single message it runs, so both
-//! backends build the same kernel inputs from the same seed streams.
-//! What the relay declines runs on the event calendar, `NetSimBackend`.
+//! [`evaluate_relay`]: `GraphBackend` takes it for directed reach and
+//! `ProtocolBackend` for every single message it runs, so both backends
+//! build the same kernel inputs from the same seed streams. Their rows
+//! of [`gossip_model::support`] state what it declines.
 
 pub mod bitset;
 pub mod relay;
@@ -45,7 +44,7 @@ pub mod sampler;
 
 use gossip_faults::{BlockedLinks, GilbertElliott};
 use gossip_model::reduce::{self, Execution};
-use gossip_model::scenario::{ProtocolSpec, Report, Scenario};
+use gossip_model::scenario::{Report, Scenario};
 use gossip_model::ModelError;
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
@@ -103,41 +102,14 @@ pub fn run_replications<S, T: Send>(
     per_chunk.into_iter().flatten()
 }
 
-/// Why the relay kernel cannot run `scenario`, if it can't. The kernel
-/// samples one static push relay: the Fig. 1 push algorithm over the
-/// full view or a pinned overlay (SCAMP's partial views included),
-/// i.i.d. crash coins, i.i.d. or bursty loss, and the static faults —
-/// zone kills (taken at start) and blocked links. Each refusal names
-/// the netsim backend, whose event calendar runs the case.
-pub fn relay_unsupported(scenario: &Scenario) -> Option<&'static str> {
-    if scenario.q().is_none() {
-        return Some(
-            "crash schedules (the relay kernel tosses i.i.d. crash coins and has no clock; use the netsim backend)",
-        );
-    }
-    if scenario.protocol != ProtocolSpec::Push {
-        return Some(
-            "protocol variants (the relay kernel runs the Fig. 1 push algorithm; use the netsim backend)",
-        );
-    }
-    if scenario.faults.churn.is_some() {
-        return Some(
-            "membership churn (the relay kernel's group is static; use the netsim backend)",
-        );
-    }
-    if scenario.traffic.is_some() {
-        return Some("multi-message traffic (the relay kernel carries one message, with no queues or bandwidth)");
-    }
-    None
-}
-
 /// Evaluates a validated `scenario` on the relay kernel and reports it
-/// as `backend`, or refuses it with [`relay_unsupported`]'s reason.
+/// as `backend` (`"graph"` or `"protocol"`), or refuses it as that
+/// backend's row of [`gossip_model::support`] does.
 ///
 /// Everything shared is built once per evaluation: the overlay CSR
 /// (stream [`FLAT_TOPOLOGY_STREAM`]; complete overlays are never
-/// materialized), a zone kill's members as `prefailed` — whatever its
-/// `at_ms`, the kernel has no clock — the bursty channel, if any, and
+/// materialized), a t = 0 zone kill's members as `prefailed`, the
+/// bursty channel, if any, and
 /// the alias table. Per replication, an adversary's blocked links come
 /// from `derive(seed, ADVERSARY)`, the tag the event calendar shares,
 /// so a `Random` adversary re-rolls each run on every layer. The per-hop
@@ -147,12 +119,10 @@ pub fn relay_unsupported(scenario: &Scenario) -> Option<&'static str> {
 /// calendar resamples it per execution; `tests/tests/engine_agreement.rs`
 /// holds the two to the same means.
 pub fn evaluate_relay(backend: &'static str, scenario: &Scenario) -> Result<Report, ModelError> {
-    if let Some(what) = relay_unsupported(scenario) {
-        return Err(ModelError::Unsupported { backend, what });
-    }
+    gossip_model::support::check(backend, scenario)?;
     let q = scenario
         .q()
-        .expect("relay_unsupported refuses crash schedules");
+        .expect("support::check refuses crash schedules on the relay");
     let dist = scenario.fanout.build()?;
     let (n, spec) = (scenario.n, scenario.topology);
     let overlay = (!spec.is_default())

@@ -272,6 +272,13 @@ impl FaultSpec {
                     "churn with nonzero rates needs a positive horizon",
                 ));
             }
+            if !topology.is_default() {
+                return Err(invalid(
+                    "churn",
+                    c.join_per_sec,
+                    "churn needs the complete overlay (joiners can only bootstrap into the full view)",
+                ));
+            }
         }
         if let Some(z) = &self.zone_failure {
             let zones = zone_count(topology, z)?;
@@ -456,6 +463,16 @@ mod tests {
                 .name,
             "horizon_ms"
         );
+    }
+
+    #[test]
+    fn churn_needs_the_complete_overlay() {
+        // Joiners bootstrap into the full view; no overlay has a path
+        // for them, so no backend runs the combination.
+        let spec = FaultSpec::none().with_churn(ChurnSpec::symmetric(5.0, 100));
+        assert!(spec.validate(100, &TopologySpec::default()).is_ok());
+        let err = spec.validate(100, &clustered(4)).unwrap_err();
+        assert_eq!(err.name, "churn");
     }
 
     #[test]

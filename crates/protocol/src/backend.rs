@@ -5,17 +5,15 @@
 //!
 //! * [`ProtocolBackend`] — the paper's §5 experiment: the Fig. 1 push
 //!   algorithm once per execution, untimed. A single message runs on
-//!   `gossip_engine::evaluate_relay` at every group size: the full view
-//!   or a pinned overlay (SCAMP views among them), i.i.d. crash coins,
-//!   i.i.d. or bursty loss, adversaries and t = 0 zone kills — the route
-//!   `GraphBackend` takes for directed reach. A stream runs on the
-//!   untimed stream engine. Latency models, flood, push-pull, churn,
-//!   crash schedules and zone kills after t = 0 are
-//!   [`ModelError::Unsupported`] refusals that name the netsim backend.
+//!   `gossip_engine::evaluate_relay` at every group size, the route
+//!   `GraphBackend` takes for directed reach; a stream runs on the
+//!   untimed stream engine.
 //! * [`NetSimBackend`] — the full discrete-event network simulation
 //!   (the event calendar): latency models, independent per-message
 //!   loss, every protocol variant and fault family, and scheduled
 //!   mid-run crash injection, plus timing metrics (`quiescence_secs`).
+//!
+//! What each declines is stated in [`gossip_model::support`].
 //!
 //! Both run one execution per seed `derive(scenario.seed, rep)` and hand
 //! the per-execution digests to [`gossip_model::reduce`], which owns the
@@ -28,7 +26,7 @@ use std::sync::Arc;
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, Execution};
 use gossip_model::scenario::{Backend, FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario};
-use gossip_model::ModelError;
+use gossip_model::{support, ModelError};
 use gossip_netsim::{FailurePlan, LatencyModel, NetworkConfig, SimDuration};
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::SplitMix64;
@@ -159,22 +157,11 @@ impl Backend for ProtocolBackend {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
         scenario.validate()?;
-        if scenario.latency != LatencySpec::default() {
-            return Err(ModelError::Unsupported {
-                backend: "protocol",
-                what: "latency models (the §5 experiment is untimed; use the netsim backend)",
-            });
-        }
+        support::check(self.name(), scenario)?;
         if scenario.traffic.is_some() {
             // Streams run on the round-based stream engine: untimed
             // here (the §5 idealization), timed on the netsim backend.
             return crate::traffic_eval::evaluate_traffic(self.name(), scenario, None);
-        }
-        if matches!(&scenario.faults.zone_failure, Some(z) if z.at_ms > 0) {
-            return Err(ModelError::Unsupported {
-                backend: "protocol",
-                what: "zone kills after t = 0 (the relay kernel has no clock to schedule them on; use the netsim backend)",
-            });
         }
         gossip_engine::evaluate_relay(self.name(), scenario)
     }
@@ -192,11 +179,14 @@ impl Backend for NetSimBackend {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
         scenario.validate()?;
+        support::check(self.name(), scenario)?;
         if scenario.traffic.is_some() {
             // Streams run on the round-based stream engine with loss
-            // applied per frame; the constant hop latency prices
-            // rounds into seconds and sustained messages/sec.
-            let ms = crate::traffic_eval::stream_hop_millis(scenario)?;
+            // applied per frame; the constant hop latency prices rounds
+            // into seconds and sustained messages/sec.
+            let LatencySpec::ConstantMillis { ms } = scenario.latency else {
+                unreachable!("support::check refuses streams under stochastic latency");
+            };
             return crate::traffic_eval::evaluate_traffic(self.name(), scenario, Some(ms));
         }
         // q feeds ExecutionConfig validation only; scheduled-crash
@@ -206,16 +196,6 @@ impl Backend for NetSimBackend {
             latency: latency_model(scenario.latency),
             loss_probability: scenario.loss,
         };
-        // Churn bootstraps joiners into the *full* membership view; an
-        // overlay's pinned neighbour lists (SCAMP views included) have
-        // no bootstrap path, so the combination is a typed refusal
-        // rather than a silent wrong answer.
-        if scenario.faults.churn.is_some() && !scenario.topology.is_default() {
-            return Err(ModelError::Unsupported {
-                backend: "netsim",
-                what: "membership churn combined with overlays (joiners can only bootstrap into the full view)",
-            });
-        }
         let cfg = ExecutionConfig::new(scenario.n, q)
             .with_topology(scenario.topology)
             .with_network(network)
@@ -250,23 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn protocol_matches_analytic_headline() {
-        let scenario = headline(20);
-        let analytic = AnalyticBackend.evaluate(&scenario).unwrap();
-        let simulated = ProtocolBackend.evaluate(&scenario).unwrap();
-        assert_eq!(simulated.replications, 20);
-        assert!(
-            (simulated.reliability - analytic.reliability).abs() < 0.02,
-            "sim {} vs analytic {}",
-            simulated.reliability,
-            analytic.reliability
-        );
-        assert!(simulated.takeoff_rate.unwrap() > 0.5);
-        assert!(simulated.rounds.unwrap() > 1.0);
-        assert!(simulated.messages_per_member.unwrap() > 1.0);
-    }
-
-    #[test]
     fn protocol_rejects_netsim_features() {
         use gossip_faults::ChurnSpec;
         use gossip_model::FaultSpec;
@@ -293,6 +256,57 @@ mod tests {
             }
             assert!(NetSimBackend.evaluate(&case).is_ok(), "{}", case.label());
         }
+    }
+
+    #[test]
+    fn stream_refusals_are_typed() {
+        use gossip_model::TrafficSpec;
+        use gossip_topology::{OverlaySpec, TopologySpec};
+        let stream = |s: Scenario| s.with_traffic(TrafficSpec::stream(4));
+        assert!(matches!(
+            ProtocolBackend.evaluate(&stream(headline(5).with_protocol(ProtocolSpec::Flood))),
+            Err(ModelError::Unsupported {
+                backend: "protocol",
+                ..
+            })
+        ));
+        // No backend runs a stream over an overlay: an invalid scenario.
+        assert!(matches!(
+            NetSimBackend.evaluate(&stream(
+                headline(5).with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 2000 }))
+            )),
+            Err(ModelError::InvalidParameter {
+                name: "traffic",
+                ..
+            })
+        ));
+        // Rounds cannot price a stochastic per-frame latency.
+        assert!(matches!(
+            NetSimBackend.evaluate(&stream(
+                headline(5).with_latency(LatencySpec::ExponentialMillis { mean_ms: 10 })
+            )),
+            Err(ModelError::Unsupported {
+                backend: "netsim",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn protocol_matches_analytic_headline() {
+        let scenario = headline(20);
+        let analytic = AnalyticBackend.evaluate(&scenario).unwrap();
+        let simulated = ProtocolBackend.evaluate(&scenario).unwrap();
+        assert_eq!(simulated.replications, 20);
+        assert!(
+            (simulated.reliability - analytic.reliability).abs() < 0.02,
+            "sim {} vs analytic {}",
+            simulated.reliability,
+            analytic.reliability
+        );
+        assert!(simulated.takeoff_rate.unwrap() > 0.5);
+        assert!(simulated.rounds.unwrap() > 1.0);
+        assert!(simulated.messages_per_member.unwrap() > 1.0);
     }
 
     #[test]
@@ -440,28 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_needs_full_membership() {
-        use gossip_faults::ChurnSpec;
-        use gossip_model::FaultSpec;
-        use gossip_topology::{OverlaySpec, TopologySpec};
-        let churned = FaultSpec::none().with_churn(ChurnSpec::symmetric(10.0, 100));
-        let partial = headline(5)
-            .with_topology(scamp(2))
-            .with_faults(churned.clone());
-        assert!(matches!(
-            ProtocolBackend.evaluate(&partial),
-            Err(ModelError::Unsupported { .. })
-        ));
-        let structured = headline(5)
-            .with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 2000 }))
-            .with_faults(churned);
-        assert!(matches!(
-            NetSimBackend.evaluate(&structured),
-            Err(ModelError::Unsupported { .. })
-        ));
-    }
-
-    #[test]
     fn zone_failure_runs_on_clustered_overlays() {
         use gossip_model::FaultSpec;
         let spec = clustered();
@@ -576,30 +568,6 @@ mod tests {
             untimed.traffic.unwrap().reliability_mean,
             traffic.reliability_mean
         );
-    }
-
-    #[test]
-    fn stream_refusals_are_typed() {
-        use gossip_model::TrafficSpec;
-        use gossip_topology::{OverlaySpec, TopologySpec};
-        let stream = |s: Scenario| s.with_traffic(TrafficSpec::stream(4));
-        assert!(matches!(
-            ProtocolBackend.evaluate(&stream(headline(5).with_protocol(ProtocolSpec::Flood))),
-            Err(ModelError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            NetSimBackend.evaluate(&stream(
-                headline(5).with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 2000 }))
-            )),
-            Err(ModelError::Unsupported { .. })
-        ));
-        // Rounds cannot price a stochastic per-frame latency.
-        assert!(matches!(
-            NetSimBackend.evaluate(&stream(
-                headline(5).with_latency(LatencySpec::ExponentialMillis { mean_ms: 10 })
-            )),
-            Err(ModelError::Unsupported { .. })
-        ));
     }
 
     #[test]

@@ -138,9 +138,9 @@ impl ExecutionOutcome {
 ///
 /// The run is a pure function of `(cfg, make, seed, plan)`: the crash
 /// pattern, overlay (if any), network and protocol randomness all
-/// derive from `seed`. Configurations that bypass `Scenario::validate`
-/// and combine incompatible faults and overlays get a typed error, not
-/// a panic.
+/// derive from `seed`. The faults are validated against the group and
+/// overlay first (`FaultSpec::validate`), so a configuration that
+/// bypasses `Scenario::validate` gets a typed error, not a panic.
 pub fn run_execution_with_plan<P, M, F, I>(
     cfg: &ExecutionConfig,
     mut make: F,
@@ -153,6 +153,7 @@ where
     F: FnMut(NodeId) -> P,
     I: FnOnce(&mut Simulator<M, P>, NodeId),
 {
+    cfg.faults.validate(cfg.n, &cfg.topology)?;
     let membership_seed = SplitMix64::derive(seed, streams::MEMBERSHIP);
     let sim_seed = SplitMix64::derive(seed, streams::SIMULATOR);
 
@@ -160,24 +161,14 @@ where
     // real node slots (ids n..n+K) that stay dormant until their join
     // event fires. Everything derives from `seed` — the realized plan is
     // part of the execution's identity.
-    let churn_plan = match cfg.faults.churn.as_ref() {
-        Some(churn) => {
-            if !cfg.topology.is_default() {
-                return Err(ModelError::Unsupported {
-                    backend: "protocol-engine",
-                    what: "membership churn over an overlay \
-                           (joiners can only bootstrap into the full view)",
-                });
-            }
-            Some(ChurnPlan::sample(
-                churn,
-                cfg.n,
-                cfg.source,
-                SplitMix64::derive(seed, streams::CHURN),
-            ))
-        }
-        None => None,
-    };
+    let churn_plan = cfg.faults.churn.as_ref().map(|churn| {
+        ChurnPlan::sample(
+            churn,
+            cfg.n,
+            cfg.source,
+            SplitMix64::derive(seed, streams::CHURN),
+        )
+    });
     let total = cfg.n + churn_plan.as_ref().map_or(0, |p| p.joins.len());
 
     let behaviors: Vec<P> = (0..total as NodeId).map(&mut make).collect();
@@ -207,17 +198,7 @@ where
         // Scheduled before the injection: an `at_ms = 0` kill fires
         // before the source's message lands (events order by time, then
         // insertion sequence).
-        let at_ns =
-            zone_failure
-                .at_ms
-                .checked_mul(1_000_000)
-                .ok_or(ModelError::InvalidParameter {
-                    name: "at_ms",
-                    value: zone_failure.at_ms as f64,
-                    requirement: "zone-failure time must fit the nanosecond clock \
-                              (at_ms <= u64::MAX / 1e6)",
-                })?;
-        let at = SimTime::from_nanos(at_ns);
+        let at = SimTime::from_nanos(zone_failure.at_ms * 1_000_000);
         for member in killed {
             sim.schedule_crash(at, member);
         }
@@ -409,7 +390,10 @@ mod tests {
             }))
             .with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(10.0, 100)));
         let err = run_push(&cfg, &PoissonFanout::new(4.0), 1).unwrap_err();
-        assert!(matches!(err, ModelError::Unsupported { .. }), "{err:?}");
+        assert!(
+            matches!(err, ModelError::InvalidParameter { name: "churn", .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

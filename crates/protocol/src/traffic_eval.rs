@@ -14,15 +14,12 @@
 //!   reported in rounds.
 //! * **netsim** — timed: the constant hop latency converts rounds to
 //!   seconds, pricing `quiescence_secs` and sustained
-//!   `messages_per_sec`. Only [`LatencySpec::ConstantMillis`] is
-//!   supported — the stream engine's calendar is round-synchronous, so
-//!   a stochastic per-frame latency has no faithful mapping and is
-//!   refused rather than approximated.
+//!   `messages_per_sec`.
 //!
 //! Streams run the paper's base model: complete view, push relay,
-//! static crash-or-alive members with an immortal source. Everything
-//! else (overlays, SCAMP views included; dynamic faults; crash schedules;
-//! flood/push-pull) is a typed [`ModelError::Unsupported`] refusal.
+//! static crash-or-alive members with an immortal source, and a
+//! constant hop. [`gossip_model::support`] states what else each backend
+//! declines.
 //!
 //! Reliability stays per message: [`gossip_model::reduce::stream`]
 //! conditions each message's delivery fraction on take-off exactly like
@@ -32,7 +29,7 @@
 use gossip_engine::FanoutSampler;
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, StreamExecution};
-use gossip_model::scenario::{FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario};
+use gossip_model::scenario::{Report, Scenario};
 use gossip_model::ModelError;
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::streams::STREAM_EXEC;
@@ -40,28 +37,6 @@ use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 use gossip_traffic::{
     injection_rounds, merge_histogram, run_stream, StreamParams, StreamScratch, TRAFFIC_PLAN_STREAM,
 };
-
-/// Why this scenario's stream cannot run, if it can't. Both stream
-/// backends model exactly the paper's base system — complete view, push
-/// relay, static crashes, immortal source — so everything else refuses
-/// with a typed error instead of silently approximating.
-fn check_stream_support(backend: &'static str, scenario: &Scenario) -> Result<(), ModelError> {
-    let what = if scenario.protocol != ProtocolSpec::Push {
-        Some("multi-message traffic for flood/push-pull variants (streams use the push relay)")
-    } else if !scenario.topology.is_default() {
-        Some("multi-message traffic over structured overlays (streams run on the complete view)")
-    } else if !scenario.faults.is_default() {
-        Some("multi-message traffic under dynamic fault injection (streams model static crashes only)")
-    } else if matches!(scenario.failure, FailureSpec::Schedule { .. }) {
-        Some("crash schedules under multi-message traffic (streams draw static crashes from q)")
-    } else {
-        None
-    };
-    match what {
-        Some(what) => Err(ModelError::Unsupported { backend, what }),
-        None => Ok(()),
-    }
-}
 
 /// Evaluates the scenario's [`TrafficSpec`] stream on the round-based
 /// engine. `hop_millis` is `Some(ms)` for the timed netsim run (rounds
@@ -72,13 +47,12 @@ pub(crate) fn evaluate_traffic(
     scenario: &Scenario,
     hop_millis: Option<u64>,
 ) -> Result<Report, ModelError> {
-    check_stream_support(backend_name, scenario)?;
     let spec = scenario
         .traffic
         .expect("evaluate_traffic is only dispatched when traffic is present");
     let q = scenario
         .q()
-        .expect("crash schedules were refused by check_stream_support");
+        .expect("Scenario::validate refuses streams under crash schedules");
     let boxed = scenario.fanout.build()?;
     let dist: &dyn FanoutDistribution = &*boxed;
     let sampler = FanoutSampler::new(dist);
@@ -152,17 +126,4 @@ pub(crate) fn evaluate_traffic(
         &executions,
         &hist,
     )
-}
-
-/// The netsim stream refuses non-constant latency: the stream engine's
-/// calendar is round-synchronous, so stochastic per-frame delay has no
-/// faithful mapping onto it.
-pub(crate) fn stream_hop_millis(scenario: &Scenario) -> Result<u64, ModelError> {
-    match scenario.latency {
-        LatencySpec::ConstantMillis { ms } => Ok(ms),
-        _ => Err(ModelError::Unsupported {
-            backend: "netsim",
-            what: "multi-message traffic under stochastic latency (the stream engine is round-synchronous; use ConstantMillis)",
-        }),
-    }
 }

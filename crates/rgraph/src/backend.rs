@@ -13,20 +13,17 @@
 //! It has exactly two routes, both on the flat kernels: the undirected
 //! census ([`crate::flat`]) on the paper's own setting, and
 //! [`gossip_engine::evaluate_relay`] — a source, directed reach — on a
-//! structured overlay, under static faults or under bursty loss. A
-//! correlated zone failure adds the killed zones to the crash set (the
-//! scheduled `at_ms` collapses to an at-start kill — a static census
-//! has no clock, so this is the conservative approximation), an
-//! adversary's blocked arcs never carry a copy, and a bursty channel
-//! runs one Gilbert-Elliott chain per sender. Whatever the relay kernel
-//! declines ([`gossip_engine::relay_unsupported`]: crash schedules,
-//! protocol variants, churn, traffic) the census declines too, with the
-//! same typed [`ModelError::Unsupported`].
+//! structured overlay, under static faults or under bursty loss. A zone
+//! kill at t = 0 adds the killed zones to the crash set, an adversary's
+//! blocked arcs never carry a copy, and a bursty channel runs one
+//! Gilbert-Elliott chain per sender. Both routes decline what the
+//! `graph` row of [`gossip_model::support`] refuses: a static census
+//! has no clock, so a zone kill after t = 0 is among them.
 
 use gossip_engine::FanoutSampler;
 use gossip_model::reduce;
 use gossip_model::scenario::{Backend, Report, Scenario};
-use gossip_model::ModelError;
+use gossip_model::{support, ModelError};
 
 use crate::flat::{FlatPercolation, PercolationScratch};
 use crate::unionfind::UnionFind;
@@ -43,17 +40,12 @@ impl Backend for GraphBackend {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
         scenario.validate()?;
-        if let Some(what) = gossip_engine::relay_unsupported(scenario) {
-            return Err(ModelError::Unsupported {
-                backend: "graph",
-                what,
-            });
-        }
+        support::check(self.name(), scenario)?;
         // Static faults (zone kills, adversarial blocking) and bursty
         // loss need a source and directed reach, so they ride the relay
         // even on the default complete overlay.
         if !scenario.topology.is_default() || !scenario.faults.is_default() {
-            return gossip_engine::evaluate_relay("graph", scenario);
+            return gossip_engine::evaluate_relay(self.name(), scenario);
         }
         evaluate_census(scenario)
     }
@@ -77,7 +69,7 @@ fn evaluate_census(scenario: &Scenario) -> Result<Report, ModelError> {
         n: scenario.n,
         q: scenario
             .q()
-            .expect("relay_unsupported refuses crash schedules"),
+            .expect("support::check refuses crash schedules"),
         loss: scenario.loss,
         dist: &*dist,
         sampler: &sampler,
@@ -267,7 +259,7 @@ mod tests {
             .evaluate(
                 &base
                     .clone()
-                    .with_faults(FaultSpec::none().with_zone_failure(vec![1, 5], 3)),
+                    .with_faults(FaultSpec::none().with_zone_failure(vec![1, 5], 0)),
             )
             .unwrap();
         assert!(clean.reliability > 0.95, "clean r = {}", clean.reliability);
@@ -277,16 +269,26 @@ mod tests {
             "killed-zone conditional r = {}",
             killed.reliability
         );
-        assert_eq!(killed.faults.as_deref(), Some("zones([1,5]@3ms)"));
+        assert_eq!(killed.faults.as_deref(), Some("zones([1,5]@0ms)"));
         // Determinism with the fault active.
         let again = GraphBackend
             .evaluate(
                 &base
                     .clone()
-                    .with_faults(FaultSpec::none().with_zone_failure(vec![1, 5], 3)),
+                    .with_faults(FaultSpec::none().with_zone_failure(vec![1, 5], 0)),
             )
             .unwrap();
         assert_eq!(killed.reliability, again.reliability);
+        // A static census has no clock: a later kill is refused, as on
+        // the protocol backend's relay, naming the backend that runs it.
+        let later = base.with_faults(FaultSpec::none().with_zone_failure(vec![1, 5], 3));
+        match GraphBackend.evaluate(&later) {
+            Err(ModelError::Unsupported { backend, what }) => {
+                assert_eq!(backend, "graph");
+                assert!(what.contains("netsim"), "{what}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
     }
 
     #[test]

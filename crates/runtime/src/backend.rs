@@ -9,11 +9,12 @@
 //! so a runtime [`Report`] is directly comparable with the other four
 //! backends — that agreement is the end-to-end check that the
 //! *implemented* protocol, not just its models, matches the paper's
-//! predictions.
+//! predictions. What each transport declines is stated in
+//! [`gossip_model::support`].
 
 use gossip_model::reduce::{self, Execution, StreamExecution};
-use gossip_model::scenario::{Backend, FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario};
-use gossip_model::ModelError;
+use gossip_model::scenario::{Backend, Report, Scenario};
+use gossip_model::{support, ModelError};
 use gossip_stats::parallel::hardware_threads;
 use gossip_stats::rng::SplitMix64;
 
@@ -24,10 +25,6 @@ use crate::transport::Transport;
 
 /// The member the broadcast is injected at.
 pub(crate) const SOURCE: u32 = 0;
-
-/// Group-size ceiling for the TCP transport: each alive member holds an
-/// open listener, so `n` is bounded by the process fd budget.
-const TCP_MAX_GROUP: usize = 1024;
 
 /// Which wire the runtime puts messages on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,51 +82,6 @@ pub fn shard_count(n: usize, max_threads: usize, nested: bool) -> usize {
     shards.min(n).max(1)
 }
 
-fn reject_unsupported(scenario: &Scenario, n_cap: Option<usize>) -> Result<(), ModelError> {
-    if scenario.protocol == ProtocolSpec::PushPull {
-        return Err(ModelError::Unsupported {
-            backend: "runtime",
-            what: "push-pull anti-entropy (the runtime implements push and flood; use the netsim backend)",
-        });
-    }
-    if let Some(cap) = n_cap {
-        if scenario.n > cap {
-            return Err(ModelError::Unsupported {
-                backend: "runtime-tcp",
-                what: "groups larger than 1024 over TCP (one loopback listener per member exhausts the fd budget; use the channel transport)",
-            });
-        }
-    }
-    if scenario.faults.churn.is_some() && !scenario.topology.is_default() {
-        return Err(ModelError::Unsupported {
-            backend: "runtime",
-            what: "membership churn combined with overlays (joiners can only bootstrap into the full view)",
-        });
-    }
-    Ok(())
-}
-
-/// Why this scenario's stream cannot run live, if it can't. Live
-/// streams model the paper's base system only: complete view, push
-/// relay, static crashes, constant hop latency (the token bucket's
-/// round is the hop).
-fn check_stream_support(backend: &'static str, scenario: &Scenario) -> Result<(), ModelError> {
-    let what = if scenario.protocol != ProtocolSpec::Push {
-        "multi-message traffic for flood variants (live streams use the push relay)"
-    } else if !scenario.topology.is_default() {
-        "multi-message traffic over structured overlays (live streams run on the complete view)"
-    } else if !scenario.faults.is_default() {
-        "multi-message traffic under dynamic fault injection (live streams model static crashes only)"
-    } else if matches!(scenario.failure, FailureSpec::Schedule { .. }) {
-        "crash schedules under multi-message traffic (live streams draw static crashes from q)"
-    } else if !matches!(scenario.latency, LatencySpec::ConstantMillis { .. }) {
-        "multi-message traffic under stochastic latency (the token bucket's round is the constant hop; use ConstantMillis)"
-    } else {
-        return Ok(());
-    };
-    Err(ModelError::Unsupported { backend, what })
-}
-
 /// Runs the scenario's replications sequentially over `transport` and
 /// hands their digests to [`gossip_model::reduce`]: one sample per
 /// execution for a single broadcast, one per message for a stream —
@@ -140,9 +92,6 @@ fn evaluate_over<T: Transport>(
     scenario: &Scenario,
     backend_name: &str,
 ) -> Result<Report, ModelError> {
-    if scenario.traffic.is_some() {
-        check_stream_support(transport.name(), scenario)?;
-    }
     let dist = scenario.fanout.build()?;
     let params = ExecParams::new(scenario, &*dist);
 
@@ -190,15 +139,10 @@ impl Backend for RuntimeBackend {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
         scenario.validate()?;
+        support::check(self.name(), scenario)?;
         match self.transport {
-            TransportKind::Channel => {
-                reject_unsupported(scenario, None)?;
-                evaluate_over(&ChannelTransport, scenario, self.name())
-            }
-            TransportKind::Tcp => {
-                reject_unsupported(scenario, Some(TCP_MAX_GROUP))?;
-                evaluate_over(&TcpTransport, scenario, self.name())
-            }
+            TransportKind::Channel => evaluate_over(&ChannelTransport, scenario, self.name()),
+            TransportKind::Tcp => evaluate_over(&TcpTransport, scenario, self.name()),
         }
     }
 }
@@ -206,7 +150,9 @@ impl Backend for RuntimeBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_model::scenario::{AnalyticBackend, FanoutSpec, LatencySpec, RuntimeSpec};
+    use gossip_model::scenario::{
+        AnalyticBackend, FanoutSpec, LatencySpec, ProtocolSpec, RuntimeSpec,
+    };
     use std::time::Duration;
 
     fn headline(n: usize, reps: usize) -> Scenario {
@@ -275,16 +221,57 @@ mod tests {
         assert!(matches!(
             RuntimeBackend::channel()
                 .evaluate(&headline(100, 2).with_protocol(ProtocolSpec::PushPull)),
-            Err(ModelError::Unsupported { .. })
+            Err(ModelError::Unsupported {
+                backend: "runtime",
+                ..
+            })
         ));
         assert!(matches!(
             RuntimeBackend::tcp().evaluate(&headline(2000, 2)),
-            Err(ModelError::Unsupported { .. })
+            Err(ModelError::Unsupported {
+                backend: "runtime-tcp",
+                ..
+            })
         ));
         // The channel transport has no fd budget: n = 2000 is fine.
         assert!(RuntimeBackend::channel()
             .evaluate(&headline(2000, 1))
             .is_ok());
+    }
+
+    #[test]
+    fn live_stream_refusals_are_typed() {
+        use gossip_model::TrafficSpec;
+        use gossip_topology::{OverlaySpec, TopologySpec};
+        let stream = |s: Scenario| s.with_traffic(TrafficSpec::stream(4));
+        assert!(matches!(
+            RuntimeBackend::channel()
+                .evaluate(&stream(headline(100, 2).with_protocol(ProtocolSpec::Flood))),
+            Err(ModelError::Unsupported {
+                backend: "runtime",
+                ..
+            })
+        ));
+        assert!(matches!(
+            RuntimeBackend::channel().evaluate(&stream(
+                headline(100, 2).with_latency(LatencySpec::ExponentialMillis { mean_ms: 5 })
+            )),
+            Err(ModelError::Unsupported {
+                backend: "runtime",
+                ..
+            })
+        ));
+        // No backend runs a stream over an overlay: an invalid scenario.
+        assert!(matches!(
+            RuntimeBackend::tcp()
+                .evaluate(&stream(headline(100, 2).with_topology(TopologySpec::new(
+                    OverlaySpec::Ring { shortcuts: 100 }
+                )))),
+            Err(ModelError::InvalidParameter {
+                name: "traffic",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -353,14 +340,14 @@ mod tests {
             "report must carry the fault label"
         );
         assert!(live.reliability > 0.8, "churned r = {}", live.reliability);
-        // Churn over a structured overlay is refused: joiners cannot
-        // bootstrap into a neighbour list.
+        // Churn over a structured overlay is an invalid scenario: joiners
+        // cannot bootstrap into a neighbour list.
         let structured = scenario
             .clone()
             .with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 200 }));
         assert!(matches!(
             RuntimeBackend::channel().evaluate(&structured),
-            Err(ModelError::Unsupported { .. })
+            Err(ModelError::InvalidParameter { name: "churn", .. })
         ));
     }
 
@@ -500,31 +487,6 @@ mod tests {
         assert!(traffic.batched);
         assert!(traffic.copies_sent.unwrap() > 0.0);
         assert!(traffic.reliability_min <= traffic.reliability_mean);
-    }
-
-    #[test]
-    fn live_stream_refusals_are_typed() {
-        use gossip_model::TrafficSpec;
-        use gossip_topology::{OverlaySpec, TopologySpec};
-        let stream = |s: Scenario| s.with_traffic(TrafficSpec::stream(4));
-        assert!(matches!(
-            RuntimeBackend::channel()
-                .evaluate(&stream(headline(100, 2).with_protocol(ProtocolSpec::Flood))),
-            Err(ModelError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            RuntimeBackend::channel().evaluate(&stream(
-                headline(100, 2).with_latency(LatencySpec::ExponentialMillis { mean_ms: 5 })
-            )),
-            Err(ModelError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            RuntimeBackend::tcp()
-                .evaluate(&stream(headline(100, 2).with_topology(TopologySpec::new(
-                    OverlaySpec::Ring { shortcuts: 100 }
-                )))),
-            Err(ModelError::Unsupported { .. })
-        ));
     }
 
     #[test]

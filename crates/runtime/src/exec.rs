@@ -94,7 +94,7 @@ pub(crate) struct ExecParams<'a> {
 
 impl<'a> ExecParams<'a> {
     /// The plan `scenario` executes under. A stream runs on the constant
-    /// hop (`check_stream_support` refuses any other latency); a single
+    /// hop (`gossip_model::support` refuses any other latency); a single
     /// broadcast's uncapped bucket never reads the round.
     pub fn new(scenario: &'a Scenario, dist: &'a dyn FanoutDistribution) -> Self {
         let traffic = scenario.traffic.unwrap_or(TrafficSpec::stream(1));
