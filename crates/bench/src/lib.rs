@@ -342,10 +342,11 @@ impl Experiment {
                 .collect(),
             findings: outcome.findings.clone(),
         };
-        let Value::Map(fields) = ledger.serialize_value() else {
+        let compact =
+            |value: &dyn Serialize| json::to_string(value).expect("ledger cells are finite");
+        let Ok(Value::Map(fields)) = json::parse(&compact(&ledger)) else {
             unreachable!("a struct serialises as a map");
         };
-        let compact = |value: &Value| json::to_string(value).expect("ledger cells are finite");
         let fields: Vec<String> = fields
             .iter()
             .map(|(key, value)| match value {

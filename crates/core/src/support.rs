@@ -1,9 +1,11 @@
 //! Which backend runs which scenario feature: the one place each
 //! backend's domain is stated. Every `Backend::evaluate` asks [`check`]
-//! before it routes; README's matrix is [`markdown`]'s output. What no
-//! backend runs is an invalid scenario instead: churn on an overlay
-//! (`FaultSpec::validate`), a stream over an overlay or under a crash
-//! schedule (`Scenario::validate`).
+//! once before it runs a kernel (graph and protocol through
+//! `gossip_engine::evaluate_relay`, which asks it itself); README's
+//! matrix is [`markdown`]'s output. What no backend runs is an invalid
+//! scenario instead: churn on an overlay (`FaultSpec::validate`), a
+//! stream over an overlay or under a crash schedule
+//! (`Scenario::validate`).
 
 use crate::scenario::{FailureSpec, LatencySpec, ProtocolSpec, Scenario};
 use crate::ModelError;

@@ -40,13 +40,14 @@ impl Backend for GraphBackend {
 
     fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
         scenario.validate()?;
-        support::check(self.name(), scenario)?;
         // Static faults (zone kills, adversarial blocking) and bursty
         // loss need a source and directed reach, so they ride the relay
-        // even on the default complete overlay.
+        // even on the default complete overlay. The relay checks the
+        // support table itself.
         if !scenario.topology.is_default() || !scenario.faults.is_default() {
             return gossip_engine::evaluate_relay(self.name(), scenario);
         }
+        support::check(self.name(), scenario)?;
         evaluate_census(scenario)
     }
 }

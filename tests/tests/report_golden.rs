@@ -44,7 +44,7 @@ use std::path::PathBuf;
 
 use gossip::{
     AdversaryStrategy, Backend, BurstySpec, ChurnSpec, FanoutSpec, FaultSpec, GraphBackend,
-    LatencySpec, NetSimBackend, OverlaySpec, PeerSelection, ProtocolBackend, ProtocolSpec,
+    LatencySpec, NetSimBackend, OverlaySpec, PeerSelection, ProtocolBackend, ProtocolSpec, Report,
     RuntimeBackend, Scenario, TopologySpec, TrafficSpec,
 };
 
@@ -381,4 +381,18 @@ fn reports_match_the_committed_goldens() {
         "Report JSON drifted from its goldens:\n{}",
         drifted.join("\n")
     );
+}
+
+/// The decoder on every committed Report shape (reach curves, stream
+/// traffic, labels, nulls): each golden line reads back into a `Report`
+/// that writes out to the same bytes.
+#[test]
+fn goldens_decode_and_reencode_byte_for_byte() {
+    let committed = std::fs::read_to_string(golden_path()).expect("goldens are committed");
+    for line in committed.lines() {
+        let (name, json) = line.split_once('\t').expect("name<TAB>json");
+        let report: Report = serde::json::from_str(json).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let again = serde::json::to_string(&report).expect("serializes");
+        assert_eq!(again, json, "{name}: {}", drift(json, &again).join("; "));
+    }
 }
