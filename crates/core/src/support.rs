@@ -124,7 +124,10 @@ pub fn support(backend: &str, feature: Feature) -> Support {
         ("analytic", ContendedStream) => Support::Refused(
             "contended traffic (offered load k·E[F] exceeds the bandwidth cap; queue coupling has no closed form: use the protocol or netsim backend)",
         ),
-        ("analytic", Latency | Churn | StaticFaults | TimedZoneKill | StreamFaults | StreamLatency)
+        ("analytic", TimedZoneKill) => Support::Refused(
+            "zone kills after t = 0 (a zone kill needs a clustered overlay, which the generating-function model cannot hold, and a clock; use the netsim backend)",
+        ),
+        ("analytic", Latency | Churn | StaticFaults | StreamFaults | StreamLatency)
         | ("graph", Latency) => Support::Reduced,
         ("graph", Stream | ContendedStream | StreamVariant | StreamFaults | StreamLatency) => {
             Support::Refused("multi-message traffic (a percolation census has no rounds, queues or bandwidth; use the analytic, protocol or netsim backend)")

@@ -21,7 +21,12 @@
 //! * **Few allocations on the event path** — the event queue, the
 //!   outbox and timer buffers and per-node state are reused across
 //!   events, and behaviours write into buffers owned by the simulator.
-//!   The queue's in-order lane grows on demand. Some allocations
+//!   The queue's in-order lane grows on demand. A copy whose fate is
+//!   fixed when it is sent (its target crashed for good, or
+//!   [settled](NodeBehavior::settled), as a push member is once it has
+//!   the rumor) never enters the queue: the simulator counts it at send
+//!   time while membership is frozen and no tracer is attached, with
+//!   the full calendar's metrics at quiescence. Some allocations
 //!   remain: `PushGossip` allocates a target `Vec` on each first
 //!   receipt, [`membership::OverlayView`] selects into a scratch `Vec`
 //!   per call, and overlay peer selection may copy the neighbour pool.

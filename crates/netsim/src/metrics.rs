@@ -21,9 +21,11 @@ pub struct SimMetrics {
     pub timers_fired: u64,
     /// Crash events applied.
     pub crashes: u64,
-    /// Total events processed.
+    /// Total events processed, absorbed copies included.
     pub events_processed: u64,
-    /// Time of the last processed event.
+    /// Time of the last processed event, counting the arrival time of
+    /// every absorbed copy (one settled at send time, see
+    /// [`NodeBehavior::settled`](crate::NodeBehavior::settled)).
     pub last_event_time: SimTime,
 }
 

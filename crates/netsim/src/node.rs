@@ -25,6 +25,25 @@ pub trait NodeBehavior<M> {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_, M>, id: u64) {
         let _ = (ctx, id);
     }
+
+    /// Whether this node has *settled*: every further delivery is
+    /// discarded and only bumps counters in `self`. The default is
+    /// "never settled".
+    ///
+    /// Contract, once this returns `true`:
+    ///
+    /// * it returns `true` for the rest of the run;
+    /// * [`on_message`](Self::on_message) sends nothing, sets no timer,
+    ///   draws no randomness and reads neither the clock nor the view.
+    ///
+    /// While membership is frozen (no crash or join pending) and no
+    /// tracer is attached, the simulator hands a copy bound for a
+    /// settled node to `on_message` at send time instead of scheduling
+    /// it — an *absorbed* copy. The run's metrics and every behaviour's
+    /// state at quiescence are those of the full event calendar.
+    fn settled(&self) -> bool {
+        false
+    }
 }
 
 /// Execution context handed to a behaviour for the duration of one

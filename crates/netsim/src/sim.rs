@@ -1,4 +1,13 @@
 //! The simulator core: event loop, dispatch, crash handling.
+//!
+//! A copy whose fate is fixed when it is sent — its target is crashed
+//! for good, or [settled](NodeBehavior::settled) — is *absorbed*:
+//! `Simulator::flush` counts it and hands it to the settled target
+//! at once instead of scheduling it. That holds only while membership
+//! is frozen (no `Crash` or `Join` event pending) and no tracer is
+//! attached, so the trace stays in time order; metrics, behaviour
+//! state and [`Simulator::now`] at quiescence are those of the full
+//! calendar.
 
 use gossip_stats::rng::Xoshiro256StarStar;
 
@@ -25,6 +34,9 @@ pub struct Simulator<M, B> {
     metrics: SimMetrics,
     tracer: Option<Tracer>,
     link_faults: Option<LinkFaults>,
+    /// `Crash` and `Join` events still in the queue. Copies are
+    /// absorbed only while this is zero.
+    membership_events: usize,
     // Workhorse buffers reused across dispatches (no steady-state alloc).
     outbox: Vec<(NodeId, M)>,
     timerbox: Vec<(SimDuration, u64)>,
@@ -58,6 +70,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             metrics: SimMetrics::default(),
             tracer: None,
             link_faults: None,
+            membership_events: 0,
             outbox: Vec::new(),
             timerbox: Vec::new(),
         }
@@ -138,7 +151,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             }
             FailurePlan::CrashAtTimes(schedule) => {
                 for &(time, node) in schedule {
-                    self.queue.schedule(time, node, EventKind::Crash);
+                    self.schedule_crash(time, node);
                 }
             }
         }
@@ -160,11 +173,13 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
 
     /// Schedules `node` to join (activate) at `time`.
     pub fn schedule_join(&mut self, time: SimTime, node: NodeId) {
+        self.membership_events += 1;
         self.queue.schedule(time, node, EventKind::Join);
     }
 
     /// Schedules `node` to crash at `time`.
     pub fn schedule_crash(&mut self, time: SimTime, node: NodeId) {
+        self.membership_events += 1;
         self.queue.schedule(time, node, EventKind::Crash);
     }
 
@@ -185,18 +200,22 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             .schedule(self.now, to, EventKind::Deliver { from, msg });
     }
 
-    /// Processes a single event. Returns `false` when the queue is empty.
+    /// Processes a single event. Returns `false` when the queue is
+    /// empty; the clock then moves on to the latest absorbed copy, if
+    /// one lands after the last scheduled event.
     pub fn step(&mut self) -> bool {
         let Some(event) = self.queue.pop() else {
+            self.now = self.metrics.last_event_time;
             return false;
         };
         debug_assert!(event.time >= self.now, "time must be monotone");
         self.now = event.time;
         self.metrics.events_processed += 1;
-        self.metrics.last_event_time = self.now;
+        self.metrics.last_event_time = self.metrics.last_event_time.max(self.now);
         let target = event.target;
         match event.kind {
             EventKind::Crash => {
+                self.membership_events -= 1;
                 if !self.crashed[target as usize] {
                     self.crashed[target as usize] = true;
                     self.metrics.crashes += 1;
@@ -226,6 +245,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
                 }
             }
             EventKind::Join => {
+                self.membership_events -= 1;
                 // Dormant (or pre-crashed) nodes come up; joining an
                 // already-live node is a no-op. A crash scheduled after
                 // the join still wins — it simply fires later.
@@ -307,7 +327,8 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         self.timerbox = timerbox;
     }
 
-    /// Turns buffered sends/timers into scheduled events.
+    /// Turns buffered sends/timers into scheduled events, and settles
+    /// absorbed copies on the spot (see the module doc).
     fn flush(
         &mut self,
         sender: NodeId,
@@ -331,14 +352,15 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             }
             match self.network.transmit(&mut self.rng) {
                 Some(latency) => {
+                    let at = self.now + latency;
+                    let Some(msg) = self.absorb(sender, to, msg, at) else {
+                        continue;
+                    };
                     if let Some(t) = &mut self.tracer {
                         t.record(self.now, sender, TraceKind::Sent { to });
                     }
-                    self.queue.schedule(
-                        self.now + latency,
-                        to,
-                        EventKind::Deliver { from: sender, msg },
-                    );
+                    self.queue
+                        .schedule(at, to, EventKind::Deliver { from: sender, msg });
                 }
                 None => {
                     self.metrics.messages_lost += 1;
@@ -354,6 +376,42 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
                 .schedule(self.now + delay, sender, EventKind::Timer { id });
         }
     }
+
+    /// Settles the copy `sender` → `to` landing at `at` on the spot,
+    /// counted as `step` would count it, if its fate is already fixed
+    /// (see the module doc); otherwise hands `msg` back to be scheduled.
+    fn absorb(&mut self, sender: NodeId, to: NodeId, msg: M, at: SimTime) -> Option<M> {
+        if self.membership_events > 0 || self.tracer.is_some() {
+            return Some(msg);
+        }
+        if self.crashed[to as usize] {
+            self.metrics.deliveries_to_crashed += 1;
+        } else {
+            let behavior = &mut self.behaviors[to as usize];
+            if !behavior.settled() {
+                return Some(msg);
+            }
+            self.metrics.messages_delivered += 1;
+            // The dispatch took `outbox` and `timerbox`, leaving them
+            // empty; a settled node must leave them so.
+            let mut ctx = NodeCtx {
+                node: to,
+                now: at,
+                rng: &mut self.rng,
+                membership: &*self.membership,
+                outbox: &mut self.outbox,
+                timers: &mut self.timerbox,
+            };
+            behavior.on_message(&mut ctx, sender, msg);
+            assert!(
+                self.outbox.is_empty() && self.timerbox.is_empty(),
+                "a settled node sent a message or set a timer"
+            );
+        }
+        self.metrics.events_processed += 1;
+        self.metrics.last_event_time = self.metrics.last_event_time.max(at);
+        None
+    }
 }
 
 #[cfg(test)]
@@ -362,10 +420,22 @@ mod tests {
     use crate::membership::FullView;
     use crate::network::LatencyModel;
 
-    /// Relays each first-seen value to one random target; counts receipts.
+    /// Relays each first-seen value to `fanout` random targets (one
+    /// unless set); counts receipts. Settled once it has relayed.
     struct Relay {
         seen: bool,
         receipts: u32,
+        fanout: usize,
+    }
+
+    impl Relay {
+        fn new() -> Self {
+            Relay {
+                seen: false,
+                receipts: 0,
+                fanout: 1,
+            }
+        }
     }
 
     impl NodeBehavior<u64> for Relay {
@@ -374,26 +444,122 @@ mod tests {
             if !self.seen {
                 self.seen = true;
                 let mut targets = Vec::new();
-                ctx.sample_targets(1, &mut targets);
+                ctx.sample_targets(self.fanout, &mut targets);
                 for t in targets {
                     ctx.send(t, msg);
                 }
             }
         }
+
+        fn settled(&self) -> bool {
+            self.seen
+        }
     }
 
     fn relay_sim(n: usize, seed: u64) -> Simulator<u64, Relay> {
         Simulator::new(
-            (0..n)
-                .map(|_| Relay {
-                    seen: false,
-                    receipts: 0,
-                })
-                .collect(),
+            (0..n).map(|_| Relay::new()).collect(),
             NetworkConfig::new(LatencyModel::constant_millis(1)),
             Box::new(FullView::new(n)),
             seed,
         )
+    }
+
+    /// A fanout-3 relay over `members` whose membership `plan` moves
+    /// mid-run, traced (full calendar) or not.
+    fn moving_sim(
+        members: Box<dyn Membership>,
+        plan: impl Fn(&mut Simulator<u64, Relay>),
+        traced: bool,
+    ) -> Simulator<u64, Relay> {
+        let n = members.group_size();
+        let relays = (0..n).map(|_| Relay {
+            fanout: 3,
+            ..Relay::new()
+        });
+        let mut sim = Simulator::new(
+            relays.collect(),
+            NetworkConfig::new(LatencyModel::constant_millis(1)),
+            members,
+            21,
+        );
+        if traced {
+            sim.enable_tracing(usize::MAX);
+        }
+        plan(&mut sim);
+        sim.inject(0, 0, 1);
+        sim
+    }
+
+    /// Runs `sim` to quiescence, checking that no copy is absorbed
+    /// while a crash or join is pending; returns the events popped.
+    fn step_frozen_checked(sim: &mut Simulator<u64, Relay>) -> u64 {
+        let mut popped = 0;
+        while sim.step() {
+            popped += 1;
+            if sim.membership_events > 0 {
+                assert_eq!(
+                    sim.metrics.events_processed, popped,
+                    "a copy was absorbed while membership could still move"
+                );
+            }
+        }
+        popped
+    }
+
+    /// Everything a run leaves behind: metrics, clock, per-node state.
+    fn outcome(sim: &Simulator<u64, Relay>) -> (SimMetrics, SimTime, Vec<(bool, u32, bool)>) {
+        let nodes = sim.nodes().map(|(_, r, c)| (r.seen, r.receipts, c));
+        (*sim.metrics(), sim.now(), nodes.collect())
+    }
+
+    /// The shortcut stays off until the plan's last event has fired,
+    /// then absorbs copies, and the run ends as the full calendar's.
+    fn assert_shortcut_waits_for(
+        members: impl Fn() -> Box<dyn Membership>,
+        plan: impl Fn(&mut Simulator<u64, Relay>),
+    ) {
+        let mut sim = moving_sim(members(), &plan, false);
+        let popped = step_frozen_checked(&mut sim);
+        assert!(
+            sim.metrics().events_processed > popped,
+            "copies after the last membership event are absorbed"
+        );
+        let mut full = moving_sim(members(), &plan, true);
+        assert_eq!(
+            step_frozen_checked(&mut full),
+            full.metrics().events_processed
+        );
+        assert_eq!(outcome(&sim), outcome(&full));
+    }
+
+    #[test]
+    fn a_crash_schedule_holds_the_shortcut_off_until_it_fires() {
+        assert_shortcut_waits_for(
+            || Box::new(FullView::new(40)),
+            |sim| {
+                sim.apply_failure_plan(&FailurePlan::CrashAtTimes(vec![
+                    (SimTime::from_nanos(1_500_000), 7),
+                    (SimTime::from_nanos(2_500_000), 9),
+                ]))
+            },
+        );
+    }
+
+    #[test]
+    fn a_churn_plan_holds_the_shortcut_off_until_it_fires() {
+        use crate::membership::DynamicView;
+        assert_shortcut_waits_for(
+            || Box::new(DynamicView::new(42, 40)),
+            |sim| {
+                for joiner in [40, 41] {
+                    sim.make_dormant(joiner);
+                }
+                sim.schedule_join(SimTime::from_nanos(1_500_000), 40);
+                sim.schedule_join(SimTime::from_nanos(2_500_000), 41);
+                sim.schedule_crash(SimTime::from_nanos(2_000_000), 3);
+            },
+        );
     }
 
     #[test]
@@ -476,12 +642,7 @@ mod tests {
     #[test]
     fn lossy_network_counts_losses() {
         let mut sim = Simulator::new(
-            (0..2)
-                .map(|_| Relay {
-                    seen: false,
-                    receipts: 0,
-                })
-                .collect::<Vec<_>>(),
+            (0..2).map(|_| Relay::new()).collect::<Vec<_>>(),
             NetworkConfig::new(LatencyModel::constant_millis(1)).with_loss(0.999),
             Box::new(FullView::new(2)),
             7,
@@ -500,12 +661,7 @@ mod tests {
         use crate::membership::DynamicView;
         // 4 initial members + 1 joiner (id 4) arriving at 5 ms.
         let mut sim = Simulator::new(
-            (0..5)
-                .map(|_| Relay {
-                    seen: false,
-                    receipts: 0,
-                })
-                .collect::<Vec<_>>(),
+            (0..5).map(|_| Relay::new()).collect::<Vec<_>>(),
             NetworkConfig::new(LatencyModel::constant_millis(1)),
             Box::new(DynamicView::new(5, 4)),
             11,
@@ -546,13 +702,34 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a settled node sent")]
+    fn a_settled_node_that_sends_breaks_its_contract() {
+        /// Claims to be settled but answers every copy.
+        struct Chatty;
+        impl NodeBehavior<u64> for Chatty {
+            fn on_message(&mut self, ctx: &mut NodeCtx<'_, u64>, from: NodeId, msg: u64) {
+                ctx.send(from, msg);
+            }
+
+            fn settled(&self) -> bool {
+                true
+            }
+        }
+        let mut sim = Simulator::new(
+            vec![Chatty, Chatty],
+            NetworkConfig::default(),
+            Box::new(FullView::new(2)),
+            1,
+        );
+        sim.inject(1, 0, 1);
+        sim.run_to_quiescence();
+    }
+
+    #[test]
     #[should_panic(expected = "membership group size")]
     fn rejects_mismatched_membership() {
         let _: Simulator<u64, Relay> = Simulator::new(
-            vec![Relay {
-                seen: false,
-                receipts: 0,
-            }],
+            vec![Relay::new()],
             NetworkConfig::default(),
             Box::new(FullView::new(5)),
             1,

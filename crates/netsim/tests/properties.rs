@@ -6,32 +6,101 @@ use gossip_netsim::membership::FullView;
 use gossip_netsim::queue::EventQueue;
 use gossip_netsim::{
     EventKind, FailurePlan, LatencyModel, NetworkConfig, NodeBehavior, NodeCtx, NodeId,
-    SimDuration, SimTime, Simulator,
+    SimDuration, SimMetrics, SimTime, Simulator,
 };
 use gossip_stats::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
 
-/// Behaviour that relays each message once to `fanout` random targets.
+/// Relays the first copy (carrying its hop count) to `fanout` random
+/// targets and remembers when, from whom and at which hop it came; then
+/// settles, counting every later copy as a duplicate.
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct RelayOnce {
     fanout: usize,
-    seen: bool,
+    first: Option<(SimTime, NodeId, u32)>,
+    duplicates: u32,
 }
 
-impl NodeBehavior<u32> for RelayOnce {
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_, u32>, _from: NodeId, msg: u32) {
-        if self.seen {
-            return;
-        }
-        self.seen = true;
-        let mut targets = Vec::new();
-        ctx.sample_targets(self.fanout, &mut targets);
-        for t in targets {
-            ctx.send(t, msg);
+impl RelayOnce {
+    fn new(fanout: usize) -> Self {
+        RelayOnce {
+            fanout,
+            first: None,
+            duplicates: 0,
         }
     }
 }
 
+impl NodeBehavior<u32> for RelayOnce {
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_, u32>, from: NodeId, hop: u32) {
+        if self.first.is_some() {
+            self.duplicates += 1;
+            return;
+        }
+        self.first = Some((ctx.now(), from, hop));
+        let mut targets = Vec::new();
+        ctx.sample_targets(self.fanout, &mut targets);
+        for t in targets {
+            ctx.send(t, hop + 1);
+        }
+    }
+
+    fn settled(&self) -> bool {
+        self.first.is_some()
+    }
+}
+
+/// One relay run to quiescence, with the full event calendar
+/// (`traced`) or with settled copies absorbed at send time; returns the
+/// metrics, the final clock and every node's state and crash flag.
+fn relay_run(
+    n: usize,
+    fanout: usize,
+    q: f64,
+    network: NetworkConfig,
+    seed: u64,
+    traced: bool,
+) -> (SimMetrics, SimTime, Vec<(RelayOnce, bool)>) {
+    let relays = (0..n).map(|_| RelayOnce::new(fanout)).collect();
+    let mut sim = Simulator::new(relays, network, Box::new(FullView::new(n)), seed);
+    if traced {
+        sim.enable_tracing(usize::MAX);
+    }
+    sim.apply_failure_plan(&FailurePlan::paper_model(q, 0));
+    sim.inject(0, 0, 0);
+    sim.run_to_quiescence();
+    let nodes = sim.nodes().map(|(_, b, crashed)| (b.clone(), crashed));
+    (*sim.metrics(), sim.now(), nodes.collect())
+}
+
 proptest! {
+    /// Absorbing settled and crashed-bound copies at send time changes
+    /// nothing a run leaves behind: metrics, clock and per-node state
+    /// equal the full calendar's, under constant, uniform and
+    /// exponential latency.
+    #[test]
+    fn absorbed_copies_match_the_full_calendar(
+        n in 2usize..120,
+        fanout in 0usize..8,
+        q in 0.2f64..1.0,
+        loss in 0.0f64..0.5,
+        latency in 0u8..3,
+        seed in 0u64..10_000,
+    ) {
+        let latency = match latency {
+            0 => LatencyModel::constant_millis(1),
+            1 => LatencyModel::Uniform {
+                lo: SimDuration::from_millis(1),
+                hi: SimDuration::from_millis(5),
+            },
+            _ => LatencyModel::Exponential { mean: SimDuration::from_millis(20) },
+        };
+        let network = NetworkConfig::new(latency).with_loss(loss);
+        let absorbed = relay_run(n, fanout, q, network, seed, false);
+        let full = relay_run(n, fanout, q, network, seed, true);
+        prop_assert_eq!(absorbed, full);
+    }
+
     /// The event queue is a stable priority queue: pops are globally
     /// time-ordered, FIFO among equal timestamps.
     #[test]
@@ -141,7 +210,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let mut sim = Simulator::new(
-            (0..n).map(|_| RelayOnce { fanout, seen: false }).collect::<Vec<_>>(),
+            (0..n).map(|_| RelayOnce::new(fanout)).collect::<Vec<_>>(),
             NetworkConfig::new(LatencyModel::constant_millis(1)).with_loss(loss),
             Box::new(FullView::new(n)),
             seed,
@@ -162,7 +231,7 @@ proptest! {
     fn run_deterministic(n in 2usize..30, seed in 0u64..500) {
         let run = || {
             let mut sim = Simulator::new(
-                (0..n).map(|_| RelayOnce { fanout: 2, seen: false }).collect::<Vec<_>>(),
+                (0..n).map(|_| RelayOnce::new(2)).collect::<Vec<_>>(),
                 NetworkConfig::new(LatencyModel::Uniform {
                     lo: SimDuration::from_millis(1),
                     hi: SimDuration::from_millis(5),
@@ -183,7 +252,7 @@ proptest! {
     fn crash_schedule_applies(n in 3usize..30, victim in 1u32..29, seed in 0u64..100) {
         prop_assume!((victim as usize) < n);
         let mut sim = Simulator::new(
-            (0..n).map(|_| RelayOnce { fanout: 1, seen: false }).collect::<Vec<_>>(),
+            (0..n).map(|_| RelayOnce::new(1)).collect::<Vec<_>>(),
             NetworkConfig::default(),
             Box::new(FullView::new(n)),
             seed,

@@ -59,6 +59,11 @@ impl NodeBehavior<GossipMessage> for Flooding {
             ctx.send(t, copy.clone());
         }
     }
+
+    /// Settled on first receipt: every later copy is a duplicate.
+    fn settled(&self) -> bool {
+        self.received
+    }
 }
 
 impl GossipProtocol for Flooding {

@@ -65,6 +65,11 @@ impl NodeBehavior<GossipMessage> for PushGossip {
             ctx.send(t, copy.clone());
         }
     }
+
+    /// Settled on first receipt: every later copy is a duplicate.
+    fn settled(&self) -> bool {
+        self.received
+    }
 }
 
 impl GossipProtocol for PushGossip {
@@ -152,6 +157,42 @@ mod tests {
         // Every member that received relays to exactly the drawn fanout.
         let received = sim.nodes().filter(|(_, b, _)| b.has_received()).count();
         assert_eq!(sim.metrics().messages_sent, 4 * received as u64);
+    }
+
+    #[test]
+    fn absorbed_duplicates_leave_the_full_calendars_run() {
+        use gossip_netsim::{FailurePlan, SimDuration};
+        let run = |traced: bool| {
+            let dist: Arc<dyn FanoutDistribution> = Arc::new(FixedFanout::new(4));
+            let latency = LatencyModel::Exponential {
+                mean: SimDuration::from_millis(20),
+            };
+            let mut sim = Simulator::new(
+                (0..300).map(|_| PushGossip::new(dist.clone())).collect(),
+                NetworkConfig::new(latency).with_loss(0.1),
+                Box::new(FullView::new(300)),
+                6,
+            );
+            if traced {
+                sim.enable_tracing(usize::MAX);
+            }
+            sim.apply_failure_plan(&FailurePlan::paper_model(0.8, 0));
+            sim.inject(0, 0, GossipMessage::new(MessageId(1), &b"m"[..]));
+            sim.run_to_quiescence();
+            let nodes: Vec<_> = sim
+                .nodes()
+                .map(|(_, b, crashed)| {
+                    let state = (b.receipt_hop(), b.receipt_time(), b.duplicates());
+                    (state, crashed)
+                })
+                .collect();
+            (*sim.metrics(), sim.now(), nodes)
+        };
+        let (absorbed, full) = (run(false), run(true));
+        // Both kinds of absorbed copy occur.
+        let duplicates = absorbed.2.iter().any(|((_, _, dups), _)| *dups > 0);
+        assert!(absorbed.0.deliveries_to_crashed > 0 && duplicates);
+        assert_eq!(absorbed, full);
     }
 
     #[test]
