@@ -112,6 +112,8 @@
 //! * [`solver`], [`series`], [`lambertw`] — numerical plumbing.
 
 pub mod baselines;
+#[doc(hidden)]
+pub mod compat;
 pub mod design;
 pub mod distribution;
 pub mod error;
@@ -140,8 +142,8 @@ pub use gossip_traffic::{ArrivalSpec, BatchingSpec, TrafficReport, TrafficSpec};
 pub use model::Gossip;
 pub use percolation::SitePercolation;
 pub use scenario::{
-    AnalyticBackend, Backend, EngineSpec, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec,
-    Report, Scenario, SweepCell, SweepGrid,
+    AnalyticBackend, Backend, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec, Report, Scenario,
+    SweepCell, SweepGrid,
 };
 
 /// Default truncation/convergence tolerance used across the crate.

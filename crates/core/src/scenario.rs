@@ -428,24 +428,6 @@ impl RuntimeSpec {
     }
 }
 
-/// A retired engine switch that no backend reads.
-///
-/// Every backend runs one route per kind of workload: `GraphBackend`
-/// and `ProtocolBackend` the flat kernels (streams on the stream
-/// engine), `NetSimBackend` the event calendar, `RuntimeBackend` live
-/// actors. So [`EngineSpec::Auto`] and [`EngineSpec::Flat`] give the
-/// same `Report` on every backend. The type, [`Scenario::engine`] and
-/// [`Scenario::with_engine`] stay only because the benchmark harness
-/// names them; they are deleted together once it stops.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EngineSpec {
-    /// The default; selects nothing.
-    #[default]
-    Auto,
-    /// Selects nothing either: the same `Report` as [`EngineSpec::Auto`].
-    Flat,
-}
-
 /// A declarative description of one evaluation: *what* to gossip-model,
 /// independent of *which layer* evaluates it.
 ///
@@ -485,9 +467,6 @@ pub struct Scenario {
     pub protocol: ProtocolSpec,
     /// Live-runtime execution knobs (thread cap, latency pacing).
     pub runtime: RuntimeSpec,
-    /// Retired engine switch (default: [`EngineSpec::Auto`]); no
-    /// backend reads it, see [`EngineSpec`].
-    pub engine: EngineSpec,
     /// Monte-Carlo replications for simulation backends (paper: 20).
     pub replications: usize,
     /// Execution count `t` for the success-of-gossiping calculus
@@ -513,7 +492,6 @@ impl Scenario {
             traffic: None,
             protocol: ProtocolSpec::Push,
             runtime: RuntimeSpec::default(),
-            engine: EngineSpec::default(),
             replications: 20,
             executions: 1,
             seed: 0x1CC_2008, // "ICPP 2008"
@@ -571,13 +549,6 @@ impl Scenario {
     /// Sets the live-runtime execution knobs.
     pub fn with_runtime(mut self, runtime: RuntimeSpec) -> Self {
         self.runtime = runtime;
-        self
-    }
-
-    /// Sets the retired engine switch, which no backend reads (see
-    /// [`EngineSpec`]).
-    pub fn with_engine(mut self, engine: EngineSpec) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -1670,6 +1641,22 @@ mod tests {
         let report = AnalyticBackend.evaluate(&headline()).unwrap();
         let json = serde::json::to_string(&report).unwrap();
         assert!(json.ends_with(",\"traffic\":null}"), "{json}");
+    }
+
+    #[test]
+    fn scenario_json_carries_no_engine() {
+        let json = serde::json::to_string(&headline()).unwrap();
+        assert!(!json.contains("\"engine\""), "{json}");
+        // A text from before the engine switch was retired is refused,
+        // and the error names the key.
+        let old = json.replacen(
+            "\"replications\"",
+            "\"engine\":\"Auto\",\"replications\"",
+            1,
+        );
+        assert_ne!(old, json);
+        let err = serde::json::from_str::<Scenario>(&old).unwrap_err();
+        assert!(err.to_string().contains("engine"), "{err}");
     }
 
     #[test]

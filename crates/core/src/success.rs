@@ -20,13 +20,19 @@ use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 use crate::error::ModelError;
 
 /// Probability that a member is reached at least once across `t`
-/// independent executions, `1 − (1 − p_r)^t` (paper Eq. 5).
+/// independent executions, `1 − (1 − p_r)^t` (paper Eq. 5), for every
+/// `t` a `u32` holds.
 pub fn success_probability(p_r: f64, t: u32) -> f64 {
     assert!(
         (0.0..=1.0).contains(&p_r),
         "per-execution reliability must be in [0,1], got {p_r}"
     );
-    1.0 - (1.0 - p_r).powi(t as i32)
+    // `powi` takes an i32; past i32::MAX the exponent goes to `powf`.
+    let miss = match i32::try_from(t) {
+        Ok(t) => (1.0 - p_r).powi(t),
+        Err(_) => (1.0 - p_r).powf(f64::from(t)),
+    };
+    1.0 - miss
 }
 
 /// Minimum number of executions `t` with `1 − (1 − p_r)^t ≥ p_s`
@@ -101,6 +107,20 @@ mod tests {
         assert_eq!(success_probability(0.0, 10), 0.0);
         assert_eq!(success_probability(1.0, 1), 1.0);
         assert_eq!(success_probability(0.7, 0), 0.0);
+    }
+
+    #[test]
+    fn eq5_holds_past_i32_max() {
+        // The exponent once wrapped to a negative i32 (2^31 gave −inf at
+        // p_r = 0.5, u32::MAX gave −1). At p_r = 1e-10 the miss term is
+        // still far from 0, so the value checks the exponent itself.
+        let p: f64 = 1e-10;
+        for t in [i32::MAX as u32, 1 << 31, u32::MAX] {
+            assert_eq!(success_probability(0.5, t), 1.0);
+            let want = 1.0 - (f64::from(t) * (1.0 - p).ln()).exp();
+            let got = success_probability(p, t);
+            assert!((got - want).abs() < 1e-9, "t = {t}: {got} vs {want}");
+        }
     }
 
     #[test]

@@ -25,125 +25,12 @@ use std::sync::Arc;
 
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::reduce::{self, Execution};
-use gossip_model::scenario::{Backend, FailureSpec, LatencySpec, ProtocolSpec, Report, Scenario};
+use gossip_model::scenario::{Backend, LatencySpec, Report, Scenario};
 use gossip_model::{support, ModelError};
-use gossip_netsim::{FailurePlan, LatencyModel, NetworkConfig, SimDuration};
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::SplitMix64;
 
-use crate::engine::{inject_push, run_execution_with_plan, ExecutionConfig, ExecutionOutcome};
-use crate::flood::Flooding;
-use crate::message::{GossipMessage, MessageId};
-use crate::push::PushGossip;
-use crate::pushpull::{PullMessage, PushPullGossip};
-
-/// Pull budget and period used when a scenario selects
-/// [`ProtocolSpec::PushPull`]: one pull per 5 ms, up to 10 pulls — the
-/// defaults the protocol's own tests exercise.
-const PULL_BUDGET: u32 = 10;
-const PULL_PERIOD_MS: u64 = 5;
-
-fn latency_model(spec: LatencySpec) -> LatencyModel {
-    match spec {
-        LatencySpec::ConstantMillis { ms } => LatencyModel::constant_millis(ms),
-        LatencySpec::UniformMillis { lo_ms, hi_ms } => LatencyModel::Uniform {
-            lo: SimDuration::from_millis(lo_ms),
-            hi: SimDuration::from_millis(hi_ms),
-        },
-        LatencySpec::ExponentialMillis { mean_ms } => LatencyModel::Exponential {
-            mean: SimDuration::from_millis(mean_ms),
-        },
-    }
-}
-
-fn failure_plan(scenario: &Scenario, source: u32) -> FailurePlan {
-    match &scenario.failure {
-        FailureSpec::None => FailurePlan::None,
-        FailureSpec::Random { q } => FailurePlan::paper_model(*q, source),
-        FailureSpec::Schedule { crashes } => FailurePlan::CrashAtTimes(
-            crashes
-                .iter()
-                .map(|&(ns, node)| (gossip_netsim::SimTime::from_nanos(ns), node))
-                .collect(),
-        ),
-    }
-}
-
-/// Runs one execution of the scenario's protocol variant.
-fn run_variant(
-    cfg: &ExecutionConfig,
-    protocol: ProtocolSpec,
-    dist: &Arc<dyn FanoutDistribution>,
-    plan: &FailurePlan,
-    seed: u64,
-) -> Result<ExecutionOutcome, ModelError> {
-    match protocol {
-        ProtocolSpec::Push => {
-            let shared = dist.clone();
-            run_execution_with_plan(
-                cfg,
-                |_| PushGossip::new(shared.clone()),
-                seed,
-                plan,
-                inject_push(seed),
-            )
-        }
-        ProtocolSpec::Flood => {
-            run_execution_with_plan(cfg, |_| Flooding::new(), seed, plan, inject_push(seed))
-        }
-        ProtocolSpec::PushPull => {
-            // The push phase of push-pull uses the *mean* fanout (the
-            // behaviour takes a constant); pulls close the tail.
-            let push_fanout = dist.mean().round().max(0.0) as usize;
-            run_execution_with_plan(
-                cfg,
-                |_| {
-                    PushPullGossip::new(
-                        push_fanout,
-                        PULL_BUDGET,
-                        SimDuration::from_millis(PULL_PERIOD_MS),
-                    )
-                },
-                seed,
-                plan,
-                |sim, source| {
-                    sim.inject(
-                        source,
-                        source,
-                        PullMessage::Data(GossipMessage::new(MessageId(seed), &b"payload"[..])),
-                    );
-                },
-            )
-        }
-    }
-}
-
-/// The event-calendar Monte-Carlo run: `replications` independent
-/// executions on the discrete-event simulator, seeds derived from
-/// `(scenario.seed, rep)`, quiescence time digested too.
-fn evaluate_calendar(
-    backend_name: &'static str,
-    scenario: &Scenario,
-    cfg: &ExecutionConfig,
-) -> Result<Report, ModelError> {
-    let dist: Arc<dyn FanoutDistribution> = Arc::from(scenario.fanout.build()?);
-    let plan = failure_plan(scenario, cfg.source);
-    let executions: Vec<Execution> = parallel_map(scenario.replications, |rep| {
-        let seed = SplitMix64::derive(scenario.seed, rep as u64);
-        let outcome = run_variant(cfg, scenario.protocol, &dist, &plan, seed)?;
-        Ok(Execution {
-            reliability: outcome.reliability(),
-            nonfailed: outcome.nonfailed,
-            messages_per_member: Some(outcome.messages_per_member()),
-            quiescence_secs: Some(outcome.quiescence.as_secs_f64()),
-            messages_lost: None,
-            hops: outcome.hop_histogram,
-        })
-    })
-    .into_iter()
-    .collect::<Result<_, ModelError>>()?;
-    reduce::conditioned(backend_name, None, scenario, &*dist, executions)
-}
+use crate::engine::run_execution;
 
 /// The paper's §5 Monte-Carlo experiment: the push protocol, untimed,
 /// on the relay kernel (single messages) or the stream engine (streams).
@@ -190,25 +77,32 @@ impl Backend for NetSimBackend {
             };
             return crate::traffic_eval::evaluate_traffic(self.name(), scenario, Some(ms));
         }
-        // q feeds ExecutionConfig validation only; scheduled-crash
-        // scenarios run with the explicit plan and q = 1 here.
-        let q = scenario.q().unwrap_or(1.0);
-        let network = NetworkConfig {
-            latency: latency_model(scenario.latency),
-            loss_probability: scenario.loss,
-        };
-        let cfg = ExecutionConfig::new(scenario.n, q)
-            .with_topology(scenario.topology)
-            .with_network(network)
-            .with_faults(scenario.faults.clone());
-        evaluate_calendar(self.name(), scenario, &cfg)
+        // `replications` independent executions on the event calendar,
+        // seeds derived from `(scenario.seed, rep)`, quiescence time
+        // digested too.
+        let dist: Arc<dyn FanoutDistribution> = Arc::from(scenario.fanout.build()?);
+        let executions: Vec<Execution> = parallel_map(scenario.replications, |rep| {
+            let seed = SplitMix64::derive(scenario.seed, rep as u64);
+            let outcome = run_execution(scenario, &dist, seed)?;
+            Ok(Execution {
+                reliability: outcome.reliability(),
+                nonfailed: outcome.nonfailed,
+                messages_per_member: Some(outcome.messages_per_member()),
+                quiescence_secs: Some(outcome.quiescence.as_secs_f64()),
+                messages_lost: None,
+                hops: outcome.hop_histogram,
+            })
+        })
+        .into_iter()
+        .collect::<Result<_, ModelError>>()?;
+        reduce::conditioned(self.name(), None, scenario, &*dist, executions)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_model::scenario::{AnalyticBackend, FanoutSpec};
+    use gossip_model::scenario::{AnalyticBackend, FailureSpec, FanoutSpec, ProtocolSpec};
 
     fn headline(reps: usize) -> Scenario {
         Scenario::new(1000, FanoutSpec::poisson(4.0))
@@ -604,6 +498,22 @@ mod tests {
                 (end - analytic).abs() < 0.03,
                 "endpoint {end} vs {analytic}"
             );
+        }
+    }
+
+    #[test]
+    fn success_within_t_stays_a_probability_for_every_u32() {
+        use gossip_model::success::success_probability;
+        // `t` past i32::MAX once wrapped Eq. 5's exponent negative.
+        let backends: [&dyn Backend; 2] = [&AnalyticBackend, &ProtocolBackend];
+        for backend in backends {
+            for t in [i32::MAX as u32, 1 << 31, u32::MAX] {
+                let report = backend.evaluate(&headline(5).with_executions(t)).unwrap();
+                let within = report.success_within_t;
+                // R ≈ 0.97: the miss term (1 − R)^t is 0 at any such t.
+                assert_eq!(within, 1.0, "{} at t = {t}", backend.name());
+                assert_eq!(within, success_probability(report.reliability, t));
+            }
         }
     }
 

@@ -1,4 +1,5 @@
-//! One *execution* of a gossip protocol (paper §4.2).
+//! One *execution* of a gossip protocol (paper §4.2) on the event
+//! calendar.
 //!
 //! An execution: crash each non-source member with probability `1 − q`,
 //! give the source the message, run the protocol to quiescence, then
@@ -6,90 +7,42 @@
 //! nonfailed members that received the message over the number of
 //! nonfailed members; success means every nonfailed member received it
 //! (a `Report`'s `complete_rate`).
+//!
+//! [`run_execution`] reads everything off the [`Scenario`]: the crash
+//! plan, the network, the overlay the views are pinned to, the fault
+//! families and the protocol variant.
 
 use std::sync::Arc;
 
-use gossip_faults::{BlockedLinks, ChurnPlan, FaultSpec, GilbertElliott};
+use gossip_faults::{BlockedLinks, ChurnPlan, GilbertElliott};
 use gossip_model::distribution::FanoutDistribution;
+use gossip_model::scenario::{FailureSpec, LatencySpec, ProtocolSpec, Scenario};
 use gossip_model::ModelError;
 use gossip_netsim::membership::{DynamicView, FullView, Membership, OverlayView};
 use gossip_netsim::{
-    FailurePlan, LinkFaults, NetworkConfig, NodeBehavior, NodeId, SimTime, Simulator,
+    FailurePlan, LatencyModel, LinkFaults, NetworkConfig, NodeBehavior, NodeId, SimDuration,
+    SimTime, Simulator,
 };
 use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
-use gossip_topology::TopologySpec;
 use serde::{Deserialize, Serialize};
 
+use crate::flood::Flooding;
 use crate::message::{GossipMessage, MessageId};
 use crate::push::PushGossip;
+use crate::pushpull::{PullMessage, PushPullGossip};
 use crate::GossipProtocol;
 
-/// Configuration of one execution.
-#[derive(Clone, Debug)]
-pub struct ExecutionConfig {
-    /// Group size `n`.
-    pub n: usize,
-    /// Nonfailed member ratio `q`.
-    pub q: f64,
-    /// Source member (never fails).
-    pub source: NodeId,
-    /// Network latency/loss.
-    pub network: NetworkConfig,
-    /// The overlay whose neighbour lists are the members' views, with
-    /// its peer-selection policy; the default is the full view. Rebuilt
-    /// per execution from the membership seed, so overlays resample
-    /// across replications.
-    pub topology: TopologySpec,
-    /// Fault families beyond the paper's model (default: none).
-    pub faults: FaultSpec,
-}
+#[doc(hidden)]
+pub use crate::compat::{run_push, ExecutionConfig};
 
-impl ExecutionConfig {
-    /// The paper's setting: full membership, lossless 1 ms network,
-    /// source member 0.
-    pub fn new(n: usize, q: f64) -> Self {
-        assert!(n >= 2, "group needs at least 2 members");
-        assert!(
-            n <= u32::MAX as usize,
-            "node ids are u32 (n <= 2^32 - 1, got {n})"
-        );
-        assert!(q > 0.0 && q <= 1.0, "q must be in (0, 1], got {q}");
-        Self {
-            n,
-            q,
-            source: 0,
-            network: NetworkConfig::default(),
-            topology: TopologySpec::default(),
-            faults: FaultSpec::default(),
-        }
-    }
+/// The source member, which never fails.
+const SOURCE: NodeId = 0;
 
-    /// Replaces the overlay the views are pinned to.
-    pub fn with_topology(mut self, topology: TopologySpec) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Replaces the fault specification.
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Replaces the network configuration.
-    pub fn with_network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
-        self
-    }
-
-    fn build_membership(&self, seed: u64) -> Box<dyn Membership> {
-        if self.topology.is_default() {
-            Box::new(FullView::new(self.n))
-        } else {
-            Box::new(OverlayView::build(self.n, &self.topology, seed))
-        }
-    }
-}
+/// Pull budget and period used when a scenario selects
+/// [`ProtocolSpec::PushPull`]: one pull per 5 ms, up to 10 pulls — the
+/// defaults the protocol's own tests exercise.
+const PULL_BUDGET: u32 = 10;
+const PULL_PERIOD_MS: u64 = 5;
 
 /// Measured results of one execution.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -131,29 +84,60 @@ impl ExecutionOutcome {
     }
 }
 
-/// Runs one execution of an arbitrary protocol built by `make(node_id)`
-/// under an explicit [`FailurePlan`] (`cfg.q` is ignored — the paper's
-/// i.i.d. crash-at-start model is `FailurePlan::paper_model`); `inject`
-/// hands the source its message.
+/// Runs one execution of `scenario` on the event calendar; `fanout` is
+/// `scenario.fanout` built, once per evaluation, by the caller.
 ///
-/// The run is a pure function of `(cfg, make, seed, plan)`: the crash
-/// pattern, overlay (if any), network and protocol randomness all
-/// derive from `seed`. The faults are validated against the group and
-/// overlay first (`FaultSpec::validate`), so a configuration that
-/// bypasses `Scenario::validate` gets a typed error, not a panic.
-pub fn run_execution_with_plan<P, M, F, I>(
-    cfg: &ExecutionConfig,
-    mut make: F,
+/// The run is a pure function of `(scenario, seed)`: the crash pattern,
+/// overlay (if any), churn plan, network and protocol randomness all
+/// derive from `seed`. The scenario is expected to have passed
+/// [`Scenario::validate`]; its faults are checked against the group and
+/// overlay again (`FaultSpec::validate`), so a scenario that bypasses
+/// validation gets a typed error there, not a panic.
+pub fn run_execution(
+    scenario: &Scenario,
+    fanout: &Arc<dyn FanoutDistribution>,
     seed: u64,
-    plan: &FailurePlan,
-    inject: I,
+) -> Result<ExecutionOutcome, ModelError> {
+    match scenario.protocol {
+        ProtocolSpec::Push => execute(scenario, |_| PushGossip::new(fanout.clone()), seed, |m| m),
+        ProtocolSpec::Flood => execute(scenario, |_| Flooding::new(), seed, |m| m),
+        ProtocolSpec::PushPull => {
+            // The push phase of push-pull uses the *mean* fanout (the
+            // behaviour takes a constant); pulls close the tail.
+            let push_fanout = fanout.mean().round().max(0.0) as usize;
+            let pull_period = SimDuration::from_millis(PULL_PERIOD_MS);
+            let make = |_| PushPullGossip::new(push_fanout, PULL_BUDGET, pull_period);
+            execute(scenario, make, seed, PullMessage::Data)
+        }
+    }
+}
+
+fn latency_model(spec: LatencySpec) -> LatencyModel {
+    match spec {
+        LatencySpec::ConstantMillis { ms } => LatencyModel::constant_millis(ms),
+        LatencySpec::UniformMillis { lo_ms, hi_ms } => LatencyModel::Uniform {
+            lo: SimDuration::from_millis(lo_ms),
+            hi: SimDuration::from_millis(hi_ms),
+        },
+        LatencySpec::ExponentialMillis { mean_ms } => LatencyModel::Exponential {
+            mean: SimDuration::from_millis(mean_ms),
+        },
+    }
+}
+
+/// One execution of the protocol built by `make(node_id)`; the source
+/// hands itself message `seed`, wrapped in the protocol's wire type.
+fn execute<P, M>(
+    scenario: &Scenario,
+    make: impl FnMut(NodeId) -> P,
+    seed: u64,
+    wrap: impl FnOnce(GossipMessage) -> M,
 ) -> Result<ExecutionOutcome, ModelError>
 where
     P: GossipProtocol + NodeBehavior<M>,
-    F: FnMut(NodeId) -> P,
-    I: FnOnce(&mut Simulator<M, P>, NodeId),
 {
-    cfg.faults.validate(cfg.n, &cfg.topology)?;
+    let (n, topology, faults) = (scenario.n, &scenario.topology, &scenario.faults);
+    faults.validate(n, topology)?;
     let membership_seed = SplitMix64::derive(seed, streams::MEMBERSHIP);
     let sim_seed = SplitMix64::derive(seed, streams::SIMULATOR);
 
@@ -161,24 +145,36 @@ where
     // real node slots (ids n..n+K) that stay dormant until their join
     // event fires. Everything derives from `seed` — the realized plan is
     // part of the execution's identity.
-    let churn_plan = cfg.faults.churn.as_ref().map(|churn| {
-        ChurnPlan::sample(
-            churn,
-            cfg.n,
-            cfg.source,
-            SplitMix64::derive(seed, streams::CHURN),
-        )
-    });
-    let total = cfg.n + churn_plan.as_ref().map_or(0, |p| p.joins.len());
+    let churn_plan = faults
+        .churn
+        .as_ref()
+        .map(|churn| ChurnPlan::sample(churn, n, SOURCE, SplitMix64::derive(seed, streams::CHURN)));
+    let total = n + churn_plan.as_ref().map_or(0, |p| p.joins.len());
 
-    let behaviors: Vec<P> = (0..total as NodeId).map(&mut make).collect();
+    let behaviors: Vec<P> = (0..total as NodeId).map(make).collect();
+    // Overlays are rebuilt per execution from the membership seed, so
+    // they resample across replications.
     let membership: Box<dyn Membership> = if churn_plan.is_some() {
-        Box::new(DynamicView::new(total, cfg.n))
+        Box::new(DynamicView::new(total, n))
+    } else if topology.is_default() {
+        Box::new(FullView::new(n))
     } else {
-        cfg.build_membership(membership_seed)
+        Box::new(OverlayView::build(n, topology, membership_seed))
     };
-    let mut sim = Simulator::new(behaviors, cfg.network, membership, sim_seed);
-    sim.apply_failure_plan(plan);
+    let network = NetworkConfig {
+        latency: latency_model(scenario.latency),
+        loss_probability: scenario.loss,
+    };
+    let mut sim = Simulator::new(behaviors, network, membership, sim_seed);
+    match &scenario.failure {
+        FailureSpec::None => {}
+        FailureSpec::Random { q } => sim.apply_failure_plan(&FailurePlan::paper_model(*q, SOURCE)),
+        FailureSpec::Schedule { crashes } => {
+            for &(ns, node) in crashes {
+                sim.schedule_crash(SimTime::from_nanos(ns), node);
+            }
+        }
+    }
     if let Some(churn) = &churn_plan {
         // Dormant until their join event; a joiner the failure plan
         // already crashed is simply resurrected by its join (the q draw
@@ -191,10 +187,10 @@ where
             sim.schedule_crash(SimTime::from_nanos(at_ns), node);
         }
     }
-    if let Some(zone_failure) = &cfg.faults.zone_failure {
+    if let Some(zone_failure) = &faults.zone_failure {
         // Zones resolve against the overlay the views are pinned to; an
         // unclustered one has none (typed error).
-        let killed = zone_failure.killed_members(cfg.n, &cfg.topology, cfg.source)?;
+        let killed = zone_failure.killed_members(n, topology, SOURCE)?;
         // Scheduled before the injection: an `at_ms = 0` kill fires
         // before the source's message lands (events order by time, then
         // insertion sequence).
@@ -203,21 +199,22 @@ where
             sim.schedule_crash(at, member);
         }
     }
-    if cfg.faults.bursty_loss.is_some() || cfg.faults.adversary.is_some() {
-        let blocked = cfg.faults.adversary.as_ref().map(|adversary| {
+    if faults.bursty_loss.is_some() || faults.adversary.is_some() {
+        let blocked = faults.adversary.as_ref().map(|adversary| {
             BlockedLinks::build(
                 total,
-                cfg.source,
+                SOURCE,
                 adversary,
                 SplitMix64::derive(seed, streams::ADVERSARY),
             )
         });
-        let ge = cfg.faults.bursty_loss.as_ref().map(GilbertElliott::new);
+        let ge = faults.bursty_loss.as_ref().map(GilbertElliott::new);
         let mut chain_rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, streams::GE_CHAIN));
         sim.set_link_faults(LinkFaults::new(total, blocked, ge, &mut chain_rng));
     }
     sim.start_all();
-    inject(&mut sim, cfg.source);
+    let message = GossipMessage::new(MessageId(seed), &b"payload"[..]);
+    sim.inject(SOURCE, SOURCE, wrap(message));
     sim.run_to_quiescence();
 
     let mut nonfailed = 0usize;
@@ -249,50 +246,28 @@ where
     })
 }
 
-/// Runs one execution of the paper's push protocol with fanout
-/// distribution `dist`.
-pub fn run_push<D>(
-    cfg: &ExecutionConfig,
-    dist: &D,
-    seed: u64,
-) -> Result<ExecutionOutcome, ModelError>
-where
-    D: FanoutDistribution + Clone + 'static,
-{
-    let shared: Arc<dyn FanoutDistribution> = Arc::new(dist.clone());
-    let plan = FailurePlan::paper_model(cfg.q, cfg.source);
-    run_execution_with_plan(
-        cfg,
-        |_| PushGossip::new(shared.clone()),
-        seed,
-        &plan,
-        inject_push(seed),
-    )
-}
-
-/// The injection step of every protocol whose wire type is the bare
-/// [`GossipMessage`]: the source hands itself message `seed`.
-pub(crate) fn inject_push<P: NodeBehavior<GossipMessage>>(
-    seed: u64,
-) -> impl FnOnce(&mut Simulator<GossipMessage, P>, NodeId) {
-    move |sim, source| {
-        sim.inject(
-            source,
-            source,
-            GossipMessage::new(MessageId(seed), &b"payload"[..]),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_model::distribution::{FixedFanout, PoissonFanout};
+    use gossip_faults::FaultSpec;
+    use gossip_model::FanoutSpec;
+    use gossip_topology::{OverlaySpec, TopologySpec};
+
+    /// `n` members under the paper's i.i.d. crashes at ratio `q`, with
+    /// fanout `fanout`.
+    fn push(n: usize, q: f64, fanout: FanoutSpec) -> Scenario {
+        Scenario::new(n, fanout).with_failure_ratio(q)
+    }
+
+    /// One execution of `scenario`, its fanout built here.
+    fn run(scenario: &Scenario, seed: u64) -> Result<ExecutionOutcome, ModelError> {
+        let fanout = Arc::from(scenario.fanout.build()?);
+        run_execution(scenario, &fanout, seed)
+    }
 
     #[test]
     fn no_failure_high_fanout_succeeds() {
-        let cfg = ExecutionConfig::new(200, 1.0);
-        let out = run_push(&cfg, &FixedFanout::new(6), 1).unwrap();
+        let out = run(&push(200, 1.0, FanoutSpec::fixed(6)), 1).unwrap();
         assert_eq!(out.nonfailed, 200);
         assert!(out.reliability() > 0.99, "r = {}", out.reliability());
         assert_eq!(out.nonfailed_reached, 200);
@@ -303,8 +278,7 @@ mod tests {
     #[test]
     fn subcritical_execution_dies_out() {
         // Po(4) at q = 0.15 < q_c = 0.25: reach stays local.
-        let cfg = ExecutionConfig::new(2000, 0.15);
-        let out = run_push(&cfg, &PoissonFanout::new(4.0), 2).unwrap();
+        let out = run(&push(2000, 0.15, FanoutSpec::poisson(4.0)), 2).unwrap();
         assert!(
             out.reliability() < 0.1,
             "subcritical reliability {}",
@@ -314,8 +288,7 @@ mod tests {
 
     #[test]
     fn reliability_counts_only_nonfailed() {
-        let cfg = ExecutionConfig::new(1000, 0.5);
-        let out = run_push(&cfg, &PoissonFanout::new(6.0), 3).unwrap();
+        let out = run(&push(1000, 0.5, FanoutSpec::poisson(6.0)), 3).unwrap();
         assert!(out.nonfailed < 600, "q=0.5 should fail ~half");
         assert!(out.nonfailed_reached <= out.nonfailed);
         assert!((0.0..=1.0).contains(&out.reliability()));
@@ -323,20 +296,19 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let cfg = ExecutionConfig::new(500, 0.8);
-        let a = run_push(&cfg, &PoissonFanout::new(4.0), 42).unwrap();
-        let b = run_push(&cfg, &PoissonFanout::new(4.0), 42).unwrap();
+        let scenario = push(500, 0.8, FanoutSpec::poisson(4.0));
+        let a = run(&scenario, 42).unwrap();
+        let b = run(&scenario, 42).unwrap();
         assert_eq!(a, b);
-        let c = run_push(&cfg, &PoissonFanout::new(4.0), 43).unwrap();
+        let c = run(&scenario, 43).unwrap();
         assert_ne!(a, c, "different seeds should differ (a.s.)");
     }
 
     #[test]
     fn scamp_membership_runs() {
-        let cfg = ExecutionConfig::new(400, 0.9).with_topology(TopologySpec::new(
-            gossip_topology::OverlaySpec::Scamp { c: 2 },
-        ));
-        let out = run_push(&cfg, &PoissonFanout::new(5.0), 4).unwrap();
+        let scenario = push(400, 0.9, FanoutSpec::poisson(5.0))
+            .with_topology(TopologySpec::new(OverlaySpec::Scamp { c: 2 }));
+        let out = run(&scenario, 4).unwrap();
         assert!(
             out.reliability() > 0.5,
             "gossip over SCAMP views reached {}",
@@ -346,35 +318,41 @@ mod tests {
 
     #[test]
     fn overlay_membership_runs() {
-        use gossip_topology::{OverlaySpec, TopologySpec};
         // A well-connected small world: gossip over neighbour lists
         // still spreads widely at q = 0.9.
         let spec = TopologySpec::new(OverlaySpec::WattsStrogatz { k: 10, beta: 0.3 });
-        let cfg = ExecutionConfig::new(400, 0.9).with_topology(spec);
-        let out = run_push(&cfg, &PoissonFanout::new(5.0), 4).unwrap();
+        let scenario = push(400, 0.9, FanoutSpec::poisson(5.0)).with_topology(spec);
+        let out = run(&scenario, 4).unwrap();
         assert!(
             out.reliability() > 0.5,
             "gossip over overlay views reached {}",
             out.reliability()
         );
         // Deterministic in the seed, like every other membership.
-        let again = run_push(&cfg, &PoissonFanout::new(5.0), 4).unwrap();
+        let again = run(&scenario, 4).unwrap();
         assert_eq!(out, again);
     }
 
     #[test]
-    #[should_panic(expected = "q must be in (0, 1]")]
     fn rejects_bad_q() {
-        ExecutionConfig::new(10, 0.0);
+        // The driver runs validated scenarios; q = 0 is refused, typed,
+        // before any execution.
+        let err = push(10, 0.0, FanoutSpec::poisson(4.0))
+            .validate()
+            .unwrap_err();
+        match err {
+            ModelError::InvalidParameter { name, .. } => assert_eq!(name, "q"),
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
     }
 
     #[test]
     fn zone_failure_without_clustered_membership_is_a_typed_error() {
-        // Reachable by constructing the config directly, bypassing
+        // Reachable by running a scenario that bypasses
         // `Scenario::validate` — must refuse, not unwind.
-        let cfg = ExecutionConfig::new(100, 1.0)
+        let scenario = push(100, 1.0, FanoutSpec::poisson(4.0))
             .with_faults(FaultSpec::none().with_zone_failure(vec![0], 0));
-        let err = run_push(&cfg, &PoissonFanout::new(4.0), 1).unwrap_err();
+        let err = run(&scenario, 1).unwrap_err();
         match err {
             ModelError::InvalidParameter { name, .. } => assert_eq!(name, "zone_failure"),
             other => panic!("expected InvalidParameter, got {other:?}"),
@@ -384,12 +362,10 @@ mod tests {
     #[test]
     fn churn_without_full_membership_is_a_typed_error() {
         use gossip_faults::ChurnSpec;
-        let cfg = ExecutionConfig::new(100, 1.0)
-            .with_topology(TopologySpec::new(gossip_topology::OverlaySpec::Scamp {
-                c: 2,
-            }))
+        let scenario = push(100, 1.0, FanoutSpec::poisson(4.0))
+            .with_topology(TopologySpec::new(OverlaySpec::Scamp { c: 2 }))
             .with_faults(FaultSpec::none().with_churn(ChurnSpec::symmetric(10.0, 100)));
-        let err = run_push(&cfg, &PoissonFanout::new(4.0), 1).unwrap_err();
+        let err = run(&scenario, 1).unwrap_err();
         assert!(
             matches!(err, ModelError::InvalidParameter { name: "churn", .. }),
             "{err:?}"
@@ -398,17 +374,16 @@ mod tests {
 
     #[test]
     fn absurd_zone_failure_time_is_a_typed_error() {
-        use gossip_topology::{OverlaySpec, TopologySpec};
         // at_ms * 1e6 would wrap u64; the engine must refuse instead.
         let spec = TopologySpec::new(OverlaySpec::Clustered {
             zones: 5,
             intra: 6,
             inter: 2,
         });
-        let cfg = ExecutionConfig::new(100, 1.0)
+        let scenario = push(100, 1.0, FanoutSpec::poisson(4.0))
             .with_topology(spec)
             .with_faults(FaultSpec::none().with_zone_failure(vec![1], u64::MAX / 1_000));
-        let err = run_push(&cfg, &PoissonFanout::new(4.0), 1).unwrap_err();
+        let err = run(&scenario, 1).unwrap_err();
         match err {
             ModelError::InvalidParameter { name, .. } => assert_eq!(name, "at_ms"),
             other => panic!("expected InvalidParameter, got {other:?}"),
@@ -419,9 +394,10 @@ mod tests {
     fn churn_accounting_matches_the_sampled_plan() {
         use gossip_faults::ChurnSpec;
         let spec = ChurnSpec::symmetric(40.0, 200);
-        let cfg = ExecutionConfig::new(300, 1.0).with_faults(FaultSpec::none().with_churn(spec));
+        let scenario = push(300, 1.0, FanoutSpec::poisson(6.0))
+            .with_faults(FaultSpec::none().with_churn(spec));
         let seed = 77;
-        let out = run_push(&cfg, &PoissonFanout::new(6.0), seed).unwrap();
+        let out = run(&scenario, seed).unwrap();
         // With q = 1 the only crashes are churn leaves, so the
         // denominator is exactly the plan's final population.
         let plan = ChurnPlan::sample(&spec, 300, 0, SplitMix64::derive(seed, streams::CHURN));
@@ -431,21 +407,20 @@ mod tests {
         );
         assert_eq!(out.nonfailed, plan.final_population(300));
         // Determinism holds through the churn machinery.
-        assert_eq!(out, run_push(&cfg, &PoissonFanout::new(6.0), seed).unwrap());
+        assert_eq!(out, run(&scenario, seed).unwrap());
     }
 
     #[test]
     fn zone_kill_at_start_excludes_the_zone() {
-        use gossip_topology::{OverlaySpec, TopologySpec};
         let spec = TopologySpec::new(OverlaySpec::Clustered {
             zones: 5,
             intra: 6,
             inter: 2,
         });
-        let cfg = ExecutionConfig::new(200, 1.0)
+        let scenario = push(200, 1.0, FanoutSpec::poisson(6.0))
             .with_topology(spec)
             .with_faults(FaultSpec::none().with_zone_failure(vec![0, 2], 0));
-        let out = run_push(&cfg, &PoissonFanout::new(6.0), 5).unwrap();
+        let out = run(&scenario, 5).unwrap();
         // Zones 0 and 2 hold 40 members each; the source (id 0, zone 0)
         // is immune, so 79 members die before the injection lands.
         assert_eq!(out.nonfailed, 200 - 79);
@@ -455,9 +430,9 @@ mod tests {
     #[test]
     fn worst_case_adversary_silences_the_source() {
         use gossip_faults::AdversaryStrategy;
-        let cfg = ExecutionConfig::new(100, 1.0)
+        let scenario = push(100, 1.0, FanoutSpec::poisson(8.0))
             .with_faults(FaultSpec::none().with_adversary(99, AdversaryStrategy::WorstCase));
-        let out = run_push(&cfg, &PoissonFanout::new(8.0), 6).unwrap();
+        let out = run(&scenario, 6).unwrap();
         // All 99 source uplinks are blocked: only the source delivers.
         assert_eq!(out.nonfailed_reached, 1);
         assert!((out.reliability() - 0.01).abs() < 1e-9);
@@ -466,9 +441,9 @@ mod tests {
     #[test]
     fn bursty_loss_thins_dissemination() {
         use gossip_faults::BurstySpec;
-        let cfg = ExecutionConfig::new(500, 1.0);
-        let clean = run_push(&cfg, &PoissonFanout::new(4.0), 8).unwrap();
-        let bursty_cfg = cfg
+        let scenario = push(500, 1.0, FanoutSpec::poisson(4.0));
+        let clean = run(&scenario, 8).unwrap();
+        let bursty_scenario = scenario
             .clone()
             .with_faults(FaultSpec::none().with_bursty_loss(BurstySpec {
                 p_gb: 0.05,
@@ -476,7 +451,7 @@ mod tests {
                 loss_good: 0.0,
                 loss_bad: 0.9,
             }));
-        let bursty = run_push(&bursty_cfg, &PoissonFanout::new(4.0), 8).unwrap();
+        let bursty = run(&bursty_scenario, 8).unwrap();
         assert!(
             bursty.nonfailed_reached < clean.nonfailed_reached,
             "bursty {} vs clean {}",

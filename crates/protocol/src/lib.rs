@@ -12,10 +12,11 @@
 //! * Baselines the gossip literature compares against:
 //!   [`PushPullGossip`] (anti-entropy pulls) and [`Flooding`]
 //!   (forward-to-whole-view).
-//! * [`engine`] — one *execution* of a protocol: build the simulator,
-//!   apply the paper's crash model, inject the message at the source, run
-//!   to quiescence, and measure reliability = `n_rece / n_nonfailed`
-//!   (§4.2) plus latency/cost metrics the paper's model abstracts away.
+//! * [`engine`] — one *execution* of a `Scenario` on the simulator
+//!   ([`engine::run_execution`]): apply its crash plan, inject the
+//!   message at the source, run to quiescence, and measure reliability
+//!   = `n_rece / n_nonfailed` (§4.2) plus latency/cost metrics the
+//!   paper's model abstracts away.
 //! * [`backend`] — every Monte-Carlo measurement of a `Scenario`:
 //!   [`ProtocolBackend`] (push on the `gossip_engine` relay kernel) and
 //!   [`NetSimBackend`] (these protocols on the simulator) run the
@@ -42,6 +43,8 @@
 //! ```
 
 pub mod backend;
+#[doc(hidden)]
+pub mod compat;
 pub mod engine;
 pub mod flood;
 pub mod message;
@@ -50,7 +53,7 @@ pub mod pushpull;
 pub(crate) mod traffic_eval;
 
 pub use backend::{NetSimBackend, ProtocolBackend};
-pub use engine::{ExecutionConfig, ExecutionOutcome};
+pub use engine::ExecutionOutcome;
 pub use flood::Flooding;
 pub use message::{GossipMessage, MessageId};
 pub use push::PushGossip;

@@ -1,10 +1,25 @@
 //! Property-based tests for the protocol layer.
 
-use gossip_model::distribution::{FixedFanout, PoissonFanout};
+use std::sync::Arc;
+
+use gossip_model::distribution::{FanoutDistribution, FixedFanout, PoissonFanout};
 use gossip_model::{success, Backend, FanoutSpec, Scenario};
-use gossip_protocol::engine::{run_push, ExecutionConfig};
+use gossip_protocol::engine::{run_execution, ExecutionOutcome};
 use gossip_protocol::ProtocolBackend;
 use proptest::prelude::*;
+
+/// One execution of `n` members at nonfailed ratio `q` with fanout
+/// `dist` (the scenario's own fanout spec is not consulted).
+fn push_execution(
+    n: usize,
+    q: f64,
+    dist: impl FanoutDistribution + 'static,
+    seed: u64,
+) -> ExecutionOutcome {
+    let scenario = Scenario::new(n, FanoutSpec::fixed(1)).with_failure_ratio(q);
+    let fanout: Arc<dyn FanoutDistribution> = Arc::new(dist);
+    run_execution(&scenario, &fanout, seed).unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -18,8 +33,7 @@ proptest! {
         z in 0.0f64..8.0,
         seed in 0u64..10_000,
     ) {
-        let cfg = ExecutionConfig::new(n, q);
-        let out = run_push(&cfg, &PoissonFanout::new(z), seed).unwrap();
+        let out = push_execution(n, q, PoissonFanout::new(z), seed);
         prop_assert!(out.nonfailed >= 1, "source is always nonfailed");
         prop_assert!(out.nonfailed <= n);
         prop_assert!(out.nonfailed_reached >= 1, "source always receives");
@@ -43,8 +57,7 @@ proptest! {
         f in 0usize..8,
         seed in 0u64..10_000,
     ) {
-        let cfg = ExecutionConfig::new(n, 1.0);
-        let out = run_push(&cfg, &FixedFanout::new(f), seed).unwrap();
+        let out = push_execution(n, 1.0, FixedFanout::new(f), seed);
         let per_member = f.min(n - 1) as u64;
         prop_assert_eq!(
             out.messages_sent,
@@ -57,9 +70,8 @@ proptest! {
     /// the hop histogram.
     #[test]
     fn outcome_deterministic(n in 2usize..150, seed in 0u64..10_000) {
-        let cfg = ExecutionConfig::new(n, 0.8);
         let dist = PoissonFanout::new(3.0);
-        prop_assert_eq!(run_push(&cfg, &dist, seed).unwrap(), run_push(&cfg, &dist, seed).unwrap());
+        prop_assert_eq!(push_execution(n, 0.8, dist, seed), push_execution(n, 0.8, dist, seed));
     }
 
     /// The success probability within t executions is monotone in t for

@@ -47,9 +47,11 @@ pub use gossip_runtime as runtime;
 pub use gossip_stats as stats;
 pub use gossip_topology as topology;
 
+#[doc(hidden)]
+pub use gossip_model::compat::EngineSpec;
 pub use gossip_model::scenario::{
-    AnalyticBackend, Backend, EngineSpec, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec,
-    Report, RuntimeSpec, Scenario, SweepCell, SweepGrid,
+    AnalyticBackend, Backend, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec, Report,
+    RuntimeSpec, Scenario, SweepCell, SweepGrid,
 };
 pub use gossip_model::{
     AdversarySpec, AdversaryStrategy, ArrivalSpec, BatchingSpec, BurstySpec, ChurnSpec,

@@ -1,6 +1,6 @@
 //! `benchmark/` is a cargo workspace of its own: the root build never
 //! compiles it, yet it pins library items by name and by struct literal
-//! (`RelaySetup { .. }`, `FlatPercolation { .. }`, `run_push`, …) and
+//! (`RelaySetup { .. }`, `FlatPercolation { .. }`, `run_stream`, …) and
 //! library PRs may not edit it. A rename or signature change underneath
 //! it used to surface only in the benchmark pipeline; this test makes
 //! tier-1 see it, and checks that compiling left `benchmark/` and

@@ -2,20 +2,27 @@
 //! function of its seed — across reruns, and independent of thread
 //! scheduling in the parallel Monte-Carlo.
 
-use gossip_model::distribution::PoissonFanout;
+use std::sync::Arc;
+
+use gossip_model::distribution::{FanoutDistribution, PoissonFanout};
 use gossip_model::{success, Backend, FanoutSpec, Scenario};
-use gossip_protocol::engine::{run_push, ExecutionConfig};
+use gossip_protocol::engine::{run_execution, ExecutionOutcome};
 use gossip_protocol::ProtocolBackend;
 use gossip_rgraph::ConfigurationModel;
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::Xoshiro256StarStar;
 
+/// One calendar execution of `scenario`, its fanout built here.
+fn execute(scenario: &Scenario, seed: u64) -> ExecutionOutcome {
+    let fanout: Arc<dyn FanoutDistribution> = Arc::from(scenario.fanout.build().unwrap());
+    run_execution(scenario, &fanout, seed).unwrap()
+}
+
 #[test]
 fn executions_bitwise_reproducible() {
-    let cfg = ExecutionConfig::new(800, 0.8);
-    let dist = PoissonFanout::new(4.0);
-    let a = run_push(&cfg, &dist, 0xABCD).unwrap();
-    let b = run_push(&cfg, &dist, 0xABCD).unwrap();
+    let scenario = Scenario::new(800, FanoutSpec::poisson(4.0)).with_failure_ratio(0.8);
+    let a = execute(&scenario, 0xABCD);
+    let b = execute(&scenario, 0xABCD);
     assert_eq!(a, b);
 }
 
@@ -72,10 +79,9 @@ fn histogram_experiment_reproducible() {
 
 #[test]
 fn different_seeds_differ() {
-    let cfg = ExecutionConfig::new(800, 0.8);
-    let dist = PoissonFanout::new(4.0);
-    let a = run_push(&cfg, &dist, 1).unwrap();
-    let b = run_push(&cfg, &dist, 2).unwrap();
+    let scenario = Scenario::new(800, FanoutSpec::poisson(4.0)).with_failure_ratio(0.8);
+    let a = execute(&scenario, 1);
+    let b = execute(&scenario, 2);
     assert_ne!(a, b, "distinct seeds should give distinct executions");
 }
 
@@ -92,11 +98,12 @@ fn graphs_reproducible() {
 
 #[test]
 fn scamp_execution_reproducible() {
-    let cfg = ExecutionConfig::new(600, 0.9).with_topology(gossip_model::TopologySpec::new(
-        gossip_model::OverlaySpec::Scamp { c: 2 },
-    ));
-    let dist = PoissonFanout::new(5.0);
-    let a = run_push(&cfg, &dist, 44).unwrap();
-    let b = run_push(&cfg, &dist, 44).unwrap();
+    let scenario = Scenario::new(600, FanoutSpec::poisson(5.0))
+        .with_failure_ratio(0.9)
+        .with_topology(gossip_model::TopologySpec::new(
+            gossip_model::OverlaySpec::Scamp { c: 2 },
+        ));
+    let a = execute(&scenario, 44);
+    let b = execute(&scenario, 44);
     assert_eq!(a, b);
 }

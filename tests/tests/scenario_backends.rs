@@ -255,26 +255,6 @@ fn flat_engine_straddles_the_critical_point() {
 }
 
 #[test]
-fn auto_and_flat_engines_give_equal_reports_on_every_backend() {
-    use gossip::{EngineSpec, TrafficSpec};
-    // `EngineSpec` selects nothing: on every backend, for a single
-    // message and for an (unbatched, hence seed-pure) stream, `Flat`
-    // gives exactly what `Auto` gives, refusals included.
-    let push = Scenario::new(200, FanoutSpec::poisson(6.0))
-        .with_failure_ratio(0.9)
-        .with_replications(4)
-        .with_seed(0xE61E);
-    let stream = push.clone().with_traffic(TrafficSpec::stream(3));
-    for scenario in [push, stream] {
-        for backend in all_backends() {
-            let auto = backend.evaluate(&scenario.clone().with_engine(EngineSpec::Auto));
-            let flat = backend.evaluate(&scenario.clone().with_engine(EngineSpec::Flat));
-            assert_eq!(auto, flat, "{} on {}", backend.name(), scenario.label());
-        }
-    }
-}
-
-#[test]
 fn uncontended_stream_agrees_across_stream_backends() {
     use gossip::{NetSimBackend, ProtocolBackend, RuntimeBackend, TrafficSpec};
     // A k = 4 stream with no bandwidth cap: offered load never exceeds
