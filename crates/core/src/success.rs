@@ -38,7 +38,8 @@ pub fn success_probability(p_r: f64, t: u32) -> f64 {
 /// Minimum number of executions `t` with `1 − (1 − p_r)^t ≥ p_s`
 /// (paper Eq. 6: `t ≥ lg(1 − p_s)/lg(1 − p_r)`).
 ///
-/// Errors when `p_r = 0` (no execution ever succeeds) while `p_s > 0`.
+/// Errors when `p_r = 0` (no execution ever succeeds) while `p_s > 0`,
+/// or when the target needs more executions than a `u32` holds.
 pub fn required_executions(p_r: f64, p_s: f64) -> Result<u32, ModelError> {
     if !(0.0..=1.0).contains(&p_r) || !p_r.is_finite() {
         return Err(ModelError::InvalidParameter {
@@ -68,6 +69,12 @@ pub fn required_executions(p_r: f64, p_s: f64) -> Result<u32, ModelError> {
     let t = (1.0 - p_s).ln() / (1.0 - p_r).ln();
     // Guard the ceil against floating-point overshoot at integer t.
     let t_ceil = t.ceil();
+    // A p_r so small that 1 − p_r rounds to 1 gives t = −∞.
+    if !t.is_finite() || t_ceil > f64::from(u32::MAX) {
+        return Err(ModelError::Unachievable {
+            what: "success target needs more than u32::MAX executions",
+        });
+    }
     let t_int = if (t_ceil - t) > 1.0 - 1e-9 && success_probability(p_r, (t_ceil as u32) - 1) >= p_s
     {
         t_ceil as u32 - 1
@@ -155,6 +162,17 @@ mod tests {
         assert!(required_executions(0.0, 0.9).is_err());
         assert!(required_executions(-0.1, 0.9).is_err());
         assert!(required_executions(0.5, 1.0).is_err());
+        // t ≈ 6.9e12 once saturated to u32::MAX, whose success
+        // probability is 0.0043; a p_r that rounds 1 − p_r to 1 gave 1.
+        for p_r in [1e-12, 1e-17] {
+            assert!(matches!(
+                required_executions(p_r, 0.999),
+                Err(ModelError::Unachievable { .. })
+            ));
+        }
+        // The largest t a u32 holds is still answered.
+        let t = required_executions(1e-9, 0.98).unwrap();
+        assert!(t > 1 << 31 && success_probability(1e-9, t) >= 0.98);
     }
 
     #[test]

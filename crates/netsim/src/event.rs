@@ -23,7 +23,8 @@ pub enum EventKind<M> {
     /// Crash the target node (fail-stop: it stops processing events).
     Crash,
     /// Activate a dormant target node (membership churn: the node joins
-    /// the group, enters the membership view, and runs `on_start`).
+    /// the group, enters the membership view, and runs `on_start` if its
+    /// behaviour [has a start hook](crate::NodeBehavior::HAS_START_HOOK)).
     Join,
 }
 

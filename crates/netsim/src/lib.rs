@@ -19,16 +19,18 @@
 //!   one `Xoshiro256**`, and nothing depends on thread scheduling or map
 //!   iteration order.
 //! * **Few allocations on the event path** — the event queue, the
-//!   outbox and timer buffers and per-node state are reused across
-//!   events, and behaviours write into buffers owned by the simulator.
-//!   The queue's in-order lane grows on demand. A copy whose fate is
-//!   fixed when it is sent (its target crashed for good, or
-//!   [settled](NodeBehavior::settled), as a push member is once it has
-//!   the rumor) never enters the queue: the simulator counts it at send
-//!   time while membership is frozen and no tracer is attached, with
-//!   the full calendar's metrics at quiescence. Some allocations
-//!   remain: `PushGossip` allocates a target `Vec` on each first
-//!   receipt, [`membership::OverlayView`] selects into a scratch `Vec`
+//!   outbox, timer and target buffers and per-node state are reused
+//!   across events, and behaviours write into buffers owned by the
+//!   simulator: a relay samples its targets and sends in one call,
+//!   [`NodeCtx::gossip`]. The queue's in-order lane grows on demand.
+//!   A copy whose fate is fixed when it is sent (its target crashed for
+//!   good, or [settled](NodeBehavior::settled), as a push member is once
+//!   it has the rumor) never enters the queue: the simulator counts it
+//!   at send time while membership is frozen and no tracer is attached,
+//!   with the full calendar's metrics at quiescence. Nothing is
+//!   dispatched that does nothing: `on_start` runs only for a behaviour
+//!   that declares [`NodeBehavior::HAS_START_HOOK`]. Some allocations
+//!   remain: [`membership::OverlayView`] selects into a scratch `Vec`
 //!   per call, and overlay peer selection may copy the neighbour pool.
 //!   Reusing those buffers measured within noise.
 //! * **Protocol-agnostic** — protocols implement [`NodeBehavior`] and

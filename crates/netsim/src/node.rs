@@ -13,7 +13,17 @@ use crate::time::{SimDuration, SimTime};
 /// events. Behaviours must not keep state outside `self` — the simulator
 /// owns time and randomness.
 pub trait NodeBehavior<M> {
-    /// Called once when the simulation starts (before any message).
+    /// Whether this behaviour has a start hook. The simulator calls
+    /// [`on_start`](Self::on_start) only when this is `true`, so a
+    /// behaviour that overrides `on_start` sets it; the default
+    /// (`false`) makes [`Simulator::start_all`] and churn joins free.
+    ///
+    /// [`Simulator::start_all`]: crate::Simulator::start_all
+    const HAS_START_HOOK: bool = false;
+
+    /// Called once when the simulation starts (before any message), and
+    /// when a dormant node joins; only if
+    /// [`HAS_START_HOOK`](Self::HAS_START_HOOK) is `true`.
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, M>) {
         let _ = ctx;
     }
@@ -56,6 +66,7 @@ pub struct NodeCtx<'a, M> {
     pub(crate) membership: &'a dyn Membership,
     pub(crate) outbox: &'a mut Vec<(NodeId, M)>,
     pub(crate) timers: &'a mut Vec<(SimDuration, u64)>,
+    pub(crate) targets: &'a mut Vec<NodeId>,
 }
 
 impl<'a, M> NodeCtx<'a, M> {
@@ -97,12 +108,19 @@ impl<'a, M> NodeCtx<'a, M> {
     }
 
     /// Samples up to `k` distinct gossip targets from this node's
-    /// membership view (never including the node itself), appending them
-    /// to `out`. Returns how many were appended.
-    pub fn sample_targets(&mut self, k: usize, out: &mut Vec<NodeId>) -> usize {
-        let before = out.len();
-        self.membership.sample_targets(self.node, k, self.rng, out);
-        out.len() - before
+    /// membership view (never the node itself) and sends each a copy of
+    /// `msg`. Returns how many were sent. The targets go through one
+    /// buffer the simulator owns, so a relay allocates nothing.
+    pub fn gossip(&mut self, k: usize, msg: M) -> usize
+    where
+        M: Clone,
+    {
+        self.targets.clear();
+        self.membership
+            .sample_targets(self.node, k, self.rng, self.targets);
+        let copies = self.targets.iter().map(|&to| (to, msg.clone()));
+        self.outbox.extend(copies);
+        self.targets.len()
     }
 
     /// Size of this node's membership view.
@@ -122,6 +140,7 @@ mod tests {
         let membership = FullView::new(10);
         let mut outbox = Vec::new();
         let mut timers = Vec::new();
+        let mut targets = Vec::new();
         let mut ctx: NodeCtx<'_, u32> = NodeCtx {
             node: 3,
             now: SimTime::from_nanos(42),
@@ -129,6 +148,7 @@ mod tests {
             membership: &membership,
             outbox: &mut outbox,
             timers: &mut timers,
+            targets: &mut targets,
         };
         assert_eq!(ctx.id(), 3);
         assert_eq!(ctx.now().as_nanos(), 42);
@@ -137,11 +157,19 @@ mod tests {
         ctx.send(5, 100);
         ctx.send(6, 200);
         ctx.set_timer(SimDuration::from_millis(1), 7);
-        let mut targets = Vec::new();
-        let got = ctx.sample_targets(4, &mut targets);
-        assert_eq!(got, 4);
-        assert!(!targets.contains(&3), "must not target self");
-        assert_eq!(outbox.len(), 2);
+        assert_eq!(ctx.gossip(4, 300), 4);
+        // A second relay reuses the target buffer.
+        assert_eq!(ctx.gossip(2, 400), 2);
+        assert_eq!(outbox.len(), 8);
+        let (sent, relayed) = outbox.split_at(2);
+        assert_eq!(sent, [(5, 100), (6, 200)]);
+        assert!(
+            relayed.iter().all(|&(to, _)| to != 3),
+            "must not target self"
+        );
+        let values: Vec<u32> = relayed.iter().map(|&(_, m)| m).collect();
+        assert_eq!(values, [300, 300, 300, 300, 400, 400]);
+        assert_eq!(targets.len(), 2);
         assert_eq!(timers.len(), 1);
     }
 }

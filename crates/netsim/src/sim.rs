@@ -40,6 +40,7 @@ pub struct Simulator<M, B> {
     // Workhorse buffers reused across dispatches (no steady-state alloc).
     outbox: Vec<(NodeId, M)>,
     timerbox: Vec<(SimDuration, u64)>,
+    targets: Vec<NodeId>,
 }
 
 impl<M, B: NodeBehavior<M>> Simulator<M, B> {
@@ -73,6 +74,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             membership_events: 0,
             outbox: Vec::new(),
             timerbox: Vec::new(),
+            targets: Vec::new(),
         }
     }
 
@@ -183,11 +185,16 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         self.queue.schedule(time, node, EventKind::Crash);
     }
 
-    /// Invokes `on_start` on every live node (in id order, at time 0).
+    /// Invokes `on_start` on every live node (in id order, at time 0);
+    /// does nothing unless `B` [has a start
+    /// hook](NodeBehavior::HAS_START_HOOK).
     pub fn start_all(&mut self) {
+        if !B::HAS_START_HOOK {
+            return;
+        }
         for v in 0..self.behaviors.len() as NodeId {
             if !self.crashed[v as usize] {
-                self.dispatch_start(v);
+                self.dispatch(v, |b, ctx| b.on_start(ctx));
             }
         }
     }
@@ -232,7 +239,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
                     if let Some(t) = &mut self.tracer {
                         t.record(self.now, target, TraceKind::Delivered { from });
                     }
-                    self.dispatch_message(target, from, msg);
+                    self.dispatch(target, |b, ctx| b.on_message(ctx, from, msg));
                 }
             }
             EventKind::Timer { id } => {
@@ -241,7 +248,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
                     if let Some(t) = &mut self.tracer {
                         t.record(self.now, target, TraceKind::TimerFired { id });
                     }
-                    self.dispatch_timer(target, id);
+                    self.dispatch(target, |b, ctx| b.on_timer(ctx, id));
                 }
             }
             EventKind::Join => {
@@ -255,7 +262,9 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
                     if let Some(t) = &mut self.tracer {
                         t.record(self.now, target, TraceKind::Joined);
                     }
-                    self.dispatch_start(target);
+                    if B::HAS_START_HOOK {
+                        self.dispatch(target, |b, ctx| b.on_start(ctx));
+                    }
                 }
             }
         }
@@ -270,58 +279,21 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
 
     // --- dispatch plumbing -------------------------------------------
 
-    fn dispatch_message(&mut self, target: NodeId, from: NodeId, msg: M) {
+    /// Runs one callback of `target`'s behaviour, then turns what it
+    /// buffered into events.
+    fn dispatch(&mut self, target: NodeId, call: impl FnOnce(&mut B, &mut NodeCtx<'_, M>)) {
         let mut outbox = std::mem::take(&mut self.outbox);
         let mut timerbox = std::mem::take(&mut self.timerbox);
-        {
-            let mut ctx = NodeCtx {
-                node: target,
-                now: self.now,
-                rng: &mut self.rng,
-                membership: &*self.membership,
-                outbox: &mut outbox,
-                timers: &mut timerbox,
-            };
-            self.behaviors[target as usize].on_message(&mut ctx, from, msg);
-        }
-        self.flush(target, &mut outbox, &mut timerbox);
-        self.outbox = outbox;
-        self.timerbox = timerbox;
-    }
-
-    fn dispatch_timer(&mut self, target: NodeId, id: u64) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut timerbox = std::mem::take(&mut self.timerbox);
-        {
-            let mut ctx = NodeCtx {
-                node: target,
-                now: self.now,
-                rng: &mut self.rng,
-                membership: &*self.membership,
-                outbox: &mut outbox,
-                timers: &mut timerbox,
-            };
-            self.behaviors[target as usize].on_timer(&mut ctx, id);
-        }
-        self.flush(target, &mut outbox, &mut timerbox);
-        self.outbox = outbox;
-        self.timerbox = timerbox;
-    }
-
-    fn dispatch_start(&mut self, target: NodeId) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut timerbox = std::mem::take(&mut self.timerbox);
-        {
-            let mut ctx = NodeCtx {
-                node: target,
-                now: self.now,
-                rng: &mut self.rng,
-                membership: &*self.membership,
-                outbox: &mut outbox,
-                timers: &mut timerbox,
-            };
-            self.behaviors[target as usize].on_start(&mut ctx);
-        }
+        let mut ctx = NodeCtx {
+            node: target,
+            now: self.now,
+            rng: &mut self.rng,
+            membership: &*self.membership,
+            outbox: &mut outbox,
+            timers: &mut timerbox,
+            targets: &mut self.targets,
+        };
+        call(&mut self.behaviors[target as usize], &mut ctx);
         self.flush(target, &mut outbox, &mut timerbox);
         self.outbox = outbox;
         self.timerbox = timerbox;
@@ -401,6 +373,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
                 membership: &*self.membership,
                 outbox: &mut self.outbox,
                 timers: &mut self.timerbox,
+                targets: &mut self.targets,
             };
             behavior.on_message(&mut ctx, sender, msg);
             assert!(
@@ -443,11 +416,7 @@ mod tests {
             self.receipts += 1;
             if !self.seen {
                 self.seen = true;
-                let mut targets = Vec::new();
-                ctx.sample_targets(self.fanout, &mut targets);
-                for t in targets {
-                    ctx.send(t, msg);
-                }
+                ctx.gossip(self.fanout, msg);
             }
         }
 
@@ -699,6 +668,51 @@ mod tests {
         // on its blocked uplink: nobody but the source ever delivers.
         assert_eq!(m.messages_delivered, 1, "only the injection lands");
         assert_eq!(m.messages_lost, m.messages_sent);
+    }
+
+    /// Counts its start callbacks, each of which sets a timer; `HOOK`
+    /// is what it declares as [`NodeBehavior::HAS_START_HOOK`].
+    struct Starter<const HOOK: bool> {
+        starts: u32,
+    }
+
+    impl<const HOOK: bool> NodeBehavior<u64> for Starter<HOOK> {
+        const HAS_START_HOOK: bool = HOOK;
+
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+            self.starts += 1;
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+
+        fn on_message(&mut self, _: &mut NodeCtx<'_, u64>, _: NodeId, _: u64) {}
+    }
+
+    /// Starts four members and lets a fifth join at 5 ms; returns each
+    /// node's start count and the timers set.
+    fn starts<const HOOK: bool>() -> (Vec<u32>, u64) {
+        use crate::membership::DynamicView;
+        let mut sim = Simulator::new(
+            (0..5).map(|_| Starter::<HOOK> { starts: 0 }).collect(),
+            NetworkConfig::default(),
+            Box::new(DynamicView::new(5, 4)),
+            3,
+        );
+        sim.make_dormant(4);
+        sim.schedule_join(SimTime::from_nanos(5_000_000), 4);
+        sim.start_all();
+        sim.run_to_quiescence();
+        let counts = sim.nodes().map(|(_, b, _)| b.starts).collect();
+        (counts, sim.metrics().timers_set)
+    }
+
+    #[test]
+    fn start_hooks_are_dispatched_only_where_declared() {
+        assert_eq!(
+            starts::<false>(),
+            (vec![0; 5], 0),
+            "start or join dispatched"
+        );
+        assert_eq!(starts::<true>(), (vec![1; 5], 5));
     }
 
     #[test]

@@ -38,11 +38,7 @@ impl NodeBehavior<u32> for RelayOnce {
             return;
         }
         self.first = Some((ctx.now(), from, hop));
-        let mut targets = Vec::new();
-        ctx.sample_targets(self.fanout, &mut targets);
-        for t in targets {
-            ctx.send(t, hop + 1);
-        }
+        ctx.gossip(self.fanout, hop + 1);
     }
 
     fn settled(&self) -> bool {

@@ -1,13 +1,29 @@
 //! Names the benchmark harness still imports after the calendar's
-//! per-execution driver moved onto [`Scenario`]; [`crate::engine`]
-//! re-exports both at their old paths. Nothing in the library calls them.
+//! per-execution driver moved onto [`Scenario`] and its copies dropped
+//! their payload; [`crate::engine`] re-exports the first two at their old
+//! paths. Nothing in the library calls them.
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use gossip_model::distribution::FanoutDistribution;
 use gossip_model::{FanoutSpec, ModelError, Scenario};
 
 use crate::engine::{run_execution, ExecutionOutcome};
+use crate::message::{GossipMessage, MessageId};
+
+impl GossipMessage {
+    /// [`GossipMessage::origin`] under its old two-argument name; the
+    /// payload is dropped, as no copy carries one.
+    ///
+    /// Debt (ROADMAP item 0(c)): the `netsim` probe builds its message
+    /// with this; it goes once the probe calls [`GossipMessage::origin`].
+    #[doc(hidden)]
+    pub fn new(id: MessageId, payload: impl Into<Bytes>) -> Self {
+        let _ = payload;
+        Self::origin(id)
+    }
+}
 
 /// The paper's setting at `(n, q)`: full view, lossless 1 ms network.
 ///
@@ -57,5 +73,14 @@ mod tests {
             bad_q,
             Err(ModelError::InvalidParameter { name: "q", .. })
         ));
+    }
+
+    #[test]
+    fn new_is_origin_without_the_payload() {
+        let id = MessageId(9);
+        assert_eq!(
+            GossipMessage::new(id, &b"payload"[..]),
+            GossipMessage::origin(id)
+        );
     }
 }

@@ -213,7 +213,7 @@ where
         sim.set_link_faults(LinkFaults::new(total, blocked, ge, &mut chain_rng));
     }
     sim.start_all();
-    let message = GossipMessage::new(MessageId(seed), &b"payload"[..]);
+    let message = GossipMessage::origin(MessageId(seed));
     sim.inject(SOURCE, SOURCE, wrap(message));
     sim.run_to_quiescence();
 

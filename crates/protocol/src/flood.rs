@@ -52,12 +52,7 @@ impl NodeBehavior<GossipMessage> for Flooding {
         self.receipt_hop = Some(msg.hop);
         self.receipt_time = Some(ctx.now());
         let view = ctx.view_size();
-        let mut targets = Vec::with_capacity(view);
-        ctx.sample_targets(view, &mut targets);
-        let copy = msg.forwarded();
-        for t in targets {
-            ctx.send(t, copy.clone());
-        }
+        ctx.gossip(view, msg.forwarded());
     }
 
     /// Settled on first receipt: every later copy is a duplicate.
@@ -100,7 +95,7 @@ mod tests {
             Box::new(FullView::new(n)),
             1,
         );
-        sim.inject(0, 0, GossipMessage::new(MessageId(1), &b"m"[..]));
+        sim.inject(0, 0, GossipMessage::origin(MessageId(1)));
         sim.run_to_quiescence();
         let received = sim.nodes().filter(|(_, b, _)| b.has_received()).count();
         assert_eq!(received, n);
@@ -119,7 +114,7 @@ mod tests {
             Box::new(views),
             2,
         );
-        sim.inject(0, 0, GossipMessage::new(MessageId(1), &b"m"[..]));
+        sim.inject(0, 0, GossipMessage::origin(MessageId(1)));
         sim.run_to_quiescence();
         let received = sim.nodes().filter(|(_, b, _)| b.has_received()).count();
         // SCAMP's directed overlay is (whp) strongly enough connected for

@@ -64,7 +64,7 @@ use gossip_netsim::SimTime;
 /// Common introspection interface over gossip protocol behaviours — how
 /// the [`engine`] reads reliability out of a finished simulation.
 pub trait GossipProtocol {
-    /// Whether this node has received the multicast payload.
+    /// Whether this node has received the multicast message.
     fn has_received(&self) -> bool;
 
     /// Hop count at first receipt (0 at the source), if received.

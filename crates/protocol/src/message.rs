@@ -1,6 +1,9 @@
 //! The multicast message.
-
-use bytes::Bytes;
+//!
+//! A copy in flight is a plain 16-byte value: which multicast it
+//! belongs to and how many hops it has travelled. No simulation reads an
+//! application payload, so none is carried; relaying a copy to each of
+//! `f` targets is a bit copy through the outbox and the event calendar.
 
 /// Identifier of a multicast message (unique per multicast, not per
 /// copy).
@@ -8,36 +11,25 @@ use bytes::Bytes;
 pub struct MessageId(pub u64);
 
 /// A gossip message copy in flight.
-///
-/// The payload is a [`Bytes`] handle: cloning a message for each of `f`
-/// gossip targets is a reference-count bump, not a copy — the simulator
-/// can push gigabytes of logical payload around for free.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GossipMessage {
     /// Which multicast this copy belongs to.
     pub id: MessageId,
     /// Hops travelled so far (0 when leaving the source).
     pub hop: u32,
-    /// Application payload.
-    pub payload: Bytes,
 }
 
 impl GossipMessage {
-    /// Creates a fresh multicast message (hop 0).
-    pub fn new(id: MessageId, payload: impl Into<Bytes>) -> Self {
-        Self {
-            id,
-            hop: 0,
-            payload: payload.into(),
-        }
+    /// The copy the source hands itself: multicast `id`, hop 0.
+    pub fn origin(id: MessageId) -> Self {
+        Self { id, hop: 0 }
     }
 
-    /// The copy a relay forwards: same id/payload, hop incremented.
-    pub fn forwarded(&self) -> Self {
+    /// The copy a relay forwards: same id, hop incremented.
+    pub fn forwarded(self) -> Self {
         Self {
             id: self.id,
             hop: self.hop.saturating_add(1),
-            payload: self.payload.clone(),
         }
     }
 }
@@ -48,27 +40,25 @@ mod tests {
 
     #[test]
     fn forwarding_increments_hop_only() {
-        let m = GossipMessage::new(MessageId(7), &b"hello"[..]);
+        let m = GossipMessage::origin(MessageId(7));
         assert_eq!(m.hop, 0);
         let f = m.forwarded();
-        assert_eq!(f.hop, 1);
-        assert_eq!(f.id, MessageId(7));
-        assert_eq!(f.payload, m.payload);
+        assert_eq!(f, GossipMessage { id: m.id, hop: 1 });
         assert_eq!(f.forwarded().hop, 2);
+        // Forwarding copies: the original is untouched.
+        assert_eq!(m, GossipMessage::origin(MessageId(7)));
     }
 
     #[test]
-    fn payload_clone_is_shallow() {
-        let payload = Bytes::from(vec![0u8; 1024]);
-        let m = GossipMessage::new(MessageId(1), payload.clone());
-        let f = m.forwarded();
-        // Same underlying buffer (pointer equality via as_ptr).
-        assert_eq!(m.payload.as_ptr(), f.payload.as_ptr());
+    fn a_copy_is_a_plain_16_byte_value() {
+        fn is_copy<T: Copy>() {}
+        is_copy::<GossipMessage>();
+        assert!(std::mem::size_of::<GossipMessage>() <= 16);
     }
 
     #[test]
     fn hop_saturates() {
-        let mut m = GossipMessage::new(MessageId(1), &b""[..]);
+        let mut m = GossipMessage::origin(MessageId(1));
         m.hop = u32::MAX;
         assert_eq!(m.forwarded().hop, u32::MAX);
     }

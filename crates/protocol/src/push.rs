@@ -58,12 +58,7 @@ impl NodeBehavior<GossipMessage> for PushGossip {
         self.receipt_time = Some(ctx.now());
         // Draw f_i ~ P and relay to f_i distinct members of the view.
         let f = self.dist.sample(ctx.rng());
-        let mut targets = Vec::with_capacity(f);
-        ctx.sample_targets(f, &mut targets);
-        let copy = msg.forwarded();
-        for t in targets {
-            ctx.send(t, copy.clone());
-        }
+        ctx.gossip(f, msg.forwarded());
     }
 
     /// Settled on first receipt: every later copy is a duplicate.
@@ -111,7 +106,7 @@ mod tests {
     #[test]
     fn relays_exactly_once() {
         let mut sim = push_sim(50, 3, 1);
-        sim.inject(0, 0, GossipMessage::new(MessageId(1), &b"m"[..]));
+        sim.inject(0, 0, GossipMessage::origin(MessageId(1)));
         sim.run_to_quiescence();
         // Each receiving node sends exactly its fanout; total sends =
         // 3 × (#nodes that received).
@@ -125,7 +120,7 @@ mod tests {
     #[test]
     fn duplicates_are_discarded_not_relayed() {
         let mut sim = push_sim(10, 9, 2); // full fanout → lots of dupes
-        sim.inject(0, 0, GossipMessage::new(MessageId(1), &b"m"[..]));
+        sim.inject(0, 0, GossipMessage::origin(MessageId(1)));
         sim.run_to_quiescence();
         let total_dupes: u32 = sim.nodes().map(|(_, b, _)| b.duplicates()).sum();
         // Every node sends to all 9 others; 10 nodes × 9 = 90 sends, 10
@@ -137,7 +132,7 @@ mod tests {
     #[test]
     fn hop_counts_grow_from_source() {
         let mut sim = push_sim(100, 2, 3);
-        sim.inject(0, 0, GossipMessage::new(MessageId(1), &b"m"[..]));
+        sim.inject(0, 0, GossipMessage::origin(MessageId(1)));
         sim.run_to_quiescence();
         let source_hop = sim.node(0).receipt_hop().unwrap();
         assert_eq!(source_hop, 0);
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn drawn_fanout_matches_distribution() {
         let mut sim = push_sim(30, 4, 4);
-        sim.inject(0, 0, GossipMessage::new(MessageId(1), &b"m"[..]));
+        sim.inject(0, 0, GossipMessage::origin(MessageId(1)));
         sim.run_to_quiescence();
         // Every member that received relays to exactly the drawn fanout.
         let received = sim.nodes().filter(|(_, b, _)| b.has_received()).count();
@@ -177,7 +172,7 @@ mod tests {
                 sim.enable_tracing(usize::MAX);
             }
             sim.apply_failure_plan(&FailurePlan::paper_model(0.8, 0));
-            sim.inject(0, 0, GossipMessage::new(MessageId(1), &b"m"[..]));
+            sim.inject(0, 0, GossipMessage::origin(MessageId(1)));
             sim.run_to_quiescence();
             let nodes: Vec<_> = sim
                 .nodes()
@@ -198,7 +193,7 @@ mod tests {
     #[test]
     fn zero_fanout_stops_immediately() {
         let mut sim = push_sim(10, 0, 5);
-        sim.inject(0, 0, GossipMessage::new(MessageId(1), &b"m"[..]));
+        sim.inject(0, 0, GossipMessage::origin(MessageId(1)));
         sim.run_to_quiescence();
         let received = sim.nodes().filter(|(_, b, _)| b.has_received()).count();
         assert_eq!(received, 1, "only the source");

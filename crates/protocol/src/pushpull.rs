@@ -4,7 +4,7 @@
 //! of replicated databases (its reference \[2\], Demers et al.). Here,
 //! besides pushing on first receipt, every node periodically *pulls*: it
 //! asks a random member whether it has the message; infected members
-//! answer with the payload. Pulls make dissemination robust to push
+//! answer with a copy. Pulls make dissemination robust to push
 //! fizzle (they keep working after the push phase dies out), at the cost
 //! of background traffic even before/without infection.
 
@@ -17,9 +17,9 @@ use crate::GossipProtocol;
 const PULL_TIMER: u64 = 2;
 
 /// Message alphabet of the push-pull protocol.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PullMessage {
-    /// Push or pull-reply carrying the payload.
+    /// Push or pull-reply carrying the message.
     Data(GossipMessage),
     /// "Do you have it?" probe.
     PullRequest,
@@ -57,17 +57,14 @@ impl PushPullGossip {
         self.received = true;
         self.receipt_hop = Some(msg.hop);
         self.receipt_time = Some(ctx.now());
-        let copy = msg.forwarded();
         self.buffered = Some(msg);
-        let mut targets = Vec::with_capacity(self.push_fanout);
-        ctx.sample_targets(self.push_fanout, &mut targets);
-        for t in targets {
-            ctx.send(t, PullMessage::Data(copy.clone()));
-        }
+        ctx.gossip(self.push_fanout, PullMessage::Data(msg.forwarded()));
     }
 }
 
 impl NodeBehavior<PullMessage> for PushPullGossip {
+    const HAS_START_HOOK: bool = true;
+
     fn on_start(&mut self, ctx: &mut NodeCtx<'_, PullMessage>) {
         if self.pulls_left > 0 {
             // Stagger first pulls uniformly over one period to avoid a
@@ -88,7 +85,7 @@ impl NodeBehavior<PullMessage> for PushPullGossip {
                 }
             }
             PullMessage::PullRequest => {
-                if let Some(buffered) = &self.buffered {
+                if let Some(buffered) = self.buffered {
                     ctx.send(from, PullMessage::Data(buffered.forwarded()));
                 }
             }
@@ -102,11 +99,7 @@ impl NodeBehavior<PullMessage> for PushPullGossip {
         self.pulls_left -= 1;
         // Infected nodes stop pulling — they have nothing to gain.
         if !self.received {
-            let mut target = Vec::with_capacity(1);
-            ctx.sample_targets(1, &mut target);
-            for t in target {
-                ctx.send(t, PullMessage::PullRequest);
-            }
+            ctx.gossip(1, PullMessage::PullRequest);
         }
         if self.pulls_left > 0 && !self.received {
             ctx.set_timer(self.pull_period, PULL_TIMER);
@@ -157,11 +150,7 @@ mod tests {
 
     fn run(sim: &mut Simulator<PullMessage, PushPullGossip>) -> usize {
         sim.start_all();
-        sim.inject(
-            0,
-            0,
-            PullMessage::Data(GossipMessage::new(MessageId(1), &b"m"[..])),
-        );
+        sim.inject(0, 0, PullMessage::Data(GossipMessage::origin(MessageId(1))));
         sim.run_to_quiescence();
         sim.nodes().filter(|(_, b, _)| b.has_received()).count()
     }
@@ -193,6 +182,16 @@ mod tests {
     }
 
     #[test]
+    fn start_sets_the_pull_timers() {
+        let mut sim = pp_sim(20, 1, 3, 5);
+        sim.start_all();
+        assert_eq!(sim.metrics().timers_set, 20, "one first pull per member");
+        let mut idle = pp_sim(20, 1, 0, 5);
+        idle.start_all();
+        assert_eq!(idle.metrics().timers_set, 0, "no budget, no timer");
+    }
+
+    #[test]
     fn pull_budget_bounds_probe_traffic() {
         let mut sim = pp_sim(50, 0, 3, 3);
         sim.start_all();
@@ -201,7 +200,7 @@ mod tests {
         assert!(sim.metrics().messages_sent <= 150);
         assert!(sim.metrics().messages_sent > 0);
         let reached = sim.nodes().filter(|(_, b, _)| b.has_received()).count();
-        assert_eq!(reached, 0, "no payload exists to spread");
+        assert_eq!(reached, 0, "no message exists to spread");
     }
 
     #[test]
