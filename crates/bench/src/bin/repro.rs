@@ -4,9 +4,11 @@
 //! `repro all` runs every entry. Tables go to stdout and, as CSV, to
 //! `results/`; committed experiments rewrite their `BENCH_<name>.json`
 //! at the workspace root, so `repro all` followed by `git diff` is both
-//! the regression check and the way to accept an intended change. Any
-//! finding that does not hold is reported with its experiment's name
-//! and makes the exit status non-zero.
+//! the regression check and the way to accept an intended change. The
+//! root is the nearest ancestor of the current directory whose
+//! `Cargo.toml` declares `[workspace]`; with none, `repro` exits 2 and
+//! says so. Any finding that does not hold is reported with its
+//! experiment's name and makes the exit status non-zero.
 
 use std::fs;
 use std::process::ExitCode;
@@ -28,7 +30,14 @@ fn main() -> ExitCode {
         return ExitCode::from(if args.is_empty() { 0 } else { 2 });
     };
 
-    let results = workspace_root().join("results");
+    let root = match workspace_root() {
+        Ok(root) => root,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let results = root.join("results");
     fs::create_dir_all(&results).expect("create results dir");
     let mut failures = Vec::new();
     for experiment in selected {
@@ -52,7 +61,7 @@ fn main() -> ExitCode {
             }
         }
         if experiment.ledger {
-            let path = experiment.ledger_path();
+            let path = experiment.ledger_path(&root);
             fs::write(&path, experiment.ledger_json(&outcome))
                 .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
             println!("wrote {}", path.display());

@@ -30,10 +30,58 @@ pub mod figures;
 pub const SEED: u64 = 0x1CC_2008;
 
 /// The workspace root: where the committed `BENCH_*.json` ledgers live
-/// and where `results/` is created.
-pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+/// and where `results/` is created. Resolved at run time from the
+/// current directory (see [`workspace_root_from`]), so a binary run in
+/// another checkout writes that checkout's ledgers.
+pub fn workspace_root() -> Result<PathBuf, WorkspaceRootError> {
+    let cwd = std::env::current_dir().map_err(|e| WorkspaceRootError {
+        start: PathBuf::from("."),
+        reason: e.to_string(),
+    })?;
+    workspace_root_from(&cwd)
 }
+
+/// The nearest ancestor of `start` (itself included) whose `Cargo.toml`
+/// declares `[workspace]`.
+pub fn workspace_root_from(start: &Path) -> Result<PathBuf, WorkspaceRootError> {
+    for dir in start.ancestors() {
+        let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        if manifest
+            .lines()
+            .any(|line| line.trim_start().starts_with("[workspace]"))
+        {
+            return Ok(dir.to_path_buf());
+        }
+    }
+    Err(WorkspaceRootError {
+        start: start.to_path_buf(),
+        reason: "no ancestor holds a Cargo.toml with [workspace]".into(),
+    })
+}
+
+/// Why [`workspace_root`] found no workspace to write into.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WorkspaceRootError {
+    /// Where the search started.
+    pub start: PathBuf,
+    /// What went wrong.
+    pub reason: String,
+}
+
+impl std::fmt::Display for WorkspaceRootError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "no workspace root above {}: {}; run from inside the gossip workspace",
+            self.start.display(),
+            self.reason
+        )
+    }
+}
+
+impl std::error::Error for WorkspaceRootError {}
 
 /// Eq. 11 (with loss, Eq. 11's bond+site extension) for a scenario.
 pub(crate) fn analytic_r(scenario: &Scenario) -> f64 {
@@ -313,9 +361,10 @@ impl Experiment {
         outcome
     }
 
-    /// Where this experiment's ledger is committed.
-    pub fn ledger_path(&self) -> PathBuf {
-        workspace_root().join(format!("BENCH_{}.json", self.name))
+    /// Where this experiment's ledger is committed, under the workspace
+    /// `root` ([`workspace_root`]).
+    pub fn ledger_path(&self, root: &Path) -> PathBuf {
+        root.join(format!("BENCH_{}.json", self.name))
     }
 
     /// Serialises the outcome's (single) table and findings in the
@@ -437,6 +486,40 @@ mod tests {
         }
         assert!(select("no_such_experiment").is_none());
         assert_eq!(REGISTRY.iter().filter(|e| e.ledger).count(), 4);
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_workspace_manifest() {
+        let tree = std::env::temp_dir().join(format!("gossip-bench-root-{}", std::process::id()));
+        let member = tree.join("ws/crates/member/src");
+        let plain = tree.join("plain/deep");
+        fs::create_dir_all(&member).unwrap();
+        fs::create_dir_all(&plain).unwrap();
+        fs::write(
+            tree.join("ws/Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/member\"]\n",
+        )
+        .unwrap();
+        // A member manifest that only inherits from the workspace is
+        // not a root.
+        fs::write(
+            tree.join("ws/crates/member/Cargo.toml"),
+            "[package]\nname = \"member\"\nversion.workspace = true\n",
+        )
+        .unwrap();
+        fs::write(
+            tree.join("plain/Cargo.toml"),
+            "[package]\nname = \"plain\"\n",
+        )
+        .unwrap();
+
+        let ws = tree.join("ws");
+        assert_eq!(workspace_root_from(&member), Ok(ws.clone()));
+        assert_eq!(workspace_root_from(&ws), Ok(ws.clone()));
+        let err = workspace_root_from(&plain).unwrap_err();
+        assert_eq!(err.start, plain);
+        assert!(err.to_string().contains("no workspace root above"), "{err}");
+        fs::remove_dir_all(&tree).unwrap();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! must serialise to its `BENCH_<name>.json` byte for byte. (`scaling`,
 //! n = 10⁶ and 10⁷, is re-derived by CI's `repro all` only.)
 
-use gossip_bench::select;
+use gossip_bench::{select, workspace_root};
 
 fn assert_ledger_is_current(name: &str) {
     let experiment = select(name).expect("registered experiment")[0];
@@ -10,7 +10,8 @@ fn assert_ledger_is_current(name: &str) {
     for finding in &outcome.findings {
         assert!(finding.holds, "{name}: finding failed — {}", finding.claim);
     }
-    let path = experiment.ledger_path();
+    let root = workspace_root().unwrap_or_else(|e| panic!("{e}"));
+    let path = experiment.ledger_path(&root);
     let committed =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     assert!(

@@ -17,8 +17,9 @@
 //! * [`injection_rounds`] — the arrival plan sampled into concrete
 //!   per-message injection rounds, a pure function of the seed.
 //! * [`run_stream`] — the engine: per-round event coalescing, one
-//!   arena-reused receipt bitset per message, bounded FIFO send queues,
-//!   per-frame loss draws, and exact copy conservation counters
+//!   arena-reused receipt bitset per message, frames as spans into one
+//!   id arena, bounded FIFO send queues, per-frame loss draws, and
+//!   exact copy conservation counters
 //!   ([`StreamCounters`]). Fanout sampling is injected as a closure so
 //!   this crate stays below the model layer in the dependency DAG.
 //! * [`TrafficReport`] — what backends report back: per-message
@@ -33,7 +34,7 @@ pub mod plan;
 pub mod report;
 pub mod spec;
 
-pub use engine::{run_stream, Frame, StreamCounters, StreamOutcome, StreamParams, StreamScratch};
+pub use engine::{run_stream, StreamCounters, StreamOutcome, StreamParams, StreamScratch};
 pub use plan::{injection_rounds, TRAFFIC_PLAN_STREAM};
 pub use report::{merge_histogram, percentile, TrafficReport};
 pub use spec::{ArrivalSpec, BatchingSpec, TrafficError, TrafficSpec, MAX_FRAME_IDS};

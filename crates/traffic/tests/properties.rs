@@ -5,7 +5,9 @@
 //! flight at quiescence.
 
 use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
-use gossip_traffic::{injection_rounds, run_stream, ArrivalSpec, StreamParams, StreamScratch};
+use gossip_traffic::{
+    injection_rounds, run_stream, ArrivalSpec, StreamParams, StreamScratch, MAX_FRAME_IDS,
+};
 use proptest::prelude::*;
 
 fn arrivals() -> impl Strategy<Value = ArrivalSpec> {
@@ -38,7 +40,7 @@ proptest! {
         messages in 1usize..24,
         bandwidth in (0usize..6).prop_map(|b| if b == 0 { None } else { Some(b) }),
         queue_capacity in 1usize..64,
-        frame_limit in 1usize..=8,
+        frame_limit in 1usize..=MAX_FRAME_IDS,
         loss in 0u32..=40,
         fanout in 0usize..8,
         dead in 0u32..=50,
