@@ -3,7 +3,8 @@
 //! system (structured overlays, structured faults, contending streams)
 //! and where it keeps describing it (n = 10⁶ and 10⁷).
 
-use gossip_model::scenario::{AnalyticBackend, Backend, FanoutSpec, Scenario};
+use gossip_model::analytic::AnalyticBackend;
+use gossip_model::scenario::{Backend, FanoutSpec, Scenario};
 use gossip_model::{
     AdversaryStrategy, BurstySpec, ChurnSpec, FaultSpec, OverlaySpec, TopologySpec, TrafficReport,
     TrafficSpec,

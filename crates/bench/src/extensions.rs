@@ -3,15 +3,13 @@
 //! distributions, the success calculus, the membership assumption,
 //! scale, the related-work baselines of §2, and message loss.
 
+use gossip_model::analytic::AnalyticBackend;
 use gossip_model::baselines::asymptotic;
 use gossip_model::baselines::pbcast::PbcastRecurrence;
 use gossip_model::baselines::si::SiModel;
 use gossip_model::distribution::PoissonFanout;
-use gossip_model::loss::LossyGossip;
-use gossip_model::scenario::{
-    AnalyticBackend, Backend, FanoutSpec, Scenario, SweepCell, SweepGrid,
-};
-use gossip_model::{poisson_case, success, OverlaySpec, SitePercolation, TopologySpec};
+use gossip_model::scenario::{Backend, FanoutSpec, Scenario, SweepCell, SweepGrid};
+use gossip_model::{law, poisson_case, success, OverlaySpec, PaperLaw, TopologySpec};
 use gossip_protocol::{NetSimBackend, ProtocolBackend};
 use gossip_rgraph::percolation_sim::percolate_many;
 use gossip_rgraph::phase::scan_configuration_model;
@@ -126,11 +124,11 @@ pub fn distribution_zoo(out: &mut Outcome) {
     let (mut worst_graph, mut worst_protocol) = (0.0f64, 0.0f64);
     for (i, (label, spec)) in zoo.iter().enumerate() {
         let dist = spec.build().expect("zoo parameters are valid");
-        let perc = SitePercolation::new(&*dist, q).expect("valid q");
-        let qc = perc
-            .critical_q()
-            .map_or_else(|| "—".into(), |v| format!("{v:.3}"));
-        let analytic = perc.reliability().expect("solver converges");
+        let qc = law::critical_q(&*dist).map_or_else(|| "—".into(), |v| format!("{v:.3}"));
+        let analytic = PaperLaw::new(&*dist, q, 0.0)
+            .expect("valid q")
+            .reliability()
+            .expect("solver converges");
 
         // Graph level: undirected giant component on configuration-model
         // realizations (the object the paper's math describes).
@@ -471,7 +469,7 @@ pub fn baselines_success(out: &mut Outcome) {
 ///
 /// The paper models crashes only; real networks also drop messages. The
 /// generating-function model extends to joint site+bond percolation
-/// (`gossip_model::loss`), predicting for Poisson fanout
+/// (`gossip_model::law`), predicting for Poisson fanout
 /// `R = 1 − e^{−z(1−ℓ)qR}` — loss is exactly fanout thinning — and a
 /// critical loss `ℓ_c = 1 − 1/(zq)`. One [`SweepGrid`] over the loss
 /// axis, evaluated by [`AnalyticBackend`] (the bond+site prediction) and
@@ -482,7 +480,7 @@ pub fn loss_sweep(out: &mut Outcome) {
     let reps = 30;
     let losses: Vec<f64> = (0..=16).map(|i| i as f64 * 0.05).collect();
 
-    let loss_crit = LossyGossip::new(&PoissonFanout::new(f), q, 0.0)
+    let loss_crit = PaperLaw::new(&PoissonFanout::new(f), q, 0.0)
         .expect("valid parameters")
         .critical_loss()
         .expect("supercritical at zero loss");

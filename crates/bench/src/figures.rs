@@ -7,7 +7,8 @@
 //! Figs. 6/7 histogram is a seeded `B(20, p)` sample at the member
 //! receipt probability p a [`ProtocolBackend`] report measures.
 
-use gossip_model::scenario::{AnalyticBackend, Backend, FanoutSpec, Scenario, SweepGrid};
+use gossip_model::analytic::AnalyticBackend;
+use gossip_model::scenario::{Backend, FanoutSpec, Scenario, SweepGrid};
 use gossip_model::{poisson_case, success};
 use gossip_protocol::backend::ProtocolBackend;
 use gossip_stats::binomial::Binomial;

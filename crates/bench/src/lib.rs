@@ -18,7 +18,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gossip_model::scenario::{AnalyticBackend, Backend, Report, Scenario};
+use gossip_model::analytic::AnalyticBackend;
+use gossip_model::scenario::{Backend, Report, Scenario};
 use gossip_protocol::ProtocolBackend;
 use serde::{json, Serialize, Value};
 

@@ -171,7 +171,7 @@ mod tests {
         );
         // The generalized-random-graph model knows better:
         let d = crate::distribution::PoissonFanout::new(2.0);
-        let r = crate::SitePercolation::new(&d, 0.3)
+        let r = crate::law::PaperLaw::new(&d, 0.3, 0.0)
             .unwrap()
             .reliability()
             .unwrap();

@@ -4,11 +4,11 @@
 //! mean fanout do I need?" in closed form for Poisson (Eq. 12). For any
 //! other family the same questions are answered here by exploiting the
 //! monotonicity of reliability in `q` and in the family's scale
-//! parameter, using bisection over the generic percolation solver.
+//! parameter, using bisection over the generic law ([`crate::law`]).
 
 use crate::distribution::FanoutDistribution;
 use crate::error::ModelError;
-use crate::percolation::SitePercolation;
+use crate::law::{self, PaperLaw};
 use crate::solver::bisect;
 
 /// Tolerance for design-space bisections.
@@ -32,7 +32,7 @@ pub fn min_nonfailed_ratio<D: FanoutDistribution + ?Sized>(
         });
     }
     let reliability_at = |q: f64| -> f64 {
-        SitePercolation::new(dist, q)
+        PaperLaw::new(dist, q, 0.0)
             .and_then(|p| p.reliability())
             .unwrap_or(0.0)
     };
@@ -43,10 +43,7 @@ pub fn min_nonfailed_ratio<D: FanoutDistribution + ?Sized>(
         });
     }
     // Reliability is monotone non-decreasing in q; bracket [qc, 1].
-    let lo = SitePercolation::new(dist, 1.0)?
-        .critical_q()
-        .unwrap_or(1.0)
-        .clamp(1e-9, 1.0);
+    let lo = law::critical_q(dist).unwrap_or(1.0).clamp(1e-9, 1.0);
     if reliability_at(lo) >= target_r {
         return Ok(lo);
     }
@@ -90,7 +87,7 @@ where
     }
     let reliability_at = |theta: f64| -> Result<f64, ModelError> {
         let dist = family(theta);
-        SitePercolation::new(&dist, q)?.reliability()
+        PaperLaw::new(&dist, q, 0.0)?.reliability()
     };
     if reliability_at(hi)? < target_r {
         return Err(ModelError::Unachievable {
@@ -136,12 +133,12 @@ mod tests {
     fn min_q_achieves_target() {
         let d = PoissonFanout::new(5.0);
         let q_min = min_nonfailed_ratio(&d, 0.95).unwrap();
-        let r_at = SitePercolation::new(&d, q_min)
+        let r_at = PaperLaw::new(&d, q_min, 0.0)
             .unwrap()
             .reliability()
             .unwrap();
         assert!((r_at - 0.95).abs() < 1e-6, "r(q_min) = {r_at}");
-        let r_above = SitePercolation::new(&d, (q_min + 0.02).min(1.0))
+        let r_above = PaperLaw::new(&d, (q_min + 0.02).min(1.0), 0.0)
             .unwrap()
             .reliability()
             .unwrap();
@@ -186,7 +183,7 @@ mod tests {
         let mean = required_scale(GeometricFanout::with_mean, q, target, 0.1, 100.0).unwrap();
         // Verify the scale actually achieves the target.
         let d = GeometricFanout::with_mean(mean);
-        let r = SitePercolation::new(&d, q).unwrap().reliability().unwrap();
+        let r = PaperLaw::new(&d, q, 0.0).unwrap().reliability().unwrap();
         assert!((r - target).abs() < 1e-6, "r = {r} at mean = {mean}");
         // Heavy tail hurts reliability at fixed mean (more mass on fanout
         // 0 strands more nodes), so geometric needs a *larger* mean than

@@ -17,11 +17,10 @@
 //! 1. **Reliability** `R(q, P)` — what fraction of nonfailed members
 //!    receives the message in one execution? Answer: the relative size of
 //!    the giant component of the percolated random graph
-//!    ([`SitePercolation::reliability`], paper Eq. 4/11).
+//!    ([`PaperLaw::reliability`], paper Eq. 4/11).
 //! 2. **Critical point** — how many members may fail before gossip stops
 //!    working at all? Answer: `q_c = 1 / G1'(1)` (paper Eq. 3;
-//!    [`SitePercolation::critical_q`]); for Poisson fanout `q_c = 1/z`
-//!    (Eq. 10).
+//!    [`law::critical_q`]); for Poisson fanout `q_c = 1/z` (Eq. 10).
 //! 3. **Success of gossiping** — how many independent executions `t`
 //!    make *every* nonfailed member receive the message with probability
 //!    `p_s`? Answer: `t ≥ lg(1 − p_s) / lg(1 − p_r)` (Eq. 6;
@@ -60,23 +59,24 @@
 //! round-trips through `serde::json`, so experiment descriptions can
 //! live in files and results can be archived as data.
 //!
-//! ## The model façade
+//! ## The law itself
 //!
-//! The underlying model object [`Gossip`] remains available for direct
-//! analytical work:
+//! The generating-function law behind [`AnalyticBackend`] is
+//! [`PaperLaw`], available for direct analytical work:
 //!
 //! ```
-//! use gossip_model::{Gossip, PoissonFanout};
+//! use gossip_model::{success, PaperLaw, PoissonFanout};
 //!
-//! // 1000 members, Poisson fanout with mean 4, 10% of members crash.
-//! let gossip = Gossip::new(1000, PoissonFanout::new(4.0), 0.9).unwrap();
+//! // Poisson fanout with mean 4, 10% of members crash, no message loss.
+//! let fanout = PoissonFanout::new(4.0);
+//! let law = PaperLaw::new(&fanout, 0.9, 0.0).unwrap();
 //!
 //! // One execution reaches ~97% of the nonfailed members...
-//! let r = gossip.reliability().unwrap();
+//! let r = law.reliability().unwrap();
 //! assert!((r - 0.9695).abs() < 1e-3);
 //!
 //! // ...and 2 executions make "everyone got it" 99.9%-probable.
-//! let t = gossip.required_executions(0.999).unwrap();
+//! let t = success::required_executions(r, 0.999).unwrap();
 //! assert_eq!(t, 2);
 //! ```
 //!
@@ -85,8 +85,10 @@
 //! * [`scenario`] — the unified `Scenario` → `Backend` → `Report` API:
 //!   declarative experiment descriptions ([`FanoutSpec`],
 //!   [`FailureSpec`], [`ProtocolSpec`],
-//!   [`LatencySpec`]), the object-safe [`Backend`] trait, the exact
-//!   [`AnalyticBackend`], and the parallel [`SweepGrid`] runner.
+//!   [`LatencySpec`]), the object-safe [`Backend`] trait, and the
+//!   parallel [`SweepGrid`] runner.
+//! * [`analytic`] — [`AnalyticBackend`], the exact backend: the law
+//!   answering a `Scenario` with a `Report`.
 //! * [`reduce`] — the one reduction from per-replication outcomes to a
 //!   [`Report`]: the take-off split, the conditioned / census /
 //!   per-message stream estimators every Monte-Carlo backend shares.
@@ -94,23 +96,23 @@
 //!   functions `G0`/`G1`, sampling) and eight implementations: Poisson,
 //!   fixed, binomial, geometric, discrete-uniform, truncated power-law,
 //!   empirical, and mixtures.
-//! * [`percolation`] — the site-percolation solver: `u`, reliability,
-//!   giant-component fraction, mean component size (Eq. 2), critical point
-//!   (Eq. 3).
+//! * [`law`] — the paper's law [`PaperLaw`]: crashes as site
+//!   percolation, message loss as bond percolation (an extension; for
+//!   Poisson `R = 1 − e^{−z(1−ℓ)qR}`), one threshold test, the `u`
+//!   fixed point, reliability, critical loss, mean component size
+//!   (Eq. 2) and the critical point [`law::critical_q`] (Eq. 3).
 //! * [`success`] — the Bernoulli-trials calculus of Eqs. 5–6.
 //! * [`support`] — which backend runs which scenario feature.
 //! * [`design`] — inverse problems (required fanout, maximum tolerable
 //!   failure ratio).
 //! * [`poisson_case`] — §4.3 closed forms, including a Lambert-W solution
 //!   of `S = 1 − e^{−zqS}`.
-//! * [`model`] — the [`Gossip`] façade tying everything together.
 //! * [`baselines`] — the three related-work models of §2 (pbcast
 //!   recurrence, SI epidemic, Kermarrec–Massoulié–Ganesh criterion),
 //!   implemented so the paper's comparison is executable.
-//! * [`loss`] — message loss as bond percolation, extending the paper's
-//!   crash-only model (for Poisson: `R = 1 − e^{−z(1−ℓ)qR}`).
 //! * [`solver`], [`series`], [`lambertw`] — numerical plumbing.
 
+pub mod analytic;
 pub mod baselines;
 #[doc(hidden)]
 pub mod compat;
@@ -118,9 +120,7 @@ pub mod design;
 pub mod distribution;
 pub mod error;
 pub mod lambertw;
-pub mod loss;
-pub mod model;
-pub mod percolation;
+pub mod law;
 pub mod poisson_case;
 pub mod reduce;
 pub mod scenario;
@@ -129,6 +129,7 @@ pub mod solver;
 pub mod success;
 pub mod support;
 
+pub use analytic::AnalyticBackend;
 pub use distribution::{
     BinomialFanout, EmpiricalFanout, FanoutDistribution, FixedFanout, GeometricFanout,
     MixtureFanout, PoissonFanout, PowerLawFanout, UniformFanout,
@@ -139,11 +140,10 @@ pub use gossip_faults::{
 };
 pub use gossip_topology::{OverlaySpec, PeerSelection, TopologySpec};
 pub use gossip_traffic::{ArrivalSpec, BatchingSpec, TrafficReport, TrafficSpec};
-pub use model::Gossip;
-pub use percolation::SitePercolation;
+pub use law::PaperLaw;
 pub use scenario::{
-    AnalyticBackend, Backend, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec, Report, Scenario,
-    SweepCell, SweepGrid,
+    Backend, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec, Report, Scenario, SweepCell,
+    SweepGrid,
 };
 
 /// Default truncation/convergence tolerance used across the crate.

@@ -9,7 +9,7 @@
 //! * inverse design `z = −ln(1 − S)/(qS)` (Eq. 12) — the curve family of
 //!   Fig. 2.
 //!
-//! These duplicate what [`crate::percolation`] computes generically; the
+//! These duplicate what [`crate::law`] computes generically; the
 //! redundancy is deliberate (they cross-validate each other in the tests
 //! and benches).
 
@@ -58,6 +58,19 @@ pub fn reliability(z: f64, q: f64) -> Result<f64, ModelError> {
     // picks the non-trivial root.
     let s = 1.0 + lambert_w0(-a * (-a).exp()) / a;
     Ok(s.clamp(0.0, 1.0))
+}
+
+/// Reliability under message loss `ℓ`: the root of
+/// `R = 1 − e^{−z·(1−ℓ)·q·R}` — loss folds into the epidemic product.
+pub fn reliability_with_loss(z: f64, q: f64, loss: f64) -> Result<f64, ModelError> {
+    if !(loss.is_finite() && (0.0..1.0).contains(&loss)) {
+        return Err(ModelError::InvalidParameter {
+            name: "loss",
+            value: loss,
+            requirement: "message loss probability must lie in [0, 1)",
+        });
+    }
+    reliability(z * (1.0 - loss), q)
 }
 
 /// Mean fanout needed to reach reliability `S` at nonfailed ratio `q`:
@@ -109,14 +122,14 @@ pub fn max_tolerable_failure(z: f64, target_s: f64) -> Result<f64, ModelError> {
 mod tests {
     use super::*;
     use crate::distribution::PoissonFanout;
-    use crate::percolation::SitePercolation;
+    use crate::law::PaperLaw;
 
     #[test]
     fn closed_form_matches_generic_solver() {
         for &(z, q) in &[(1.5, 1.0), (2.0, 0.9), (4.0, 0.9), (6.0, 0.6), (6.7, 0.4)] {
             let closed = reliability(z, q).unwrap();
             let d = PoissonFanout::new(z);
-            let generic = SitePercolation::new(&d, q).unwrap().reliability().unwrap();
+            let generic = PaperLaw::new(&d, q, 0.0).unwrap().reliability().unwrap();
             assert!(
                 (closed - generic).abs() < 1e-9,
                 "z={z}, q={q}: closed {closed} vs generic {generic}"

@@ -58,9 +58,8 @@ use gossip_stats::descriptive::OnlineStats;
 use gossip_traffic::{percentile, TrafficReport};
 
 use crate::distribution::FanoutDistribution;
-use crate::error::ModelError;
-use crate::percolation::SitePercolation;
-use crate::scenario::{Report, Scenario};
+use crate::law;
+use crate::scenario::{ProtocolSpec, Report, Scenario};
 use crate::success;
 
 /// `reached ≥ nonfailed^{2/3}`, on integer counts.
@@ -196,11 +195,11 @@ impl Tally {
         dist: &dyn FanoutDistribution,
         replications: usize,
         traffic: Option<TrafficReport>,
-    ) -> Result<Report, ModelError> {
+    ) -> Report {
         // 0 when nothing took off (an empty accumulator's mean).
         let reliability = self.conditional.mean();
         let ci = self.conditional.ci95();
-        Ok(Report {
+        Report {
             backend: backend.to_string(),
             scenario: scenario.label(),
             replications,
@@ -210,8 +209,12 @@ impl Tally {
             reliability_raw: Some(self.raw.mean()),
             // Always the complete-graph Eq. 3 prediction: an overlay
             // shifts the *measured* q_c away from it, which is the
-            // point of the topology ablation.
-            critical_q: SitePercolation::new(dist, 1.0)?.critical_q(),
+            // point of the topology ablation. Push-pull's pulls keep
+            // spreading below it, so its Reports carry none.
+            critical_q: match scenario.protocol {
+                ProtocolSpec::PushPull => None,
+                _ => law::critical_q(dist),
+            },
             takeoff_rate: self
                 .conditioned
                 .then(|| self.conditional.count() as f64 / self.raw.count().max(1) as f64),
@@ -231,7 +234,7 @@ impl Tally {
             complete_rate: (self.sourced > 0)
                 .then(|| self.complete as f64 / self.raw.count() as f64),
             traffic,
-        })
+        }
     }
 }
 
@@ -242,7 +245,7 @@ fn single(
     scenario: &Scenario,
     dist: &dyn FanoutDistribution,
     executions: impl IntoIterator<Item = Execution>,
-) -> Result<Report, ModelError> {
+) -> Report {
     let mut tally = Tally::new(conditioned);
     let mut replications = 0;
     for e in executions {
@@ -267,7 +270,7 @@ pub fn conditioned(
     scenario: &Scenario,
     dist: &dyn FanoutDistribution,
     executions: impl IntoIterator<Item = Execution>,
-) -> Result<Report, ModelError> {
+) -> Report {
     single(true, backend, transport, scenario, dist, executions)
 }
 
@@ -278,7 +281,7 @@ pub fn census(
     scenario: &Scenario,
     dist: &dyn FanoutDistribution,
     reliabilities: impl IntoIterator<Item = f64>,
-) -> Result<Report, ModelError> {
+) -> Report {
     let executions = reliabilities.into_iter().map(|reliability| Execution {
         reliability,
         ..Execution::default()
@@ -309,7 +312,7 @@ pub fn stream(
     hop_millis: Option<u64>,
     executions: &[StreamExecution],
     hist: &[u64],
-) -> Result<Report, ModelError> {
+) -> Report {
     let spec = scenario
         .traffic
         .expect("stream reduction is only dispatched when traffic is present");
@@ -407,7 +410,7 @@ mod tests {
     fn conditioning_splits_takeoffs_from_fizzles() {
         let (scenario, dist) = headline();
         let runs = [run(0.96, 7, 0.07), run(0.01, 1, 0.01), run(0.98, 9, 0.09)];
-        let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
+        let report = conditioned("protocol", None, &scenario, &dist, runs);
         assert_eq!(report.replications, 3);
         assert!((report.reliability - 0.97).abs() < 1e-12);
         assert!((report.reliability_raw.unwrap() - 0.65).abs() < 1e-12);
@@ -440,7 +443,7 @@ mod tests {
             // A fizzle: counts for strict success only.
             execution(0.01, 100, &[1]),
         ];
-        let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
+        let report = conditioned("protocol", None, &scenario, &dist, runs);
         // Last non-empty hops 1 and 3.
         assert_eq!(report.rounds, Some(2.0));
         // [0.25, 1, 1, 1] and [0.2, 0.4, 0.4, 0.8]: the shorter run
@@ -459,7 +462,7 @@ mod tests {
     fn zero_takeoffs_report_zero_and_no_timing() {
         let (scenario, dist) = headline();
         let runs = [run(0.002, 1, 0.01), run(0.004, 2, 0.02)];
-        let report = conditioned("netsim", None, &scenario, &dist, runs).unwrap();
+        let report = conditioned("netsim", None, &scenario, &dist, runs);
         assert_eq!(report.reliability, 0.0);
         assert_eq!(report.reliability_std_error, 0.0);
         assert_eq!(report.reliability_ci95, (0.0, 0.0));
@@ -502,7 +505,7 @@ mod tests {
         for q in [0.15, 0.9] {
             let scenario = scenario.clone().with_failure_ratio(q);
             let runs = [reached(100, 1000), reached(99, 1000)];
-            let report = conditioned("protocol", None, &scenario, &dist, runs).unwrap();
+            let report = conditioned("protocol", None, &scenario, &dist, runs);
             assert_eq!(report.takeoff_rate, Some(0.5));
             assert_eq!(report.reliability, 0.1);
             assert!((report.reliability_raw.unwrap() - 0.0995).abs() < 1e-12);
@@ -514,7 +517,7 @@ mod tests {
     fn census_has_no_takeoff_split() {
         let (scenario, dist) = headline();
         // 0.0 would fizzle under any conditioning; a census keeps it.
-        let report = census("graph", &scenario, &dist, [0.9, 0.0, 0.6]).unwrap();
+        let report = census("graph", &scenario, &dist, [0.9, 0.0, 0.6]);
         assert_eq!(report.replications, 3);
         assert!((report.reliability - 0.5).abs() < 1e-12);
         assert_eq!(report.reliability_raw, Some(report.reliability));
@@ -534,7 +537,7 @@ mod tests {
             messages_lost: Some(10.0),
             ..Execution::default()
         });
-        let report = conditioned("runtime", Some("channel"), &scenario, &dist, runs).unwrap();
+        let report = conditioned("runtime", Some("channel"), &scenario, &dist, runs);
         assert_eq!(report.transport.as_deref(), Some("channel"));
         assert_eq!(report.messages_lost, Some(10.0));
         assert_eq!(report.rounds, None);
@@ -558,7 +561,7 @@ mod tests {
         // Message 1 fizzles in both executions.
         let runs = [stream_run([96, 1]), stream_run([98, 2])];
         let hist = [2, 10, 80, 5];
-        let report = stream("netsim", None, &scenario, &dist, Some(5), &runs, &hist).unwrap();
+        let report = stream("netsim", None, &scenario, &dist, Some(5), &runs, &hist);
         let traffic = report.traffic.as_ref().unwrap();
         assert_eq!(traffic.messages, 2);
         assert_eq!(traffic.reliability_min, 0.0);
@@ -591,8 +594,7 @@ mod tests {
             Some(5),
             &runs,
             &hist,
-        )
-        .unwrap();
+        );
         assert_eq!(live.quiescence_secs, None);
         assert_eq!(live.messages_lost, Some(50.0));
         assert_eq!(live.transport.as_deref(), Some("tcp"));
@@ -602,7 +604,7 @@ mod tests {
         );
 
         // Untimed (the protocol backend): no seconds at all.
-        let untimed = stream("protocol", None, &scenario, &dist, None, &runs, &hist).unwrap();
+        let untimed = stream("protocol", None, &scenario, &dist, None, &runs, &hist);
         assert_eq!(untimed.quiescence_secs, None);
         assert_eq!(untimed.traffic.unwrap().messages_per_sec, None);
     }
@@ -616,7 +618,7 @@ mod tests {
             nonfailed: 1000,
             ..stream_run([0, 0])
         }];
-        let report = stream("protocol", None, &scenario, &dist, None, &runs, &[1]).unwrap();
+        let report = stream("protocol", None, &scenario, &dist, None, &runs, &[1]);
         assert_eq!(report.takeoff_rate, Some(0.5));
         assert_eq!(report.reliability, 0.1);
         let traffic = report.traffic.unwrap();

@@ -6,7 +6,7 @@
 //!
 //! | backend | layer | honours |
 //! |---|---|---|
-//! | `AnalyticBackend` | generating functions (Eqs. 3–12) | fanout, `q`, loss, protocol, executions |
+//! | `AnalyticBackend` | generating functions (Eqs. 3–12) | fanout, `q`, loss, flood, executions |
 //! | `GraphBackend` | random-graph percolation census | fanout, `q`, loss, replications |
 //! | `ProtocolBackend` | Monte-Carlo protocol runs (§5) | fanout, `q`, topology, protocol, replications |
 //! | `NetSimBackend` | discrete-event network simulation | everything above + latency, loss, crash schedules |
@@ -27,7 +27,7 @@
 //!   partial views among them), protocol variant ([`ProtocolSpec`]), runtime execution knobs
 //!   ([`RuntimeSpec`]), replication count, and seed.
 //! * [`Backend`] — an object-safe evaluator `&Scenario → Report`. The
-//!   analytic backend lives here ([`AnalyticBackend`]); the graph,
+//!   analytic backend lives in [`crate::analytic`]; the graph,
 //!   protocol, netsim, and runtime backends live in their own crates
 //!   (`gossip_rgraph::GraphBackend`, `gossip_protocol::ProtocolBackend`,
 //!   `gossip_protocol::NetSimBackend`, `gossip_runtime::RuntimeBackend`)
@@ -75,7 +75,8 @@
 //!   census has no fizzle mode and is not conditioned.
 //!
 //! ```
-//! use gossip_model::scenario::{AnalyticBackend, Backend, FanoutSpec, Scenario};
+//! use gossip_model::analytic::AnalyticBackend;
+//! use gossip_model::scenario::{Backend, FanoutSpec, Scenario};
 //!
 //! // The paper's headline point: n = 1000, Po(4) fanout, q = 0.9.
 //! let scenario = Scenario::new(1000, FanoutSpec::poisson(4.0)).with_failure_ratio(0.9);
@@ -91,10 +92,7 @@ use crate::distribution::{
     MixtureFanout, PoissonFanout, PowerLawFanout, UniformFanout,
 };
 use crate::error::ModelError;
-use crate::loss::LossyGossip;
-use crate::percolation::SitePercolation;
-use crate::success;
-use gossip_faults::{FaultReduction, FaultSpec};
+use gossip_faults::FaultSpec;
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::SplitMix64;
 use gossip_topology::TopologySpec;
@@ -355,7 +353,10 @@ pub enum ProtocolSpec {
     /// The paper's Fig. 1 algorithm: push to `F ~ P` targets on first
     /// receipt.
     Push,
-    /// Push plus periodic anti-entropy pulls (Demers-style).
+    /// Push plus periodic anti-entropy pulls (Demers-style): a member
+    /// pushes to `F ~ P` targets on first receipt, and every member not
+    /// yet infected pulls one random member every 5 ms, at most 10
+    /// times. Only the netsim backend runs it.
     PushPull,
     /// Forward to the whole view on first receipt (upper-bound
     /// baseline).
@@ -598,7 +599,7 @@ impl Scenario {
 
     /// The traffic label backends put in reports: `None` for the
     /// default single-message workload, `Some(label)` for streams.
-    pub fn traffic_label(&self) -> Option<String> {
+    fn traffic_label(&self) -> Option<String> {
         self.traffic.as_ref().map(TrafficSpec::label)
     }
 
@@ -854,112 +855,6 @@ impl<B: Backend + ?Sized> Backend for Box<B> {
     }
 }
 
-/// The generating-function layer: site percolation for crashes
-/// (Eqs. 1–4, 10–11) joined with bond percolation for loss, plus the
-/// Eq. 5 success calculus. Exact (no Monte-Carlo noise) and fast.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AnalyticBackend;
-
-impl Backend for AnalyticBackend {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
-    fn evaluate(&self, scenario: &Scenario) -> Result<Report, ModelError> {
-        scenario.validate()?;
-        crate::support::check(self.name(), scenario)?;
-        let q = scenario
-            .q()
-            .expect("support::check refuses crash schedules");
-        // Fault families either reduce to the closed forms (no-op, or
-        // extra i.i.d. loss folding into the bond-percolation channel)
-        // or are declined with a typed error.
-        let loss = match scenario.faults.reduce() {
-            FaultReduction::Noop => scenario.loss,
-            FaultReduction::ExtraIidLoss(extra) => 1.0 - (1.0 - scenario.loss) * (1.0 - extra),
-            FaultReduction::Unsupported(what) => {
-                return Err(ModelError::Unsupported {
-                    backend: "analytic",
-                    what,
-                })
-            }
-        };
-        let dist = scenario.fanout.build()?;
-        let reliability = match scenario.protocol {
-            // Site + bond percolation; loss = 0 reduces to the paper's
-            // crash-only model.
-            ProtocolSpec::Push => LossyGossip::new(&dist, q, loss)?.reliability()?,
-            // Pulls eventually reach every nonfailed member that the
-            // push phase's giant component can reach and every member
-            // reaches *into* — in the analytic limit anti-entropy
-            // closes the gap to the full nonfailed set whenever the
-            // push phase percolates at all.
-            ProtocolSpec::PushPull => {
-                let push = LossyGossip::new(&dist, q, loss)?.reliability()?;
-                if push > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            // Flooding a full view is all-to-all: delivery fails only
-            // if every copy to a member is lost, which for n → ∞ has
-            // probability 0 at loss < 1.
-            ProtocolSpec::Flood => 1.0,
-        };
-        let critical_q = SitePercolation::new(&dist, q)?.critical_q();
-        // Expected message cost per nonfailed member: every reached
-        // member relays once — to E[F] targets under push, to its whole
-        // view under flooding. Push-pull adds pull probes the analytic
-        // layer does not model, so no figure is reported for it.
-        let messages_per_member = match scenario.protocol {
-            ProtocolSpec::Push => Some(reliability * dist.mean()),
-            ProtocolSpec::Flood => Some(reliability * (scenario.n as f64 - 1.0)),
-            ProtocolSpec::PushPull => None,
-        };
-        // Streams: when the offered load k·E[F] fits under the per-node
-        // bandwidth cap the k messages never contend, so the stream is
-        // k independent copies of the single-message process and every
-        // message sees the same closed-form reliability by symmetry
-        // (support::check declines contended streams).
-        let traffic = scenario.traffic.as_ref().map(|spec| TrafficReport {
-            messages: spec.messages,
-            reliability_mean: reliability,
-            reliability_min: reliability,
-            messages_per_sec: None,
-            latency_rounds_p50: None,
-            latency_rounds_p90: None,
-            latency_rounds_p99: None,
-            copies_sent: None,
-            copies_dropped: None,
-            copies_lost: None,
-            batched: spec.batched(),
-        });
-        Ok(Report {
-            backend: self.name().to_string(),
-            scenario: scenario.label(),
-            replications: 1,
-            reliability,
-            reliability_std_error: 0.0,
-            reliability_ci95: (reliability, reliability),
-            reliability_raw: None,
-            critical_q,
-            takeoff_rate: None,
-            rounds: None,
-            messages_per_member,
-            quiescence_secs: None,
-            transport: None,
-            topology: None,
-            faults: scenario.faults_label(),
-            messages_lost: None,
-            success_within_t: success::success_probability(reliability, scenario.executions),
-            reach_by_round: None,
-            complete_rate: None,
-            traffic,
-        })
-    }
-}
-
 /// One evaluated cell of a [`SweepGrid`].
 #[derive(Clone, Debug)]
 pub struct SweepCell {
@@ -1090,6 +985,7 @@ impl SweepGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytic::AnalyticBackend;
     use gossip_topology::OverlaySpec;
 
     fn headline() -> Scenario {
@@ -1326,13 +1222,15 @@ mod tests {
         // Every reached member forwards to its whole (n−1)-entry view.
         assert!((report.messages_per_member.unwrap() - 999.0).abs() < 1e-9);
         let pushpull = headline().with_protocol(ProtocolSpec::PushPull);
-        assert_eq!(
-            AnalyticBackend
-                .evaluate(&pushpull)
-                .unwrap()
-                .messages_per_member,
-            None,
-            "pull traffic is not analytically modeled"
+        assert!(
+            matches!(
+                AnalyticBackend.evaluate(&pushpull),
+                Err(ModelError::Unsupported {
+                    backend: "analytic",
+                    ..
+                })
+            ),
+            "pulls are not analytically modeled"
         );
     }
 

@@ -86,7 +86,7 @@ pub fn required_executions(p_r: f64, p_s: f64) -> Result<u32, ModelError> {
 
 /// The distribution of the success count `X` over `t` executions:
 /// `X ~ B(t, p_r)` — the analysis curve drawn in Figs. 6 and 7.
-pub fn success_count_distribution(t: u32, p_r: f64) -> Binomial {
+fn success_count_distribution(t: u32, p_r: f64) -> Binomial {
     Binomial::new(t as u64, p_r)
 }
 

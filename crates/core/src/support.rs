@@ -124,6 +124,9 @@ pub fn support(backend: &str, feature: Feature) -> Support {
         ("analytic", ContendedStream) => Support::Refused(
             "contended traffic (offered load k·E[F] exceeds the bandwidth cap; queue coupling has no closed form: use the protocol or netsim backend)",
         ),
+        ("analytic", PushPull) => Support::Refused(
+            "push-pull anti-entropy (pulls keep spreading below Eq. 3's q_c, which the generating-function model does not price; use the netsim backend)",
+        ),
         ("analytic", TimedZoneKill) => Support::Refused(
             "zone kills after t = 0 (a zone kill needs a clustered overlay, which the generating-function model cannot hold, and a clock; use the netsim backend)",
         ),
@@ -154,7 +157,7 @@ pub fn support(backend: &str, feature: Feature) -> Support {
             "groups larger than 1024 over TCP (one loopback listener per member exhausts the fd budget; use the runtime backend's channel transport)",
         ),
         ("protocol" | "netsim" | "runtime" | "runtime-tcp", StreamVariant) => Support::Refused(
-            "multi-message traffic for flood/push-pull variants (streams use the push relay; the analytic backend prices them)",
+            "multi-message traffic for flood/push-pull variants (streams use the push relay; the analytic backend prices flood streams)",
         ),
         ("protocol" | "netsim" | "runtime" | "runtime-tcp", StreamFaults) => Support::Refused(
             "multi-message traffic under fault injection (streams model static crashes only; the analytic backend reduces what it can)",

@@ -4,7 +4,7 @@ use gossip_model::distribution::{
     BinomialFanout, EmpiricalFanout, FanoutDistribution, GeometricFanout, PoissonFanout,
     UniformFanout,
 };
-use gossip_model::{design, poisson_case, success, SitePercolation};
+use gossip_model::{design, law, poisson_case, success, PaperLaw};
 use proptest::prelude::*;
 
 proptest! {
@@ -16,7 +16,7 @@ proptest! {
         q in 0.05f64..1.0,
     ) {
         let d = PoissonFanout::new(z);
-        let r = SitePercolation::new(&d, q).unwrap().reliability().unwrap();
+        let r = PaperLaw::new(&d, q, 0.0).unwrap().reliability().unwrap();
         prop_assert!((0.0..=1.0).contains(&r));
         if z * q > 1.0 + 1e-6 {
             // Supercritical: R solves S = 1 − e^{−zqS} with S > 0.
@@ -35,8 +35,8 @@ proptest! {
         dq in 0.01f64..0.05,
     ) {
         let d = PoissonFanout::new(z);
-        let r1 = SitePercolation::new(&d, q).unwrap().reliability().unwrap();
-        let r2 = SitePercolation::new(&d, (q + dq).min(1.0)).unwrap().reliability().unwrap();
+        let r1 = PaperLaw::new(&d, q, 0.0).unwrap().reliability().unwrap();
+        let r2 = PaperLaw::new(&d, (q + dq).min(1.0), 0.0).unwrap().reliability().unwrap();
         prop_assert!(r2 >= r1 - 1e-9, "R({}) = {r2} < R({q}) = {r1}", q + dq);
     }
 
@@ -49,7 +49,7 @@ proptest! {
     ) {
         let closed = poisson_case::reliability(z, q).unwrap();
         let d = PoissonFanout::new(z);
-        let generic = SitePercolation::new(&d, q).unwrap().reliability().unwrap();
+        let generic = PaperLaw::new(&d, q, 0.0).unwrap().reliability().unwrap();
         prop_assert!((closed - generic).abs() < 1e-7,
             "z={z}, q={q}: closed {closed} vs generic {generic}");
     }
@@ -100,8 +100,7 @@ proptest! {
     #[test]
     fn critical_point_families(m in 2usize..40, p in 0.05f64..0.95) {
         let b = BinomialFanout::new(m, p);
-        let perc = SitePercolation::new(&b, 1.0).unwrap();
-        if let Some(qc) = perc.critical_q() {
+        if let Some(qc) = law::critical_q(&b) {
             let expect = 1.0 / ((m - 1) as f64 * p);
             prop_assert!((qc - expect).abs() < 1e-9);
         }
@@ -113,8 +112,8 @@ proptest! {
     fn reliability_monotone_in_scale(mean in 1.5f64..8.0, q in 0.5f64..1.0) {
         let lo = GeometricFanout::with_mean(mean);
         let hi = GeometricFanout::with_mean(mean + 1.0);
-        let r_lo = SitePercolation::new(&lo, q).unwrap().reliability().unwrap();
-        let r_hi = SitePercolation::new(&hi, q).unwrap().reliability().unwrap();
+        let r_lo = PaperLaw::new(&lo, q, 0.0).unwrap().reliability().unwrap();
+        let r_hi = PaperLaw::new(&hi, q, 0.0).unwrap().reliability().unwrap();
         prop_assert!(r_hi >= r_lo - 1e-9);
     }
 
@@ -124,7 +123,7 @@ proptest! {
     fn design_min_q_achieves(z in 2.5f64..10.0, target in 0.2f64..0.9) {
         let d = PoissonFanout::new(z);
         if let Ok(q_min) = design::min_nonfailed_ratio(&d, target) {
-            let r = SitePercolation::new(&d, q_min).unwrap().reliability().unwrap();
+            let r = PaperLaw::new(&d, q_min, 0.0).unwrap().reliability().unwrap();
             prop_assert!(r >= target - 1e-4, "r({q_min}) = {r} < {target}");
         }
     }
@@ -140,8 +139,8 @@ proptest! {
             *slot = 1.0;
         }
         let e = EmpiricalFanout::new(&w);
-        let ru = SitePercolation::new(&u, q).unwrap().reliability().unwrap();
-        let re = SitePercolation::new(&e, q).unwrap().reliability().unwrap();
+        let ru = PaperLaw::new(&u, q, 0.0).unwrap().reliability().unwrap();
+        let re = PaperLaw::new(&e, q, 0.0).unwrap().reliability().unwrap();
         prop_assert!((ru - re).abs() < 1e-8, "uniform {ru} vs empirical {re}");
     }
 }

@@ -171,5 +171,7 @@ pub fn evaluate_relay(backend: &'static str, scenario: &Scenario) -> Result<Repo
             }
         },
     );
-    reduce::conditioned(backend, None, scenario, &*dist, executions)
+    Ok(reduce::conditioned(
+        backend, None, scenario, &*dist, executions,
+    ))
 }

@@ -95,14 +95,21 @@ impl Backend for NetSimBackend {
         })
         .into_iter()
         .collect::<Result<_, ModelError>>()?;
-        reduce::conditioned(self.name(), None, scenario, &*dist, executions)
+        Ok(reduce::conditioned(
+            self.name(),
+            None,
+            scenario,
+            &*dist,
+            executions,
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_model::scenario::{AnalyticBackend, FailureSpec, FanoutSpec, ProtocolSpec};
+    use gossip_model::analytic::AnalyticBackend;
+    use gossip_model::scenario::{FailureSpec, FanoutSpec, ProtocolSpec};
 
     fn headline(reps: usize) -> Scenario {
         Scenario::new(1000, FanoutSpec::poisson(4.0))
@@ -248,6 +255,25 @@ mod tests {
             "push-pull r = {}",
             pushpull.reliability
         );
+    }
+
+    #[test]
+    fn pushpull_draws_its_push_fanout_from_the_law() {
+        // Po(4) and Fixed(4) share a mean; a push phase that rounds the
+        // mean to a constant would make these two Reports identical.
+        let pushpull = |fanout| {
+            let scenario = Scenario::new(1000, fanout)
+                .with_failure_ratio(0.9)
+                .with_replications(5)
+                .with_protocol(ProtocolSpec::PushPull);
+            NetSimBackend.evaluate(&scenario).unwrap()
+        };
+        let poisson = pushpull(FanoutSpec::poisson(4.0));
+        let fixed = pushpull(FanoutSpec::fixed(4));
+        assert_ne!(poisson.messages_per_member, fixed.messages_per_member);
+        assert_ne!(poisson.reach_by_round, fixed.reach_by_round);
+        // Pulls keep spreading below Eq. 3's q_c: no prediction is made.
+        assert_eq!(poisson.critical_q, None);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub use crate::compat::{run_push, ExecutionConfig};
 const SOURCE: NodeId = 0;
 
 /// Pull budget and period used when a scenario selects
-/// [`ProtocolSpec::PushPull`]: one pull per 5 ms, up to 10 pulls — the
-/// defaults the protocol's own tests exercise.
+/// [`ProtocolSpec::PushPull`]: one pull per 5 ms, up to 10 pulls (the
+/// push phase draws its fanout from the scenario's law, as push does).
 const PULL_BUDGET: u32 = 10;
 const PULL_PERIOD_MS: u64 = 5;
 
@@ -102,11 +102,8 @@ pub fn run_execution(
         ProtocolSpec::Push => execute(scenario, |_| PushGossip::new(fanout.clone()), seed, |m| m),
         ProtocolSpec::Flood => execute(scenario, |_| Flooding::new(), seed, |m| m),
         ProtocolSpec::PushPull => {
-            // The push phase of push-pull uses the *mean* fanout (the
-            // behaviour takes a constant); pulls close the tail.
-            let push_fanout = fanout.mean().round().max(0.0) as usize;
             let pull_period = SimDuration::from_millis(PULL_PERIOD_MS);
-            let make = |_| PushPullGossip::new(push_fanout, PULL_BUDGET, pull_period);
+            let make = |_| PushPullGossip::new(fanout.clone(), PULL_BUDGET, pull_period);
             execute(scenario, make, seed, PullMessage::Data)
         }
     }

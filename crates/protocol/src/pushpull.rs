@@ -8,6 +8,9 @@
 //! fizzle (they keep working after the push phase dies out), at the cost
 //! of background traffic even before/without infection.
 
+use std::sync::Arc;
+
+use gossip_model::distribution::FanoutDistribution;
 use gossip_netsim::{NodeBehavior, NodeCtx, NodeId, SimDuration, SimTime};
 
 use crate::message::GossipMessage;
@@ -27,7 +30,7 @@ pub enum PullMessage {
 
 /// Per-node state of push-pull gossip.
 pub struct PushPullGossip {
-    push_fanout: usize,
+    dist: Arc<dyn FanoutDistribution>,
     pull_period: SimDuration,
     pulls_left: u32,
     received: bool,
@@ -38,11 +41,16 @@ pub struct PushPullGossip {
 }
 
 impl PushPullGossip {
-    /// Creates the behaviour: push to `push_fanout` targets on first
-    /// receipt; issue `pull_budget` pulls, one per `pull_period`.
-    pub fn new(push_fanout: usize, pull_budget: u32, pull_period: SimDuration) -> Self {
+    /// Creates the behaviour: on first receipt draw `f ~ dist` and push
+    /// to `f` targets, as [`crate::PushGossip`] does; issue
+    /// `pull_budget` pulls, one per `pull_period`.
+    pub fn new(
+        dist: Arc<dyn FanoutDistribution>,
+        pull_budget: u32,
+        pull_period: SimDuration,
+    ) -> Self {
         Self {
-            push_fanout,
+            dist,
             pull_period,
             pulls_left: pull_budget,
             received: false,
@@ -58,7 +66,8 @@ impl PushPullGossip {
         self.receipt_hop = Some(msg.hop);
         self.receipt_time = Some(ctx.now());
         self.buffered = Some(msg);
-        ctx.gossip(self.push_fanout, PullMessage::Data(msg.forwarded()));
+        let f = self.dist.sample(ctx.rng());
+        ctx.gossip(f, PullMessage::Data(msg.forwarded()));
     }
 }
 
@@ -129,6 +138,7 @@ impl GossipProtocol for PushPullGossip {
 mod tests {
     use super::*;
     use crate::message::MessageId;
+    use gossip_model::distribution::FixedFanout;
     use gossip_netsim::membership::FullView;
     use gossip_netsim::{LatencyModel, NetworkConfig, Simulator};
 
@@ -138,9 +148,10 @@ mod tests {
         pulls: u32,
         seed: u64,
     ) -> Simulator<PullMessage, PushPullGossip> {
+        let dist: Arc<dyn FanoutDistribution> = Arc::new(FixedFanout::new(push_fanout));
         Simulator::new(
             (0..n)
-                .map(|_| PushPullGossip::new(push_fanout, pulls, SimDuration::from_millis(5)))
+                .map(|_| PushPullGossip::new(dist.clone(), pulls, SimDuration::from_millis(5)))
                 .collect(),
             NetworkConfig::new(LatencyModel::constant_millis(1)),
             Box::new(FullView::new(n)),

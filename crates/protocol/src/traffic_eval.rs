@@ -117,7 +117,7 @@ pub(crate) fn evaluate_traffic(
         merge_histogram(&mut hist, &chunk_hist);
         executions.extend(chunk_executions);
     }
-    reduce::stream(
+    Ok(reduce::stream(
         backend_name,
         None,
         scenario,
@@ -125,5 +125,5 @@ pub(crate) fn evaluate_traffic(
         hop_millis,
         &executions,
         &hist,
-    )
+    ))
 }

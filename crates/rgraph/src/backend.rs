@@ -81,13 +81,14 @@ fn evaluate_census(scenario: &Scenario) -> Result<Report, ModelError> {
         PercolationScratch::default,
         |_, scratch, rng| flat.run(scratch, rng),
     );
-    reduce::census("graph", scenario, &*dist, reliabilities)
+    Ok(reduce::census("graph", scenario, &*dist, reliabilities))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_model::scenario::{AnalyticBackend, FanoutSpec, ProtocolSpec};
+    use gossip_model::analytic::AnalyticBackend;
+    use gossip_model::scenario::{FanoutSpec, ProtocolSpec};
 
     fn headline(n: usize, reps: usize) -> Scenario {
         Scenario::new(n, FanoutSpec::poisson(4.0))

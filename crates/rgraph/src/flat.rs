@@ -157,7 +157,7 @@ impl<'a> FlatPercolation<'a> {
 mod tests {
     use super::*;
     use gossip_model::distribution::{FixedFanout, PoissonFanout};
-    use gossip_model::percolation::SitePercolation;
+    use gossip_model::PaperLaw;
     use gossip_stats::descriptive::OnlineStats;
     use gossip_stats::rng::SplitMix64;
 
@@ -188,7 +188,7 @@ mod tests {
     fn matches_the_analytic_giant_component() {
         // Po(4) at q = 0.9: S from the generating-function model.
         let dist = PoissonFanout::new(4.0);
-        let predicted = SitePercolation::new(&dist, 0.9)
+        let predicted = PaperLaw::new(&dist, 0.9, 0.0)
             .unwrap()
             .reliability()
             .unwrap();

@@ -19,7 +19,7 @@
 //! * [`components`] — component census, giant/second components,
 //!   susceptibility.
 //! * [`percolation_sim`] — empirical site percolation on any undirected
-//!   graph, the Monte-Carlo counterpart of `gossip_model::percolation`.
+//!   graph, the Monte-Carlo counterpart of `gossip_model::law`.
 //! * [`phase`] — critical-point estimation by susceptibility peak, used
 //!   to validate `q_c = 1/G1'(1)` (paper Eq. 3/10).
 //! * [`flat`] — the million-node percolation kernel. One pass tosses

@@ -1,6 +1,6 @@
 //! Empirical site percolation on undirected graphs.
 //!
-//! The Monte-Carlo counterpart of `gossip_model::percolation`: occupy
+//! The Monte-Carlo counterpart of `gossip_model::law`: occupy
 //! each node with probability `q`, census the occupied subgraph, and
 //! compare the measured giant component against `1 − G0(u)`. Used by the
 //! phase scans (E7) and the model-vs-graph integration tests.
@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use crate::configuration::ConfigurationModel;
     use gossip_model::distribution::PoissonFanout;
-    use gossip_model::SitePercolation;
+    use gossip_model::PaperLaw;
 
     fn poisson_graph(n: usize, z: f64, seed: u64) -> Graph {
         let dist = PoissonFanout::new(z);
@@ -118,7 +118,7 @@ mod tests {
         let g = poisson_graph(5000, 4.0, 3);
         let stats = percolate_many(&g, 0.8, &[], 10, 99);
         let dist = PoissonFanout::new(4.0);
-        let analytic = SitePercolation::new(&dist, 0.8)
+        let analytic = PaperLaw::new(&dist, 0.8, 0.0)
             .unwrap()
             .reliability()
             .unwrap();

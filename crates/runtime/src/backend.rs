@@ -115,10 +115,16 @@ fn evaluate_over<T: Transport>(
     }
     let transport_name = Some(transport.name());
     if scenario.traffic.is_none() {
-        return reduce::conditioned(backend_name, transport_name, scenario, &*dist, broadcasts);
+        return Ok(reduce::conditioned(
+            backend_name,
+            transport_name,
+            scenario,
+            &*dist,
+            broadcasts,
+        ));
     }
     let hop_ms = Some(params.round_ns / NS_PER_MS);
-    reduce::stream(
+    Ok(reduce::stream(
         backend_name,
         transport_name,
         scenario,
@@ -126,7 +132,7 @@ fn evaluate_over<T: Transport>(
         hop_ms,
         &streams,
         &hist,
-    )
+    ))
 }
 
 impl Backend for RuntimeBackend {
@@ -150,9 +156,8 @@ impl Backend for RuntimeBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_model::scenario::{
-        AnalyticBackend, FanoutSpec, LatencySpec, ProtocolSpec, RuntimeSpec,
-    };
+    use gossip_model::analytic::AnalyticBackend;
+    use gossip_model::scenario::{FanoutSpec, LatencySpec, ProtocolSpec, RuntimeSpec};
     use std::time::Duration;
 
     fn headline(n: usize, reps: usize) -> Scenario {

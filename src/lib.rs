@@ -47,15 +47,16 @@ pub use gossip_runtime as runtime;
 pub use gossip_stats as stats;
 pub use gossip_topology as topology;
 
+pub use gossip_model::analytic::AnalyticBackend;
 #[doc(hidden)]
 pub use gossip_model::compat::EngineSpec;
 pub use gossip_model::scenario::{
-    AnalyticBackend, Backend, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec, Report,
-    RuntimeSpec, Scenario, SweepCell, SweepGrid,
+    Backend, FailureSpec, FanoutSpec, LatencySpec, ProtocolSpec, Report, RuntimeSpec, Scenario,
+    SweepCell, SweepGrid,
 };
 pub use gossip_model::{
     AdversarySpec, AdversaryStrategy, ArrivalSpec, BatchingSpec, BurstySpec, ChurnSpec,
-    FanoutDistribution, FaultSpec, Gossip, ModelError, TrafficReport, TrafficSpec, ZoneFailureSpec,
+    FanoutDistribution, FaultSpec, ModelError, TrafficReport, TrafficSpec, ZoneFailureSpec,
 };
 pub use gossip_protocol::{NetSimBackend, ProtocolBackend};
 pub use gossip_rgraph::GraphBackend;

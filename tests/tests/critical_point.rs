@@ -2,7 +2,7 @@
 //! graphs and through the protocol match `q_c = 1/G1'(1)`.
 
 use gossip_model::distribution::{FixedFanout, PoissonFanout};
-use gossip_model::{Backend, FanoutSpec, Scenario, SitePercolation};
+use gossip_model::{Backend, FanoutSpec, PaperLaw, Scenario};
 use gossip_protocol::ProtocolBackend;
 use gossip_rgraph::phase::scan_configuration_model;
 
@@ -74,10 +74,7 @@ fn reliability_curve_inflects_at_critical_q() {
     let mut last = 0.0;
     for i in 1..=20 {
         let q = i as f64 * 0.05;
-        let r = SitePercolation::new(&dist, q)
-            .unwrap()
-            .reliability()
-            .unwrap();
+        let r = PaperLaw::new(&dist, q, 0.0).unwrap().reliability().unwrap();
         if q < 0.25 {
             assert!(r < 1e-9, "pre-critical q = {q} gave R = {r}");
         } else if q > 0.30 {
@@ -94,10 +91,7 @@ fn critical_fanout_at_fixed_q() {
     let q: f64 = 0.5;
     for &(f, expect_alive) in &[(1.5, false), (1.9, false), (2.2, true), (3.0, true)] {
         let dist = PoissonFanout::new(f);
-        let r = SitePercolation::new(&dist, q)
-            .unwrap()
-            .reliability()
-            .unwrap();
+        let r = PaperLaw::new(&dist, q, 0.0).unwrap().reliability().unwrap();
         assert_eq!(
             r > 1e-6,
             expect_alive,

@@ -5,7 +5,7 @@
 use gossip::{AnalyticBackend, Backend, FanoutSpec, ProtocolBackend, Scenario};
 use gossip_integration_tests::assert_close;
 use gossip_model::distribution::{GeometricFanout, PoissonFanout};
-use gossip_model::{design, poisson_case, success, Gossip, SitePercolation};
+use gossip_model::{design, poisson_case, success, PaperLaw};
 
 #[test]
 fn design_then_verify_poisson_plan() {
@@ -99,18 +99,11 @@ fn executions_plan_for_whole_group() {
 
 #[test]
 fn model_api_consistency() {
-    // The façade, the scenario API, and the underlying pieces agree.
-    let model = Gossip::new(2000, PoissonFanout::new(4.0), 0.9).unwrap();
-    let direct = SitePercolation::new(&PoissonFanout::new(4.0), 0.9)
+    // The scenario API, the law and the closed form agree.
+    let direct = PaperLaw::new(&PoissonFanout::new(4.0), 0.9, 0.0)
         .unwrap()
         .reliability()
         .unwrap();
-    assert_close(
-        model.reliability().unwrap(),
-        direct,
-        1e-12,
-        "façade vs direct",
-    );
     let closed = poisson_case::reliability(4.0, 0.9).unwrap();
     assert_close(direct, closed, 1e-8, "generic vs closed form");
     let scenario_r = AnalyticBackend

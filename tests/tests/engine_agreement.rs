@@ -102,7 +102,7 @@ impl Backend for ReferenceCensus {
             let thinned = Graph::from_edges(scenario.n, &kept);
             percolate(&thinned, q, &[], &mut rng).reliability()
         });
-        reduce::census(self.name(), scenario, &*dist, reliabilities)
+        Ok(reduce::census(self.name(), scenario, &*dist, reliabilities))
     }
 }
 

@@ -4,8 +4,8 @@
 
 use gossip_integration_tests::assert_close;
 use gossip_model::distribution::PoissonFanout;
-use gossip_model::loss::{poisson_reliability_with_loss, LossyGossip};
-use gossip_model::{Backend, FanoutSpec, Report, Scenario};
+use gossip_model::poisson_case::reliability_with_loss;
+use gossip_model::{Backend, FanoutSpec, PaperLaw, Report, Scenario};
 use gossip_protocol::NetSimBackend;
 
 /// Po(f) push gossip among 1500 members on the lossy simulated network
@@ -23,7 +23,7 @@ fn lossy(f: f64, q: f64, loss: f64, reps: usize, seed: u64) -> Report {
 fn protocol_under_loss_matches_bond_percolation() {
     // 15 replications, conditioned on take-off; tolerance 0.02.
     let (f, q, loss) = (5.0, 0.9, 0.2);
-    let analytic = poisson_reliability_with_loss(f, q, loss).unwrap();
+    let analytic = reliability_with_loss(f, q, loss).unwrap();
     assert_close(
         lossy(f, q, loss, 15, 77).reliability,
         analytic,
@@ -51,7 +51,7 @@ fn loss_equivalent_to_thinned_fanout() {
 fn heavy_loss_kills_gossip_at_the_predicted_point() {
     // Po(4), q = 0.9: critical loss = 1 − 1/(q·z) ≈ 0.722.
     let d = PoissonFanout::new(4.0);
-    let m = LossyGossip::new(&d, 0.9, 0.0).unwrap();
+    let m = PaperLaw::new(&d, 0.9, 0.0).unwrap();
     let loss_crit = m.critical_loss().unwrap();
     assert_close(loss_crit, 1.0 - 1.0 / 3.6, 1e-12, "critical loss");
 
