@@ -153,7 +153,7 @@ pub struct ReliabilityPoint {
 }
 
 /// The paper's fanout grid for Figs. 4/5: 1.1 to 6.7 step 0.4.
-pub fn paper_fanout_grid() -> Vec<f64> {
+fn paper_fanout_grid() -> Vec<f64> {
     let mut grid = Vec::new();
     let mut f = 1.1;
     while f <= 6.7 + 1e-9 {

@@ -80,7 +80,11 @@ impl Backend for AnalyticBackend {
             reliability_std_error: 0.0,
             reliability_ci95: (reliability, reliability),
             reliability_raw: None,
-            critical_q: law::critical_q(&dist),
+            // Flooding a full view has no threshold.
+            critical_q: match scenario.protocol {
+                ProtocolSpec::Flood => None,
+                _ => law::critical_q(&dist),
+            },
             takeoff_rate: None,
             rounds: None,
             messages_per_member: Some(messages_per_member),

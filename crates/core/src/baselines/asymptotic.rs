@@ -31,7 +31,7 @@ pub fn success_probability(n_nonfailed: usize, mean_fanout: f64) -> f64 {
 
 /// The `c` offset achieving the given asymptotic success probability:
 /// `c = −ln(−ln p)`.
-pub fn offset_for(target_p: f64) -> f64 {
+fn offset_for(target_p: f64) -> f64 {
     assert!(
         target_p > 0.0 && target_p < 1.0,
         "target probability must be in (0, 1), got {target_p}"

@@ -69,24 +69,18 @@ impl fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
-// Lossless: the faults, topology and traffic crates' errors are
-// field-compatible with `ModelError::InvalidParameter`.
-macro_rules! from_field_compatible {
-    ($($error:ty),*) => {$(
-        impl From<$error> for ModelError {
-            fn from(e: $error) -> Self {
-                let (name, value, requirement) = (e.name, e.value, e.requirement);
-                ModelError::InvalidParameter { name, value, requirement }
-            }
+/// Lossless: the topology, faults and traffic specs' one error is
+/// field for field `ModelError::InvalidParameter`.
+impl From<gossip_stats::ParamError> for ModelError {
+    fn from(e: gossip_stats::ParamError) -> Self {
+        let (name, value, requirement) = (e.name, e.value, e.requirement);
+        ModelError::InvalidParameter {
+            name,
+            value,
+            requirement,
         }
-    )*};
+    }
 }
-
-from_field_compatible!(
-    gossip_faults::FaultError,
-    gossip_topology::TopologyError,
-    gossip_traffic::TrafficError
-);
 
 #[cfg(test)]
 mod tests {

@@ -86,7 +86,7 @@ impl<'a, D: FanoutDistribution + ?Sized> PaperLaw<'a, D> {
 
     /// Whether a giant component (nonzero reliability) exists:
     /// `b·q·G1'(1) > 1`, the law's one threshold test.
-    pub fn is_supercritical(&self) -> bool {
+    fn is_supercritical(&self) -> bool {
         self.branching() > 1.0
     }
 

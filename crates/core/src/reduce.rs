@@ -207,13 +207,14 @@ impl Tally {
             reliability_std_error: self.conditional.sem(),
             reliability_ci95: (ci.lo, ci.hi),
             reliability_raw: Some(self.raw.mean()),
-            // Always the complete-graph Eq. 3 prediction: an overlay
+            // Push's complete-graph Eq. 3 prediction: an overlay
             // shifts the *measured* q_c away from it, which is the
             // point of the topology ablation. Push-pull's pulls keep
-            // spreading below it, so its Reports carry none.
+            // spreading below it and flooding has no threshold, so
+            // their Reports carry none.
             critical_q: match scenario.protocol {
-                ProtocolSpec::PushPull => None,
-                _ => law::critical_q(dist),
+                ProtocolSpec::Push => law::critical_q(dist),
+                ProtocolSpec::Flood | ProtocolSpec::PushPull => None,
             },
             takeoff_rate: self
                 .conditioned

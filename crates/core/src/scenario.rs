@@ -404,11 +404,6 @@ pub struct RuntimeSpec {
     /// sweep always collapses to one shard, so sweeps cannot
     /// oversubscribe).
     pub max_threads: usize,
-    /// Real-time pacing of [`LatencySpec`]: microseconds of wall-clock
-    /// delay applied per millisecond of virtual latency. `0` (default)
-    /// disables pacing — the virtual clock still stamps every message,
-    /// but nothing sleeps. Capped at 1000 (real time) by validation.
-    pub pacing_micros_per_milli: u64,
     /// Quiescence watchdog for one live execution, in wall-clock
     /// seconds: a replication still in flight after this long is
     /// aborted and reported as `NoConvergence`. `0` (default) picks the
@@ -677,14 +672,17 @@ impl Scenario {
         }
         if let Some(traffic) = &self.traffic {
             traffic.validate()?;
-            // No backend runs a stream over an overlay or under a crash
-            // schedule.
-            if !self.topology.is_default() || self.q().is_none() {
+            // No backend runs a stream over an overlay, under a crash
+            // schedule, or by push-pull.
+            if !self.topology.is_default()
+                || self.q().is_none()
+                || self.protocol == ProtocolSpec::PushPull
+            {
                 return Err(ModelError::InvalidParameter {
                     name: "traffic",
                     value: traffic.messages as f64,
                     requirement:
-                        "streams need the complete view and static crashes (no overlay, no crash schedule)",
+                        "streams need push or flood over the complete view and static crashes (no push-pull, no overlay, no crash schedule)",
                 });
             }
         }
@@ -703,13 +701,6 @@ impl Scenario {
                 name: "max_threads",
                 value: self.runtime.max_threads as f64,
                 requirement: "runtime thread cap must be at most 4096 (0 = auto)",
-            });
-        }
-        if self.runtime.pacing_micros_per_milli > 1000 {
-            return Err(ModelError::InvalidParameter {
-                name: "pacing_micros_per_milli",
-                value: self.runtime.pacing_micros_per_milli as f64,
-                requirement: "latency pacing is capped at 1000 µs/ms (real time)",
             });
         }
         if self.runtime.watchdog_secs > 3600 {
@@ -773,8 +764,10 @@ pub struct Report {
     /// executions included (drops toward `R²` at moderate reliability);
     /// `None` where the layer has no execution dynamics.
     pub reliability_raw: Option<f64>,
-    /// Critical nonfailed ratio `q_c` of the fanout distribution
-    /// (Eq. 3); `None` when the distribution never percolates.
+    /// Critical nonfailed ratio `q_c` of push gossip with this fanout
+    /// distribution (Eq. 3); `None` when the distribution never
+    /// percolates, and for flood and push-pull, which have no such
+    /// threshold.
     pub critical_q: Option<f64>,
     /// Fraction of executions that took off (reached at least
     /// `nonfailed^{2/3}` members); `None` where nothing is split: the
@@ -1087,10 +1080,9 @@ mod tests {
     #[test]
     fn validate_rejects_bad_runtime_knobs() {
         // The runtime backend spawns real threads and sleeps for real:
-        // a bogus cap or slower-than-real-time pacing must fail fast.
+        // a bogus cap must fail fast.
         let capped = headline().with_runtime(RuntimeSpec {
             max_threads: 100_000,
-            pacing_micros_per_milli: 0,
             watchdog_secs: 0,
         });
         assert!(matches!(
@@ -1100,23 +1092,10 @@ mod tests {
                 ..
             })
         ));
-        let paced = headline().with_runtime(RuntimeSpec {
-            max_threads: 0,
-            pacing_micros_per_milli: 5000,
-            watchdog_secs: 0,
-        });
-        assert!(matches!(
-            paced.validate(),
-            Err(ModelError::InvalidParameter {
-                name: "pacing_micros_per_milli",
-                ..
-            })
-        ));
         // The watchdog knob is bounded too: nobody waits an hour-plus
         // on a wedged replication.
         let waited = headline().with_runtime(RuntimeSpec {
             max_threads: 0,
-            pacing_micros_per_milli: 0,
             watchdog_secs: 100_000,
         });
         assert!(matches!(
@@ -1465,14 +1444,15 @@ mod tests {
             .with_traffic(TrafficSpec::stream(4))
             .validate()
             .is_ok());
-        // No backend runs a stream over an overlay or under a crash
-        // schedule: both are invalid scenarios.
+        // No backend runs a stream over an overlay, under a crash
+        // schedule or by push-pull: all three are invalid scenarios.
         let scheduled = FailureSpec::Schedule {
             crashes: vec![(1, 1)],
         };
         for case in [
             headline().with_topology(TopologySpec::new(OverlaySpec::Ring { shortcuts: 100 })),
             headline().with_failure(scheduled),
+            headline().with_protocol(ProtocolSpec::PushPull),
         ] {
             match case.with_traffic(TrafficSpec::stream(4)).validate() {
                 Err(ModelError::InvalidParameter { name, .. }) => assert_eq!(name, "traffic"),

@@ -4,7 +4,7 @@
 //! `gossip_engine::evaluate_relay`, which asks it itself); README's
 //! matrix is [`markdown`]'s output. What no backend runs is an invalid
 //! scenario instead: churn on an overlay (`FaultSpec::validate`), a
-//! stream over an overlay or under a crash schedule
+//! stream over an overlay, under a crash schedule or by push-pull
 //! (`Scenario::validate`).
 
 use crate::scenario::{FailureSpec, LatencySpec, ProtocolSpec, Scenario};
@@ -71,7 +71,7 @@ impl Feature {
             (TimedZoneKill, "zone kill at t > 0"),
             (Stream, "stream"),
             (ContendedStream, "contended stream (k·E[F] > B)"),
-            (StreamVariant, "stream × flood/push-pull"),
+            (StreamVariant, "stream × flood"),
             (StreamFaults, "stream × fault injection"),
             (StreamLatency, "stream × stochastic latency"),
             (LargeGroup, "n > 1024"),
@@ -102,7 +102,7 @@ impl Feature {
                         .is_ok_and(|m| t.messages as f64 * m > b as f64)
                 })
             }),
-            StreamVariant => stream && s.protocol != ProtocolSpec::Push,
+            StreamVariant => stream && s.protocol == ProtocolSpec::Flood,
             StreamFaults => stream && !f.is_default(),
             StreamLatency => stream && !matches!(s.latency, LatencySpec::ConstantMillis { .. }),
             LargeGroup => s.n > TCP_MAX_GROUP,
@@ -157,7 +157,7 @@ pub fn support(backend: &str, feature: Feature) -> Support {
             "groups larger than 1024 over TCP (one loopback listener per member exhausts the fd budget; use the runtime backend's channel transport)",
         ),
         ("protocol" | "netsim" | "runtime" | "runtime-tcp", StreamVariant) => Support::Refused(
-            "multi-message traffic for flood/push-pull variants (streams use the push relay; the analytic backend prices flood streams)",
+            "multi-message flood traffic (streams use the push relay; the analytic backend prices flood streams)",
         ),
         ("protocol" | "netsim" | "runtime" | "runtime-tcp", StreamFaults) => Support::Refused(
             "multi-message traffic under fault injection (streams model static crashes only; the analytic backend reduces what it can)",

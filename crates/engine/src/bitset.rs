@@ -40,17 +40,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Inserts every element of the universe.
-    pub fn set_all(&mut self) {
-        self.words.fill(!0u64);
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-    }
-
     /// Membership test.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -103,20 +92,11 @@ mod tests {
     }
 
     #[test]
-    fn set_all_masks_the_tail_word() {
-        for len in [1usize, 63, 64, 65, 128, 130] {
-            let mut s = BitSet::new(len);
-            s.set_all();
-            assert_eq!(s.count_ones(), len, "len = {len}");
-            assert!(s.get(len - 1));
-        }
-    }
-
-    #[test]
     fn empty_universe() {
         let mut s = BitSet::new(0);
         assert!(s.is_empty());
-        s.set_all();
+        assert_eq!(s.count_ones(), 0);
+        s.clear();
         assert_eq!(s.count_ones(), 0);
     }
 }

@@ -44,7 +44,7 @@ impl GilbertElliott {
 
     /// Stationary probability of the bad state,
     /// `π_bad = p_gb / (p_gb + p_bg)`.
-    pub fn stationary_bad(&self) -> f64 {
+    fn stationary_bad(&self) -> f64 {
         self.p_gb / (self.p_gb + self.p_bg)
     }
 

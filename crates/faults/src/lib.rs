@@ -33,8 +33,9 @@
 //!   ([`BlockedLinks`]).
 //!
 //! The spec validates against the group size and topology
-//! ([`FaultSpec::validate`], typed [`FaultError`] mirroring the
-//! topology crate's error shape) and knows which degenerate corners
+//! ([`FaultSpec::validate`], typed
+//! [`ParamError`](gossip_stats::ParamError), the topology crate's error
+//! too) and knows which degenerate corners
 //! still reduce to the paper's closed forms ([`FaultSpec::reduce`]),
 //! so the analytic backend can keep covering them.
 
@@ -47,6 +48,6 @@ pub use adversary::BlockedLinks;
 pub use churn::ChurnPlan;
 pub use gilbert::{GeChain, GilbertElliott};
 pub use spec::{
-    zone_members, AdversarySpec, AdversaryStrategy, BurstySpec, ChurnSpec, FaultError,
-    FaultReduction, FaultSpec, ZoneFailureSpec,
+    zone_members, AdversarySpec, AdversaryStrategy, BurstySpec, ChurnSpec, FaultReduction,
+    FaultSpec, ZoneFailureSpec,
 };

@@ -6,43 +6,10 @@
 //! ([`crate::ChurnPlan`], [`crate::BlockedLinks`], [`crate::GeChain`])
 //! are built per execution by the backends from seed-derived streams.
 
+use gossip_stats::ParamError;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 use gossip_topology::{OverlaySpec, TopologySpec};
-
-/// A malformed fault parameter. Field-compatible with the model layer's
-/// `InvalidParameter` error (and the topology crate's `TopologyError`)
-/// so callers can map it losslessly.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultError {
-    /// Parameter name, e.g. `"join_per_sec"`.
-    pub name: &'static str,
-    /// Offending value.
-    pub value: f64,
-    /// Human-readable domain description.
-    pub requirement: &'static str,
-}
-
-impl fmt::Display for FaultError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid fault parameter {} = {}: {}",
-            self.name, self.value, self.requirement
-        )
-    }
-}
-
-impl std::error::Error for FaultError {}
-
-fn invalid(name: &'static str, value: f64, requirement: &'static str) -> FaultError {
-    FaultError {
-        name,
-        value,
-        requirement,
-    }
-}
 
 /// Poisson membership churn over a virtual-time horizon.
 ///
@@ -99,10 +66,10 @@ pub struct ZoneFailureSpec {
 
 /// The zone count a zone failure resolves against: only a `Clustered`
 /// overlay has zones.
-fn zone_count(topology: &TopologySpec, z: &ZoneFailureSpec) -> Result<usize, FaultError> {
+fn zone_count(topology: &TopologySpec, z: &ZoneFailureSpec) -> Result<usize, ParamError> {
     match topology.overlay {
         OverlaySpec::Clustered { zones, .. } => Ok(zones),
-        _ => Err(invalid(
+        _ => Err(ParamError::new(
             "zone_failure",
             z.zones.len() as f64,
             "correlated zone failures need a Clustered topology",
@@ -121,7 +88,7 @@ impl ZoneFailureSpec {
         n: usize,
         topology: &TopologySpec,
         source: u32,
-    ) -> Result<Vec<u32>, FaultError> {
+    ) -> Result<Vec<u32>, ParamError> {
         let zones = zone_count(topology, self)?;
         Ok(self
             .zones
@@ -249,31 +216,31 @@ impl FaultSpec {
 
     /// Checks every present family's parameter domain against the group
     /// size and topology.
-    pub fn validate(&self, n: usize, topology: &TopologySpec) -> Result<(), FaultError> {
+    pub fn validate(&self, n: usize, topology: &TopologySpec) -> Result<(), ParamError> {
         if let Some(c) = &self.churn {
             if !c.join_per_sec.is_finite() || c.join_per_sec < 0.0 {
-                return Err(invalid(
+                return Err(ParamError::new(
                     "join_per_sec",
                     c.join_per_sec,
                     "churn rates must be finite and >= 0",
                 ));
             }
             if !c.leave_per_sec.is_finite() || c.leave_per_sec < 0.0 {
-                return Err(invalid(
+                return Err(ParamError::new(
                     "leave_per_sec",
                     c.leave_per_sec,
                     "churn rates must be finite and >= 0",
                 ));
             }
             if (c.join_per_sec > 0.0 || c.leave_per_sec > 0.0) && c.horizon_ms == 0 {
-                return Err(invalid(
+                return Err(ParamError::new(
                     "horizon_ms",
                     c.horizon_ms as f64,
                     "churn with nonzero rates needs a positive horizon",
                 ));
             }
             if !topology.is_default() {
-                return Err(invalid(
+                return Err(ParamError::new(
                     "churn",
                     c.join_per_sec,
                     "churn needs the complete overlay (joiners can only bootstrap into the full view)",
@@ -284,7 +251,7 @@ impl FaultSpec {
             let zones = zone_count(topology, z)?;
             for &zone in &z.zones {
                 if zone >= zones {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "zone",
                         zone as f64,
                         "zone index must be below the clustered overlay's zone count",
@@ -294,7 +261,7 @@ impl FaultSpec {
             // The engines convert at_ms to nanoseconds of virtual time;
             // a value past u64::MAX / 1e6 would wrap the clock.
             if z.at_ms > u64::MAX / 1_000_000 {
-                return Err(invalid(
+                return Err(ParamError::new(
                     "at_ms",
                     z.at_ms as f64,
                     "zone-failure time must fit the nanosecond clock (at_ms <= u64::MAX / 1e6)",
@@ -309,7 +276,7 @@ impl FaultSpec {
                 ("loss_bad", b.loss_bad),
             ] {
                 if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         name,
                         value,
                         "Gilbert-Elliott probabilities must lie in [0, 1]",
@@ -317,7 +284,7 @@ impl FaultSpec {
                 }
             }
             if b.p_gb + b.p_bg == 0.0 {
-                return Err(invalid(
+                return Err(ParamError::new(
                     "p_gb",
                     b.p_gb,
                     "the Gilbert-Elliott chain needs p_gb + p_bg > 0 to mix",
@@ -327,7 +294,7 @@ impl FaultSpec {
         if let Some(a) = &self.adversary {
             let edge_count = n.saturating_mul(n.saturating_sub(1));
             if a.f >= edge_count {
-                return Err(invalid(
+                return Err(ParamError::new(
                     "f",
                     a.f as f64,
                     "the adversary must block fewer links than the complete digraph has (f < n(n-1))",

@@ -37,16 +37,6 @@ impl DynamicView {
             active_count: initial,
         }
     }
-
-    /// Number of currently active members.
-    pub fn active_count(&self) -> usize {
-        self.active_count
-    }
-
-    /// Whether `node` is currently active.
-    pub fn is_active(&self, node: NodeId) -> bool {
-        self.active[node as usize]
-    }
 }
 
 impl Membership for DynamicView {
@@ -120,12 +110,12 @@ mod tests {
     #[test]
     fn activation_makes_joiners_visible() {
         let mut view = DynamicView::new(12, 10);
-        assert_eq!(view.active_count(), 10);
+        assert_eq!(view.active_count, 10);
         view.activate(10);
         view.activate(10); // idempotent
-        assert_eq!(view.active_count(), 11);
-        assert!(view.is_active(10));
-        assert!(!view.is_active(11));
+        assert_eq!(view.active_count, 11);
+        assert!(view.active[10]);
+        assert!(!view.active[11]);
         let mut rng = Xoshiro256StarStar::new(2);
         let mut out = Vec::new();
         let mut saw_joiner = false;

@@ -35,7 +35,7 @@ impl<'a, D: FanoutDistribution + ?Sized> ConfigurationModel<'a, D> {
     /// Samples a degree sequence; if the stub total is odd, one extra
     /// stub is added to a uniformly chosen node (the standard parity fix —
     /// O(1/n) distortion).
-    pub fn sample_degrees(&self, rng: &mut Xoshiro256StarStar) -> Vec<usize> {
+    fn sample_degrees(&self, rng: &mut Xoshiro256StarStar) -> Vec<usize> {
         let mut degrees = Vec::with_capacity(self.n);
         let mut total = 0usize;
         for _ in 0..self.n {

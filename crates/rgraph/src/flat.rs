@@ -30,8 +30,9 @@
 //! and both buffers are reused across replications.
 //! `tests/tests/engine_agreement.rs` keeps the unfused pipeline —
 //! [`crate::ConfigurationModel`], bond-thinned
-//! [`crate::Graph::from_edges`], [`crate::percolate`] — as the
-//! reference, and this module's tests check the law exactly at small n.
+//! [`crate::Graph::from_edges`], a [`crate::Sweep`] read at a binomial
+//! occupied count — as the reference, and this module's tests check
+//! the law exactly at small n.
 
 use gossip_engine::FanoutSampler;
 use gossip_model::distribution::FanoutDistribution;

@@ -16,12 +16,10 @@
 //! * [`configuration`] — the configuration model: uniform random graphs
 //!   with a prescribed degree sequence, the graphs the paper's
 //!   generating-function analysis describes exactly.
-//! * [`components`] — component census, giant/second components,
-//!   susceptibility.
-//! * [`percolation_sim`] — empirical site percolation on any undirected
-//!   graph, the Monte-Carlo counterpart of `gossip_model::law`.
-//! * [`phase`] — critical-point estimation by susceptibility peak, used
-//!   to validate `q_c = 1/G1'(1)` (paper Eq. 3/10).
+//! * [`sweep`] — Newman–Ziff sweeps: site percolation on one graph at
+//!   every occupied count in one pass, giving the giant component at any
+//!   `q` (the Monte-Carlo counterpart of `gossip_model::law`) and the
+//!   susceptibility peak that locates `q_c = 1/G1'(1)` (Eqs. 3 and 10).
 //! * [`flat`] — the million-node percolation kernel. One pass tosses
 //!   each member's crash coin and draws its degree, storing stubs only
 //!   for occupied members (as dense ranks); a uniform perfect matching
@@ -38,18 +36,15 @@
 //! digraph is never built eagerly.
 
 pub mod backend;
-pub mod components;
 pub mod configuration;
 pub mod flat;
 pub mod graph;
-pub mod percolation_sim;
-pub mod phase;
+pub mod sweep;
 pub mod unionfind;
 
 pub use backend::GraphBackend;
-pub use components::ComponentCensus;
 pub use configuration::ConfigurationModel;
 pub use flat::{FlatPercolation, PercolationScratch};
 pub use graph::Graph;
-pub use percolation_sim::{percolate, PercolationOutcome};
+pub use sweep::Sweep;
 pub use unionfind::UnionFind;

@@ -47,12 +47,6 @@ impl UnionFind {
         self.parent.is_empty()
     }
 
-    /// Number of disjoint sets.
-    #[inline]
-    pub fn component_count(&self) -> usize {
-        self.components
-    }
-
     /// Finds the set representative of `x`, halving the path on the way.
     #[inline]
     pub fn find(&mut self, mut x: u32) -> u32 {
@@ -145,7 +139,7 @@ mod tests {
     #[test]
     fn singletons_initially() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.component_count(), 5);
+        assert_eq!(uf.component_sizes().len(), 5);
         assert_eq!(uf.largest(), 1);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
@@ -159,7 +153,7 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(2, 3));
         assert!(!uf.union(1, 0), "repeat union returns false");
-        assert_eq!(uf.component_count(), 4);
+        assert_eq!(uf.component_sizes().len(), 4);
         assert!(uf.connected(0, 1));
         assert!(!uf.connected(0, 2));
         assert_eq!(uf.largest(), 2);
@@ -190,7 +184,7 @@ mod tests {
         uf.union(5, 6);
         let sizes = uf.component_sizes();
         assert_eq!(sizes.iter().sum::<u32>(), 10);
-        assert_eq!(sizes.len(), uf.component_count());
+        assert_eq!(sizes.len(), 7);
         let mut sorted = sizes.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 1, 1, 1, 1, 2, 3]);
@@ -204,7 +198,7 @@ mod tests {
         for i in 0..(n as u32 - 1) {
             uf.union(i, i + 1);
         }
-        assert_eq!(uf.component_count(), 1);
+        assert_eq!(uf.component_sizes().len(), 1);
         assert_eq!(uf.size_of(0), n as u32);
         assert_eq!(uf.largest(), n as u32);
         // After find, paths should be (mostly) flat — spot-check depth 1.
@@ -218,14 +212,14 @@ mod tests {
         uf.union(0, 1);
         uf.union(2, 3);
         uf.reset(4);
-        assert_eq!(uf.component_count(), 4);
+        assert_eq!(uf.component_sizes().len(), 4);
         assert!(!uf.connected(0, 1));
         assert_eq!(uf.size_of(2), 1);
         assert_eq!(uf.largest(), 1);
         uf.union(0, 1);
         uf.reset(7);
         assert_eq!(uf.len(), 7);
-        assert_eq!(uf.component_count(), 7);
+        assert_eq!(uf.component_sizes().len(), 7);
         assert_eq!(uf.component_sizes(), vec![1; 7]);
         uf.reset(2);
         assert_eq!(uf.len(), 2);
@@ -236,7 +230,7 @@ mod tests {
     fn empty_structure() {
         let uf = UnionFind::new(0);
         assert!(uf.is_empty());
-        assert_eq!(uf.component_count(), 0);
+        assert_eq!(uf.component_sizes().len(), 0);
         assert_eq!(uf.largest(), 0);
         assert!(uf.component_sizes().is_empty());
     }

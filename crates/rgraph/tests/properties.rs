@@ -1,8 +1,7 @@
 //! Property-based tests for the random-graph substrate.
 
 use gossip_model::distribution::PoissonFanout;
-use gossip_rgraph::components::{census, census_occupied};
-use gossip_rgraph::{ConfigurationModel, Graph, UnionFind};
+use gossip_rgraph::{ConfigurationModel, Graph, Sweep, UnionFind};
 use gossip_stats::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
 
@@ -39,6 +38,15 @@ fn reference_components(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     label
 }
 
+/// The finite-cluster susceptibility `(Σs² − L²)/(m − L)`, 0 when the
+/// largest component holds all `m`.
+fn chi(sum_sq: u64, largest: u64, m: usize) -> f64 {
+    match m as u64 - largest {
+        0 => 0.0,
+        rest => (sum_sq - largest * largest) as f64 / rest as f64,
+    }
+}
+
 fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2..max_n).prop_flat_map(move |n| {
         let edge = (0..n as u32, 0..n as u32);
@@ -68,31 +76,67 @@ proptest! {
         }
     }
 
-    /// Component sizes always partition the node set.
+    /// At q = 1 a sweep's largest component is a union-find's over every
+    /// edge, and its Σs² partitions the nodes.
     #[test]
-    fn census_partitions_nodes((n, edges) in arb_edges(60, 120)) {
-        let g = Graph::from_edges(n, &edges);
-        let c = census(&g);
-        prop_assert_eq!(c.nodes, n);
-        prop_assert!(c.largest >= c.second_largest);
-        prop_assert!(c.largest <= n);
-        prop_assert!(c.count >= 1);
-        prop_assert!((c.mean_size * c.count as f64 - n as f64).abs() < 1e-9);
+    fn census_partitions_nodes((n, edges) in arb_edges(60, 120), seed in 0u64..1000) {
+        let mut full = UnionFind::new(n);
+        for &(a, b) in &edges {
+            full.union(a, b);
+        }
+        let mut rng = Xoshiro256StarStar::new(seed);
+        let s = Sweep::new(&Graph::from_edges(n, &edges), &mut rng);
+        prop_assert_eq!(s.nodes(), n);
+        prop_assert_eq!(s.largest(n), full.largest());
+        let sizes = full.component_sizes().into_iter().map(u64::from);
+        let (sq, l) = sizes.fold((0, 0), |(sq, l), s| (sq + s * s, l.max(s)));
+        prop_assert_eq!(s.susceptibility(n), chi(sq, l, n));
+        prop_assert_eq!(s.reliability(1.0), s.fraction(n));
+        prop_assert_eq!(s.sample(1.0, &mut rng), s.fraction(n));
     }
 
-    /// Occupied census counts only occupied nodes and never exceeds the
-    /// full census.
+    /// L is non-decreasing in the occupied count and never exceeds it.
     #[test]
     fn occupied_census_bounded((n, edges) in arb_edges(40, 80), seed in 0u64..1000) {
-        let g = Graph::from_edges(n, &edges);
+        let s = Sweep::new(&Graph::from_edges(n, &edges), &mut Xoshiro256StarStar::new(seed));
+        prop_assert_eq!(s.largest(0), 0);
+        for m in 1..=n {
+            prop_assert!(s.largest(m) >= s.largest(m - 1));
+            prop_assert!(s.largest(m) as usize <= m);
+            prop_assert!(s.susceptibility(m) >= 0.0);
+        }
+    }
+
+    /// At every occupied count, L and χ match a recount over the
+    /// subgraph the first m members of the order induce.
+    #[test]
+    fn sweep_matches_a_direct_recount((n, edges) in arb_edges(30, 60), seed in 0u64..1000) {
+        let mut order: Vec<u32> = (0..n as u32).collect();
         let mut rng = Xoshiro256StarStar::new(seed);
-        let occupied: Vec<bool> = (0..n).map(|_| rng.next_bool(0.6)).collect();
-        let occ_count = occupied.iter().filter(|&&b| b).count();
-        let c = census_occupied(&g, &occupied);
-        prop_assert_eq!(c.nodes, occ_count);
-        prop_assert!(c.largest <= occ_count);
-        let full = census(&g);
-        prop_assert!(c.largest <= full.largest);
+        for i in (1..n).rev() {
+            order.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let s = Sweep::in_order(&Graph::from_edges(n, &edges), &order);
+        for m in 0..=n {
+            let occupied = &order[..m];
+            let mut uf = UnionFind::new(n);
+            for &(a, b) in &edges {
+                if occupied.contains(&a) && occupied.contains(&b) {
+                    uf.union(a, b);
+                }
+            }
+            let mut sq = 0u64;
+            let mut l = 0u64;
+            for &v in occupied {
+                if uf.find(v) == v {
+                    let size = u64::from(uf.size_of(v));
+                    sq += size * size;
+                    l = l.max(size);
+                }
+            }
+            prop_assert_eq!(u64::from(s.largest(m)), l, "m = {}", m);
+            prop_assert_eq!(s.susceptibility(m), chi(sq, l, m), "m = {}", m);
+        }
     }
 
     /// Configuration model with an explicit degree sequence realizes it

@@ -157,8 +157,7 @@ impl Backend for RuntimeBackend {
 mod tests {
     use super::*;
     use gossip_model::analytic::AnalyticBackend;
-    use gossip_model::scenario::{FanoutSpec, LatencySpec, ProtocolSpec, RuntimeSpec};
-    use std::time::Duration;
+    use gossip_model::scenario::{FanoutSpec, LatencySpec, ProtocolSpec};
 
     fn headline(n: usize, reps: usize) -> Scenario {
         Scenario::new(n, FanoutSpec::poisson(6.0))
@@ -506,23 +505,5 @@ mod tests {
         let auto = shard_count(1000, 0, false);
         assert!((8..=256).contains(&auto));
         assert_eq!(shard_count(3, 0, false), 3);
-    }
-
-    #[test]
-    fn pacing_slows_wall_clock_not_results() {
-        let base = headline(64, 2).with_latency(LatencySpec::ConstantMillis { ms: 20 });
-        let paced = base.clone().with_runtime(RuntimeSpec {
-            max_threads: 0,
-            pacing_micros_per_milli: 50,
-            watchdog_secs: 0,
-        });
-        let fast = RuntimeBackend::channel().evaluate(&base).unwrap();
-        let t0 = std::time::Instant::now();
-        let slow = RuntimeBackend::channel().evaluate(&paced).unwrap();
-        let paced_wall = t0.elapsed();
-        assert_eq!(fast.reliability, slow.reliability);
-        assert_eq!(fast.rounds, slow.rounds);
-        // ~6 relay generations × 20 ms × 50 µs/ms ≈ 6 ms per rep floor.
-        assert!(paced_wall > Duration::from_millis(2), "pacing was a no-op");
     }
 }

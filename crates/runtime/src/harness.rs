@@ -6,7 +6,7 @@
 //!
 //! The harness knows no protocol: it is generic over the actor state
 //! and a frame handler, and owns everything else — threads, the
-//! [`Fabric`] in-flight count, real-time pacing, the deadline.
+//! [`Fabric`] in-flight count, the deadline.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,8 +24,6 @@ use crate::wire::WireMessage;
 pub(crate) struct Harness {
     /// Shard threads to multiplex node actors over.
     pub shards: usize,
-    /// Real-time pacing (µs of wall-clock per ms of virtual latency).
-    pub pacing_micros_per_milli: u64,
     /// Watchdog deadline for one execution.
     pub deadline: Duration,
 }
@@ -41,7 +39,6 @@ impl Harness {
                 scenario.runtime.max_threads,
                 in_parallel_worker(),
             ),
-            pacing_micros_per_milli: scenario.runtime.pacing_micros_per_milli,
             // The watchdog knob: far beyond any healthy quiescence time,
             // tight enough that a wedged transport fails the run instead
             // of hanging the caller. 0 = the 30 s default.
@@ -120,35 +117,12 @@ impl Harness {
             handle(actor, ep, msg);
             fabric.message_settled();
         };
-        // Frames held back by real-time pacing until their scaled virtual
-        // arrival time: (actor index, due, frame).
-        let mut held: Vec<(usize, Instant, WireMessage)> = Vec::new();
         loop {
             let mut progressed = false;
-            for (idx, pair) in group.iter_mut().enumerate() {
+            for pair in group.iter_mut() {
                 while let Some(msg) = pair.1.poll() {
-                    if self.pacing_micros_per_milli > 0 {
-                        let wall_us =
-                            msg.arrival_virtual_ns / 1_000_000 * self.pacing_micros_per_milli;
-                        let due = epoch + Duration::from_micros(wall_us);
-                        if Instant::now() < due {
-                            held.push((idx, due, msg));
-                            continue;
-                        }
-                    }
                     process(pair, &msg);
                     progressed = true;
-                }
-            }
-            let now = Instant::now();
-            let mut i = 0;
-            while i < held.len() {
-                if held[i].1 <= now {
-                    let (idx, _, msg) = held.swap_remove(i);
-                    process(&mut group[idx], &msg);
-                    progressed = true;
-                } else {
-                    i += 1;
                 }
             }
             if fabric.is_done() {

@@ -27,7 +27,7 @@
 //!   is the k = 1 stream, and every metric is read off the recorded
 //!   relay graph. Its module docs state, once for the crate, what
 //!   replays byte for byte and what is aggregate-stable only.
-//! * `harness` — threads, shards, pacing and the watchdog around it.
+//! * `harness` — threads, shards and the watchdog around it.
 //! * [`backend`] — [`RuntimeBackend`], the [`Backend`] impl that runs
 //!   seed-derived replications and hands them to
 //!   [`gossip_model::reduce`] — the same take-off conditioning as every

@@ -13,9 +13,7 @@ use serde::{Deserialize, Serialize};
 /// sender adds a seed-derived latency draw (per
 /// [`LatencySpec`](gossip_model::scenario::LatencySpec)) to the virtual
 /// time of the copy that triggered its own relay. Scheduled crashes are
-/// evaluated against this clock, and optional real-time pacing
-/// ([`RuntimeSpec`](gossip_model::scenario::RuntimeSpec)) sleeps until
-/// the scaled stamp before a node processes the message.
+/// evaluated against this clock; nothing sleeps on it.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireMessage {
     /// Broadcast identifier (derived from the execution seed).

@@ -79,17 +79,12 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Standard error of the mean.
     pub fn sem(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
-            self.std_dev() / (self.count as f64).sqrt()
+            self.variance().sqrt() / (self.count as f64).sqrt()
         }
     }
 
@@ -105,19 +100,13 @@ impl OnlineStats {
         self.max
     }
 
-    /// Normal-approximation confidence interval around the mean at the
-    /// given z-score (1.96 ≈ 95%, 2.576 ≈ 99%).
-    pub fn confidence_interval(&self, z: f64) -> ConfidenceInterval {
-        let half = z * self.sem();
+    /// 95% normal-approximation confidence interval around the mean.
+    pub fn ci95(&self) -> ConfidenceInterval {
+        let half = 1.959_963_984_540_054 * self.sem();
         ConfidenceInterval {
             lo: self.mean - half,
             hi: self.mean + half,
         }
-    }
-
-    /// 95% normal-approximation confidence interval.
-    pub fn ci95(&self) -> ConfidenceInterval {
-        self.confidence_interval(1.959_963_984_540_054)
     }
 
     /// Merges another accumulator into this one (Chan et al. parallel

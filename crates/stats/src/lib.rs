@@ -29,10 +29,13 @@
 //!   used by the integration tests to check `X ~ B(20, R)`.
 //! * [`parallel`] — seed-stable parallel map on a process-wide pool of
 //!   parked worker threads.
+//! * [`error`] — [`ParamError`], the malformed-parameter error the
+//!   topology, faults and traffic specs share.
 
 pub mod alias;
 pub mod binomial;
 pub mod descriptive;
+pub mod error;
 pub mod gof;
 pub mod histogram;
 pub mod parallel;
@@ -43,6 +46,7 @@ pub mod special;
 pub use alias::AliasTable;
 pub use binomial::Binomial;
 pub use descriptive::{ConfidenceInterval, OnlineStats};
+pub use error::ParamError;
 pub use gof::{
     chi_square_pvalue, chi_square_statistic, total_variation_distance, ChiSquareOutcome,
 };

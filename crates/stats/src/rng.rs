@@ -20,7 +20,7 @@ use rand::{RngCore, SeedableRng};
 ///
 /// Primarily used to derive independent child seeds from a `(base, index)`
 /// pair: replication `i` of a Monte-Carlo experiment uses
-/// `SplitMix64::new(base).nth_seed(i)`.
+/// `SplitMix64::derive(base, i)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
@@ -47,25 +47,13 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Derives the `index`-th child seed of this generator's *initial*
-    /// state without disturbing `self`.
-    ///
-    /// The derivation is `mix(seed + (index+1)·γ)`, i.e. the `(index+1)`-th
-    /// output of a fresh SplitMix64 — stable under reordering and safe to
-    /// call from multiple threads on clones.
-    #[inline]
-    pub fn nth_seed(&self, index: u64) -> u64 {
-        let mut g = Self::new(
-            self.state
-                .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        g.next()
-    }
-
-    /// Convenience: derive a child seed directly from `(base, index)`.
+    /// Derives the `index`-th child seed of `base`: `mix(base +
+    /// (index+1)·γ)`, i.e. the `(index+1)`-th output of a fresh
+    /// SplitMix64 — stable under reordering and safe to call from
+    /// multiple threads.
     #[inline]
     pub fn derive(base: u64, index: u64) -> u64 {
-        Self::new(base).nth_seed(index)
+        Self::new(base.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15))).next()
     }
 }
 

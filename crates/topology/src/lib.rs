@@ -32,4 +32,4 @@ mod spec;
 pub use csr::Topology;
 pub use generate::build_overlay;
 pub use select::select_targets;
-pub use spec::{OverlaySpec, PeerSelection, TopologyError, TopologySpec};
+pub use spec::{OverlaySpec, PeerSelection, TopologySpec};

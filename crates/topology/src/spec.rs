@@ -7,43 +7,11 @@
 //! assumption, so every evaluation layer treats it as "no topology" and
 //! keeps its original uniform-sampling code path bit for bit.
 
+use gossip_stats::ParamError;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 use crate::csr::Topology;
 use crate::generate;
-
-/// A malformed topology parameter. Field-compatible with the model
-/// layer's `InvalidParameter` error so callers can map it losslessly.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TopologyError {
-    /// Parameter name, e.g. `"k"`.
-    pub name: &'static str,
-    /// Offending value.
-    pub value: f64,
-    /// Human-readable domain description.
-    pub requirement: &'static str,
-}
-
-impl fmt::Display for TopologyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid topology parameter {} = {}: {}",
-            self.name, self.value, self.requirement
-        )
-    }
-}
-
-impl std::error::Error for TopologyError {}
-
-fn invalid(name: &'static str, value: f64, requirement: &'static str) -> TopologyError {
-    TopologyError {
-        name,
-        value,
-        requirement,
-    }
-}
 
 /// Which overlay family the group is wired as.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -115,17 +83,21 @@ const SCAMP_MAX_C: usize = 64;
 impl OverlaySpec {
     /// Checks every parameter against the group size `n` (which the
     /// scenario layer has already checked to be `≥ 2`).
-    pub fn validate(&self, n: usize) -> Result<(), TopologyError> {
+    pub fn validate(&self, n: usize) -> Result<(), ParamError> {
         match *self {
             OverlaySpec::Complete => Ok(()),
             OverlaySpec::Ring { shortcuts } => {
                 if n < 3 {
-                    return Err(invalid("n", n as f64, "a ring overlay needs n >= 3"));
+                    return Err(ParamError::new(
+                        "n",
+                        n as f64,
+                        "a ring overlay needs n >= 3",
+                    ));
                 }
                 // Chords join non-adjacent pairs: n(n-3)/2 of them exist.
                 let max_chords = n * (n - 3) / 2;
                 if shortcuts > max_chords {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "shortcuts",
                         shortcuts as f64,
                         "ring shortcuts cannot exceed n(n-3)/2 distinct chords",
@@ -135,10 +107,14 @@ impl OverlaySpec {
             }
             OverlaySpec::KRegular { k } => {
                 if k == 0 || k >= n {
-                    return Err(invalid("k", k as f64, "k-regular degree needs 1 <= k < n"));
+                    return Err(ParamError::new(
+                        "k",
+                        k as f64,
+                        "k-regular degree needs 1 <= k < n",
+                    ));
                 }
                 if !(n * k).is_multiple_of(2) {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "k",
                         k as f64,
                         "k-regular overlay needs an even degree sum (n*k must be even)",
@@ -148,21 +124,21 @@ impl OverlaySpec {
             }
             OverlaySpec::WattsStrogatz { k, beta } => {
                 if k < 2 || k >= n {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "k",
                         k as f64,
                         "Watts-Strogatz lattice degree needs 2 <= k < n",
                     ));
                 }
                 if k % 2 != 0 {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "k",
                         k as f64,
                         "Watts-Strogatz lattice degree must be even",
                     ));
                 }
                 if !(beta.is_finite() && (0.0..=1.0).contains(&beta)) {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "beta",
                         beta,
                         "rewiring probability must lie in [0, 1]",
@@ -172,21 +148,21 @@ impl OverlaySpec {
             }
             OverlaySpec::PowerLaw { alpha, kmin, kmax } => {
                 if !(alpha.is_finite() && alpha > 0.0) {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "alpha",
                         alpha,
                         "power-law exponent must be positive and finite",
                     ));
                 }
                 if kmin < 1 || kmin > kmax {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "kmin",
                         kmin as f64,
                         "power-law degrees need 1 <= kmin <= kmax",
                     ));
                 }
                 if kmax >= n {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "kmax",
                         kmax as f64,
                         "power-law degrees must stay below the group size",
@@ -200,14 +176,14 @@ impl OverlaySpec {
                 inter,
             } => {
                 if zones == 0 {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "zones",
                         0.0,
                         "clustered overlay needs at least one zone",
                     ));
                 }
                 if zones > n {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "zones",
                         zones as f64,
                         "cannot have more zones than members",
@@ -216,7 +192,7 @@ impl OverlaySpec {
                 // Contiguous zones: the smallest has floor(n/zones) members.
                 let min_zone = n / zones;
                 if intra == 0 || intra >= min_zone {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "intra",
                         intra as f64,
                         "intra-zone degree needs 1 <= intra < smallest zone size",
@@ -224,7 +200,7 @@ impl OverlaySpec {
                 }
                 if zones == 1 {
                     if inter != 0 {
-                        return Err(invalid(
+                        return Err(ParamError::new(
                             "inter",
                             inter as f64,
                             "a single-zone overlay has no cross-zone peers",
@@ -234,7 +210,7 @@ impl OverlaySpec {
                     // Largest zone = ceil(n/zones); everyone else is eligible.
                     let max_zone = n.div_ceil(zones);
                     if inter > n - max_zone {
-                        return Err(invalid(
+                        return Err(ParamError::new(
                             "inter",
                             inter as f64,
                             "cross-zone degree cannot exceed the members outside a zone",
@@ -245,14 +221,14 @@ impl OverlaySpec {
             }
             OverlaySpec::Scamp { c } => {
                 if c > SCAMP_MAX_C {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "c",
                         c as f64,
                         "SCAMP redundancy is capped at 64 (bounded work per join)",
                     ));
                 }
                 if c + 2 >= n {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "c",
                         c as f64,
                         "SCAMP needs c + 2 < n (the c + 2 bootstrap members must leave a joiner)",
@@ -360,10 +336,10 @@ impl TopologySpec {
 
     /// Validates overlay parameters against the group size and the
     /// overlay/selection combination.
-    pub fn validate(&self, n: usize) -> Result<(), TopologyError> {
+    pub fn validate(&self, n: usize) -> Result<(), ParamError> {
         self.overlay.validate(n)?;
         if self.selection == PeerSelection::UniformGlobal && self.overlay != OverlaySpec::Complete {
-            return Err(invalid(
+            return Err(ParamError::new(
                 "selection",
                 f64::NAN,
                 "uniform-global selection requires the complete overlay; structured overlays gossip to neighbours only",

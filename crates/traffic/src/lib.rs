@@ -37,4 +37,4 @@ pub mod spec;
 pub use engine::{run_stream, StreamCounters, StreamOutcome, StreamParams, StreamScratch};
 pub use plan::{injection_rounds, TRAFFIC_PLAN_STREAM};
 pub use report::{merge_histogram, percentile, TrafficReport};
-pub use spec::{ArrivalSpec, BatchingSpec, TrafficError, TrafficSpec, MAX_FRAME_IDS};
+pub use spec::{ArrivalSpec, BatchingSpec, TrafficSpec, MAX_FRAME_IDS};

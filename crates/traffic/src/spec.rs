@@ -6,45 +6,12 @@
 //! is built per execution by [`crate::injection_rounds`] and the stream
 //! engine runs it.
 
+use gossip_stats::ParamError;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Hard upper bound on message ids per wire frame — keeps the engine's
 /// frames inline (no per-frame allocation on the hot path).
 pub const MAX_FRAME_IDS: usize = 16;
-
-/// A malformed traffic parameter. Field-compatible with the model
-/// layer's `InvalidParameter` error (and the topology and faults
-/// crates' error shapes) so callers can map it losslessly.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TrafficError {
-    /// Parameter name, e.g. `"messages"`.
-    pub name: &'static str,
-    /// Offending value.
-    pub value: f64,
-    /// Human-readable domain description.
-    pub requirement: &'static str,
-}
-
-impl fmt::Display for TrafficError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid traffic parameter {} = {}: {}",
-            self.name, self.value, self.requirement
-        )
-    }
-}
-
-impl std::error::Error for TrafficError {}
-
-fn invalid(name: &'static str, value: f64, requirement: &'static str) -> TrafficError {
-    TrafficError {
-        name,
-        value,
-        requirement,
-    }
-}
 
 /// When the k messages of a stream enter the system, in rounds of the
 /// stream engine's clock. All plans are seed-deterministic.
@@ -157,16 +124,16 @@ impl TrafficSpec {
     }
 
     /// Checks every parameter domain.
-    pub fn validate(&self) -> Result<(), TrafficError> {
+    pub fn validate(&self) -> Result<(), ParamError> {
         if self.messages == 0 {
-            return Err(invalid(
+            return Err(ParamError::new(
                 "messages",
                 0.0,
                 "a traffic stream needs at least one message (k >= 1)",
             ));
         }
         if self.messages > 65_536 {
-            return Err(invalid(
+            return Err(ParamError::new(
                 "messages",
                 self.messages as f64,
                 "at most 65536 concurrent messages per stream",
@@ -176,7 +143,7 @@ impl TrafficSpec {
             ArrivalSpec::AllAtOnce => {}
             ArrivalSpec::FixedInterval { every_rounds } => {
                 if every_rounds == 0 {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "every_rounds",
                         0.0,
                         "fixed-interval arrivals need at least one round between injections",
@@ -185,7 +152,7 @@ impl TrafficSpec {
             }
             ArrivalSpec::Poisson { rate_per_round } => {
                 if !(rate_per_round.is_finite() && rate_per_round > 0.0) {
-                    return Err(invalid(
+                    return Err(ParamError::new(
                         "rate_per_round",
                         rate_per_round,
                         "Poisson arrival rate must be finite and > 0",
@@ -194,14 +161,14 @@ impl TrafficSpec {
             }
         }
         if self.bandwidth == Some(0) {
-            return Err(invalid(
+            return Err(ParamError::new(
                 "bandwidth",
                 0.0,
                 "bandwidth cap must allow at least one frame per round (or None = uncapped)",
             ));
         }
         if self.queue_capacity == 0 {
-            return Err(invalid(
+            return Err(ParamError::new(
                 "queue_capacity",
                 0.0,
                 "send queue needs room for at least one frame",
@@ -209,7 +176,7 @@ impl TrafficSpec {
         }
         if let BatchingSpec::Piggyback { frame_limit } = self.batching {
             if frame_limit == 0 || frame_limit > MAX_FRAME_IDS {
-                return Err(invalid(
+                return Err(ParamError::new(
                     "frame_limit",
                     frame_limit as f64,
                     "piggyback frame limit must lie in 1..=16",

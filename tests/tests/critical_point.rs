@@ -4,30 +4,24 @@
 use gossip_model::distribution::{FixedFanout, PoissonFanout};
 use gossip_model::{Backend, FanoutSpec, PaperLaw, Scenario};
 use gossip_protocol::ProtocolBackend;
-use gossip_rgraph::phase::scan_configuration_model;
+use gossip_rgraph::sweep;
 
 #[test]
 fn poisson_phase_scan_finds_one_over_z() {
-    let dist = PoissonFanout::new(4.0);
-    let qs: Vec<f64> = (1..=12).map(|i| i as f64 * 0.05).collect();
-    let scan = scan_configuration_model(&dist, 3000, &qs, 3, 1);
+    let q = sweep::critical_q(&PoissonFanout::new(4.0), 20_000, 3, 1);
     assert!(
-        (scan.estimated_qc - 0.25).abs() <= 0.10,
-        "estimated q_c = {}, expected ≈ 0.25",
-        scan.estimated_qc
+        (q - 0.25).abs() <= 0.10,
+        "estimated q_c = {q}, expected ≈ 0.25"
     );
 }
 
 #[test]
 fn fixed_fanout_phase_scan() {
     // Fixed(3): G1'(1) = 2 → q_c = 0.5.
-    let dist = FixedFanout::new(3);
-    let qs: Vec<f64> = (4..=16).map(|i| i as f64 * 0.05).collect(); // 0.2..0.8
-    let scan = scan_configuration_model(&dist, 3000, &qs, 3, 2);
+    let q = sweep::critical_q(&FixedFanout::new(3), 20_000, 3, 2);
     assert!(
-        (scan.estimated_qc - 0.5).abs() <= 0.10,
-        "estimated q_c = {}, expected ≈ 0.5",
-        scan.estimated_qc
+        (q - 0.5).abs() <= 0.10,
+        "estimated q_c = {q}, expected ≈ 0.5"
     );
 }
 

@@ -16,7 +16,7 @@
 //! * for the graph census, [`ReferenceCensus`] below — the unfused
 //!   pipeline the flat census fuses: a `ConfigurationModel` graph per
 //!   execution, bond-thinned through `Graph::from_edges`, site-percolated
-//!   by `percolate`.
+//!   by a Newman–Ziff `Sweep` read at a Binomial(n, q) occupied count.
 //!
 //! Each pair draws from unrelated RNG streams, so the comparison is
 //! two-sample: each side runs `BATCHES` evaluations on seeds of its own,
@@ -45,7 +45,7 @@ use gossip::{
     NetSimBackend, OverlaySpec, ProtocolBackend, Report, Scenario, TopologySpec,
 };
 use gossip_model::reduce;
-use gossip_rgraph::{percolate, ConfigurationModel, Graph};
+use gossip_rgraph::{ConfigurationModel, Graph, Sweep};
 use gossip_stats::descriptive::OnlineStats;
 use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 
@@ -78,7 +78,8 @@ fn measured(metric: Option<f64>) -> f64 {
 /// The undirected census without the flat kernel's fusion: per
 /// execution, one configuration-model graph, each edge kept with
 /// probability `1 − loss` (bond percolation), then site percolation at
-/// `q`, reduced like every census.
+/// `q` as a sweep read at `m ~ Binomial(n, q)` occupied members (the
+/// law of i.i.d. crash coins), reduced like every census.
 struct ReferenceCensus;
 
 impl Backend for ReferenceCensus {
@@ -100,7 +101,7 @@ impl Backend for ReferenceCensus {
                 .filter(|_| !rng.next_bool(scenario.loss))
                 .collect();
             let thinned = Graph::from_edges(scenario.n, &kept);
-            percolate(&thinned, q, &[], &mut rng).reliability()
+            Sweep::new(&thinned, &mut rng).sample(q, &mut rng)
         });
         Ok(reduce::census(self.name(), scenario, &*dist, reliabilities))
     }

@@ -39,7 +39,6 @@ fn stream_scenario() -> Scenario {
 fn on_threads(scenario: Scenario, max_threads: usize) -> Scenario {
     scenario.with_runtime(RuntimeSpec {
         max_threads,
-        pacing_micros_per_milli: 0,
         watchdog_secs: 0,
     })
 }
@@ -132,7 +131,6 @@ fn runtime_knob_validation_fails_fast() {
     // spawns or socket binds.
     let oversubscribed = replay_scenario().with_runtime(RuntimeSpec {
         max_threads: 100_000,
-        pacing_micros_per_milli: 0,
         watchdog_secs: 0,
     });
     assert!(matches!(
@@ -142,15 +140,14 @@ fn runtime_knob_validation_fails_fast() {
             ..
         })
     ));
-    let overpaced = replay_scenario().with_runtime(RuntimeSpec {
+    let overwatched = replay_scenario().with_runtime(RuntimeSpec {
         max_threads: 0,
-        pacing_micros_per_milli: 9999,
-        watchdog_secs: 0,
+        watchdog_secs: 9999,
     });
     assert!(matches!(
-        RuntimeBackend::tcp().evaluate(&overpaced),
+        RuntimeBackend::tcp().evaluate(&overwatched),
         Err(ModelError::InvalidParameter {
-            name: "pacing_micros_per_milli",
+            name: "watchdog_secs",
             ..
         })
     ));

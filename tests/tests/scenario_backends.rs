@@ -36,6 +36,23 @@ fn assert_backends_agree(scenario: &Scenario, tol: f64) {
 }
 
 #[test]
+fn flood_reports_carry_no_critical_point() {
+    // Flooding a full view has no threshold: at q = 0.1, far below
+    // push's q_c = 0.25, every backend that floods still reaches every
+    // survivor, and none of their Reports names a critical point.
+    let scenario = Scenario::new(120, FanoutSpec::poisson(4.0))
+        .with_failure_ratio(0.1)
+        .with_protocol(ProtocolSpec::Flood)
+        .with_replications(3);
+    let runtime = RuntimeBackend::channel();
+    for backend in [&AnalyticBackend as &dyn Backend, &NetSimBackend, &runtime] {
+        let report = backend.evaluate(&scenario).expect("the backend floods");
+        assert_eq!(report.critical_q, None, "{}", report.backend);
+        assert_eq!(report.reliability, 1.0, "{}", report.backend);
+    }
+}
+
+#[test]
 fn fig4_operating_points_agree_across_all_five_backends() {
     // The ISSUE acceptance grid: Poisson fanout, n = 1000,
     // q ∈ {0.5, 0.7, 0.9}. Mean fanout 6 keeps every point clearly
