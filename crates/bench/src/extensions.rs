@@ -11,8 +11,9 @@ use gossip_model::distribution::PoissonFanout;
 use gossip_model::scenario::{Backend, FanoutSpec, Scenario, SweepCell, SweepGrid};
 use gossip_model::{law, poisson_case, success, OverlaySpec, PaperLaw, TopologySpec};
 use gossip_protocol::{NetSimBackend, ProtocolBackend};
-use gossip_rgraph::{sweep, ConfigurationModel, Sweep};
+use gossip_rgraph::{configuration_model, sweep, Sweep};
 use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
+use gossip_stats::OnlineStats;
 
 use crate::figures::{reliability_vs_fanout, supercritical_gaps};
 use crate::{analytic_r, ascii_plot, push, Outcome, Table, SEED};
@@ -34,6 +35,11 @@ use crate::{analytic_r, ascii_plot, push, Outcome, Table, SEED};
 /// n = 2·10⁴ rows show the shift. Measured gaps at 3.2·10⁵:
 /// +0.0073 / +0.0036 / +0.0068 / +0.0111 (Po(2.5), Po(4), Fixed(3),
 /// Geom(p=0.25)); at 2·10⁴: +0.0196 / +0.0139 / +0.0181 / +0.0105.
+/// Beside each pooled peak the table prints the SD of the 10 graphs'
+/// own peaks, from the same sweeps: at 3.2·10⁵ 0.0060 / 0.0084 /
+/// 0.0038 / 0.0073, so a 10-graph mean carries an SE of 0.001–0.003,
+/// and Geom's +0.0111 is some four of its SEs (0.0023), not
+/// graph-to-graph noise.
 pub fn critical_point(out: &mut Outcome) {
     let sizes = [20_000, 320_000];
     let graphs = 10;
@@ -43,7 +49,14 @@ pub fn critical_point(out: &mut Outcome) {
         format!(
             "E7 — empirical vs analytic critical point (susceptibility peak over {graphs} graphs)"
         ),
-        &["distribution", "n", "analytic q_c", "empirical q_c", "gap"],
+        &[
+            "distribution",
+            "n",
+            "analytic q_c",
+            "empirical q_c",
+            "gap",
+            "per-graph SD",
+        ],
     );
     let cases = [
         FanoutSpec::poisson(2.5),
@@ -60,7 +73,8 @@ pub fn critical_point(out: &mut Outcome) {
             .expect("all cases percolate");
         let dist = spec.build().expect("valid fanout spec");
         for n in sizes {
-            let empirical = sweep::critical_q(&*dist, n, graphs, SEED);
+            let point = sweep::critical_q(&*dist, n, graphs, SEED);
+            let (empirical, spread) = (point.pooled, OnlineStats::from_slice(&point.per_graph));
             let gap = empirical - analytic;
             if n == sizes[1] {
                 worst_gap = worst_gap.max(gap.abs());
@@ -71,6 +85,7 @@ pub fn critical_point(out: &mut Outcome) {
                 format!("{analytic:.4}"),
                 format!("{empirical:.5}"),
                 format!("{gap:+.5}"),
+                format!("{:.5}", spread.variance().sqrt()),
             ]);
         }
     }
@@ -147,8 +162,7 @@ pub fn distribution_zoo(out: &mut Outcome) {
         // model realization (the object the paper's math describes),
         // Binomial-weighted over each sweep's occupied counts.
         let seed = SEED.wrapping_add(1000 + i as u64);
-        let g =
-            ConfigurationModel::new(&*dist, 20_000).generate(&mut Xoshiro256StarStar::new(seed));
+        let g = configuration_model(&*dist, 20_000, &mut Xoshiro256StarStar::new(seed));
         let graph_r = (0..graph_sweeps)
             .map(|s| {
                 let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed ^ 0xF00D, s));

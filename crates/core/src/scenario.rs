@@ -461,7 +461,7 @@ pub struct Scenario {
     pub traffic: Option<TrafficSpec>,
     /// Protocol variant (default: the paper's push).
     pub protocol: ProtocolSpec,
-    /// Live-runtime execution knobs (thread cap, latency pacing).
+    /// Live-runtime execution knobs (thread cap, quiescence watchdog).
     pub runtime: RuntimeSpec,
     /// Monte-Carlo replications for simulation backends (paper: 20).
     pub replications: usize,

@@ -29,10 +29,10 @@
 //! No adjacency, occupancy mask or shuffle of unoccupied stubs exists,
 //! and both buffers are reused across replications.
 //! `tests/tests/engine_agreement.rs` keeps the unfused pipeline —
-//! [`crate::ConfigurationModel`], bond-thinned
-//! [`crate::Graph::from_edges`], a [`crate::Sweep`] read at a binomial
-//! occupied count — as the reference, and this module's tests check
-//! the law exactly at small n.
+//! `gossip_topology::match_stubs` over every member's degree, each pair
+//! kept with probability `1 − loss`, a [`crate::Sweep`] read at a
+//! binomial occupied count — as the reference, and this module's tests
+//! check the law exactly at small n.
 
 use gossip_engine::FanoutSampler;
 use gossip_model::distribution::FanoutDistribution;

@@ -8,18 +8,16 @@
 //! distribution is the fanout distribution, and node crashes are site
 //! percolation on it. This crate makes that correspondence executable:
 //!
-//! * [`graph`] — compact CSR adjacency (flat `u32` arrays, per the HPC
-//!   guides: no `Vec<Vec<_>>`, no per-node allocation).
 //! * [`unionfind`] — path-halving + union-by-size disjoint sets on one
 //!   `i32` array (roots hold their negated size), with the largest set
 //!   tracked as sets merge, for component censuses.
-//! * [`configuration`] — the configuration model: uniform random graphs
-//!   with a prescribed degree sequence, the graphs the paper's
-//!   generating-function analysis describes exactly.
 //! * [`sweep`] — Newman–Ziff sweeps: site percolation on one graph at
 //!   every occupied count in one pass, giving the giant component at any
 //!   `q` (the Monte-Carlo counterpart of `gossip_model::law`) and the
 //!   susceptibility peak that locates `q_c = 1/G1'(1)` (Eqs. 3 and 10).
+//!   Its graphs are [`sweep::configuration_model`]s: the graphs the
+//!   paper's generating-function analysis describes exactly, stub-matched
+//!   by `gossip_topology::match_stubs` into a `gossip_topology::Topology`.
 //! * [`flat`] — the million-node percolation kernel. One pass tosses
 //!   each member's crash coin and draws its degree, storing stubs only
 //!   for occupied members (as dense ranks); a uniform perfect matching
@@ -36,15 +34,11 @@
 //! digraph is never built eagerly.
 
 pub mod backend;
-pub mod configuration;
 pub mod flat;
-pub mod graph;
 pub mod sweep;
 pub mod unionfind;
 
 pub use backend::GraphBackend;
-pub use configuration::ConfigurationModel;
 pub use flat::{FlatPercolation, PercolationScratch};
-pub use graph::Graph;
-pub use sweep::Sweep;
+pub use sweep::{configuration_model, Sweep};
 pub use unionfind::UnionFind;

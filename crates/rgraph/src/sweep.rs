@@ -15,10 +15,22 @@
 use gossip_model::distribution::FanoutDistribution;
 use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 use gossip_stats::Binomial;
+use gossip_topology::{match_stubs, Topology};
 
-use crate::configuration::ConfigurationModel;
-use crate::graph::Graph;
 use crate::unionfind::UnionFind;
+
+/// A configuration-model graph of `dist` on `n` members: `n` degree
+/// draws, one uniform stub matching ([`match_stubs`]), erased to a
+/// simple [`Topology`]. Erasing self-loops and parallel edges changes
+/// no site-percolation component, so its [`Sweep`] is the multigraph's.
+pub fn configuration_model(
+    dist: &dyn FanoutDistribution,
+    n: usize,
+    rng: &mut Xoshiro256StarStar,
+) -> Topology {
+    let mut degrees: Vec<usize> = (0..n).map(|_| dist.sample(rng)).collect();
+    Topology::from_edges(n, &match_stubs(&mut degrees, rng))
+}
 
 /// One sweep's record at every occupied count `m = 0..=n`.
 #[derive(Clone, Debug)]
@@ -30,8 +42,9 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Sweeps `g` in a uniformly random order (Fisher–Yates from `rng`).
-    pub fn new(g: &Graph, rng: &mut Xoshiro256StarStar) -> Self {
+    /// Sweeps the symmetric overlay `g` in a uniformly random order
+    /// (Fisher–Yates from `rng`).
+    pub fn new(g: &Topology, rng: &mut Xoshiro256StarStar) -> Self {
         let mut order: Vec<u32> = (0..g.node_count() as u32).collect();
         for i in (1..order.len()).rev() {
             order.swap(i, rng.next_below(i as u64 + 1) as usize);
@@ -41,7 +54,7 @@ impl Sweep {
 
     /// Sweeps `g`, occupying `order[0]`, `order[1]`, … in turn. Panics
     /// if `order` is not a permutation of `g`'s members.
-    pub fn in_order(g: &Graph, order: &[u32]) -> Self {
+    pub fn in_order(g: &Topology, order: &[u32]) -> Self {
         let n = g.node_count();
         assert_eq!(order.len(), n, "the order must occupy every member once");
         let mut uf = UnionFind::new(n);
@@ -132,19 +145,45 @@ fn susceptibility_peak(sweeps: impl IntoIterator<Item = Sweep>) -> usize {
         }
     }
     let total = total.expect("need at least one sweep");
-    (0..total.len()).fold(0, |best, m| if total[m] > total[best] { m } else { best })
+    first_max(total.len(), |m| total[m])
 }
 
-/// The empirical critical point `q* = m*/n` over `graphs`
-/// configuration-model graphs of `dist` on `n` members, graph `i` drawn
-/// and swept from `SplitMix64::derive(seed, i)`.
-pub fn critical_q(dist: &dyn FanoutDistribution, n: usize, graphs: usize, seed: u64) -> f64 {
-    let model = ConfigurationModel::new(dist, n);
+/// The first of `0..len` at which `chi` is largest.
+fn first_max(len: usize, chi: impl Fn(usize) -> f64) -> usize {
+    (0..len).fold(0, |best, m| if chi(m) > chi(best) { m } else { best })
+}
+
+/// The empirical critical point of one fanout law.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CriticalPoint {
+    /// `q* = m*/n` at the peak of the susceptibility averaged over the
+    /// graphs.
+    pub pooled: f64,
+    /// Each graph's own peak `m*/n`, in draw order.
+    pub per_graph: Vec<f64>,
+}
+
+/// The empirical critical point over `graphs` configuration-model
+/// graphs of `dist` on `n` members, graph `i` drawn and swept from
+/// `SplitMix64::derive(seed, i)`.
+pub fn critical_q(
+    dist: &dyn FanoutDistribution,
+    n: usize,
+    graphs: usize,
+    seed: u64,
+) -> CriticalPoint {
+    let mut per_graph = Vec::with_capacity(graphs);
     let peak = susceptibility_peak((0..graphs as u64).map(|i| {
         let mut rng = Xoshiro256StarStar::new(SplitMix64::derive(seed, i));
-        Sweep::new(&model.generate(&mut rng), &mut rng)
+        let sweep = Sweep::new(&configuration_model(dist, n, &mut rng), &mut rng);
+        let own = first_max(n + 1, |m| sweep.susceptibility(m));
+        per_graph.push(own as f64 / n as f64);
+        sweep
     }));
-    peak as f64 / n as f64
+    CriticalPoint {
+        pooled: peak as f64 / n as f64,
+        per_graph,
+    }
 }
 
 #[cfg(test)]
@@ -153,18 +192,18 @@ mod tests {
     use gossip_model::distribution::PoissonFanout;
     use gossip_model::PaperLaw;
 
-    fn poisson_graph(n: usize, z: f64, seed: u64) -> Graph {
-        let dist = PoissonFanout::new(z);
-        ConfigurationModel::new(&dist, n).generate(&mut Xoshiro256StarStar::new(seed))
+    fn poisson_graph(n: usize, z: f64, seed: u64) -> Topology {
+        let mut rng = Xoshiro256StarStar::new(seed);
+        configuration_model(&PoissonFanout::new(z), n, &mut rng)
     }
 
-    fn sweep(g: &Graph, seed: u64) -> Sweep {
+    fn sweep(g: &Topology, seed: u64) -> Sweep {
         Sweep::new(g, &mut Xoshiro256StarStar::new(seed))
     }
 
     #[test]
     fn census_of_two_triangles_and_isolate() {
-        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let g = Topology::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let s = Sweep::in_order(&g, &[6, 0, 3, 1, 4, 2, 5]);
         let largest: Vec<u32> = (0..=7).map(|m| s.largest(m)).collect();
         assert_eq!(largest, [0, 1, 1, 1, 2, 2, 3, 3]);
@@ -179,7 +218,7 @@ mod tests {
     #[test]
     fn fully_unoccupied() {
         // m = 0, or q = 0: no member occupied, so no component at all.
-        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let g = Topology::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let s = Sweep::in_order(&g, &[6, 0, 3, 1, 4, 2, 5]);
         assert_eq!(s.largest(0), 0);
         assert_eq!((s.fraction(0), s.susceptibility(0)), (0.0, 0.0));
@@ -188,7 +227,7 @@ mod tests {
     }
 
     /// `(L, Σ s²)` over every edge of `g`, counted by a plain union-find.
-    fn full_census(g: &Graph) -> (u32, u64) {
+    fn full_census(g: &Topology) -> (u32, u64) {
         let mut uf = UnionFind::new(g.node_count());
         for v in 0..g.node_count() as u32 {
             for &u in g.neighbors(v) {
@@ -230,7 +269,7 @@ mod tests {
 
     #[test]
     fn empty_graph_census() {
-        let s = Sweep::in_order(&Graph::from_edges(0, &[]), &[]);
+        let s = Sweep::in_order(&Topology::from_edges(0, &[]), &[]);
         assert_eq!(s.nodes(), 0);
         assert_eq!(s.reliability(0.5), 0.0);
         assert_eq!(susceptibility_peak([s]), 0);
@@ -239,7 +278,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "occupied twice")]
     fn rejects_an_order_that_is_not_a_permutation() {
-        Sweep::in_order(&Graph::from_edges(2, &[(0, 1)]), &[1, 1]);
+        Sweep::in_order(&Topology::from_edges(2, &[(0, 1)]), &[1, 1]);
     }
 
     #[test]
@@ -264,7 +303,7 @@ mod tests {
     fn the_peak_is_the_first_maximum_of_the_mean() {
         // The path 0-1-2 swept in two orders: at m = 2 one holds the pair
         // {0, 1} (χ = 0), the other {0} and {2} apart (χ = 1).
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        let g = Topology::from_edges(3, &[(0, 1), (1, 2)]);
         let (a, b) = (
             Sweep::in_order(&g, &[0, 1, 2]),
             Sweep::in_order(&g, &[0, 2, 1]),
@@ -272,7 +311,7 @@ mod tests {
         assert_eq!((a.susceptibility(2), b.susceptibility(2)), (0.0, 1.0));
         assert_eq!(susceptibility_peak([a, b]), 2);
         // Three isolates: χ = 1 at both m = 2 and m = 3; the first wins.
-        let isolates = Sweep::in_order(&Graph::from_edges(3, &[]), &[0, 1, 2]);
+        let isolates = Sweep::in_order(&Topology::from_edges(3, &[]), &[0, 1, 2]);
         assert_eq!(
             (isolates.susceptibility(2), isolates.susceptibility(3)),
             (1.0, 1.0)
@@ -328,8 +367,14 @@ mod tests {
     #[test]
     fn poisson_transition_near_one_over_z() {
         // Po(4): q_c = 0.25; at n = 4000 the peak sits a little above it.
-        let q = critical_q(&PoissonFanout::new(4.0), 4000, 4, 2024);
-        assert!((q - 0.25).abs() <= 0.08, "estimated q_c = {q}");
+        let dist = PoissonFanout::new(4.0);
+        let point = critical_q(&dist, 4000, 4, 2024);
+        assert!((point.pooled - 0.25).abs() <= 0.08, "{point:?}");
+        // Graph i is drawn from derive(seed, i) whatever the family size,
+        // and a family of one graph peaks where that graph does.
+        let one = critical_q(&dist, 4000, 1, 2024);
+        assert_eq!(one.per_graph, [one.pooled]);
+        assert_eq!(one.pooled, point.per_graph[0]);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 pub struct UnionFind {
     /// Parent index per element, or the negated set size at a root.
     parent: Vec<i32>,
-    /// Number of disjoint sets.
-    components: usize,
     /// Size of the largest set.
     largest: u32,
 }
@@ -28,7 +26,6 @@ impl UnionFind {
     pub fn new(len: usize) -> Self {
         let mut uf = Self {
             parent: Vec::new(),
-            components: 0,
             largest: 0,
         };
         uf.reset(len);
@@ -82,7 +79,6 @@ impl UnionFind {
         }
         self.parent[ra as usize] += self.parent[rb as usize];
         self.parent[rb as usize] = ra as i32;
-        self.components -= 1;
         self.largest = self.largest.max(self.parent[ra as usize].unsigned_abs());
         true
     }
@@ -106,14 +102,11 @@ impl UnionFind {
 
     /// Sizes of all sets, unordered.
     pub fn component_sizes(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.components);
-        out.extend(
-            self.parent
-                .iter()
-                .filter(|&&p| p < 0)
-                .map(|p| p.unsigned_abs()),
-        );
-        out
+        self.parent
+            .iter()
+            .filter(|&&p| p < 0)
+            .map(|p| p.unsigned_abs())
+            .collect()
     }
 
     /// Resets to `len` singletons, reusing the allocation — the
@@ -127,7 +120,6 @@ impl UnionFind {
         );
         self.parent.clear();
         self.parent.resize(len, -1);
-        self.components = len;
         self.largest = u32::from(len > 0);
     }
 }

@@ -1,39 +1,24 @@
 //! Property-based tests for the random-graph substrate.
 
-use gossip_model::distribution::PoissonFanout;
-use gossip_rgraph::{ConfigurationModel, Graph, Sweep, UnionFind};
+use gossip_rgraph::{Sweep, UnionFind};
 use gossip_stats::rng::Xoshiro256StarStar;
+use gossip_topology::Topology;
 use proptest::prelude::*;
 
-/// Reference disjoint-set: naive label propagation.
+/// Reference disjoint-set: every edge relaxes both ends' labels to the
+/// smaller one until nothing changes (n is small here), so two nodes
+/// share a label exactly when they are connected.
 fn reference_components(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     let mut label: Vec<u32> = (0..n as u32).collect();
-    // Iterate to fixpoint (n is small in these tests).
-    loop {
-        let mut changed = false;
+    let mut changed = true;
+    while changed {
+        changed = false;
         for &(a, b) in edges {
-            let (la, lb) = (label[a as usize], label[b as usize]);
-            let min = la.min(lb);
-            if la != min {
-                label[a as usize] = min;
-                changed = true;
-            }
-            if lb != min {
-                label[b as usize] = min;
-                changed = true;
+            let min = label[a as usize].min(label[b as usize]);
+            for v in [a, b] {
+                changed |= std::mem::replace(&mut label[v as usize], min) != min;
             }
         }
-        if !changed {
-            break;
-        }
-    }
-    // Normalize labels to representatives by chasing.
-    for i in 0..n {
-        let mut l = label[i];
-        while label[l as usize] != l {
-            l = label[l as usize];
-        }
-        label[i] = l;
     }
     label
 }
@@ -47,10 +32,21 @@ fn chi(sum_sq: u64, largest: u64, m: usize) -> f64 {
     }
 }
 
+/// `n` members and a raw multigraph edge list on them: uniform pairs,
+/// each followed in turn by nothing, its reverse, a self-loop or itself
+/// again. A `Topology` erases the loops and repeats; the recounts below
+/// run over the raw list, so they check that erasure changes no
+/// component.
 fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2..max_n).prop_flat_map(move |n| {
-        let edge = (0..n as u32, 0..n as u32);
-        proptest::collection::vec(edge, 0..max_m).prop_map(move |edges| (n, edges))
+        let edge = (0..n as u32, 0..n as u32, 0u8..4);
+        proptest::collection::vec(edge, 0..max_m).prop_map(move |raw| {
+            let edges = raw.into_iter().flat_map(|(a, b, shape)| {
+                let then = [None, Some((b, a)), Some((a, a)), Some((a, b))];
+                std::iter::once((a, b)).chain(then[shape as usize])
+            });
+            (n, edges.collect())
+        })
     })
 }
 
@@ -76,8 +72,8 @@ proptest! {
         }
     }
 
-    /// At q = 1 a sweep's largest component is a union-find's over every
-    /// edge, and its Σs² partitions the nodes.
+    /// At q = 1 a sweep of the erased graph has the largest component of
+    /// a union-find over every raw edge, and its Σs² partitions the nodes.
     #[test]
     fn census_partitions_nodes((n, edges) in arb_edges(60, 120), seed in 0u64..1000) {
         let mut full = UnionFind::new(n);
@@ -85,7 +81,7 @@ proptest! {
             full.union(a, b);
         }
         let mut rng = Xoshiro256StarStar::new(seed);
-        let s = Sweep::new(&Graph::from_edges(n, &edges), &mut rng);
+        let s = Sweep::new(&Topology::from_edges(n, &edges), &mut rng);
         prop_assert_eq!(s.nodes(), n);
         prop_assert_eq!(s.largest(n), full.largest());
         let sizes = full.component_sizes().into_iter().map(u64::from);
@@ -98,7 +94,7 @@ proptest! {
     /// L is non-decreasing in the occupied count and never exceeds it.
     #[test]
     fn occupied_census_bounded((n, edges) in arb_edges(40, 80), seed in 0u64..1000) {
-        let s = Sweep::new(&Graph::from_edges(n, &edges), &mut Xoshiro256StarStar::new(seed));
+        let s = Sweep::new(&Topology::from_edges(n, &edges), &mut Xoshiro256StarStar::new(seed));
         prop_assert_eq!(s.largest(0), 0);
         for m in 1..=n {
             prop_assert!(s.largest(m) >= s.largest(m - 1));
@@ -107,8 +103,8 @@ proptest! {
         }
     }
 
-    /// At every occupied count, L and χ match a recount over the
-    /// subgraph the first m members of the order induce.
+    /// At every occupied count, L and χ of the erased graph match a
+    /// recount over the raw edges the first m members of the order induce.
     #[test]
     fn sweep_matches_a_direct_recount((n, edges) in arb_edges(30, 60), seed in 0u64..1000) {
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -116,7 +112,7 @@ proptest! {
         for i in (1..n).rev() {
             order.swap(i, rng.next_below(i as u64 + 1) as usize);
         }
-        let s = Sweep::in_order(&Graph::from_edges(n, &edges), &order);
+        let s = Sweep::in_order(&Topology::from_edges(n, &edges), &order);
         for m in 0..=n {
             let occupied = &order[..m];
             let mut uf = UnionFind::new(n);
@@ -136,24 +132,6 @@ proptest! {
             }
             prop_assert_eq!(u64::from(s.largest(m)), l, "m = {}", m);
             prop_assert_eq!(s.susceptibility(m), chi(sq, l, m), "m = {}", m);
-        }
-    }
-
-    /// Configuration model with an explicit degree sequence realizes it
-    /// exactly (as a multigraph).
-    #[test]
-    fn configuration_model_realizes_degrees(
-        mut degrees in proptest::collection::vec(0usize..6, 4..30),
-        seed in 0u64..1000,
-    ) {
-        if degrees.iter().sum::<usize>() % 2 == 1 {
-            degrees[0] += 1;
-        }
-        let dist = PoissonFanout::new(1.0); // unused
-        let model = ConfigurationModel::new(&dist, degrees.len());
-        let g = model.generate_with_degrees(&degrees, &mut Xoshiro256StarStar::new(seed));
-        for (v, &d) in degrees.iter().enumerate() {
-            prop_assert_eq!(g.degree(v as u32), d, "node {}", v);
         }
     }
 }

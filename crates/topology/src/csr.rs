@@ -214,6 +214,9 @@ mod tests {
         assert_eq!(t.edge_count(), 2);
         assert_eq!(t.neighbors(1), &[2, 3]);
         assert_eq!(t.degree(0), 0);
+        assert!((t.mean_degree() - 1.0).abs() < 1e-12);
+        let empty = Topology::from_edges(0, &[]);
+        assert_eq!((empty.node_count(), empty.mean_degree()), (0, 0.0));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use gossip_stats::alias::AliasTable;
 use gossip_stats::rng::Xoshiro256StarStar;
 
+use crate::configuration::match_stubs;
 use crate::csr::Topology;
 use crate::spec::OverlaySpec;
 
@@ -120,9 +121,10 @@ fn watts_strogatz(n: usize, k: usize, beta: f64, rng: &mut Xoshiro256StarStar) -
 }
 
 /// Erased configuration model over a truncated power-law degree
-/// sequence: sample degrees via an alias table, fix stub parity by
-/// bumping one random node, stub-match with a Fisher–Yates shuffle, and
-/// let CSR canonicalization erase self-loops and parallel edges.
+/// sequence: sample degrees via an alias table, stub-match them
+/// ([`match_stubs`]), and let CSR canonicalization erase self-loops and
+/// parallel edges. The parity fix may bump one node to `kmax + 1`,
+/// which erasure trims back below `n`.
 fn power_law(
     n: usize,
     alpha: f64,
@@ -133,24 +135,7 @@ fn power_law(
     let weights: Vec<f64> = (kmin..=kmax).map(|k| (k as f64).powf(-alpha)).collect();
     let table = AliasTable::new(&weights);
     let mut degrees: Vec<usize> = (0..n).map(|_| kmin + table.sample(rng)).collect();
-    let total: usize = degrees.iter().sum();
-    if total % 2 == 1 {
-        // Odd stub count: bump a random node (clamped to kmax + 1 at
-        // worst, which erasure trims back below n).
-        let bump = rng.next_below(n as u64) as usize;
-        degrees[bump] += 1;
-    }
-    let mut stubs: Vec<u32> = Vec::with_capacity(degrees.iter().sum());
-    for (v, &d) in degrees.iter().enumerate() {
-        stubs.extend(std::iter::repeat_n(v as u32, d));
-    }
-    // Fisher–Yates, then pair consecutive stubs.
-    for i in (1..stubs.len()).rev() {
-        let j = rng.next_below(i as u64 + 1) as usize;
-        stubs.swap(i, j);
-    }
-    let edges: Vec<(u32, u32)> = stubs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-    Topology::from_edges(n, &edges)
+    Topology::from_edges(n, &match_stubs(&mut degrees, rng))
 }
 
 /// Clustered layout: contiguous zones of near-equal size; each node

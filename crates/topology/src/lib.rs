@@ -13,6 +13,8 @@
 //! - [`OverlaySpec`]: seven seed-deterministic generators, validated
 //!   before construction — six structured families plus the SCAMP
 //!   membership service's directed partial views.
+//! - [`match_stubs`]: the configuration model's uniform stub matching,
+//!   shared by the power-law overlay and the percolation sweeps.
 //! - [`PeerSelection`]: how a node picks gossip targets from its
 //!   neighbourhood, via [`select_targets`].
 //! - [`TopologySpec`]: the serde-friendly pair of overlay + selection
@@ -23,12 +25,14 @@
 //! analytic, percolation, Monte-Carlo, and live-runtime evaluation
 //! layers can each rebuild the same overlay distribution independently.
 
+mod configuration;
 mod csr;
 mod generate;
 mod scamp;
 mod select;
 mod spec;
 
+pub use configuration::match_stubs;
 pub use csr::Topology;
 pub use generate::build_overlay;
 pub use select::select_targets;

@@ -1,10 +1,11 @@
 //! Property tests for the overlay generators: seed determinism,
 //! CSR symmetry, degree bounds, connectivity guarantees, and SCAMP's
-//! well-formed views.
+//! well-formed views, and the configuration model's stub matching.
 
 use std::collections::BTreeSet;
 
-use gossip_topology::{build_overlay, OverlaySpec, Topology};
+use gossip_stats::rng::Xoshiro256StarStar;
+use gossip_topology::{build_overlay, match_stubs, OverlaySpec, Topology};
 use proptest::prelude::*;
 
 /// Strategy over valid `(spec, n)` pairs covering every overlay family.
@@ -205,5 +206,25 @@ proptest! {
         let topo = build_overlay(&spec, n, seed);
         let edges: Vec<(u32, u32)> = topo.edges().collect();
         prop_assert_eq!(Topology::from_edges(n, &edges), topo);
+    }
+
+    /// A stub matching realizes its degree sequence exactly, as a
+    /// multigraph: the pairs' endpoint multiset is the sequence, after
+    /// an odd sum has bumped one member by one.
+    #[test]
+    fn configuration_model_realizes_degrees(
+        degrees in proptest::collection::vec(0usize..6, 1..30),
+        seed in 0u64..1000,
+    ) {
+        let mut matched = degrees.clone();
+        let pairs = match_stubs(&mut matched, &mut Xoshiro256StarStar::new(seed));
+        let bumped = matched.iter().zip(&degrees).map(|(m, d)| m - d).sum::<usize>();
+        prop_assert_eq!(bumped, degrees.iter().sum::<usize>() % 2);
+        let mut endpoints = vec![0; degrees.len()];
+        for &(a, b) in &pairs {
+            endpoints[a as usize] += 1;
+            endpoints[b as usize] += 1;
+        }
+        prop_assert_eq!(endpoints, matched);
     }
 }

@@ -8,7 +8,7 @@ use gossip_rgraph::sweep;
 
 #[test]
 fn poisson_phase_scan_finds_one_over_z() {
-    let q = sweep::critical_q(&PoissonFanout::new(4.0), 20_000, 3, 1);
+    let q = sweep::critical_q(&PoissonFanout::new(4.0), 20_000, 3, 1).pooled;
     assert!(
         (q - 0.25).abs() <= 0.10,
         "estimated q_c = {q}, expected ≈ 0.25"
@@ -18,7 +18,7 @@ fn poisson_phase_scan_finds_one_over_z() {
 #[test]
 fn fixed_fanout_phase_scan() {
     // Fixed(3): G1'(1) = 2 → q_c = 0.5.
-    let q = sweep::critical_q(&FixedFanout::new(3), 20_000, 3, 2);
+    let q = sweep::critical_q(&FixedFanout::new(3), 20_000, 3, 2).pooled;
     assert!(
         (q - 0.5).abs() <= 0.10,
         "estimated q_c = {q}, expected ≈ 0.5"

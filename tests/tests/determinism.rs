@@ -8,7 +8,7 @@ use gossip_model::distribution::{FanoutDistribution, PoissonFanout};
 use gossip_model::{success, Backend, FanoutSpec, Scenario};
 use gossip_protocol::engine::{run_execution, ExecutionOutcome};
 use gossip_protocol::ProtocolBackend;
-use gossip_rgraph::ConfigurationModel;
+use gossip_rgraph::configuration_model;
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::Xoshiro256StarStar;
 
@@ -87,13 +87,15 @@ fn different_seeds_differ() {
 
 #[test]
 fn graphs_reproducible() {
-    let dist = PoissonFanout::new(4.0);
-    let g1 = ConfigurationModel::new(&dist, 2000).generate(&mut Xoshiro256StarStar::new(5));
-    let g2 = ConfigurationModel::new(&dist, 2000).generate(&mut Xoshiro256StarStar::new(5));
-    assert_eq!(g1.edge_count(), g2.edge_count());
-    for v in 0..2000u32 {
-        assert_eq!(g1.neighbors(v), g2.neighbors(v));
-    }
+    let graph = |seed| {
+        configuration_model(
+            &PoissonFanout::new(4.0),
+            2000,
+            &mut Xoshiro256StarStar::new(seed),
+        )
+    };
+    assert_eq!(graph(5), graph(5));
+    assert_ne!(graph(5), graph(6));
 }
 
 #[test]

@@ -14,9 +14,10 @@
 //!   adversary's `BlockedLinks` from `derive(derive(seed, rep),
 //!   ADVERSARY)`;
 //! * for the graph census, [`ReferenceCensus`] below — the unfused
-//!   pipeline the flat census fuses: a `ConfigurationModel` graph per
-//!   execution, bond-thinned through `Graph::from_edges`, site-percolated
-//!   by a Newman–Ziff `Sweep` read at a Binomial(n, q) occupied count.
+//!   pipeline the flat census fuses: one `match_stubs` configuration-model
+//!   pairing per execution, bond-thinned pair by pair, erased into a
+//!   `Topology` and site-percolated by a Newman–Ziff `Sweep` read at a
+//!   Binomial(n, q) occupied count.
 //!
 //! Each pair draws from unrelated RNG streams, so the comparison is
 //! two-sample: each side runs `BATCHES` evaluations on seeds of its own,
@@ -40,12 +41,13 @@
 //! into `rounds` (the flat kernel's behaviour before it was fixed) is
 //! 0.59 rounds at n = 20, q = 0.4 — 30 of these standard errors.
 
+use gossip::topology::{match_stubs, Topology};
 use gossip::{
     AdversaryStrategy, Backend, BurstySpec, FanoutSpec, FaultSpec, GraphBackend, ModelError,
     NetSimBackend, OverlaySpec, ProtocolBackend, Report, Scenario, TopologySpec,
 };
 use gossip_model::reduce;
-use gossip_rgraph::{ConfigurationModel, Graph, Sweep};
+use gossip_rgraph::Sweep;
 use gossip_stats::descriptive::OnlineStats;
 use gossip_stats::rng::{SplitMix64, Xoshiro256StarStar};
 
@@ -76,8 +78,8 @@ fn measured(metric: Option<f64>) -> f64 {
 }
 
 /// The undirected census without the flat kernel's fusion: per
-/// execution, one configuration-model graph, each edge kept with
-/// probability `1 − loss` (bond percolation), then site percolation at
+/// execution, one configuration-model stub matching, each pair kept
+/// with probability `1 − loss` (bond percolation), then site percolation at
 /// `q` as a sweep read at `m ~ Binomial(n, q)` occupied members (the
 /// law of i.i.d. crash coins), reduced like every census.
 struct ReferenceCensus;
@@ -95,12 +97,12 @@ impl Backend for ReferenceCensus {
         let reliabilities = (0..scenario.replications).map(|rep| {
             let seed = SplitMix64::derive(scenario.seed, rep as u64);
             let mut rng = Xoshiro256StarStar::new(seed);
-            let graph = ConfigurationModel::new(&*dist, scenario.n).generate(&mut rng);
-            let kept: Vec<(u32, u32)> = graph
-                .edges()
+            let mut degrees: Vec<usize> = (0..scenario.n).map(|_| dist.sample(&mut rng)).collect();
+            let kept: Vec<(u32, u32)> = match_stubs(&mut degrees, &mut rng)
+                .into_iter()
                 .filter(|_| !rng.next_bool(scenario.loss))
                 .collect();
-            let thinned = Graph::from_edges(scenario.n, &kept);
+            let thinned = Topology::from_edges(scenario.n, &kept);
             Sweep::new(&thinned, &mut rng).sample(q, &mut rng)
         });
         Ok(reduce::census(self.name(), scenario, &*dist, reliabilities))
