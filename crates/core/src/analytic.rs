@@ -4,7 +4,6 @@
 use gossip_faults::FaultReduction;
 use gossip_traffic::TrafficReport;
 
-use crate::distribution::FanoutDistribution;
 use crate::error::ModelError;
 use crate::law::{self, PaperLaw};
 use crate::scenario::{Backend, ProtocolSpec, Report, Scenario};
@@ -51,7 +50,7 @@ impl Backend for AnalyticBackend {
         } else {
             // Push (support::check refuses push-pull, whose pulls the
             // law does not price); loss = 0 is the crash-only model.
-            let reliability = PaperLaw::new(&dist, q, loss)?.reliability()?;
+            let reliability = PaperLaw::new(&*dist, q, loss)?.reliability()?;
             (reliability, reliability * dist.mean())
         };
         // Streams: when the offered load k·E[F] fits under the per-node
@@ -83,7 +82,7 @@ impl Backend for AnalyticBackend {
             // Flooding a full view has no threshold.
             critical_q: match scenario.protocol {
                 ProtocolSpec::Flood => None,
-                _ => law::critical_q(&dist),
+                _ => law::critical_q(&*dist),
             },
             takeoff_rate: None,
             rounds: None,

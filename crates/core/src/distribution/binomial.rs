@@ -93,10 +93,6 @@ impl FanoutDistribution for BinomialFanout {
     fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
         self.inner.sample(rng) as usize
     }
-
-    fn label(&self) -> String {
-        format!("Bin({}, {})", self.m, self.p)
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +102,9 @@ mod tests {
 
     #[test]
     fn invariants_hold() {
-        check_distribution(&BinomialFanout::new(10, 0.4), 0.05);
-        check_distribution(&BinomialFanout::new(50, 0.08), 0.05);
-        check_distribution(&BinomialFanout::new(3, 1.0), 1e-9);
+        check_distribution("Bin(10, 0.4)", &BinomialFanout::new(10, 0.4), 0.05);
+        check_distribution("Bin(50, 0.08)", &BinomialFanout::new(50, 0.08), 0.05);
+        check_distribution("Bin(3, 1)", &BinomialFanout::new(3, 1.0), 1e-9);
     }
 
     #[test]

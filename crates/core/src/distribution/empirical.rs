@@ -61,10 +61,6 @@ impl FanoutDistribution for EmpiricalFanout {
     fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
         self.sampler.sample(rng)
     }
-
-    fn label(&self) -> String {
-        format!("Empirical({} outcomes)", self.pmf.len())
-    }
 }
 
 #[cfg(test)]
@@ -74,8 +70,16 @@ mod tests {
 
     #[test]
     fn invariants_hold() {
-        check_distribution(&EmpiricalFanout::new(&[0.0, 0.2, 0.5, 0.3]), 0.05);
-        check_distribution(&EmpiricalFanout::new(&[1.0, 1.0, 1.0, 1.0, 1.0]), 0.05);
+        check_distribution(
+            "Empirical(4)",
+            &EmpiricalFanout::new(&[0.0, 0.2, 0.5, 0.3]),
+            0.05,
+        );
+        check_distribution(
+            "Empirical(5)",
+            &EmpiricalFanout::new(&[1.0, 1.0, 1.0, 1.0, 1.0]),
+            0.05,
+        );
     }
 
     #[test]

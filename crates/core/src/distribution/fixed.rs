@@ -77,10 +77,6 @@ impl FanoutDistribution for FixedFanout {
     fn sample(&self, _rng: &mut Xoshiro256StarStar) -> usize {
         self.f
     }
-
-    fn label(&self) -> String {
-        format!("Fixed({})", self.f)
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +87,7 @@ mod tests {
     #[test]
     fn invariants_hold() {
         for f in [1usize, 2, 4, 7] {
-            check_distribution(&FixedFanout::new(f), 1e-9);
+            check_distribution(&format!("Fixed({f})"), &FixedFanout::new(f), 1e-9);
         }
     }
 

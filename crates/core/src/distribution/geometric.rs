@@ -89,10 +89,6 @@ impl FanoutDistribution for GeometricFanout {
         let u = rng.next_f64().max(f64::MIN_POSITIVE);
         (u.ln() / (1.0 - self.p).ln()).floor() as usize
     }
-
-    fn label(&self) -> String {
-        format!("Geom(p={})", self.p)
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +98,8 @@ mod tests {
 
     #[test]
     fn invariants_hold() {
-        check_distribution(&GeometricFanout::new(0.5), 0.05);
-        check_distribution(&GeometricFanout::with_mean(4.0), 0.1);
+        check_distribution("Geom(p=0.5)", &GeometricFanout::new(0.5), 0.05);
+        check_distribution("Geom(mean 4)", &GeometricFanout::with_mean(4.0), 0.1);
     }
 
     #[test]

@@ -98,15 +98,6 @@ impl FanoutDistribution for MixtureFanout {
             .1
             .sample(rng)
     }
-
-    fn label(&self) -> String {
-        let parts: Vec<String> = self
-            .components
-            .iter()
-            .map(|(w, d)| format!("{:.2}·{}", w, d.label()))
-            .collect();
-        format!("Mix[{}]", parts.join(" + "))
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +118,7 @@ mod tests {
 
     #[test]
     fn invariants_hold() {
-        check_distribution(&relay_mixture(), 0.15);
+        check_distribution("relay mixture", &relay_mixture(), 0.15);
     }
 
     #[test]

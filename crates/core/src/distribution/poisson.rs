@@ -69,10 +69,6 @@ impl FanoutDistribution for PoissonFanout {
     fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
         self.inner.sample(rng) as usize
     }
-
-    fn label(&self) -> String {
-        format!("Po({})", self.z)
-    }
 }
 
 #[cfg(test)]
@@ -83,7 +79,7 @@ mod tests {
     #[test]
     fn invariants_hold() {
         for &z in &[0.5, 1.1, 4.0, 6.7] {
-            check_distribution(&PoissonFanout::new(z), 0.05);
+            check_distribution(&format!("Po({z})"), &PoissonFanout::new(z), 0.05);
         }
     }
 

@@ -75,10 +75,6 @@ impl FanoutDistribution for PowerLawFanout {
     fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
         self.sampler.sample(rng)
     }
-
-    fn label(&self) -> String {
-        format!("PL(α={}, [{}, {}])", self.alpha, self.kmin, self.kmax)
-    }
 }
 
 #[cfg(test)]
@@ -88,8 +84,8 @@ mod tests {
 
     #[test]
     fn invariants_hold() {
-        check_distribution(&PowerLawFanout::new(2.5, 1, 50), 0.1);
-        check_distribution(&PowerLawFanout::new(1.5, 2, 30), 0.1);
+        check_distribution("PL(2.5, [1, 50])", &PowerLawFanout::new(2.5, 1, 50), 0.1);
+        check_distribution("PL(1.5, [2, 30])", &PowerLawFanout::new(1.5, 2, 30), 0.1);
     }
 
     #[test]

@@ -80,10 +80,6 @@ impl FanoutDistribution for UniformFanout {
     fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
         self.lo + rng.next_below(self.span() as u64) as usize
     }
-
-    fn label(&self) -> String {
-        format!("U[{}, {}]", self.lo, self.hi)
-    }
 }
 
 #[cfg(test)]
@@ -93,9 +89,9 @@ mod tests {
 
     #[test]
     fn invariants_hold() {
-        check_distribution(&UniformFanout::new(1, 7), 0.05);
-        check_distribution(&UniformFanout::new(3, 3), 1e-9);
-        check_distribution(&UniformFanout::new(0, 2), 0.05);
+        check_distribution("U[1, 7]", &UniformFanout::new(1, 7), 0.05);
+        check_distribution("U[3, 3]", &UniformFanout::new(3, 3), 1e-9);
+        check_distribution("U[0, 2]", &UniformFanout::new(0, 2), 0.05);
     }
 
     #[test]

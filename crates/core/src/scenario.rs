@@ -1235,7 +1235,7 @@ mod tests {
         ];
         for spec in &specs {
             let dist = spec.build().unwrap();
-            assert!(dist.mean() >= 0.0, "{}", dist.label());
+            assert!(dist.mean() >= 0.0, "{}", spec.label());
         }
         // Mixture mean is the weighted component mean.
         let mix = specs[7].mean().unwrap();

@@ -30,7 +30,7 @@ use gossip_model::{support, ModelError};
 use gossip_stats::parallel::parallel_map;
 use gossip_stats::rng::SplitMix64;
 
-use crate::engine::run_execution;
+use crate::engine::run_validated;
 
 /// The paper's §5 Monte-Carlo experiment: the push protocol, untimed,
 /// on the relay kernel (single messages) or the stream engine (streams).
@@ -79,11 +79,11 @@ impl Backend for NetSimBackend {
         }
         // `replications` independent executions on the event calendar,
         // seeds derived from `(scenario.seed, rep)`, quiescence time
-        // digested too.
+        // digested too; the scenario was validated above, once.
         let dist: Arc<dyn FanoutDistribution> = Arc::from(scenario.fanout.build()?);
         let executions: Vec<Execution> = parallel_map(scenario.replications, |rep| {
             let seed = SplitMix64::derive(scenario.seed, rep as u64);
-            let outcome = run_execution(scenario, &dist, seed)?;
+            let outcome = run_validated(scenario, &dist, seed)?;
             Ok(Execution {
                 reliability: outcome.reliability(),
                 nonfailed: outcome.nonfailed,

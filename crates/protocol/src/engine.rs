@@ -26,11 +26,9 @@ use gossip_netsim::{
 use gossip_stats::rng::{streams, SplitMix64, Xoshiro256StarStar};
 use serde::{Deserialize, Serialize};
 
-use crate::flood::Flooding;
 use crate::message::{GossipMessage, MessageId};
 use crate::push::PushGossip;
 use crate::pushpull::{PullMessage, PushPullGossip};
-use crate::GossipProtocol;
 
 #[doc(hidden)]
 pub use crate::compat::{run_push, ExecutionConfig};
@@ -91,16 +89,27 @@ impl ExecutionOutcome {
 /// overlay (if any), churn plan, network and protocol randomness all
 /// derive from `seed`. The scenario is expected to have passed
 /// [`Scenario::validate`]; its faults are checked against the group and
-/// overlay again (`FaultSpec::validate`), so a scenario that bypasses
-/// validation gets a typed error there, not a panic.
+/// overlay once more here (`FaultSpec::validate`), so a scenario that
+/// bypasses validation gets a typed error, not a panic.
 pub fn run_execution(
+    scenario: &Scenario,
+    fanout: &Arc<dyn FanoutDistribution>,
+    seed: u64,
+) -> Result<ExecutionOutcome, ModelError> {
+    scenario.faults.validate(scenario.n, &scenario.topology)?;
+    run_validated(scenario, fanout, seed)
+}
+
+/// [`run_execution`] on a scenario that passed [`Scenario::validate`]:
+/// the fault check is not repeated per execution.
+pub(crate) fn run_validated(
     scenario: &Scenario,
     fanout: &Arc<dyn FanoutDistribution>,
     seed: u64,
 ) -> Result<ExecutionOutcome, ModelError> {
     match scenario.protocol {
         ProtocolSpec::Push => execute(scenario, |_| PushGossip::new(fanout.clone()), seed, |m| m),
-        ProtocolSpec::Flood => execute(scenario, |_| Flooding::new(), seed, |m| m),
+        ProtocolSpec::Flood => execute(scenario, |_| PushGossip::flood(), seed, |m| m),
         ProtocolSpec::PushPull => {
             let pull_period = SimDuration::from_millis(PULL_PERIOD_MS);
             let make = |_| PushPullGossip::new(fanout.clone(), PULL_BUDGET, pull_period);
@@ -123,7 +132,8 @@ fn latency_model(spec: LatencySpec) -> LatencyModel {
 }
 
 /// One execution of the protocol built by `make(node_id)`; the source
-/// hands itself message `seed`, wrapped in the protocol's wire type.
+/// hands itself message `seed`, wrapped in the protocol's wire type, and
+/// each member's receipt is read off its [`PushGossip`].
 fn execute<P, M>(
     scenario: &Scenario,
     make: impl FnMut(NodeId) -> P,
@@ -131,10 +141,9 @@ fn execute<P, M>(
     wrap: impl FnOnce(GossipMessage) -> M,
 ) -> Result<ExecutionOutcome, ModelError>
 where
-    P: GossipProtocol + NodeBehavior<M>,
+    P: AsRef<PushGossip> + NodeBehavior<M>,
 {
     let (n, topology, faults) = (scenario.n, &scenario.topology, &scenario.faults);
-    faults.validate(n, topology)?;
     let membership_seed = SplitMix64::derive(seed, streams::MEMBERSHIP);
     let sim_seed = SplitMix64::derive(seed, streams::SIMULATOR);
 
@@ -219,12 +228,13 @@ where
     let mut duplicates = 0u64;
     let mut hop_histogram: Vec<u32> = Vec::new();
     for (_, behavior, crashed) in sim.nodes() {
-        duplicates += behavior.duplicates() as u64;
+        let receipt = behavior.as_ref();
+        duplicates += receipt.duplicates() as u64;
         if !crashed {
             nonfailed += 1;
-            if behavior.has_received() {
+            if let Some(copy) = receipt.first_copy() {
                 nonfailed_reached += 1;
-                let h = behavior.receipt_hop().expect("received implies hop") as usize;
+                let h = copy.hop as usize;
                 if hop_histogram.len() <= h {
                     hop_histogram.resize(h + 1, 0);
                 }

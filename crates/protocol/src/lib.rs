@@ -7,11 +7,11 @@
 //! algorithm (Fig. 1): *upon receiving message `m` for the first time,
 //! draw a fanout `f` from distribution `P`, select `f` members uniformly
 //! at random from the membership view, send `m` to them; discard
-//! duplicates.* Around it:
+//! duplicates.* [`PushGossip::flood`] is the same rule over the whole
+//! view (flooding, the forward-to-everyone baseline). Around it:
 //!
-//! * Baselines the gossip literature compares against:
-//!   [`PushPullGossip`] (anti-entropy pulls) and [`Flooding`]
-//!   (forward-to-whole-view).
+//! * [`PushPullGossip`] — the anti-entropy baseline the gossip
+//!   literature compares against: the push rule plus periodic pulls.
 //! * [`engine`] — one *execution* of a `Scenario` on the simulator
 //!   ([`engine::run_execution`]): apply its crash plan, inject the
 //!   message at the source, run to quiescence, and measure reliability
@@ -46,7 +46,6 @@ pub mod backend;
 #[doc(hidden)]
 pub mod compat;
 pub mod engine;
-pub mod flood;
 pub mod message;
 pub mod push;
 pub mod pushpull;
@@ -54,25 +53,6 @@ pub(crate) mod traffic_eval;
 
 pub use backend::{NetSimBackend, ProtocolBackend};
 pub use engine::ExecutionOutcome;
-pub use flood::Flooding;
 pub use message::{GossipMessage, MessageId};
 pub use push::PushGossip;
 pub use pushpull::PushPullGossip;
-
-use gossip_netsim::SimTime;
-
-/// Common introspection interface over gossip protocol behaviours — how
-/// the [`engine`] reads reliability out of a finished simulation.
-pub trait GossipProtocol {
-    /// Whether this node has received the multicast message.
-    fn has_received(&self) -> bool;
-
-    /// Hop count at first receipt (0 at the source), if received.
-    fn receipt_hop(&self) -> Option<u32>;
-
-    /// Simulated time of first receipt, if received.
-    fn receipt_time(&self) -> Option<SimTime>;
-
-    /// Number of duplicate receipts (redundancy accounting).
-    fn duplicates(&self) -> u32;
-}

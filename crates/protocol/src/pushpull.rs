@@ -11,10 +11,10 @@
 use std::sync::Arc;
 
 use gossip_model::distribution::FanoutDistribution;
-use gossip_netsim::{NodeBehavior, NodeCtx, NodeId, SimDuration, SimTime};
+use gossip_netsim::{NodeBehavior, NodeCtx, NodeId, SimDuration};
 
 use crate::message::GossipMessage;
-use crate::GossipProtocol;
+use crate::push::PushGossip;
 
 /// Timer id for the periodic pull.
 const PULL_TIMER: u64 = 2;
@@ -28,46 +28,34 @@ pub enum PullMessage {
     PullRequest,
 }
 
-/// Per-node state of push-pull gossip.
+/// Per-node state of push-pull gossip: a [`PushGossip`] for the push
+/// phase and the receipt state, plus the pull schedule.
 pub struct PushPullGossip {
-    dist: Arc<dyn FanoutDistribution>,
+    push: PushGossip,
     pull_period: SimDuration,
     pulls_left: u32,
-    received: bool,
-    buffered: Option<GossipMessage>,
-    receipt_hop: Option<u32>,
-    receipt_time: Option<SimTime>,
-    duplicates: u32,
 }
 
 impl PushPullGossip {
     /// Creates the behaviour: on first receipt draw `f ~ dist` and push
-    /// to `f` targets, as [`crate::PushGossip`] does; issue
-    /// `pull_budget` pulls, one per `pull_period`.
+    /// to `f` targets, as [`PushGossip`] does; issue `pull_budget`
+    /// pulls, one per `pull_period`.
     pub fn new(
         dist: Arc<dyn FanoutDistribution>,
         pull_budget: u32,
         pull_period: SimDuration,
     ) -> Self {
         Self {
-            dist,
+            push: PushGossip::new(dist),
             pull_period,
             pulls_left: pull_budget,
-            received: false,
-            buffered: None,
-            receipt_hop: None,
-            receipt_time: None,
-            duplicates: 0,
         }
     }
+}
 
-    fn infect(&mut self, ctx: &mut NodeCtx<'_, PullMessage>, msg: GossipMessage) {
-        self.received = true;
-        self.receipt_hop = Some(msg.hop);
-        self.receipt_time = Some(ctx.now());
-        self.buffered = Some(msg);
-        let f = self.dist.sample(ctx.rng());
-        ctx.gossip(f, PullMessage::Data(msg.forwarded()));
+impl AsRef<PushGossip> for PushPullGossip {
+    fn as_ref(&self) -> &PushGossip {
+        &self.push
     }
 }
 
@@ -86,16 +74,10 @@ impl NodeBehavior<PullMessage> for PushPullGossip {
 
     fn on_message(&mut self, ctx: &mut NodeCtx<'_, PullMessage>, from: NodeId, msg: PullMessage) {
         match msg {
-            PullMessage::Data(data) => {
-                if self.received {
-                    self.duplicates += 1;
-                } else {
-                    self.infect(ctx, data);
-                }
-            }
+            PullMessage::Data(copy) => self.push.receive(ctx, copy, PullMessage::Data),
             PullMessage::PullRequest => {
-                if let Some(buffered) = self.buffered {
-                    ctx.send(from, PullMessage::Data(buffered.forwarded()));
+                if let Some(first) = self.push.first_copy() {
+                    ctx.send(from, PullMessage::Data(first.forwarded()));
                 }
             }
         }
@@ -107,30 +89,12 @@ impl NodeBehavior<PullMessage> for PushPullGossip {
         }
         self.pulls_left -= 1;
         // Infected nodes stop pulling — they have nothing to gain.
-        if !self.received {
+        if self.push.first_copy().is_none() {
             ctx.gossip(1, PullMessage::PullRequest);
+            if self.pulls_left > 0 {
+                ctx.set_timer(self.pull_period, PULL_TIMER);
+            }
         }
-        if self.pulls_left > 0 && !self.received {
-            ctx.set_timer(self.pull_period, PULL_TIMER);
-        }
-    }
-}
-
-impl GossipProtocol for PushPullGossip {
-    fn has_received(&self) -> bool {
-        self.received
-    }
-
-    fn receipt_hop(&self) -> Option<u32> {
-        self.receipt_hop
-    }
-
-    fn receipt_time(&self) -> Option<SimTime> {
-        self.receipt_time
-    }
-
-    fn duplicates(&self) -> u32 {
-        self.duplicates
     }
 }
 
@@ -163,7 +127,9 @@ mod tests {
         sim.start_all();
         sim.inject(0, 0, PullMessage::Data(GossipMessage::origin(MessageId(1))));
         sim.run_to_quiescence();
-        sim.nodes().filter(|(_, b, _)| b.has_received()).count()
+        sim.nodes()
+            .filter(|(_, b, _)| b.as_ref().first_copy().is_some())
+            .count()
     }
 
     #[test]
@@ -210,7 +176,10 @@ mod tests {
         sim.run_to_quiescence();
         assert!(sim.metrics().messages_sent <= 150);
         assert!(sim.metrics().messages_sent > 0);
-        let reached = sim.nodes().filter(|(_, b, _)| b.has_received()).count();
+        let reached = sim
+            .nodes()
+            .filter(|(_, b, _)| b.as_ref().first_copy().is_some())
+            .count();
         assert_eq!(reached, 0, "no message exists to spread");
     }
 
@@ -218,7 +187,7 @@ mod tests {
     fn duplicate_data_counted() {
         let mut sim = pp_sim(5, 4, 0, 4);
         run(&mut sim);
-        let dupes: u32 = sim.nodes().map(|(_, b, _)| b.duplicates()).sum();
+        let dupes: u32 = sim.nodes().map(|(_, b, _)| b.as_ref().duplicates()).sum();
         // Full-ish fanout in a tiny group must generate duplicates.
         assert!(dupes > 0);
     }
