@@ -5,6 +5,8 @@
 //! the parameters, never the random choices. Every transmission over a
 //! blocked link is silently dropped for the whole execution.
 
+use std::collections::HashSet;
+
 use gossip_stats::rng::Xoshiro256StarStar;
 
 use crate::spec::{AdversarySpec, AdversaryStrategy};
@@ -51,10 +53,11 @@ impl BlockedLinks {
             }
             AdversaryStrategy::Random => {
                 let mut rng = Xoshiro256StarStar::new(seed);
+                let mut drawn = HashSet::with_capacity(f);
                 while links.len() < f {
                     let a = rng.next_below(n as u64) as u32;
                     let b = rng.next_below(n as u64) as u32;
-                    if a == b || links.contains(&(a, b)) {
+                    if a == b || !drawn.insert((a, b)) {
                         continue;
                     }
                     links.push((a, b));
@@ -126,6 +129,41 @@ mod tests {
         assert_eq!(a.len(), 40);
         let c = BlockedLinks::build(20, 0, &spec, 8);
         assert_ne!(a, c, "different seeds should differ (a.s.)");
+    }
+
+    /// The random draw as it was with a linear duplicate check.
+    fn linear_contains_reference(n: usize, f: usize, seed: u64) -> Vec<(u32, u32)> {
+        let f = f.min(n * (n - 1));
+        let mut rng = Xoshiro256StarStar::new(seed);
+        let mut links = Vec::new();
+        while links.len() < f {
+            let a = rng.next_below(n as u64) as u32;
+            let b = rng.next_below(n as u64) as u32;
+            if a == b || links.contains(&(a, b)) {
+                continue;
+            }
+            links.push((a, b));
+        }
+        links.sort_unstable();
+        links
+    }
+
+    #[test]
+    fn random_links_match_the_linear_contains_reference() {
+        for (n, f) in [(2, 5), (5, 20), (20, 40), (100, 1000), (1000, 1000)] {
+            for seed in [0u64, 3, 99] {
+                let spec = AdversarySpec {
+                    f,
+                    strategy: AdversaryStrategy::Random,
+                };
+                let blocked = BlockedLinks::build(n, 0, &spec, seed);
+                assert_eq!(
+                    blocked.links,
+                    linear_contains_reference(n, f, seed),
+                    "n {n} f {f} seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -58,24 +58,25 @@ impl Membership for DynamicView {
     ) {
         let available = self.view_size(node);
         let k = k.min(available);
-        let start = out.len();
+        out.clear();
         // Rejection over the id range is fine while most slots are
-        // active (joiners are a small minority); fall back to an
-        // explicit pool when the request is dense.
+        // active (joiners are a small minority); when the request is
+        // dense, a partial Fisher–Yates over the active view, staged in
+        // `out` itself.
         if k * 3 >= available && available > 0 {
-            let mut pool: Vec<NodeId> = (0..self.active.len() as NodeId)
-                .filter(|&v| v != node && self.active[v as usize])
-                .collect();
+            out.extend(
+                (0..self.active.len() as NodeId).filter(|&v| v != node && self.active[v as usize]),
+            );
             for i in 0..k {
-                let j = i + rng.next_below((pool.len() - i) as u64) as usize;
-                pool.swap(i, j);
-                out.push(pool[i]);
+                let j = i + rng.next_below((available - i) as u64) as usize;
+                out.swap(i, j);
             }
+            out.truncate(k);
             return;
         }
-        while out.len() - start < k {
+        while out.len() < k {
             let t = rng.next_below(self.active.len() as u64) as NodeId;
-            if t == node || !self.active[t as usize] || out[start..].contains(&t) {
+            if t == node || !self.active[t as usize] || out.contains(&t) {
                 continue;
             }
             out.push(t);

@@ -38,6 +38,7 @@ impl Membership for FullView {
         rng: &mut Xoshiro256StarStar,
         out: &mut Vec<NodeId>,
     ) {
+        out.clear();
         sample_distinct_excluding(self.n, node, k, rng, out);
     }
 }

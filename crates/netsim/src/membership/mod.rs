@@ -35,11 +35,13 @@ pub trait Membership: Send + Sync {
     /// Size of `node`'s view (the number of members it can gossip to).
     fn view_size(&self, node: NodeId) -> usize;
 
-    /// Appends up to `k` distinct members of `node`'s view (never `node`
-    /// itself) to `out` — uniformly at random for the full view, by the
-    /// configured peer-selection policy for overlay views.
-    /// Appends fewer than `k` only when the view is smaller than `k` (or
-    /// a deterministic policy exhausts its distinct picks).
+    /// Fills `out`, replacing its contents, with up to `k` distinct
+    /// members of `node`'s view (never `node` itself) — uniformly at
+    /// random for the full view, by the configured peer-selection policy
+    /// for overlay views. Fills fewer than `k` only when the view is
+    /// smaller than `k` (or a deterministic policy exhausts its distinct
+    /// picks). Reusing one `out` across calls allocates nothing once it
+    /// has grown to the largest request.
     fn sample_targets(
         &self,
         node: NodeId,

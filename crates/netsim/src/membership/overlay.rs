@@ -51,11 +51,7 @@ impl Membership for OverlayView {
         rng: &mut Xoshiro256StarStar,
         out: &mut Vec<NodeId>,
     ) {
-        // `select_targets` clears its output; keep this trait's append
-        // contract by selecting into a scratch buffer.
-        let mut picks = Vec::with_capacity(k.min(self.topology.degree(node)));
-        select_targets(&self.topology, self.selection, node, k, rng, &mut picks);
-        out.extend_from_slice(&picks);
+        select_targets(&self.topology, self.selection, node, k, rng, out);
     }
 }
 
@@ -82,14 +78,17 @@ mod tests {
     }
 
     #[test]
-    fn sampling_appends_and_caps_at_degree() {
+    fn sampling_replaces_and_caps_at_degree() {
         let spec = TopologySpec::new(OverlaySpec::Ring { shortcuts: 0 });
         let view = OverlayView::build(10, &spec, 3);
         let mut rng = Xoshiro256StarStar::new(2);
         let mut out = vec![99u32];
         view.sample_targets(0, 8, &mut rng, &mut out);
-        assert_eq!(out[0], 99, "existing entries preserved");
-        assert_eq!(out.len() - 1, 2, "ring degree caps the sample");
+        assert!(!out.contains(&99), "earlier contents replaced");
+        assert_eq!(out.len(), 2, "ring degree caps the sample");
+        for &t in &out {
+            assert!(view.topology().neighbors(0).contains(&t));
+        }
     }
 
     #[test]

@@ -115,7 +115,6 @@ impl<'a, M> NodeCtx<'a, M> {
     where
         M: Clone,
     {
-        self.targets.clear();
         self.membership
             .sample_targets(self.node, k, self.rng, self.targets);
         let copies = self.targets.iter().map(|&to| (to, msg.clone()));

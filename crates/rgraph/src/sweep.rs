@@ -29,7 +29,7 @@ pub fn configuration_model(
     rng: &mut Xoshiro256StarStar,
 ) -> Topology {
     let mut degrees: Vec<usize> = (0..n).map(|_| dist.sample(rng)).collect();
-    Topology::from_edges(n, &match_stubs(&mut degrees, rng))
+    Topology::from_edges(n, match_stubs(&mut degrees, rng))
 }
 
 /// One sweep's record at every occupied count `m = 0..=n`.
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn census_of_two_triangles_and_isolate() {
-        let g = Topology::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let g = Topology::from_edges(7, vec![(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let s = Sweep::in_order(&g, &[6, 0, 3, 1, 4, 2, 5]);
         let largest: Vec<u32> = (0..=7).map(|m| s.largest(m)).collect();
         assert_eq!(largest, [0, 1, 1, 1, 2, 2, 3, 3]);
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn fully_unoccupied() {
         // m = 0, or q = 0: no member occupied, so no component at all.
-        let g = Topology::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let g = Topology::from_edges(7, vec![(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let s = Sweep::in_order(&g, &[6, 0, 3, 1, 4, 2, 5]);
         assert_eq!(s.largest(0), 0);
         assert_eq!((s.fraction(0), s.susceptibility(0)), (0.0, 0.0));
@@ -269,7 +269,7 @@ mod tests {
 
     #[test]
     fn empty_graph_census() {
-        let s = Sweep::in_order(&Topology::from_edges(0, &[]), &[]);
+        let s = Sweep::in_order(&Topology::from_edges(0, vec![]), &[]);
         assert_eq!(s.nodes(), 0);
         assert_eq!(s.reliability(0.5), 0.0);
         assert_eq!(susceptibility_peak([s]), 0);
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "occupied twice")]
     fn rejects_an_order_that_is_not_a_permutation() {
-        Sweep::in_order(&Topology::from_edges(2, &[(0, 1)]), &[1, 1]);
+        Sweep::in_order(&Topology::from_edges(2, vec![(0, 1)]), &[1, 1]);
     }
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
     fn the_peak_is_the_first_maximum_of_the_mean() {
         // The path 0-1-2 swept in two orders: at m = 2 one holds the pair
         // {0, 1} (χ = 0), the other {0} and {2} apart (χ = 1).
-        let g = Topology::from_edges(3, &[(0, 1), (1, 2)]);
+        let g = Topology::from_edges(3, vec![(0, 1), (1, 2)]);
         let (a, b) = (
             Sweep::in_order(&g, &[0, 1, 2]),
             Sweep::in_order(&g, &[0, 2, 1]),
@@ -311,7 +311,7 @@ mod tests {
         assert_eq!((a.susceptibility(2), b.susceptibility(2)), (0.0, 1.0));
         assert_eq!(susceptibility_peak([a, b]), 2);
         // Three isolates: χ = 1 at both m = 2 and m = 3; the first wins.
-        let isolates = Sweep::in_order(&Topology::from_edges(3, &[]), &[0, 1, 2]);
+        let isolates = Sweep::in_order(&Topology::from_edges(3, vec![]), &[0, 1, 2]);
         assert_eq!(
             (isolates.susceptibility(2), isolates.susceptibility(3)),
             (1.0, 1.0)

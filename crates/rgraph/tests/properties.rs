@@ -81,7 +81,7 @@ proptest! {
             full.union(a, b);
         }
         let mut rng = Xoshiro256StarStar::new(seed);
-        let s = Sweep::new(&Topology::from_edges(n, &edges), &mut rng);
+        let s = Sweep::new(&Topology::from_edges(n, edges), &mut rng);
         prop_assert_eq!(s.nodes(), n);
         prop_assert_eq!(s.largest(n), full.largest());
         let sizes = full.component_sizes().into_iter().map(u64::from);
@@ -94,7 +94,7 @@ proptest! {
     /// L is non-decreasing in the occupied count and never exceeds it.
     #[test]
     fn occupied_census_bounded((n, edges) in arb_edges(40, 80), seed in 0u64..1000) {
-        let s = Sweep::new(&Topology::from_edges(n, &edges), &mut Xoshiro256StarStar::new(seed));
+        let s = Sweep::new(&Topology::from_edges(n, edges), &mut Xoshiro256StarStar::new(seed));
         prop_assert_eq!(s.largest(0), 0);
         for m in 1..=n {
             prop_assert!(s.largest(m) >= s.largest(m - 1));
@@ -112,7 +112,7 @@ proptest! {
         for i in (1..n).rev() {
             order.swap(i, rng.next_below(i as u64 + 1) as usize);
         }
-        let s = Sweep::in_order(&Topology::from_edges(n, &edges), &order);
+        let s = Sweep::in_order(&Topology::from_edges(n, edges.clone()), &order);
         for m in 0..=n {
             let occupied = &order[..m];
             let mut uf = UnionFind::new(n);

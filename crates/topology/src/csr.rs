@@ -26,36 +26,46 @@ impl Topology {
     /// self-loops are dropped, parallel edges merged, neighbour lists
     /// sorted.
     ///
-    /// A counting sort, with no per-node allocation: one pass counts
-    /// each row's length, a prefix sum turns the counts into row starts,
-    /// a second pass writes both arcs of every edge into one flat array,
-    /// and each row is then sorted and compacted in place.
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+    /// A two-pass counting sort, with no per-node allocation and no
+    /// comparison sort. One pass counts each row's length, and a prefix
+    /// sum turns the counts into row starts. The first scatter buckets
+    /// every arc's tail under its head; the second walks the heads in
+    /// ascending order into their tails' rows, so every row fills
+    /// already sorted and is only compacted. The edge list is taken by
+    /// value and dropped after the first scatter, so no more than two
+    /// arrays of `2·edges.len()` ids are live at a time.
+    pub fn from_edges(n: usize, edges: Vec<(u32, u32)>) -> Self {
         assert!(n <= u32::MAX as usize, "node ids limited to u32");
-        // Row `v`'s length is counted at `offsets[v + 2]`, so after the
-        // prefix sum `offsets[v + 1]` is row `v`'s start; the fill then
-        // advances it to row `v`'s end, the CSR layout.
         let mut offsets = vec![0usize; n + 1];
-        for &(a, b) in edges {
+        for &(a, b) in &edges {
             assert!(
                 (a as usize) < n && (b as usize) < n,
                 "edge ({a},{b}) out of range"
             );
-            for v in [a, b] {
-                if let Some(count) = offsets.get_mut(v as usize + 2) {
-                    *count += 1;
-                }
-            }
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
         for v in 1..=n {
             offsets[v] += offsets[v - 1];
         }
-        let mut neighbors = vec![0u32; 2 * edges.len()];
-        for &(a, b) in edges {
-            for (v, w) in [(a, b), (b, a)] {
-                let cursor = &mut offsets[v as usize + 1];
-                neighbors[*cursor] = w;
-                *cursor += 1;
+        // Every edge adds one arc to each endpoint's row and one to each
+        // endpoint's bucket, so buckets and rows share `offsets`.
+        let mut cursor = offsets.clone();
+        let mut tails = vec![0u32; 2 * edges.len()];
+        for (a, b) in edges {
+            for (tail, head) in [(a, b), (b, a)] {
+                let slot = &mut cursor[head as usize];
+                tails[*slot] = tail;
+                *slot += 1;
+            }
+        }
+        cursor.copy_from_slice(&offsets);
+        let mut neighbors = vec![0u32; tails.len()];
+        for head in 0..n {
+            for &tail in &tails[offsets[head]..offsets[head + 1]] {
+                let slot = &mut cursor[tail as usize];
+                neighbors[*slot] = head as u32;
+                *slot += 1;
             }
         }
         Self::canonical(offsets, neighbors)
@@ -65,33 +75,33 @@ impl Topology {
     /// (`lists[v]` = the members `v` gossips to): self-arcs are
     /// dropped, duplicate arcs merged, lists sorted. No reverse arc is
     /// added.
-    pub fn from_out_lists(lists: Vec<Vec<u32>>) -> Self {
+    pub fn from_out_lists(mut lists: Vec<Vec<u32>>) -> Self {
         let n = lists.len();
         assert!(n <= u32::MAX as usize, "node ids limited to u32");
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut neighbors = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-        for (v, list) in lists.iter().enumerate() {
+        for (v, list) in lists.iter_mut().enumerate() {
             assert!(
                 list.iter().all(|&w| (w as usize) < n),
                 "arc out of range at node {v}"
             );
+            list.sort_unstable();
             neighbors.extend_from_slice(list);
             offsets.push(neighbors.len());
         }
         Self::canonical(offsets, neighbors)
     }
 
-    /// Canonicalizes raw CSR rows in place: each row is sorted, then
-    /// copied down over the gaps left by earlier rows without its
-    /// duplicates and without `v` itself (a member never gossips to
-    /// itself). A row only ever moves toward the front, so no row is
-    /// overwritten before it is read.
+    /// Canonicalizes sorted raw CSR rows in place: each row is copied
+    /// down over the gaps left by earlier rows without its duplicates
+    /// and without `v` itself (a member never gossips to itself). A row
+    /// only ever moves toward the front, so no row is overwritten before
+    /// it is read.
     fn canonical(mut offsets: Vec<usize>, mut neighbors: Vec<u32>) -> Self {
         let (mut start, mut write) = (0, 0);
         for v in 0..offsets.len() - 1 {
             let end = offsets[v + 1];
-            neighbors[start..end].sort_unstable();
             let mut previous = None;
             for read in start..end {
                 let w = neighbors[read];
@@ -209,19 +219,19 @@ mod tests {
     #[test]
     fn canonicalizes_edges() {
         // Self-loop dropped, parallel edge merged, lists sorted.
-        let t = Topology::from_edges(4, &[(2, 1), (1, 2), (0, 0), (3, 1)]);
+        let t = Topology::from_edges(4, vec![(2, 1), (1, 2), (0, 0), (3, 1)]);
         assert_eq!(t.node_count(), 4);
         assert_eq!(t.edge_count(), 2);
         assert_eq!(t.neighbors(1), &[2, 3]);
         assert_eq!(t.degree(0), 0);
         assert!((t.mean_degree() - 1.0).abs() < 1e-12);
-        let empty = Topology::from_edges(0, &[]);
+        let empty = Topology::from_edges(0, vec![]);
         assert_eq!((empty.node_count(), empty.mean_degree()), (0, 0.0));
     }
 
     #[test]
     fn symmetry_holds() {
-        let t = Topology::from_edges(5, &[(0, 1), (1, 2), (3, 4), (4, 0)]);
+        let t = Topology::from_edges(5, vec![(0, 1), (1, 2), (3, 4), (4, 0)]);
         for a in 0..5u32 {
             for &b in t.neighbors(a) {
                 assert!(t.neighbors(b).contains(&a), "edge {a}-{b} not symmetric");
@@ -243,15 +253,15 @@ mod tests {
 
     #[test]
     fn connectivity_detects_islands() {
-        let joined = Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let joined = Topology::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]);
         assert!(joined.is_connected());
-        let split = Topology::from_edges(4, &[(0, 1), (2, 3)]);
+        let split = Topology::from_edges(4, vec![(0, 1), (2, 3)]);
         assert!(!split.is_connected());
     }
 
     #[test]
     fn edges_iterator_reports_each_once() {
-        let t = Topology::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let t = Topology::from_edges(3, vec![(0, 1), (1, 2), (2, 0)]);
         let mut edges: Vec<_> = t.edges().collect();
         edges.sort_unstable();
         assert_eq!(edges, vec![(0, 1), (0, 2), (1, 2)]);
@@ -272,6 +282,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_bad_edges() {
-        Topology::from_edges(2, &[(0, 7)]);
+        Topology::from_edges(2, vec![(0, 7)]);
     }
 }

@@ -52,7 +52,7 @@ fn ring(n: usize, shortcuts: usize, rng: &mut Xoshiro256StarStar) -> Topology {
             edges.push((lo, hi));
         }
     }
-    Topology::from_edges(n, &edges)
+    Topology::from_edges(n, edges)
 }
 
 /// The `k`-regular circulant: offsets `±1..=⌊k/2⌋`, plus the antipode
@@ -71,7 +71,7 @@ fn circulant(n: usize, k: usize) -> Topology {
             edges.push((v, v + half));
         }
     }
-    Topology::from_edges(n, &edges)
+    Topology::from_edges(n, edges)
 }
 
 /// Watts–Strogatz: the even-`k` circulant with each clockwise lattice
@@ -79,8 +79,11 @@ fn circulant(n: usize, k: usize) -> Topology {
 /// random endpoint that is neither the node itself nor already a
 /// neighbour.
 fn watts_strogatz(n: usize, k: usize, beta: f64, rng: &mut Xoshiro256StarStar) -> Topology {
-    // Adjacency sets as sorted Vecs: k is small, linear scans suffice.
-    let mut adjacency: Vec<Vec<u32>> = vec![Vec::with_capacity(k); n];
+    // Adjacency sets as unsorted Vecs: k is small, linear scans suffice.
+    // Each row is allocated once, with room for a few rewired-in edges
+    // beyond its k lattice edges (`vec![row; n]` would clone an empty
+    // row, and a clone keeps no capacity).
+    let mut adjacency: Vec<Vec<u32>> = (0..n).map(|_| Vec::with_capacity(k + 4)).collect();
     let connect = |adj: &mut Vec<Vec<u32>>, a: u32, b: u32| {
         adj[a as usize].push(b);
         adj[b as usize].push(a);
@@ -135,7 +138,7 @@ fn power_law(
     let weights: Vec<f64> = (kmin..=kmax).map(|k| (k as f64).powf(-alpha)).collect();
     let table = AliasTable::new(&weights);
     let mut degrees: Vec<usize> = (0..n).map(|_| kmin + table.sample(rng)).collect();
-    Topology::from_edges(n, &match_stubs(&mut degrees, rng))
+    Topology::from_edges(n, match_stubs(&mut degrees, rng))
 }
 
 /// Clustered layout: contiguous zones of near-equal size; each node
@@ -185,7 +188,7 @@ fn clustered(
             edges.push((v as u32, t));
         }
     }
-    Topology::from_edges(n, &edges)
+    Topology::from_edges(n, edges)
 }
 
 #[cfg(test)]

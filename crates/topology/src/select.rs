@@ -63,9 +63,11 @@ pub fn select_targets(
 }
 
 /// Draws `min(k, pool.len())` distinct elements from `pool` uniformly
-/// at random. Small-k rejection sampling when the pool is large, a
-/// partial Fisher–Yates over a copy otherwise.
+/// at random into `out`, which must arrive empty. Small-k rejection
+/// sampling when the pool is large, a partial Fisher–Yates staged in
+/// `out` itself otherwise.
 fn sample_distinct(pool: &[u32], k: usize, rng: &mut Xoshiro256StarStar, out: &mut Vec<u32>) {
+    debug_assert!(out.is_empty());
     let k = k.min(pool.len());
     if k == pool.len() {
         out.extend_from_slice(pool);
@@ -79,12 +81,12 @@ fn sample_distinct(pool: &[u32], k: usize, rng: &mut Xoshiro256StarStar, out: &m
             }
         }
     } else {
-        let mut copy = pool.to_vec();
+        out.extend_from_slice(pool);
         for i in 0..k {
-            let j = i + rng.next_below((copy.len() - i) as u64) as usize;
-            copy.swap(i, j);
-            out.push(copy[i]);
+            let j = i + rng.next_below((pool.len() - i) as u64) as usize;
+            out.swap(i, j);
         }
+        out.truncate(k);
     }
 }
 
@@ -185,9 +187,71 @@ mod tests {
         assert_eq!(sorted.len(), out.len());
     }
 
+    /// The sampler as it was before its Fisher–Yates moved into `out`:
+    /// rejection while `4k ≤ degree`, otherwise a partial shuffle of a
+    /// copy of the neighbour list.
+    fn copy_then_swap(pool: &[u32], k: usize, rng: &mut Xoshiro256StarStar) -> Vec<u32> {
+        let k = k.min(pool.len());
+        let mut out = Vec::new();
+        if k == pool.len() {
+            out.extend_from_slice(pool);
+        } else if k * 4 <= pool.len() {
+            while out.len() < k {
+                let pick = pool[rng.next_below(pool.len() as u64) as usize];
+                if !out.contains(&pick) {
+                    out.push(pick);
+                }
+            }
+        } else {
+            let mut copy = pool.to_vec();
+            for i in 0..k {
+                let j = i + rng.next_below((copy.len() - i) as u64) as usize;
+                copy.swap(i, j);
+                out.push(copy[i]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn random_neighbour_draws_match_the_copy_then_swap_reference() {
+        let specs = [
+            OverlaySpec::WattsStrogatz { k: 10, beta: 0.1 },
+            OverlaySpec::KRegular { k: 6 },
+        ];
+        for spec in &specs {
+            for seed in [1u64, 7, 42] {
+                let t = crate::generate::build_overlay(spec, 500, seed);
+                let mut rng = Xoshiro256StarStar::new(seed);
+                let mut reference_rng = rng.clone();
+                let mut out = Vec::new();
+                for node in 0..500u32 {
+                    // Every fanout from 1 to past the degree, so both the
+                    // rejection and the Fisher–Yates paths run.
+                    for fanout in 1..=t.degree(node) + 1 {
+                        select_targets(
+                            &t,
+                            PeerSelection::RandomNeighbour,
+                            node,
+                            fanout,
+                            &mut rng,
+                            &mut out,
+                        );
+                        let want = copy_then_swap(t.neighbors(node), fanout, &mut reference_rng);
+                        assert_eq!(
+                            out, want,
+                            "{spec:?} seed {seed} node {node} fanout {fanout}"
+                        );
+                    }
+                }
+                assert_eq!(rng, reference_rng, "draw counts differ");
+            }
+        }
+    }
+
     #[test]
     fn zero_fanout_and_isolated_nodes_yield_nothing() {
-        let t = Topology::from_edges(3, &[(0, 1)]);
+        let t = Topology::from_edges(3, vec![(0, 1)]);
         let mut rng = Xoshiro256StarStar::new(1);
         let mut out = vec![9, 9];
         select_targets(&t, PeerSelection::RandomNeighbour, 2, 3, &mut rng, &mut out);

@@ -8,6 +8,30 @@ use gossip_stats::rng::Xoshiro256StarStar;
 use gossip_topology::{build_overlay, match_stubs, OverlaySpec, Topology};
 use proptest::prelude::*;
 
+/// Strategy over raw multigraph edge lists `(n, edges)` full of
+/// self-loops, repeated pairs and reversed pairs, from 1 to 1000 nodes.
+fn multigraph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (
+        0usize..5,
+        proptest::collection::vec((0u32..1000, 0u32..1000, 0u8..4), 0..600),
+    )
+        .prop_map(|(size, raw)| {
+            let n = [1usize, 2, 3, 64, 1000][size];
+            let mut edges = Vec::new();
+            for (a, b, shape) in raw {
+                let (a, b) = (a % n as u32, b % n as u32);
+                edges.push((a, b));
+                match shape {
+                    0 => {}
+                    1 => edges.push((b, a)),
+                    2 => edges.push((a, a)),
+                    _ => edges.push((a, b)),
+                }
+            }
+            (n, edges)
+        })
+}
+
 /// Strategy over valid `(spec, n)` pairs covering every overlay family.
 /// Parameters are constructed so `spec.validate(n)` always holds, which
 /// each test double-checks.
@@ -166,22 +190,7 @@ proptest! {
     /// `from_edges` equals a per-node `BTreeSet` reference on raw edge
     /// lists full of self-loops, duplicates and reversed pairs.
     #[test]
-    fn from_edges_matches_a_btreeset_reference(
-        size in 0usize..5,
-        raw in proptest::collection::vec((0u32..1000, 0u32..1000, 0u8..4), 0..600),
-    ) {
-        let n = [1usize, 2, 3, 64, 1000][size];
-        let mut edges = Vec::new();
-        for &(a, b, shape) in &raw {
-            let (a, b) = (a % n as u32, b % n as u32);
-            edges.push((a, b));
-            match shape {
-                0 => {}
-                1 => edges.push((b, a)),
-                2 => edges.push((a, a)),
-                _ => edges.push((a, b)),
-            }
-        }
+    fn from_edges_matches_a_btreeset_reference((n, edges) in multigraph()) {
         let mut reference = vec![BTreeSet::new(); n];
         for &(a, b) in &edges {
             if a != b {
@@ -189,10 +198,33 @@ proptest! {
                 reference[b as usize].insert(a);
             }
         }
-        let topo = Topology::from_edges(n, &edges);
+        let topo = Topology::from_edges(n, edges);
         prop_assert_eq!(topo.node_count(), n);
         for (v, want) in reference.iter().enumerate() {
             prop_assert_eq!(topo.neighbors(v as u32), &want.iter().copied().collect::<Vec<_>>()[..]);
+        }
+    }
+
+    /// The counting-sort `from_edges` equals the scatter-then-sort build
+    /// it replaced: both arcs of every edge scattered into per-node rows,
+    /// each row sorted, then self-loops and repeats dropped.
+    #[test]
+    fn from_edges_matches_a_per_row_sort_reference((n, edges) in multigraph()) {
+        let mut rows = vec![Vec::new(); n];
+        for &(a, b) in &edges {
+            rows[a as usize].push(b);
+            rows[b as usize].push(a);
+        }
+        for (v, row) in rows.iter_mut().enumerate() {
+            row.sort_unstable();
+            row.dedup();
+            row.retain(|&w| w as usize != v);
+        }
+        let arcs: usize = rows.iter().map(Vec::len).sum();
+        let topo = Topology::from_edges(n, edges);
+        prop_assert_eq!(topo.edge_count(), arcs / 2);
+        for (v, want) in rows.iter().enumerate() {
+            prop_assert_eq!(topo.neighbors(v as u32), &want[..]);
         }
     }
 
@@ -205,7 +237,7 @@ proptest! {
     ) {
         let topo = build_overlay(&spec, n, seed);
         let edges: Vec<(u32, u32)> = topo.edges().collect();
-        prop_assert_eq!(Topology::from_edges(n, &edges), topo);
+        prop_assert_eq!(Topology::from_edges(n, edges), topo);
     }
 
     /// A stub matching realizes its degree sequence exactly, as a

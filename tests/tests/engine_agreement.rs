@@ -102,7 +102,7 @@ impl Backend for ReferenceCensus {
                 .into_iter()
                 .filter(|_| !rng.next_bool(scenario.loss))
                 .collect();
-            let thinned = Topology::from_edges(scenario.n, &kept);
+            let thinned = Topology::from_edges(scenario.n, kept);
             Sweep::new(&thinned, &mut rng).sample(q, &mut rng)
         });
         Ok(reduce::census(self.name(), scenario, &*dist, reliabilities))
